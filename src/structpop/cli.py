@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import ibm, kernel, malthus, pde, spectral
+from . import ibm, malthus, pde, spectral
 from .model import (AgeGrid, ConfigError, PRESETS, ScenarioConfig, build_grids,
                     build_model, parse_config, validate_assumptions)
 
@@ -57,7 +57,6 @@ def _load_config(args) -> ScenarioConfig:
         if val is not None:
             overrides[name] = val
     if overrides:
-        from dataclasses import replace
         config = replace(config, **overrides)
     return config
 
@@ -73,29 +72,29 @@ def _setup(config: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_spectral(config, out: str) -> dict:
-    model, tgrid, agrid = _setup(config)
+    problem = malthus.MalthusProblem(*_setup(config))
     rows = []
     for lam in LAMBDA_SAMPLE:
-        ck = kernel.collapse(model, tgrid, agrid, lam)
-        direct = spectral.assemble(ck, tgrid, "direct")
-        dual = spectral.assemble(ck, tgrid, "dual")
-        pd = spectral.regime_classify(spectral.perron(direct), ck, tgrid)
-        pq = spectral.perron(dual)
+        ck, pd, pq = problem.eigendata(lam)
         rows.append((lam, pd.rho, pq.rho, ck.rbar, pd.rho - ck.rbar, pd.regime))
     path = os.path.join(out, "rho_curve.csv")
     _write_csv(path, ["lambda", "rho_direct", "rho_dual", "rbar", "gap", "regime"], rows)
     return {"rho_curve": rows[0][1], "manifest": [path]}
 
 
+def _tol_lam(config) -> float:
+    return min(config.tol * 1e4, 1e-6)
+
+
 def _solve(config):
     model, tgrid, agrid = _setup(config)
     problem = malthus.MalthusProblem(model, tgrid, agrid)
-    triple = malthus.solve_eigentriple(problem, tol_lam=min(config.tol * 1e4, 1e-6))
+    triple = malthus.solve_eigentriple(problem, tol_lam=_tol_lam(config))
     return model, tgrid, agrid, problem, triple
 
 
-def cmd_malthus(config, out: str) -> dict:
-    model, tgrid, agrid, problem, triple = _solve(config)
+def cmd_malthus(config, out: str, solved=None) -> dict:
+    model, tgrid, agrid, problem, triple = solved or _solve(config)
     rho0, _ = problem.rho_of_lambda(0.0)
     path = os.path.join(out, "eigen_triple.csv")
     rows = ((x, a, triple.N_grid[i, j], triple.phi_grid[i, j])
@@ -137,9 +136,9 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
                        phi=triple.phi_grid, lam_star=lam, record_every=stride)
     path = os.path.join(out, "pde_trace.csv")
     rows = zip(trace.t, trace.mass, trace.tv_to_target, trace.phi_weighted_dist,
-               [math.nan] * len(trace.t), trace.D_t, trace.truncation_loss)
-    _write_csv(path, ["t", "mass", "tv_to_stationary", "phi_dist", "invariant",
-                      "D_t", "truncation_loss"], rows)
+               trace.D_t, trace.truncation_loss)
+    _write_csv(path, ["t", "mass", "tv_to_stationary", "phi_dist", "D_t",
+                      "truncation_loss"], rows)
     return {"lambda_star": lam, "final_mass": trace.mass[-1],
             "final_tv": trace.tv_to_target[-1], "regime": triple.regime,
             "manifest": [path]}
@@ -167,38 +166,34 @@ def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
             "ci": [md - 3 * se, md + 3 * se], "manifest": [path]}
 
 
-def _refinement_rows(config, nx_list):
+def _refinement_rows(config, problem):
+    """Refinement sweep up to the solved grid, reusing its problem at nx = n."""
+    n = problem.tgrid.n
+
     def make_problem(nx):
-        from dataclasses import replace
-        cfg = replace(config, nx=nx)
-        model, tgrid, agrid = _setup(cfg)
-        return malthus.MalthusProblem(model, tgrid, agrid)
-    return malthus.refinement_sweep(make_problem, nx_list)
+        if nx == n:
+            return problem
+        return malthus.MalthusProblem(*_setup(replace(config, nx=nx)))
+    return malthus.refinement_sweep(make_problem, [max(n // 4, 8), n // 2, n],
+                                    _tol_lam(config))
 
 
-def cmd_verify(config, out: str) -> dict:
-    model, tgrid, agrid = _setup(config)
+def cmd_verify(config, out: str, solved=None) -> dict:
+    model, tgrid, agrid, problem, triple = solved or _solve(config)
     checks = {}
     report = validate_assumptions(model, tgrid, agrid)
     checks["assumptions"] = report.all_ok
-    ck = kernel.collapse(model, tgrid, agrid, 0.0)
+    ck, pd, pq = problem.eigendata(0.0)
     direct = spectral.assemble(ck, tgrid, "direct")
     dual = spectral.assemble(ck, tgrid, "dual")
     checks["adjoint_defect"] = spectral.adjoint_residual(direct, dual) <= 1e-12
-    pd = spectral.perron(direct)
-    pq = spectral.perron(dual)
     checks["rho_identity"] = abs(pd.rho - pq.rho) <= 1e-10 * pd.rho
 
-    problem = malthus.MalthusProblem(model, tgrid, agrid)
     rhos = [problem.rho_of_lambda(l)[0] for l in LAMBDA_SAMPLE]
     checks["rho_decreasing"] = all(a > b + 1e-6 for a, b in zip(rhos, rhos[1:]))
 
     manifest = []
     summary = {"checks": checks, "rho_at_zero": pd.rho}
-    try:
-        triple = malthus.solve_eigentriple(problem)
-    except malthus.SubcriticalError:
-        raise
     checks["norm_intN"] = abs(triple.norms["intN"] - 1.0) <= 1e-8
     checks["norm_intNphi"] = abs(triple.norms["intNphi"] - 1.0) <= 1e-8
     summary["lambda_star"] = triple.lambda_star
@@ -211,7 +206,7 @@ def cmd_verify(config, out: str) -> dict:
         checks["stationary_residual"] = pde.stationary_residual(solver, nbar) <= 1e-3
     else:
         summary["convergence_report"] = "refused: regime not certified Regular"
-        rows = _refinement_rows(config, [max(tgrid.n // 4, 8), tgrid.n // 2, tgrid.n])
+        rows = _refinement_rows(config, problem)
         path = os.path.join(out, "refinement.csv")
         _write_csv(path, ["nx", "lambda_star_h", "gap", "mass_in_band"],
                    [(r["nx"], r["lambda_star_h"], r["gap"], r["mass_in_band"])
@@ -239,11 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--da", type=float, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--replicates", type=int, default=20)
-        sp.add_argument("--tmax", type=float, default=10.0)
+        return sp
 
     for name in ("spectral", "malthus", "stationary", "pde", "ibm", "verify"):
-        common(sub.add_parser(name))
+        sp = common(sub.add_parser(name))
+        if name in ("pde", "ibm"):
+            sp.add_argument("--tmax", type=float, default=10.0)
+        if name == "ibm":
+            sp.add_argument("--replicates", type=int, default=20)
     sc = sub.add_parser("scenario")
     sc.add_argument("preset", choices=sorted(PRESETS))
     sc.add_argument("--verify", action="store_true")
@@ -263,9 +261,10 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         command = args.command
         if command == "scenario":
-            summary = cmd_malthus(config, args.out)
+            solved = _solve(config)
+            summary = cmd_malthus(config, args.out, solved)
             if args.verify:
-                v = cmd_verify(config, args.out)
+                v = cmd_verify(config, args.out, solved)
                 summary["verify"] = {k: v[k] for k in ("checks", "all_green")}
                 summary["manifest"] += v["manifest"]
             if summary["regime"] != "Regular":

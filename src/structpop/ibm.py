@@ -72,42 +72,25 @@ def _scalar_rate(fam, domain):
 
 
 class _MutantSampler:
-    """Inverse-CDF draw of the mutant trait from k(x, a, .) on the trait grid.
+    """Inverse-CDF draw of the mutant trait from k(x, .) on the trait grid.
 
     Piecewise-constant density over trait cells: documented O(dx) bias shared
-    with the grid discretization. CDF rows are cached per source node for
-    age-independent kernels.
+    with the grid discretization. The CDF rows of all source nodes are built
+    once, from the kernel's trait matrix.
     """
 
     def __init__(self, model: RateModel, tgrid: TraitGrid):
-        self.model = model
-        self.tgrid = tgrid
+        self.nodes = tgrid.nodes
         self.lo = model.trait_domain[0]
         self.dx = float(tgrid.weights[0])
-        self.age_independent = bool(getattr(model.mutation_kernel, "age_independent", False))
-        self._cdf_cache: dict[int, np.ndarray] = {}
+        cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
+        self.cdf = cdf / cdf[:, -1:]
 
-    def _node_index(self, x: float) -> int:
-        i = int((x - self.lo) / self.dx)
-        return min(max(i, 0), self.tgrid.n - 1)
-
-    def _cdf(self, x: float, a: float) -> np.ndarray:
-        i = self._node_index(x)
-        if self.age_independent and i in self._cdf_cache:
-            return self._cdf_cache[i]
-        dens = np.asarray(self.model.mutation_kernel(
-            self.tgrid.nodes[i], 0.0 if self.age_independent else a,
-            self.tgrid.nodes), float)
-        cdf = np.cumsum(dens * self.tgrid.weights)
-        cdf /= cdf[-1]
-        if self.age_independent:
-            self._cdf_cache[i] = cdf
-        return cdf
-
-    def draw(self, x: float, a: float, u: float) -> float:
-        cdf = self._cdf(x, a)
-        j = int(np.searchsorted(cdf, u))
-        return float(self.tgrid.nodes[min(j, self.tgrid.n - 1)])
+    def draw(self, x: float, u: float) -> float:
+        n = self.nodes.size
+        i = min(max(int((x - self.lo) / self.dx), 0), n - 1)
+        j = int(np.searchsorted(self.cdf[i], u))
+        return float(self.nodes[min(j, n - 1)])
 
 
 def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
@@ -179,7 +162,7 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
         b = B(x, a)
         if u < b:
             if rng.random() < p:
-                child = mutants.draw(x, a, rng.random())
+                child = mutants.draw(x, rng.random())
             else:
                 child = x
             xs.append(child)
@@ -291,15 +274,8 @@ def square_integrability_constant(model: RateModel, phi_grid: np.ndarray,
     D = np.asarray(model.death(X, A), float)
     p = model.mutation_prob
     phi0_sq = phi_grid[:, 0] ** 2
-    kern = model.mutation_kernel
-    if getattr(kern, "age_independent", False):
-        kmat = np.asarray(kern(X, 0.0, tgrid.nodes[None, :]), float)
-        mut = (kmat @ (phi0_sq * tgrid.weights))[:, None]
-    else:
-        mut = np.einsum("lji,i,i->lj",
-                        np.asarray(kern(X[:, :, None], A[:, :, None],
-                                        tgrid.nodes[None, None, :]), float),
-                        phi0_sq, tgrid.weights)
+    kmat = model.mutation_kernel.matrix(tgrid.nodes)
+    mut = (kmat @ (phi0_sq * tgrid.weights))[:, None]
     lhs = B * ((1.0 - p) * phi0_sq[:, None] + p * mut) + D * phi_grid ** 2
     if np.any(phi_grid <= 0):
         return math.inf

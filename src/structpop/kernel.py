@@ -131,44 +131,19 @@ class CollapsedKernel:
 
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
              tol: float | None = None) -> CollapsedKernel:
-    """Compute r_lambda and K_lambda on the trait grid by age quadrature."""
+    """Compute r_lambda and K_lambda on the trait grid by age quadrature.
+
+    With sB(x) = int B R_lambda da: r = (1 - p) sB and K(x, y) = p sB(x) k(x, y).
+    """
     _check_lambda(model, lam)
-    ages = agrid.nodes
     tb = tail_bound(model, lam, agrid.a_max)
     if tol is not None and tb > tol:
         raise TailBoundError(
             f"age horizon {agrid.a_max} leaves tail bound {tb:.3e} > tol {tol:.3e}")
 
-    cells = bR_cell_integrals(model, tgrid.nodes, ages, lam)   # (nx, n_cells)
-    sB = cells.sum(axis=1)                                     # int B R da
+    cells = bR_cell_integrals(model, tgrid.nodes, agrid.nodes, lam)   # (nx, n_cells)
+    sB = cells.sum(axis=1)                                            # int B R da
     r = (1.0 - model.mutation_prob) * sB
-
-    kern = model.mutation_kernel
-    if getattr(kern, "age_independent", False):
-        kmat = np.asarray(kern(tgrid.nodes[:, None], 0.0, tgrid.nodes[None, :]), float)
-        K = model.mutation_prob * sB[:, None] * kmat
-    else:
-        mids = 0.5 * (ages[:-1] + ages[1:])
-        K = np.zeros((tgrid.n, tgrid.n))
-        for j, (am, cell) in enumerate(zip(mids, cells.T)):
-            kv = np.asarray(kern(tgrid.nodes[:, None], am, tgrid.nodes[None, :]), float)
-            K += cell[:, None] * kv
-        K *= model.mutation_prob
+    K = model.mutation_prob * sB[:, None] * model.mutation_kernel.matrix(tgrid.nodes)
     return CollapsedKernel(lam=lam, r_values=r, K_values=K,
                            da=agrid.da, a_max=agrid.a_max, tail=tb)
-
-
-def dump_csv(kernels: list[CollapsedKernel], tgrid: TraitGrid,
-             r_path: str, K_path: str) -> None:
-    """Write (lambda, x, r) and (lambda, x, y, K) tables with LF endings."""
-    with open(r_path, "w", newline="\n") as f:
-        f.write("lambda,x,r\n")
-        for ck in kernels:
-            for x, r in zip(tgrid.nodes, ck.r_values):
-                f.write(f"{ck.lam!r},{x!r},{r!r}\n")
-    with open(K_path, "w", newline="\n") as f:
-        f.write("lambda,x,y,K\n")
-        for ck in kernels:
-            for i, x in enumerate(tgrid.nodes):
-                for j, y in enumerate(tgrid.nodes):
-                    f.write(f"{ck.lam!r},{x!r},{y!r},{ck.K_values[i, j]!r}\n")

@@ -110,7 +110,7 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
     """phi(x,a) from the tail-integral representation of the dual problem.
 
     phi(x,a) = R(x,a)^{-1} [ (1-p) eta(x) int_a^inf B R da'
-                             + p sum_j eta_j w_j int_a^inf B R k(x,.,x_j) da' ].
+                             + p sum_j eta_j w_j k(x, x_j) int_a^inf B R da' ].
 
     Tail integrals run over an extended lattice [0, 2 A_max] so that phi keeps
     its continuum value at the horizon instead of collapsing to zero there.
@@ -127,19 +127,8 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
 
     p = model.mutation_prob
     na = agrid.n_cells + 1
-    kernel_fam = model.mutation_kernel
-    if getattr(kernel_fam, "age_independent", False):
-        kmat = np.asarray(kernel_fam(xs[:, None], 0.0, xs[None, :]), float)
-        mut = tails[:, :na] * (kmat @ (eta * tgrid.weights))[:, None]
-    else:
-        mids = 0.5 * (ages[:-1] + ages[1:])
-        mut_cells = np.zeros((tgrid.n, n_ext))
-        ew = eta * tgrid.weights
-        for j, am in enumerate(mids):
-            kv = np.asarray(kernel_fam(xs[:, None], am, xs[None, :]), float)
-            mut_cells[:, j] = cells[:, j] * (kv @ ew)
-        mt = np.flip(np.cumsum(np.flip(mut_cells, axis=1), axis=1), axis=1)
-        mut = np.concatenate([mt, np.zeros((tgrid.n, 1))], axis=1)[:, :na]
+    kmat = model.mutation_kernel.matrix(xs)
+    mut = tails[:, :na] * (kmat @ (eta * tgrid.weights))[:, None]
 
     phi = ((1.0 - p) * eta[:, None] * tails[:, :na] + p * mut) / R[:, :na]
     if N_grid is not None:

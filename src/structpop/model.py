@@ -141,17 +141,20 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
 
 @dataclass(frozen=True)
 class KernelFamily:
-    """Mutation density k(x, a, y), a probability density in y over S."""
+    """Mutation density k(x, y), a probability density in y over S."""
 
     name: str
     params: dict
-    fn: Callable                 # (x, a, y) -> density
-    age_independent: bool
+    fn: Callable                 # (x, y) -> density
     inf: float
     sup: float
 
-    def __call__(self, x, a, y):
-        return self.fn(x, a, y)
+    def __call__(self, x, y):
+        return self.fn(x, y)
+
+    def matrix(self, nodes: np.ndarray) -> np.ndarray:
+        """kmat[i, j] = k(x_i, x_j) on the given trait nodes."""
+        return np.asarray(self.fn(nodes[:, None], nodes[None, :]), float)
 
 
 def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> KernelFamily:
@@ -162,12 +165,11 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
     if name == "uniform":
         val = 1.0 / leb
 
-        def fn(x, a, y, val=val):
-            shape = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float),
-                                        np.asarray(y, float))[0]
+        def fn(x, y, val=val):
+            shape = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0]
             return np.full_like(shape, val)
 
-        fam = KernelFamily(name, {}, fn, True, val, val)
+        fam = KernelFamily(name, {}, fn, val, val)
     elif name == "gaussian":
         # gaussian in (y - x), truncated to S and renormalized with erf
         width = float(p.pop("width"))
@@ -180,16 +182,16 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
             erf = np.vectorize(math.erf)
             return 0.5 * (erf((hi - x) / (width * rt2)) - erf((lo - x) / (width * rt2)))
 
-        def fn(x, a, y, width=width):
+        def fn(x, y, width=width):
             x = np.asarray(x, float)
             y = np.asarray(y, float)
             z = np.exp(-0.5 * ((y - x) / width) ** 2) / (width * math.sqrt(2 * math.pi))
-            return z / norm_const(x) + 0.0 * np.asarray(a, float)
+            return z / norm_const(x)
 
         # crude analytic bounds on a fine probe grid (exact enough for reports)
         probe = np.linspace(lo, hi, 501)
-        vals = fn(probe[:, None], 0.0, probe[None, :])
-        fam = KernelFamily(name, {"width": width}, fn, True,
+        vals = fn(probe[:, None], probe[None, :])
+        fam = KernelFamily(name, {"width": width}, fn,
                            float(vals.min()), float(vals.max()))
     else:
         raise ConfigError(f"unknown kernel family {name!r}")
@@ -378,24 +380,23 @@ def build_grids(config: ScenarioConfig, model: RateModel | None = None,
 # checked point evaluation
 # ---------------------------------------------------------------------------
 
-def _check_domain(model: RateModel, x: float, a: float, y: float | None = None) -> None:
+def _check_trait(model: RateModel, x: float) -> None:
     lo, hi = model.trait_domain
     if not lo <= x <= hi:
         raise ValueError(f"trait {x} outside domain [{lo}, {hi}]")
-    if a < 0:
-        raise ValueError(f"age {a} must be nonnegative")
-    if y is not None and not lo <= y <= hi:
-        raise ValueError(f"trait {y} outside domain [{lo}, {hi}]")
 
 
 def eval_rates(model: RateModel, x: float, a: float) -> tuple[float, float]:
-    _check_domain(model, x, a)
+    _check_trait(model, x)
+    if a < 0:
+        raise ValueError(f"age {a} must be nonnegative")
     return float(model.birth(x, a)), float(model.death(x, a))
 
 
-def eval_kernel(model: RateModel, x: float, a: float, y: float) -> float:
-    _check_domain(model, x, a, y)
-    return float(model.mutation_kernel(x, a, y))
+def eval_kernel(model: RateModel, x: float, y: float) -> float:
+    _check_trait(model, x)
+    _check_trait(model, y)
+    return float(model.mutation_kernel(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +436,16 @@ def validate_assumptions(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
     # kernel normalization on a fine dedicated grid, independent of the trait grid
     dxf = (hi - lo) / n_fine
     yfine = lo + dxf * (np.arange(n_fine) + 0.5)
-    defect = 0.0
-    for x in tgrid.nodes[:: max(1, tgrid.n // 8)]:
-        for a in (0.0, agrid.a_max / 2):
-            mass = float(np.sum(model.mutation_kernel(x, a, yfine)) * dxf)
-            defect = max(defect, abs(mass - 1.0))
+    xs = tgrid.nodes[:: max(1, tgrid.n // 8)]
+    masses = np.sum(model.mutation_kernel(xs[:, None], yfine[None, :]), axis=1) * dxf
+    defect = float(np.abs(masses - 1.0).max())
     rep.checks["kernel_normalized"] = defect < 1e-8
     rep.details["kernel_normalized"] = {"max_defect": defect}
 
-    # sampled (A4)-style check: common age window with B(x,.) > 0 and
-    # k(x,.,y) > 0 for neighboring trait nodes
-    a4 = True
-    for i in range(tgrid.n - 1):
-        x, y = tgrid.nodes[i], tgrid.nodes[i + 1]
-        bx = model.birth(x, ages)
-        kxy = model.mutation_kernel(x, ages, y)
-        if not np.any((bx > 0) & (kxy > 0)):
-            a4 = False
-            break
+    # sampled (A4)-style check: B(x,.) > 0 somewhere in age and k(x, y) > 0
+    # for neighboring trait nodes
+    kxy = model.mutation_kernel(tgrid.nodes[:-1], tgrid.nodes[1:])
+    a4 = bool(np.all(np.any(bvals[:-1] > 0, axis=1) & (kxy > 0)))
     rep.checks["support_overlap_sampled"] = a4
     if not a4:
         rep.warnings.append("no sampled age window with positive birth and mutation density "
@@ -483,8 +476,15 @@ def singular_scenario(nx: int = 64, da: float = 0.01, tol: float = 1e-10,
                       seed: int = 20240902) -> ScenarioConfig:
     """Concentrating case: B(x) = 4 - sqrt(x), D=1, small mutation probability.
 
-    With p < 1/9 the trait marginal of the stable distribution carries a
-    singular part at the maximizing trait x = 0.
+    With p < 1/8 the trait marginal of the stable distribution carries a
+    singular part at the maximizing trait x = 0. Derivation: the age collapse
+    gives sB_lam(x) = B(x) / (1 + lam) and r_lam = (1 - p) sB_lam, with
+    rbar_lam = r_lam(0) = 1 at lam = 4 (1 - p) - 1. For the uniform kernel the
+    direct eigenvector is mu = c / (rho - r), so a density at rho = 1 needs
+    p int sB / (1 - r) dx >= 1 there. With sB = (4 - sqrt(x)) / (4 (1 - p))
+    and 1 - r = sqrt(x) / 4 that integral is
+    (p / (1 - p)) int_0^1 (4 - sqrt(x)) / sqrt(x) dx = 7p / (1 - p),
+    which falls below one exactly when p < 1/8.
     """
     return ScenarioConfig(
         trait_domain=(0.0, 1.0),

@@ -57,23 +57,13 @@ class TransportSolver:
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         self.D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
 
-        kern = model.mutation_kernel
-        self.age_independent_kernel = bool(getattr(kern, "age_independent", False))
-        if self.age_independent_kernel:
-            # kmat[l, i] = k(x_l, ., x_i)
-            self.kmat = np.asarray(kern(xs[:, None], 0.0, xs[None, :]), float)
-        else:
-            self.ktens = np.asarray(
-                kern(xs[:, None, None], ages[None, :, None], xs[None, None, :]), float)
+        self.kmat = model.mutation_kernel.matrix(xs)   # kmat[l, i] = k(x_l, x_i)
 
         # boundary system (I - A) n0 = flux-from-older-ages
         p = model.mutation_prob
         b0 = self.B[:, 0]
         A = np.diag((1.0 - p) * b0 * self.qa[0])
-        if self.age_independent_kernel:
-            A += p * self.qa[0] * (self.kmat * (b0 * tgrid.weights)[:, None]).T
-        else:
-            A += p * self.qa[0] * (self.ktens[:, 0, :] * (b0 * tgrid.weights)[:, None]).T
+        A += p * self.qa[0] * (self.kmat * (b0 * tgrid.weights)[:, None]).T
         self._boundary_lu = lu_factor(np.eye(tgrid.n) - A)
 
     # -- quadratures -------------------------------------------------------
@@ -86,11 +76,7 @@ class TransportSolver:
         p = self.model.mutation_prob
         per_trait = np.sum(self.B * values * self.qa[None, :], axis=1)   # int B n da
         clonal = (1.0 - p) * per_trait
-        if self.age_independent_kernel:
-            mutant = p * self.kmat.T @ (per_trait * self.tgrid.weights)
-        else:
-            mutant = p * np.einsum("lj,lj,j,l,lji->i", self.B, values, self.qa,
-                                   self.tgrid.weights, self.ktens)
+        mutant = p * self.kmat.T @ (per_trait * self.tgrid.weights)
         return clonal + mutant
 
     # -- stepping ----------------------------------------------------------
@@ -110,7 +96,8 @@ class TransportSolver:
         g = self.renewal_flux(shifted)
         n0 = lu_solve(self._boundary_lu, g)
         shifted[:, 0] = np.maximum(n0, 0.0)
-        assert np.all(shifted >= 0.0)
+        if not np.all(shifted >= 0.0):
+            raise ValueError("transport step produced a negative or NaN density")
         state.values = shifted
         state.t += self.dt
         return loss
@@ -236,12 +223,8 @@ def stationary_residual(solver: TransportSolver, nbar: np.ndarray,
     worst = 0.0
     for f, dfda in basket:
         f0 = f[:, 0]
-        if solver.age_independent_kernel:
-            mut0 = solver.kmat @ (f0 * solver.tgrid.weights)
-        else:
-            mut0 = np.einsum("lji,i,i->lj", solver.ktens, f0, solver.tgrid.weights)
-        G = solver.B * ((1.0 - p) * f0[:, None] + p *
-                        (mut0[:, None] if mut0.ndim == 1 else mut0))
+        mut0 = solver.kmat @ (f0 * solver.tgrid.weights)
+        G = solver.B * ((1.0 - p) * f0[:, None] + p * mut0[:, None])
         integrand = dfda - (solver.D + model.competition * mass) * f + G
         worst = max(worst, abs(float(np.sum(integrand * nbar * solver.mass_w))))
     return worst

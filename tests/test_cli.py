@@ -120,5 +120,9 @@ def test_pde_subcommand(small_cfg, tmp_path):
     assert main(["pde", "--config", small_cfg, "--out", out,
                  "--tmax", "2.0"]) == EXIT_OK
     header = open(os.path.join(out, "pde_trace.csv")).readline().strip()
-    assert header == ("t,mass,tv_to_stationary,phi_dist,invariant,"
-                      "D_t,truncation_loss")
+    assert header == "t,mass,tv_to_stationary,phi_dist,D_t,truncation_loss"
+
+
+def test_tmax_rejected_where_not_read(small_cfg, tmp_path):
+    assert main(["malthus", "--config", small_cfg, "--out", str(tmp_path / "out"),
+                 "--tmax", "5"]) == EXIT_USAGE

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from structpop.ibm import square_integrability_constant
 from structpop.kernel import survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, dual_profile,
                                eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
 from structpop.model import build_grids, build_model, constant_scenario
-from structpop.pde import TransportSolver
+from structpop.pde import TransportSolver, stationary_residual
 from structpop.spectral import assemble
 
 
@@ -101,7 +102,7 @@ def test_dual_ode_residual(constant_setup):
     D = s.model.death(X, ages[None, :])
     p = s.model.mutation_prob
     phi0 = phi[:, 0]
-    mut = s.model.mutation_kernel(X, 0.0, s.tgrid.nodes[None, :]) @ (
+    mut = s.model.mutation_kernel(X, s.tgrid.nodes[None, :]) @ (
         phi0 * s.tgrid.weights)
     G = B * ((1 - p) * phi0[:, None] + p * mut[:, None])
     res = dphi - (D + tr.lambda_star) * mid + G
@@ -176,3 +177,21 @@ def test_refinement_sweep_regular_gap_persists():
     for row in rows:
         assert row["regime"] == "Regular"
         assert row["gap"] == pytest.approx(0.3, abs=1e-4)
+
+
+def test_gaussian_kernel_constant_rates():
+    # B=2, D=1 and a normalized kernel give lambda* = B - D = 1 and phi = 1
+    # whatever k is; a non-constant kernel matrix exposes a transposed kmat.
+    cfg = dataclasses.replace(constant_scenario(),
+                              kernel={"family": "gaussian", "params": {"width": 0.15}})
+    model = build_model(cfg)
+    tgrid, agrid = build_grids(cfg, model)
+    problem = MalthusProblem(model, tgrid, agrid)
+    triple = solve_eigentriple(problem)
+    _, nbar, _ = stationary_state(problem, triple)
+    solver = TransportSolver(model, tgrid, agrid)
+    assert abs(triple.lambda_star - 1.0) <= 1e-3
+    assert np.abs(triple.phi_grid - 1.0).max() <= 1e-3
+    assert stationary_residual(solver, nbar) <= 1e-3
+    C = square_integrability_constant(model, triple.phi_grid, tgrid, agrid)
+    assert abs(C - 3.0) <= 1e-3

@@ -81,7 +81,7 @@ def test_config_rejects_bad_grid_values():
 def test_eval_rates_constant():
     model = build_model(constant_scenario())
     assert eval_rates(model, 0.3, 5.0) == (2.0, 1.0)
-    assert eval_kernel(model, 0.3, 5.0, 0.9) == 1.0
+    assert eval_kernel(model, 0.3, 0.9) == 1.0
 
 
 def test_eval_rates_sqrt_gap():
@@ -98,7 +98,7 @@ def test_eval_rates_rejects_out_of_domain():
     with pytest.raises(ValueError):
         eval_rates(model, 0.5, -0.1)
     with pytest.raises(ValueError):
-        eval_kernel(model, 0.5, 0.0, -2.0)
+        eval_kernel(model, 0.5, -2.0)
 
 
 def test_rate_family_rejects_unknown_params():
@@ -116,7 +116,7 @@ def test_gaussian_kernel_normalized():
     model = build_model(cfg)
     y = np.linspace(0, 1, 20001)
     for x in (0.0, 0.37, 1.0):
-        mass = np.trapezoid(model.mutation_kernel(x, 0.0, y), y)
+        mass = np.trapezoid(model.mutation_kernel(x, y), y)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 

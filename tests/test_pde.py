@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +239,26 @@ def test_run_rejects_unknown_mode(constant_setup):
     st = pde.uniform_state(s.tgrid, s.agrid)
     with pytest.raises(ValueError):
         pde.run(s.solver, st, 1.0, mode="sideways")
+
+
+def test_negative_density_raises_under_optimize():
+    # the guard must survive `python -O`, which strips assert statements
+    script = (
+        "from structpop import pde\n"
+        "from structpop.model import build_grids, build_model, constant_scenario\n"
+        "cfg = constant_scenario(nx=8, tol=1e-6)\n"
+        "model = build_model(cfg)\n"
+        "solver = pde.TransportSolver(model, *build_grids(cfg, model))\n"
+        "state = pde.uniform_state(solver.tgrid, solver.agrid)\n"
+        "state.values[0, 0] = -1.0\n"
+        "try:\n"
+        "    solver.step_linear(state)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pde.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 7, proc.stderr
