@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 subcritical model, 1 other
 failure. Errors are emitted as a machine-readable JSON object on stdout.
-All CSV output uses LF endings, '.' decimals, and stable column order.
+Small tables are CSV with LF endings, '.' decimals and a stable column
+order; full (x, a) grids are raw C-contiguous float64 `.npy` arrays beside
+the node vectors `x.npy` and `a.npy`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,19 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            f.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                              for v in row) + "\n")
+
+
+def _write_grids(out: str, tgrid, agrid, **grids) -> list[str]:
+    """x.npy, a.npy and one (nx, na+1) array per named grid; returns the paths."""
+    arrays = {"x": tgrid.nodes, "a": agrid.nodes, **grids}
+    paths = []
+    for name, arr in arrays.items():
+        path = os.path.join(out, f"{name}.npy")
+        np.save(path, np.ascontiguousarray(arr, dtype=np.float64), allow_pickle=False)
+        paths.append(path)
+    return paths
 
 
 def _write_json(path: str, obj) -> None:
@@ -96,19 +109,16 @@ def _solve(config):
 def cmd_malthus(config, out: str, solved=None) -> dict:
     model, tgrid, agrid, problem, triple = solved or _solve(config)
     rho0, _ = problem.rho_of_lambda(0.0)
-    path = os.path.join(out, "eigen_triple.csv")
-    rows = ((x, a, triple.N_grid[i, j], triple.phi_grid[i, j])
-            for i, x in enumerate(tgrid.nodes)
-            for j, a in enumerate(agrid.nodes))
-    _write_csv(path, ["x", "a", "N", "phi"], rows)
+    manifest = _write_grids(out, tgrid, agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
+        "lambda_search": problem.lambda_search,
         "rho_at_zero": rho0,
         "regime": triple.regime,
         "eta_lower": triple.eta_lower,
         "eta_lower_proof": triple.eta_lower_proof,
         "norms": triple.norms,
-        "manifest": [path],
+        "manifest": manifest,
     }
 
 
@@ -117,13 +127,10 @@ def cmd_stationary(config, out: str) -> dict:
     lam, nbar, mass = malthus.stationary_state(problem, triple)
     solver = pde.TransportSolver(model, tgrid, agrid)
     residual = pde.stationary_residual(solver, nbar)
-    path = os.path.join(out, "stationary.csv")
-    rows = ((x, a, nbar[i, j]) for i, x in enumerate(tgrid.nodes)
-            for j, a in enumerate(agrid.nodes))
-    _write_csv(path, ["x", "a", "nbar"], rows)
+    manifest = _write_grids(out, tgrid, agrid, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
             "weak_form_residual": residual, "regime": triple.regime,
-            "manifest": [path]}
+            "manifest": manifest}
 
 
 def cmd_pde(config, out: str, tmax: float) -> dict:

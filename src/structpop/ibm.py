@@ -112,8 +112,6 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     bt = [-float(a) for _, a in init]
 
     bsup = model.birth.sup
-    if not math.isfinite(bsup):
-        raise ValueError("thinning needs a bounded birth rate")
     dsup = model.death.sup
     if not math.isfinite(dsup):
         raise ValueError("thinning needs a bounded death rate")

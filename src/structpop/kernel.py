@@ -41,8 +41,6 @@ def choose_age_truncation(model: RateModel, lam: float, tol: float,
     _check_lambda(model, lam)
     if tol <= 0 or da <= 0:
         raise ValueError("tol and da must be positive")
-    if not math.isfinite(model.birth.sup):
-        raise ValueError("age truncation needs a bounded birth rate")
     decay = model.death_floor + lam
     if model.birth.sup == 0 or tol >= model.birth.sup / decay:
         return da   # degenerate: never less than one lattice step

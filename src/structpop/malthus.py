@@ -1,7 +1,9 @@
 """Malthusian parameter, principal eigen-elements, and the stationary state.
 
 The growth rate lambda* is the unique root of rho(lambda) = 1, located by
-bisection (rho is continuous and strictly decreasing). The direct eigenvector
+Brent's method inside a doubling bracket (rho is continuous and strictly
+decreasing); the search solves the direct operator only, and the dual is
+solved once, at the root. The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
 to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi from the tail
 integral representation, normalized to int N = int N phi = 1.
@@ -13,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import kernel as kern
 from . import spectral
@@ -38,7 +41,7 @@ class EigenTriple:
 
 
 class MalthusProblem:
-    """Caches collapsed kernels and Perron pairs along a lambda sweep."""
+    """Caches rho(lambda) along a lambda sweep and full eigendata where asked."""
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                  perron_tol: float = 1e-12, max_iter: int = 20000):
@@ -48,25 +51,36 @@ class MalthusProblem:
         self.perron_tol = perron_tol
         self.max_iter = max_iter
         self._cache: dict[float, tuple] = {}
+        self._rho: dict[float, tuple[float, float]] = {}
+        self.lambda_search: dict = {}   # evaluations and bracket of the last search
+
+    def _direct(self, lam: float):
+        ck = kern.collapse(self.model, self.tgrid, self.agrid, lam)
+        direct = spectral.assemble(ck, self.tgrid, "direct")
+        pd = spectral.perron(direct, tol=self.perron_tol, max_iter=self.max_iter)
+        self._rho[lam] = (pd.rho, ck.rbar)
+        return ck, pd
 
     def eigendata(self, lam: float):
         """(CollapsedKernel, direct PerronPair, dual PerronPair) at lambda."""
         if lam not in self._cache:
-            ck = kern.collapse(self.model, self.tgrid, self.agrid, lam)
-            direct = spectral.assemble(ck, self.tgrid, "direct")
+            ck, pd = self._direct(lam)
             dual = spectral.assemble(ck, self.tgrid, "dual")
-            pd = spectral.perron(direct, tol=self.perron_tol, max_iter=self.max_iter)
             pq = spectral.perron(dual, tol=self.perron_tol, max_iter=self.max_iter)
             pd = spectral.regime_classify(pd, ck, self.tgrid)
             self._cache[lam] = (ck, pd, pq)
         return self._cache[lam]
 
     def rho_of_lambda(self, lam: float) -> tuple[float, float]:
-        ck, pd, _ = self.eigendata(lam)
-        return pd.rho, ck.rbar
+        """(rho, rbar) at lambda from the direct operator alone."""
+        if lam not in self._rho:
+            self._direct(lam)
+        return self._rho[lam]
 
     def find_lambda_star(self, tol_lam: float = 1e-6,
                          max_doublings: int = 60) -> float:
+        """Root of rho(lambda) = 1 to within tol_lam; records lambda_search."""
+        solved_before = len(self._rho)
         rho0, _ = self.rho_of_lambda(0.0)
         if rho0 <= 1.0:
             raise SubcriticalError(
@@ -78,13 +92,10 @@ class MalthusProblem:
             lo, hi = hi, 2.0 * hi
         else:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
-        while hi - lo > tol_lam:
-            mid = 0.5 * (lo + hi)
-            if self.rho_of_lambda(mid)[0] > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        lam = brentq(lambda l: self.rho_of_lambda(l)[0] - 1.0, lo, hi, xtol=tol_lam)
+        self.lambda_search = {"evaluations": len(self._rho) - solved_before,
+                              "bracket": [lo, hi]}
+        return float(lam)
 
 
 # ---------------------------------------------------------------------------

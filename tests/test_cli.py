@@ -2,10 +2,11 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from structpop.cli import (EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
-from structpop.model import constant_scenario
+from structpop.model import build_grids, build_model, constant_scenario
 
 
 def write_config(path, cfg):
@@ -49,9 +50,22 @@ def test_malthus_artifacts(small_cfg, tmp_path, capsys):
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["lambda_star"] == pytest.approx(1.0, abs=1e-3)
     assert summary["regime"] == "Regular"
-    with open(os.path.join(out, "eigen_triple.csv")) as f:
-        assert f.readline().strip() == "x,a,N,phi"
-        assert f.readline()     # non-empty body
+    assert summary["manifest"] == ["x.npy", "a.npy", "N.npy", "phi.npy"]
+    search = summary["lambda_search"]
+    assert search["evaluations"] > 0
+    assert search["bracket"][0] <= summary["lambda_star"] <= search["bracket"][1]
+
+    cfg = constant_scenario(nx=8, tol=1e-8)
+    tgrid, agrid = build_grids(cfg, build_model(cfg))
+    grids = {name: np.load(os.path.join(out, name + ".npy"), allow_pickle=False)
+             for name in ("x", "a", "N", "phi")}
+    assert grids["x"].shape == (tgrid.n,)
+    assert grids["a"].shape == (agrid.n_cells + 1,)
+    assert grids["N"].shape == grids["phi"].shape == (tgrid.n, agrid.n_cells + 1)
+    np.testing.assert_array_equal(grids["x"], tgrid.nodes)
+    np.testing.assert_array_equal(grids["a"], agrid.nodes)
+    mass = float(tgrid.weights @ grids["N"] @ agrid.quad_weights())
+    assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_spectral_sweep_csv(small_cfg, tmp_path):
@@ -68,7 +82,9 @@ def test_rerun_byte_identical(small_cfg, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
         assert main(["stationary", "--config", small_cfg, "--out", out]) == EXIT_OK
-    for name in ("stationary.csv", "summary.json"):
+    manifest = json.load(open(os.path.join(out1, "summary.json")))["manifest"]
+    assert manifest == ["x.npy", "a.npy", "nbar.npy"]
+    for name in manifest + ["summary.json"]:
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2
@@ -105,6 +121,36 @@ def test_config_with_unknown_key_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
+def test_unbounded_birth_rate_is_config_error(tmp_path, capsys):
+    cfg = dataclasses.replace(
+        constant_scenario(nx=8, tol=1e-8),
+        birth={"family": "affine", "params": {"base": 2.0, "slope_a": 0.1}})
+    path = write_config(tmp_path / "unbounded.json", cfg)
+    code = main(["malthus", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)
+    assert err["kind"] == "config" and "bounded above" in err["message"]
+
+
+def test_unbounded_death_rate_still_accepted(tmp_path):
+    cfg = dataclasses.replace(
+        constant_scenario(nx=8, tol=1e-8),
+        death={"family": "affine", "params": {"base": 1.0, "slope_a": 0.1}})
+    path = write_config(tmp_path / "aging.json", cfg)
+    assert main(["malthus", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_verify_gaussian_kernel_assumptions(tmp_path):
+    cfg = dataclasses.replace(
+        constant_scenario(nx=16, tol=1e-8),
+        kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
+    path = write_config(tmp_path / "gauss.json", cfg)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", path, "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["checks"]["assumptions"] is True
+
+
 def test_ibm_subcommand(small_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["ibm", "--config", small_cfg, "--out", out,
@@ -113,6 +159,8 @@ def test_ibm_subcommand(small_cfg, tmp_path):
     assert "ci" in summary
     header = open(os.path.join(out, "ibm_trace.csv")).readline().strip()
     assert header == "replicate,t,mass,V"
+    rows = np.loadtxt(os.path.join(out, "ibm_trace.csv"), delimiter=",", skiprows=1)
+    assert rows.shape[1] == 4 and np.all(np.isfinite(rows))
 
 
 def test_pde_subcommand(small_cfg, tmp_path):

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from structpop.ibm import square_integrability_constant
-from structpop.kernel import survival_matrix
+from structpop.kernel import collapse, survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, dual_profile,
                                eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
-from structpop.model import build_grids, build_model, constant_scenario
+from structpop.model import (build_grids, build_model, constant_scenario,
+                             singular_scenario)
 from structpop.pde import TransportSolver, stationary_residual
-from structpop.spectral import assemble
+from structpop.spectral import assemble, perron
 
 
 def test_rho_of_lambda_closed_forms(constant_setup):
@@ -195,3 +197,38 @@ def test_gaussian_kernel_constant_rates():
     assert stationary_residual(solver, nbar) <= 1e-3
     C = square_integrability_constant(model, triple.phi_grid, tgrid, agrid)
     assert abs(C - 3.0) <= 1e-3
+
+
+def _secular_rho(ck, tgrid, model):
+    """Perron root of diag(r) + rank one, for the uniform kernel k = 1/|S|.
+
+    rho is the unique root above rbar of 1 = sum_j c_j / (rho - r_j), with
+    c_j = (p/|S|) sB_j w_j and sB = r / (1 - p). The sum is at least 1 at
+    rbar + c_argmax and at most 1 at rbar + sum(c), which brackets the root.
+    """
+    p, r = model.mutation_prob, ck.r_values
+    c = (p / model.leb) * (r / (1.0 - p)) * tgrid.weights
+    rbar = float(r.max())
+    return brentq(lambda rho: 1.0 - float(np.sum(c / (rho - r))),
+                  rbar + c[np.argmax(r)], rbar + c.sum(), xtol=1e-15)
+
+
+def test_secular_equation_oracle_singular_800():
+    """perron and lambda* against the uniform-kernel secular equation at nx=800."""
+    cfg = singular_scenario(nx=800)
+    model = build_model(cfg)
+    tgrid, agrid = build_grids(cfg, model)
+    problem = MalthusProblem(model, tgrid, agrid)
+    lam_star = problem.find_lambda_star(1e-6)
+
+    for lam in (0.0, 2.0, lam_star):
+        ck = collapse(model, tgrid, agrid, lam)
+        rho = perron(assemble(ck, tgrid, "direct")).rho
+        assert abs(rho - _secular_rho(ck, tgrid, model)) <= 1e-12 * rho
+
+    def secular_gap(lam):
+        return _secular_rho(collapse(model, tgrid, agrid, lam), tgrid, model) - 1.0
+
+    lo, hi = problem.lambda_search["bracket"]
+    lam_oracle = brentq(secular_gap, lo, hi, xtol=1e-13)
+    assert abs(lam_star - lam_oracle) <= 1e-6

@@ -151,6 +151,23 @@ def test_validate_assumptions_flags_zero_birth():
     assert not rep.all_ok
 
 
+def test_kernel_normalized_gaussian_and_scaled():
+    cfg = dataclasses.replace(
+        constant_scenario(nx=32),
+        kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
+    model = build_model(cfg)
+    tg, ag = build_grids(cfg, model)
+    rep = validate_assumptions(model, tg, ag)
+    assert rep.checks["kernel_normalized"]
+    assert rep.details["kernel_normalized"]["max_defect"] < 1e-12
+
+    k = model.mutation_kernel
+    scaled = dataclasses.replace(k, fn=lambda x, y, fn=k.fn: 1.001 * fn(x, y))
+    rep = validate_assumptions(dataclasses.replace(model, mutation_kernel=scaled), tg, ag)
+    assert not rep.checks["kernel_normalized"]
+    assert rep.details["kernel_normalized"]["max_defect"] == pytest.approx(1e-3, rel=1e-6)
+
+
 def test_model_rejects_bad_parameters():
     cfg = constant_scenario()
     with pytest.raises(ConfigError):
