@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -148,11 +149,17 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
                       "truncation_loss"], rows)
     return {"lambda_star": lam, "final_mass": trace.mass[-1],
             "final_tv": trace.tv_to_target[-1], "regime": triple.regime,
+            "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1]},
             "manifest": [path]}
 
 
 def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
+    # the run is linear: its expected population at tmax is scale * e^{lambda* tmax}
+    if math.log(scale) + triple.lambda_star * tmax > math.log(ibm.PARTICLE_CAP):
+        raise ConfigError(
+            f"expected population {scale} * exp({triple.lambda_star:.4g} * {tmax:g}) "
+            f"exceeds the particle cap {ibm.PARTICLE_CAP}; lower --tmax")
     sample_times = np.linspace(0.0, tmax, 11)
 
     def init_sampler(rep_seed):

@@ -18,6 +18,8 @@ import numpy as np
 from .model import AgeGrid, RateModel, TraitGrid
 from .pde import DensityState
 
+PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
+
 
 class ExplosionError(RuntimeError):
     """Particle count cap hit; carries the partial event log."""
@@ -95,7 +97,7 @@ class _MutantSampler:
 
 def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
              sample_times, seed: int, init=None, linear: bool = False,
-             particle_cap: int = 5_000_000, store_snapshots: bool = True,
+             particle_cap: int = PARTICLE_CAP, store_snapshots: bool = True,
              replicate: int = 0, record_events: bool = False) -> EventLog:
     """Exact simulation of the birth/mutation/death process up to time T.
 

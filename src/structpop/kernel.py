@@ -80,17 +80,19 @@ def survival_factor(model: RateModel, x: float, a: float, lam: float,
 
 
 def bR_cell_integrals(model: RateModel, xs: np.ndarray, ages: np.ndarray,
-                      lam: float) -> np.ndarray:
+                      lam: float, R: np.ndarray | None = None) -> np.ndarray:
     """Per-cell integrals of B(x,.)R_lambda(x,.), shape (nx, n_cells).
 
     Product quadrature: on cell [a_j, a_{j+1}] the integrand is modeled as
     (average endpoint B) times an exact exponential whose rate matches the
-    cell's death integral plus lambda.
+    cell's death integral plus lambda. R, if given, is survival_matrix on
+    the same nodes.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
     da = np.diff(ages)
-    R = survival_matrix(model, xs, ages, lam)
+    if R is None:
+        R = survival_matrix(model, xs, ages, lam)
     bvals = model.birth(xs[:, None], ages[None, :])
     # local decay rate per cell from the survival ratio itself
     with np.errstate(divide="ignore"):

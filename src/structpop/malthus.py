@@ -106,17 +106,25 @@ def _mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
     return tgrid.weights[:, None] * agrid.quad_weights()[None, :]
 
 
+def _extended_ages(agrid: AgeGrid) -> np.ndarray:
+    """Nodes of the extended lattice [0, 2 A_max]; the lattice is its prefix,
+    so R on it restricts to R on the lattice bit for bit."""
+    return agrid.da * np.arange(2 * agrid.n_cells + 1)
+
+
 def direct_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
-                   lam_star: float, mu: np.ndarray) -> np.ndarray:
-    """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass."""
-    R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
-    N = mu[:, None] * R
+                   lam_star: float, mu: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass.
+
+    R is R_{lambda*} on the extended lattice (`_extended_ages`).
+    """
+    N = mu[:, None] * R[:, :agrid.n_cells + 1]
     mass = float(np.sum(N * _mass_weights(tgrid, agrid)))
     return N / mass
 
 
 def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
-                 lam_star: float, eta: np.ndarray,
+                 lam_star: float, eta: np.ndarray, R: np.ndarray,
                  N_grid: np.ndarray | None = None) -> np.ndarray:
     """phi(x,a) from the tail-integral representation of the dual problem.
 
@@ -125,13 +133,12 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
 
     Tail integrals run over an extended lattice [0, 2 A_max] so that phi keeps
     its continuum value at the horizon instead of collapsing to zero there.
-    If N_grid is given, phi is rescaled so that int N phi = 1.
+    R is R_{lambda*} on that lattice. If N_grid is given, phi is rescaled so
+    that int N phi = 1.
     """
-    n_ext = 2 * agrid.n_cells
-    ages = agrid.da * np.arange(n_ext + 1)
+    ages = _extended_ages(agrid)
     xs = tgrid.nodes
-    R = kern.survival_matrix(model, xs, ages, lam_star)
-    cells = kern.bR_cell_integrals(model, xs, ages, lam_star)   # (nx, n_ext)
+    cells = kern.bR_cell_integrals(model, xs, ages, lam_star, R)   # (nx, n_ext)
     # reverse cumulative sums: tails[:, j] = int_{a_j}^{2 A_max} B R
     tails = np.flip(np.cumsum(np.flip(cells, axis=1), axis=1), axis=1)
     tails = np.concatenate([tails, np.zeros((tgrid.n, 1))], axis=1)
@@ -185,8 +192,9 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
                       "but their continuum meaning is not certified")
     mu = pd.profile
     eta = pq.profile
-    N = direct_profile(model, tgrid, agrid, lam_star, mu)
-    phi = dual_profile(model, tgrid, agrid, lam_star, eta, N_grid=N)
+    R = kern.survival_matrix(model, tgrid.nodes, _extended_ages(agrid), lam_star)
+    N = direct_profile(model, tgrid, agrid, lam_star, mu, R)
+    phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, N_grid=N)
     mw = _mass_weights(tgrid, agrid)
     norms = {
         "intN": float(np.sum(N * mw)),

@@ -188,11 +188,10 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
             z = np.exp(-0.5 * ((y - x) / width) ** 2) / (width * math.sqrt(2 * math.pi))
             return z / norm_const(x)
 
-        # crude analytic bounds on a fine probe grid (exact enough for reports)
-        probe = np.linspace(lo, hi, 501)
-        vals = fn(probe[:, None], probe[None, :])
-        fam = KernelFamily(name, {"width": width}, fn,
-                           float(vals.min()), float(vals.max()))
+        # certified floor: the normaliser is at most 1 and |y - x| <= |S|; the
+        # maximum sits on a corner of the diagonal, where the normaliser is least
+        floor = math.exp(-0.5 * (leb / width) ** 2) / (width * math.sqrt(2 * math.pi))
+        fam = KernelFamily(name, {"width": width}, fn, floor, float(fn(lo, lo)))
     else:
         raise ConfigError(f"unknown kernel family {name!r}")
     if p:

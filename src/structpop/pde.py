@@ -1,9 +1,10 @@
 """Grid dynamics: nonlinear and linear structured-population equations.
 
 Transport in age is exact along characteristics (the lattice shifts one cell
-per step, dt = da locked), death is integrated exponentially per cell, and
+per step, dt = da locked), death is exact through the survival matrix, and
 the renewal boundary is semi-implicit: the newborn generation solves a small
 linear system so eigen-identities hold to first order without a step lag.
+Stepping holds n = s R_0 u (see `TransportSolver._advance`).
 """
 
 from __future__ import annotations
@@ -17,14 +18,29 @@ from scipy.linalg import lu_factor, lu_solve
 from .kernel import survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid
 
+_S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
 
-@dataclass
+
 class DensityState:
-    t: float
-    values: np.ndarray          # (nx, na+1), nonnegative
+    """Nonnegative (nx, na+1) density at time t; `values` materialises a stepped state."""
+
+    def __init__(self, t: float, values: np.ndarray):
+        self.t = t
+        self._values = values
+        self._cohort = None         # (solver, u, head, s, msum); mass = s * msum
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values, self._cohort = self._cohort[0].density(self), None
+        return self._values
+
+    @values.setter
+    def values(self, values: np.ndarray) -> None:
+        self._values, self._cohort = values, None
 
     def copy(self) -> "DensityState":
-        return DensityState(t=self.t, values=self.values.copy())
+        return DensityState(self.t, self.values.copy())
 
 
 @dataclass
@@ -36,6 +52,7 @@ class TraceRecord:
     invariant_value: list = field(default_factory=list)
     D_t: list = field(default_factory=list)
     truncation_loss: list = field(default_factory=list)
+    steps: int = 0
 
 
 class TransportSolver:
@@ -50,14 +67,21 @@ class TransportSolver:
         ages = agrid.nodes
         self.qa = agrid.quad_weights()
         self.mass_w = tgrid.weights[:, None] * self.qa[None, :]
-
-        R0 = survival_matrix(model, xs, ages, 0.0)
-        # exact per-cell survival exp(-int_{a_j}^{a_{j+1}} D(x, .))
-        self.cell_survival = R0[:, 1:] / np.maximum(R0[:, :-1], 1e-300)
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         self.D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
-
         self.kmat = model.mutation_kernel.matrix(xs)   # kmat[l, i] = k(x_l, x_i)
+
+        self.R = R = survival_matrix(model, xs, ages, 0.0)
+        R[R < 1e-300] = 0.0     # keeps u = n / R finite
+        # birth and mass weights, doubled in age: a slice is the ring read from its head
+        self._W2 = W2 = np.empty((tgrid.n, 2, 2 * ages.size))
+        np.multiply(self.B * self.qa, R, out=W2[:, 0, :ages.size])
+        np.multiply(self.mass_w, R, out=W2[:, 1, :ages.size])
+        W2[:, :, ages.size:] = W2[:, :, :ages.size]
+        # the horizon column's mass one cell on, per unit of u; divided first
+        # so that R^2 cannot underflow where R does not
+        self._loss_w = (R[:, -1] / np.maximum(R[:, -2], 1e-300) * R[:, -1]
+                        * tgrid.weights * self.qa[-1])
 
         # boundary system (I - A) n0 = flux-from-older-ages
         p = model.mutation_prob
@@ -73,41 +97,64 @@ class TransportSolver:
 
     def renewal_flux(self, values: np.ndarray) -> np.ndarray:
         """F[n](x): clonal plus mutant birth flux at age zero, per trait node."""
+        return self._mix(np.sum(self.B * values * self.qa[None, :], axis=1))
+
+    def _mix(self, per_trait: np.ndarray) -> np.ndarray:   # per_trait = int B n da
         p = self.model.mutation_prob
-        per_trait = np.sum(self.B * values * self.qa[None, :], axis=1)   # int B n da
-        clonal = (1.0 - p) * per_trait
-        mutant = p * self.kmat.T @ (per_trait * self.tgrid.weights)
-        return clonal + mutant
+        return (1.0 - p) * per_trait + p * self.kmat.T @ (per_trait * self.tgrid.weights)
 
     # -- stepping ----------------------------------------------------------
 
-    def _step(self, state: DensityState, competition_mass: float) -> float:
-        """Advance one dt in place; returns the truncation loss this step."""
-        n = state.values
-        loss = float(np.sum(n[:, -1] * self.cell_survival[:, -1]
-                            * self.tgrid.weights) * self.qa[-1])
-        decay = self.cell_survival * math.exp(-self.model.competition
-                                              * competition_mass * self.dt) \
-            if competition_mass else self.cell_survival
-        shifted = np.empty_like(n)
-        shifted[:, 1:] = n[:, :-1] * decay
-        shifted[:, 0] = 0.0
-        # newborns: n0 = F[shifted + n0 at age 0] -> solve the implicit system
-        g = self.renewal_flux(shifted)
-        n0 = lu_solve(self._boundary_lu, g)
-        shifted[:, 0] = np.maximum(n0, 0.0)
-        if not np.all(shifted >= 0.0):
-            raise ValueError("transport step produced a negative or NaN density")
-        state.values = shifted
+    def density(self, state: DensityState) -> np.ndarray:
+        """The state's values; a cohort-form state is materialised, not converted."""
+        if state._values is not None:
+            return state._values
+        _, u, head, s, _ = state._cohort
+        values, k = np.empty_like(u), u.shape[1] - head    # unroll the ring while applying R
+        np.multiply(u[:, head:], self.R[:, :k], out=values[:, :k])
+        np.multiply(u[:, :head], self.R[:, k:], out=values[:, k:])
+        values *= s
+        return values
+
+    def _advance(self, state: DensityState, c: float) -> float:
+        """One dt of n <- exp(-c m dt) L n, L linear; returns the truncation loss.
+
+        n = s R u: column (head + j) mod (na+1) of the ring u is the cohort at
+        age a_j, so transport moves the head, death is in R, competition
+        scales s, and the newborns (R = 1 at age 0) are the one column written.
+        """
+        if state._cohort is None or state._cohort[0] is not self:
+            v = state.values
+            if not (np.isfinite(v).all() and (v >= 0.0).all()):
+                raise ValueError("density state has a negative, NaN or infinite entry")
+            u = np.divide(v, self.R, out=np.zeros_like(v), where=self.R > 0.0)
+            state._cohort = (self, u, 0, 1.0, self.mass(v))
+        _, u, head, s, msum = state._cohort
+        L = u.shape[1]
+        loss = s * float(self._loss_w @ u[:, head - 1])
+        s *= math.exp(-c * s * msum * self.dt)
+        head = (head - 1) % L
+        u[:, head] = 0.0
+        # per trait: births and mass of the transported cohorts, in one sum
+        sums = np.matmul(self._W2[:, :, L - head:2 * L - head], u[:, :, None])[:, :, 0]
+        n0 = lu_solve(self._boundary_lu, self._mix(s * sums[:, 0]))
+        u[:, head] = np.maximum(n0, 0.0) / s if s > 0.0 else math.nan
+        if not np.isfinite(u[:, head]).all():
+            raise ValueError("transport step produced a negative, NaN or infinite density")
+        msum = float(sums[:, 1].sum() + self.mass_w[:, 0] @ u[:, head])
+        if s < _S_FLOOR:
+            u *= s
+            s, msum = 1.0, msum * s
+        state._values, state._cohort = None, (self, u, head, s, msum)
         state.t += self.dt
         return loss
 
     def step_nonlinear(self, state: DensityState) -> float:
         """One step of the full dynamics; competition uses start-of-step mass."""
-        return self._step(state, self.mass(state.values))
+        return self._advance(state, self.model.competition)
 
     def step_linear(self, state: DensityState) -> float:
-        return self._step(state, 0.0)
+        return self._advance(state, 0.0)
 
     # -- distances and diagnostics ----------------------------------------
 
@@ -141,26 +188,25 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     """
     if mode not in ("nonlinear", "linear"):
         raise ValueError(f"unknown mode {mode!r}")
-    step = solver.step_nonlinear if mode == "nonlinear" else solver.step_linear
+    linear = mode == "linear"
+    step = solver.step_linear if linear else solver.step_nonlinear
     n_steps = int(round((T - state.t) / solver.dt))
-    trace = TraceRecord()
+    trace = TraceRecord(steps=n_steps)
     cum_loss = 0.0
 
     def record():
+        values = solver.density(state)
         trace.t.append(state.t)
-        trace.mass.append(solver.mass(state.values))
-        scale = math.exp(-lam_star * state.t) if (
-            mode == "linear" and lam_star is not None) else 1.0
+        trace.mass.append(solver.mass(values))
+        scale = math.exp(-lam_star * state.t) if linear and lam_star is not None else 1.0
         if target is not None:
-            tv, pw = solver.distances(scale * state.values, target, phi)
+            tv, pw = solver.distances(scale * values if linear else values, target, phi)
             trace.tv_to_target.append(tv)
             trace.phi_weighted_dist.append(pw)
-        if phi is not None and lam_star is not None:
-            inv = math.exp(-lam_star * state.t) * float(
-                np.sum(state.values * phi * solver.mass_w))
-            trace.invariant_value.append(inv)
+        if linear and phi is not None and lam_star is not None:
+            trace.invariant_value.append(scale * float(np.sum(values * phi * solver.mass_w)))
         if lam_star is not None:
-            trace.D_t.append(solver.growth_diag(state.values, lam_star))
+            trace.D_t.append(solver.growth_diag(values, lam_star))
         trace.truncation_loss.append(cum_loss)
 
     record()
@@ -174,23 +220,24 @@ def run(solver: TransportSolver, state: DensityState, T: float,
 def transform_check(solver: TransportSolver, state0: DensityState, T: float) -> float:
     """Max TV gap between exp(c int rho) n_t (nonlinear) and v_t (linear).
 
-    The two runs share the initial state; the mass integral uses trapezoid in
-    time with the start-of-step masses, matching the scheme's own lag.
+    The two runs start from copies of state0 and are stepped apart; the mass
+    integral uses trapezoid in time with the start-of-step masses, matching
+    the scheme's own lag.
     """
-    nl = state0.copy()
-    lin = state0.copy()
+    nl, lin = state0.copy(), state0.copy()
     n_steps = int(round((T - state0.t) / solver.dt))
     c = solver.model.competition
-    masses = [solver.mass(nl.values)]
-    worst = 0.0
-    int_rho = 0.0
+    mass = solver.mass(nl.values)
+    worst = int_rho = 0.0
     for _ in range(n_steps):
         solver.step_nonlinear(nl)
         solver.step_linear(lin)
-        masses.append(solver.mass(nl.values))
-        int_rho += 0.5 * solver.dt * (masses[-2] + masses[-1])
-        scaled = math.exp(c * int_rho) * nl.values
-        worst = max(worst, float(np.sum(np.abs(scaled - lin.values) * solver.mass_w)))
+        gap = solver.density(nl)
+        previous, mass = mass, float(np.vdot(gap, solver.mass_w))
+        int_rho += 0.5 * solver.dt * (previous + mass)
+        gap *= math.exp(c * int_rho)
+        gap -= solver.density(lin)
+        worst = max(worst, float(np.vdot(np.abs(gap, out=gap), solver.mass_w)))
     return worst
 
 

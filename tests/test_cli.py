@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -163,12 +164,26 @@ def test_ibm_subcommand(small_cfg, tmp_path):
     assert rows.shape[1] == 4 and np.all(np.isfinite(rows))
 
 
+def test_ibm_preflight_rejects_exploding_linear_run(small_cfg, tmp_path, capsys):
+    # 500 e^{lambda* 10} ~ 1.1e7 particles on the constant preset, above the cap
+    t0 = time.monotonic()
+    assert main(["ibm", "--config", small_cfg, "--out", str(tmp_path / "out"),
+                 "--tmax", "10"]) == EXIT_USAGE
+    assert time.monotonic() - t0 < 10.0
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "config" and "particle cap" in err["message"]
+
+
 def test_pde_subcommand(small_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["pde", "--config", small_cfg, "--out", out,
                  "--tmax", "2.0"]) == EXIT_OK
     header = open(os.path.join(out, "pde_trace.csv")).readline().strip()
     assert header == "t,mass,tv_to_stationary,phi_dist,D_t,truncation_loss"
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    rows = np.loadtxt(os.path.join(out, "pde_trace.csv"), delimiter=",", skiprows=1)
+    assert summary["pde"]["steps"] == 200
+    assert summary["pde"]["truncation_loss"] == rows[-1, -1] >= 0.0
 
 
 def test_tmax_rejected_where_not_read(small_cfg, tmp_path):

@@ -120,6 +120,19 @@ def test_gaussian_kernel_normalized():
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("width", [0.05, 0.15, 1.0])
+def test_gaussian_kernel_bounds_hold(width):
+    cfg = dataclasses.replace(
+        constant_scenario(),
+        kernel={"family": "gaussian", "params": {"width": width}})
+    k = build_model(cfg).mutation_kernel
+    grid = np.linspace(0.0, 1.0, 1601)          # includes the four corners
+    vals = k(grid[:, None], grid[None, :])
+    assert 0.0 < k.inf <= vals.min()
+    assert k.inf <= float(k(0.0, 1.0)) and k.inf <= float(k(1.0, 0.0))
+    assert vals.max() <= k.sup * (1.0 + 1e-12)
+
+
 @settings(max_examples=25)
 @given(x=st.floats(0.0, 1.0), a=st.floats(0.0, 50.0))
 def test_rates_nonnegative_on_domain(x, a):

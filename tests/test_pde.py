@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from structpop import pde
+from structpop.kernel import survival_matrix
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid)
 from structpop.malthus import MalthusProblem, solve_eigentriple
@@ -262,3 +263,100 @@ def test_negative_density_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 7, proc.stderr
+
+
+def reference_run(solver, values, n_steps, c):
+    """The per-cell scheme the cohort kernel replaced: decay each cell, shift, renew."""
+    R = survival_matrix(solver.model, solver.tgrid.nodes, solver.agrid.nodes, 0.0)
+    cell_survival = R[:, 1:] / np.maximum(R[:, :-1], 1e-300)
+    nx = values.shape[0]
+    M = np.empty((nx, nx))              # births of the newborns themselves
+    for i in range(nx):
+        unit = np.zeros_like(values)
+        unit[i, 0] = 1.0
+        M[:, i] = solver.renewal_flux(unit)
+    n, loss = values.copy(), 0.0
+    for _ in range(n_steps):
+        loss += float(np.sum(n[:, -1] * cell_survival[:, -1] * solver.tgrid.weights)
+                      * solver.qa[-1])
+        shifted = np.zeros_like(n)
+        shifted[:, 1:] = n[:, :-1] * cell_survival * math.exp(
+            -c * float(np.sum(n * solver.mass_w)) * solver.dt)
+        n0 = np.linalg.solve(np.eye(nx) - M, solver.renewal_flux(shifted))
+        shifted[:, 0] = np.maximum(n0, 0.0)
+        n = shifted
+    return n, loss
+
+
+def assert_matches_reference(solver, state0, n_steps, linear=False):
+    st = state0.copy()
+    step = solver.step_linear if linear else solver.step_nonlinear
+    loss = sum(step(st) for _ in range(n_steps))
+    ref, ref_loss = reference_run(solver, state0.values, n_steps,
+                                  0.0 if linear else solver.model.competition)
+    assert np.all(np.isfinite(st.values))
+    assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(loss - ref_loss) <= 1e-12 * max(ref_loss, 1e-300)
+    return ref_loss
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_cohort_step_matches_per_cell_reference_constant(constant_setup, linear):
+    s = constant_setup
+    assert_matches_reference(s.solver, pde.uniform_state(s.tgrid, s.agrid), 200, linear)
+
+
+def age_dependent_solver():
+    """Logistic-in-age birth; death 1 + x/2 + 5a, whose survival underflows by a ~ 17."""
+    cfg = dataclasses.replace(
+        constant_scenario(nx=12),
+        birth={"family": "logistic_age",
+               "params": {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.3}},
+        death={"family": "affine",
+               "params": {"base": 1.0, "slope_x": 0.5, "slope_a": 5.0}})
+    model = build_model(cfg)
+    tg, ag = build_grids(cfg, model)
+    R = survival_matrix(model, tg.nodes, ag.nodes, 0.0)
+    assert np.any(R[:, -1] == 0.0)      # survival underflows inside the horizon
+    return pde.TransportSolver(model, tg, ag), R
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_cohort_step_matches_per_cell_reference_age_dependent(linear):
+    solver, R = age_dependent_solver()
+    # cohorts of a constant birth flux: density R0 (1 + x), all ages populated
+    st = pde.DensityState(0.0, R * (1.0 + solver.tgrid.nodes)[:, None])
+    assert_matches_reference(solver, st, 200, linear)
+
+
+def test_cohort_step_loss_where_horizon_survival_squared_underflows():
+    # death 80 on [0, 6]: R0 ~ 1e-208 at the horizon, so R0^2 underflows but R0 does not
+    _, tg, ag, solver = make_solver(death=80.0, nx=8)
+    assert solver.R[0, -1] ** 2 == 0.0 < solver.R[0, -1]
+    st = pde.uniform_state(tg, ag, a_scale=5.0)   # O(1) density at the horizon
+    ref_loss = assert_matches_reference(solver, st, 200)
+    assert ref_loss > 1e-6
+
+
+def test_cohort_step_kills_mass_where_survival_underflows():
+    solver, R = age_dependent_solver()
+    st = pde.uniform_state(solver.tgrid, solver.agrid, a_scale=5.0)
+    dead = R < 1e-300                   # includes every age where R0 is exactly 0
+    assert np.all(st.values[dead] > 0)
+    solver.step_nonlinear(st)
+    assert np.all(st.values[dead] == 0.0)
+    for _ in range(20):
+        solver.step_nonlinear(st)
+    assert np.all(np.isfinite(st.values)) and np.all(st.values[dead] == 0.0)
+
+
+def test_cohort_step_long_run_folds_the_competition_scalar():
+    # lambda* ~ 19: the product of exp(-c m dt) underflows long before t = 60
+    _, tg, ag, solver = make_solver(birth=20.0, nx=8)
+    st = pde.uniform_state(tg, ag)
+    state0 = st.copy()
+    _, trace = pde.run(solver, st, 60.0, record_every=1)
+    assert math.exp(-solver.dt * float(np.sum(trace.mass[:-1]))) == 0.0
+    ref, _ = reference_run(solver, state0.values, trace.steps, 1.0)
+    assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert trace.mass[-1] == pytest.approx(np.sum(ref * solver.mass_w), rel=1e-12)
