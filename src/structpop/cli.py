@@ -176,8 +176,16 @@ def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
             for s, t in enumerate(log.sample_times))
     _write_csv(path, ["replicate", "t", "mass", "V"], rows)
     md, se = series["mean_drift"], series["se"]
+    # births = deaths + final - initial count; the remaining events are phantoms
+    events = sum(log.n_events for log in logs)
+    deaths = sum(log.n_deaths for log in logs)
+    births = deaths + sum(log.snapshots[-1][0].size - scale for log in logs)
     return {"lambda_star": triple.lambda_star, "mean_drift": md, "se": se,
-            "ci": [md - 3 * se, md + 3 * se], "manifest": [path]}
+            "ci": [md - 3 * se, md + 3 * se],
+            "ibm": {"events": events,
+                    "phantom_fraction": (events - births - deaths) / events if events else 0.0,
+                    "peak_population": max(log.peak for log in logs)},
+            "manifest": [path]}
 
 
 def _refinement_rows(config, problem):
@@ -252,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("spectral", "malthus", "stationary", "pde", "ibm", "verify"):
         sp = common(sub.add_parser(name))
-        if name in ("pde", "ibm"):
+        if name == "pde":
             sp.add_argument("--tmax", type=float, default=10.0)
-        if name == "ibm":
+        if name == "ibm":   # the linear run grows like e^{lambda* t}: a short horizon
+            sp.add_argument("--tmax", type=float, default=3.0)
             sp.add_argument("--replicates", type=int, default=20)
     sc = sub.add_parser("scenario")
     sc.add_argument("preset", choices=sorted(PRESETS))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,8 @@ class EventLog:
     replicate: int = 0
     K: int = 1
     n_events: int = 0
+    n_deaths: int = 0
+    peak: int = 0               # largest live count
     aborted: bool = False
     events: list | None = None  # optional (t, kind) records
 
@@ -73,26 +76,25 @@ def _scalar_rate(fam, domain):
     return lambda x, a: float(fam.fn(x, a))
 
 
-class _MutantSampler:
-    """Inverse-CDF draw of the mutant trait from k(x, .) on the trait grid.
+def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> list[list[float]]:
+    """Inverse-CDF rows of the mutant trait law k(x_i, .) on the trait grid.
 
     Piecewise-constant density over trait cells: documented O(dx) bias shared
-    with the grid discretization. The CDF rows of all source nodes are built
-    once, from the kernel's trait matrix.
+    with the grid discretization. Row i is the normalised cumulative sum over
+    the cells for source node i, built once from the kernel's trait matrix as
+    plain lists, so a draw is one `bisect_left` (the index that
+    `np.searchsorted(row, u)` gives).
     """
+    cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
+    return (cdf / cdf[:, -1:]).tolist()
 
-    def __init__(self, model: RateModel, tgrid: TraitGrid):
-        self.nodes = tgrid.nodes
-        self.lo = model.trait_domain[0]
-        self.dx = float(tgrid.weights[0])
-        cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
-        self.cdf = cdf / cdf[:, -1:]
 
-    def draw(self, x: float, u: float) -> float:
-        n = self.nodes.size
-        i = min(max(int((x - self.lo) / self.dx), 0), n - 1)
-        j = int(np.searchsorted(self.cdf[i], u))
-        return float(self.nodes[min(j, n - 1)])
+def _sample(xs: list, bt: list, K: int, s: float, store_snapshots: bool):
+    """Mass and (traits, ages) snapshot, or None, of the population at time s."""
+    if not store_snapshots:
+        return len(xs) / K, None
+    ages = s - np.asarray(bt)   # before the traits: one temporary array alive at a time
+    return len(xs) / K, (np.asarray(xs, float), ages)
 
 
 def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
@@ -102,74 +104,86 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     """Exact simulation of the birth/mutation/death process up to time T.
 
     init: iterable of (trait, age) pairs at t=0; defaults to K individuals at
-    age 0 with traits uniform over the trait domain.
+    age 0 with traits uniform over the trait domain. Every sample time must lie
+    in [0, T].
+
+    The random stream is fixed by this loop: per event, one `random()` for the
+    waiting time -log(1 - U)/(n * bound), `getrandbits(n.bit_length())` until
+    the draw is below n for the particle, one `random()` for the mark, and on
+    a birth one `random()` for mutation and one more for the mutant trait.
     """
     if K < 1:
         raise ValueError("scale K must be >= 1")
+    sample_times = np.asarray(sorted(sample_times), float)
+    if not np.all((sample_times >= 0.0) & (sample_times <= T)):
+        raise ValueError(f"sample times must lie in [0, T={T:g}]")
     rng = random.Random(seed)
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    ln = math.log
     lo, hi = model.trait_domain
     if init is None:
-        init = [(lo + (hi - lo) * rng.random(), 0.0) for _ in range(K)]
+        init = [(lo + (hi - lo) * random_(), 0.0) for _ in range(K)]
     xs = [float(x) for x, _ in init]
     bt = [-float(a) for _, a in init]
 
-    bsup = model.birth.sup
     dsup = model.death.sup
     if not math.isfinite(dsup):
         raise ValueError("thinning needs a bounded death rate")
+    bd = model.birth.sup + dsup
     B = _scalar_rate(model.birth, model.trait_domain)
     D = _scalar_rate(model.death, model.trait_domain)
-    c = model.competition
+    c = 0.0 if linear else model.competition    # comp = c * n / K is then 0.0
     p = model.mutation_prob
-    mutants = _MutantSampler(model, tgrid)
+    cdf_rows = _mutant_cdf_rows(model, tgrid)
+    nodes = tgrid.nodes.tolist()
+    last = len(nodes) - 1
+    dx = float(tgrid.weights[0])
 
-    sample_times = np.asarray(sorted(sample_times), float)
     masses = np.zeros(sample_times.size)
     snapshots: list = [None] * sample_times.size
+    samples = sample_times.tolist() + [math.inf]
     si = 0
+    s_next = samples[0]
+
+    n = len(xs)
+    peak = n
+    n_events = n_deaths = 0
     t = 0.0
-    n_events = 0
     aborted = False
     events: list | None = [] if record_events else None
-
-    def record_until(t_stop):
-        nonlocal si
-        while si < sample_times.size and sample_times[si] <= t_stop + 1e-12:
-            s = sample_times[si]
-            masses[si] = len(xs) / K
-            if store_snapshots:
-                ages = s - np.asarray(bt)
-                snapshots[si] = (np.asarray(xs, float), ages)
-            si += 1
-
-    while t < T:
-        n = len(xs)
-        if n == 0:
-            break
-        comp = 0.0 if linear else c * n / K
-        bound = bsup + dsup + comp
-        t_next = t + rng.expovariate(n * bound)
-        record_until(min(t_next, T))
-        if t_next >= T:
+    while n:
+        comp = c * n / K
+        bound = bd + comp
+        t -= ln(1.0 - random_()) / (n * bound)
+        if t >= T:
             t = T
             break
-        t = t_next
+        while s_next <= t + 1e-12:
+            masses[si], snapshots[si] = _sample(xs, bt, K, s_next, store_snapshots)
+            si += 1
+            s_next = samples[si]
         n_events += 1
-        i = rng.randrange(n)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
         x = xs[i]
         a = t - bt[i]
-        u = rng.random() * bound
+        u = random_() * bound
         b = B(x, a)
         if u < b:
-            if rng.random() < p:
-                child = mutants.draw(x, rng.random())
-            else:
-                child = x
-            xs.append(child)
+            if random_() < p:
+                row = cdf_rows[min(max(int((x - lo) / dx), 0), last)]
+                x = nodes[min(bisect_left(row, random_()), last)]
+            xs.append(x)
             bt.append(t)
+            n += 1
             if events is not None:
                 events.append((t, "birth"))
-            if len(xs) > particle_cap:
+            if n > peak:
+                peak = n
+            if n > particle_cap:
                 aborted = True
                 break
         elif u < b + D(x, a) + comp:
@@ -177,14 +191,17 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
             bt[i] = bt[-1]
             xs.pop()
             bt.pop()
+            n -= 1
+            n_deaths += 1
             if events is not None:
                 events.append((t, "death"))
         # else: phantom mark, nothing happens
 
-    record_until(T)
+    for si in range(si, sample_times.size):
+        masses[si], snapshots[si] = _sample(xs, bt, K, samples[si], store_snapshots)
     log = EventLog(sample_times=sample_times, masses=masses, snapshots=snapshots,
-                   replicate=replicate, K=K, n_events=n_events, aborted=aborted,
-                   events=events)
+                   replicate=replicate, K=K, n_events=n_events, n_deaths=n_deaths,
+                   peak=peak, aborted=aborted, events=events)
     if aborted:
         raise ExplosionError(f"particle cap {particle_cap} exceeded at t={t:.4g}", log)
     return log
@@ -248,14 +265,16 @@ def martingale_series(logs: list[EventLog], phi_grid: np.ndarray,
     """V_t = e^{-lam* t} K^{-1} sum phi(x_i, a_i) per replicate and sample time.
 
     Returns the series plus the flatness statistic mean(V_T - V_0) with its
-    standard error across replicates.
+    standard error across replicates. Every log must carry its snapshots
+    (store_snapshots=True); a missing one raises ValueError.
     """
     times = logs[0].sample_times
     V = np.zeros((len(logs), times.size))
     for m, log in enumerate(logs):
         for s, snap in enumerate(log.snapshots):
             if snap is None:
-                continue
+                raise ValueError(f"replicate {log.replicate} has no snapshot at "
+                                 f"t={times[s]:g}; simulate with store_snapshots=True")
             x, a = snap
             if x.size:
                 vals = interp_phi(phi_grid, tgrid, agrid, x, a)

@@ -164,6 +164,24 @@ def test_ibm_subcommand(small_cfg, tmp_path):
     assert rows.shape[1] == 4 and np.all(np.isfinite(rows))
 
 
+def test_ibm_default_horizon_finishes(small_cfg, tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert main(["ibm", "--config", small_cfg, "--out", out,
+                     "--replicates", "4"]) == EXIT_OK
+        outputs.append([open(os.path.join(out, name), "rb").read()
+                        for name in ("summary.json", "ibm_trace.csv")])
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0][0])
+    rows = np.loadtxt(os.path.join(out, "ibm_trace.csv"), delimiter=",", skiprows=1)
+    assert rows[:, 1].max() == 3.0
+    counters = summary["ibm"]
+    assert counters["events"] > 0
+    assert counters["phantom_fraction"] == 0.0    # constant rates: no rejected marks
+    assert counters["peak_population"] >= rows[:, 2].max() * 500
+
+
 def test_ibm_preflight_rejects_exploding_linear_run(small_cfg, tmp_path, capsys):
     # 500 e^{lambda* 10} ~ 1.1e7 particles on the constant preset, above the cap
     t0 = time.monotonic()

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import math
+import random
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +23,174 @@ def const_model(birth=2.0, c=1.0):
 @pytest.fixture(scope="module")
 def tg():
     return midpoint_grid((0.0, 1.0), 32)
+
+
+def reference_simulate(model, tgrid, K, T, sample_times, seed, init=None,
+                       linear=False, particle_cap=ibm.PARTICLE_CAP,
+                       rng_cls=random.Random):
+    """The event loop in plain library calls: `randrange`, `expovariate`, rates
+    through the vectorised families and mutant draws by `np.searchsorted`.
+
+    Returns (log fields, aborted). `ibm.simulate` must reproduce it exactly.
+    """
+    rng = rng_cls(seed)
+    lo, hi = model.trait_domain
+    if init is None:
+        init = [(lo + (hi - lo) * rng.random(), 0.0) for _ in range(K)]
+    xs = [float(x) for x, _ in init]
+    bt = [-float(a) for _, a in init]
+    cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
+    cdf = cdf / cdf[:, -1:]
+    nodes, dx = tgrid.nodes, float(tgrid.weights[0])
+    sample_times = np.asarray(sorted(sample_times), float)
+    masses = np.zeros(sample_times.size)
+    snapshots = [None] * sample_times.size
+    si, t, n_events, n_deaths, peak = 0, 0.0, 0, 0, len(xs)
+    events = []
+    aborted = False
+
+    def record_until(t_stop):
+        nonlocal si
+        while si < sample_times.size and sample_times[si] <= t_stop + 1e-12:
+            masses[si] = len(xs) / K
+            snapshots[si] = (np.asarray(xs, float), sample_times[si] - np.asarray(bt))
+            si += 1
+
+    while t < T:
+        n = len(xs)
+        if n == 0:
+            break
+        comp = 0.0 if linear else model.competition * n / K
+        bound = model.birth.sup + model.death.sup + comp
+        t_next = t + rng.expovariate(n * bound)
+        record_until(min(t_next, T))
+        if t_next >= T:
+            t = T
+            break
+        t = t_next
+        n_events += 1
+        i = rng.randrange(n)
+        x = xs[i]
+        a = t - bt[i]
+        u = rng.random() * bound
+        b = float(model.birth(x, a))
+        if u < b:
+            if rng.random() < model.mutation_prob:
+                row = min(max(int((x - lo) / dx), 0), nodes.size - 1)
+                j = int(np.searchsorted(cdf[row], rng.random(), side="left"))
+                x = float(nodes[min(j, nodes.size - 1)])
+            xs.append(x)
+            bt.append(t)
+            events.append((t, "birth"))
+            peak = max(peak, len(xs))
+            if len(xs) > particle_cap:
+                aborted = True
+                break
+        elif u < b + float(model.death(x, a)) + comp:
+            xs[i] = xs[-1]
+            bt[i] = bt[-1]
+            xs.pop()
+            bt.pop()
+            n_deaths += 1
+            events.append((t, "death"))
+    record_until(T)
+    return dict(events=events, masses=masses, snapshots=snapshots, n_events=n_events,
+                n_deaths=n_deaths, peak=peak), aborted
+
+
+def assert_same_log(log, ref):
+    assert log.events == ref["events"]
+    assert log.masses.tobytes() == ref["masses"].tobytes()
+    assert (log.n_events, log.n_deaths, log.peak) == (
+        ref["n_events"], ref["n_deaths"], ref["peak"])
+    for got, want in zip(log.snapshots, ref["snapshots"]):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def model_from(**changes):
+    return build_model(dataclasses.replace(constant_scenario(), **changes))
+
+
+STREAM_CASES = {
+    "constant": (const_model(), 200, 2.0),
+    "sqrt_gap_gaussian": (model_from(
+        p=0.9, birth={"family": "sqrt_gap", "params": {"bbar": 4.0}},
+        kernel={"family": "gaussian", "params": {"width": 0.1}}), 100, 1.0),
+    "logistic_age_affine": (model_from(
+        birth={"family": "logistic_age",
+               "params": {"low": 0.5, "high": 3.0, "midpoint": 0.3, "scale": 0.1}},
+        death={"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}), 150, 1.5),
+}
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_simulate_matches_reference_stream(tg, case, linear):
+    model, K, T = STREAM_CASES[case]
+    times = np.linspace(0.0, T, 5)
+    ref, aborted = reference_simulate(model, tg, K, T, times, seed=17, linear=linear)
+    assert not aborted and ref["n_events"] > 500
+    log = ibm.simulate(model, tg, K, T, times, seed=17, linear=linear,
+                       record_events=True)
+    assert_same_log(log, ref)
+    quiet = ibm.simulate(model, tg, K, T, times, seed=17, linear=linear,
+                         store_snapshots=False)
+    assert quiet.events is None and quiet.masses.tobytes() == log.masses.tobytes()
+    assert all(snap is None for snap in quiet.snapshots)
+
+
+def test_reference_stream_to_extinction(tg):
+    model = const_model(birth=0.5)
+    times = [0.0, 1.0, 50.0]
+    ref, _ = reference_simulate(model, tg, 1, 50.0, times, seed=4)
+    log = ibm.simulate(model, tg, 1, 50.0, times, seed=4, record_events=True)
+    assert log.masses[-1] == 0.0 and log.n_deaths > 0
+    assert_same_log(log, ref)
+
+
+def test_reference_stream_through_explosion(tg):
+    model = const_model()
+    times = [0.0, 0.5, 50.0]
+    init = [(0.5, 0.0)] * 10
+    ref, aborted = reference_simulate(model, tg, 10, 50.0, times, seed=1,
+                                      init=init, linear=True, particle_cap=200)
+    with pytest.raises(ibm.ExplosionError) as err:
+        ibm.simulate(model, tg, 10, 50.0, times, seed=1, init=init, linear=True,
+                     particle_cap=200, record_events=True)
+    assert aborted and err.value.log.aborted
+    assert_same_log(err.value.log, ref)
+
+
+class _DyadicStream(random.Random):
+    """Uniforms cycling through dyadic values that land on mutant CDF entries.
+
+    Overriding `getrandbits` as well keeps `randrange` on its getrandbits path.
+    """
+
+    def seed(self, a=None, version=2):
+        super().seed(a, version)
+        self._uniforms = itertools.cycle((0.5, 0.25, 0.5, 0.75, 0.5))
+
+    def random(self):
+        return next(self._uniforms)
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def test_mutant_draw_ties_resolve_left(monkeypatch):
+    # two trait cells: each CDF row is [0.5, 1.0], so U = 0.5 is a tie
+    tg2 = midpoint_grid((0.0, 1.0), 2)
+    model = model_from(p=0.9)
+    times = [0.0, 0.5]
+    ref, _ = reference_simulate(model, tg2, 20, 0.5, times, seed=3, linear=True,
+                                rng_cls=_DyadicStream)
+    monkeypatch.setattr(ibm, "random", types.SimpleNamespace(Random=_DyadicStream))
+    log = ibm.simulate(model, tg2, 20, 0.5, times, seed=3, linear=True,
+                       record_events=True)
+    assert_same_log(log, ref)
+    assert 0.0 < np.mean(log.snapshots[-1][0] == tg2.nodes[0]) < 1.0
 
 
 def test_determinism_bit_for_bit(tg):
@@ -122,6 +293,45 @@ def test_explosion_guard(tg):
         ibm.simulate(model, tg, 10, 50.0, [], seed=1, init=[(0.5, 0.0)] * 10,
                      linear=True, particle_cap=200, store_snapshots=False)
     assert err.value.log.aborted
+
+
+def phantoms(log, initial):
+    births = log.n_deaths + round(log.masses[-1] * log.K) - initial
+    return log.n_events - births - log.n_deaths
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+def test_counters_constant_rates_have_no_phantoms(tg, linear):
+    # the thinning bound is exactly B + D + comp, so every mark is an event
+    log = ibm.simulate(const_model(), tg, 200, 2.0, [0.0, 2.0], seed=8,
+                       linear=linear, store_snapshots=False)
+    assert log.n_events > 0 and log.n_deaths > 0
+    assert phantoms(log, 200) == 0
+    assert log.peak >= max(200, round(log.masses[-1] * 200))
+
+
+def test_counters_age_dependent_birth_has_phantoms(tg):
+    model, K, T = STREAM_CASES["logistic_age_affine"]
+    log = ibm.simulate(model, tg, K, T, [0.0, T], seed=8, store_snapshots=False)
+    assert 0 < phantoms(log, K) < log.n_events
+
+
+def test_sample_times_outside_horizon_rejected(tg):
+    model = const_model()
+    for times in ([0.0, 2.5], [-0.1, 1.0], [math.nan]):
+        with pytest.raises(ValueError, match="sample times"):
+            ibm.simulate(model, tg, 10, 2.0, times, seed=1)
+    log = ibm.simulate(model, tg, 10, 2.0, [2.0, 0.0], seed=1)
+    assert all(snap is not None for snap in log.snapshots)
+
+
+def test_martingale_series_rejects_logs_without_snapshots(constant_setup):
+    s = constant_setup
+    tr = s.triple
+    logs = ibm.run_replicates(s.model, s.tgrid, 50, 0.5, [0.0, 0.5], seed=3, M=2,
+                              linear=True, store_snapshots=False)
+    with pytest.raises(ValueError, match="no snapshot"):
+        ibm.martingale_series(logs, tr.phi_grid, tr.lambda_star, s.tgrid, s.agrid)
 
 
 def test_empirical_deposit_single_particle(tg):
