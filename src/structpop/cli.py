@@ -184,7 +184,8 @@ def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
             "ci": [md - 3 * se, md + 3 * se],
             "ibm": {"events": events,
                     "phantom_fraction": (events - births - deaths) / events if events else 0.0,
-                    "peak_population": max(log.peak for log in logs)},
+                    "peak_population": max(log.peak for log in logs),
+                    "loop": logs[0].loop},
             "manifest": [path]}
 
 
@@ -244,6 +245,20 @@ def cmd_verify(config, out: str, solved=None) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_time(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def _replicate_count(text: str) -> int:
+    value = int(text)
+    if value < 2:    # the standard error of the drift needs two replicates
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="structpop",
                                      description=__doc__.splitlines()[0])
@@ -261,10 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("spectral", "malthus", "stationary", "pde", "ibm", "verify"):
         sp = common(sub.add_parser(name))
         if name == "pde":
-            sp.add_argument("--tmax", type=float, default=10.0)
+            sp.add_argument("--tmax", type=_positive_time, default=10.0)
         if name == "ibm":   # the linear run grows like e^{lambda* t}: a short horizon
-            sp.add_argument("--tmax", type=float, default=3.0)
-            sp.add_argument("--replicates", type=int, default=20)
+            sp.add_argument("--tmax", type=_positive_time, default=3.0)
+            sp.add_argument("--replicates", type=_replicate_count, default=20)
     sc = sub.add_parser("scenario")
     sc.add_argument("preset", choices=sorted(PRESETS))
     sc.add_argument("--verify", action="store_true")

@@ -9,8 +9,15 @@ streams spawned from one root seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
 import random
+import shutil
+import subprocess
+import tempfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -58,9 +65,10 @@ class EventLog:
     peak: int = 0               # largest live count
     aborted: bool = False
     events: list | None = None  # optional (t, kind) records
+    loop: str = "python"        # which event loop ran: "c" or "python"
 
 
-# -- fast scalar rate evaluation (the event loop is pure Python) -------------
+# -- fast scalar rate evaluation for the Python event loop -------------------
 
 def _scalar_rate(fam, domain):
     lo, _ = domain
@@ -94,7 +102,139 @@ def _sample(xs: list, bt: list, K: int, s: float, store_snapshots: bool):
     if not store_snapshots:
         return len(xs) / K, None
     ages = s - np.asarray(bt)   # before the traits: one temporary array alive at a time
-    return len(xs) / K, (np.asarray(xs, float), ages)
+    return len(xs) / K, (np.array(xs, float), ages)   # a copy, never a live buffer
+
+
+# -- the compiled event loop (_ibm_loop.c), an optional speed-up --------------
+
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ibm_loop.c")
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")   # no FMA, no fast-math
+_C_RATES = {"constant": 0, "affine": 1, "sqrt_gap": 2}        # family codes in the C source
+_DONE, _EXTINCT, _SAMPLE, _ABORTED, _FULL, _DOMAIN = range(6)
+
+
+class _LoopState(ctypes.Structure):
+    """Mirror of `ibm_state` in _ibm_loop.c."""
+    _i, _d, _p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    _fields_ = [("mt", ctypes.c_uint32 * 624), ("mti", _i),
+                ("xs", _p), ("bt", _p), ("n", _i), ("cap", _i),
+                ("ev_t", _p), ("ev_kind", _p), ("n_ev", _i), ("ev_cap", _i),
+                ("t", _d), ("T", _d), ("s_next", _d), ("pending", _i),
+                ("n_events", _i), ("n_deaths", _i), ("peak", _i), ("particle_cap", _i),
+                ("bfam", _i), ("dfam", _i), ("bpar", _d * 3), ("dpar", _d * 3),
+                ("bd", _d), ("c", _d), ("K", _d), ("p", _d), ("lo", _d), ("dx", _d),
+                ("cdf", _p), ("nodes", _p), ("nx", _i)]
+
+
+@functools.cache
+def _c_loop():
+    """(library, None) for the compiled event loop, or (None, why it is unavailable).
+
+    Built on the first call with `cc` (or `gcc`) from PATH into the package's
+    `__pycache__/`, named by the SHA-256 of the source and flags, so later
+    processes load the cached library without compiling. Any failure to
+    compile, write or load leaves the Python loop in charge.
+    """
+    try:
+        with open(_C_SOURCE, "rb") as f:
+            source = f.read()
+        digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
+        cache = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
+        path = os.path.join(cache, f"_ibm_loop-{digest}.so")
+        if not os.path.exists(path):
+            cc = shutil.which("cc") or shutil.which("gcc")
+            if cc is None:
+                return None, "no C compiler (cc or gcc) on PATH"
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_C_FLAGS, "-o", tmp, _C_SOURCE, "-lm"],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(path)
+        lib.ibm_run.argtypes = [ctypes.POINTER(_LoopState)]
+        lib.ibm_run.restype = ctypes.c_int
+        return lib, None
+    except subprocess.CalledProcessError as e:
+        return None, f"compiler failed: {e.stderr.decode(errors='replace').strip()}"
+    except (OSError, subprocess.SubprocessError) as e:
+        return None, f"{type(e).__name__}: {e}"
+
+
+def _rate_code(fam):
+    """(family code, parameters) of a rate for the C loop, as `_scalar_rate` reads them."""
+    if fam.name == "constant":
+        return _C_RATES["constant"], (fam.params["value"], 0.0, 0.0)
+    if fam.name == "affine":
+        return _C_RATES["affine"], (fam.params["base"], fam.params["slope_x"],
+                                    fam.params["slope_a"])
+    return _C_RATES["sqrt_gap"], (fam.params["bbar"], 0.0, 0.0)
+
+
+def _grown(buf: np.ndarray, used: int) -> np.ndarray:
+    out = np.empty(2 * buf.size, buf.dtype)
+    out[:used] = buf[:used]
+    return out
+
+
+def _c_events(lib, rng, xs, bt, model, K, T, c, bd, cdf_rows, nodes, dx,
+              particle_cap, samples, masses, snapshots, store_snapshots,
+              record_events):
+    """The Python loop's events, run by the compiled loop on rng's stream.
+
+    Fills masses and snapshots up to the last crossed sample time and returns
+    (traits, birth times, t, n_events, n_deaths, peak, aborted, events, si).
+    """
+    st = _LoopState()
+    words = rng.getstate()[1]
+    st.mt[:] = words[:624]
+    st.mti = words[624]
+    n = len(xs)
+    xa = np.empty(max(2 * n, 1024))
+    ba = np.empty_like(xa)
+    xa[:n], ba[:n] = xs, bt
+    ev_t = np.empty(1024 if record_events else 0)
+    ev_k = np.empty(ev_t.size, np.uint8)
+    cdf = np.ascontiguousarray(cdf_rows, dtype=float)
+    nodes = np.ascontiguousarray(nodes, dtype=float)
+    lo = model.trait_domain[0]
+    st.n, st.t, st.T, st.s_next = n, 0.0, T, samples[0]
+    st.peak, st.particle_cap = n, particle_cap
+    st.bfam, st.bpar[:] = _rate_code(model.birth)
+    st.dfam, st.dpar[:] = _rate_code(model.death)
+    st.bd, st.c, st.K, st.p, st.lo, st.dx = bd, c, K, model.mutation_prob, lo, dx
+    st.cdf, st.nodes, st.nx = cdf.ctypes.data, nodes.ctypes.data, nodes.size
+    si = 0
+    while True:
+        st.xs, st.bt, st.cap = xa.ctypes.data, ba.ctypes.data, xa.size
+        st.ev_t, st.ev_kind, st.ev_cap = ev_t.ctypes.data, ev_k.ctypes.data, ev_t.size
+        status = lib.ibm_run(ctypes.byref(st))
+        n = st.n
+        if status == _SAMPLE:
+            masses[si], snapshots[si] = _sample(xa[:n], ba[:n], K, st.s_next,
+                                                store_snapshots)
+            si += 1
+            st.s_next = samples[si]
+        elif status == _FULL:
+            if n >= xa.size:
+                xa, ba = _grown(xa, n), _grown(ba, n)
+            if record_events and st.n_ev >= ev_t.size:
+                ev_t, ev_k = _grown(ev_t, st.n_ev), _grown(ev_k, st.n_ev)
+        elif status == _DOMAIN:
+            raise ValueError("math domain error")
+        else:
+            break
+    events = None
+    if record_events:
+        m = st.n_ev
+        events = [(t, "birth" if k else "death")
+                  for t, k in zip(ev_t[:m].tolist(), ev_k[:m].tolist())]
+    return (xa[:n], ba[:n], st.t, st.n_events, st.n_deaths, st.peak,
+            status == _ABORTED, events, si)
 
 
 def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
@@ -111,6 +251,11 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     waiting time -log(1 - U)/(n * bound), `getrandbits(n.bit_length())` until
     the draw is below n for the particle, one `random()` for the mark, and on
     a birth one `random()` for mutation and one more for the mutant trait.
+
+    Constant, affine and sqrt_gap rates run this loop compiled (_ibm_loop.c)
+    when the library builds and loads; other rate families, and any host
+    without it, run it in Python. Both read the stream identically, and the
+    log's `loop` field says which one ran.
     """
     if K < 1:
         raise ValueError("scale K must be >= 1")
@@ -147,61 +292,71 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     s_next = samples[0]
 
     n = len(xs)
-    peak = n
-    n_events = n_deaths = 0
-    t = 0.0
-    aborted = False
-    events: list | None = [] if record_events else None
-    while n:
-        comp = c * n / K
-        bound = bd + comp
-        t -= ln(1.0 - random_()) / (n * bound)
-        if t >= T:
-            t = T
-            break
-        while s_next <= t + 1e-12:
-            masses[si], snapshots[si] = _sample(xs, bt, K, s_next, store_snapshots)
-            si += 1
-            s_next = samples[si]
-        n_events += 1
-        k = n.bit_length()
-        i = getrandbits(k)
-        while i >= n:
-            i = getrandbits(k)
-        x = xs[i]
-        a = t - bt[i]
-        u = random_() * bound
-        b = B(x, a)
-        if u < b:
-            if random_() < p:
-                row = cdf_rows[min(max(int((x - lo) / dx), 0), last)]
-                x = nodes[min(bisect_left(row, random_()), last)]
-            xs.append(x)
-            bt.append(t)
-            n += 1
-            if events is not None:
-                events.append((t, "birth"))
-            if n > peak:
-                peak = n
-            if n > particle_cap:
-                aborted = True
+    lib = None
+    if (model.birth.name in _C_RATES and model.death.name in _C_RATES
+            and max(n, particle_cap + 1) < 2**32):   # getrandbits(k) reads one word
+        lib, _ = _c_loop()
+    if lib is not None:
+        xs, bt, t, n_events, n_deaths, peak, aborted, events, si = _c_events(
+            lib, rng, xs, bt, model, K, T, c, bd, cdf_rows, nodes, dx, particle_cap,
+            samples, masses, snapshots, store_snapshots, record_events)
+    else:
+        peak = n
+        n_events = n_deaths = 0
+        t = 0.0
+        aborted = False
+        events: list | None = [] if record_events else None
+        while n:
+            comp = c * n / K
+            bound = bd + comp
+            t -= ln(1.0 - random_()) / (n * bound)
+            if t >= T:
+                t = T
                 break
-        elif u < b + D(x, a) + comp:
-            xs[i] = xs[-1]
-            bt[i] = bt[-1]
-            xs.pop()
-            bt.pop()
-            n -= 1
-            n_deaths += 1
-            if events is not None:
-                events.append((t, "death"))
-        # else: phantom mark, nothing happens
+            while s_next <= t + 1e-12:
+                masses[si], snapshots[si] = _sample(xs, bt, K, s_next, store_snapshots)
+                si += 1
+                s_next = samples[si]
+            n_events += 1
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            x = xs[i]
+            a = t - bt[i]
+            u = random_() * bound
+            b = B(x, a)
+            if u < b:
+                if random_() < p:
+                    row = cdf_rows[min(max(int((x - lo) / dx), 0), last)]
+                    x = nodes[min(bisect_left(row, random_()), last)]
+                xs.append(x)
+                bt.append(t)
+                n += 1
+                if events is not None:
+                    events.append((t, "birth"))
+                if n > peak:
+                    peak = n
+                if n > particle_cap:
+                    aborted = True
+                    break
+            elif u < b + D(x, a) + comp:
+                xs[i] = xs[-1]
+                bt[i] = bt[-1]
+                xs.pop()
+                bt.pop()
+                n -= 1
+                n_deaths += 1
+                if events is not None:
+                    events.append((t, "death"))
+            # else: phantom mark, nothing happens
 
     for si in range(si, sample_times.size):
         masses[si], snapshots[si] = _sample(xs, bt, K, samples[si], store_snapshots)
     log = EventLog(sample_times=sample_times, masses=masses, snapshots=snapshots,
                    replicate=replicate, K=K, n_events=n_events, n_deaths=n_deaths,
-                   peak=peak, aborted=aborted, events=events)
+                   peak=peak, aborted=aborted, events=events,
+                   loop="python" if lib is None else "c")
     if aborted:
         raise ExplosionError(f"particle cap {particle_cap} exceeded at t={t:.4g}", log)
     return log

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from structpop import ibm
 from structpop.cli import (EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import build_grids, build_model, constant_scenario
 
@@ -180,6 +181,8 @@ def test_ibm_default_horizon_finishes(small_cfg, tmp_path):
     assert counters["events"] > 0
     assert counters["phantom_fraction"] == 0.0    # constant rates: no rejected marks
     assert counters["peak_population"] >= rows[:, 2].max() * 500
+    # constant rates run compiled wherever the loop library builds
+    assert counters["loop"] == ("c" if ibm._c_loop()[0] is not None else "python")
 
 
 def test_ibm_preflight_rejects_exploding_linear_run(small_cfg, tmp_path, capsys):
@@ -190,6 +193,22 @@ def test_ibm_preflight_rejects_exploding_linear_run(small_cfg, tmp_path, capsys)
     assert time.monotonic() - t0 < 10.0
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "config" and "particle cap" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ibm", "--replicates", "0"],
+    ["ibm", "--replicates", "1"],    # its standard error would be NaN
+    ["ibm", "--tmax", "-1"],
+    ["ibm", "--tmax", "nan"],
+    ["pde", "--tmax", "nan"],
+    ["pde", "--tmax", "inf"],
+    ["pde", "--tmax", "-1"],
+    ["pde", "--tmax", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_replicates_or_tmax_is_usage_error(small_cfg, tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--config", small_cfg, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()     # rejected before any solve or output
 
 
 def test_pde_subcommand(small_cfg, tmp_path):

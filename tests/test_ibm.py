@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -124,15 +128,25 @@ STREAM_CASES = {
 }
 
 
-@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
-@pytest.mark.parametrize("case", sorted(STREAM_CASES))
-def test_simulate_matches_reference_stream(tg, case, linear):
+def python_loop_only(monkeypatch):
+    """Route `ibm.simulate` to its Python loop, as on a host without a compiler."""
+    monkeypatch.setattr(ibm, "_c_loop", lambda: (None, "disabled for this test"))
+
+
+def dispatched_loop(model):
+    """The loop `ibm.simulate` should pick for this model on this host."""
+    in_c = {model.birth.name, model.death.name} <= set(ibm._C_RATES)
+    return "c" if in_c and ibm._c_loop()[0] is not None else "python"
+
+
+def check_stream_case(tg, case, linear, loop):
     model, K, T = STREAM_CASES[case]
     times = np.linspace(0.0, T, 5)
     ref, aborted = reference_simulate(model, tg, K, T, times, seed=17, linear=linear)
     assert not aborted and ref["n_events"] > 500
     log = ibm.simulate(model, tg, K, T, times, seed=17, linear=linear,
                        record_events=True)
+    assert log.loop == loop
     assert_same_log(log, ref)
     quiet = ibm.simulate(model, tg, K, T, times, seed=17, linear=linear,
                          store_snapshots=False)
@@ -140,16 +154,17 @@ def test_simulate_matches_reference_stream(tg, case, linear):
     assert all(snap is None for snap in quiet.snapshots)
 
 
-def test_reference_stream_to_extinction(tg):
+def check_extinction(tg, loop):
     model = const_model(birth=0.5)
     times = [0.0, 1.0, 50.0]
     ref, _ = reference_simulate(model, tg, 1, 50.0, times, seed=4)
     log = ibm.simulate(model, tg, 1, 50.0, times, seed=4, record_events=True)
+    assert log.loop == loop
     assert log.masses[-1] == 0.0 and log.n_deaths > 0
     assert_same_log(log, ref)
 
 
-def test_reference_stream_through_explosion(tg):
+def check_explosion(tg, loop):
     model = const_model()
     times = [0.0, 0.5, 50.0]
     init = [(0.5, 0.0)] * 10
@@ -158,8 +173,35 @@ def test_reference_stream_through_explosion(tg):
     with pytest.raises(ibm.ExplosionError) as err:
         ibm.simulate(model, tg, 10, 50.0, times, seed=1, init=init, linear=True,
                      particle_cap=200, record_events=True)
-    assert aborted and err.value.log.aborted
+    assert aborted and err.value.log.aborted and err.value.log.loop == loop
     assert_same_log(err.value.log, ref)
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_simulate_matches_reference_stream(tg, case, linear):
+    check_stream_case(tg, case, linear, dispatched_loop(STREAM_CASES[case][0]))
+
+
+def test_reference_stream_to_extinction(tg):
+    check_extinction(tg, dispatched_loop(const_model()))
+
+
+def test_reference_stream_through_explosion(tg):
+    check_explosion(tg, dispatched_loop(const_model()))
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_python_loop_matches_reference_stream(tg, case, linear, monkeypatch):
+    python_loop_only(monkeypatch)
+    check_stream_case(tg, case, linear, "python")
+
+
+def test_python_loop_reference_extinction_and_explosion(tg, monkeypatch):
+    python_loop_only(monkeypatch)
+    check_extinction(tg, "python")
+    check_explosion(tg, "python")
 
 
 class _DyadicStream(random.Random):
@@ -186,11 +228,110 @@ def test_mutant_draw_ties_resolve_left(monkeypatch):
     times = [0.0, 0.5]
     ref, _ = reference_simulate(model, tg2, 20, 0.5, times, seed=3, linear=True,
                                 rng_cls=_DyadicStream)
+    python_loop_only(monkeypatch)   # the compiled loop reads MT19937, not random()
     monkeypatch.setattr(ibm, "random", types.SimpleNamespace(Random=_DyadicStream))
     log = ibm.simulate(model, tg2, 20, 0.5, times, seed=3, linear=True,
                        record_events=True)
     assert_same_log(log, ref)
     assert 0.0 < np.mean(log.snapshots[-1][0] == tg2.nodes[0]) < 1.0
+
+
+def _untemper(y):
+    """The MT19937 state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xefc60000
+    w = y
+    for _ in range(4):
+        w = y ^ ((w << 7) & 0x9d2c5680)
+    y = w & 0xffffffff
+    w = y
+    for _ in range(2):
+        w = y ^ (w >> 11)
+    return w
+
+
+def preset_stream(words):
+    """A stock `random.Random` whose next 32-bit outputs are `words`."""
+    filler = random.Random(0)
+    state = [_untemper(w) for w in words]
+    state += [filler.getrandbits(32) for _ in range(624 - len(words))]
+    rng = random.Random()
+    rng.setstate((3, tuple(state) + (0,), None))
+    return rng
+
+
+def test_mutant_draw_tie_resolves_left_on_both_loops(monkeypatch):
+    # two trait cells: each CDF row is [0.5, 1.0]. The outputs are: waiting
+    # time U = 0.5, particle 0, birth mark U = 0, mutation U = 0, trait
+    # U = (2^26 * 2^26 + 0) / 2^53 = 0.5 exactly (a tie), next wait U ~ 1.
+    words = [2**31, 0, 0, 0, 0, 0, 0, 2**31, 0, 2**32 - 1, 2**32 - 1]
+    probe = preset_stream(words)
+    assert [probe.getrandbits(32) for _ in words] == words
+    tg2 = midpoint_grid((0.0, 1.0), 2)
+    model = model_from(p=0.9)
+    loops = ["python"] + (["c"] if ibm._c_loop()[0] is not None else [])
+    for loop in loops:
+        with monkeypatch.context() as m:
+            rng = preset_stream(words)
+            m.setattr(ibm, "random", types.SimpleNamespace(Random=lambda seed: rng))
+            if loop == "python":
+                python_loop_only(m)
+            log = ibm.simulate(model, tg2, 1, 1.0, [0.0, 1.0], seed=0,
+                               init=[(float(tg2.nodes[1]), 0.0)], linear=True,
+                               record_events=True)
+        assert log.loop == loop
+        assert log.events == [(0.0 - math.log(1.0 - 0.5) / 3.0, "birth")]
+        assert log.snapshots[-1][0].tolist() == [tg2.nodes[1], tg2.nodes[0]]
+
+
+def test_import_builds_and_loads_nothing():
+    # a fresh interpreter: importing the CLI must not touch the compiled loop
+    code = ("import os\n"
+            "import structpop.cli\n"
+            "from structpop import ibm\n"
+            "assert ibm._c_loop.cache_info().misses == 0\n"
+            "maps = '/proc/self/maps'\n"
+            "assert not os.path.exists(maps) or '_ibm_loop' not in open(maps).read()\n")
+    src = os.path.dirname(os.path.dirname(ibm.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.fixture
+def fresh_loader():
+    ibm._c_loop.cache_clear()
+    yield
+    ibm._c_loop.cache_clear()
+
+
+def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader, tg):
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    source = tmp_path / "_ibm_loop.c"
+    shutil.copy(ibm._C_SOURCE, source)
+    monkeypatch.setattr(ibm, "_C_SOURCE", str(source))
+    compiles = []
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run",
+                        lambda *a, **kw: compiles.append(a) or run(*a, **kw))
+    model = const_model()
+    first = ibm.simulate(model, tg, 50, 0.5, [0.5], seed=2, store_snapshots=False)
+    assert first.loop == "c" and len(compiles) == 1
+    assert len(list((tmp_path / "__pycache__").glob("_ibm_loop-*.so"))) == 1
+    ibm._c_loop.cache_clear()      # as a new process would: only the cache on disk
+    second = ibm.simulate(model, tg, 50, 0.5, [0.5], seed=2, store_snapshots=False)
+    assert second.loop == "c" and len(compiles) == 1
+    assert second.masses.tobytes() == first.masses.tobytes()
+
+
+def test_no_compiler_falls_back_to_python(tmp_path, monkeypatch, fresh_loader, tg):
+    source = tmp_path / "_ibm_loop.c"
+    shutil.copy(ibm._C_SOURCE, source)
+    monkeypatch.setattr(ibm, "_C_SOURCE", str(source))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    log = ibm.simulate(const_model(), tg, 50, 0.5, [0.5], seed=2)
+    assert log.loop == "python"
+    assert ibm._c_loop() == (None, "no C compiler (cc or gcc) on PATH")
 
 
 def test_determinism_bit_for_bit(tg):
