@@ -119,6 +119,8 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
         "eta_lower": triple.eta_lower,
         "eta_lower_proof": triple.eta_lower_proof,
         "norms": triple.norms,
+        "perron": triple.diagnostics["perron"],
+        "warnings": triple.diagnostics["warnings"],
         "manifest": manifest,
     }
 
@@ -131,7 +133,7 @@ def cmd_stationary(config, out: str) -> dict:
     manifest = _write_grids(out, tgrid, agrid, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
             "weak_form_residual": residual, "regime": triple.regime,
-            "manifest": manifest}
+            "warnings": triple.diagnostics["warnings"], "manifest": manifest}
 
 
 def cmd_pde(config, out: str, tmax: float) -> dict:
@@ -149,6 +151,7 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
                       "truncation_loss"], rows)
     return {"lambda_star": lam, "final_mass": trace.mass[-1],
             "final_tv": trace.tv_to_target[-1], "regime": triple.regime,
+            "warnings": triple.diagnostics["warnings"],
             "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1]},
             "manifest": [path]}
 
@@ -181,7 +184,7 @@ def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
     deaths = sum(log.n_deaths for log in logs)
     births = deaths + sum(log.snapshots[-1][0].size - scale for log in logs)
     return {"lambda_star": triple.lambda_star, "mean_drift": md, "se": se,
-            "ci": [md - 3 * se, md + 3 * se],
+            "ci": [md - 3 * se, md + 3 * se], "warnings": triple.diagnostics["warnings"],
             "ibm": {"events": events,
                     "phantom_fraction": (events - births - deaths) / events if events else 0.0,
                     "peak_population": max(log.peak for log in logs),
@@ -222,6 +225,7 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     summary["lambda_star"] = triple.lambda_star
     summary["regime"] = triple.regime
     summary["eta_lower"] = triple.eta_lower
+    summary["warnings"] = triple.diagnostics["warnings"]
     if triple.regime == "Regular" and model.competition > 0:
         lam, nbar, mass = malthus.stationary_state(problem, triple)
         solver = pde.TransportSolver(model, tgrid, agrid)

@@ -259,6 +259,8 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     """
     if K < 1:
         raise ValueError("scale K must be >= 1")
+    if not (math.isfinite(T) and T > 0.0):   # the loop stops only at t >= T
+        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
     sample_times = np.asarray(sorted(sample_times), float)
     if not np.all((sample_times >= 0.0) & (sample_times <= T)):
         raise ValueError(f"sample times must lie in [0, T={T:g}]")

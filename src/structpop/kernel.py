@@ -2,9 +2,12 @@
 
 The age integrals use a per-cell product quadrature: within each lattice cell
 the survival factor is treated as an exact exponential (its local decay rate
-read off the cumulative death integral) and the birth rate as the average of
-the endpoint values. This is exact for age-constant rates and second-order
-otherwise, which is what the closed-form oracles require at da = 0.01.
+the cell's trapezoid death rate plus lambda) and the birth rate as the
+average of the endpoint values. This is exact for age-constant rates and
+second-order otherwise, which is what the closed-form oracles require at
+da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
+sweep builds the lambda-free factors once, and `cell_integrals` is the one
+evaluation of the formula, which `collapse` and `bR_cell_integrals` share.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .model import AgeGrid, RateModel, TraitGrid
 
@@ -52,6 +54,21 @@ def choose_age_truncation(model: RateModel, lam: float, tol: float,
 # survival factor on the lattice
 # ---------------------------------------------------------------------------
 
+def _cell_death_rates(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """d_ij: the trapezoid average of D(x_i, .) over age cell j, shape (nx, n_cells)."""
+    dvals = model.death(xs[:, None], ages[None, :])
+    d = dvals[:, :-1] + dvals[:, 1:]
+    d /= 2.0
+    return d
+
+
+def _death_integral(d: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """int_0^{a_j} D by the trapezoid rule from the cell rates d, shape (nx, na)."""
+    cum = np.zeros((d.shape[0], ages.size))
+    np.cumsum(d * np.diff(ages), axis=1, out=cum[:, 1:])
+    return cum
+
+
 def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
                     lam: float) -> np.ndarray:
     """R_lambda(x_i, a_j) = exp(-int_0^a D(x_i, .) - lambda a_j), shape (nx, na).
@@ -62,8 +79,7 @@ def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
     _check_lambda(model, lam)
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
-    dvals = model.death(xs[:, None], ages[None, :])
-    cum = cumulative_trapezoid(dvals, ages, axis=1, initial=0.0)
+    cum = _death_integral(_cell_death_rates(model, xs, ages), ages)
     return np.exp(-cum - lam * ages[None, :])
 
 
@@ -79,30 +95,85 @@ def survival_factor(model: RateModel, x: float, a: float, lam: float,
     return float(survival_matrix(model, np.array([x]), ages, lam)[0, -1])
 
 
-def bR_cell_integrals(model: RateModel, xs: np.ndarray, ages: np.ndarray,
-                      lam: float, R: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell integrals of B(x,.)R_lambda(x,.), shape (nx, n_cells).
+# ---------------------------------------------------------------------------
+# product quadrature, factored in lambda
+# ---------------------------------------------------------------------------
 
-    Product quadrature: on cell [a_j, a_{j+1}] the integrand is modeled as
-    (average endpoint B) times an exact exponential whose rate matches the
-    cell's death integral plus lambda. R, if given, is survival_matrix on
-    the same nodes.
+@dataclass(frozen=True)
+class AgeFactors:
+    """The lambda-free parts of the per-cell product quadrature on an age lattice.
+
+    On cell [a_j, a_{j+1}] of width h_j the integrand B R_lambda is modeled as
+    the average endpoint B times an exact exponential whose rate matches the
+    cell's death integral plus lambda. With R_lambda = R_0 e^{-lambda a} the
+    cell integral is
+
+        C_ij e^{-lambda a_j} (1 - e^{-(d_ij + lambda) h_j}) / (d_ij + lambda),
+
+    where C = (average endpoint B) R_0(., a_j) and d_ij is the cell death rate
+    (the trapezoid average of D over the cell). Neither depends on lambda, so a
+    lambda search builds them once and pays per lambda only for the last
+    factor. Any prefix of the lattice reads its factors as column prefixes.
     """
+
+    ages: np.ndarray            # (n_cells + 1,) lattice nodes
+    C: np.ndarray               # (nx, n_cells)
+    d: np.ndarray               # (nx, n_cells)
+
+    @property
+    def n_cells(self) -> int:
+        return self.d.shape[1]
+
+
+def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
+    """C and d of the product quadrature at trait nodes xs on the age lattice."""
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
-    da = np.diff(ages)
-    if R is None:
-        R = survival_matrix(model, xs, ages, lam)
+    d = _cell_death_rates(model, xs, ages)
+    cum = _death_integral(d, ages)
+    R0 = np.exp(np.negative(cum, out=cum), out=cum)
     bvals = model.birth(xs[:, None], ages[None, :])
-    # local decay rate per cell from the survival ratio itself
-    with np.errstate(divide="ignore"):
-        rate = -np.log(np.maximum(R[:, 1:] / np.maximum(R[:, :-1], 1e-300), 1e-300)) / da
-    z = rate * da
-    # (1 - e^{-z}) / rate, stable as z -> 0
-    small = np.abs(z) < 1e-8
-    factor = np.where(small, da * (1.0 - 0.5 * z), -np.expm1(-z) / np.where(rate == 0, 1.0, rate))
-    pref = 0.5 * (bvals[:, :-1] + bvals[:, 1:])
-    return pref * R[:, :-1] * factor
+    C = bvals[:, :-1] + bvals[:, 1:]
+    del bvals
+    C *= 0.5
+    C *= R0[:, :-1]
+    return AgeFactors(ages=ages, C=C, d=d)
+
+
+def cell_integrals(factors: AgeFactors, lam: float,
+                   n_cells: int | None = None) -> np.ndarray:
+    """Per-cell integrals of B R_lambda over the first n_cells cells, (nx, n_cells).
+
+    With z = (d + lambda) h, the exponential factor (1 - e^{-z}) / (d + lambda)
+    is evaluated as h (1 - e^{-z}) / z by expm1, and as h (1 - z / 2) where
+    |z| < 1e-8.
+    """
+    n = factors.n_cells if n_cells is None else n_cells
+    if not 0 < n <= factors.n_cells:
+        raise ValueError(f"{n} cells asked of a lattice of {factors.n_cells}")
+    h = np.diff(factors.ages[:n + 1])
+    mz = factors.d[:, :n] + lam
+    mz *= -h                                          # -z
+    cells = np.expm1(mz)                              # e^{-z} - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells /= mz                                   # (1 - e^{-z}) / z
+    if mz.max() > -1e-8:                              # z >= 1e-8 is the rule
+        small = np.abs(mz) < 1e-8
+        cells[small] = 1.0 + 0.5 * mz[small]
+    del mz
+    cells *= factors.C[:, :n]
+    cells *= h * np.exp(-lam * factors.ages[:n])
+    return cells
+
+
+def bR_cell_integrals(model: RateModel, xs: np.ndarray, ages: np.ndarray,
+                      lam: float) -> np.ndarray:
+    """Per-cell integrals of B(x,.)R_lambda(x,.), shape (nx, n_cells).
+
+    The product quadrature of `AgeFactors`, built for this one lambda.
+    """
+    _check_lambda(model, lam)
+    return cell_integrals(age_factors(model, xs, ages), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +186,8 @@ class CollapsedKernel:
 
     K_values[i, j] = K_lambda(x_i, x_j): rate of mutant offspring with trait
     near x_j born from a trait-x_i lineage (density in the second slot).
+    sB is the birth integral int B R_lambda da per node (None for a kernel
+    built by hand from r and K).
     """
 
     lam: float
@@ -123,27 +196,41 @@ class CollapsedKernel:
     da: float
     a_max: float
     tail: float
+    sB: np.ndarray | None = None
 
     @property
     def rbar(self) -> float:
         return float(self.r_values.max())
 
 
+def kernel_from_birth_integral(model: RateModel, agrid: AgeGrid, lam: float,
+                               sB: np.ndarray, kmat: np.ndarray) -> CollapsedKernel:
+    """r = (1 - p) sB and K(x, y) = p sB(x) k(x, y), with kmat = k on the nodes."""
+    p = model.mutation_prob
+    return CollapsedKernel(lam=lam, r_values=(1.0 - p) * sB,
+                           K_values=p * sB[:, None] * kmat, da=agrid.da,
+                           a_max=agrid.a_max, tail=tail_bound(model, lam, agrid.a_max),
+                           sB=sB)
+
+
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
-             tol: float | None = None) -> CollapsedKernel:
+             tol: float | None = None, factors: AgeFactors | None = None,
+             kmat: np.ndarray | None = None) -> CollapsedKernel:
     """Compute r_lambda and K_lambda on the trait grid by age quadrature.
 
     With sB(x) = int B R_lambda da: r = (1 - p) sB and K(x, y) = p sB(x) k(x, y).
+    factors (`age_factors` at the trait nodes, on the age lattice or on any
+    lattice it is a prefix of) and kmat (`mutation_kernel.matrix` at the
+    nodes) are built here when not given; a lambda sweep passes them in.
     """
     _check_lambda(model, lam)
     tb = tail_bound(model, lam, agrid.a_max)
     if tol is not None and tb > tol:
         raise TailBoundError(
             f"age horizon {agrid.a_max} leaves tail bound {tb:.3e} > tol {tol:.3e}")
-
-    cells = bR_cell_integrals(model, tgrid.nodes, agrid.nodes, lam)   # (nx, n_cells)
-    sB = cells.sum(axis=1)                                            # int B R da
-    r = (1.0 - model.mutation_prob) * sB
-    K = model.mutation_prob * sB[:, None] * model.mutation_kernel.matrix(tgrid.nodes)
-    return CollapsedKernel(lam=lam, r_values=r, K_values=K,
-                           da=agrid.da, a_max=agrid.a_max, tail=tb)
+    if factors is None:
+        factors = age_factors(model, tgrid.nodes, agrid.nodes)
+    if kmat is None:
+        kmat = model.mutation_kernel.matrix(tgrid.nodes)
+    sB = cell_integrals(factors, lam, agrid.n_cells).sum(axis=1)   # int B R da
+    return kernel_from_birth_integral(model, agrid, lam, sB, kmat)

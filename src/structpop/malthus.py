@@ -11,7 +11,6 @@ integral representation, normalized to int N = int N phi = 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,15 @@ class EigenTriple:
 
 
 class MalthusProblem:
-    """Caches rho(lambda) along a lambda sweep and full eigendata where asked."""
+    """rho(lambda) along a lambda sweep, and full eigendata where asked.
+
+    The lambda-free parts of the age collapse (`kern.AgeFactors` on the
+    extended lattice, whose prefix is the age lattice, and the mutation
+    matrix) are built once. Each direct solve starts from the last direct
+    profile. Per lambda solved, the birth integral sB and the direct Perron
+    pair are kept (2 nx floats), so eigendata at a solved lambda makes no
+    collapse and no direct solve.
+    """
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                  perron_tol: float = 1e-12, max_iter: int = 20000):
@@ -50,21 +57,43 @@ class MalthusProblem:
         self.agrid = agrid
         self.perron_tol = perron_tol
         self.max_iter = max_iter
+        self.kmat = model.mutation_kernel.matrix(tgrid.nodes)
+        self._factors: kern.AgeFactors | None = None
+        self._start: np.ndarray | None = None    # last direct profile
+        self._direct: dict[float, tuple[np.ndarray, spectral.PerronPair]] = {}
         self._cache: dict[float, tuple] = {}
-        self._rho: dict[float, tuple[float, float]] = {}
         self.lambda_search: dict = {}   # evaluations and bracket of the last search
 
-    def _direct(self, lam: float):
-        ck = kern.collapse(self.model, self.tgrid, self.agrid, lam)
-        direct = spectral.assemble(ck, self.tgrid, "direct")
-        pd = spectral.perron(direct, tol=self.perron_tol, max_iter=self.max_iter)
-        self._rho[lam] = (pd.rho, ck.rbar)
-        return ck, pd
+    @property
+    def factors(self) -> kern.AgeFactors:
+        """Age factors on the extended lattice, built on first use."""
+        if self._factors is None:
+            self._factors = kern.age_factors(self.model, self.tgrid.nodes,
+                                             _extended_ages(self.agrid))
+        return self._factors
+
+    def release_factors(self) -> None:
+        """Drop the age factors (rebuilt on next use) to free their memory."""
+        self._factors = None
+
+    def _solve_direct(self, lam: float) -> tuple[np.ndarray, spectral.PerronPair]:
+        """(sB, direct PerronPair) at lambda, solved once per lambda."""
+        if lam not in self._direct:
+            ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
+                               factors=self.factors, kmat=self.kmat)
+            direct = spectral.assemble(ck, self.tgrid, "direct")
+            pd = spectral.perron(direct, tol=self.perron_tol, max_iter=self.max_iter,
+                                 start=self._start)
+            self._start = pd.profile
+            self._direct[lam] = (ck.sB, pd)
+        return self._direct[lam]
 
     def eigendata(self, lam: float):
         """(CollapsedKernel, direct PerronPair, dual PerronPair) at lambda."""
         if lam not in self._cache:
-            ck, pd = self._direct(lam)
+            sB, pd = self._solve_direct(lam)
+            ck = kern.kernel_from_birth_integral(self.model, self.agrid, lam, sB,
+                                                 self.kmat)
             dual = spectral.assemble(ck, self.tgrid, "dual")
             pq = spectral.perron(dual, tol=self.perron_tol, max_iter=self.max_iter)
             pd = spectral.regime_classify(pd, ck, self.tgrid)
@@ -73,14 +102,13 @@ class MalthusProblem:
 
     def rho_of_lambda(self, lam: float) -> tuple[float, float]:
         """(rho, rbar) at lambda from the direct operator alone."""
-        if lam not in self._rho:
-            self._direct(lam)
-        return self._rho[lam]
+        sB, pd = self._solve_direct(lam)
+        return pd.rho, float(((1.0 - self.model.mutation_prob) * sB).max())
 
     def find_lambda_star(self, tol_lam: float = 1e-6,
                          max_doublings: int = 60) -> float:
         """Root of rho(lambda) = 1 to within tol_lam; records lambda_search."""
-        solved_before = len(self._rho)
+        solved_before = set(self._direct)
         rho0, _ = self.rho_of_lambda(0.0)
         if rho0 <= 1.0:
             raise SubcriticalError(
@@ -93,8 +121,9 @@ class MalthusProblem:
         else:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
         lam = brentq(lambda l: self.rho_of_lambda(l)[0] - 1.0, lo, hi, xtol=tol_lam)
-        self.lambda_search = {"evaluations": len(self._rho) - solved_before,
-                              "bracket": [lo, hi]}
+        solved = [pd for l, (_, pd) in self._direct.items() if l not in solved_before]
+        self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
+                              "perron_iterations": sum(pd.iterations for pd in solved)}
         return float(lam)
 
 
@@ -108,7 +137,7 @@ def _mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
 
 def _extended_ages(agrid: AgeGrid) -> np.ndarray:
     """Nodes of the extended lattice [0, 2 A_max]; the lattice is its prefix,
-    so R on it restricts to R on the lattice bit for bit."""
+    so age factors on it restrict to those of the lattice bit for bit."""
     return agrid.da * np.arange(2 * agrid.n_cells + 1)
 
 
@@ -116,15 +145,16 @@ def direct_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                    lam_star: float, mu: np.ndarray, R: np.ndarray) -> np.ndarray:
     """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass.
 
-    R is R_{lambda*} on the extended lattice (`_extended_ages`).
+    R is R_{lambda*} on the age lattice.
     """
-    N = mu[:, None] * R[:, :agrid.n_cells + 1]
+    N = mu[:, None] * R
     mass = float(np.sum(N * _mass_weights(tgrid, agrid)))
     return N / mass
 
 
 def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                  lam_star: float, eta: np.ndarray, R: np.ndarray,
+                 factors: kern.AgeFactors,
                  N_grid: np.ndarray | None = None) -> np.ndarray:
     """phi(x,a) from the tail-integral representation of the dual problem.
 
@@ -132,23 +162,23 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                              + p sum_j eta_j w_j k(x, x_j) int_a^inf B R da' ].
 
     Tail integrals run over an extended lattice [0, 2 A_max] so that phi keeps
-    its continuum value at the horizon instead of collapsing to zero there.
-    R is R_{lambda*} on that lattice. If N_grid is given, phi is rescaled so
+    its continuum value at the horizon instead of collapsing to zero there;
+    their cells come from `factors`, the age factors on that lattice. R is
+    R_{lambda*} on the age lattice. If N_grid is given, phi is rescaled so
     that int N phi = 1.
     """
-    ages = _extended_ages(agrid)
     xs = tgrid.nodes
-    cells = kern.bR_cell_integrals(model, xs, ages, lam_star, R)   # (nx, n_ext)
+    cells = kern.cell_integrals(factors, lam_star)                  # (nx, n_ext)
     # reverse cumulative sums: tails[:, j] = int_{a_j}^{2 A_max} B R
-    tails = np.flip(np.cumsum(np.flip(cells, axis=1), axis=1), axis=1)
-    tails = np.concatenate([tails, np.zeros((tgrid.n, 1))], axis=1)
+    na = agrid.n_cells + 1
+    tails = np.flip(np.cumsum(np.flip(cells, axis=1), axis=1), axis=1)[:, :na]
+    del cells
 
     p = model.mutation_prob
-    na = agrid.n_cells + 1
     kmat = model.mutation_kernel.matrix(xs)
-    mut = tails[:, :na] * (kmat @ (eta * tgrid.weights))[:, None]
+    mut = tails * (kmat @ (eta * tgrid.weights))[:, None]
 
-    phi = ((1.0 - p) * eta[:, None] * tails[:, :na] + p * mut) / R[:, :na]
+    phi = ((1.0 - p) * eta[:, None] * tails + p * mut) / R
     if N_grid is not None:
         pairing = float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))
         phi = phi / pairing
@@ -156,25 +186,28 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
 
 
 def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
-                    lam_star: float) -> tuple[float, float, list]:
+                    lam_star: float) -> tuple[float, float, dict]:
     """Contraction constant: grid value and the conservative proof-style bound.
 
     Grid value: p B_inf k_inf min(phi) / max(phi). Proof bound replaces
-    min(phi) by (1-p) min_x phi(x,0) B_inf / (lambda* + sup D).
+    min(phi) by (1-p) min_x phi(x,0) B_inf / (lambda* + sup D). The third
+    item maps a stable key to a message for each bound that degenerates.
     """
-    warn: list = []
+    warn: dict = {}
     b_lo = model.birth.inf
     k_lo = model.mutation_kernel.inf
     if b_lo <= 0 or k_lo <= 0:
-        warn.append("birth rate or mutation kernel not bounded below by a "
-                    "positive constant; contraction bound degenerates to 0")
+        warn["contraction_bound_degenerate"] = (
+            "birth rate or mutation kernel not bounded below by a positive "
+            "constant; contraction bound degenerates to 0")
         return 0.0, 0.0, warn
     p = model.mutation_prob
     phi_max = float(phi_grid.max())
     grid_val = p * b_lo * k_lo * float(phi_grid.min()) / phi_max
     d_sup = model.death.sup
     if not np.isfinite(d_sup):
-        warn.append("death rate unbounded above; proof-style bound unavailable")
+        warn["proof_bound_unavailable"] = (
+            "death rate unbounded above; proof-style bound unavailable")
         proof_val = 0.0
     else:
         phi_floor = (1.0 - p) * float(phi_grid[:, 0].min()) * b_lo / (lam_star + d_sup)
@@ -183,18 +216,23 @@ def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
 
 
 def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTriple:
-    """lambda*, N, phi, eta bounds and normalization flags in one shot."""
+    """lambda*, N, phi, eta bounds and normalization flags in one shot.
+
+    diagnostics carries the direct pair's regime diagnostics, the Perron
+    solves at lambda* ("perron": direct and dual path, iterations and
+    bracket) and "warnings", a map from stable keys to messages. The
+    problem's age factors are released once the profiles are built.
+    """
     lam_star = problem.find_lambda_star(tol_lam)
     ck, pd, pq = problem.eigendata(lam_star)
     model, tgrid, agrid = problem.model, problem.tgrid, problem.agrid
-    if pd.regime != "Regular":
-        warnings.warn("near-singular spectrum: grid eigen-elements returned, "
-                      "but their continuum meaning is not certified")
     mu = pd.profile
     eta = pq.profile
-    R = kern.survival_matrix(model, tgrid.nodes, _extended_ages(agrid), lam_star)
+    R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
     N = direct_profile(model, tgrid, agrid, lam_star, mu, R)
-    phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, N_grid=N)
+    phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, problem.factors,
+                       N_grid=N)
+    problem.release_factors()
     mw = _mass_weights(tgrid, agrid)
     norms = {
         "intN": float(np.sum(N * mw)),
@@ -202,7 +240,12 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
         "rho_at_star": pd.rho,
     }
     grid_eta, proof_eta, warn = eta_lower_bound(phi, model, lam_star)
+    if pd.regime != "Regular":
+        warn["near_singular_spectrum"] = (
+            "near-singular spectrum: grid eigen-elements returned, but their "
+            "continuum meaning is not certified")
     diagnostics = dict(pd.diagnostics)
+    diagnostics["perron"] = {"direct": pd.summary(), "dual": pq.summary()}
     diagnostics["warnings"] = warn
     return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi,
                        mu_profile=mu, eta_profile=eta,

@@ -8,7 +8,8 @@ and the adjoint pairing hold to machine precision by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -49,6 +50,13 @@ class PerronPair:
     residual: float
     regime: str = "Regular"     # set by regime_classify
     diagnostics: dict = field(default_factory=dict)
+    path: str = "power"         # "power" | "shift-invert" | "warm"
+    cw_bracket: tuple[float, float] = (0.0, math.inf)   # Collatz-Wielandt, last iterate
+
+    def summary(self) -> dict:
+        """The solve's path, iteration count and final bracket, JSON-ready."""
+        return {"path": self.path, "iterations": self.iterations,
+                "cw_bracket": list(self.cw_bracket)}
 
 
 def assemble(kernel: CollapsedKernel, grid: TraitGrid, kind: str) -> DiscreteOperator:
@@ -98,50 +106,85 @@ def _rayleigh(v: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float((v * w) @ y / ((v * w) @ v))
 
 
-def perron(op: DiscreteOperator, tol: float = 1e-12,
-           max_iter: int = 20000) -> PerronPair:
+def _evaluate(M: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """(M v, CW lower, CW upper, Rayleigh rho, ||M v - rho v||_inf) of an iterate."""
+    y, lb, ub = _cw_bounds(M, v)
+    rho = _rayleigh(v, y, w)
+    return y, lb, ub, rho, float(np.abs(y - rho * v).max())
+
+
+SLOW_CHECK = 10         # power iterations between looks at the bracket
+SLOW_HORIZON = 200     # power iterations the bracket must narrow within
+
+
+def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
+           start: np.ndarray | None = None) -> PerronPair:
     """Dominant eigenpair of a nonnegative matrix, deterministic start.
 
-    Plain power iteration from the uniform vector, with a shift-inverse
-    fallback when the subdominant gap is too small for the budget (the
-    Collatz-Wielandt upper bound certifies a valid shift). The residual test
-    is ||M v - rho v||_inf <= tol * rho.
+    Without a start vector: power iteration from the uniform vector. Every
+    SLOW_CHECK iterations up to SLOW_HORIZON, the Collatz-Wielandt bracket's
+    contraction over the last SLOW_CHECK iterations is extrapolated to
+    iteration SLOW_HORIZON; if the bracket would still be wider than 1e-4 of
+    its upper bound there, the spectrum is slow and the solve switches to
+    shift-inverse iteration. With a strictly positive start vector (a nearby
+    eigenvector, say): the start is returned, after 0 iterations, if it
+    passes the residual test, and otherwise shift-inverse iterates from it.
+    `path` records "power", "shift-invert" or "warm", and `cw_bracket` the
+    Collatz-Wielandt bracket of the returned vector.
+
+    Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8).
+    The upper bound is at least rho for any positive vector, so sigma > rho
+    and (sigma I - M)^{-1} >= 0. The residual test is
+    ||M v - rho v||_inf <= tol * rho on every path.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     M, w = op.M, op.weights
-    v = _normalize(np.ones(M.shape[0]), w)
-    rho = 0.0
-    res = np.inf
+    n = M.shape[0]
     it = 0
-    for it in range(1, max_iter + 1):
-        y, lb, ub = _cw_bounds(M, v)
-        rho = _rayleigh(v, y, w)
-        res = float(np.abs(y - rho * v).max())
-        if res <= tol * max(rho, 1e-300):
-            return PerronPair(rho=rho, profile=_normalize(v, w),
-                              iterations=it, residual=res)
-        v = _normalize(y, w)
-        if it == 200 and ub - lb > 1e-4 * ub:
-            break   # slow spectrum: switch to shift-inverse iterations
+    if start is None:
+        path = "shift-invert"
+        v = _normalize(np.ones(n), w)
+        prev_width = math.inf
+        for it in range(1, max_iter + 1):
+            y, lb, ub, rho, res = _evaluate(M, v, w)
+            if res <= tol * max(rho, 1e-300):
+                return PerronPair(rho=rho, profile=_normalize(v, w), iterations=it,
+                                  residual=res, path="power", cw_bracket=(lb, ub))
+            v = _normalize(y, w)
+            if it % SLOW_CHECK == 0 and it <= SLOW_HORIZON:
+                width = ub - lb
+                rate = min(width / prev_width, 1.0) if prev_width > 0 else 1.0
+                if width * rate ** ((SLOW_HORIZON - it) / SLOW_CHECK) > 1e-4 * ub:
+                    break   # slow spectrum: switch to shift-inverse iterations
+                prev_width = width
+        _, _, ub = _cw_bounds(M, v)
+    else:
+        path = "warm"
+        start = np.asarray(start, float)
+        if start.shape != (n,) or not np.all(np.isfinite(start) & (start > 0)):
+            raise ValueError("start vector must be finite and strictly positive, "
+                             f"of length {n}")
+        v = _normalize(start, w)
+        y, lb, ub, rho, res = _evaluate(M, v, w)
+        if res <= tol * max(rho, 1e-300):   # the start is already an eigenvector
+            return PerronPair(rho=rho, profile=v, iterations=0, residual=res,
+                              path=path, cw_bracket=(lb, ub))
 
-    # shift-inverse fallback: sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
-    _, _, ub = _cw_bounds(M, v)
+    # shift-inverse: sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
     sigma = ub * (1.0 + 1e-8) + 1e-300
-    lu = lu_factor(sigma * np.eye(M.shape[0]) - M)
+    lu = lu_factor(sigma * np.eye(n) - M)
     for it2 in range(1, max_iter + 1):
         z = lu_solve(lu, v)
         z = np.maximum(z, 0.0)       # clip roundoff negatives
         v = _normalize(z, w)
-        y, lb, ub = _cw_bounds(M, v)
-        rho = _rayleigh(v, y, w)
-        res = float(np.abs(y - rho * v).max())
+        y, lb, ub, rho, res = _evaluate(M, v, w)
         if res <= tol * max(rho, 1e-300):
-            return PerronPair(rho=rho, profile=_normalize(v, w),
-                              iterations=it + it2, residual=res)
+            return PerronPair(rho=rho, profile=_normalize(v, w), iterations=it + it2,
+                              residual=res, path=path, cw_bracket=(lb, ub))
         if it2 % 50 == 0 and sigma > ub * (1.0 + 1e-7):
             sigma = ub * (1.0 + 1e-8)
-            lu = lu_factor(sigma * np.eye(M.shape[0]) - M)
+            lu = lu_factor(sigma * np.eye(n) - M)
     raise PerronConvergenceError(
         f"no convergence after {it + it2} iterations (residual {res:.3e}); "
         "dominant eigenvalue may be nearly non-simple",
@@ -177,8 +220,7 @@ def regime_classify(pair: PerronPair, kernel: CollapsedKernel, grid: TraitGrid,
         "mass_in_band": float(np.sum(pair.profile[band] * grid.weights[band])),
     }
     regime = "Regular" if gap > gap_tol else "PossiblySingular"
-    return PerronPair(rho=pair.rho, profile=pair.profile, iterations=pair.iterations,
-                      residual=pair.residual, regime=regime, diagnostics=diagnostics)
+    return replace(pair, regime=regime, diagnostics=diagnostics)
 
 
 def density_from_profile(pair: PerronPair, kernel: CollapsedKernel,

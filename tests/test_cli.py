@@ -55,6 +55,12 @@ def test_malthus_artifacts(small_cfg, tmp_path, capsys):
     assert summary["manifest"] == ["x.npy", "a.npy", "N.npy", "phi.npy"]
     search = summary["lambda_search"]
     assert search["evaluations"] > 0
+    assert summary["warnings"] == {}
+    for side in ("direct", "dual"):
+        perron = summary["perron"][side]
+        assert perron["path"] in ("power", "shift-invert", "warm")
+        lb, ub = perron["cw_bracket"]
+        assert lb <= summary["norms"]["rho_at_star"] * (1 + 1e-11) and lb <= ub
     assert search["bracket"][0] <= summary["lambda_star"] <= search["bracket"][1]
 
     cfg = constant_scenario(nx=8, tol=1e-8)
@@ -101,7 +107,6 @@ def test_scenario_constant_verify(tmp_path):
     assert summary["scenario"] == "constant"
 
 
-@pytest.mark.filterwarnings("ignore:near-singular")
 def test_scenario_singular_refuses_convergence(tmp_path):
     out = str(tmp_path / "out")
     assert main(["scenario", "singular", "--verify", "--nx", "100",
@@ -109,6 +114,10 @@ def test_scenario_singular_refuses_convergence(tmp_path):
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["regime"] == "PossiblySingular"
     assert "refused" in summary["convergence_report"]
+    assert list(summary["warnings"]) == ["near_singular_spectrum"]
+    assert summary["perron"]["direct"]["path"] == "warm"
+    assert summary["perron"]["dual"]["path"] == "shift-invert"
+    assert summary["lambda_search"]["perron_iterations"] >= 1
     rows = open(os.path.join(out, "refinement.csv")).read().splitlines()
     assert rows[0] == "nx,lambda_star_h,gap,mass_in_band"
     assert len(rows) == 4

@@ -457,6 +457,18 @@ def test_counters_age_dependent_birth_has_phantoms(tg):
     assert 0 < phantoms(log, K) < log.n_events
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("loop", ["dispatched", "python"])
+def test_bad_horizon_rejected_before_any_draw(tg, T, loop, monkeypatch):
+    # without the check a linear run from 10 particles ends at once anyway,
+    # by explosion or extinction, so a missing check fails instead of hanging
+    if loop == "python":
+        python_loop_only(monkeypatch)
+    with pytest.raises(ValueError, match="horizon T"):
+        ibm.simulate(const_model(), tg, 10, T, [], seed=1, linear=True,
+                     particle_cap=50, store_snapshots=False)
+
+
 def test_sample_times_outside_horizon_rejected(tg):
     model = const_model()
     for times in ([0.0, 2.5], [-0.1, 1.0], [math.nan]):

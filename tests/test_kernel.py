@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from structpop.kernel import (TailBoundError, choose_age_truncation, collapse,
+from structpop.kernel import (TailBoundError, age_factors, bR_cell_integrals,
+                              cell_integrals, choose_age_truncation, collapse,
                               survival_factor, survival_matrix, tail_bound)
-from structpop.model import AgeGrid, build_model, constant_scenario, midpoint_grid
+from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
+                             midpoint_grid, singular_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +119,85 @@ def test_collapse_sqrt_gap_positive():
     assert np.all(np.diff(ck.r_values) < 0)
     assert ck.r_values[0] == pytest.approx(0.95 * (4 - math.sqrt(tg.nodes[0])),
                                            rel=1e-6)
+
+
+def reference_cell_integrals(model, xs, ages, lam):
+    """The per-cell product quadrature evaluated cell by cell at one lambda.
+
+    On [a_j, a_{j+1}]: (average endpoint B) R_lambda(a_j) (1 - e^{-z}) / rate,
+    with rate read off the survival ratio of the cell and z = rate h, and
+    h (1 - z / 2) for the exponential factor as z -> 0.
+    """
+    R = survival_matrix(model, xs, ages, lam)
+    bvals = model.birth(xs[:, None], ages[None, :])
+    cells = np.empty((xs.size, ages.size - 1))
+    for i in range(xs.size):
+        for j in range(ages.size - 1):
+            h = ages[j + 1] - ages[j]
+            ratio = max(R[i, j + 1] / max(R[i, j], 1e-300), 1e-300)
+            rate = -math.log(ratio) / h
+            z = rate * h
+            factor = h * (1.0 - 0.5 * z) if abs(z) < 1e-8 else -math.expm1(-z) / rate
+            cells[i, j] = 0.5 * (bvals[i, j] + bvals[i, j + 1]) * R[i, j] * factor
+    return cells
+
+
+REFERENCE_CASES = {
+    "constant": constant_scenario(nx=6),
+    "singular": singular_scenario(nx=6),
+    "affine_death_in_age": dataclasses.replace(
+        constant_scenario(nx=6),
+        death={"family": "affine", "params": {"base": 1.0, "slope_x": 0.5,
+                                              "slope_a": 0.3}}),
+    "logistic_age_birth": dataclasses.replace(
+        constant_scenario(nx=6),
+        birth={"family": "logistic_age",
+               "params": {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.4}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_factored_collapse_matches_reference_quadrature(case):
+    model = build_model(REFERENCE_CASES[case])
+    tg, ag = build_grids(REFERENCE_CASES[case], model)
+    ages = 0.01 * np.arange(2 * ag.n_cells + 1)      # the extended lattice
+    factors = age_factors(model, tg.nodes, ages)
+    p = model.mutation_prob
+    for lam in (0.0, 1.0, 2.78, 4.0):
+        ref = reference_cell_integrals(model, tg.nodes, ag.nodes, lam)
+        sB = ref.sum(axis=1)
+        for ck in (collapse(model, tg, ag, lam),
+                   collapse(model, tg, ag, lam, factors=factors)):
+            assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
+            assert np.abs(ck.r_values - (1 - p) * sB).max() <= 1e-13 * sB.max()
+        cells = bR_cell_integrals(model, tg.nodes, ag.nodes, lam)
+        assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
+
+
+def test_small_rate_branch_matches_reference(const_model):
+    # lambda just above -D: the cell rate d + lambda is ~1e-12, so z < 1e-8
+    tg = midpoint_grid((0.0, 1.0), 3)
+    ages = 0.01 * np.arange(201)
+    lam = -1.0 + 1e-12
+    ref = reference_cell_integrals(const_model, tg.nodes, ages, lam)
+    cells = bR_cell_integrals(const_model, tg.nodes, ages, lam)
+    assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
+    assert cells.sum(axis=1) == pytest.approx(np.full(3, 2.0 * 2.0), rel=1e-9)
+    # at d + lambda = 0 exactly, (1 - e^{-z}) / z is 0/0: the branch gives its limit
+    factors = age_factors(const_model, tg.nodes, ages)
+    limit = cell_integrals(factors, -1.0)
+    np.testing.assert_allclose(limit, factors.C * np.diff(ages) * np.exp(ages[:-1]),
+                               rtol=1e-14)
+
+
+def test_collapse_and_cell_integrals_share_one_formula():
+    model = build_model(singular_scenario())
+    tg = midpoint_grid((0.0, 1.0), 16)
+    ag = AgeGrid(da=0.01, n_cells=500)
+    extended = age_factors(model, tg.nodes, 0.01 * np.arange(1001))
+    for lam in (0.0, 2.5):
+        cells = bR_cell_integrals(model, tg.nodes, ag.nodes, lam)
+        # bit for bit: the lattice factors are a prefix of the extended ones
+        np.testing.assert_array_equal(collapse(model, tg, ag, lam).sB, cells.sum(axis=1))
+        np.testing.assert_array_equal(
+            collapse(model, tg, ag, lam, factors=extended).sB, cells.sum(axis=1))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from structpop import kernel, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import collapse, survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, dual_profile,
@@ -162,8 +163,8 @@ def test_stationary_mass_scales_with_competition():
 
 
 def test_singular_triple_flagged(singular_setup):
-    with pytest.warns(UserWarning, match="near-singular"):
-        tr = solve_eigentriple(singular_setup.problem)
+    tr = solve_eigentriple(singular_setup.problem)
+    assert "near-singular" in tr.diagnostics["warnings"]["near_singular_spectrum"]
     assert tr.regime == "PossiblySingular"
     assert 2.6 < tr.lambda_star < 2.8
 
@@ -232,3 +233,73 @@ def test_secular_equation_oracle_singular_800():
     lo, hi = problem.lambda_search["bracket"]
     lam_oracle = brentq(secular_gap, lo, hi, xtol=1e-13)
     assert abs(lam_star - lam_oracle) <= 1e-6
+
+
+def singular_problem(nx, **changes):
+    cfg = dataclasses.replace(singular_scenario(nx=nx), **changes)
+    model = build_model(cfg)
+    return MalthusProblem(model, *build_grids(cfg, model))
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its return value to a list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_eigendata_reuses_the_search(monkeypatch):
+    problem = singular_problem(64)
+    rho, rbar = problem.rho_of_lambda(1.5)
+    _, pd_search = problem._solve_direct(1.5)
+    collapses = counting(monkeypatch, kernel, "collapse")
+    solves = counting(monkeypatch, spectral, "perron")
+    ck, pd, pq = problem.eigendata(1.5)
+    assert collapses == []
+    assert [pair.rho for pair in solves] == [pq.rho]     # the dual solve alone
+    assert pd.rho == rho and ck.rbar == rbar
+    np.testing.assert_array_equal(pd.profile, pd_search.profile)
+    fresh = collapse(problem.model, problem.tgrid, problem.agrid, 1.5)
+    np.testing.assert_array_equal(ck.K_values, fresh.K_values)
+    np.testing.assert_array_equal(ck.r_values, fresh.r_values)
+
+
+@pytest.mark.parametrize("death", [
+    {"family": "constant", "params": {"value": 1.0}},
+    {"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}],
+    ids=["preset", "trait_dependent_death"])
+def test_search_warm_starts_each_direct_solve(monkeypatch, death):
+    problem = singular_problem(200, death=death)
+    solves = counting(monkeypatch, spectral, "perron")
+    collapses = counting(monkeypatch, kernel, "collapse")
+    lam = problem.find_lambda_star(1e-6)
+    search = problem.lambda_search
+    assert len(collapses) == len(solves) == search["evaluations"] == 10
+    assert solves[0].path == "shift-invert"
+    assert [p.path for p in solves[1:]] == ["warm"] * 9
+    if death["family"] == "constant":
+        # M(lambda) = M(0) / (1 + lambda): the last profile is already the answer
+        assert [p.iterations for p in solves[1:]] == [0] * 9
+    assert search["perron_iterations"] == sum(p.iterations for p in solves)
+    cold = spectral.perron(spectral.assemble(
+        collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.tgrid,
+        "direct"))
+    assert abs(problem.rho_of_lambda(lam)[0] - cold.rho) <= 1e-12 * cold.rho
+
+
+def test_eigentriple_reports_perron_and_drops_factors():
+    problem = singular_problem(64)
+    tr = solve_eigentriple(problem)
+    perron = tr.diagnostics["perron"]
+    assert perron["direct"]["path"] == "warm"
+    assert perron["dual"]["path"] == "shift-invert"
+    for side in ("direct", "dual"):
+        lb, ub = perron[side]["cw_bracket"]
+        assert lb <= tr.norms["rho_at_star"] * (1 + 1e-11) and ub >= lb
+        assert perron[side]["iterations"] >= 0
+    assert problem._factors is None      # not kept through a later PDE or IBM run

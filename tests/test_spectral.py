@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from structpop.kernel import CollapsedKernel, collapse
-from structpop.model import AgeGrid, build_model, constant_scenario, midpoint_grid
-from structpop.spectral import (DiscreteOperator, adjoint_residual, assemble,
-                                density_from_profile, perron, regime_classify)
+from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
+                             midpoint_grid, singular_scenario)
+from structpop.spectral import (DiscreteOperator, _cw_bounds, adjoint_residual,
+                                assemble, density_from_profile, perron,
+                                regime_classify)
 
 
 def make_ck(r, K, lam=0.0):
@@ -184,3 +186,55 @@ def test_perron_random_nonnegative_matrices(M):
     assert pair.rho == pytest.approx(truth, rel=1e-6, abs=1e-8)
     assert np.all(pair.profile >= 0)
     assert pair.profile.max() > 0
+
+
+@pytest.fixture(scope="module")
+def singular_ops():
+    """Direct operators at two nearby lambdas: the singular preset at nx=400
+    with a trait-dependent death rate, so the eigenvector moves with lambda."""
+    cfg = dataclasses.replace(singular_scenario(nx=400), death={
+        "family": "affine", "params": {"base": 1.0, "slope_x": 0.5}})
+    model = build_model(cfg)
+    tg, ag = build_grids(cfg, model)
+    return [assemble(collapse(model, tg, ag, lam), tg, "direct") for lam in (2.7, 2.75)]
+
+
+def test_cold_perron_leaves_slow_power_iteration_early(singular_ops):
+    pair = perron(singular_ops[1])
+    assert pair.path == "shift-invert"
+    assert pair.iterations < 100          # the fixed rule spent 200 power steps
+    lb, ub = pair.cw_bracket
+    assert lb <= pair.rho <= ub and ub - lb <= 1e-11 * pair.rho
+
+
+def test_warm_perron_matches_cold(singular_ops):
+    start = perron(singular_ops[0]).profile
+    op = singular_ops[1]
+    cold = perron(op)
+    warm = perron(op, start=start)
+    assert warm.path == "warm" and 1 <= warm.iterations < cold.iterations
+    assert abs(warm.rho - cold.rho) <= 1e-12 * cold.rho
+    assert np.abs(warm.profile - cold.profile).max() <= 1e-9 * cold.profile.max()
+    # the shift is the start's Collatz-Wielandt upper bound, above rho
+    sigma = _cw_bounds(op.M, start)[2] * (1.0 + 1e-8)
+    assert sigma > cold.rho
+
+
+def test_warm_perron_returns_an_eigenvector_start_unchanged():
+    model = build_model(constant_scenario())
+    tg = midpoint_grid((0.0, 1.0), 32)
+    ag = AgeGrid(da=0.01, n_cells=2372)
+    op = assemble(collapse(model, tg, ag, 0.5), tg, "direct")
+    pair = perron(op, start=np.full(32, 3.0))
+    assert (pair.path, pair.iterations) == ("warm", 0)
+    assert pair.rho == pytest.approx(2.0 / 1.5, abs=1e-6)
+    assert perron(op).path == "power"
+
+
+@pytest.mark.parametrize("bad", [np.r_[1.0, 0.0, 1.0], np.r_[1.0, -1.0, 1.0],
+                                 np.r_[1.0, np.nan, 1.0], np.ones(4)])
+def test_warm_perron_refuses_bad_start(bad):
+    tg = midpoint_grid((0.0, 1.0), 3)
+    op = assemble(make_ck(np.ones(3), np.ones((3, 3))), tg, "direct")
+    with pytest.raises(ValueError, match="start vector"):
+        perron(op, start=bad)
