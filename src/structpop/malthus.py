@@ -2,8 +2,9 @@
 
 The growth rate lambda* is the unique root of rho(lambda) = 1, located by
 Brent's method inside a doubling bracket (rho is continuous and strictly
-decreasing); the search solves the direct operator only, and the dual is
-solved once, at the root. The direct eigenvector
+decreasing); `_brentq` is a port of scipy's `brentq`, with the same iterates.
+The search solves the direct operator only, and the dual is solved once, at
+the root. The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
 to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi from the tail
 integral representation, normalized to int N = int N phi = 1.
@@ -11,10 +12,10 @@ integral representation, normalized to int N = int N phi = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernel as kern
 from . import spectral
@@ -120,11 +121,75 @@ class MalthusProblem:
             lo, hi = hi, 2.0 * hi
         else:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
-        lam = brentq(lambda l: self.rho_of_lambda(l)[0] - 1.0, lo, hi, xtol=tol_lam)
+        lam = _brentq(lambda l: self.rho_of_lambda(l)[0] - 1.0, lo, hi, xtol=tol_lam)
         solved = [pd for l, (_, pd) in self._direct.items() if l not in solved_before]
         self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
                               "perron_iterations": sum(pd.iterations for pd in solved)}
-        return float(lam)
+        return lam
+
+
+_RTOL = 4 * math.ulp(1.0)     # 4 machine epsilons, as in scipy
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
+            maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c): the same
+    float operations in the same order, so the same iterates and the same
+    root. Raises ValueError for xtol <= 0, rtol < 4 eps, a NaN value of f or
+    f(a), f(b) of one sign, and RuntimeError after maxiter iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:   # good short step
+                spre, scur = scur, stry
+            else:                       # bisect
+                spre = scur = sbis
+        else:                           # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------

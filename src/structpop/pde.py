@@ -3,7 +3,8 @@
 Transport in age is exact along characteristics (the lattice shifts one cell
 per step, dt = da locked), death is exact through the survival matrix, and
 the renewal boundary is semi-implicit: the newborn generation solves a small
-linear system so eigen-identities hold to first order without a step lag.
+linear system so eigen-identities hold to first order without a step lag. That
+system is solved once, in advance: each step applies one precomposed matrix.
 Stepping holds n = s R_0 u (see `TransportSolver._advance`).
 """
 
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .kernel import survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid
@@ -83,12 +83,13 @@ class TransportSolver:
         self._loss_w = (R[:, -1] / np.maximum(R[:, -2], 1e-300) * R[:, -1]
                         * tgrid.weights * self.qa[-1])
 
-        # boundary system (I - A) n0 = flux-from-older-ages
+        # newborns: n0 = Mix (f + qa_0 B(., 0) n0), with f the births of the
+        # older ages and Mix = (1 - p) I + p kmat^T diag(w) the matrix of
+        # `_mix`; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
         p = model.mutation_prob
-        b0 = self.B[:, 0]
-        A = np.diag((1.0 - p) * b0 * self.qa[0])
-        A += p * self.qa[0] * (self.kmat * (b0 * tgrid.weights)[:, None]).T
-        self._boundary_lu = lu_factor(np.eye(tgrid.n) - A)
+        mix = (1.0 - p) * np.eye(tgrid.n) + p * self.kmat.T * tgrid.weights
+        self._newborn = np.linalg.solve(
+            np.eye(tgrid.n) - self.qa[0] * mix * self.B[:, 0], mix)
 
     # -- quadratures -------------------------------------------------------
 
@@ -137,7 +138,7 @@ class TransportSolver:
         u[:, head] = 0.0
         # per trait: births and mass of the transported cohorts, in one sum
         sums = np.matmul(self._W2[:, :, L - head:2 * L - head], u[:, :, None])[:, :, 0]
-        n0 = lu_solve(self._boundary_lu, self._mix(s * sums[:, 0]))
+        n0 = self._newborn @ (s * sums[:, 0])
         u[:, head] = np.maximum(n0, 0.0) / s if s > 0.0 else math.nan
         if not np.isfinite(u[:, head]).all():
             raise ValueError("transport step produced a negative, NaN or infinite density")
@@ -176,11 +177,21 @@ class TransportSolver:
         return mean_net - lam_star
 
 
+def _n_steps(solver: TransportSolver, state: DensityState, T: float) -> int:
+    """Steps from state.t to the horizon T, which must be finite and not before it."""
+    if not (math.isfinite(T) and T >= state.t):
+        raise ValueError(f"horizon T = {T!r} must be finite and at least the "
+                         f"state's time {state.t!r}")
+    return int(round((T - state.t) / solver.dt))
+
+
 def run(solver: TransportSolver, state: DensityState, T: float,
         mode: str = "nonlinear", target: np.ndarray | None = None,
         phi: np.ndarray | None = None, lam_star: float | None = None,
         record_every: int = 1) -> tuple[DensityState, TraceRecord]:
     """Step to time T, tracing mass, distances, and the conserved pairing.
+
+    T must be finite and not before state.t; otherwise ValueError.
 
     For linear runs with (phi, lam_star, target) supplied, the trace records
     the invariant sum(e^{-lam* t} v phi) and the phi-weighted distance of
@@ -190,7 +201,7 @@ def run(solver: TransportSolver, state: DensityState, T: float,
         raise ValueError(f"unknown mode {mode!r}")
     linear = mode == "linear"
     step = solver.step_linear if linear else solver.step_nonlinear
-    n_steps = int(round((T - state.t) / solver.dt))
+    n_steps = _n_steps(solver, state, T)
     trace = TraceRecord(steps=n_steps)
     cum_loss = 0.0
 
@@ -222,10 +233,10 @@ def transform_check(solver: TransportSolver, state0: DensityState, T: float) -> 
 
     The two runs start from copies of state0 and are stepped apart; the mass
     integral uses trapezoid in time with the start-of-step masses, matching
-    the scheme's own lag.
+    the scheme's own lag. T must be finite and not before state0.t.
     """
+    n_steps = _n_steps(solver, state0, T)
     nl, lin = state0.copy(), state0.copy()
-    n_steps = int(round((T - state0.t) / solver.dt))
     c = solver.model.competition
     mass = solver.mass(nl.values)
     worst = int_rho = 0.0

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .kernel import CollapsedKernel
 from .model import TraitGrid
@@ -135,7 +134,9 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
     Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8).
     The upper bound is at least rho for any positive vector, so sigma > rho
     and (sigma I - M)^{-1} >= 0. The residual test is
-    ||M v - rho v||_inf <= tol * rho on every path.
+    ||M v - rho v||_inf <= tol * rho on every path. Only shift-inverse
+    imports scipy (for the LU factorisation), so power and warm solves that
+    pass the test never load it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -172,6 +173,7 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
                               path=path, cw_bracket=(lb, ub))
 
     # shift-inverse: sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
+    from scipy.linalg import lu_factor, lu_solve   # lazily: its import takes ~0.3 s
     sigma = ub * (1.0 + 1e-8) + 1e-300
     lu = lu_factor(sigma * np.eye(n) - M)
     for it2 in range(1, max_iter + 1):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -235,3 +237,31 @@ def test_pde_subcommand(small_cfg, tmp_path):
 def test_tmax_rejected_where_not_read(small_cfg, tmp_path):
     assert main(["malthus", "--config", small_cfg, "--out", str(tmp_path / "out"),
                  "--tmax", "5"]) == EXIT_USAGE
+
+
+def scipy_loaded_by(argv, cwd):
+    """scipy modules in sys.modules after `cli.main(argv)` in a fresh interpreter."""
+    code = ("import json, sys\n"
+            "from structpop import cli\n"
+            "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')))\n")
+    src = os.path.dirname(os.path.dirname(ibm.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loaded_only_for_shift_invert(tmp_path):
+    # scipy.linalg and scipy.optimize take about 0.5 s to import
+    cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16))
+    for argv in (["pde", "--tmax", "0.2"], ["ibm", "--tmax", "0.5", "--replicates", "2"]):
+        assert scipy_loaded_by(argv + ["--config", cfg, "--out", "out"], tmp_path) == []
+    loaded = scipy_loaded_by(["scenario", "singular", "--nx", "64", "--out", "sing"],
+                             tmp_path)
+    perron = json.load(open(tmp_path / "sing" / "summary.json"))["perron"]
+    assert "scipy.optimize" not in loaded
+    if loaded:      # only the LU of a shift-inverse solve may load scipy
+        assert "scipy.linalg" in loaded
+        assert "shift-invert" in {side["path"] for side in perron.values()}

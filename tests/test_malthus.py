@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from structpop import kernel, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import collapse, survival_matrix
-from structpop.malthus import (MalthusProblem, SubcriticalError, dual_profile,
-                               eta_lower_bound, refinement_sweep,
+from structpop.malthus import (MalthusProblem, SubcriticalError, _brentq,
+                               dual_profile, eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
 from structpop.model import (build_grids, build_model, constant_scenario,
                              singular_scenario)
@@ -303,3 +303,71 @@ def test_eigentriple_reports_perron_and_drops_factors():
         assert lb <= tr.norms["rho_at_star"] * (1 + 1e-11) and ub >= lb
         assert perron[side]["iterations"] >= 0
     assert problem._factors is None      # not kept through a later PDE or IBM run
+
+
+# ---------------------------------------------------------------------------
+# the Brent port: the same iterates as scipy's brentq
+# ---------------------------------------------------------------------------
+
+BRENT_CASES = {
+    "quadratic": (lambda x: x * x - 2.0, 0.0, 3.0),
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "cos_fixed_point": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "exp": (lambda x: math.exp(x) - 5.0, -1.0, 4.0),
+    "atan_wide_bracket": (lambda x: math.atan(x - 0.3), -10.0, 50.0),
+    "steep_tanh": (lambda x: math.tanh(20.0 * (x - 0.37)), -1.0, 1.0),
+    "log": (lambda x: math.log(x) + x, 0.01, 3.0),
+    "root_at_zero": (math.sinh, -1.0, 2.0),
+}
+BRENT_XTOLS = [1e-6, 1e-12, 5e-324]
+
+
+@pytest.mark.parametrize("xtol", BRENT_XTOLS)
+@pytest.mark.parametrize("name", sorted(BRENT_CASES))
+def test_brentq_port_matches_scipy(name, xtol):
+    f, a, b = BRENT_CASES[name]
+    assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+
+
+@pytest.mark.parametrize("preset, changes", [
+    (constant_scenario, {}),
+    (singular_scenario, {}),
+    (singular_scenario,
+     {"death": {"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}})],
+    ids=["constant", "singular", "singular_affine_death"])
+def test_brentq_port_matches_scipy_on_rho(preset, changes):
+    cfg = dataclasses.replace(preset(nx=64), **changes)
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    lam_star = problem.find_lambda_star(1e-6)
+    lo, hi = problem.lambda_search["bracket"]
+
+    def f(lam):
+        return problem.rho_of_lambda(lam)[0] - 1.0
+
+    # rho(lambda) is cached per lambda, so equal iterates see equal values
+    for xtol in BRENT_XTOLS:
+        assert _brentq(f, lo, hi, xtol=xtol) == brentq(f, lo, hi, xtol=xtol)
+    assert lam_star == brentq(f, lo, hi, xtol=1e-6)
+
+
+def _nan_inside(x):
+    return x - 0.5 if x in (0.0, 1.0) else math.nan
+
+
+@pytest.mark.parametrize("args, kwargs, error", [
+    ((math.sin, 1.0, 4.0), {"xtol": 0.0}, ValueError),
+    ((math.sin, 1.0, 4.0), {"xtol": -1e-6}, ValueError),
+    ((math.sin, 1.0, 4.0), {"rtol": 1e-16}, ValueError),
+    ((lambda x: math.nan, 1.0, 4.0), {}, ValueError),
+    ((_nan_inside, 0.0, 1.0), {}, ValueError),
+    ((math.sin, 1.0, 2.0), {}, ValueError),
+    ((lambda x: (x - 1e-3) ** 5, -1.0, 2.0), {"xtol": 1e-12}, RuntimeError),
+], ids=["xtol_zero", "xtol_negative", "rtol_below_4eps", "nan_at_end",
+        "nan_inside", "same_sign", "no_convergence"])
+def test_brentq_port_errors_match_scipy(args, kwargs, error):
+    with pytest.raises(error) as ours:
+        _brentq(*args, **kwargs)
+    with pytest.raises(error) as theirs:
+        brentq(*args, **kwargs)
+    assert str(ours.value) == str(theirs.value)

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from structpop import pde
 from structpop.kernel import survival_matrix
@@ -233,6 +234,51 @@ def test_dirac_state_carries_unit_mass(constant_setup):
     st = pde.dirac_state(s.tgrid, s.agrid, x=0.51, a=0.0, mass=2.5)
     assert s.solver.mass(st.values) == pytest.approx(2.5, rel=1e-12)
     assert np.count_nonzero(st.values) == 1
+
+
+def newborn_reference(solver, v):
+    """The boundary solve the precomposed matrix replaced: LU of I - A, then mix."""
+    p, b0, q0 = solver.model.mutation_prob, solver.B[:, 0], solver.qa[0]
+    A = np.diag((1.0 - p) * b0 * q0)
+    A += p * q0 * (solver.kmat * (b0 * solver.tgrid.weights)[:, None]).T
+    return lu_solve(lu_factor(np.eye(solver.tgrid.n) - A), solver._mix(v))
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"kernel": {"family": "gaussian", "params": {"width": 0.15}}, "p": 0.4},
+    {"birth": {"family": "logistic_age",
+               "params": {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.3}}},
+    {"birth": {"family": "sqrt_gap", "params": {"bbar": 4.0}}, "p": 0.05}],
+    ids=["constant", "gaussian_kernel", "logistic_age_birth", "trait_dependent_birth"])
+def test_newborn_matrix_matches_boundary_solve(changes, rng):
+    cfg = dataclasses.replace(constant_scenario(nx=24), **changes)
+    model = build_model(cfg)
+    solver = pde.TransportSolver(model, *build_grids(cfg, model))
+    for _ in range(5):
+        v = rng.uniform(0.1, 2.0, solver.tgrid.n)
+        ref = newborn_reference(solver, v)
+        assert np.abs(solver._newborn @ v - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("T", [0.5, -1.0, math.nan, math.inf])
+def test_run_and_transform_check_reject_bad_horizon(T):
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)
+    st = pde.uniform_state(tg, ag)
+    pde.run(solver, st, 1.0)                   # state.t is now 1.0
+    with pytest.raises(ValueError, match="horizon"):
+        pde.run(solver, st, T)
+    with pytest.raises(ValueError, match="horizon"):
+        pde.transform_check(solver, st, T)
+    assert st.t == pytest.approx(1.0)          # nothing was stepped
+
+
+def test_run_to_the_state_time_makes_no_step():
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)
+    st = pde.uniform_state(tg, ag)
+    _, trace = pde.run(solver, st, 0.0)
+    assert trace.steps == 0 and trace.t == [0.0]
+    assert pde.transform_check(solver, st, 0.0) == 0.0
 
 
 def test_run_rejects_unknown_mode(constant_setup):
