@@ -152,7 +152,8 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
     return {"lambda_star": lam, "final_mass": trace.mass[-1],
             "final_tv": trace.tv_to_target[-1], "regime": triple.regime,
             "warnings": triple.diagnostics["warnings"],
-            "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1]},
+            "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1],
+                    "history": dict(solver.history)},
             "manifest": [path]}
 
 

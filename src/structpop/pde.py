@@ -5,7 +5,7 @@ per step, dt = da locked), death is exact through the survival matrix, and
 the renewal boundary is semi-implicit: the newborn generation solves a small
 linear system so eigen-identities hold to first order without a step lag. That
 system is solved once, in advance: each step applies one precomposed matrix.
-Stepping holds n = s R_0 u (see `TransportSolver._advance`).
+Stepping holds n = s R_0 u, a renewal equation in u (see `TransportSolver._advance`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .kernel import survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
+_BLOCK = 512        # most steps in a block, whose history sums one FFT gives
+_CHUNK = 8          # traits per FFT, to bound its temporaries
 
 
 class DensityState:
@@ -27,7 +29,7 @@ class DensityState:
     def __init__(self, t: float, values: np.ndarray):
         self.t = t
         self._values = values
-        self._cohort = None         # (solver, u, head, s, msum); mass = s * msum
+        self._cohort = None         # (solver, u, head, s, msum, block); mass = s * msum
 
     @property
     def values(self) -> np.ndarray:
@@ -59,25 +61,25 @@ class TransportSolver:
     """Precomputed machinery for stepping one scenario on fixed grids."""
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid):
-        self.model = model
-        self.tgrid = tgrid
-        self.agrid = agrid
+        self.model, self.tgrid, self.agrid = model, tgrid, agrid
         self.dt = agrid.da       # transport step locked to the age step
-        xs = tgrid.nodes
-        ages = agrid.nodes
+        xs, ages = tgrid.nodes, agrid.nodes
         self.qa = agrid.quad_weights()
         self.mass_w = tgrid.weights[:, None] * self.qa[None, :]
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
-        self.D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
+        D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
+        self._net_w = (self.B - D) * self.mass_w      # weights of the D(t) numerator
         self.kmat = model.mutation_kernel.matrix(xs)   # kmat[l, i] = k(x_l, x_i)
 
         self.R = R = survival_matrix(model, xs, ages, 0.0)
         R[R < 1e-300] = 0.0     # keeps u = n / R finite
-        # birth and mass weights, doubled in age: a slice is the ring read from its head
-        self._W2 = W2 = np.empty((tgrid.n, 2, 2 * ages.size))
-        np.multiply(self.B * self.qa, R, out=W2[:, 0, :ages.size])
-        np.multiply(self.mass_w, R, out=W2[:, 1, :ages.size])
-        W2[:, :, ages.size:] = W2[:, :, :ages.size]
+        n = ages.size + min(_BLOCK, ages.size)     # L + K, and the FFT length is the
+        self._nfft = next(m for m in range(n, 2 * n) if 30 ** 64 % m == 0)   # next 5-smooth
+        self._W = W = np.empty((tgrid.n, 2, ages.size))   # birth and mass weights per unit u
+        np.multiply(self.B * self.qa, R, out=W[:, 0])
+        np.multiply(self.mass_w, R, out=W[:, 1])
+        self._W_norm = np.sqrt(np.einsum("xrj,xrj->xr", W, W))
+        self.history = {"fft_blocks": 0, "direct_blocks": 0}
         # the horizon column's mass one cell on, per unit of u; divided first
         # so that R^2 cannot underflow where R does not
         self._loss_w = (R[:, -1] / np.maximum(R[:, -2], 1e-300) * R[:, -1]
@@ -88,13 +90,12 @@ class TransportSolver:
         # `_mix`; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
         p = model.mutation_prob
         mix = (1.0 - p) * np.eye(tgrid.n) + p * self.kmat.T * tgrid.weights
-        self._newborn = np.linalg.solve(
-            np.eye(tgrid.n) - self.qa[0] * mix * self.B[:, 0], mix)
+        self._newborn = np.linalg.solve(np.eye(tgrid.n) - self.qa[0] * mix * self.B[:, 0], mix)
 
     # -- quadratures -------------------------------------------------------
 
     def mass(self, values: np.ndarray) -> float:
-        return float(np.sum(values * self.mass_w))
+        return float(np.vdot(values, self.mass_w))
 
     def renewal_flux(self, values: np.ndarray) -> np.ndarray:
         """F[n](x): clonal plus mutant birth flux at age zero, per trait node."""
@@ -106,16 +107,37 @@ class TransportSolver:
 
     # -- stepping ----------------------------------------------------------
 
-    def density(self, state: DensityState) -> np.ndarray:
-        """The state's values; a cohort-form state is materialised, not converted."""
+    def density(self, state: DensityState, out: np.ndarray | None = None) -> np.ndarray:
+        """The state's values; a cohort-form state is materialised (into `out` if given)."""
         if state._values is not None:
             return state._values
-        _, u, head, s, _ = state._cohort
-        values, k = np.empty_like(u), u.shape[1] - head    # unroll the ring while applying R
-        np.multiply(u[:, head:], self.R[:, :k], out=values[:, :k])
+        _, u, head, s = state._cohort[:4]
+        values, k = np.empty_like(u) if out is None else out, u.shape[1] - head
+        np.multiply(u[:, head:], self.R[:, :k], out=values[:, :k])   # unroll the ring
         np.multiply(u[:, :head], self.R[:, k:], out=values[:, k:])
         values *= s
         return values
+
+    def _history(self, u: np.ndarray, head: int, hist: np.ndarray) -> None:
+        """hist[:, :, m-1] = sum_j W[:, :, j+m] c_j, c_j the ring's column at age a_j:
+        its births and mass over the next K steps. By FFT if K > 1, the sums are
+        finite and the bound max_x |W_x| |u_x| is within 100 times the largest."""
+        (nx, L), K, n = u.shape, hist.shape[2], self._nfft
+        if K > 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(0, nx, _CHUNK):
+                    rows = slice(i, i + _CHUNK)
+                    ring = np.fft.rfft(np.roll(u[rows], -head, axis=1), n).conj()[:, None]
+                    spectra = np.fft.rfft(self._W[rows], n) * ring
+                    hist[rows] = np.fft.irfft(spectra, n)[:, :, 1:K + 1]
+                bound = (self._W_norm * np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]).max(0)
+                ok = np.isfinite(hist).all() and np.all(bound <= 100 * abs(hist).max((0, 2)))
+            self.history["fft_blocks" if ok else "direct_blocks"] += 1
+            if ok:
+                return
+        c = np.roll(u, -head, axis=1)
+        for m in range(1, K + 1):
+            hist[:, :, m - 1] = np.matmul(self._W[:, :, m:], c[:, :L - m, None])[:, :, 0]
 
     def _advance(self, state: DensityState, c: float) -> float:
         """One dt of n <- exp(-c m dt) L n, L linear; returns the truncation loss.
@@ -123,30 +145,35 @@ class TransportSolver:
         n = s R u: column (head + j) mod (na+1) of the ring u is the cohort at
         age a_j, so transport moves the head, death is in R, competition
         scales s, and the newborns (R = 1 at age 0) are the one column written.
+        As u's recursion is free of s, a block takes its history sums at its start
+        and reads its newborns off the ring, which it does not wrap.
         """
         if state._cohort is None or state._cohort[0] is not self:
             v = state.values
             if not (np.isfinite(v).all() and (v >= 0.0).all()):
                 raise ValueError("density state has a negative, NaN or infinite entry")
             u = np.divide(v, self.R, out=np.zeros_like(v), where=self.R > 0.0)
-            state._cohort = (self, u, 0, 1.0, self.mass(v))
-        _, u, head, s, msum = state._cohort
-        L = u.shape[1]
+            state._cohort = (self, u, 0, 1.0, self.mass(v), None)
+        _, u, head, s, msum, block = state._cohort
+        hist, m, K = block or (np.empty((u.shape[0], 2, _BLOCK)), 0, 0)
+        if m == K:
+            m, K = 0, 1 if K == 0 else min(_BLOCK, head or u.shape[1])
+            self._history(u, head, hist[:, :, :K])
         loss = s * float(self._loss_w @ u[:, head - 1])
         s *= math.exp(-c * s * msum * self.dt)
-        head = (head - 1) % L
-        u[:, head] = 0.0
-        # per trait: births and mass of the transported cohorts, in one sum
-        sums = np.matmul(self._W2[:, :, L - head:2 * L - head], u[:, :, None])[:, :, 0]
-        n0 = self._newborn @ (s * sums[:, 0])
-        u[:, head] = np.maximum(n0, 0.0) / s if s > 0.0 else math.nan
+        head = (head - 1) % u.shape[1]
+        # per trait: births and mass of the history and of the block's newborns
+        young = np.matmul(self._W[:, :, 1:m + 1], u[:, head + 1:head + m + 1, None])
+        sums = hist[:, :, m] + young[:, :, 0]
+        u[:, head] = np.maximum(self._newborn @ sums[:, 0], 0.0) if s > 0.0 else math.nan
         if not np.isfinite(u[:, head]).all():
             raise ValueError("transport step produced a negative, NaN or infinite density")
         msum = float(sums[:, 1].sum() + self.mass_w[:, 0] @ u[:, head])
         if s < _S_FLOOR:
             u *= s
+            hist *= s
             s, msum = 1.0, msum * s
-        state._values, state._cohort = None, (self, u, head, s, msum)
+        state._values, state._cohort = None, (self, u, head, s, msum, (hist, m + 1, K))
         state.t += self.dt
         return loss
 
@@ -159,39 +186,36 @@ class TransportSolver:
 
     # -- distances and diagnostics ----------------------------------------
 
-    def distances(self, values: np.ndarray, target: np.ndarray,
-                  phi: np.ndarray | None = None) -> tuple[float, float]:
+    def distances(self, values: np.ndarray, target: np.ndarray, phi: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> tuple[float, float]:
+        """Plain and phi-weighted L1 distances, formed in `out` if given."""
         if values.shape != target.shape:
             raise ValueError("state and target shapes differ")
-        diff = np.abs(values - target) * self.mass_w
-        tv = float(diff.sum())
-        pw = float(np.sum(diff * phi)) if phi is not None else math.nan
-        return tv, pw
+        diff = np.abs(np.subtract(values, target, out=out), out=out)
+        diff *= self.mass_w
+        pw = float(np.vdot(diff, phi)) if phi is not None else math.nan
+        return float(diff.sum()), pw
 
-    def growth_diag(self, values: np.ndarray, lam_star: float) -> float:
-        """D(t): mass-weighted mean net growth rate (B - D) minus lambda*."""
-        m = self.mass(values)
-        if m <= 0:
-            return math.nan
-        mean_net = float(np.sum((self.B - self.D) * values * self.mass_w)) / m
-        return mean_net - lam_star
+    def growth_diag(self, values: np.ndarray, lam_star: float, mass=None) -> float:
+        """D(t): mass-weighted mean of B - D minus lambda*; mass is self.mass(values)."""
+        m = self.mass(values) if mass is None else mass
+        return float(np.vdot(values, self._net_w)) / m - lam_star if m > 0 else math.nan
 
 
 def _n_steps(solver: TransportSolver, state: DensityState, T: float) -> int:
-    """Steps from state.t to the horizon T, which must be finite and not before it."""
+    """Steps from state.t to the first step time at or after T, to 1e-9 dt."""
     if not (math.isfinite(T) and T >= state.t):
         raise ValueError(f"horizon T = {T!r} must be finite and at least the "
                          f"state's time {state.t!r}")
-    return int(round((T - state.t) / solver.dt))
+    return math.ceil((T - state.t) / solver.dt - 1e-9)
 
 
 def run(solver: TransportSolver, state: DensityState, T: float,
         mode: str = "nonlinear", target: np.ndarray | None = None,
         phi: np.ndarray | None = None, lam_star: float | None = None,
         record_every: int = 1) -> tuple[DensityState, TraceRecord]:
-    """Step to time T, tracing mass, distances, and the conserved pairing.
-
-    T must be finite and not before state.t; otherwise ValueError.
+    """Step to the first step time at or after T, tracing mass, distances, and
+    the conserved pairing. T must be finite and not before state.t, else ValueError.
 
     For linear runs with (phi, lam_star, target) supplied, the trace records
     the invariant sum(e^{-lam* t} v phi) and the phi-weighted distance of
@@ -204,20 +228,22 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     n_steps = _n_steps(solver, state, T)
     trace = TraceRecord(steps=n_steps)
     cum_loss = 0.0
+    buf = np.empty_like(solver.R)
 
-    def record():
-        values = solver.density(state)
+    def record():       # one materialisation into buf, which the distances overwrite
+        values = solver.density(state, out=buf)
         trace.t.append(state.t)
-        trace.mass.append(solver.mass(values))
+        trace.mass.append(mass := solver.mass(values))
         scale = math.exp(-lam_star * state.t) if linear and lam_star is not None else 1.0
-        if target is not None:
-            tv, pw = solver.distances(scale * values if linear else values, target, phi)
-            trace.tv_to_target.append(tv)
-            trace.phi_weighted_dist.append(pw)
         if linear and phi is not None and lam_star is not None:
             trace.invariant_value.append(scale * float(np.sum(values * phi * solver.mass_w)))
         if lam_star is not None:
-            trace.D_t.append(solver.growth_diag(values, lam_star))
+            trace.D_t.append(solver.growth_diag(values, lam_star, mass))
+        if target is not None:
+            scaled = np.multiply(values, scale, out=buf) if linear else values
+            tv, pw = solver.distances(scaled, target, phi, out=buf)
+            trace.tv_to_target.append(tv)
+            trace.phi_weighted_dist.append(pw)
         trace.truncation_loss.append(cum_loss)
 
     record()
@@ -277,13 +303,14 @@ def stationary_residual(solver: TransportSolver, nbar: np.ndarray,
         basket = default_test_basket(solver.tgrid, solver.agrid)
     model = solver.model
     p = model.mutation_prob
+    death = model.death(solver.tgrid.nodes[:, None], solver.agrid.nodes[None, :])
     mass = solver.mass(nbar)
     worst = 0.0
     for f, dfda in basket:
         f0 = f[:, 0]
         mut0 = solver.kmat @ (f0 * solver.tgrid.weights)
         G = solver.B * ((1.0 - p) * f0[:, None] + p * mut0[:, None])
-        integrand = dfda - (solver.D + model.competition * mass) * f + G
+        integrand = dfda - (death + model.competition * mass) * f + G
         worst = max(worst, abs(float(np.sum(integrand * nbar * solver.mass_w))))
     return worst
 

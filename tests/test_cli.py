@@ -234,18 +234,26 @@ def test_pde_subcommand(small_cfg, tmp_path):
     assert summary["pde"]["truncation_loss"] == rows[-1, -1] >= 0.0
 
 
+def test_pde_summary_counts_history_blocks(small_cfg, tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["pde", "--config", small_cfg, "--out", out, "--tmax", "12"]) == EXIT_OK
+    history = json.load(open(os.path.join(out, "summary.json")))["pde"]["history"]
+    assert history["fft_blocks"] >= 2 and history["direct_blocks"] == 0
+
+
 def test_tmax_rejected_where_not_read(small_cfg, tmp_path):
     assert main(["malthus", "--config", small_cfg, "--out", str(tmp_path / "out"),
                  "--tmax", "5"]) == EXIT_USAGE
 
 
-def scipy_loaded_by(argv, cwd):
-    """scipy modules in sys.modules after `cli.main(argv)` in a fresh interpreter."""
+def modules_loaded_by(argv, cwd):
+    """sys.modules after importing structpop.cli and, unless argv is None,
+    `cli.main(argv)`, in a fresh interpreter."""
     code = ("import json, sys\n"
             "from structpop import cli\n"
-            "assert cli.main(json.loads(sys.argv[1])) == 0\n"
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')))\n")
+            "argv = json.loads(sys.argv[1])\n"
+            "assert argv is None or cli.main(argv) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(ibm.__file__))
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src), check=True,
@@ -253,11 +261,20 @@ def scipy_loaded_by(argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def scipy_loaded_by(argv, cwd):
+    """scipy modules in sys.modules after `cli.main(argv)` in a fresh interpreter."""
+    return [m for m in modules_loaded_by(argv, cwd) if m.split(".")[0] == "scipy"]
+
+
 def test_scipy_loaded_only_for_shift_invert(tmp_path):
     # scipy.linalg and scipy.optimize take about 0.5 s to import
     cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16))
     for argv in (["pde", "--tmax", "0.2"], ["ibm", "--tmax", "0.5", "--replicates", "2"]):
         assert scipy_loaded_by(argv + ["--config", cfg, "--out", "out"], tmp_path) == []
+    # numpy.fft is loaded by the first block of PDE steps, never at start-up
+    assert "numpy.fft" not in modules_loaded_by(None, tmp_path)
+    assert "numpy.fft" not in modules_loaded_by(["stationary", "--config", cfg,
+                                                 "--out", "st"], tmp_path)
     loaded = scipy_loaded_by(["scenario", "singular", "--nx", "64", "--out", "sing"],
                              tmp_path)
     perron = json.load(open(tmp_path / "sing" / "summary.json"))["perron"]

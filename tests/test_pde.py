@@ -334,12 +334,26 @@ def reference_run(solver, values, n_steps, c):
     return n, loss
 
 
-def assert_matches_reference(solver, state0, n_steps, linear=False):
-    st = state0.copy()
-    step = solver.step_linear if linear else solver.step_nonlinear
-    loss = sum(step(st) for _ in range(n_steps))
-    ref, ref_loss = reference_run(solver, state0.values, n_steps,
-                                  0.0 if linear else solver.model.competition)
+def assert_matches_reference(solver, state0, n_steps, linear=False, read_values_at=None):
+    """Step a copy of state0 n_steps times and compare it with the per-cell scheme.
+
+    `linear` is one flag for every step or a sequence of per-step flags; reading
+    `values` after step `read_values_at` drops the pending block of history sums.
+    """
+    flags = [linear] * n_steps if isinstance(linear, bool) else list(linear)
+    cs = [0.0 if lin else solver.model.competition for lin in flags]
+    st, loss = state0.copy(), 0.0
+    for k, lin in enumerate(flags):
+        loss += solver.step_linear(st) if lin else solver.step_nonlinear(st)
+        if k + 1 == read_values_at:
+            assert np.all(np.isfinite(st.values)) and st._cohort is None
+    if len(set(cs)) == 1:
+        ref, ref_loss = reference_run(solver, state0.values, n_steps, cs[0])
+    else:                       # one reference step at a time, each with its own c
+        ref, ref_loss = state0.values, 0.0
+        for c in cs:
+            ref, step_loss = reference_run(solver, ref, 1, c)
+            ref_loss += step_loss
     assert np.all(np.isfinite(st.values))
     assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
     assert abs(loss - ref_loss) <= 1e-12 * max(ref_loss, 1e-300)
@@ -406,3 +420,62 @@ def test_cohort_step_long_run_folds_the_competition_scalar():
     ref, _ = reference_run(solver, state0.values, trace.steps, 1.0)
     assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
     assert trace.mass[-1] == pytest.approx(np.sum(ref * solver.mass_w), rel=1e-12)
+
+
+# the block kernel: history sums by FFT over blocks of steps, newborns read off the ring
+BLOCK_CASES = {
+    # the horizon is 600 steps: past it, plus two blocks, only newborns remain
+    "constant_past_horizon_nonlinear": (dict(nx=8), 600 + 2 * 512 + 50, False, None),
+    "constant_past_horizon_linear": (dict(nx=8), 600 + 2 * 512 + 50, True, None),
+    "declining_linear": (dict(birth=0.5, nx=8), 700, True, None),
+    "interleaved": (dict(nx=8), 700, [k % 3 == 0 for k in range(700)], None),
+    "values_read_mid_block": (dict(nx=8), 700, False, 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_kernel_matches_per_cell_reference(case):
+    solver_args, n_steps, linear, read_at = BLOCK_CASES[case]
+    model, tg, ag, solver = make_solver(**solver_args)
+    if case == "declining_linear":
+        prob = MalthusProblem(model, tg, ag)
+        assert prob.rho_of_lambda(0.0)[0] < 1.0          # subcritical: lambda* < 0
+    assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, linear, read_at)
+    assert solver.history["fft_blocks"] >= 2 and solver.history["direct_blocks"] == 0
+
+
+def test_history_sums_are_direct_where_the_fft_bound_fails():
+    # death 80: u = n / R0 reaches ~1e208 at the horizon, far beyond the FFT's accuracy
+    _, tg, ag, solver = make_solver(death=80.0, nx=8)
+    assert_matches_reference(solver, pde.uniform_state(tg, ag, a_scale=5.0), 600)
+    assert solver.history["direct_blocks"] >= 1
+
+
+def test_growth_diagnostic_is_exactly_zero_on_the_constant_preset(constant_setup):
+    # B - D = 1 = lambda*: the numerator and the mass come from the same kind of pass
+    s = constant_setup
+    assert s.triple.lambda_star == 1.0
+    st = pde.uniform_state(s.tgrid, s.agrid)
+    _, trace = pde.run(s.solver, st, 6.0, target=s.triple.N_grid, phi=s.triple.phi_grid,
+                       lam_star=s.triple.lambda_star, record_every=7)
+    assert len(trace.D_t) == 87 and all(d == 0.0 for d in trace.D_t)
+
+
+@pytest.mark.parametrize("T, steps", [(0.005, 1), (0.015, 2), (0.025, 3), (30.0, 3000),
+                                      (None, 0)])
+def test_run_ends_at_the_first_step_time_at_or_after_the_horizon(T, steps):
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)       # dt = 0.01
+    st = pde.uniform_state(tg, ag)
+    if T is None:                        # the state's own time, after some steps
+        pde.run(solver, st, 0.3)
+        T = st.t
+    t0 = st.t
+    _, trace = pde.run(solver, st.copy(), T, record_every=10 ** 9)
+    assert trace.steps == steps
+    assert trace.t[-1] >= T - 1e-9 * solver.dt
+    assert trace.t[-1] == pytest.approx(t0 + steps * solver.dt, abs=1e-9)
+    linear_steps = []
+    step_linear = solver.step_linear
+    solver.step_linear = lambda state: linear_steps.append(1) or step_linear(state)
+    pde.transform_check(solver, st, T)
+    assert len(linear_steps) == steps
