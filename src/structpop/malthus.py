@@ -48,7 +48,9 @@ class MalthusProblem:
     matrix) are built once. Each direct solve starts from the last direct
     profile. Per lambda solved, the birth integral sB and the direct Perron
     pair are kept (2 nx floats), so eigendata at a solved lambda makes no
-    collapse and no direct solve.
+    collapse and no direct solve. When the mutation matrix is symmetric, the
+    dual matrix is D M D^{-1} with D = diag(sB), so the dual solve starts
+    from sB * mu, which `spectral.perron` checks by its residual test.
     """
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
@@ -59,6 +61,7 @@ class MalthusProblem:
         self.perron_tol = perron_tol
         self.max_iter = max_iter
         self.kmat = model.mutation_kernel.matrix(tgrid.nodes)
+        self._symmetric = bool(np.array_equal(self.kmat, self.kmat.T))
         self._factors: kern.AgeFactors | None = None
         self._start: np.ndarray | None = None    # last direct profile
         self._direct: dict[float, tuple[np.ndarray, spectral.PerronPair]] = {}
@@ -96,7 +99,10 @@ class MalthusProblem:
             ck = kern.kernel_from_birth_integral(self.model, self.agrid, lam, sB,
                                                  self.kmat)
             dual = spectral.assemble(ck, self.tgrid, "dual")
-            pq = spectral.perron(dual, tol=self.perron_tol, max_iter=self.max_iter)
+            start = sB * pd.profile     # the dual eigenvector if kmat is symmetric
+            warm = self._symmetric and np.all(start > 0)
+            pq = spectral.perron(dual, tol=self.perron_tol, max_iter=self.max_iter,
+                                 start=start if warm else None)
             pd = spectral.regime_classify(pd, ck, self.tgrid)
             self._cache[lam] = (ck, pd, pq)
         return self._cache[lam]

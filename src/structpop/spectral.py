@@ -126,20 +126,24 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
     iteration SLOW_HORIZON; if the bracket would still be wider than 1e-4 of
     its upper bound there, the spectrum is slow and the solve switches to
     shift-inverse iteration. With a strictly positive start vector (a nearby
-    eigenvector, say): the start is returned, after 0 iterations, if it
+    eigenvector: the previous lambda's profile, or sB * mu for the dual of a
+    symmetric kernel): the start is returned, after 0 iterations, if it
     passes the residual test, and otherwise shift-inverse iterates from it.
     `path` records "power", "shift-invert" or "warm", and `cw_bracket` the
     Collatz-Wielandt bracket of the returned vector.
 
     Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8).
     The upper bound is at least rho for any positive vector, so sigma > rho
-    and (sigma I - M)^{-1} >= 0. The residual test is
-    ||M v - rho v||_inf <= tol * rho on every path. Only shift-inverse
-    imports scipy (for the LU factorisation), so power and warm solves that
-    pass the test never load it.
+    and (sigma I - M)^{-1} >= 0. That inverse is formed explicitly, once per
+    shift, and each iteration is one matrix-vector product: forming it costs
+    about four LU factorisations, but a product costs what an LU solve does,
+    and numpy alone suffices. The residual test is
+    ||M v - rho v||_inf <= tol * rho on every path.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     M, w = op.M, op.weights
     n = M.shape[0]
     it = 0
@@ -173,11 +177,10 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
                               path=path, cw_bracket=(lb, ub))
 
     # shift-inverse: sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
-    from scipy.linalg import lu_factor, lu_solve   # lazily: its import takes ~0.3 s
     sigma = ub * (1.0 + 1e-8) + 1e-300
-    lu = lu_factor(sigma * np.eye(n) - M)
+    inv = np.linalg.inv(sigma * np.eye(n) - M)
     for it2 in range(1, max_iter + 1):
-        z = lu_solve(lu, v)
+        z = inv @ v
         z = np.maximum(z, 0.0)       # clip roundoff negatives
         v = _normalize(z, w)
         y, lb, ub, rho, res = _evaluate(M, v, w)
@@ -186,7 +189,7 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
                               residual=res, path=path, cw_bracket=(lb, ub))
         if it2 % 50 == 0 and sigma > ub * (1.0 + 1e-7):
             sigma = ub * (1.0 + 1e-8)
-            lu = lu_factor(sigma * np.eye(n) - M)
+            inv = np.linalg.inv(sigma * np.eye(n) - M)
     raise PerronConvergenceError(
         f"no convergence after {it + it2} iterations (residual {res:.3e}); "
         "dominant eigenvalue may be nearly non-simple",

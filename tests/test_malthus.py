@@ -297,12 +297,55 @@ def test_eigentriple_reports_perron_and_drops_factors():
     tr = solve_eigentriple(problem)
     perron = tr.diagnostics["perron"]
     assert perron["direct"]["path"] == "warm"
-    assert perron["dual"]["path"] == "shift-invert"
+    assert perron["dual"]["path"] == "warm" and perron["dual"]["iterations"] == 0
     for side in ("direct", "dual"):
         lb, ub = perron[side]["cw_bracket"]
         assert lb <= tr.norms["rho_at_star"] * (1 + 1e-11) and ub >= lb
         assert perron[side]["iterations"] >= 0
     assert problem._factors is None      # not kept through a later PDE or IBM run
+
+
+PRESETS = pytest.mark.parametrize("scenario", [singular_scenario, constant_scenario],
+                                  ids=["singular", "constant"])
+
+
+def problem_at_root(cfg):
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    ck, pd, pq = problem.eigendata(problem.find_lambda_star(1e-6))
+    cold = perron(assemble(ck, problem.tgrid, "dual"))
+    return ck, pq, cold
+
+
+@PRESETS
+def test_dual_at_root_starts_from_direct_pair(scenario):
+    # a symmetric kmat makes the dual matrix diag(sB) M diag(sB)^{-1}
+    _, pq, cold = problem_at_root(scenario(nx=64))
+    assert (pq.path, pq.iterations) == ("warm", 0)
+    assert np.abs(pq.profile - cold.profile).max() <= 1e-12 * cold.profile.max()
+
+
+@PRESETS
+def test_dual_stays_cold_for_a_nonsymmetric_kernel(scenario):
+    # the gaussian kernel is renormalised per row, so its kmat is not symmetric
+    cfg = dataclasses.replace(scenario(nx=64), kernel={
+        "family": "gaussian", "params": {"width": 0.15}})
+    _, pq, cold = problem_at_root(cfg)
+    assert (pq.path, pq.iterations) == (cold.path, cold.iterations)
+    np.testing.assert_array_equal(pq.profile, cold.profile)
+
+
+@PRESETS
+def test_dual_stays_cold_where_the_birth_integral_vanishes(scenario):
+    # traits below 0.2 are clipped onto the all-zero row: sB = 0 there
+    cfg = dataclasses.replace(scenario(nx=64), birth={
+        "family": "tabulated", "params": {"x_nodes": [0.2, 0.6, 1.0],
+                                          "a_nodes": [0.0, 1.0],
+                                          "values": [[0.0, 0.0], [3.0, 3.0], [3.0, 3.0]]}})
+    ck, pq, cold = problem_at_root(cfg)
+    assert np.any(ck.sB == 0) and np.all(ck.sB >= 0)
+    assert pq.path != "warm"
+    assert (pq.path, pq.iterations) == (cold.path, cold.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,22 @@ def test_cold_perron_leaves_slow_power_iteration_early(singular_ops):
     assert lb <= pair.rho <= ub and ub - lb <= 1e-11 * pair.rho
 
 
+def test_cold_shift_invert_matches_dense_eigenvalues(singular_ops):
+    op = singular_ops[1]
+    pair = perron(op)
+    assert pair.path == "shift-invert"
+    eig = np.linalg.eigvals(op.M)
+    truth = float(eig[np.abs(eig.imag) <= 1e-12 * np.abs(eig).max()].real.max())
+    assert abs(pair.rho - truth) <= 1e-10 * truth
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_perron_refuses_max_iter_below_one(const_pair, max_iter):
+    ck, tg = const_pair
+    with pytest.raises(ValueError, match="max_iter"):
+        perron(assemble(ck, tg, "direct"), max_iter=max_iter)
+
+
 def test_warm_perron_matches_cold(singular_ops):
     start = perron(singular_ops[0]).profile
     op = singular_ops[1]
