@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import ibm, malthus, pde, spectral
-from .model import (AgeGrid, ConfigError, PRESETS, ScenarioConfig, build_grids,
+from .model import (ConfigError, PRESETS, ScenarioConfig, build_grids,
                     build_model, parse_config, validate_assumptions)
 
 EXIT_OK = 0
@@ -110,9 +110,14 @@ def _solve(config):
 def cmd_malthus(config, out: str, solved=None) -> dict:
     model, tgrid, agrid, problem, triple = solved or _solve(config)
     rho0, _ = problem.rho_of_lambda(0.0)
+    density_residual = None     # the continuous density exists in the Regular regime
+    if triple.regime == "Regular":
+        ck, pd, _ = problem.eigendata(triple.lambda_star)
+        density_residual = spectral.density_from_profile(pd, ck, tgrid)[1]
     manifest = _write_grids(out, tgrid, agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
+        "density_residual": density_residual,
         "lambda_search": problem.lambda_search,
         "rho_at_zero": rho0,
         "regime": triple.regime,
@@ -153,7 +158,9 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
             "final_tv": trace.tv_to_target[-1], "regime": triple.regime,
             "warnings": triple.diagnostics["warnings"],
             "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1],
-                    "history": dict(solver.history)},
+                    "history": dict(solver.history),
+                    "mass_ode_residual": pde.mass_ode_residual(trace, lam,
+                                                               model.competition)},
             "manifest": [path]}
 
 
@@ -194,15 +201,19 @@ def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
 
 
 def _refinement_rows(config, problem):
-    """Refinement sweep up to the solved grid, reusing its problem at nx = n."""
+    """Refinement sweep up to the solved grid, reusing its problem at nx = n.
+
+    The grids are n/4 (at least 8), n/2 and n, less those outside [2, n], in
+    increasing order.
+    """
     n = problem.tgrid.n
 
     def make_problem(nx):
         if nx == n:
             return problem
         return malthus.MalthusProblem(*_setup(replace(config, nx=nx)))
-    return malthus.refinement_sweep(make_problem, [max(n // 4, 8), n // 2, n],
-                                    _tol_lam(config))
+    nx_list = sorted({nx for nx in (max(n // 4, 8), n // 2, n) if 2 <= nx <= n})
+    return malthus.refinement_sweep(make_problem, nx_list, _tol_lam(config))
 
 
 def cmd_verify(config, out: str, solved=None) -> dict:
@@ -226,6 +237,9 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     summary["lambda_star"] = triple.lambda_star
     summary["regime"] = triple.regime
     summary["eta_lower"] = triple.eta_lower
+    # report-only: the constant C of G[phi^2] + D phi^2 <= C phi
+    summary["square_integrability_constant"] = ibm.square_integrability_constant(
+        model, triple.phi_grid, tgrid, agrid)
     summary["warnings"] = triple.diagnostics["warnings"]
     if triple.regime == "Regular" and model.competition > 0:
         lam, nbar, mass = malthus.stationary_state(problem, triple)
@@ -308,7 +322,8 @@ def main(argv=None) -> int:
             summary = cmd_malthus(config, args.out, solved)
             if args.verify:
                 v = cmd_verify(config, args.out, solved)
-                summary["verify"] = {k: v[k] for k in ("checks", "all_green")}
+                summary["verify"] = {k: v[k] for k in ("checks", "all_green",
+                                                       "square_integrability_constant")}
                 summary["manifest"] += v["manifest"]
             if summary["regime"] != "Regular":
                 summary["convergence_report"] = "refused: regime not certified Regular"

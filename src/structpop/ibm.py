@@ -19,12 +19,11 @@ import shutil
 import subprocess
 import tempfile
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import AgeGrid, RateModel, TraitGrid
-from .pde import DensityState
 
 PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
 
@@ -35,22 +34,6 @@ class ExplosionError(RuntimeError):
     def __init__(self, msg, log):
         super().__init__(msg)
         self.log = log
-
-
-@dataclass
-class Population:
-    xs: list                    # traits
-    birth_times: list           # birth times (age = t - birth_time)
-    K: int
-    t: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return len(self.xs)
-
-    @property
-    def mass(self) -> float:
-        return self.size / self.K
 
 
 @dataclass
@@ -457,22 +440,3 @@ def square_integrability_constant(model: RateModel, phi_grid: np.ndarray,
         return math.inf
     return float((lhs / phi_grid).max())
 
-
-def empirical_to_grid(snapshot: tuple[np.ndarray, np.ndarray], K: int,
-                      tgrid: TraitGrid, agrid: AgeGrid) -> tuple[DensityState, int]:
-    """Histogram deposit of particle masses into (trait, age) cells.
-
-    Deposited values use plain cell volumes w * da, so the deposit's own mass
-    is exactly (particle count)/K. Particles older than the horizon fold into
-    the last cell; their count is returned alongside.
-    """
-    x, a = snapshot
-    dx = float(tgrid.weights[0])
-    ii = np.clip(((x - (tgrid.nodes[0] - 0.5 * dx)) / dx).astype(int), 0, tgrid.n - 1)
-    jj = (a / agrid.da).astype(int)
-    overflow = int(np.sum(a > agrid.a_max))
-    jj = np.clip(jj, 0, agrid.n_cells)
-    values = np.zeros((tgrid.n, agrid.n_cells + 1))
-    np.add.at(values, (ii, jj), 1.0)
-    values /= K * dx * agrid.da
-    return DensityState(t=math.nan, values=values), overflow

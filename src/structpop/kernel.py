@@ -7,7 +7,10 @@ average of the endpoint values. This is exact for age-constant rates and
 second-order otherwise, which is what the closed-form oracles require at
 da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
 sweep builds the lambda-free factors once, and `cell_integrals` is the one
-evaluation of the formula, which `collapse` and `bR_cell_integrals` share.
+evaluation of the formula, which `collapse` and the dual profile's tail
+integrals share. The age horizon is chosen once, by `choose_age_truncation`
+at lambda = 0; `tail_bound` only shrinks as lambda grows, so it holds for
+every lambda >= 0 of a search.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AgeGrid, RateModel, TraitGrid
-
-
-class TailBoundError(ValueError):
-    """Raised when the age horizon cannot meet the requested tail tolerance."""
 
 
 def _check_lambda(model: RateModel, lam: float) -> None:
@@ -81,18 +80,6 @@ def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
     ages = np.asarray(ages, float)
     cum = _death_integral(_cell_death_rates(model, xs, ages), ages)
     return np.exp(-cum - lam * ages[None, :])
-
-
-def survival_factor(model: RateModel, x: float, a: float, lam: float,
-                    da: float = 0.01) -> float:
-    """Pointwise R_lambda(x, a) with a rounded onto a lattice of step da."""
-    if a < 0:
-        raise ValueError("age must be nonnegative")
-    n = int(round(a / da))
-    ages = da * np.arange(n + 1)
-    if ages.size == 1 or ages[-1] != a:
-        ages = np.linspace(0.0, a, max(n, 1) + 1)
-    return float(survival_matrix(model, np.array([x]), ages, lam)[0, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +153,6 @@ def cell_integrals(factors: AgeFactors, lam: float,
     return cells
 
 
-def bR_cell_integrals(model: RateModel, xs: np.ndarray, ages: np.ndarray,
-                      lam: float) -> np.ndarray:
-    """Per-cell integrals of B(x,.)R_lambda(x,.), shape (nx, n_cells).
-
-    The product quadrature of `AgeFactors`, built for this one lambda.
-    """
-    _check_lambda(model, lam)
-    return cell_integrals(age_factors(model, xs, ages), lam)
-
-
 # ---------------------------------------------------------------------------
 # collapsed kernel
 # ---------------------------------------------------------------------------
@@ -214,7 +191,7 @@ def kernel_from_birth_integral(model: RateModel, agrid: AgeGrid, lam: float,
 
 
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
-             tol: float | None = None, factors: AgeFactors | None = None,
+             factors: AgeFactors | None = None,
              kmat: np.ndarray | None = None) -> CollapsedKernel:
     """Compute r_lambda and K_lambda on the trait grid by age quadrature.
 
@@ -224,10 +201,6 @@ def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
     nodes) are built here when not given; a lambda sweep passes them in.
     """
     _check_lambda(model, lam)
-    tb = tail_bound(model, lam, agrid.a_max)
-    if tol is not None and tb > tol:
-        raise TailBoundError(
-            f"age horizon {agrid.a_max} leaves tail bound {tb:.3e} > tol {tol:.3e}")
     if factors is None:
         factors = age_factors(model, tgrid.nodes, agrid.nodes)
     if kmat is None:

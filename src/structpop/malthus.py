@@ -53,13 +53,10 @@ class MalthusProblem:
     from sB * mu, which `spectral.perron` checks by its residual test.
     """
 
-    def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
-                 perron_tol: float = 1e-12, max_iter: int = 20000):
+    def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid):
         self.model = model
         self.tgrid = tgrid
         self.agrid = agrid
-        self.perron_tol = perron_tol
-        self.max_iter = max_iter
         self.kmat = model.mutation_kernel.matrix(tgrid.nodes)
         self._symmetric = bool(np.array_equal(self.kmat, self.kmat.T))
         self._factors: kern.AgeFactors | None = None
@@ -86,8 +83,7 @@ class MalthusProblem:
             ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
                                factors=self.factors, kmat=self.kmat)
             direct = spectral.assemble(ck, self.tgrid, "direct")
-            pd = spectral.perron(direct, tol=self.perron_tol, max_iter=self.max_iter,
-                                 start=self._start)
+            pd = spectral.perron(direct, start=self._start)
             self._start = pd.profile
             self._direct[lam] = (ck.sB, pd)
         return self._direct[lam]
@@ -101,8 +97,7 @@ class MalthusProblem:
             dual = spectral.assemble(ck, self.tgrid, "dual")
             start = sB * pd.profile     # the dual eigenvector if kmat is symmetric
             warm = self._symmetric and np.all(start > 0)
-            pq = spectral.perron(dual, tol=self.perron_tol, max_iter=self.max_iter,
-                                 start=start if warm else None)
+            pq = spectral.perron(dual, start=start if warm else None)
             pd = spectral.regime_classify(pd, ck, self.tgrid)
             self._cache[lam] = (ck, pd, pq)
         return self._cache[lam]
@@ -112,16 +107,18 @@ class MalthusProblem:
         sB, pd = self._solve_direct(lam)
         return pd.rho, float(((1.0 - self.model.mutation_prob) * sB).max())
 
-    def find_lambda_star(self, tol_lam: float = 1e-6,
-                         max_doublings: int = 60) -> float:
-        """Root of rho(lambda) = 1 to within tol_lam; records lambda_search."""
+    def find_lambda_star(self, tol_lam: float = 1e-6) -> float:
+        """Root of rho(lambda) = 1 to within tol_lam; records lambda_search.
+
+        The bracket [0, 1] doubles at most 60 times, to 2^60.
+        """
         solved_before = set(self._direct)
         rho0, _ = self.rho_of_lambda(0.0)
         if rho0 <= 1.0:
             raise SubcriticalError(
                 f"rho(0) = {rho0:.6g} <= 1: the model is subcritical")
         lo, hi = 0.0, 1.0
-        for _ in range(max_doublings):
+        for _ in range(60):
             if self.rho_of_lambda(hi)[0] < 1.0:
                 break
             lo, hi = hi, 2.0 * hi
@@ -212,8 +209,8 @@ def _extended_ages(agrid: AgeGrid) -> np.ndarray:
     return agrid.da * np.arange(2 * agrid.n_cells + 1)
 
 
-def direct_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
-                   lam_star: float, mu: np.ndarray, R: np.ndarray) -> np.ndarray:
+def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
+                   R: np.ndarray) -> np.ndarray:
     """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass.
 
     R is R_{lambda*} on the age lattice.
@@ -225,8 +222,8 @@ def direct_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
 
 def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                  lam_star: float, eta: np.ndarray, R: np.ndarray,
-                 factors: kern.AgeFactors,
-                 N_grid: np.ndarray | None = None) -> np.ndarray:
+                 factors: kern.AgeFactors, kmat: np.ndarray,
+                 N_grid: np.ndarray) -> np.ndarray:
     """phi(x,a) from the tail-integral representation of the dual problem.
 
     phi(x,a) = R(x,a)^{-1} [ (1-p) eta(x) int_a^inf B R da'
@@ -235,10 +232,9 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
     Tail integrals run over an extended lattice [0, 2 A_max] so that phi keeps
     its continuum value at the horizon instead of collapsing to zero there;
     their cells come from `factors`, the age factors on that lattice. R is
-    R_{lambda*} on the age lattice. If N_grid is given, phi is rescaled so
-    that int N phi = 1.
+    R_{lambda*} on the age lattice and kmat the mutation kernel at the trait
+    nodes. phi is scaled so that int N phi = 1.
     """
-    xs = tgrid.nodes
     cells = kern.cell_integrals(factors, lam_star)                  # (nx, n_ext)
     # reverse cumulative sums: tails[:, j] = int_{a_j}^{2 A_max} B R
     na = agrid.n_cells + 1
@@ -246,14 +242,11 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
     del cells
 
     p = model.mutation_prob
-    kmat = model.mutation_kernel.matrix(xs)
     mut = tails * (kmat @ (eta * tgrid.weights))[:, None]
 
     phi = ((1.0 - p) * eta[:, None] * tails + p * mut) / R
-    if N_grid is not None:
-        pairing = float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))
-        phi = phi / pairing
-    return phi
+    pairing = float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))
+    return phi / pairing
 
 
 def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
@@ -300,9 +293,9 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     mu = pd.profile
     eta = pq.profile
     R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
-    N = direct_profile(model, tgrid, agrid, lam_star, mu, R)
+    N = direct_profile(tgrid, agrid, mu, R)
     phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, problem.factors,
-                       N_grid=N)
+                       problem.kmat, N)
     problem.release_factors()
     mw = _mass_weights(tgrid, agrid)
     norms = {
@@ -324,11 +317,9 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
                        norms=norms, regime=pd.regime, diagnostics=diagnostics)
 
 
-def stationary_state(problem: MalthusProblem, triple: EigenTriple | None = None,
-                     tol_lam: float = 1e-6) -> tuple[float, np.ndarray, float]:
+def stationary_state(problem: MalthusProblem,
+                     triple: EigenTriple) -> tuple[float, np.ndarray, float]:
     """Stationary density nbar = (lambda*/c) N, so that c * mass = lambda*."""
-    if triple is None:
-        triple = solve_eigentriple(problem, tol_lam)
     if problem.model.competition <= 0:
         raise ValueError("stationary state needs a positive competition rate")
     scale = triple.lambda_star / problem.model.competition

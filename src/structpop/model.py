@@ -230,11 +230,6 @@ class RateModel:
     def death_floor(self) -> float:
         return self.death.inf
 
-    @property
-    def leb(self) -> float:
-        lo, hi = self.trait_domain
-        return hi - lo
-
 
 @dataclass(frozen=True)
 class TraitGrid:
@@ -309,9 +304,6 @@ class ScenarioConfig:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _expect_keys(d: dict, keys: set[str], where: str) -> None:
     unknown = set(d) - keys
@@ -363,42 +355,20 @@ def build_model(config: ScenarioConfig) -> RateModel:
     )
 
 
-def build_grids(config: ScenarioConfig, model: RateModel | None = None,
-                lam: float = 0.0) -> tuple[TraitGrid, AgeGrid]:
-    """Midpoint trait grid plus an age lattice truncated from the tail bound."""
+def build_grids(config: ScenarioConfig,
+                model: RateModel | None = None) -> tuple[TraitGrid, AgeGrid]:
+    """Midpoint trait grid plus an age lattice truncated from the tail bound at
+    lambda = 0, which bounds the tail at every lambda >= 0."""
     from .kernel import choose_age_truncation
 
     if model is None:
         model = build_model(config)
     tgrid = midpoint_grid(config.trait_domain, config.nx)
-    a_max = choose_age_truncation(model, lam, config.tol, config.da)
+    a_max = choose_age_truncation(model, 0.0, config.tol, config.da)
     n_cells = int(round(a_max / config.da))
     if n_cells % 2:
         n_cells += 1   # Simpson weights need an even cell count
     return tgrid, AgeGrid(da=config.da, n_cells=n_cells)
-
-
-# ---------------------------------------------------------------------------
-# checked point evaluation
-# ---------------------------------------------------------------------------
-
-def _check_trait(model: RateModel, x: float) -> None:
-    lo, hi = model.trait_domain
-    if not lo <= x <= hi:
-        raise ValueError(f"trait {x} outside domain [{lo}, {hi}]")
-
-
-def eval_rates(model: RateModel, x: float, a: float) -> tuple[float, float]:
-    _check_trait(model, x)
-    if a < 0:
-        raise ValueError(f"age {a} must be nonnegative")
-    return float(model.birth(x, a)), float(model.death(x, a))
-
-
-def eval_kernel(model: RateModel, x: float, y: float) -> float:
-    _check_trait(model, x)
-    _check_trait(model, y)
-    return float(model.mutation_kernel(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -229,14 +229,16 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     trace = TraceRecord(steps=n_steps)
     cum_loss = 0.0
     buf = np.empty_like(solver.R)
+    invariant = linear and phi is not None and lam_star is not None
+    phi_w = phi * solver.mass_w if invariant else None
 
     def record():       # one materialisation into buf, which the distances overwrite
         values = solver.density(state, out=buf)
         trace.t.append(state.t)
         trace.mass.append(mass := solver.mass(values))
         scale = math.exp(-lam_star * state.t) if linear and lam_star is not None else 1.0
-        if linear and phi is not None and lam_star is not None:
-            trace.invariant_value.append(scale * float(np.sum(values * phi * solver.mass_w)))
+        if invariant:
+            trace.invariant_value.append(scale * float(np.vdot(values, phi_w)))
         if lam_star is not None:
             trace.D_t.append(solver.growth_diag(values, lam_star, mass))
         if target is not None:
@@ -296,17 +298,15 @@ def default_test_basket(tgrid: TraitGrid, agrid: AgeGrid) -> list[tuple[np.ndarr
     return basket
 
 
-def stationary_residual(solver: TransportSolver, nbar: np.ndarray,
-                        basket: list | None = None) -> float:
-    """Max weak-form defect |int (df/da - (D + c mass) f + G[f]) nbar|."""
-    if basket is None:
-        basket = default_test_basket(solver.tgrid, solver.agrid)
+def stationary_residual(solver: TransportSolver, nbar: np.ndarray) -> float:
+    """Max weak-form defect |int (df/da - (D + c mass) f + G[f]) nbar| over
+    the functions f of `default_test_basket`."""
     model = solver.model
     p = model.mutation_prob
     death = model.death(solver.tgrid.nodes[:, None], solver.agrid.nodes[None, :])
     mass = solver.mass(nbar)
     worst = 0.0
-    for f, dfda in basket:
+    for f, dfda in default_test_basket(solver.tgrid, solver.agrid):
         f0 = f[:, 0]
         mut0 = solver.kmat @ (f0 * solver.tgrid.weights)
         G = solver.B * ((1.0 - p) * f0[:, None] + p * mut0[:, None])

@@ -138,7 +138,9 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
     shift, and each iteration is one matrix-vector product: forming it costs
     about four LU factorisations, but a product costs what an LU solve does,
     and numpy alone suffices. The residual test is
-    ||M v - rho v||_inf <= tol * rho on every path.
+    ||M v - rho v||_inf <= tol * rho on every path. max_iter bounds each
+    phase, the power iterations and then the shift-inverse ones; when both
+    run out, PerronConvergenceError carries the last iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -200,16 +202,16 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
 # regime classification
 # ---------------------------------------------------------------------------
 
-def regime_classify(pair: PerronPair, kernel: CollapsedKernel, grid: TraitGrid,
-                    gap_tol: float | None = None) -> PerronPair:
+def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
+                    grid: TraitGrid) -> PerronPair:
     """Label Regular vs PossiblySingular and attach level-set diagnostics.
 
-    A single-grid label is evidence only; the refinement sweep (n_x doubling)
-    is the authoritative classifier. Finite grids always show a positive gap,
-    so the band diagnostics matter more than the raw flag.
+    The gap counts as open above gap_tol = 1e-3 rho. A single-grid label is
+    evidence only; the refinement sweep (n_x doubling) is the authoritative
+    classifier. Finite grids always show a positive gap, so the band
+    diagnostics matter more than the raw flag.
     """
-    if gap_tol is None:
-        gap_tol = 1e-3 * pair.rho
+    gap_tol = 1e-3 * pair.rho
     r = kernel.r_values
     rbar = kernel.rbar
     gap = pair.rho - rbar

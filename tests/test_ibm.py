@@ -487,28 +487,6 @@ def test_martingale_series_rejects_logs_without_snapshots(constant_setup):
         ibm.martingale_series(logs, tr.phi_grid, tr.lambda_star, s.tgrid, s.agrid)
 
 
-def test_empirical_deposit_single_particle(tg):
-    ag = AgeGrid(da=0.01, n_cells=100)
-    x0 = float(tg.nodes[3])
-    state, overflow = ibm.empirical_to_grid(
-        (np.array([x0]), np.array([0.005])), 1, tg, ag)
-    assert overflow == 0
-    dx = float(tg.weights[0])
-    assert state.values[3, 0] == pytest.approx(1.0 / (dx * ag.da))
-    assert np.count_nonzero(state.values) == 1
-
-
-def test_empirical_deposit_conserves_mass(tg, rng):
-    ag = AgeGrid(da=0.01, n_cells=100)
-    K = 321
-    x = rng.uniform(0, 1, 777)
-    a = rng.uniform(0, 2.0, 777)     # some beyond the 1.0 horizon
-    state, overflow = ibm.empirical_to_grid((x, a), K, tg, ag)
-    total = float(np.sum(state.values * tg.weights[:, None] * ag.da))
-    assert total == pytest.approx(777 / K, rel=1e-12)
-    assert overflow == int(np.sum(a > ag.a_max))
-
-
 def test_interp_phi_exact_at_nodes(tg):
     ag = AgeGrid(da=0.1, n_cells=20)
     phi = np.outer(1.0 + tg.nodes, np.exp(-ag.nodes))

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from structpop.kernel import (TailBoundError, age_factors, bR_cell_integrals,
-                              cell_integrals, choose_age_truncation, collapse,
-                              survival_factor, survival_matrix, tail_bound)
+from structpop.kernel import (age_factors, cell_integrals, choose_age_truncation,
+                              collapse, survival_matrix, tail_bound)
 from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
 
@@ -16,15 +15,22 @@ def const_model():
     return build_model(constant_scenario())
 
 
+def survival_at(model, x, a, lam):
+    """R_lambda(x, a) from `survival_matrix` on the lattice of step 0.01 ending at a."""
+    ages = 0.01 * np.arange(round(a / 0.01) + 1)
+    assert ages[-1] == a
+    return survival_matrix(model, np.array([x]), ages, lam)[0, -1]
+
+
 def test_survival_at_zero_age(const_model):
-    assert survival_factor(const_model, 0.5, 0.0, 0.7) == 1.0
+    assert survival_at(const_model, 0.5, 0.0, 0.7) == 1.0
 
 
 def test_survival_closed_form(const_model):
     # constant D=1: R = e^{-(D+lam) a}
-    assert survival_factor(const_model, 0.5, 1.0, 1.0) == pytest.approx(
+    assert survival_at(const_model, 0.5, 1.0, 1.0) == pytest.approx(
         math.exp(-2.0), rel=1e-12)
-    assert survival_factor(const_model, 0.1, 12.0, 0.0) == pytest.approx(
+    assert survival_at(const_model, 0.1, 12.0, 0.0) == pytest.approx(
         math.exp(-12.0), rel=1e-12)
 
 
@@ -37,7 +43,7 @@ def test_survival_decreasing_in_age(const_model):
 
 def test_survival_rejects_divergent_lambda(const_model):
     with pytest.raises(ValueError):
-        survival_factor(const_model, 0.5, 1.0, -1.0)
+        survival_at(const_model, 0.5, 1.0, -1.0)
 
 
 def test_age_truncation_oracles(const_model):
@@ -99,13 +105,6 @@ def test_collapse_lipschitz_in_lambda(const_model):
     # |dr/dlam| <= (1-p) ||B|| / (D+lam)^2 here; allow slack
     L = const_model.birth.sup / (const_model.death_floor + lam0) ** 2
     assert np.abs(r1 - r0).max() <= 1.1 * L * h
-
-
-def test_collapse_enforces_tail_bound(const_model):
-    tg = midpoint_grid((0.0, 1.0), 4)
-    short = AgeGrid(da=0.01, n_cells=100)    # horizon 1.0, tail far above 1e-10
-    with pytest.raises(TailBoundError):
-        collapse(const_model, tg, short, 0.0, tol=1e-10)
 
 
 def test_collapse_sqrt_gap_positive():
@@ -170,7 +169,7 @@ def test_factored_collapse_matches_reference_quadrature(case):
                    collapse(model, tg, ag, lam, factors=factors)):
             assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
             assert np.abs(ck.r_values - (1 - p) * sB).max() <= 1e-13 * sB.max()
-        cells = bR_cell_integrals(model, tg.nodes, ag.nodes, lam)
+        cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
         assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
 
 
@@ -180,7 +179,7 @@ def test_small_rate_branch_matches_reference(const_model):
     ages = 0.01 * np.arange(201)
     lam = -1.0 + 1e-12
     ref = reference_cell_integrals(const_model, tg.nodes, ages, lam)
-    cells = bR_cell_integrals(const_model, tg.nodes, ages, lam)
+    cells = cell_integrals(age_factors(const_model, tg.nodes, ages), lam)
     assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
     assert cells.sum(axis=1) == pytest.approx(np.full(3, 2.0 * 2.0), rel=1e-9)
     # at d + lambda = 0 exactly, (1 - e^{-z}) / z is 0/0: the branch gives its limit
@@ -196,7 +195,7 @@ def test_collapse_and_cell_integrals_share_one_formula():
     ag = AgeGrid(da=0.01, n_cells=500)
     extended = age_factors(model, tg.nodes, 0.01 * np.arange(1001))
     for lam in (0.0, 2.5):
-        cells = bR_cell_integrals(model, tg.nodes, ag.nodes, lam)
+        cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
         # bit for bit: the lattice factors are a prefix of the extended ones
         np.testing.assert_array_equal(collapse(model, tg, ag, lam).sB, cells.sum(axis=1))
         np.testing.assert_array_equal(

@@ -158,7 +158,7 @@ def test_stationary_mass_scales_with_competition():
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     prob = MalthusProblem(model, tg, ag)
-    _, _, mass = stationary_state(prob)
+    _, _, mass = stationary_state(prob, solve_eigentriple(prob))
     assert mass == pytest.approx(0.5, abs=1e-5)
 
 
@@ -208,7 +208,8 @@ def _secular_rho(ck, tgrid, model):
     rbar + c_argmax and at most 1 at rbar + sum(c), which brackets the root.
     """
     p, r = model.mutation_prob, ck.r_values
-    c = (p / model.leb) * (r / (1.0 - p)) * tgrid.weights
+    lo, hi = model.trait_domain
+    c = (p / (hi - lo)) * (r / (1.0 - p)) * tgrid.weights
     rbar = float(r.max())
     return brentq(lambda rho: 1.0 - float(np.sum(c / (rho - r))),
                   rbar + c[np.argmax(r)], rbar + c.sum(), xtol=1e-15)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
-                             constant_scenario, eval_kernel, eval_rates,
-                             midpoint_grid, parse_config, singular_scenario,
-                             validate_assumptions)
+                             constant_scenario, midpoint_grid, parse_config,
+                             singular_scenario, validate_assumptions)
 
 
 def test_midpoint_grid_example():
@@ -51,24 +50,24 @@ def test_build_grids_age_horizon_constant_model():
 
 def test_config_round_trip():
     cfg = constant_scenario()
-    assert parse_config(cfg.to_json()) == cfg
+    assert parse_config(json.dumps(cfg.to_dict())) == cfg
     cfg2 = singular_scenario(nx=17, da=0.02)
-    assert parse_config(json.loads(cfg2.to_json())) == cfg2
+    assert parse_config(json.loads(json.dumps(cfg2.to_dict()))) == cfg2
 
 
 def test_config_rejects_unknown_keys():
-    data = json.loads(constant_scenario().to_json())
+    data = constant_scenario().to_dict()
     data["extra"] = 1
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config(data)
-    data = json.loads(constant_scenario().to_json())
+    data = constant_scenario().to_dict()
     data["grids"]["typo"] = 1
     with pytest.raises(ConfigError):
         parse_config(data)
 
 
 def test_config_rejects_bad_grid_values():
-    data = json.loads(constant_scenario().to_json())
+    data = constant_scenario().to_dict()
     data["grids"]["nx"] = 1
     with pytest.raises(ConfigError):
         parse_config(data)
@@ -80,25 +79,15 @@ def test_config_rejects_bad_grid_values():
 
 def test_eval_rates_constant():
     model = build_model(constant_scenario())
-    assert eval_rates(model, 0.3, 5.0) == (2.0, 1.0)
-    assert eval_kernel(model, 0.3, 0.9) == 1.0
+    assert float(model.birth(0.3, 5.0)) == 2.0
+    assert float(model.death(0.3, 5.0)) == 1.0
+    assert float(model.mutation_kernel(0.3, 0.9)) == 1.0
 
 
 def test_eval_rates_sqrt_gap():
     model = build_model(singular_scenario())
-    b, d = eval_rates(model, 0.25, 1.0)
-    assert b == pytest.approx(3.5)
-    assert d == 1.0
-
-
-def test_eval_rates_rejects_out_of_domain():
-    model = build_model(constant_scenario())
-    with pytest.raises(ValueError):
-        eval_rates(model, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        eval_rates(model, 0.5, -0.1)
-    with pytest.raises(ValueError):
-        eval_kernel(model, 0.5, -2.0)
+    assert float(model.birth(0.25, 1.0)) == pytest.approx(3.5)
+    assert float(model.death(0.25, 1.0)) == 1.0
 
 
 def test_rate_family_rejects_unknown_params():
@@ -137,7 +126,7 @@ def test_gaussian_kernel_bounds_hold(width):
 @given(x=st.floats(0.0, 1.0), a=st.floats(0.0, 50.0))
 def test_rates_nonnegative_on_domain(x, a):
     model = build_model(singular_scenario())
-    b, d = eval_rates(model, x, a)
+    b, d = float(model.birth(x, a)), float(model.death(x, a))
     assert b >= 0 and d >= model.death_floor
 
 
@@ -201,5 +190,5 @@ def test_tabulated_rate_bilinear():
                "params": {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 10.0],
                           "values": [[1.0, 1.0], [3.0, 3.0]]}})
     model = build_model(cfg)
-    assert eval_rates(model, 0.5, 2.0)[0] == pytest.approx(2.0)
+    assert float(model.birth(0.5, 2.0)) == pytest.approx(2.0)
     assert model.birth.sup == 3.0 and model.birth.inf == 1.0

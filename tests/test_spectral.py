@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from structpop.kernel import CollapsedKernel, collapse
 from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
-from structpop.spectral import (DiscreteOperator, _cw_bounds, adjoint_residual,
-                                assemble, density_from_profile, perron,
-                                regime_classify)
+from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bounds,
+                                adjoint_residual, assemble, density_from_profile,
+                                perron, regime_classify)
 
 
 def make_ck(r, K, lam=0.0):
@@ -221,6 +221,22 @@ def test_perron_refuses_max_iter_below_one(const_pair, max_iter):
     ck, tg = const_pair
     with pytest.raises(ValueError, match="max_iter"):
         perron(assemble(ck, tg, "direct"), max_iter=max_iter)
+
+
+def test_perron_raises_with_the_last_iterate_when_both_phases_run_out():
+    # max_iter bounds each phase: one power and one shift-inverse iteration
+    cfg = singular_scenario(nx=64)
+    model = build_model(cfg)
+    tg, ag = build_grids(cfg, model)
+    op = assemble(collapse(model, tg, ag, 0.0), tg, "direct")
+    tol = 1e-12
+    with pytest.raises(PerronConvergenceError) as info:
+        perron(op, tol=tol, max_iter=1)
+    err = info.value
+    assert err.iterations == 2
+    assert np.isfinite(err.rho) and err.rho > 0
+    assert float(err.profile @ tg.weights) == pytest.approx(1.0, rel=1e-12)
+    assert err.residual > tol * err.rho
 
 
 def test_warm_perron_matches_cold(singular_ops):
