@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import ibm, malthus, pde, spectral
+from . import ibm, kernel, malthus, pde, spectral
 from .model import (ConfigError, PRESETS, ScenarioConfig, build_grids,
                     build_model, parse_config, validate_assumptions)
 
@@ -50,9 +50,10 @@ def _write_grids(out: str, tgrid, agrid, **grids) -> list[str]:
 
 
 def _write_json(path: str, obj) -> None:
+    """Strict JSON: a NaN or infinite value raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -109,16 +110,18 @@ def _solve(config):
 
 def cmd_malthus(config, out: str, solved=None) -> dict:
     model, tgrid, agrid, problem, triple = solved or _solve(config)
-    rho0, _ = problem.rho_of_lambda(0.0)
+    rho0 = problem.rho_of_lambda(0.0)
     density_residual = None     # the continuous density exists in the Regular regime
     if triple.regime == "Regular":
         ck, pd, _ = problem.eigendata(triple.lambda_star)
-        density_residual = spectral.density_from_profile(pd, ck, tgrid)[1]
+        direct = spectral.assemble(ck, problem.mix, tgrid)
+        density_residual = spectral.density_from_profile(pd, direct, ck)[1]
     manifest = _write_grids(out, tgrid, agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
         "density_residual": density_residual,
         "lambda_search": problem.lambda_search,
+        "tail_bound": kernel.tail_bound(model, triple.lambda_star, agrid.a_max),
         "rho_at_zero": rho0,
         "regime": triple.regime,
         "eta_lower": triple.eta_lower,
@@ -222,12 +225,11 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     report = validate_assumptions(model, tgrid, agrid)
     checks["assumptions"] = report.all_ok
     ck, pd, pq = problem.eigendata(0.0)
-    direct = spectral.assemble(ck, tgrid, "direct")
-    dual = spectral.assemble(ck, tgrid, "dual")
-    checks["adjoint_defect"] = spectral.adjoint_residual(direct, dual) <= 1e-12
+    direct = spectral.assemble(ck, problem.mix, tgrid)
+    checks["adjoint_defect"] = spectral.adjoint_residual(direct, spectral.dual(direct)) <= 1e-12
     checks["rho_identity"] = abs(pd.rho - pq.rho) <= 1e-10 * pd.rho
 
-    rhos = [problem.rho_of_lambda(l)[0] for l in LAMBDA_SAMPLE]
+    rhos = [problem.rho_of_lambda(l) for l in LAMBDA_SAMPLE]
     checks["rho_decreasing"] = all(a > b + 1e-6 for a, b in zip(rhos, rhos[1:]))
 
     manifest = []

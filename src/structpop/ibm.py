@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import mix_matrix, w_adjoint
 from .model import AgeGrid, RateModel, TraitGrid
 
 PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
@@ -425,18 +426,16 @@ def martingale_series(logs: list[EventLog], phi_grid: np.ndarray,
 
 
 def square_integrability_constant(model: RateModel, phi_grid: np.ndarray,
-                                  tgrid: TraitGrid, agrid: AgeGrid) -> float:
-    """Grid estimate of C with G[phi^2] + D phi^2 <= C phi (inf if phi ~ 0)."""
+                                  tgrid: TraitGrid, agrid: AgeGrid) -> float | None:
+    """Grid estimate of the least C with G[phi^2] + D phi^2 <= C phi, over the
+    cells where phi or the left side is nonzero; None if no finite C exists."""
     X = tgrid.nodes[:, None]
     A = agrid.nodes[None, :]
     B = np.asarray(model.birth(X, A), float)
     D = np.asarray(model.death(X, A), float)
-    p = model.mutation_prob
-    phi0_sq = phi_grid[:, 0] ** 2
-    kmat = model.mutation_kernel.matrix(tgrid.nodes)
-    mut = (kmat @ (phi0_sq * tgrid.weights))[:, None]
-    lhs = B * ((1.0 - p) * phi0_sq[:, None] + p * mut) + D * phi_grid ** 2
-    if np.any(phi_grid <= 0):
-        return math.inf
-    return float((lhs / phi_grid).max())
-
+    dual_mix = w_adjoint(mix_matrix(model, tgrid), tgrid.weights)
+    lhs = B * (dual_mix @ phi_grid[:, 0] ** 2)[:, None] + D * phi_grid ** 2
+    cells = (phi_grid != 0) | (lhs != 0)
+    if np.any(phi_grid[cells] <= 0):
+        return None
+    return float((lhs[cells] / phi_grid[cells]).max(initial=0.0))

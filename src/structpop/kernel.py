@@ -1,4 +1,5 @@
-"""Age collapse: survival factor R_lambda and the trait-space kernels r, K.
+"""Age collapse: survival factor R_lambda, the birth integral sB_lambda, and
+the birth-mutation matrix Mix.
 
 The age integrals use a per-cell product quadrature: within each lattice cell
 the survival factor is treated as an exact exponential (its local decay rate
@@ -11,6 +12,12 @@ evaluation of the formula, which `collapse` and the dual profile's tail
 integrals share. The age horizon is chosen once, by `choose_age_truncation`
 at lambda = 0; `tail_bound` only shrinks as lambda grows, so it holds for
 every lambda >= 0 of a search.
+
+A newborn keeps its parent's trait with probability 1 - p and otherwise
+draws it from k(x, .). On the trait grid that law is one matrix, `mix_matrix`,
+built once per model and grid: the direct renewal operator at lambda is
+Mix diag(sB_lambda), its dual the w-adjoint (`w_adjoint`), and the PDE's
+newborns and the dual profiles are formed from the same Mix.
 """
 
 from __future__ import annotations
@@ -154,56 +161,49 @@ def cell_integrals(factors: AgeFactors, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# collapsed kernel
+# the birth-mutation law and the collapsed kernel
 # ---------------------------------------------------------------------------
+
+def mix_matrix(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
+    """Mix[i, j] = (1 - p) delta_ij + p k(x_j, x_i) w_j: the newborns at x_i per
+    unit of births from trait-x_j parents."""
+    p = model.mutation_prob
+    mix = np.ascontiguousarray(model.mutation_kernel.matrix(tgrid.nodes).T)
+    mix *= p * tgrid.weights
+    mix[np.diag_indices_from(mix)] += 1.0 - p
+    return mix
+
+
+def w_adjoint(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """diag(w)^{-1} A^T diag(w), so that <A f, g>_w = <f, A* g>_w; an exact
+    transpose when the weights are uniform."""
+    return A.T * (weights / weights[:, None])
+
 
 @dataclass(frozen=True)
 class CollapsedKernel:
-    """Trait-space data of the renewal operator at a fixed lambda.
-
-    K_values[i, j] = K_lambda(x_i, x_j): rate of mutant offspring with trait
-    near x_j born from a trait-x_i lineage (density in the second slot).
-    sB is the birth integral int B R_lambda da per node (None for a kernel
-    built by hand from r and K).
-    """
+    """Trait-space data of the renewal operator at a fixed lambda: the birth
+    integral sB = int B R_lambda da and the clonal rate r = (1 - p) sB per node."""
 
     lam: float
     r_values: np.ndarray        # (nx,)
-    K_values: np.ndarray        # (nx, nx)
-    da: float
-    a_max: float
-    tail: float
-    sB: np.ndarray | None = None
+    sB: np.ndarray              # (nx,)
 
     @property
     def rbar(self) -> float:
         return float(self.r_values.max())
 
 
-def kernel_from_birth_integral(model: RateModel, agrid: AgeGrid, lam: float,
-                               sB: np.ndarray, kmat: np.ndarray) -> CollapsedKernel:
-    """r = (1 - p) sB and K(x, y) = p sB(x) k(x, y), with kmat = k on the nodes."""
-    p = model.mutation_prob
-    return CollapsedKernel(lam=lam, r_values=(1.0 - p) * sB,
-                           K_values=p * sB[:, None] * kmat, da=agrid.da,
-                           a_max=agrid.a_max, tail=tail_bound(model, lam, agrid.a_max),
-                           sB=sB)
-
-
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
-             factors: AgeFactors | None = None,
-             kmat: np.ndarray | None = None) -> CollapsedKernel:
-    """Compute r_lambda and K_lambda on the trait grid by age quadrature.
+             factors: AgeFactors | None = None) -> CollapsedKernel:
+    """sB and r on the trait grid by age quadrature.
 
-    With sB(x) = int B R_lambda da: r = (1 - p) sB and K(x, y) = p sB(x) k(x, y).
     factors (`age_factors` at the trait nodes, on the age lattice or on any
-    lattice it is a prefix of) and kmat (`mutation_kernel.matrix` at the
-    nodes) are built here when not given; a lambda sweep passes them in.
+    lattice it is a prefix of) are built here when not given; a lambda sweep
+    passes them in.
     """
     _check_lambda(model, lam)
     if factors is None:
         factors = age_factors(model, tgrid.nodes, agrid.nodes)
-    if kmat is None:
-        kmat = model.mutation_kernel.matrix(tgrid.nodes)
     sB = cell_integrals(factors, lam, agrid.n_cells).sum(axis=1)   # int B R da
-    return kernel_from_birth_integral(model, agrid, lam, sB, kmat)
+    return CollapsedKernel(lam=lam, r_values=(1.0 - model.mutation_prob) * sB, sB=sB)

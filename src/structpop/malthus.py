@@ -44,24 +44,27 @@ class MalthusProblem:
     """rho(lambda) along a lambda sweep, and full eigendata where asked.
 
     The lambda-free parts of the age collapse (`kern.AgeFactors` on the
-    extended lattice, whose prefix is the age lattice, and the mutation
-    matrix) are built once. Each direct solve starts from the last direct
-    profile. Per lambda solved, the birth integral sB and the direct Perron
-    pair are kept (2 nx floats), so eigendata at a solved lambda makes no
-    collapse and no direct solve. When the mutation matrix is symmetric, the
-    dual matrix is D M D^{-1} with D = diag(sB), so the dual solve starts
-    from sB * mu, which `spectral.perron` checks by its residual test.
+    extended lattice, whose prefix is the age lattice) and the birth-mutation
+    matrix `mix` are built once; the operator at lambda is mix diag(sB), the
+    one nx x nx array a lambda forms. Each direct solve starts from the last
+    direct profile. Per lambda solved, the collapsed kernel (sB, r) and the
+    direct Perron pair are kept (3 nx floats), so eigendata at a solved
+    lambda makes no collapse and no direct solve. When diag(w) mix is
+    symmetric (exactly when k is, on the nodes), the dual matrix is D M D^{-1}
+    with D = diag(sB), so the dual solve starts from sB * mu, which
+    `spectral.perron` checks by its residual test.
     """
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid):
         self.model = model
         self.tgrid = tgrid
         self.agrid = agrid
-        self.kmat = model.mutation_kernel.matrix(tgrid.nodes)
-        self._symmetric = bool(np.array_equal(self.kmat, self.kmat.T))
+        self.mix = kern.mix_matrix(model, tgrid)
+        wmix = self.mix * tgrid.weights[:, None]
+        self._symmetric = bool(np.array_equal(wmix, wmix.T))
         self._factors: kern.AgeFactors | None = None
         self._start: np.ndarray | None = None    # last direct profile
-        self._direct: dict[float, tuple[np.ndarray, spectral.PerronPair]] = {}
+        self._direct: dict[float, tuple[kern.CollapsedKernel, spectral.PerronPair]] = {}
         self._cache: dict[float, tuple] = {}
         self.lambda_search: dict = {}   # evaluations and bracket of the last search
 
@@ -77,35 +80,32 @@ class MalthusProblem:
         """Drop the age factors (rebuilt on next use) to free their memory."""
         self._factors = None
 
-    def _solve_direct(self, lam: float) -> tuple[np.ndarray, spectral.PerronPair]:
-        """(sB, direct PerronPair) at lambda, solved once per lambda."""
+    def _solve_direct(self, lam: float) -> tuple[kern.CollapsedKernel, spectral.PerronPair]:
+        """(CollapsedKernel, direct PerronPair) at lambda, solved once per lambda."""
         if lam not in self._direct:
             ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
-                               factors=self.factors, kmat=self.kmat)
-            direct = spectral.assemble(ck, self.tgrid, "direct")
-            pd = spectral.perron(direct, start=self._start)
+                               factors=self.factors)
+            pd = spectral.perron(spectral.assemble(ck, self.mix, self.tgrid),
+                                 start=self._start)
             self._start = pd.profile
-            self._direct[lam] = (ck.sB, pd)
+            self._direct[lam] = (ck, pd)
         return self._direct[lam]
 
     def eigendata(self, lam: float):
         """(CollapsedKernel, direct PerronPair, dual PerronPair) at lambda."""
         if lam not in self._cache:
-            sB, pd = self._solve_direct(lam)
-            ck = kern.kernel_from_birth_integral(self.model, self.agrid, lam, sB,
-                                                 self.kmat)
-            dual = spectral.assemble(ck, self.tgrid, "dual")
-            start = sB * pd.profile     # the dual eigenvector if kmat is symmetric
+            ck, pd = self._solve_direct(lam)
+            start = ck.sB * pd.profile  # the dual eigenvector if diag(w) mix is symmetric
             warm = self._symmetric and np.all(start > 0)
+            dual = spectral.dual(spectral.assemble(ck, self.mix, self.tgrid))
             pq = spectral.perron(dual, start=start if warm else None)
             pd = spectral.regime_classify(pd, ck, self.tgrid)
             self._cache[lam] = (ck, pd, pq)
         return self._cache[lam]
 
-    def rho_of_lambda(self, lam: float) -> tuple[float, float]:
-        """(rho, rbar) at lambda from the direct operator alone."""
-        sB, pd = self._solve_direct(lam)
-        return pd.rho, float(((1.0 - self.model.mutation_prob) * sB).max())
+    def rho_of_lambda(self, lam: float) -> float:
+        """rho at lambda from the direct operator alone."""
+        return self._solve_direct(lam)[1].rho
 
     def find_lambda_star(self, tol_lam: float = 1e-6) -> float:
         """Root of rho(lambda) = 1 to within tol_lam; records lambda_search.
@@ -113,18 +113,18 @@ class MalthusProblem:
         The bracket [0, 1] doubles at most 60 times, to 2^60.
         """
         solved_before = set(self._direct)
-        rho0, _ = self.rho_of_lambda(0.0)
+        rho0 = self.rho_of_lambda(0.0)
         if rho0 <= 1.0:
             raise SubcriticalError(
                 f"rho(0) = {rho0:.6g} <= 1: the model is subcritical")
         lo, hi = 0.0, 1.0
         for _ in range(60):
-            if self.rho_of_lambda(hi)[0] < 1.0:
+            if self.rho_of_lambda(hi) < 1.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
-        lam = _brentq(lambda l: self.rho_of_lambda(l)[0] - 1.0, lo, hi, xtol=tol_lam)
+        lam = _brentq(lambda l: self.rho_of_lambda(l) - 1.0, lo, hi, xtol=tol_lam)
         solved = [pd for l, (_, pd) in self._direct.items() if l not in solved_before]
         self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
                               "perron_iterations": sum(pd.iterations for pd in solved)}
@@ -220,20 +220,19 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
     return N / mass
 
 
-def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
-                 lam_star: float, eta: np.ndarray, R: np.ndarray,
-                 factors: kern.AgeFactors, kmat: np.ndarray,
+def dual_profile(tgrid: TraitGrid, agrid: AgeGrid, lam_star: float, eta: np.ndarray,
+                 R: np.ndarray, factors: kern.AgeFactors, mix: np.ndarray,
                  N_grid: np.ndarray) -> np.ndarray:
     """phi(x,a) from the tail-integral representation of the dual problem.
 
-    phi(x,a) = R(x,a)^{-1} [ (1-p) eta(x) int_a^inf B R da'
-                             + p sum_j eta_j w_j k(x, x_j) int_a^inf B R da' ].
+    phi(x,a) = R(x,a)^{-1} (Mix* eta)(x) int_a^inf B R da', where Mix* eta
+    = (1-p) eta(x) + p sum_j eta_j w_j k(x, x_j) is the w-adjoint of the
+    birth-mutation matrix mix applied to eta.
 
     Tail integrals run over an extended lattice [0, 2 A_max] so that phi keeps
     its continuum value at the horizon instead of collapsing to zero there;
     their cells come from `factors`, the age factors on that lattice. R is
-    R_{lambda*} on the age lattice and kmat the mutation kernel at the trait
-    nodes. phi is scaled so that int N phi = 1.
+    R_{lambda*} on the age lattice. phi is scaled so that int N phi = 1.
     """
     cells = kern.cell_integrals(factors, lam_star)                  # (nx, n_ext)
     # reverse cumulative sums: tails[:, j] = int_{a_j}^{2 A_max} B R
@@ -241,10 +240,8 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
     tails = np.flip(np.cumsum(np.flip(cells, axis=1), axis=1), axis=1)[:, :na]
     del cells
 
-    p = model.mutation_prob
-    mut = tails * (kmat @ (eta * tgrid.weights))[:, None]
-
-    phi = ((1.0 - p) * eta[:, None] * tails + p * mut) / R
+    phi = tails * (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
+    phi /= R
     pairing = float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))
     return phi / pairing
 
@@ -294,8 +291,7 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     eta = pq.profile
     R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
     N = direct_profile(tgrid, agrid, mu, R)
-    phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, problem.factors,
-                       problem.kmat, N)
+    phi = dual_profile(tgrid, agrid, lam_star, eta, R, problem.factors, problem.mix, N)
     problem.release_factors()
     mw = _mass_weights(tgrid, agrid)
     norms = {

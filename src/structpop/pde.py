@@ -4,7 +4,8 @@ Transport in age is exact along characteristics (the lattice shifts one cell
 per step, dt = da locked), death is exact through the survival matrix, and
 the renewal boundary is semi-implicit: the newborn generation solves a small
 linear system so eigen-identities hold to first order without a step lag. That
-system is solved once, in advance: each step applies one precomposed matrix.
+system, built from the birth-mutation matrix Mix (`kernel.mix_matrix`), is
+solved once, in advance: each step applies one precomposed matrix.
 Stepping holds n = s R_0 u, a renewal equation in u (see `TransportSolver._advance`).
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import survival_matrix
+from .kernel import mix_matrix, survival_matrix, w_adjoint
 from .model import AgeGrid, RateModel, TraitGrid
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
@@ -69,7 +70,7 @@ class TransportSolver:
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
         self._net_w = (self.B - D) * self.mass_w      # weights of the D(t) numerator
-        self.kmat = model.mutation_kernel.matrix(xs)   # kmat[l, i] = k(x_l, x_i)
+        self.mix = mix = mix_matrix(model, tgrid)
 
         self.R = R = survival_matrix(model, xs, ages, 0.0)
         R[R < 1e-300] = 0.0     # keeps u = n / R finite
@@ -86,10 +87,7 @@ class TransportSolver:
                         * tgrid.weights * self.qa[-1])
 
         # newborns: n0 = Mix (f + qa_0 B(., 0) n0), with f the births of the
-        # older ages and Mix = (1 - p) I + p kmat^T diag(w) the matrix of
-        # `_mix`; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
-        p = model.mutation_prob
-        mix = (1.0 - p) * np.eye(tgrid.n) + p * self.kmat.T * tgrid.weights
+        # older ages; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
         self._newborn = np.linalg.solve(np.eye(tgrid.n) - self.qa[0] * mix * self.B[:, 0], mix)
 
     # -- quadratures -------------------------------------------------------
@@ -99,11 +97,7 @@ class TransportSolver:
 
     def renewal_flux(self, values: np.ndarray) -> np.ndarray:
         """F[n](x): clonal plus mutant birth flux at age zero, per trait node."""
-        return self._mix(np.sum(self.B * values * self.qa[None, :], axis=1))
-
-    def _mix(self, per_trait: np.ndarray) -> np.ndarray:   # per_trait = int B n da
-        p = self.model.mutation_prob
-        return (1.0 - p) * per_trait + p * self.kmat.T @ (per_trait * self.tgrid.weights)
+        return self.mix @ np.sum(self.B * values * self.qa[None, :], axis=1)
 
     # -- stepping ----------------------------------------------------------
 
@@ -259,24 +253,30 @@ def run(solver: TransportSolver, state: DensityState, T: float,
 def transform_check(solver: TransportSolver, state0: DensityState, T: float) -> float:
     """Max TV gap between exp(c int rho) n_t (nonlinear) and v_t (linear).
 
-    The two runs start from copies of state0 and are stepped apart; the mass
-    integral uses trapezoid in time with the start-of-step masses, matching
-    the scheme's own lag. T must be finite and not before state0.t.
+    The two runs start from copies of state0 and are stepped apart, in
+    lockstep, so their cohort rings share one head: the gap is read off the
+    rings, sum |exp(c int rho) s_1 u_1 - s_2 u_2| R_0 w qa, in one reused
+    buffer, and the mass is s_1 times the ring's mass sum. The mass integral
+    uses trapezoid in time with the start-of-step masses, matching the
+    scheme's own lag. T must be finite and not before state0.t.
     """
     n_steps = _n_steps(solver, state0, T)
     nl, lin = state0.copy(), state0.copy()
     c = solver.model.competition
     mass = solver.mass(nl.values)
+    W, buf = solver._W[:, 1], np.empty_like(solver.R)     # mass per unit of u, by age
     worst = int_rho = 0.0
     for _ in range(n_steps):
         solver.step_nonlinear(nl)
         solver.step_linear(lin)
-        gap = solver.density(nl)
-        previous, mass = mass, float(np.vdot(gap, solver.mass_w))
+        (_, u1, head, s1, msum), (_, u2, _, s2, _) = nl._cohort[:5], lin._cohort[:5]
+        previous, mass = mass, s1 * msum
         int_rho += 0.5 * solver.dt * (previous + mass)
-        gap *= math.exp(c * int_rho)
-        gap -= solver.density(lin)
-        worst = max(worst, float(np.vdot(np.abs(gap, out=gap), solver.mass_w)))
+        np.multiply(u1, math.exp(c * int_rho) * s1 / s2, out=buf)
+        gap = np.abs(np.subtract(buf, u2, out=buf), out=buf)     # ring order
+        k = gap.shape[1] - head                                 # ring column of age 0
+        worst = max(worst, s2 * float(np.einsum("ij,ij->", gap[:, head:], W[:, :k])
+                                      + np.einsum("ij,ij->", gap[:, :head], W[:, k:])))
     return worst
 
 
@@ -302,26 +302,25 @@ def stationary_residual(solver: TransportSolver, nbar: np.ndarray) -> float:
     """Max weak-form defect |int (df/da - (D + c mass) f + G[f]) nbar| over
     the functions f of `default_test_basket`."""
     model = solver.model
-    p = model.mutation_prob
     death = model.death(solver.tgrid.nodes[:, None], solver.agrid.nodes[None, :])
     mass = solver.mass(nbar)
+    dual_mix = w_adjoint(solver.mix, solver.tgrid.weights)
     worst = 0.0
     for f, dfda in default_test_basket(solver.tgrid, solver.agrid):
-        f0 = f[:, 0]
-        mut0 = solver.kmat @ (f0 * solver.tgrid.weights)
-        G = solver.B * ((1.0 - p) * f0[:, None] + p * mut0[:, None])
+        G = solver.B * (dual_mix @ f[:, 0])[:, None]
         integrand = dfda - (death + model.competition * mass) * f + G
         worst = max(worst, abs(float(np.sum(integrand * nbar * solver.mass_w))))
     return worst
 
 
-def mass_ode_residual(trace: TraceRecord, lam_star: float, c: float) -> float:
-    """Max defect of d rho/dt = rho (D(t) + lam*) - c rho^2 by central differences."""
+def mass_ode_residual(trace: TraceRecord, lam_star: float, c: float) -> float | None:
+    """Max defect of d rho/dt = rho (D(t) + lam*) - c rho^2 by central differences;
+    None for fewer than three records."""
     t = np.asarray(trace.t)
     m = np.asarray(trace.mass)
     Dt = np.asarray(trace.D_t)
     if t.size < 3:
-        return math.nan
+        return None
     dm = (m[2:] - m[:-2]) / (t[2:] - t[:-2])
     rhs = m[1:-1] * (Dt[1:-1] + lam_star) - c * m[1:-1] ** 2
     return float(np.abs(dm - rhs).max())

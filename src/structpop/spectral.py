@@ -1,9 +1,11 @@
 """Discretized renewal operators and their Perron eigen-elements.
 
-The direct operator acts on trait densities (mass flows along K(y, x)); the
-dual operator acts on test functions. On the uniform-weight midpoint grid the
-two matrices are exact transposes, which makes the spectral-radius identity
-and the adjoint pairing hold to machine precision by construction.
+The direct operator M = Mix diag(sB_lambda) acts on trait densities: births
+sB_j at x_j are spread over the newborns' traits by the birth-mutation matrix
+Mix (`kernel.mix_matrix`). The dual operator, acting on test functions, is
+its w-adjoint diag(w)^{-1} M^T diag(w). On the uniform-weight midpoint grid
+the two matrices are exact transposes, which makes the spectral-radius
+identity and the adjoint pairing hold to machine precision by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import CollapsedKernel
+from .kernel import CollapsedKernel, w_adjoint
 from .model import TraitGrid
 
 
@@ -30,15 +32,9 @@ class PerronConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    kind: str                   # "direct" | "dual"
     lam: float
     M: np.ndarray               # (nx, nx), elementwise nonnegative
-    r_values: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("direct", "dual"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -58,20 +54,17 @@ class PerronPair:
                 "cw_bracket": list(self.cw_bracket)}
 
 
-def assemble(kernel: CollapsedKernel, grid: TraitGrid, kind: str) -> DiscreteOperator:
-    """M[i,j] = r_i delta_ij + K(x_j, x_i) w_j (direct) or K(x_i, x_j) w_j (dual)."""
-    n = grid.n
-    if kernel.r_values.shape != (n,) or kernel.K_values.shape != (n, n):
-        raise ValueError("kernel and grid sizes do not match")
-    if kind == "direct":
-        M = kernel.K_values.T * grid.weights[None, :]
-    elif kind == "dual":
-        M = kernel.K_values * grid.weights[None, :]
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    M = M + np.diag(kernel.r_values)
-    return DiscreteOperator(kind=kind, lam=kernel.lam, M=M,
-                            r_values=kernel.r_values, weights=grid.weights)
+def assemble(kernel: CollapsedKernel, mix: np.ndarray, grid: TraitGrid) -> DiscreteOperator:
+    """The direct operator Mix diag(sB): M[i,j] = r_i delta_ij + p sB_j k(x_j, x_i) w_j."""
+    if kernel.sB.shape != (grid.n,) or mix.shape != (grid.n, grid.n):
+        raise ValueError("kernel, mixing matrix and grid sizes do not match")
+    return DiscreteOperator(lam=kernel.lam, M=mix * kernel.sB, weights=grid.weights)
+
+
+def dual(direct: DiscreteOperator) -> DiscreteOperator:
+    """The w-adjoint of the direct operator: r_i delta_ij + p sB_i k(x_i, x_j) w_j."""
+    return DiscreteOperator(lam=direct.lam, M=w_adjoint(direct.M, direct.weights),
+                            weights=direct.weights)
 
 
 def adjoint_residual(direct: DiscreteOperator, dual: DiscreteOperator) -> float:
@@ -106,9 +99,12 @@ def _rayleigh(v: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
 
 
 def _evaluate(M: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """(M v, CW lower, CW upper, Rayleigh rho, ||M v - rho v||_inf) of an iterate."""
+    """(M v, CW lower, CW upper, Rayleigh rho, ||M v - rho v||_inf) of an iterate.
+
+    The Rayleigh quotient is a weighted mean of the ratios that bound the
+    bracket, so it is kept inside the bracket against rounding."""
     y, lb, ub = _cw_bounds(M, v)
-    rho = _rayleigh(v, y, w)
+    rho = min(max(_rayleigh(v, y, w), lb), ub)
     return y, lb, ub, rho, float(np.abs(y - rho * v).max())
 
 
@@ -230,19 +226,19 @@ def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
     return replace(pair, regime=regime, diagnostics=diagnostics)
 
 
-def density_from_profile(pair: PerronPair, kernel: CollapsedKernel,
-                         grid: TraitGrid) -> tuple[np.ndarray, float]:
-    """Continuous-density representative u = K-average / (rho - r), unit mass.
+def density_from_profile(pair: PerronPair, direct: DiscreteOperator,
+                         kernel: CollapsedKernel) -> tuple[np.ndarray, float]:
+    """Continuous-density representative u = (M - diag(r)) mu / (rho - r), unit mass.
 
     Only valid in the Regular regime: the fixed-point division degenerates as
     rho approaches rbar.
     """
     if pair.regime != "Regular":
         raise ValueError("density representation requires the Regular regime")
-    numer = kernel.K_values.T @ (pair.profile * grid.weights)
-    u = numer / (pair.rho - kernel.r_values)
+    mu = pair.profile
+    u = (direct.M @ mu - kernel.r_values * mu) / (pair.rho - kernel.r_values)
     if np.any(u <= 0):
         raise ValueError("density representative is not strictly positive")
-    u = _normalize(u, grid.weights)
-    residual = float(np.abs(u - pair.profile).max())
+    u = _normalize(u, direct.weights)
+    residual = float(np.abs(u - mu).max())
     return u, residual

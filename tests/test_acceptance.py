@@ -15,11 +15,11 @@ import pytest
 import conftest
 
 from structpop import ibm, pde
-from structpop.kernel import CollapsedKernel, collapse
+from structpop.kernel import CollapsedKernel, collapse, mix_matrix
 from structpop.malthus import MalthusProblem, refinement_sweep, solve_eigentriple
 from structpop.model import (build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
-from structpop.spectral import adjoint_residual, assemble, perron
+from structpop.spectral import adjoint_residual, assemble, dual, perron
 
 
 def report(num, desc, ok, detail=""):
@@ -35,7 +35,7 @@ def test_criterion_01_malthusian_parameter():
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     prob = MalthusProblem(model, tg, ag)
-    rho0, _ = prob.rho_of_lambda(0.0)
+    rho0 = prob.rho_of_lambda(0.0)
     lam = prob.find_lambda_star(tol_lam=1e-6)
     elapsed = time.monotonic() - t0
     ok = abs(lam - 1.0) <= 1e-3 and abs(rho0 - 2.0) <= 1e-6 and elapsed < 5.0
@@ -48,11 +48,10 @@ def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup)
     for s in (constant_setup, singular_setup):
         for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
             ck = collapse(s.model, s.tgrid, s.agrid, lam)
-            direct = assemble(ck, s.tgrid, "direct")
-            dual = assemble(ck, s.tgrid, "dual")
-            rd, rq = perron(direct).rho, perron(dual).rho
+            direct = assemble(ck, mix_matrix(s.model, s.tgrid), s.tgrid)
+            rd, rq = perron(direct).rho, perron(dual(direct)).rho
             worst_rel = max(worst_rel, abs(rd - rq) / rd)
-            worst_adj = max(worst_adj, adjoint_residual(direct, dual))
+            worst_adj = max(worst_adj, adjoint_residual(direct, dual(direct)))
     ok = worst_rel <= 1e-10 and worst_adj <= 1e-14
     report(2, "direct/dual spectral radius identity", ok,
            f"max rel diff={worst_rel:.2e}, adjoint defect={worst_adj:.2e}")
@@ -61,7 +60,7 @@ def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup)
 def test_criterion_03_monotone_continuous(constant_setup):
     prob = constant_setup.problem
     sample = [0.0, 0.5, 1.0, 2.0, 3.0]
-    rhos = [prob.rho_of_lambda(l)[0] for l in sample]
+    rhos = [prob.rho_of_lambda(l) for l in sample]
     monotone = all(a > b + 1e-6 for a, b in zip(rhos, rhos[1:]))
     slopes = [abs(r2 - r1) / (l2 - l1) for (l1, r1), (l2, r2)
               in zip(zip(sample, rhos), zip(sample[1:], rhos[1:]))]
@@ -225,9 +224,8 @@ def test_criterion_10_martingale_flatness(constant_setup):
 def test_criterion_11_degenerate_spectrum():
     tg = midpoint_grid((0.0, 1.0), 50)
     r = 0.8 + 0.4 * np.cos(2.0 * tg.nodes)
-    ck = CollapsedKernel(lam=0.0, r_values=r, K_values=np.zeros((50, 50)),
-                         da=0.01, a_max=10.0, tail=0.0)
-    pair = perron(assemble(ck, tg, "direct"))
+    ck = CollapsedKernel(lam=0.0, r_values=r, sB=r)   # Mix = I: no mutation
+    pair = perron(assemble(ck, np.eye(50), tg))
     err = abs(pair.rho - float(r.max()))
     ok = err <= 1e-12
     report(11, "mutation-free operator has rho = max r", ok, f"err={err:.2e}")

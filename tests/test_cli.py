@@ -2,6 +2,7 @@ import ast
 import collections
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from structpop import ibm
-from structpop.cli import (EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
+from structpop import cli, ibm
+from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import (build_grids, build_model, constant_scenario,
                              singular_scenario)
 
@@ -161,6 +162,55 @@ def test_summaries_report_the_theorem_residuals(tmp_path):
     verify = summaries["scenario"]["verify"]
     assert abs(verify["square_integrability_constant"] - 3.0) <= 1e-3
     assert verify["all_green"]
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_summaries_are_strict_json(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16, tol=1e-8))
+    # births stop after age 1.01, so phi and G[phi^2] + D phi^2 both vanish there
+    tab = write_config(tmp_path / "tab.json", dataclasses.replace(
+        constant_scenario(nx=16, tol=1e-8), birth={"family": "tabulated", "params": {
+            "x_nodes": [0.0, 1.0], "a_nodes": [0.0, 1.0, 1.01],
+            "values": [[3.0, 3.0, 0.0], [3.0, 3.0, 0.0]]}}))
+    summaries = {}
+    for name, argv in (("pde", ["pde", "--config", cfg, "--tmax", "0.01"]),
+                       ("verify", ["verify", "--config", tab])):
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out]) == EXIT_OK
+        with open(os.path.join(out, "summary.json")) as f:
+            summaries[name] = json.loads(f.read(), parse_constant=_refuse)
+    assert summaries["pde"]["pde"]["steps"] == 1
+    assert summaries["pde"]["pde"]["mass_ode_residual"] is None   # two records
+    c_hat = summaries["verify"]["square_integrability_constant"]
+    assert isinstance(c_hat, float) and math.isfinite(c_hat) and c_hat > 0.0
+
+
+def test_non_finite_summary_value_exits_1_without_a_summary(small_cfg, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_spectral", lambda config, out: {"rho": math.inf})
+    out = tmp_path / "out"
+    assert main(["spectral", "--config", small_cfg, "--out", str(out)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().out)["kind"] == "ValueError"
+    assert not os.path.exists(out / "summary.json")
+
+
+def test_malthus_summaries_report_the_tail_bound(tmp_path):
+    config = constant_scenario(nx=16)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    model = build_model(config)
+    _, agrid = build_grids(config, model)
+    for name, argv in (("malthus", ["malthus", "--config", cfg]),
+                       ("scenario", ["scenario", "constant", "--nx", "16"])):
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out]) == EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        decay = model.death_floor + summary["lambda_star"]
+        closed = model.birth.sup * math.exp(-decay * agrid.a_max) / decay
+        assert summary["tail_bound"] == pytest.approx(closed, rel=1e-12)
+        assert 0.0 < summary["tail_bound"] <= config.tol
 
 
 def test_config_with_unknown_key_rejected(tmp_path, capsys):
@@ -363,3 +413,25 @@ def test_every_public_name_is_referenced():
                         unreferenced.append(f"{module}: {node.name}.{item.name}")
     unreferenced = [u for u in unreferenced if u.split(": ")[1] not in REACHABILITY_EXEMPT]
     assert unreferenced == [], "\n".join(unreferenced)
+
+
+def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
+    # the (1 - p)/p birth-mutation law is spelled once, in kernel.mix_matrix;
+    # the IBM's mutant CDF rows are the one other reader of k on the nodes
+    package = os.path.dirname(ibm.__file__)
+    callers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "matrix"
+                        and isinstance(node.func.value, ast.Attribute)
+                        and node.func.value.attr == "mutation_kernel"):
+                    callers.append(f"{name[:-3]}.{fn.name}")
+    assert sorted(callers) == ["ibm._mutant_cdf_rows", "kernel.mix_matrix"]

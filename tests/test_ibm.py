@@ -509,9 +509,13 @@ def test_martingale_initial_pairing(constant_setup):
 
 def test_square_integrability_constant(constant_setup):
     s = constant_setup
-    c_hat = ibm.square_integrability_constant(s.model, s.triple.phi_grid,
-                                              s.tgrid, s.agrid)
+    phi = s.triple.phi_grid
+    c_hat = ibm.square_integrability_constant(s.model, phi, s.tgrid, s.agrid)
     # phi = 1: G[phi^2] + D phi^2 = B + D = 3
     assert c_hat == pytest.approx(3.0, rel=1e-6)
-    assert math.isinf(ibm.square_integrability_constant(
-        s.model, np.zeros_like(s.triple.phi_grid), s.tgrid, s.agrid))
+    # where phi and the left side both vanish any C holds; where only phi does, none
+    assert ibm.square_integrability_constant(
+        s.model, np.zeros_like(phi), s.tgrid, s.agrid) == 0.0
+    holed = phi.copy()
+    holed[3, 5] = 0.0
+    assert ibm.square_integrability_constant(s.model, holed, s.tgrid, s.agrid) is None

@@ -66,11 +66,12 @@ def test_collapse_closed_forms(const_model):
     ck0 = collapse(const_model, tg, ag, 0.0)
     # (1-p) B/(lam+D) = 1.4 and p B k/(lam+D) = 0.6
     assert np.abs(ck0.r_values - 1.4).max() < 1e-8
-    assert np.abs(ck0.K_values - 0.6).max() < 1e-8
+    p = const_model.mutation_prob                     # K = p sB k with k = 1
+    assert np.abs(p * ck0.sB - 0.6).max() < 1e-8
     assert ck0.rbar == pytest.approx(1.4, abs=1e-8)
     ck1 = collapse(const_model, tg, ag, 1.0)
     assert np.abs(ck1.r_values - 0.7).max() < 1e-8
-    assert np.abs(ck1.K_values - 0.3).max() < 1e-8
+    assert np.abs(p * ck1.sB - 0.3).max() < 1e-8
 
 
 def test_collapse_zero_birth():
@@ -81,7 +82,7 @@ def test_collapse_zero_birth():
     tg = midpoint_grid((0.0, 1.0), 8)
     ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=100), 0.5)
     assert np.all(ck.r_values == 0.0)
-    assert np.all(ck.K_values == 0.0)
+    assert np.all(ck.sB == 0.0)
 
 
 def test_collapse_monotone_in_lambda(const_model):
@@ -92,7 +93,7 @@ def test_collapse_monotone_in_lambda(const_model):
         ck = collapse(const_model, tg, ag, lam)
         if prev is not None:
             assert np.all(prev.r_values > ck.r_values + 1e-6)
-            assert np.all(prev.K_values >= ck.K_values)
+            assert np.all(prev.sB >= ck.sB)
         prev = ck
 
 
@@ -113,7 +114,7 @@ def test_collapse_sqrt_gap_positive():
     tg = midpoint_grid((0.0, 1.0), 32)
     ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=2472), 0.0)
     assert np.all(ck.r_values > 0)
-    assert np.all(ck.K_values >= 0)
+    assert np.all(ck.sB >= 0)
     # r follows (1-p) B(x)/D: decreasing in x
     assert np.all(np.diff(ck.r_values) < 0)
     assert ck.r_values[0] == pytest.approx(0.95 * (4 - math.sqrt(tg.nodes[0])),

@@ -14,18 +14,18 @@ from structpop.malthus import (MalthusProblem, SubcriticalError, _brentq,
 from structpop.model import (build_grids, build_model, constant_scenario,
                              singular_scenario)
 from structpop.pde import TransportSolver, stationary_residual
-from structpop.spectral import assemble, perron
+from structpop.spectral import assemble, dual, perron
 
 
 def test_rho_of_lambda_closed_forms(constant_setup):
     prob = constant_setup.problem
-    rho, rbar = prob.rho_of_lambda(0.0)
+    rho, rbar = prob.rho_of_lambda(0.0), prob.eigendata(0.0)[0].rbar
     assert rho == pytest.approx(2.0, abs=1e-6)
     assert rbar == pytest.approx(1.4, abs=1e-6)
-    rho, rbar = prob.rho_of_lambda(1.0)
+    rho, rbar = prob.rho_of_lambda(1.0), prob.eigendata(1.0)[0].rbar
     assert rho == pytest.approx(1.0, abs=1e-6)
     assert rbar == pytest.approx(0.7, abs=1e-6)
-    rho, rbar = prob.rho_of_lambda(9.0)
+    rho, rbar = prob.rho_of_lambda(9.0), prob.eigendata(9.0)[0].rbar
     assert rho == pytest.approx(0.2, abs=1e-6)
     assert rbar == pytest.approx(0.14, abs=1e-6)
 
@@ -33,7 +33,7 @@ def test_rho_of_lambda_closed_forms(constant_setup):
 def test_rho_strictly_decreasing(constant_setup):
     prob = constant_setup.problem
     samples = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    rhos = [prob.rho_of_lambda(l)[0] for l in samples]
+    rhos = [prob.rho_of_lambda(l) for l in samples]
     for a, b in zip(rhos, rhos[1:]):
         assert a > b + 1e-6
 
@@ -42,7 +42,7 @@ def test_rho_lipschitz_on_samples(constant_setup):
     prob = constant_setup.problem
     h = 1e-3
     for lam in (0.0, 1.0, 2.0):
-        diff = abs(prob.rho_of_lambda(lam + h)[0] - prob.rho_of_lambda(lam)[0])
+        diff = abs(prob.rho_of_lambda(lam + h) - prob.rho_of_lambda(lam))
         # |d rho/d lam| = B/(lam+D)^2 <= 2 here
         assert diff <= 2.5 * h
 
@@ -116,15 +116,15 @@ def test_duality_pairing_at_star(constant_setup):
     s = constant_setup
     lam = s.triple.lambda_star
     ck, _, _ = s.problem.eigendata(lam)
-    direct = assemble(ck, s.tgrid, "direct")
-    dual = assemble(ck, s.tgrid, "dual")
+    direct = assemble(ck, s.problem.mix, s.tgrid)
+    adjoint = dual(direct)
     rng = np.random.default_rng(3)
     w = s.tgrid.weights
     for _ in range(5):
         f = rng.random(s.tgrid.n)
         g = rng.random(s.tgrid.n)
         lhs = float((direct.M @ f) @ (g * w))
-        rhs = float(f @ ((dual.M @ g) * w))
+        rhs = float(f @ ((adjoint.M @ g) * w))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_refinement_sweep_regular_gap_persists():
 
 def test_gaussian_kernel_constant_rates():
     # B=2, D=1 and a normalized kernel give lambda* = B - D = 1 and phi = 1
-    # whatever k is; a non-constant kernel matrix exposes a transposed kmat.
+    # whatever k is; a non-constant kernel matrix exposes a transposed Mix.
     cfg = dataclasses.replace(constant_scenario(),
                               kernel={"family": "gaussian", "params": {"width": 0.15}})
     model = build_model(cfg)
@@ -225,7 +225,7 @@ def test_secular_equation_oracle_singular_800():
 
     for lam in (0.0, 2.0, lam_star):
         ck = collapse(model, tgrid, agrid, lam)
-        rho = perron(assemble(ck, tgrid, "direct")).rho
+        rho = perron(assemble(ck, problem.mix, tgrid)).rho
         assert abs(rho - _secular_rho(ck, tgrid, model)) <= 1e-12 * rho
 
     def secular_gap(lam):
@@ -256,17 +256,17 @@ def counting(monkeypatch, module, name):
 
 def test_eigendata_reuses_the_search(monkeypatch):
     problem = singular_problem(64)
-    rho, rbar = problem.rho_of_lambda(1.5)
+    rho = problem.rho_of_lambda(1.5)
     _, pd_search = problem._solve_direct(1.5)
     collapses = counting(monkeypatch, kernel, "collapse")
     solves = counting(monkeypatch, spectral, "perron")
     ck, pd, pq = problem.eigendata(1.5)
     assert collapses == []
     assert [pair.rho for pair in solves] == [pq.rho]     # the dual solve alone
-    assert pd.rho == rho and ck.rbar == rbar
     np.testing.assert_array_equal(pd.profile, pd_search.profile)
     fresh = collapse(problem.model, problem.tgrid, problem.agrid, 1.5)
-    np.testing.assert_array_equal(ck.K_values, fresh.K_values)
+    assert pd.rho == rho and ck.rbar == fresh.rbar
+    np.testing.assert_array_equal(ck.sB, fresh.sB)
     np.testing.assert_array_equal(ck.r_values, fresh.r_values)
 
 
@@ -288,9 +288,9 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death):
         assert [p.iterations for p in solves[1:]] == [0] * 9
     assert search["perron_iterations"] == sum(p.iterations for p in solves)
     cold = spectral.perron(spectral.assemble(
-        collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.tgrid,
-        "direct"))
-    assert abs(problem.rho_of_lambda(lam)[0] - cold.rho) <= 1e-12 * cold.rho
+        collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
+        problem.tgrid))
+    assert abs(problem.rho_of_lambda(lam) - cold.rho) <= 1e-12 * cold.rho
 
 
 def test_eigentriple_reports_perron_and_drops_factors():
@@ -314,13 +314,13 @@ def problem_at_root(cfg):
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
     ck, pd, pq = problem.eigendata(problem.find_lambda_star(1e-6))
-    cold = perron(assemble(ck, problem.tgrid, "dual"))
+    cold = perron(dual(assemble(ck, problem.mix, problem.tgrid)))
     return ck, pq, cold
 
 
 @PRESETS
 def test_dual_at_root_starts_from_direct_pair(scenario):
-    # a symmetric kmat makes the dual matrix diag(sB) M diag(sB)^{-1}
+    # a symmetric diag(w) Mix makes the dual matrix diag(sB) M diag(sB)^{-1}
     _, pq, cold = problem_at_root(scenario(nx=64))
     assert (pq.path, pq.iterations) == ("warm", 0)
     assert np.abs(pq.profile - cold.profile).max() <= 1e-12 * cold.profile.max()
@@ -328,7 +328,7 @@ def test_dual_at_root_starts_from_direct_pair(scenario):
 
 @PRESETS
 def test_dual_stays_cold_for_a_nonsymmetric_kernel(scenario):
-    # the gaussian kernel is renormalised per row, so its kmat is not symmetric
+    # the gaussian kernel is renormalised per row, so diag(w) Mix is not symmetric
     cfg = dataclasses.replace(scenario(nx=64), kernel={
         "family": "gaussian", "params": {"width": 0.15}})
     _, pq, cold = problem_at_root(cfg)
@@ -387,7 +387,7 @@ def test_brentq_port_matches_scipy_on_rho(preset, changes):
     lo, hi = problem.lambda_search["bracket"]
 
     def f(lam):
-        return problem.rho_of_lambda(lam)[0] - 1.0
+        return problem.rho_of_lambda(lam) - 1.0
 
     # rho(lambda) is cached per lambda, so equal iterates see equal values
     for xtol in BRENT_XTOLS:

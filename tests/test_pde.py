@@ -239,9 +239,12 @@ def test_dirac_state_carries_unit_mass(constant_setup):
 def newborn_reference(solver, v):
     """The boundary solve the precomposed matrix replaced: LU of I - A, then mix."""
     p, b0, q0 = solver.model.mutation_prob, solver.B[:, 0], solver.qa[0]
+    kmat = solver.model.mutation_kernel.matrix(solver.tgrid.nodes)
+    w = solver.tgrid.weights
     A = np.diag((1.0 - p) * b0 * q0)
-    A += p * q0 * (solver.kmat * (b0 * solver.tgrid.weights)[:, None]).T
-    return lu_solve(lu_factor(np.eye(solver.tgrid.n) - A), solver._mix(v))
+    A += p * q0 * (kmat * (b0 * w)[:, None]).T
+    mixed = (1.0 - p) * v + p * kmat.T @ (v * w)
+    return lu_solve(lu_factor(np.eye(solver.tgrid.n) - A), mixed)
 
 
 @pytest.mark.parametrize("changes", [
@@ -439,7 +442,7 @@ def test_block_kernel_matches_per_cell_reference(case):
     model, tg, ag, solver = make_solver(**solver_args)
     if case == "declining_linear":
         prob = MalthusProblem(model, tg, ag)
-        assert prob.rho_of_lambda(0.0)[0] < 1.0          # subcritical: lambda* < 0
+        assert prob.rho_of_lambda(0.0) < 1.0          # subcritical: lambda* < 0
     assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, linear, read_at)
     assert solver.history["fft_blocks"] >= 2 and solver.history["direct_blocks"] == 0
 

@@ -6,18 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from structpop.kernel import CollapsedKernel, collapse
-from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
-                             midpoint_grid, singular_scenario)
+from structpop.kernel import CollapsedKernel, collapse, mix_matrix
+from structpop.model import (AgeGrid, TraitGrid, build_grids, build_model,
+                             constant_scenario, midpoint_grid, singular_scenario)
 from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bounds,
-                                adjoint_residual, assemble, density_from_profile,
+                                adjoint_residual, assemble, density_from_profile, dual,
                                 perron, regime_classify)
 
 
-def make_ck(r, K, lam=0.0):
+def make_ck(r, lam=0.0):
+    """A mutation-free kernel: with Mix = I its operator is diag(r), and sB = r."""
     r = np.asarray(r, float)
-    return CollapsedKernel(lam=lam, r_values=r, K_values=np.asarray(K, float),
-                           da=0.01, a_max=10.0, tail=0.0)
+    return CollapsedKernel(lam=lam, r_values=r, sB=r)
+
+
+def direct_operator(model, tg, ag, lam):
+    return assemble(collapse(model, tg, ag, lam), mix_matrix(model, tg), tg)
 
 
 @pytest.fixture(scope="module")
@@ -25,49 +29,60 @@ def const_pair():
     model = build_model(constant_scenario())
     tg = midpoint_grid((0.0, 1.0), 2)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    ck = collapse(model, tg, ag, 0.0)
-    return ck, tg
+    return collapse(model, tg, ag, 0.0), mix_matrix(model, tg), tg
 
 
 def test_assemble_hand_example(const_pair):
-    ck, tg = const_pair
-    direct = assemble(ck, tg, "direct")
+    ck, mix, tg = const_pair
+    direct = assemble(ck, mix, tg)
     expected = np.array([[1.7, 0.3], [0.3, 1.7]])
     assert np.abs(direct.M - expected).max() < 1e-8
-    dual = assemble(ck, tg, "dual")
-    assert np.array_equal(dual.M, direct.M.T)
+    assert np.array_equal(dual(direct).M, direct.M.T)
 
 
 def test_assemble_diagonal_when_no_mutation():
     tg = midpoint_grid((0.0, 1.0), 5)
     r = np.linspace(0.5, 1.5, 5)
-    op = assemble(make_ck(r, np.zeros((5, 5))), tg, "direct")
+    op = assemble(make_ck(r), np.eye(5), tg)
     assert np.array_equal(op.M, np.diag(r))
 
 
 def test_assemble_rejects_size_mismatch(const_pair):
-    ck, _ = const_pair
+    ck, mix, _ = const_pair
     with pytest.raises(ValueError):
-        assemble(ck, midpoint_grid((0.0, 1.0), 3), "direct")
-    with pytest.raises(ValueError):
-        assemble(ck, midpoint_grid((0.0, 1.0), 2), "sideways")
+        assemble(ck, mix, midpoint_grid((0.0, 1.0), 3))
+
+
+def test_assembly_on_nonuniform_weights_is_the_w_adjoint():
+    # the gaussian kernel is renormalised per row, so k(x, y) != k(y, x); with
+    # unequal weights a plain transpose of the direct matrix is not the dual
+    model = build_model(dataclasses.replace(
+        constant_scenario(), kernel={"family": "gaussian", "params": {"width": 0.15}}))
+    nodes = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 0.95])
+    tg = TraitGrid(nodes=nodes, weights=np.array([0.1, 0.1, 0.2, 0.2, 0.3, 0.1]))
+    ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=500), 0.4)
+    p, sB, w, r = model.mutation_prob, ck.sB, tg.weights, ck.r_values
+    k = model.mutation_kernel(nodes[:, None], nodes[None, :])     # k[i, j] = k(x_i, x_j)
+    assert not np.allclose(k, k.T)
+    direct = assemble(ck, mix_matrix(model, tg), tg)
+    expected = np.diag(r) + p * sB[None, :] * k.T * w[None, :]
+    np.testing.assert_allclose(direct.M, expected, rtol=1e-15, atol=0.0)
+    expected = np.diag(r) + p * sB[:, None] * k * w[None, :]
+    np.testing.assert_allclose(dual(direct).M, expected, rtol=1e-15, atol=0.0)
 
 
 def test_adjoint_defect_machine_zero(const_pair):
-    ck, tg = const_pair
-    direct = assemble(ck, tg, "direct")
-    dual = assemble(ck, tg, "dual")
-    assert adjoint_residual(direct, dual) <= 1e-14
+    ck, mix, tg = const_pair
+    direct = assemble(ck, mix, tg)
+    assert adjoint_residual(direct, dual(direct)) <= 1e-14
 
 
 def test_adjoint_defect_detects_perturbation(const_pair):
-    ck, tg = const_pair
-    direct = assemble(ck, tg, "direct")
-    dual = assemble(ck, tg, "dual")
-    M = dual.M.copy()
+    ck, mix, tg = const_pair
+    direct = assemble(ck, mix, tg)
+    M = dual(direct).M.copy()
     M[0, 1] += 1e-3
-    perturbed = DiscreteOperator(kind="dual", lam=dual.lam, M=M,
-                                 r_values=dual.r_values, weights=dual.weights)
+    perturbed = DiscreteOperator(lam=direct.lam, M=M, weights=direct.weights)
     # defect scales with the perturbation times the quadrature weight
     assert adjoint_residual(direct, perturbed) == pytest.approx(
         1e-3 * tg.weights[0], rel=1e-9)
@@ -77,18 +92,18 @@ def test_perron_constant_model():
     model = build_model(constant_scenario())
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    pair0 = perron(assemble(collapse(model, tg, ag, 0.0), tg, "direct"))
+    pair0 = perron(direct_operator(model, tg, ag, 0.0))
     assert pair0.rho == pytest.approx(2.0, abs=1e-6)
     assert np.abs(pair0.profile - 1.0).max() < 1e-8     # constant eigenfunction
-    pair1 = perron(assemble(collapse(model, tg, ag, 1.0), tg, "direct"))
+    pair1 = perron(direct_operator(model, tg, ag, 1.0))
     assert pair1.rho == pytest.approx(1.0, abs=1e-6)
 
 
 def test_perron_diagonal_picks_max():
     tg = midpoint_grid((0.0, 1.0), 40)
     r = 1.0 + 0.3 * np.sin(3 * tg.nodes)
-    ck = make_ck(r, np.zeros((40, 40)))
-    pair = perron(assemble(ck, tg, "direct"))
+    ck = make_ck(r)
+    pair = perron(assemble(ck, np.eye(40), tg))
     assert pair.rho == pytest.approx(float(r.max()), abs=1e-12)
     assert regime_classify(pair, ck, tg).regime == "PossiblySingular"
 
@@ -103,7 +118,7 @@ def test_perron_matches_dense_eigensolver():
     tg = midpoint_grid((0.0, 1.0), 40)
     ag = AgeGrid(da=0.01, n_cells=2500)
     for lam in (0.0, 0.8):
-        op = assemble(collapse(model, tg, ag, lam), tg, "direct")
+        op = direct_operator(model, tg, ag, lam)
         pair = perron(op)
         eigs = np.linalg.eigvals(op.M)
         dominant = eigs[np.argmax(np.abs(eigs))]
@@ -119,9 +134,9 @@ def test_rho_identity_direct_dual():
     tg = midpoint_grid((0.0, 1.0), 24)
     ag = AgeGrid(da=0.01, n_cells=2372)
     for lam in (0.0, 0.5, 2.0):
-        ck = collapse(model, tg, ag, lam)
-        rd = perron(assemble(ck, tg, "direct")).rho
-        rq = perron(assemble(ck, tg, "dual")).rho
+        direct = direct_operator(model, tg, ag, lam)
+        rd = perron(direct).rho
+        rq = perron(dual(direct)).rho
         assert abs(rd - rq) <= 1e-10 * rd
 
 
@@ -130,14 +145,14 @@ def test_rho_at_least_rbar():
     rng = np.random.default_rng(7)
     r = 0.5 + rng.random(16)
     K = rng.random((16, 16))
-    ck = make_ck(r, K)
-    pair = perron(assemble(ck, tg, "direct"))
-    assert pair.rho >= ck.rbar - 1e-10
+    op = DiscreteOperator(lam=0.0, M=np.diag(r) + K.T * tg.weights, weights=tg.weights)
+    pair = perron(op)
+    assert pair.rho >= r.max() - 1e-10
 
 
 def test_primitivity_small_grid(const_pair):
-    ck, tg = const_pair
-    M = assemble(ck, tg, "direct").M
+    ck, mix, tg = const_pair
+    M = assemble(ck, mix, tg).M
     P = np.linalg.matrix_power(M, tg.n)
     assert np.all(P > 0)
 
@@ -147,7 +162,7 @@ def test_regime_classification_constant():
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
     ck = collapse(model, tg, ag, 1.0)
-    pair = regime_classify(perron(assemble(ck, tg, "direct")), ck, tg)
+    pair = regime_classify(perron(assemble(ck, mix_matrix(model, tg), tg)), ck, tg)
     assert pair.regime == "Regular"
     assert pair.diagnostics["gap"] == pytest.approx(0.3, abs=1e-6)
 
@@ -157,8 +172,9 @@ def test_density_from_profile_constant():
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
     ck = collapse(model, tg, ag, 1.0)
-    pair = regime_classify(perron(assemble(ck, tg, "direct")), ck, tg)
-    u, res = density_from_profile(pair, ck, tg)
+    op = assemble(ck, mix_matrix(model, tg), tg)
+    pair = regime_classify(perron(op), ck, tg)
+    u, res = density_from_profile(pair, op, ck)
     assert np.abs(u - 1.0).max() < 1e-6
     assert res < 1e-6
 
@@ -166,10 +182,11 @@ def test_density_from_profile_constant():
 def test_density_from_profile_rejects_singular():
     tg = midpoint_grid((0.0, 1.0), 10)
     r = np.ones(10)
-    ck = make_ck(r, np.zeros((10, 10)))
-    pair = regime_classify(perron(assemble(ck, tg, "direct")), ck, tg)
+    ck = make_ck(r)
+    op = assemble(ck, np.eye(10), tg)
+    pair = regime_classify(perron(op), ck, tg)
     with pytest.raises(ValueError):
-        density_from_profile(pair, ck, tg)
+        density_from_profile(pair, op, ck)
 
 
 @settings(max_examples=20, deadline=None)
@@ -179,8 +196,7 @@ def test_perron_random_nonnegative_matrices(M):
     # nonnegative matrices would cap any residual-based estimate at sqrt(tol)
     M = M + 0.1 * np.eye(6)
     tg = midpoint_grid((0.0, 1.0), 6)
-    op = DiscreteOperator(kind="direct", lam=0.0, M=M,
-                          r_values=np.diag(M).copy(), weights=tg.weights)
+    op = DiscreteOperator(lam=0.0, M=M, weights=tg.weights)
     pair = perron(op, tol=1e-10)
     truth = float(np.abs(np.linalg.eigvals(M)).max())
     assert pair.rho == pytest.approx(truth, rel=1e-6, abs=1e-8)
@@ -196,7 +212,7 @@ def singular_ops():
         "family": "affine", "params": {"base": 1.0, "slope_x": 0.5}})
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
-    return [assemble(collapse(model, tg, ag, lam), tg, "direct") for lam in (2.7, 2.75)]
+    return [direct_operator(model, tg, ag, lam) for lam in (2.7, 2.75)]
 
 
 def test_cold_perron_leaves_slow_power_iteration_early(singular_ops):
@@ -218,9 +234,9 @@ def test_cold_shift_invert_matches_dense_eigenvalues(singular_ops):
 
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_perron_refuses_max_iter_below_one(const_pair, max_iter):
-    ck, tg = const_pair
+    ck, mix, tg = const_pair
     with pytest.raises(ValueError, match="max_iter"):
-        perron(assemble(ck, tg, "direct"), max_iter=max_iter)
+        perron(assemble(ck, mix, tg), max_iter=max_iter)
 
 
 def test_perron_raises_with_the_last_iterate_when_both_phases_run_out():
@@ -228,7 +244,7 @@ def test_perron_raises_with_the_last_iterate_when_both_phases_run_out():
     cfg = singular_scenario(nx=64)
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
-    op = assemble(collapse(model, tg, ag, 0.0), tg, "direct")
+    op = direct_operator(model, tg, ag, 0.0)
     tol = 1e-12
     with pytest.raises(PerronConvergenceError) as info:
         perron(op, tol=tol, max_iter=1)
@@ -256,7 +272,7 @@ def test_warm_perron_returns_an_eigenvector_start_unchanged():
     model = build_model(constant_scenario())
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    op = assemble(collapse(model, tg, ag, 0.5), tg, "direct")
+    op = direct_operator(model, tg, ag, 0.5)
     pair = perron(op, start=np.full(32, 3.0))
     assert (pair.path, pair.iterations) == ("warm", 0)
     assert pair.rho == pytest.approx(2.0 / 1.5, abs=1e-6)
@@ -267,6 +283,6 @@ def test_warm_perron_returns_an_eigenvector_start_unchanged():
                                  np.r_[1.0, np.nan, 1.0], np.ones(4)])
 def test_warm_perron_refuses_bad_start(bad):
     tg = midpoint_grid((0.0, 1.0), 3)
-    op = assemble(make_ck(np.ones(3), np.ones((3, 3))), tg, "direct")
+    op = DiscreteOperator(lam=0.0, M=np.ones((3, 3)), weights=tg.weights)
     with pytest.raises(ValueError, match="start vector"):
         perron(op, start=bad)
