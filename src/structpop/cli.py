@@ -115,7 +115,8 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
     if triple.regime == "Regular":
         ck, pd, _ = problem.eigendata(triple.lambda_star)
         direct = spectral.assemble(ck, problem.mix, tgrid)
-        density_residual = spectral.density_from_profile(pd, direct, ck)[1]
+        density_residual = spectral.density_from_profile(
+            pd, direct, ck, kernel.mutant_diagonal(model, tgrid))[1]
     manifest = _write_grids(out, tgrid, agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
@@ -136,7 +137,7 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
 def cmd_stationary(config, out: str) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     lam, nbar, mass = malthus.stationary_state(problem, triple)
-    solver = pde.TransportSolver(model, tgrid, agrid)
+    solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
     residual = pde.stationary_residual(solver, nbar)
     manifest = _write_grids(out, tgrid, agrid, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
@@ -147,7 +148,7 @@ def cmd_stationary(config, out: str) -> dict:
 def cmd_pde(config, out: str, tmax: float) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     lam, nbar, _ = malthus.stationary_state(problem, triple)
-    solver = pde.TransportSolver(model, tgrid, agrid)
+    solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
     state = pde.uniform_state(tgrid, agrid)
     stride = max(1, int(round(0.1 / solver.dt)))
     _, trace = pde.run(solver, state, tmax, mode="nonlinear", target=nbar,
@@ -241,11 +242,11 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     summary["eta_lower"] = triple.eta_lower
     # report-only: the constant C of G[phi^2] + D phi^2 <= C phi
     summary["square_integrability_constant"] = ibm.square_integrability_constant(
-        model, triple.phi_grid, tgrid, agrid)
+        model, triple.phi_grid, tgrid, agrid, problem.mix)
     summary["warnings"] = triple.diagnostics["warnings"]
     if triple.regime == "Regular" and model.competition > 0:
         lam, nbar, mass = malthus.stationary_state(problem, triple)
-        solver = pde.TransportSolver(model, tgrid, agrid)
+        solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
         checks["c_mass_is_lambda"] = abs(model.competition * mass - lam) <= 1e-8
         checks["stationary_residual"] = pde.stationary_residual(solver, nbar) <= 1e-3
     else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import mix_matrix, w_adjoint
+from .kernel import w_adjoint
 from .model import AgeGrid, RateModel, TraitGrid
 
 PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
@@ -425,15 +425,15 @@ def martingale_series(logs: list[EventLog], phi_grid: np.ndarray,
     return {"times": times, "V": V, "mean_drift": float(drift.mean()), "se": se}
 
 
-def square_integrability_constant(model: RateModel, phi_grid: np.ndarray,
-                                  tgrid: TraitGrid, agrid: AgeGrid) -> float | None:
-    """Grid estimate of the least C with G[phi^2] + D phi^2 <= C phi, over the
-    cells where phi or the left side is nonzero; None if no finite C exists."""
+def square_integrability_constant(model: RateModel, phi_grid: np.ndarray, tgrid: TraitGrid,
+                                  agrid: AgeGrid, mix: np.ndarray) -> float | None:
+    """Grid estimate of the least C with G[phi^2] + D phi^2 <= C phi (G from Mix),
+    over the cells where phi or the left side is nonzero; None if no finite C."""
     X = tgrid.nodes[:, None]
     A = agrid.nodes[None, :]
     B = np.asarray(model.birth(X, A), float)
     D = np.asarray(model.death(X, A), float)
-    dual_mix = w_adjoint(mix_matrix(model, tgrid), tgrid.weights)
+    dual_mix = w_adjoint(mix, tgrid.weights)
     lhs = B * (dual_mix @ phi_grid[:, 0] ** 2)[:, None] + D * phi_grid ** 2
     cells = (phi_grid != 0) | (lhs != 0)
     if np.any(phi_grid[cells] <= 0):

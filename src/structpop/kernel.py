@@ -174,6 +174,12 @@ def mix_matrix(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
     return mix
 
 
+def mutant_diagonal(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
+    """p k(x_i, x_i) w_i from k itself: Mix[i, i] - (1 - p) would cancel."""
+    x = tgrid.nodes
+    return np.asarray(model.mutation_kernel(x, x), float) * (model.mutation_prob * tgrid.weights)
+
+
 def w_adjoint(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """diag(w)^{-1} A^T diag(w), so that <A f, g>_w = <f, A* g>_w; an exact
     transpose when the weights are uniform."""

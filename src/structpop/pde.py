@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import mix_matrix, survival_matrix, w_adjoint
+from .kernel import survival_matrix, w_adjoint
 from .model import AgeGrid, RateModel, TraitGrid
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
@@ -59,10 +59,10 @@ class TraceRecord:
 
 
 class TransportSolver:
-    """Precomputed machinery for stepping one scenario on fixed grids."""
+    """Precomputed machinery for stepping one scenario on fixed grids, given its Mix."""
 
-    def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid):
-        self.model, self.tgrid, self.agrid = model, tgrid, agrid
+    def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, mix: np.ndarray):
+        self.model, self.tgrid, self.agrid, self.mix = model, tgrid, agrid, mix
         self.dt = agrid.da       # transport step locked to the age step
         xs, ages = tgrid.nodes, agrid.nodes
         self.qa = agrid.quad_weights()
@@ -70,7 +70,6 @@ class TransportSolver:
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
         self._net_w = (self.B - D) * self.mass_w      # weights of the D(t) numerator
-        self.mix = mix = mix_matrix(model, tgrid)
 
         self.R = R = survival_matrix(model, xs, ages, 0.0)
         R[R < 1e-300] = 0.0     # keeps u = n / R finite

@@ -63,8 +63,7 @@ def assemble(kernel: CollapsedKernel, mix: np.ndarray, grid: TraitGrid) -> Discr
 
 def dual(direct: DiscreteOperator) -> DiscreteOperator:
     """The w-adjoint of the direct operator: r_i delta_ij + p sB_i k(x_i, x_j) w_j."""
-    return DiscreteOperator(lam=direct.lam, M=w_adjoint(direct.M, direct.weights),
-                            weights=direct.weights)
+    return replace(direct, M=w_adjoint(direct.M, direct.weights))
 
 
 def adjoint_residual(direct: DiscreteOperator, dual: DiscreteOperator) -> float:
@@ -226,17 +225,19 @@ def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
     return replace(pair, regime=regime, diagnostics=diagnostics)
 
 
-def density_from_profile(pair: PerronPair, direct: DiscreteOperator,
-                         kernel: CollapsedKernel) -> tuple[np.ndarray, float]:
+def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: CollapsedKernel,
+                         mutant_diag: np.ndarray) -> tuple[np.ndarray, float]:
     """Continuous-density representative u = (M - diag(r)) mu / (rho - r), unit mass.
 
+    M - diag(r) is M with its diagonal set to `kernel.mutant_diagonal` * sB.
     Only valid in the Regular regime: the fixed-point division degenerates as
     rho approaches rbar.
     """
     if pair.regime != "Regular":
         raise ValueError("density representation requires the Regular regime")
-    mu = pair.profile
-    u = (direct.M @ mu - kernel.r_values * mu) / (pair.rho - kernel.r_values)
+    mu, mutant = pair.profile, direct.M.copy()
+    np.fill_diagonal(mutant, mutant_diag * kernel.sB)
+    u = (mutant @ mu) / (pair.rho - kernel.r_values)
     if np.any(u <= 0):
         raise ValueError("density representative is not strictly positive")
     u = _normalize(u, direct.weights)

@@ -26,7 +26,7 @@ class Setup:
     @property
     def solver(self):
         if self._solver is None:
-            self._solver = TransportSolver(self.model, self.tgrid, self.agrid)
+            self._solver = TransportSolver(self.model, self.tgrid, self.agrid, self.problem.mix)
         return self._solver
 
     def stationary(self):

@@ -19,7 +19,7 @@ from structpop.kernel import CollapsedKernel, collapse, mix_matrix
 from structpop.malthus import MalthusProblem, refinement_sweep, solve_eigentriple
 from structpop.model import (build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
-from structpop.spectral import adjoint_residual, assemble, dual, perron
+from structpop.spectral import DiscreteOperator, adjoint_residual, assemble, dual, perron
 
 
 def report(num, desc, ok, detail=""):
@@ -46,12 +46,18 @@ def test_criterion_01_malthusian_parameter():
 def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup):
     worst_rel, worst_adj = 0.0, 0.0
     for s in (constant_setup, singular_setup):
+        p, w = s.model.mutation_prob, s.tgrid.weights
+        k = s.model.mutation_kernel.matrix(s.tgrid.nodes)     # k[i, j] = k(x_i, x_j)
         for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
             ck = collapse(s.model, s.tgrid, s.agrid, lam)
             direct = assemble(ck, mix_matrix(s.model, s.tgrid), s.tgrid)
             rd, rq = perron(direct).rho, perron(dual(direct)).rho
             worst_rel = max(worst_rel, abs(rd - rq) / rd)
-            worst_adj = max(worst_adj, adjoint_residual(direct, dual(direct)))
+            # dual(direct) is the w-adjoint by construction; pair direct with
+            # a dual built from k instead: r_i delta_ij + p sB_i k(x_i, x_j) w_j
+            dual_k = DiscreteOperator(lam=lam, weights=w,
+                                      M=np.diag(ck.r_values) + p * ck.sB[:, None] * k * w)
+            worst_adj = max(worst_adj, adjoint_residual(direct, dual_k))
     ok = worst_rel <= 1e-10 and worst_adj <= 1e-14
     report(2, "direct/dual spectral radius identity", ok,
            f"max rel diff={worst_rel:.2e}, adjoint defect={worst_adj:.2e}")
@@ -119,7 +125,7 @@ def _linear_diagnostics(da):
     tg, ag = build_grids(cfg, model)
     prob = MalthusProblem(model, tg, ag)
     tr = solve_eigentriple(prob, tol_lam=1e-10)
-    solver = pde.TransportSolver(model, tg, ag)
+    solver = pde.TransportSolver(model, tg, ag, prob.mix)
     xt = (tg.nodes - tg.nodes[0]) / (tg.nodes[-1] - tg.nodes[0])
     v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
     m0 = float(np.sum(v0 * tr.phi_grid * solver.mass_w))
@@ -236,7 +242,7 @@ def test_criterion_12_transform_identity():
         cfg = dataclasses.replace(constant_scenario(da=da), c=c)
         model = build_model(cfg)
         tg, ag = build_grids(cfg, model)
-        solver = pde.TransportSolver(model, tg, ag)
+        solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
         return pde.transform_check(solver, pde.uniform_state(tg, ag), 10.0)
 
     d_free = disc(0.01, 0.0)

@@ -510,12 +510,13 @@ def test_martingale_initial_pairing(constant_setup):
 def test_square_integrability_constant(constant_setup):
     s = constant_setup
     phi = s.triple.phi_grid
-    c_hat = ibm.square_integrability_constant(s.model, phi, s.tgrid, s.agrid)
+    c_hat = ibm.square_integrability_constant(s.model, phi, s.tgrid, s.agrid, s.problem.mix)
     # phi = 1: G[phi^2] + D phi^2 = B + D = 3
     assert c_hat == pytest.approx(3.0, rel=1e-6)
     # where phi and the left side both vanish any C holds; where only phi does, none
     assert ibm.square_integrability_constant(
-        s.model, np.zeros_like(phi), s.tgrid, s.agrid) == 0.0
+        s.model, np.zeros_like(phi), s.tgrid, s.agrid, s.problem.mix) == 0.0
     holed = phi.copy()
     holed[3, 5] = 0.0
-    assert ibm.square_integrability_constant(s.model, holed, s.tgrid, s.agrid) is None
+    assert ibm.square_integrability_constant(s.model, holed, s.tgrid, s.agrid,
+                                            s.problem.mix) is None

@@ -192,11 +192,11 @@ def test_gaussian_kernel_constant_rates():
     problem = MalthusProblem(model, tgrid, agrid)
     triple = solve_eigentriple(problem)
     _, nbar, _ = stationary_state(problem, triple)
-    solver = TransportSolver(model, tgrid, agrid)
+    solver = TransportSolver(model, tgrid, agrid, problem.mix)
     assert abs(triple.lambda_star - 1.0) <= 1e-3
     assert np.abs(triple.phi_grid - 1.0).max() <= 1e-3
     assert stationary_residual(solver, nbar) <= 1e-3
-    C = square_integrability_constant(model, triple.phi_grid, tgrid, agrid)
+    C = square_integrability_constant(model, triple.phi_grid, tgrid, agrid, problem.mix)
     assert abs(C - 3.0) <= 1e-3
 
 

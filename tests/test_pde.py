@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from structpop import pde
-from structpop.kernel import survival_matrix
+from structpop.kernel import mix_matrix, survival_matrix
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid)
 from structpop.malthus import MalthusProblem, solve_eigentriple
@@ -34,7 +34,7 @@ def make_solver(birth=2.0, death=1.0, c=1.0, nx=16, n_cells=600):
     model = build_model(cfg)
     tg = midpoint_grid((0.0, 1.0), nx)
     ag = AgeGrid(da=0.01, n_cells=n_cells)
-    return model, tg, ag, pde.TransportSolver(model, tg, ag)
+    return model, tg, ag, pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
 
 
 def test_pure_death_closed_form():
@@ -54,7 +54,7 @@ def test_death_with_competition_first_order():
             cfg, birth={"family": "constant", "params": {"value": 0.0}}))
         tg = midpoint_grid((0.0, 1.0), 8)
         ag = AgeGrid(da=da, n_cells=int(round(6.0 / da)))
-        solver = pde.TransportSolver(model, tg, ag)
+        solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
         st = age_bump_state(tg, ag)
         m0 = 1.0
         _, trace = pde.run(solver, st, 3.0, record_every=10 ** 9)
@@ -108,7 +108,7 @@ def test_renewal_flux_mutation_free_limit():
     model = build_model(cfg)
     tg = midpoint_grid((0.0, 1.0), 8)
     ag = AgeGrid(da=0.01, n_cells=400)
-    solver = pde.TransportSolver(model, tg, ag)
+    solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
     n = np.exp(-ag.nodes)[None, :] * (1.0 + tg.nodes)[:, None]
     clonal = np.sum(solver.B * n * solver.qa[None, :], axis=1)
     assert np.abs(solver.renewal_flux(n) - clonal).max() < 1e-10
@@ -150,7 +150,7 @@ def test_invariant_drift_halves_with_dt(constant_setup):
         tg, ag = build_grids(cfg, model)
         prob = MalthusProblem(model, tg, ag)
         tr = solve_eigentriple(prob, tol_lam=1e-10)
-        solver = pde.TransportSolver(model, tg, ag)
+        solver = pde.TransportSolver(model, tg, ag, prob.mix)
         xt = (tg.nodes - tg.nodes[0]) / (tg.nodes[-1] - tg.nodes[0])
         v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
         st = pde.DensityState(0.0, v0)
@@ -185,7 +185,7 @@ def test_transform_identity_first_order(constant_setup):
         cfg = constant_scenario(da=da)
         model = build_model(cfg)
         tg, ag = build_grids(cfg, model)
-        solver = pde.TransportSolver(model, tg, ag)
+        solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
         return pde.transform_check(solver, pde.uniform_state(tg, ag), 10.0)
 
     d1 = disc(0.01)
@@ -257,7 +257,8 @@ def newborn_reference(solver, v):
 def test_newborn_matrix_matches_boundary_solve(changes, rng):
     cfg = dataclasses.replace(constant_scenario(nx=24), **changes)
     model = build_model(cfg)
-    solver = pde.TransportSolver(model, *build_grids(cfg, model))
+    tg, ag = build_grids(cfg, model)
+    solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
     for _ in range(5):
         v = rng.uniform(0.1, 2.0, solver.tgrid.n)
         ref = newborn_reference(solver, v)
@@ -295,10 +296,12 @@ def test_negative_density_raises_under_optimize():
     # the guard must survive `python -O`, which strips assert statements
     script = (
         "from structpop import pde\n"
+        "from structpop.kernel import mix_matrix\n"
         "from structpop.model import build_grids, build_model, constant_scenario\n"
         "cfg = constant_scenario(nx=8, tol=1e-6)\n"
         "model = build_model(cfg)\n"
-        "solver = pde.TransportSolver(model, *build_grids(cfg, model))\n"
+        "tg, ag = build_grids(cfg, model)\n"
+        "solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))\n"
         "state = pde.uniform_state(solver.tgrid, solver.agrid)\n"
         "state.values[0, 0] = -1.0\n"
         "try:\n"
@@ -381,7 +384,7 @@ def age_dependent_solver():
     tg, ag = build_grids(cfg, model)
     R = survival_matrix(model, tg.nodes, ag.nodes, 0.0)
     assert np.any(R[:, -1] == 0.0)      # survival underflows inside the horizon
-    return pde.TransportSolver(model, tg, ag), R
+    return pde.TransportSolver(model, tg, ag, mix_matrix(model, tg)), R
 
 
 @pytest.mark.parametrize("linear", [False, True])

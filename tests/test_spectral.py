@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from structpop.kernel import CollapsedKernel, collapse, mix_matrix
+from structpop.kernel import CollapsedKernel, collapse, mix_matrix, mutant_diagonal
 from structpop.model import (AgeGrid, TraitGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bounds,
@@ -174,9 +174,25 @@ def test_density_from_profile_constant():
     ck = collapse(model, tg, ag, 1.0)
     op = assemble(ck, mix_matrix(model, tg), tg)
     pair = regime_classify(perron(op), ck, tg)
-    u, res = density_from_profile(pair, op, ck)
+    u, res = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
     assert np.abs(u - 1.0).max() < 1e-6
     assert res < 1e-6
+
+
+def test_density_from_profile_takes_no_difference_of_the_clonal_rate():
+    # at small p the mutant flux is a small part of M mu; forming it as
+    # M mu - r mu loses about eps / p relative (4e-13 here)
+    p = 2e-3
+    model = build_model(dataclasses.replace(
+        constant_scenario(), p=p, kernel={"family": "gaussian", "params": {"width": 0.15}}))
+    tg = midpoint_grid((0.0, 1.0), 200)
+    ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=2000), 1.0)
+    op = assemble(ck, mix_matrix(model, tg), tg)
+    pair = regime_classify(perron(op), ck, tg)
+    k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])    # k[i, j] = k(x_i, x_j)
+    ref = (p * ck.sB * k.T * tg.weights) @ pair.profile / (pair.rho - ck.r_values)
+    u, _ = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
+    np.testing.assert_allclose(u, ref / np.sum(ref * tg.weights), rtol=1e-14, atol=0.0)
 
 
 def test_density_from_profile_rejects_singular():
@@ -186,7 +202,7 @@ def test_density_from_profile_rejects_singular():
     op = assemble(ck, np.eye(10), tg)
     pair = regime_classify(perron(op), ck, tg)
     with pytest.raises(ValueError):
-        density_from_profile(pair, op, ck)
+        density_from_profile(pair, op, ck, np.zeros(10))
 
 
 @settings(max_examples=20, deadline=None)
