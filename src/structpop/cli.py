@@ -102,6 +102,8 @@ def _tol_lam(config) -> float:
 
 
 def _solve(config):
+    """Set up and solve the eigen-triple. The problem keeps its age factors for
+    later lambdas; each command drops them before it steps the dynamics."""
     model, tgrid, agrid = _setup(config)
     problem = malthus.MalthusProblem(model, tgrid, agrid)
     triple = malthus.solve_eigentriple(problem, tol_lam=_tol_lam(config))
@@ -137,6 +139,7 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
 def cmd_stationary(config, out: str) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     lam, nbar, mass = malthus.stationary_state(problem, triple)
+    problem.release_factors()
     solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
     residual = pde.stationary_residual(solver, nbar)
     manifest = _write_grids(out, tgrid, agrid, nbar=nbar)
@@ -148,6 +151,7 @@ def cmd_stationary(config, out: str) -> dict:
 def cmd_pde(config, out: str, tmax: float) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     lam, nbar, _ = malthus.stationary_state(problem, triple)
+    problem.release_factors()
     solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
     state = pde.uniform_state(tgrid, agrid)
     stride = max(1, int(round(0.1 / solver.dt)))
@@ -170,6 +174,7 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
 
 def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
+    problem.release_factors()
     # the run is linear: its expected population at tmax is scale * e^{lambda* tmax}
     if math.log(scale) + triple.lambda_star * tmax > math.log(ibm.PARTICLE_CAP):
         raise ConfigError(
@@ -232,6 +237,7 @@ def cmd_verify(config, out: str, solved=None) -> dict:
 
     rhos = [problem.rho_of_lambda(l) for l in LAMBDA_SAMPLE]
     checks["rho_decreasing"] = all(a > b + 1e-6 for a, b in zip(rhos, rhos[1:]))
+    problem.release_factors()     # the last lambda this problem solves
 
     manifest = []
     summary = {"checks": checks, "rho_at_zero": pd.rho}

@@ -9,9 +9,13 @@ second-order otherwise, which is what the closed-form oracles require at
 da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
 sweep builds the lambda-free factors once, and `cell_integrals` is the one
 evaluation of the formula, which `collapse` and the dual profile's tail
-integrals share. The age horizon is chosen once, by `choose_age_truncation`
-at lambda = 0; `tail_bound` only shrinks as lambda grows, so it holds for
-every lambda >= 0 of a search.
+integrals share. The age lattice [0, A_max] is chosen once, by
+`choose_age_truncation` at lambda = 0 and `tol`. Each age sum then stops at
+its own horizon: the first node past which `tail_bound` at its lambda is
+below TAIL_RTOL of the sum's first cell (`horizon`). Since every cell is
+nonnegative, the first cell is a lower bound on each row sum, so the cells
+left out weigh less than an ulp of every sum. The integrand decays like
+e^{-(D + lambda) a}, so the horizon shrinks as lambda grows.
 
 A newborn keeps its parent's trait with probability 1 - p and otherwise
 draws it from k(x, .). On the trait grid that law is one matrix, `mix_matrix`,
@@ -22,12 +26,15 @@ newborns and the dual profiles are formed from the same Mix.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import AgeGrid, RateModel, TraitGrid
+
+TAIL_RTOL = 2.0 ** -60      # what an age sum leaves out, relative to its first cell
 
 
 def _check_lambda(model: RateModel, lam: float) -> None:
@@ -56,6 +63,26 @@ def choose_age_truncation(model: RateModel, lam: float, tol: float,
     return max(da, math.ceil(a / da - 1e-12) * da)
 
 
+def horizon(model: RateModel, lam: float, first: np.ndarray, ages: np.ndarray) -> int:
+    """Cells of the lattice `ages` that an age sum at lambda needs.
+
+    first holds each row's first cell, a lower bound on its row sum (every
+    cell is nonnegative). The sum stops at the first node a_n with
+    tail_bound(model, lam, a_n) <= TAIL_RTOL * min(first), so the cells it
+    leaves out weigh less than TAIL_RTOL of every row. It covers the whole
+    lattice when first has a zero or no node meets the bound.
+    """
+    n_cells = ages.size - 1
+    floor = float(first.min())
+    if not floor > 0:
+        return n_cells
+    limit = TAIL_RTOL * floor
+    # tail_bound falls with age: bisect the nodes a_1 .. a_{n_cells}
+    n = 1 + bisect.bisect_left(range(1, n_cells + 1), True,
+                               key=lambda j: tail_bound(model, lam, ages[j]) <= limit)
+    return min(n, n_cells)
+
+
 # ---------------------------------------------------------------------------
 # survival factor on the lattice
 # ---------------------------------------------------------------------------
@@ -68,11 +95,14 @@ def _cell_death_rates(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> np.
     return d
 
 
-def _death_integral(d: np.ndarray, ages: np.ndarray) -> np.ndarray:
-    """int_0^{a_j} D by the trapezoid rule from the cell rates d, shape (nx, na)."""
-    cum = np.zeros((d.shape[0], ages.size))
-    np.cumsum(d * np.diff(ages), axis=1, out=cum[:, 1:])
-    return cum
+def _death_integral(d: np.ndarray, ages: np.ndarray, start) -> np.ndarray:
+    """int_0^{a_j} D by the trapezoid rule from the cell rates d, shape (nx, na),
+    given its value `start` at ages[0]; one running sum, so a lattice continued
+    from its last node gets the same values as the whole lattice."""
+    cum = np.empty((d.shape[0], ages.size))
+    cum[:, 0] = start
+    np.multiply(d, np.diff(ages), out=cum[:, 1:])
+    return np.cumsum(cum, axis=1, out=cum)
 
 
 def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
@@ -85,7 +115,7 @@ def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
     _check_lambda(model, lam)
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
-    cum = _death_integral(_cell_death_rates(model, xs, ages), ages)
+    cum = _death_integral(_cell_death_rates(model, xs, ages), ages, 0.0)
     return np.exp(-cum - lam * ages[None, :])
 
 
@@ -107,31 +137,49 @@ class AgeFactors:
     where C = (average endpoint B) R_0(., a_j) and d_ij is the cell death rate
     (the trapezoid average of D over the cell). Neither depends on lambda, so a
     lambda search builds them once and pays per lambda only for the last
-    factor. Any prefix of the lattice reads its factors as column prefixes.
+    factor. Any prefix of the lattice reads its factors as column prefixes,
+    and `continued_factors` extends R_0 past the last node from death_end.
     """
 
     ages: np.ndarray            # (n_cells + 1,) lattice nodes
     C: np.ndarray               # (nx, n_cells)
     d: np.ndarray               # (nx, n_cells)
+    death_end: np.ndarray       # (nx,) int_0^{ages[-1]} D
 
     @property
     def n_cells(self) -> int:
         return self.d.shape[1]
 
 
-def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
-    """C and d of the product quadrature at trait nodes xs on the age lattice."""
+def _factors(model: RateModel, xs: np.ndarray, ages: np.ndarray, start) -> AgeFactors:
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
     d = _cell_death_rates(model, xs, ages)
-    cum = _death_integral(d, ages)
+    cum = _death_integral(d, ages, start)
+    death_end = cum[:, -1].copy()
     R0 = np.exp(np.negative(cum, out=cum), out=cum)
     bvals = model.birth(xs[:, None], ages[None, :])
     C = bvals[:, :-1] + bvals[:, 1:]
     del bvals
     C *= 0.5
     C *= R0[:, :-1]
-    return AgeFactors(ages=ages, C=C, d=d)
+    return AgeFactors(ages=ages, C=C, d=d, death_end=death_end)
+
+
+def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
+    """C and d of the product quadrature at trait nodes xs on the age lattice."""
+    return _factors(model, xs, ages, 0.0)
+
+
+def continued_factors(model: RateModel, xs: np.ndarray, factors: AgeFactors,
+                      ages: np.ndarray) -> AgeFactors:
+    """Age factors at trait nodes xs on a lattice `ages` that starts at the last
+    node of `factors`' lattice; the same numbers as factors built on the joined
+    lattice, bit for bit."""
+    if ages[0] != factors.ages[-1]:
+        raise ValueError(f"the continuation starts at {ages[0]}, "
+                         f"not at the lattice end {factors.ages[-1]}")
+    return _factors(model, xs, ages, factors.death_end)
 
 
 def cell_integrals(factors: AgeFactors, lam: float,
@@ -194,6 +242,7 @@ class CollapsedKernel:
     lam: float
     r_values: np.ndarray        # (nx,)
     sB: np.ndarray              # (nx,)
+    age_cells: int              # age cells summed for sB
 
     @property
     def rbar(self) -> float:
@@ -202,7 +251,7 @@ class CollapsedKernel:
 
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
              factors: AgeFactors | None = None) -> CollapsedKernel:
-    """sB and r on the trait grid by age quadrature.
+    """sB and r on the trait grid by age quadrature, summed to the horizon at lambda.
 
     factors (`age_factors` at the trait nodes, on the age lattice or on any
     lattice it is a prefix of) are built here when not given; a lambda sweep
@@ -211,5 +260,8 @@ def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
     _check_lambda(model, lam)
     if factors is None:
         factors = age_factors(model, tgrid.nodes, agrid.nodes)
-    sB = cell_integrals(factors, lam, agrid.n_cells).sum(axis=1)   # int B R da
-    return CollapsedKernel(lam=lam, r_values=(1.0 - model.mutation_prob) * sB, sB=sB)
+    n = horizon(model, lam, cell_integrals(factors, lam, 1)[:, 0],
+                factors.ages[:agrid.n_cells + 1])
+    sB = cell_integrals(factors, lam, n).sum(axis=1)   # int B R da
+    return CollapsedKernel(lam=lam, r_values=(1.0 - model.mutation_prob) * sB, sB=sB,
+                           age_cells=n)

@@ -43,10 +43,12 @@ class EigenTriple:
 class MalthusProblem:
     """rho(lambda) along a lambda sweep, and full eigendata where asked.
 
-    The lambda-free parts of the age collapse (`kern.AgeFactors` on the
-    extended lattice, whose prefix is the age lattice) and the birth-mutation
-    matrix `mix` are built once; the operator at lambda is mix diag(sB), the
-    one nx x nx array a lambda forms. Each direct solve starts from the last
+    The lambda-free parts of the age collapse (`kern.AgeFactors` on the age
+    lattice) and the birth-mutation matrix `mix` are built once; each collapse
+    sums the lattice prefix its lambda needs, and the operator at lambda is
+    mix diag(sB), the one nx x nx array a lambda forms. The factors are kept
+    until `release_factors`, so every lambda asked of the problem reads the
+    same ones. Each direct solve starts from the last
     direct profile. Per lambda solved, the collapsed kernel (sB, r) and the
     direct Perron pair are kept (3 nx floats), so eigendata at a solved
     lambda makes no collapse and no direct solve. When diag(w) mix is
@@ -70,10 +72,10 @@ class MalthusProblem:
 
     @property
     def factors(self) -> kern.AgeFactors:
-        """Age factors on the extended lattice, built on first use."""
+        """Age factors on the age lattice, built on first use."""
         if self._factors is None:
             self._factors = kern.age_factors(self.model, self.tgrid.nodes,
-                                             _extended_ages(self.agrid))
+                                             self.agrid.nodes)
         return self._factors
 
     def release_factors(self) -> None:
@@ -110,7 +112,9 @@ class MalthusProblem:
     def find_lambda_star(self, tol_lam: float = 1e-6) -> float:
         """Root of rho(lambda) = 1 to within tol_lam; records lambda_search.
 
-        The bracket [0, 1] doubles at most 60 times, to 2^60.
+        The bracket [0, 1] doubles at most 60 times, to 2^60. lambda_search
+        holds the lambdas solved, their bracket, the Perron iterations and
+        the age cells their collapses summed.
         """
         solved_before = set(self._direct)
         rho0 = self.rho_of_lambda(0.0)
@@ -125,9 +129,10 @@ class MalthusProblem:
         else:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
         lam = _brentq(lambda l: self.rho_of_lambda(l) - 1.0, lo, hi, xtol=tol_lam)
-        solved = [pd for l, (_, pd) in self._direct.items() if l not in solved_before]
+        solved = [pair for l, pair in self._direct.items() if l not in solved_before]
         self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
-                              "perron_iterations": sum(pd.iterations for pd in solved)}
+                              "perron_iterations": sum(pd.iterations for _, pd in solved),
+                              "age_cells": sum(ck.age_cells for ck, _ in solved)}
         return lam
 
 
@@ -203,12 +208,6 @@ def _mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
     return tgrid.weights[:, None] * agrid.quad_weights()[None, :]
 
 
-def _extended_ages(agrid: AgeGrid) -> np.ndarray:
-    """Nodes of the extended lattice [0, 2 A_max]; the lattice is its prefix,
-    so age factors on it restrict to those of the lattice bit for bit."""
-    return agrid.da * np.arange(2 * agrid.n_cells + 1)
-
-
 def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
                    R: np.ndarray) -> np.ndarray:
     """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass.
@@ -220,30 +219,44 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
     return N / mass
 
 
-def dual_profile(tgrid: TraitGrid, agrid: AgeGrid, lam_star: float, eta: np.ndarray,
-                 R: np.ndarray, factors: kern.AgeFactors, mix: np.ndarray,
-                 N_grid: np.ndarray) -> np.ndarray:
+def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: float,
+                 eta: np.ndarray, R: np.ndarray, factors: kern.AgeFactors,
+                 mix: np.ndarray, N_grid: np.ndarray) -> np.ndarray:
     """phi(x,a) from the tail-integral representation of the dual problem.
 
     phi(x,a) = R(x,a)^{-1} (Mix* eta)(x) int_a^inf B R da', where Mix* eta
     = (1-p) eta(x) + p sum_j eta_j w_j k(x, x_j) is the w-adjoint of the
     birth-mutation matrix mix applied to eta.
 
-    Tail integrals run over an extended lattice [0, 2 A_max] so that phi keeps
-    its continuum value at the horizon instead of collapsing to zero there;
-    their cells come from `factors`, the age factors on that lattice. R is
+    Tail integrals run past the horizon A_max, so that phi keeps its
+    continuum value there instead of collapsing to zero. Their lattice cells
+    come from `factors`, the age factors on the lattice. Past A_max they run
+    over [A_max, A_max + L], with factors continued at lambda* only: L is the
+    shortest lattice-aligned length, at most A_max, past which `kern.horizon`
+    bounds the rest by TAIL_RTOL of the first cell beyond A_max. R is
     R_{lambda*} on the age lattice. phi is scaled so that int N phi = 1.
     """
-    cells = kern.cell_integrals(factors, lam_star)                  # (nx, n_ext)
-    # reverse cumulative sums: tails[:, j] = int_{a_j}^{2 A_max} B R
-    na = agrid.n_cells + 1
-    tails = np.flip(np.cumsum(np.flip(cells, axis=1), axis=1), axis=1)[:, :na]
+    xs, n = tgrid.nodes, agrid.n_cells
+    ages = agrid.da * np.arange(n, 2 * n + 1)                       # [A_max, 2 A_max]
+    first = kern.cell_integrals(kern.continued_factors(model, xs, factors, ages[:2]),
+                                lam_star)[:, 0]
+    ext = kern.continued_factors(
+        model, xs, factors, ages[:kern.horizon(model, lam_star, first, ages) + 1])
+    beyond = kern.cell_integrals(ext, lam_star).sum(axis=1)         # int_{A_max}^inf B R
+    del ext
+    # reverse cumulative sums: tails[:, j] = int_{a_j}^inf B R
+    cells = kern.cell_integrals(factors, lam_star)                  # (nx, n)
+    cells[:, -1] += beyond
+    tails = np.empty((xs.size, n + 1))
+    tails[:, -1] = beyond
+    np.cumsum(cells[:, ::-1], axis=1, out=tails[:, -2::-1])
     del cells
 
-    phi = tails * (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
+    phi = tails
+    phi *= (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
     phi /= R
-    pairing = float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))
-    return phi / pairing
+    phi /= float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))   # int N phi
+    return phi
 
 
 def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
@@ -282,7 +295,8 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     diagnostics carries the direct pair's regime diagnostics, the Perron
     solves at lambda* ("perron": direct and dual path, iterations and
     bracket) and "warnings", a map from stable keys to messages. The
-    problem's age factors are released once the profiles are built.
+    problem keeps its age factors for later lambdas; a caller about to step
+    the dynamics drops them with `release_factors`.
     """
     lam_star = problem.find_lambda_star(tol_lam)
     ck, pd, pq = problem.eigendata(lam_star)
@@ -291,8 +305,8 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     eta = pq.profile
     R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
     N = direct_profile(tgrid, agrid, mu, R)
-    phi = dual_profile(tgrid, agrid, lam_star, eta, R, problem.factors, problem.mix, N)
-    problem.release_factors()
+    phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, problem.factors,
+                       problem.mix, N)
     mw = _mass_weights(tgrid, agrid)
     norms = {
         "intN": float(np.sum(N * mw)),

@@ -230,7 +230,7 @@ def test_criterion_10_martingale_flatness(constant_setup):
 def test_criterion_11_degenerate_spectrum():
     tg = midpoint_grid((0.0, 1.0), 50)
     r = 0.8 + 0.4 * np.cos(2.0 * tg.nodes)
-    ck = CollapsedKernel(lam=0.0, r_values=r, sB=r)   # Mix = I: no mutation
+    ck = CollapsedKernel(lam=0.0, r_values=r, sB=r, age_cells=0)   # Mix = I: no mutation
     pair = perron(assemble(ck, np.eye(50), tg))
     err = abs(pair.rho - float(r.max()))
     ok = err <= 1e-12

@@ -1,19 +1,21 @@
 import ast
 import collections
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from structpop import cli, ibm
+from structpop import cli, ibm, kernel, pde
 from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
-from structpop.model import (build_grids, build_model, constant_scenario,
+from structpop.model import (PRESETS, build_grids, build_model, constant_scenario,
                              singular_scenario)
 
 
@@ -211,6 +213,53 @@ def test_malthus_summaries_report_the_tail_bound(tmp_path):
         closed = model.birth.sup * math.exp(-decay * agrid.a_max) / decay
         assert summary["tail_bound"] == pytest.approx(closed, rel=1e-12)
         assert 0.0 < summary["tail_bound"] <= config.tol
+        # the search's collapses stop at their horizons; lambda = 0 sums them all
+        search = summary["lambda_search"]
+        assert agrid.n_cells < search["age_cells"] < search["evaluations"] * agrid.n_cells
+
+
+def recording_age_factor_builds(monkeypatch):
+    """Wrap kernel.age_factors; returns a list of (C.shape, weak reference) per build."""
+    built = []
+    build = kernel.age_factors
+
+    def wrapped(*args):
+        factors = build(*args)
+        built.append((factors.C.shape, weakref.ref(factors)))
+        return factors
+    monkeypatch.setattr(kernel, "age_factors", wrapped)
+    return built
+
+
+@pytest.mark.parametrize("preset, nxs", [("singular", [100, 25, 50]), ("constant", [16])])
+def test_verify_builds_the_age_factors_once_per_problem(tmp_path, monkeypatch, preset, nxs):
+    # verify's rho samples after the solve read the factors the search built;
+    # the refinement sweep builds them once for each coarser grid
+    built = recording_age_factor_builds(monkeypatch)
+    assert main(["scenario", preset, "--nx", str(nxs[0]), "--verify",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    config = PRESETS[preset](nx=nxs[0])
+    _, agrid = build_grids(config, build_model(config))
+    assert [shape for shape, _ in built] == [(nx, agrid.n_cells) for nx in nxs]
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["pde", "--tmax", "0.5"], pde, "run"),
+    (["ibm", "--tmax", "0.5", "--replicates", "2"], ibm, "run_replicates"),
+    (["stationary"], pde, "stationary_residual")],
+    ids=["pde", "ibm", "stationary"])
+def test_dynamics_run_without_age_factors(small_cfg, tmp_path, monkeypatch, argv, module, name):
+    built = recording_age_factor_builds(monkeypatch)
+    step = getattr(module, name)
+    held = []
+
+    def wrapped(*args, **kwargs):
+        gc.collect()
+        held.append(sum(ref() is not None for _, ref in built))
+        return step(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapped)
+    assert main(argv + ["--config", small_cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(built) == 1 and held == [0]
 
 
 def test_config_with_unknown_key_rejected(tmp_path, capsys):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from structpop.kernel import (age_factors, cell_integrals, choose_age_truncation,
-                              collapse, survival_matrix, tail_bound)
+from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
+                              choose_age_truncation, collapse, continued_factors,
+                              horizon, survival_matrix, tail_bound)
 from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
 
@@ -201,3 +202,78 @@ def test_collapse_and_cell_integrals_share_one_formula():
         np.testing.assert_array_equal(collapse(model, tg, ag, lam).sB, cells.sum(axis=1))
         np.testing.assert_array_equal(
             collapse(model, tg, ag, lam, factors=extended).sB, cells.sum(axis=1))
+
+
+HORIZON_CASES = {
+    "constant": constant_scenario(nx=16),
+    "singular": singular_scenario(nx=16),
+    "affine_death_in_age": REFERENCE_CASES["affine_death_in_age"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_collapse_to_the_horizon_matches_the_whole_lattice(case):
+    model = build_model(HORIZON_CASES[case])
+    tg, ag = build_grids(HORIZON_CASES[case], model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    for lam in (0.0, 1.0, 2.78, 4.0):
+        ck = collapse(model, tg, ag, lam, factors=factors)
+        whole = cell_integrals(factors, lam).sum(axis=1)
+        assert np.all(np.abs(ck.sB - whole) <= 4 * np.spacing(whole))
+        # a sum that stops early leaves out less than TAIL_RTOL of every row
+        first = cell_integrals(factors, lam, 1)[:, 0]
+        if ck.age_cells < ag.n_cells:
+            assert tail_bound(model, lam, ag.nodes[ck.age_cells]) <= TAIL_RTOL * first.min()
+        else:
+            assert lam < 2.0
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_horizon_is_non_increasing_in_lambda(case):
+    model = build_model(HORIZON_CASES[case])
+    tg, ag = build_grids(HORIZON_CASES[case], model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    lams = np.linspace(-0.9 * model.death_floor, 10.0, 60)
+    cells = [collapse(model, tg, ag, lam, factors=factors).age_cells for lam in lams]
+    assert cells[0] == ag.n_cells and cells[-1] < ag.n_cells // 4
+    assert all(a >= b for a, b in zip(cells, cells[1:]))
+
+
+def test_horizon_is_the_first_node_under_the_bound(const_model):
+    ages = 0.01 * np.arange(3001)
+    first = np.array([0.02, 0.03])
+    n = horizon(const_model, 1.0, first, ages)
+    limit = TAIL_RTOL * 0.02
+    assert tail_bound(const_model, 1.0, ages[n]) <= limit < tail_bound(
+        const_model, 1.0, ages[n - 1])
+    # a zero first cell, or a bound no node meets: the whole lattice
+    assert horizon(const_model, 1.0, np.array([0.0, 0.03]), ages) == 3000
+    assert horizon(const_model, 1.0, first, ages[:n]) == n - 1
+
+
+def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
+    # B = 0 on the first age cell: the first column bounds no row sum from below
+    cfg = dataclasses.replace(constant_scenario(nx=8), birth={
+        "family": "tabulated", "params": {"x_nodes": [0.0, 1.0],
+                                          "a_nodes": [0.0, 0.01, 0.02, 1.0],
+                                          "values": [[0.0, 0.0, 2.0, 2.0]] * 2}})
+    model = build_model(cfg)
+    tg, ag = build_grids(cfg, model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    assert np.all(factors.C[:, 0] == 0.0) and np.all(factors.C[:, 1] > 0.0)
+    ck = collapse(model, tg, ag, 4.0, factors=factors)
+    assert ck.age_cells == ag.n_cells
+    np.testing.assert_array_equal(ck.sB, cell_integrals(factors, 4.0).sum(axis=1))
+
+
+def test_continued_factors_match_the_joined_lattice():
+    model = build_model(REFERENCE_CASES["affine_death_in_age"])
+    xs = midpoint_grid((0.0, 1.0), 5).nodes
+    joined = age_factors(model, xs, 0.01 * np.arange(801))
+    head = age_factors(model, xs, 0.01 * np.arange(501))
+    tail = continued_factors(model, xs, head, 0.01 * np.arange(500, 801))
+    np.testing.assert_array_equal(tail.C, joined.C[:, 500:])
+    np.testing.assert_array_equal(tail.d, joined.d[:, 500:])
+    np.testing.assert_array_equal(tail.death_end, joined.death_end)
+    with pytest.raises(ValueError):
+        continued_factors(model, xs, head, 0.01 * np.arange(501, 801))

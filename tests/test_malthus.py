@@ -287,13 +287,17 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death):
         # M(lambda) = M(0) / (1 + lambda): the last profile is already the answer
         assert [p.iterations for p in solves[1:]] == [0] * 9
     assert search["perron_iterations"] == sum(p.iterations for p in solves)
+    n = problem.agrid.n_cells
+    cells = [problem._solve_direct(l)[0].age_cells for l in problem._direct]
+    assert search["age_cells"] == sum(cells) < 10 * n
+    assert cells[0] == n                  # lambda = 0 sums the whole lattice
     cold = spectral.perron(spectral.assemble(
         collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
         problem.tgrid))
     assert abs(problem.rho_of_lambda(lam) - cold.rho) <= 1e-12 * cold.rho
 
 
-def test_eigentriple_reports_perron_and_drops_factors():
+def test_eigentriple_reports_perron_and_keeps_factors():
     problem = singular_problem(64)
     tr = solve_eigentriple(problem)
     perron = tr.diagnostics["perron"]
@@ -303,7 +307,12 @@ def test_eigentriple_reports_perron_and_drops_factors():
         lb, ub = perron[side]["cw_bracket"]
         assert lb <= tr.norms["rho_at_star"] * (1 + 1e-11) and ub >= lb
         assert perron[side]["iterations"] >= 0
-    assert problem._factors is None      # not kept through a later PDE or IBM run
+    # kept for the lambdas asked later (verify's rho samples); the CLI drops
+    # them before any PDE or IBM run (test_cli::test_dynamics_run_without_age_factors)
+    kept = problem._factors
+    assert kept is not None and problem.factors is kept
+    problem.release_factors()
+    assert problem._factors is None
 
 
 PRESETS = pytest.mark.parametrize("scenario", [singular_scenario, constant_scenario],
@@ -316,6 +325,30 @@ def problem_at_root(cfg):
     ck, pd, pq = problem.eigendata(problem.find_lambda_star(1e-6))
     cold = perron(dual(assemble(ck, problem.mix, problem.tgrid)))
     return ck, pq, cold
+
+
+def reference_phi(problem, triple):
+    """phi with its tail integrals summed over the whole of [0, 2 A_max]."""
+    model, tg, ag = problem.model, problem.tgrid, problem.agrid
+    lam = triple.lambda_star
+    _, _, pq = problem.eigendata(lam)
+    doubled = kernel.age_factors(model, tg.nodes, ag.da * np.arange(2 * ag.n_cells + 1))
+    cells = kernel.cell_integrals(doubled, lam)
+    tails = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1][:, :ag.n_cells + 1]
+    phi = tails * (kernel.w_adjoint(problem.mix, tg.weights) @ pq.profile)[:, None]
+    phi /= survival_matrix(model, tg.nodes, ag.nodes, lam)
+    mw = tg.weights[:, None] * ag.quad_weights()[None, :]
+    return phi / np.sum(triple.N_grid * phi * mw)
+
+
+@PRESETS
+def test_phi_matches_tails_over_twice_the_horizon(scenario):
+    cfg = scenario(nx=64)
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    triple = solve_eigentriple(problem)
+    ref = reference_phi(problem, triple)
+    assert np.abs(triple.phi_grid - ref).max() <= 1e-15 * ref.max()
 
 
 @PRESETS

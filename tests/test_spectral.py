@@ -17,7 +17,7 @@ from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bo
 def make_ck(r, lam=0.0):
     """A mutation-free kernel: with Mix = I its operator is diag(r), and sB = r."""
     r = np.asarray(r, float)
-    return CollapsedKernel(lam=lam, r_values=r, sB=r)
+    return CollapsedKernel(lam=lam, r_values=r, sB=r, age_cells=0)
 
 
 def direct_operator(model, tg, ag, lam):
