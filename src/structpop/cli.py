@@ -255,7 +255,7 @@ def cmd_verify(config, out: str, solved=None) -> dict:
         solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
         checks["c_mass_is_lambda"] = abs(model.competition * mass - lam) <= 1e-8
         checks["stationary_residual"] = pde.stationary_residual(solver, nbar) <= 1e-3
-    else:
+    elif triple.regime != "Regular":    # a Regular model without competition has no nbar
         summary["convergence_report"] = "refused: regime not certified Regular"
         rows = _refinement_rows(config, problem)
         path = os.path.join(out, "refinement.csv")
@@ -326,6 +326,8 @@ def main(argv=None) -> int:
         config = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
         command = args.command
+        if command in ("stationary", "pde") and config.c <= 0:
+            raise ConfigError(f"{command} needs a positive competition rate c, got {config.c}")
         if command == "scenario":
             solved = _solve(config)
             summary = cmd_malthus(config, args.out, solved)

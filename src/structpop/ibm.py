@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import w_adjoint
-from .model import AgeGrid, RateModel, TraitGrid
+from .model import AgeGrid, RateModel, TraitGrid, mass_weights
 
 PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
 
@@ -52,33 +52,35 @@ class EventLog:
     loop: str = "python"        # which event loop ran: "c" or "python"
 
 
-# -- fast scalar rate evaluation for the Python event loop -------------------
+# -- rate families: the C loop's codes and the Python loop's scalar forms -----
 
-def _scalar_rate(fam, domain):
-    lo, _ = domain
+def _rate(fam, lo: float):
+    """(C family code, three parameters) of a rate, or None where the C loop has no
+    code for its family, and its scalar form (x, a) -> float for the Python loop.
+    The codes are those of _ibm_loop.c, whose `rate` evaluates the same bodies."""
+    par = fam.params
     if fam.name == "constant":
-        v = fam.params["value"]
-        return lambda x, a: v
+        v = par["value"]
+        return (0, (v, 0.0, 0.0)), lambda x, a: v
     if fam.name == "affine":
-        base, sx, sa = fam.params["base"], fam.params["slope_x"], fam.params["slope_a"]
-        return lambda x, a: base + sx * x + sa * a
+        base, sx, sa = par["base"], par["slope_x"], par["slope_a"]
+        return (1, (base, sx, sa)), lambda x, a: base + sx * x + sa * a
     if fam.name == "sqrt_gap":
-        bbar = fam.params["bbar"]
-        return lambda x, a: bbar - math.sqrt(x - lo)
-    return lambda x, a: float(fam.fn(x, a))
+        bbar = par["bbar"]
+        return (2, (bbar, 0.0, 0.0)), lambda x, a: bbar - math.sqrt(x - lo)
+    return None, lambda x, a: float(fam.fn(x, a))
 
 
-def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> list[list[float]]:
-    """Inverse-CDF rows of the mutant trait law k(x_i, .) on the trait grid.
+def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
+    """Inverse-CDF rows of the mutant trait law k(x_i, .) on the trait grid, (nx, nx).
 
     Piecewise-constant density over trait cells: documented O(dx) bias shared
     with the grid discretization. Row i is the normalised cumulative sum over
-    the cells for source node i, built once from the kernel's trait matrix as
-    plain lists, so a draw is one `bisect_left` (the index that
-    `np.searchsorted(row, u)` gives).
+    the cells for source node i, built once from the kernel's trait matrix, so
+    a draw is one bisection (the index that `np.searchsorted(row, u)` gives).
     """
     cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
-    return (cdf / cdf[:, -1:]).tolist()
+    return cdf / cdf[:, -1:]
 
 
 def _sample(xs: list, bt: list, K: int, s: float, store_snapshots: bool):
@@ -93,7 +95,6 @@ def _sample(xs: list, bt: list, K: int, s: float, store_snapshots: bool):
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ibm_loop.c")
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")   # no FMA, no fast-math
-_C_RATES = {"constant": 0, "affine": 1, "sqrt_gap": 2}        # family codes in the C source
 _DONE, _EXTINCT, _SAMPLE, _ABORTED, _FULL, _DOMAIN = range(6)
 
 
@@ -149,26 +150,17 @@ def _c_loop():
         return None, f"{type(e).__name__}: {e}"
 
 
-def _rate_code(fam):
-    """(family code, parameters) of a rate for the C loop, as `_scalar_rate` reads them."""
-    if fam.name == "constant":
-        return _C_RATES["constant"], (fam.params["value"], 0.0, 0.0)
-    if fam.name == "affine":
-        return _C_RATES["affine"], (fam.params["base"], fam.params["slope_x"],
-                                    fam.params["slope_a"])
-    return _C_RATES["sqrt_gap"], (fam.params["bbar"], 0.0, 0.0)
-
-
 def _grown(buf: np.ndarray, used: int) -> np.ndarray:
     out = np.empty(2 * buf.size, buf.dtype)
     out[:used] = buf[:used]
     return out
 
 
-def _c_events(lib, rng, xs, bt, model, K, T, c, bd, cdf_rows, nodes, dx,
+def _c_events(lib, rng, xs, bt, model, K, T, c, bd, rates, cdf, nodes, dx,
               particle_cap, samples, masses, snapshots, store_snapshots,
               record_events):
-    """The Python loop's events, run by the compiled loop on rng's stream.
+    """The Python loop's events, run by the compiled loop on rng's stream, for the
+    birth and death rates' (code, parameters) and the mutant CDF array.
 
     Fills masses and snapshots up to the last crossed sample time and returns
     (traits, birth times, t, n_events, n_deaths, peak, aborted, events, si).
@@ -183,13 +175,11 @@ def _c_events(lib, rng, xs, bt, model, K, T, c, bd, cdf_rows, nodes, dx,
     xa[:n], ba[:n] = xs, bt
     ev_t = np.empty(1024 if record_events else 0)
     ev_k = np.empty(ev_t.size, np.uint8)
-    cdf = np.ascontiguousarray(cdf_rows, dtype=float)
     nodes = np.ascontiguousarray(nodes, dtype=float)
     lo = model.trait_domain[0]
     st.n, st.t, st.T, st.s_next = n, 0.0, T, samples[0]
     st.peak, st.particle_cap = n, particle_cap
-    st.bfam, st.bpar[:] = _rate_code(model.birth)
-    st.dfam, st.dpar[:] = _rate_code(model.death)
+    (st.bfam, st.bpar[:]), (st.dfam, st.dpar[:]) = rates
     st.bd, st.c, st.K, st.p, st.lo, st.dx = bd, c, K, model.mutation_prob, lo, dx
     st.cdf, st.nodes, st.nx = cdf.ctypes.data, nodes.ctypes.data, nodes.size
     si = 0
@@ -262,13 +252,10 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     if not math.isfinite(dsup):
         raise ValueError("thinning needs a bounded death rate")
     bd = model.birth.sup + dsup
-    B = _scalar_rate(model.birth, model.trait_domain)
-    D = _scalar_rate(model.death, model.trait_domain)
+    (b_code, B), (d_code, D) = _rate(model.birth, lo), _rate(model.death, lo)
     c = 0.0 if linear else model.competition    # comp = c * n / K is then 0.0
     p = model.mutation_prob
-    cdf_rows = _mutant_cdf_rows(model, tgrid)
-    nodes = tgrid.nodes.tolist()
-    last = len(nodes) - 1
+    cdf = _mutant_cdf_rows(model, tgrid)
     dx = float(tgrid.weights[0])
 
     masses = np.zeros(sample_times.size)
@@ -279,14 +266,15 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
 
     n = len(xs)
     lib = None
-    if (model.birth.name in _C_RATES and model.death.name in _C_RATES
+    if (b_code is not None and d_code is not None
             and max(n, particle_cap + 1) < 2**32):   # getrandbits(k) reads one word
         lib, _ = _c_loop()
     if lib is not None:
         xs, bt, t, n_events, n_deaths, peak, aborted, events, si = _c_events(
-            lib, rng, xs, bt, model, K, T, c, bd, cdf_rows, nodes, dx, particle_cap,
-            samples, masses, snapshots, store_snapshots, record_events)
+            lib, rng, xs, bt, model, K, T, c, bd, (b_code, d_code), cdf, tgrid.nodes, dx,
+            particle_cap, samples, masses, snapshots, store_snapshots, record_events)
     else:
+        cdf_rows, nodes, last = cdf.tolist(), tgrid.nodes.tolist(), tgrid.n - 1
         peak = n
         n_events = n_deaths = 0
         t = 0.0
@@ -371,7 +359,7 @@ def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
                         count: int, seed: int) -> list[tuple[float, float]]:
     """count i.i.d. (trait, age) draws from a grid density (cellwise uniform)."""
     rng = np.random.default_rng(seed)
-    probs = (N_grid * tgrid.weights[:, None] * agrid.quad_weights()[None, :]).ravel()
+    probs = (N_grid * mass_weights(tgrid, agrid)).ravel()
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     idx = rng.choice(probs.size, size=count, p=probs)

@@ -9,13 +9,18 @@ second-order otherwise, which is what the closed-form oracles require at
 da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
 sweep builds the lambda-free factors once, and `cell_integrals` is the one
 evaluation of the formula, which `collapse` and the dual profile's tail
-integrals share. The age lattice [0, A_max] is chosen once, by
-`choose_age_truncation` at lambda = 0 and `tol`. Each age sum then stops at
-its own horizon: the first node past which `tail_bound` at its lambda is
-below TAIL_RTOL of the sum's first cell (`horizon`). Since every cell is
-nonnegative, the first cell is a lower bound on each row sum, so the cells
-left out weigh less than an ulp of every sum. The integrand decays like
-e^{-(D + lambda) a}, so the horizon shrinks as lambda grows.
+integrals share.
+
+One tail rule sizes every age sum. `tail_bound` at lambda bounds what every
+age integral leaves out past a, and falls with a in closed form, so the age
+where it meets a tolerance is a logarithm (`_tail_age`). The age lattice
+[0, A_max] is that age at lambda = 0 and `tol`, rounded up to the lattice
+(`choose_age_truncation`). Each age sum stops at the first lattice node at or
+past that age at its own lambda and TAIL_RTOL of the sum's first cell
+(`horizon`), with no search. Since every cell is nonnegative, the first cell
+is a lower bound on each row sum, so the cells left out weigh less than an
+ulp of every sum. The integrand decays like e^{-(D + lambda) a}, so the
+horizon shrinks as lambda grows.
 
 A newborn keeps its parent's trait with probability 1 - p and otherwise
 draws it from k(x, .). On the trait grid that law is one matrix, `mix_matrix`,
@@ -26,7 +31,6 @@ newborns and the dual profiles are formed from the same Mix.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -50,6 +54,14 @@ def tail_bound(model: RateModel, lam: float, a_max: float) -> float:
     return model.birth.sup * math.exp(-decay * a_max) / decay
 
 
+def _tail_age(model: RateModel, lam: float, tol: float) -> float:
+    """The age a where tail_bound(model, lam, a) = tol; inf where tol underflows
+    or the age overflows."""
+    decay = model.death_floor + lam
+    scale = float(tol * decay)       # a Python float: its quotient overflows to inf
+    return math.log(model.birth.sup / scale) / decay if scale > 0 else math.inf
+
+
 def choose_age_truncation(model: RateModel, lam: float, tol: float,
                           da: float) -> float:
     """Smallest lattice-aligned horizon with tail bound below tol."""
@@ -59,28 +71,24 @@ def choose_age_truncation(model: RateModel, lam: float, tol: float,
     decay = model.death_floor + lam
     if model.birth.sup == 0 or tol >= model.birth.sup / decay:
         return da   # degenerate: never less than one lattice step
-    a = math.log(model.birth.sup / (tol * decay)) / decay
-    return max(da, math.ceil(a / da - 1e-12) * da)
+    return max(da, math.ceil(_tail_age(model, lam, tol) / da - 1e-12) * da)
 
 
 def horizon(model: RateModel, lam: float, first: np.ndarray, ages: np.ndarray) -> int:
     """Cells of the lattice `ages` that an age sum at lambda needs.
 
     first holds each row's first cell, a lower bound on its row sum (every
-    cell is nonnegative). The sum stops at the first node a_n with
-    tail_bound(model, lam, a_n) <= TAIL_RTOL * min(first), so the cells it
-    leaves out weigh less than TAIL_RTOL of every row. It covers the whole
-    lattice when first has a zero or no node meets the bound.
+    cell is nonnegative). The sum stops at the first node a_n at or past the
+    age where tail_bound(model, lam, .) meets TAIL_RTOL * min(first), so the
+    cells it leaves out weigh less than TAIL_RTOL of every row; n is at least
+    1. It covers the whole lattice when first has a zero or no node is that old.
     """
     n_cells = ages.size - 1
     floor = float(first.min())
     if not floor > 0:
         return n_cells
-    limit = TAIL_RTOL * floor
-    # tail_bound falls with age: bisect the nodes a_1 .. a_{n_cells}
-    n = 1 + bisect.bisect_left(range(1, n_cells + 1), True,
-                               key=lambda j: tail_bound(model, lam, ages[j]) <= limit)
-    return min(n, n_cells)
+    a = _tail_age(model, lam, TAIL_RTOL * floor)
+    return min(max(int(np.searchsorted(ages, a)), 1), n_cells)
 
 
 # ---------------------------------------------------------------------------

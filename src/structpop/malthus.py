@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as kern
 from . import spectral
-from .model import AgeGrid, RateModel, TraitGrid
+from .model import AgeGrid, RateModel, TraitGrid, mass_weights
 
 
 class SubcriticalError(RuntimeError):
@@ -32,7 +32,6 @@ class EigenTriple:
     N_grid: np.ndarray          # (nx, na+1), int N = 1
     phi_grid: np.ndarray        # (nx, na+1), int N phi = 1
     mu_profile: np.ndarray
-    eta_profile: np.ndarray
     eta_lower: float            # grid value of the contraction constant
     eta_lower_proof: float      # conservative proof-style bound
     norms: dict
@@ -204,10 +203,6 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
 # eigen profiles on the (x, a) grid
 # ---------------------------------------------------------------------------
 
-def _mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
-    return tgrid.weights[:, None] * agrid.quad_weights()[None, :]
-
-
 def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
                    R: np.ndarray) -> np.ndarray:
     """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass.
@@ -215,7 +210,7 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
     R is R_{lambda*} on the age lattice.
     """
     N = mu[:, None] * R
-    mass = float(np.sum(N * _mass_weights(tgrid, agrid)))
+    mass = float(np.sum(N * mass_weights(tgrid, agrid)))
     return N / mass
 
 
@@ -255,7 +250,7 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: f
     phi = tails
     phi *= (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
     phi /= R
-    phi /= float(np.sum(N_grid * phi * _mass_weights(tgrid, agrid)))   # int N phi
+    phi /= float(np.sum(N_grid * phi * mass_weights(tgrid, agrid)))   # int N phi
     return phi
 
 
@@ -301,13 +296,11 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     lam_star = problem.find_lambda_star(tol_lam)
     ck, pd, pq = problem.eigendata(lam_star)
     model, tgrid, agrid = problem.model, problem.tgrid, problem.agrid
-    mu = pd.profile
-    eta = pq.profile
     R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
-    N = direct_profile(tgrid, agrid, mu, R)
-    phi = dual_profile(model, tgrid, agrid, lam_star, eta, R, problem.factors,
+    N = direct_profile(tgrid, agrid, pd.profile, R)
+    phi = dual_profile(model, tgrid, agrid, lam_star, pq.profile, R, problem.factors,
                        problem.mix, N)
-    mw = _mass_weights(tgrid, agrid)
+    mw = mass_weights(tgrid, agrid)
     norms = {
         "intN": float(np.sum(N * mw)),
         "intNphi": float(np.sum(N * phi * mw)),
@@ -321,8 +314,7 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     diagnostics = dict(pd.diagnostics)
     diagnostics["perron"] = {"direct": pd.summary(), "dual": pq.summary()}
     diagnostics["warnings"] = warn
-    return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi,
-                       mu_profile=mu, eta_profile=eta,
+    return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi, mu_profile=pd.profile,
                        eta_lower=grid_eta, eta_lower_proof=proof_eta,
                        norms=norms, regime=pd.regime, diagnostics=diagnostics)
 

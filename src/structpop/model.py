@@ -243,8 +243,15 @@ class TraitGrid:
 
 @dataclass(frozen=True)
 class AgeGrid:
+    """The age lattice a_j = j da, j = 0 .. n_cells, which every (x, a) grid and
+    age integral shares; n_cells is even and at least 2, as Simpson's rule needs."""
+
     da: float
     n_cells: int
+
+    def __post_init__(self):
+        if self.n_cells < 2 or self.n_cells % 2:
+            raise ConfigError(f"age lattice needs an even cell count >= 2, got {self.n_cells}")
 
     @property
     def a_max(self) -> float:
@@ -255,16 +262,17 @@ class AgeGrid:
         return self.da * np.arange(self.n_cells + 1)
 
     def quad_weights(self) -> np.ndarray:
-        """Composite Simpson weights on the age lattice (n_cells is kept even)."""
-        n = self.n_cells
-        if n % 2 == 0 and n >= 2:
-            w = np.ones(n + 1)
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            return w * (self.da / 3.0)
-        w = np.full(n + 1, self.da)
-        w[0] = w[-1] = 0.5 * self.da
-        return w
+        """Composite Simpson weights on the age lattice."""
+        w = np.ones(self.n_cells + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return w * (self.da / 3.0)
+
+
+def mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
+    """w_i qa_j, shape (nx, na+1): the quadrature weights of int f dx da on the
+    (x, a) nodes, for the trait weights w and the age lattice's Simpson weights qa."""
+    return tgrid.weights[:, None] * agrid.quad_weights()[None, :]
 
 
 def midpoint_grid(domain: tuple[float, float], nx: int) -> TraitGrid:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import survival_matrix, w_adjoint
-from .model import AgeGrid, RateModel, TraitGrid
+from .model import AgeGrid, RateModel, TraitGrid, mass_weights
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
 _BLOCK = 512        # most steps in a block, whose history sums one FFT gives
@@ -66,7 +66,7 @@ class TransportSolver:
         self.dt = agrid.da       # transport step locked to the age step
         xs, ages = tgrid.nodes, agrid.nodes
         self.qa = agrid.quad_weights()
-        self.mass_w = tgrid.weights[:, None] * self.qa[None, :]
+        self.mass_w = mass_weights(tgrid, agrid)
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
         self._net_w = (self.B - D) * self.mass_w      # weights of the D(t) numerator
@@ -330,9 +330,8 @@ def dirac_state(tgrid: TraitGrid, agrid: AgeGrid, x: float, a: float = 0.0,
     """Single-cell spike carrying the given quadrature mass at (x, a)."""
     i = int(np.argmin(np.abs(tgrid.nodes - x)))
     j = int(round(a / agrid.da))
-    qa = agrid.quad_weights()
     values = np.zeros((tgrid.n, agrid.n_cells + 1))
-    values[i, j] = mass / (tgrid.weights[i] * qa[j])
+    values[i, j] = mass / mass_weights(tgrid, agrid)[i, j]
     return DensityState(t=0.0, values=values)
 
 
@@ -341,8 +340,5 @@ def uniform_state(tgrid: TraitGrid, agrid: AgeGrid, a_scale: float = 1.0,
     """Trait-uniform density with an exponential age profile, given mass."""
     prof = np.exp(-agrid.nodes / a_scale)
     values = np.ones((tgrid.n, 1)) * prof[None, :]
-    st = DensityState(t=0.0, values=values)
-    qa = agrid.quad_weights()
-    total = float(np.sum(values * tgrid.weights[:, None] * qa[None, :]))
-    st.values *= mass / total
-    return st
+    values *= mass / float(np.sum(values * mass_weights(tgrid, agrid)))
+    return DensityState(t=0.0, values=values)

@@ -143,6 +143,34 @@ def test_verify_refines_up_to_the_solved_grid(tmp_path, nx, swept):
     assert [int(row.split(",")[0]) for row in rows[1:]] == swept
 
 
+@pytest.fixture
+def no_competition_cfg(tmp_path):
+    cfg = dataclasses.replace(constant_scenario(nx=8, tol=1e-8), c=0.0)
+    return write_config(tmp_path / "c0.json", cfg)
+
+
+@pytest.mark.parametrize("command", ["stationary", "pde"])
+def test_stationary_commands_refuse_no_competition_before_solving(
+        no_competition_cfg, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "_solve", lambda config: pytest.fail("solved"))
+    out = str(tmp_path / "out")
+    assert main([command, "--config", no_competition_cfg, "--out", out]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)
+    assert err["kind"] == "config" and "competition" in err["message"]
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_verify_without_competition_skips_the_stationary_checks(no_competition_cfg,
+                                                                tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", no_competition_cfg, "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["regime"] == "Regular" and "convergence_report" not in summary
+    assert summary["manifest"] == [] and summary["all_green"]
+    assert not {"c_mass_is_lambda", "stationary_residual"} & set(summary["checks"])
+    assert not os.path.exists(os.path.join(out, "refinement.csv"))
+
+
 def test_summaries_report_the_theorem_residuals(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16, tol=1e-8))
     sing = write_config(tmp_path / "sing.json", singular_scenario(nx=100))
@@ -484,3 +512,26 @@ def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
                         and node.func.value.attr == "mutation_kernel"):
                     callers.append(f"{name[:-3]}.{fn.name}")
     assert sorted(callers) == ["ibm._mutant_cdf_rows", "kernel.mix_matrix"]
+
+
+def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():
+    # w_i qa_j is formed once, in model.mass_weights; the solver also reads qa alone
+    package = os.path.dirname(ibm.__file__)
+
+    def calls(node):
+        return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "quad_weights" for n in ast.walk(node))
+
+    callers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for top in tree.body:       # module-level statements, and methods by class
+            inner = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in inner:
+                where = [top, node] if node is not top else [top]
+                qualified = ".".join(getattr(n, "name", "<body>") for n in where)
+                callers += [f"{name[:-3]}.{qualified}"] * calls(node)
+    assert sorted(callers) == ["model.mass_weights", "pde.TransportSolver.__init__"]

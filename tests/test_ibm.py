@@ -135,7 +135,7 @@ def python_loop_only(monkeypatch):
 
 def dispatched_loop(model):
     """The loop `ibm.simulate` should pick for this model on this host."""
-    in_c = {model.birth.name, model.death.name} <= set(ibm._C_RATES)
+    in_c = all(ibm._rate(fam, 0.0)[0] is not None for fam in (model.birth, model.death))
     return "c" if in_c and ibm._c_loop()[0] is not None else "python"
 
 

@@ -251,14 +251,54 @@ def test_horizon_is_the_first_node_under_the_bound(const_model):
     assert horizon(const_model, 1.0, first, ages[:n]) == n - 1
 
 
-def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
-    # B = 0 on the first age cell: the first column bounds no row sum from below
-    cfg = dataclasses.replace(constant_scenario(nx=8), birth={
-        "family": "tabulated", "params": {"x_nodes": [0.0, 1.0],
-                                          "a_nodes": [0.0, 0.01, 0.02, 1.0],
-                                          "values": [[0.0, 0.0, 2.0, 2.0]] * 2}})
+def scanned_horizon(model, lam, first, ages):
+    """horizon by brute force: the first node a_j, j >= 1, with tail_bound <=
+    TAIL_RTOL min(first), or the whole lattice for a zero first cell or none."""
+    n_cells = ages.size - 1
+    limit = TAIL_RTOL * first.min()
+    if not limit > 0:
+        return n_cells
+    return next((j for j in range(1, n_cells + 1)
+                 if tail_bound(model, lam, ages[j]) <= limit), n_cells)
+
+
+LATE_BIRTHS = dataclasses.replace(constant_scenario(nx=8), birth={
+    "family": "tabulated", "params": {"x_nodes": [0.0, 1.0],
+                                      "a_nodes": [0.0, 0.01, 0.02, 1.0],
+                                      "values": [[0.0, 0.0, 2.0, 2.0]] * 2}})
+SCAN_CASES = {**HORIZON_CASES, "late_births": LATE_BIRTHS}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+@pytest.mark.parametrize("da, tol", [(0.01, 1e-10), (0.005, 1e-10), (0.02, 1e-6)])
+def test_horizon_is_the_scanned_first_node(case, da, tol):
+    cfg = dataclasses.replace(SCAN_CASES[case], nx=8, da=da, tol=tol)
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    beyond = ag.da * np.arange(ag.n_cells, 2 * ag.n_cells + 1)  # the continuation lattice
+    for lam in np.linspace(-0.9 * model.death_floor, 20.0, 24):
+        first = cell_integrals(factors, lam, 1)[:, 0]
+        after = cell_integrals(continued_factors(model, tg.nodes, factors, beyond[:2]),
+                               lam)[:, 0]
+        for f, ages in ((first, ag.nodes), (after, beyond)):
+            assert horizon(model, lam, f, ages) == scanned_horizon(model, lam, f, ages)
+
+
+@pytest.mark.parametrize("case", ["constant", "singular"])
+def test_horizon_scan_on_a_long_lattice_for_tiny_and_large_first_cells(case):
+    model = build_model(SCAN_CASES[case])
+    ages = 0.01 * np.arange(3001)
+    for lam in np.linspace(-0.9 * model.death_floor, 20.0, 24):
+        for f in (0.0, 1e-310, 1e-300, 1e-200, 1e-20, 0.02, 1.0, 5.0, 1e30):
+            first = np.array([f, 1.5 * f])
+            assert horizon(model, lam, first, ages) == scanned_horizon(model, lam, first, ages)
+
+
+def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
+    # B = 0 on the first age cell: the first column bounds no row sum from below
+    model = build_model(LATE_BIRTHS)
+    tg, ag = build_grids(LATE_BIRTHS, model)
     factors = age_factors(model, tg.nodes, ag.nodes)
     assert np.all(factors.C[:, 0] == 0.0) and np.all(factors.C[:, 1] > 0.0)
     ck = collapse(model, tg, ag, 4.0, factors=factors)

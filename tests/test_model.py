@@ -48,6 +48,17 @@ def test_build_grids_age_horizon_constant_model():
     assert agrid.n_cells % 2 == 0
 
 
+@pytest.mark.parametrize("n_cells", [0, 1, 3])
+def test_age_grid_needs_an_even_cell_count_for_simpson(n_cells):
+    with pytest.raises(ConfigError, match="even cell count"):
+        AgeGrid(da=0.01, n_cells=n_cells)
+
+
+def test_age_grid_of_two_cells_is_one_simpson_panel():
+    np.testing.assert_allclose(AgeGrid(da=0.3, n_cells=2).quad_weights(),
+                               [0.1, 0.4, 0.1], rtol=1e-15)
+
+
 def test_config_round_trip():
     cfg = constant_scenario()
     assert parse_config(json.dumps(cfg.to_dict())) == cfg
