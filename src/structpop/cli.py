@@ -140,8 +140,7 @@ def cmd_stationary(config, out: str) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     lam, nbar, mass = malthus.stationary_state(problem, triple)
     problem.release_factors()
-    solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
-    residual = pde.stationary_residual(solver, nbar)
+    residual = pde.stationary_residual(model, tgrid, agrid, problem.mix, nbar)
     manifest = _write_grids(out, tgrid, agrid, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
             "weak_form_residual": residual, "regime": triple.regime,
@@ -252,9 +251,9 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     summary["warnings"] = triple.diagnostics["warnings"]
     if triple.regime == "Regular" and model.competition > 0:
         lam, nbar, mass = malthus.stationary_state(problem, triple)
-        solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
         checks["c_mass_is_lambda"] = abs(model.competition * mass - lam) <= 1e-8
-        checks["stationary_residual"] = pde.stationary_residual(solver, nbar) <= 1e-3
+        checks["stationary_residual"] = pde.stationary_residual(
+            model, tgrid, agrid, problem.mix, nbar) <= 1e-3
     elif triple.regime != "Regular":    # a Regular model without competition has no nbar
         summary["convergence_report"] = "refused: regime not certified Regular"
         rows = _refinement_rows(config, problem)

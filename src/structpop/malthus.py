@@ -1,8 +1,9 @@
 """Malthusian parameter, principal eigen-elements, and the stationary state.
 
 The growth rate lambda* is the unique root of rho(lambda) = 1, located by
-Brent's method inside a doubling bracket (rho is continuous and strictly
-decreasing); `_brentq` is a port of scipy's `brentq`, with the same iterates.
+regula falsi on 1/rho - 1 inside a doubling bracket (rho is continuous and
+strictly decreasing; 1/rho is affine in lambda when the age collapse is
+B/(D + lambda), so the first false-position step lands on the root there).
 The search solves the direct operator only, and the dual is solved once, at
 the root. The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import kernel as kern
 from . import spectral
-from .model import AgeGrid, RateModel, TraitGrid, mass_weights
+from .model import AgeGrid, RateModel, TraitGrid, grid_integral
 
 
 class SubcriticalError(RuntimeError):
@@ -109,7 +110,8 @@ class MalthusProblem:
         return self._solve_direct(lam)[1].rho
 
     def find_lambda_star(self, tol_lam: float = 1e-6) -> float:
-        """Root of rho(lambda) = 1 to within tol_lam; records lambda_search.
+        """Root of rho(lambda) = 1, by `_falsi` on 1/rho - 1 with bracket width
+        tol_lam; records lambda_search.
 
         The bracket [0, 1] doubles at most 60 times, to 2^60. lambda_search
         holds the lambdas solved, their bracket, the Perron iterations and
@@ -127,7 +129,7 @@ class MalthusProblem:
             lo, hi = hi, 2.0 * hi
         else:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
-        lam = _brentq(lambda l: self.rho_of_lambda(l) - 1.0, lo, hi, xtol=tol_lam)
+        lam = _falsi(lambda l: 1.0 / self.rho_of_lambda(l) - 1.0, lo, hi, tol_lam)
         solved = [pair for l, pair in self._direct.items() if l not in solved_before]
         self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
                               "perron_iterations": sum(pd.iterations for _, pd in solved),
@@ -135,68 +137,43 @@ class MalthusProblem:
         return lam
 
 
-_RTOL = 4 * math.ulp(1.0)     # 4 machine epsilons, as in scipy
+_ACCEPT = 4 * math.ulp(1.0)     # |g| this small is a root: 4 machine epsilons
 
 
-def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
-            maxiter: int = 100) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _falsi(g, lo: float, hi: float, tol: float) -> float:
+    """Root of an increasing g with g(lo) <= 0 < g(hi), by Illinois regula falsi
+    (Dowell & Jarratt 1971, BIT 11:168-174).
 
-    A port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c): the same
-    float operations in the same order, so the same iterates and the same
-    root. Raises ValueError for xtol <= 0, rtol < 4 eps, a NaN value of f or
-    f(a), f(b) of one sign, and RuntimeError after maxiter iterations.
+    A point with |g| <= 4 eps is the root, the bracket's ends included;
+    otherwise the bracket narrows to tol and the end with the smaller |g| is
+    returned. Each false-position step replaces one end; the other end's
+    value is halved each time it is kept twice running. Raises ValueError for
+    a non-finite g and RuntimeError after 100 steps.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-
     def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
+        gx = float(g(x))
+        if not math.isfinite(gx):
+            raise ValueError(f"g({x!r}) = {gx}: the root search cannot continue")
+        return gx
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:    # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:               # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < bound:   # good short step
-                spre, scur = scur, stry
-            else:                       # bisect
-                spre = scur = sbis
-        else:                           # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    glo, ghi = value(lo), value(hi)
+    wlo = whi = 1.0         # the ends' Illinois weights
+    side = 0                # the end replaced last: -1 lo, 1 hi
+    for _ in range(100):
+        best, gbest = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
+        if abs(gbest) <= _ACCEPT or hi - lo <= tol:
+            return best
+        x = lo - wlo * glo * (hi - lo) / (whi * ghi - wlo * glo)
+        gx = value(x)
+        if gx > 0:
+            if side == 1:
+                wlo /= 2
+            hi, ghi, whi, side = x, gx, 1.0, 1
+        else:
+            if side == -1:
+                whi /= 2
+            lo, glo, wlo, side = x, gx, 1.0, -1
+    raise RuntimeError("regula falsi did not converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +187,8 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
     R is R_{lambda*} on the age lattice.
     """
     N = mu[:, None] * R
-    mass = float(np.sum(N * mass_weights(tgrid, agrid)))
-    return N / mass
+    N /= grid_integral(tgrid, agrid, N)
+    return N
 
 
 def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: float,
@@ -250,7 +227,7 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: f
     phi = tails
     phi *= (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
     phi /= R
-    phi /= float(np.sum(N_grid * phi * mass_weights(tgrid, agrid)))   # int N phi
+    phi /= grid_integral(tgrid, agrid, N_grid, phi)
     return phi
 
 
@@ -300,10 +277,9 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     N = direct_profile(tgrid, agrid, pd.profile, R)
     phi = dual_profile(model, tgrid, agrid, lam_star, pq.profile, R, problem.factors,
                        problem.mix, N)
-    mw = mass_weights(tgrid, agrid)
     norms = {
-        "intN": float(np.sum(N * mw)),
-        "intNphi": float(np.sum(N * phi * mw)),
+        "intN": grid_integral(tgrid, agrid, N),
+        "intNphi": grid_integral(tgrid, agrid, N, phi),
         "rho_at_star": pd.rho,
     }
     grid_eta, proof_eta, warn = eta_lower_bound(phi, model, lam_star)

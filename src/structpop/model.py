@@ -275,6 +275,21 @@ def mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
     return tgrid.weights[:, None] * agrid.quad_weights()[None, :]
 
 
+def grid_integral(tgrid: TraitGrid, agrid: AgeGrid, *fs: np.ndarray) -> float:
+    """int f_1 ... f_k dx da for (nx, na+1) grids f: sum(f_1 ... f_k mass_weights),
+    formed and summed pairwise over blocks of 16 trait rows, so that no
+    grid-sized array is formed."""
+    qa, total = agrid.quad_weights(), 0.0
+    for i in range(0, tgrid.n, 16):
+        rows = slice(i, i + 16)
+        block = fs[0][rows].copy()
+        for f in fs[1:]:
+            block *= f[rows]
+        block *= tgrid.weights[rows, None] * qa
+        total += float(np.sum(block))
+    return total
+
+
 def midpoint_grid(domain: tuple[float, float], nx: int) -> TraitGrid:
     if nx < 2:
         raise ConfigError("trait grid needs at least 2 nodes")

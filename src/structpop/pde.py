@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import survival_matrix, w_adjoint
-from .model import AgeGrid, RateModel, TraitGrid, mass_weights
+from .model import AgeGrid, RateModel, TraitGrid, grid_integral, mass_weights
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
 _BLOCK = 512        # most steps in a block, whose history sums one FFT gives
@@ -37,10 +37,6 @@ class DensityState:
         if self._values is None:
             self._values, self._cohort = self._cohort[0].density(self), None
         return self._values
-
-    @values.setter
-    def values(self, values: np.ndarray) -> None:
-        self._values, self._cohort = values, None
 
     def copy(self) -> "DensityState":
         return DensityState(self.t, self.values.copy())
@@ -297,18 +293,20 @@ def default_test_basket(tgrid: TraitGrid, agrid: AgeGrid) -> list[tuple[np.ndarr
     return basket
 
 
-def stationary_residual(solver: TransportSolver, nbar: np.ndarray) -> float:
+def stationary_residual(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
+                        mix: np.ndarray, nbar: np.ndarray) -> float:
     """Max weak-form defect |int (df/da - (D + c mass) f + G[f]) nbar| over
-    the functions f of `default_test_basket`."""
-    model = solver.model
-    death = model.death(solver.tgrid.nodes[:, None], solver.agrid.nodes[None, :])
-    mass = solver.mass(nbar)
-    dual_mix = w_adjoint(solver.mix, solver.tgrid.weights)
+    the functions f of `default_test_basket`, for the birth-mutation matrix mix."""
+    X, A = tgrid.nodes[:, None], agrid.nodes[None, :]
+    birth = np.asarray(model.birth(X, A), float)
+    death = model.death(X, A)
+    mass = grid_integral(tgrid, agrid, nbar)
+    dual_mix = w_adjoint(mix, tgrid.weights)
     worst = 0.0
-    for f, dfda in default_test_basket(solver.tgrid, solver.agrid):
-        G = solver.B * (dual_mix @ f[:, 0])[:, None]
+    for f, dfda in default_test_basket(tgrid, agrid):
+        G = birth * (dual_mix @ f[:, 0])[:, None]
         integrand = dfda - (death + model.competition * mass) * f + G
-        worst = max(worst, abs(float(np.sum(integrand * nbar * solver.mass_w))))
+        worst = max(worst, abs(grid_integral(tgrid, agrid, integrand, nbar)))
     return worst
 
 

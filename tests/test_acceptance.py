@@ -93,7 +93,7 @@ def test_criterion_04_regular_eigen_elements(constant_setup):
 def test_criterion_05_stationarity(constant_setup):
     s = constant_setup
     lam, nbar, mass = s.stationary()
-    defect = pde.stationary_residual(s.solver, nbar)
+    defect = pde.stationary_residual(s.model, s.tgrid, s.agrid, s.problem.mix, nbar)
     balance = abs(s.model.competition * mass - lam)
     ok = defect <= 1e-3 and balance <= 1e-8
     report(5, "stationary state solves the weak problem", ok,

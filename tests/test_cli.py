@@ -515,7 +515,8 @@ def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
 
 
 def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():
-    # w_i qa_j is formed once, in model.mass_weights; the solver also reads qa alone
+    # w_i qa_j is formed in model.mass_weights, and per block of trait rows in
+    # model.grid_integral; the solver also reads qa alone
     package = os.path.dirname(ibm.__file__)
 
     def calls(node):
@@ -534,4 +535,5 @@ def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():
                 where = [top, node] if node is not top else [top]
                 qualified = ".".join(getattr(n, "name", "<body>") for n in where)
                 callers += [f"{name[:-3]}.{qualified}"] * calls(node)
-    assert sorted(callers) == ["model.mass_weights", "pde.TransportSolver.__init__"]
+    assert sorted(callers) == ["model.grid_integral", "model.mass_weights",
+                               "pde.TransportSolver.__init__"]

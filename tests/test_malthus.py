@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from scipy.optimize import brentq
 from structpop import kernel, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import collapse, survival_matrix
-from structpop.malthus import (MalthusProblem, SubcriticalError, _brentq,
+from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
                                dual_profile, eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
 from structpop.model import (build_grids, build_model, constant_scenario,
                              singular_scenario)
-from structpop.pde import TransportSolver, stationary_residual
+from structpop.pde import stationary_residual
 from structpop.spectral import assemble, dual, perron
 
 
@@ -192,10 +193,9 @@ def test_gaussian_kernel_constant_rates():
     problem = MalthusProblem(model, tgrid, agrid)
     triple = solve_eigentriple(problem)
     _, nbar, _ = stationary_state(problem, triple)
-    solver = TransportSolver(model, tgrid, agrid, problem.mix)
     assert abs(triple.lambda_star - 1.0) <= 1e-3
     assert np.abs(triple.phi_grid - 1.0).max() <= 1e-3
-    assert stationary_residual(solver, nbar) <= 1e-3
+    assert stationary_residual(model, tgrid, agrid, problem.mix, nbar) <= 1e-3
     C = square_integrability_constant(model, triple.phi_grid, tgrid, agrid, problem.mix)
     assert abs(C - 3.0) <= 1e-3
 
@@ -270,26 +270,26 @@ def test_eigendata_reuses_the_search(monkeypatch):
     np.testing.assert_array_equal(ck.r_values, fresh.r_values)
 
 
-@pytest.mark.parametrize("death", [
-    {"family": "constant", "params": {"value": 1.0}},
-    {"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}],
+@pytest.mark.parametrize("death, evaluations", [
+    ({"family": "constant", "params": {"value": 1.0}}, 5),
+    ({"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}, 7)],
     ids=["preset", "trait_dependent_death"])
-def test_search_warm_starts_each_direct_solve(monkeypatch, death):
+def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
     problem = singular_problem(200, death=death)
     solves = counting(monkeypatch, spectral, "perron")
     collapses = counting(monkeypatch, kernel, "collapse")
     lam = problem.find_lambda_star(1e-6)
     search = problem.lambda_search
-    assert len(collapses) == len(solves) == search["evaluations"] == 10
+    assert len(collapses) == len(solves) == search["evaluations"] == evaluations
     assert solves[0].path == "shift-invert"
-    assert [p.path for p in solves[1:]] == ["warm"] * 9
+    assert [p.path for p in solves[1:]] == ["warm"] * (evaluations - 1)
     if death["family"] == "constant":
         # M(lambda) = M(0) / (1 + lambda): the last profile is already the answer
-        assert [p.iterations for p in solves[1:]] == [0] * 9
+        assert [p.iterations for p in solves[1:]] == [0] * (evaluations - 1)
     assert search["perron_iterations"] == sum(p.iterations for p in solves)
     n = problem.agrid.n_cells
     cells = [problem._solve_direct(l)[0].age_cells for l in problem._direct]
-    assert search["age_cells"] == sum(cells) < 10 * n
+    assert search["age_cells"] == sum(cells) < evaluations * n
     assert cells[0] == n                  # lambda = 0 sums the whole lattice
     cold = spectral.perron(spectral.assemble(
         collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
@@ -313,6 +313,22 @@ def test_eigentriple_reports_perron_and_keeps_factors():
     assert kept is not None and problem.factors is kept
     problem.release_factors()
     assert problem._factors is None
+
+
+def test_profile_step_forms_no_grid_sized_integrand():
+    # R, N, and dual_profile's cells and tails: four (x, a) grids at most at once.
+    # np.sum(N * phi * mass_weights) holds three grids beside phi, R and N (5.1 in all)
+    problem = singular_problem(64)
+    problem.eigendata(problem.find_lambda_star(1e-6))
+    problem.factors
+    grid = 8 * problem.tgrid.n * (problem.agrid.n_cells + 1)
+    tracemalloc.start()
+    try:
+        solve_eigentriple(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * grid
 
 
 PRESETS = pytest.mark.parametrize("scenario", [singular_scenario, constant_scenario],
@@ -383,68 +399,82 @@ def test_dual_stays_cold_where_the_birth_integral_vanishes(scenario):
 
 
 # ---------------------------------------------------------------------------
-# the Brent port: the same iterates as scipy's brentq
+# the lambda* search: regula falsi on 1/rho - 1
 # ---------------------------------------------------------------------------
 
-BRENT_CASES = {
+SEARCH_CASES = {      # (preset, nx, changes, pinned evaluations or None)
+    "constant": (constant_scenario, 64, {}, 2),
+    "singular": (singular_scenario, 64, {}, 5),
+    "singular_800": (singular_scenario, 800, {}, 5),
+    "singular_affine_death": (singular_scenario, 64, {
+        "death": {"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}}, None),
+    "gaussian_kernel": (singular_scenario, 64, {
+        "kernel": {"family": "gaussian", "params": {"width": 0.15}}}, None),
+    "gaussian_bump": (singular_scenario, 64, {"birth": {"family": "gaussian_bump", "params": {
+        "base": 1.0, "amp": 2.0, "center": 0.3, "width": 0.1}}}, None),
+    "tabulated": (singular_scenario, 64, {"birth": {"family": "tabulated", "params": {
+        "x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 1.0, 3.0],
+        "values": [[1.0, 3.0, 2.0], [2.0, 4.0, 1.0], [1.0, 2.0, 3.0]]}}}, None),
+    "p_0.118": (singular_scenario, 64, {"p": 0.118}, None),
+    "logistic_age": (singular_scenario, 64, {"birth": {"family": "logistic_age", "params": {
+        "low": 0.5, "high": 4.0, "midpoint": 1.0, "scale": 0.3}}}, None),
+    "affine_death_in_age": (singular_scenario, 64, {
+        "death": {"family": "affine", "params": {"base": 1.0, "slope_a": 0.5}}}, None),
+}
+
+
+@pytest.mark.parametrize("name", list(SEARCH_CASES))
+def test_lambda_star_matches_a_brentq_reference(name):
+    preset, nx, changes, pinned = SEARCH_CASES[name]
+    cfg = dataclasses.replace(preset(nx=nx), **changes)
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    lam_star = problem.find_lambda_star(1e-6)
+    lo, hi = problem.lambda_search["bracket"]
+    ref = brentq(lambda lam: problem.rho_of_lambda(lam) - 1.0, lo, hi, xtol=1e-14)
+    assert abs(lam_star - ref) <= 1e-6
+    if pinned is not None:
+        # 1/rho is affine in lambda when sB = B / (D + lambda): one step lands on the root
+        assert problem.lambda_search["evaluations"] == pinned
+    if name == "constant":
+        assert lam_star == 1.0      # rho(1) = 1 - 4.4e-16 passes the 4 eps rule
+
+
+FALSI_CASES = {       # increasing g with g(lo) < 0 < g(hi)
     "quadratic": (lambda x: x * x - 2.0, 0.0, 3.0),
     "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    "cos_fixed_point": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "cos_fixed_point": (lambda x: x - math.cos(x), 0.0, 1.0),
     "exp": (lambda x: math.exp(x) - 5.0, -1.0, 4.0),
     "atan_wide_bracket": (lambda x: math.atan(x - 0.3), -10.0, 50.0),
     "steep_tanh": (lambda x: math.tanh(20.0 * (x - 0.37)), -1.0, 1.0),
     "log": (lambda x: math.log(x) + x, 0.01, 3.0),
     "root_at_zero": (math.sinh, -1.0, 2.0),
 }
-BRENT_XTOLS = [1e-6, 1e-12, 5e-324]
 
 
-@pytest.mark.parametrize("xtol", BRENT_XTOLS)
-@pytest.mark.parametrize("name", sorted(BRENT_CASES))
-def test_brentq_port_matches_scipy(name, xtol):
-    f, a, b = BRENT_CASES[name]
-    assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+@pytest.mark.parametrize("xtol", [1e-6, 1e-12, 5e-324])
+@pytest.mark.parametrize("name", sorted(FALSI_CASES))
+def test_falsi_matches_brentq(name, xtol):
+    # below any bracket width (5e-324) the search ends by the 4 eps rule alone
+    g, lo, hi = FALSI_CASES[name]
+    ref = brentq(g, lo, hi, xtol=xtol)
+    assert abs(_falsi(g, lo, hi, xtol) - ref) <= xtol + 8 * math.ulp(max(1.0, abs(ref)))
 
 
-@pytest.mark.parametrize("preset, changes", [
-    (constant_scenario, {}),
-    (singular_scenario, {}),
-    (singular_scenario,
-     {"death": {"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}})],
-    ids=["constant", "singular", "singular_affine_death"])
-def test_brentq_port_matches_scipy_on_rho(preset, changes):
-    cfg = dataclasses.replace(preset(nx=64), **changes)
-    model = build_model(cfg)
-    problem = MalthusProblem(model, *build_grids(cfg, model))
-    lam_star = problem.find_lambda_star(1e-6)
-    lo, hi = problem.lambda_search["bracket"]
-
-    def f(lam):
-        return problem.rho_of_lambda(lam) - 1.0
-
-    # rho(lambda) is cached per lambda, so equal iterates see equal values
-    for xtol in BRENT_XTOLS:
-        assert _brentq(f, lo, hi, xtol=xtol) == brentq(f, lo, hi, xtol=xtol)
-    assert lam_star == brentq(f, lo, hi, xtol=1e-6)
+def test_search_rejects_a_non_finite_rho(monkeypatch):
+    problem = singular_problem(16)
+    rho = {0.0: 3.0, 1.0: 2.0, 2.0: 0.5}
+    monkeypatch.setattr(problem, "rho_of_lambda", lambda lam: rho.get(lam, math.nan))
+    with pytest.raises(ValueError, match="nan"):
+        problem.find_lambda_star()
 
 
-def _nan_inside(x):
-    return x - 0.5 if x in (0.0, 1.0) else math.nan
-
-
-@pytest.mark.parametrize("args, kwargs, error", [
-    ((math.sin, 1.0, 4.0), {"xtol": 0.0}, ValueError),
-    ((math.sin, 1.0, 4.0), {"xtol": -1e-6}, ValueError),
-    ((math.sin, 1.0, 4.0), {"rtol": 1e-16}, ValueError),
-    ((lambda x: math.nan, 1.0, 4.0), {}, ValueError),
-    ((_nan_inside, 0.0, 1.0), {}, ValueError),
-    ((math.sin, 1.0, 2.0), {}, ValueError),
-    ((lambda x: (x - 1e-3) ** 5, -1.0, 2.0), {"xtol": 1e-12}, RuntimeError),
-], ids=["xtol_zero", "xtol_negative", "rtol_below_4eps", "nan_at_end",
-        "nan_inside", "same_sign", "no_convergence"])
-def test_brentq_port_errors_match_scipy(args, kwargs, error):
-    with pytest.raises(error) as ours:
-        _brentq(*args, **kwargs)
-    with pytest.raises(error) as theirs:
-        brentq(*args, **kwargs)
-    assert str(ours.value) == str(theirs.value)
+@pytest.mark.parametrize("g, tol, error", [
+    (lambda x: math.nan if x == 1.0 else x - 0.5, 1e-6, ValueError),
+    (lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, 1e-6, ValueError),
+    (lambda x: -math.inf if x == 0.0 else x, 1e-6, ValueError),
+    (lambda x: 1.0 if x >= 0.3 else -1.0, 0.0, RuntimeError)],
+    ids=["nan_at_end", "nan_inside", "infinite_end", "no_convergence"])
+def test_falsi_errors(g, tol, error):
+    with pytest.raises(error):
+        _falsi(g, 0.0, 1.0, tol)

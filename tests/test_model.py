@@ -8,14 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
-                             constant_scenario, midpoint_grid, parse_config,
-                             singular_scenario, validate_assumptions)
+                             constant_scenario, grid_integral, mass_weights,
+                             midpoint_grid, parse_config, singular_scenario,
+                             validate_assumptions)
 
 
 def test_midpoint_grid_example():
     g = midpoint_grid((0.0, 1.0), 4)
     assert np.allclose(g.nodes, [0.125, 0.375, 0.625, 0.875])
     assert np.allclose(g.weights, 0.25)
+
+
+@pytest.mark.parametrize("nx", [5, 16, 37])
+def test_grid_integral_is_the_mass_weighted_sum(nx):
+    rng = np.random.default_rng(nx)
+    tg, ag = midpoint_grid((0.0, 1.0), nx), AgeGrid(da=0.01, n_cells=300)
+    f, g = rng.random((2, nx, ag.n_cells + 1))
+    mw = mass_weights(tg, ag)
+    assert grid_integral(tg, ag, f) == pytest.approx(np.sum(f * mw), rel=1e-15)
+    assert grid_integral(tg, ag, f, g) == pytest.approx(np.sum(f * g * mw), rel=1e-15)
 
 
 def test_midpoint_grid_rejects_degenerate():

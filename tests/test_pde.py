@@ -197,9 +197,9 @@ def test_transform_identity_first_order(constant_setup):
 def test_stationary_residual_and_negative_control(constant_setup):
     s = constant_setup
     _, nbar, _ = s.stationary()
-    assert pde.stationary_residual(s.solver, nbar) <= 1e-3
+    assert pde.stationary_residual(s.model, s.tgrid, s.agrid, s.problem.mix, nbar) <= 1e-3
     bogus = pde.uniform_state(s.tgrid, s.agrid).values
-    assert pde.stationary_residual(s.solver, bogus) > 1e-2
+    assert pde.stationary_residual(s.model, s.tgrid, s.agrid, s.problem.mix, bogus) > 1e-2
 
 
 def test_mass_ode_diagnostic(constant_setup):
