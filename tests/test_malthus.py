@@ -454,8 +454,9 @@ FALSI_CASES = {       # increasing g with g(lo) < 0 < g(hi)
 
 @pytest.mark.parametrize("xtol", [1e-6, 1e-12, 5e-324])
 @pytest.mark.parametrize("name", sorted(FALSI_CASES))
-def test_falsi_matches_brentq(name, xtol):
-    # below any bracket width (5e-324) the search ends by the 4 eps rule alone
+def test_brentq_port_matches_scipy(name, xtol):
+    # _falsi is the in-house stand-in for scipy's brentq: it must find scipy's root.
+    # Below any bracket width (5e-324) the search ends by the 4 eps rule alone.
     g, lo, hi = FALSI_CASES[name]
     ref = brentq(g, lo, hi, xtol=xtol)
     assert abs(_falsi(g, lo, hi, xtol) - ref) <= xtol + 8 * math.ulp(max(1.0, abs(ref)))
