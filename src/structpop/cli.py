@@ -28,6 +28,8 @@ EXIT_USAGE = 2
 EXIT_SUBCRITICAL = 3
 
 LAMBDA_SAMPLE = (0.0, 0.5, 1.0, 2.0, 3.0)
+# outputs are byte-identical across reruns only at a fixed BLAS thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -351,6 +353,7 @@ def main(argv=None) -> int:
             summary = cmd_verify(config, args.out)
         summary["scenario"] = getattr(args, "preset", None) or args.config
         summary["config"] = config.to_dict()
+        summary["blas_threads_env"] = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
         if "manifest" in summary:    # relative names keep reruns byte-identical
             summary["manifest"] = [os.path.basename(p) for p in summary["manifest"]]
         path = os.path.join(args.out, "summary.json")

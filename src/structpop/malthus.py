@@ -32,7 +32,6 @@ class EigenTriple:
     lambda_star: float
     N_grid: np.ndarray          # (nx, na+1), int N = 1
     phi_grid: np.ndarray        # (nx, na+1), int N phi = 1
-    mu_profile: np.ndarray
     eta_lower: float            # grid value of the contraction constant
     eta_lower_proof: float      # conservative proof-style bound
     norms: dict
@@ -264,11 +263,10 @@ def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
 def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTriple:
     """lambda*, N, phi, eta bounds and normalization flags in one shot.
 
-    diagnostics carries the direct pair's regime diagnostics, the Perron
-    solves at lambda* ("perron": direct and dual path, iterations and
-    bracket) and "warnings", a map from stable keys to messages. The
-    problem keeps its age factors for later lambdas; a caller about to step
-    the dynamics drops them with `release_factors`.
+    diagnostics carries the Perron solves at lambda* ("perron": direct and
+    dual path, iterations and bracket) and "warnings", a map from stable
+    keys to messages. The problem keeps its age factors for later lambdas;
+    a caller about to step the dynamics drops them with `release_factors`.
     """
     lam_star = problem.find_lambda_star(tol_lam)
     ck, pd, pq = problem.eigendata(lam_star)
@@ -287,10 +285,9 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
         warn["near_singular_spectrum"] = (
             "near-singular spectrum: grid eigen-elements returned, but their "
             "continuum meaning is not certified")
-    diagnostics = dict(pd.diagnostics)
-    diagnostics["perron"] = {"direct": pd.summary(), "dual": pq.summary()}
-    diagnostics["warnings"] = warn
-    return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi, mu_profile=pd.profile,
+    diagnostics = {"perron": {"direct": pd.summary(), "dual": pq.summary()},
+                   "warnings": warn}
+    return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi,
                        eta_lower=grid_eta, eta_lower_proof=proof_eta,
                        norms=norms, regime=pd.regime, diagnostics=diagnostics)
 
@@ -319,6 +316,5 @@ def refinement_sweep(make_problem, nx_list, tol_lam: float = 1e-6) -> list[dict]
         ck, pd, _ = prob.eigendata(lam)
         d = pd.diagnostics
         rows.append({"nx": nx, "lambda_star_h": lam, "gap": d["gap"],
-                     "rbar": d["rbar"], "mass_in_band": d["mass_in_band"],
-                     "regime": pd.regime})
+                     "mass_in_band": d["mass_in_band"], "regime": pd.regime})
     return rows

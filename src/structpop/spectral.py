@@ -20,7 +20,7 @@ from .model import TraitGrid
 
 
 class PerronConvergenceError(RuntimeError):
-    """Power iteration failed; carries the last iterate for diagnostics."""
+    """The residual stalled above the acceptance rule; carries the last iterate."""
 
     def __init__(self, msg, rho, profile, iterations, residual):
         super().__init__(msg)
@@ -109,88 +109,83 @@ def _evaluate(M: np.ndarray, v: np.ndarray, w: np.ndarray):
 
 SLOW_CHECK = 10         # power iterations between looks at the bracket
 SLOW_HORIZON = 200     # power iterations the bracket must narrow within
+TOL = 1e-12                             # accepted residual, per unit of rho
+ROUNDING = 16 * np.finfo(float).eps     # rounding's floor, per unit of rho * ||v||_inf
+FLOOR = 50              # iterations without a new least residual before giving up
 
 
-def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
-           start: np.ndarray | None = None) -> PerronPair:
+def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
     """Dominant eigenpair of a nonnegative matrix, deterministic start.
 
-    Without a start vector: power iteration from the uniform vector. Every
-    SLOW_CHECK iterations up to SLOW_HORIZON, the Collatz-Wielandt bracket's
-    contraction over the last SLOW_CHECK iterations is extrapolated to
-    iteration SLOW_HORIZON; if the bracket would still be wider than 1e-4 of
-    its upper bound there, the spectrum is slow and the solve switches to
-    shift-inverse iteration. With a strictly positive start vector (a nearby
-    eigenvector: the previous lambda's profile, or sB * mu for the dual of a
-    symmetric kernel): the start is returned, after 0 iterations, if it
-    passes the residual test, and otherwise shift-inverse iterates from it.
-    `path` records "power", "shift-invert" or "warm", and `cw_bracket` the
-    Collatz-Wielandt bracket of the returned vector.
+    One loop evaluates the iterate v (sum(v * w) = 1) and accepts it when
+    ||M v - rho v||_inf <= max(TOL, ROUNDING * ||v||_inf) * rho. The second
+    term is the floor rounding leaves: a sharp v, as the singular regime's
+    fine grids give, cannot reach TOL * rho. A residual that sets no new
+    least value for FLOOR iterations, or is not finite, is at its floor
+    above the test: PerronConvergenceError carries the last iterate.
+
+    Without a start vector the loop takes power steps from the uniform
+    vector. Every SLOW_CHECK iterations up to SLOW_HORIZON, the
+    Collatz-Wielandt bracket's contraction over the last SLOW_CHECK
+    iterations is extrapolated to iteration SLOW_HORIZON; if the bracket
+    would still be wider than 1e-4 of its upper bound there, the spectrum
+    is slow and the loop switches to shift-inverse steps. A strictly
+    positive start vector (a nearby eigenvector: the previous lambda's
+    profile, or sB * mu for the dual of a symmetric kernel) is returned as
+    it is if it passes the test, and otherwise shift-inverse steps start
+    from it. `path` records "power", "shift-invert" or "warm", `iterations`
+    the iterates evaluated less the one shift-inverse starts from, and
+    `cw_bracket` the Collatz-Wielandt bracket of the returned vector.
 
     Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8).
     The upper bound is at least rho for any positive vector, so sigma > rho
     and (sigma I - M)^{-1} >= 0. That inverse is formed explicitly, once per
-    shift, and each iteration is one matrix-vector product: forming it costs
+    shift (re-shifted every 50 steps while sigma is more than 1e-7 above the
+    bound), and each step is one matrix-vector product: forming it costs
     about four LU factorisations, but a product costs what an LU solve does,
-    and numpy alone suffices. The residual test is
-    ||M v - rho v||_inf <= tol * rho on every path. max_iter bounds each
-    phase, the power iterations and then the shift-inverse ones; when both
-    run out, PerronConvergenceError carries the last iterate.
+    and numpy alone suffices.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     M, w = op.M, op.weights
     n = M.shape[0]
-    it = 0
     if start is None:
-        path = "shift-invert"
-        v = _normalize(np.ones(n), w)
-        prev_width = math.inf
-        for it in range(1, max_iter + 1):
-            y, lb, ub, rho, res = _evaluate(M, v, w)
-            if res <= tol * max(rho, 1e-300):
-                return PerronPair(rho=rho, profile=_normalize(v, w), iterations=it,
-                                  residual=res, path="power", cw_bracket=(lb, ub))
-            v = _normalize(y, w)
-            if it % SLOW_CHECK == 0 and it <= SLOW_HORIZON:
-                width = ub - lb
-                rate = min(width / prev_width, 1.0) if prev_width > 0 else 1.0
-                if width * rate ** ((SLOW_HORIZON - it) / SLOW_CHECK) > 1e-4 * ub:
-                    break   # slow spectrum: switch to shift-inverse iterations
-                prev_width = width
-        _, _, ub = _cw_bounds(M, v)
+        path, v = "power", np.ones(n)
     else:
-        path = "warm"
-        start = np.asarray(start, float)
-        if start.shape != (n,) or not np.all(np.isfinite(start) & (start > 0)):
+        path, v = "warm", np.asarray(start, float)
+        if v.shape != (n,) or not np.all(np.isfinite(v) & (v > 0)):
             raise ValueError("start vector must be finite and strictly positive, "
                              f"of length {n}")
-        v = _normalize(start, w)
+    v = _normalize(v, w)
+    evaluated, best, stale = 0, math.inf, 0
+    inv, steps, prev_width = None, 0, math.inf   # steps: shift-inverse steps taken
+    while True:
         y, lb, ub, rho, res = _evaluate(M, v, w)
-        if res <= tol * max(rho, 1e-300):   # the start is already an eigenvector
-            return PerronPair(rho=rho, profile=v, iterations=0, residual=res,
-                              path=path, cw_bracket=(lb, ub))
-
-    # shift-inverse: sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
-    sigma = ub * (1.0 + 1e-8) + 1e-300
-    inv = np.linalg.inv(sigma * np.eye(n) - M)
-    for it2 in range(1, max_iter + 1):
-        z = inv @ v
-        z = np.maximum(z, 0.0)       # clip roundoff negatives
-        v = _normalize(z, w)
-        y, lb, ub, rho, res = _evaluate(M, v, w)
-        if res <= tol * max(rho, 1e-300):
-            return PerronPair(rho=rho, profile=_normalize(v, w), iterations=it + it2,
-                              residual=res, path=path, cw_bracket=(lb, ub))
-        if it2 % 50 == 0 and sigma > ub * (1.0 + 1e-7):
-            sigma = ub * (1.0 + 1e-8)
+        evaluated += 1
+        it = evaluated - (path != "power")
+        if res <= max(TOL, ROUNDING * v.max()) * max(rho, 1e-300):
+            return PerronPair(rho=rho, profile=_normalize(v, w) if it else v,
+                              iterations=it, residual=res, path=path, cw_bracket=(lb, ub))
+        stale = 0 if res < best else stale + 1
+        best = min(best, res)
+        if stale == FLOOR or not math.isfinite(res):
+            raise PerronConvergenceError(
+                f"residual {res:.3e} at its floor after {it} iterations; "
+                "dominant eigenvalue may be nearly non-simple",
+                rho=rho, profile=_normalize(v, w), iterations=it, residual=res)
+        if path == "power":
+            v = _normalize(y, w)
+            if evaluated % SLOW_CHECK == 0 and evaluated <= SLOW_HORIZON:
+                width = ub - lb
+                rate = min(width / prev_width, 1.0) if prev_width > 0 else 1.0
+                if width * rate ** ((SLOW_HORIZON - evaluated) / SLOW_CHECK) > 1e-4 * ub:
+                    path = "shift-invert"   # slow spectrum
+                prev_width = width
+            continue
+        if inv is None or (steps % 50 == 0 and sigma > ub * (1.0 + 1e-7)):
+            # sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
+            sigma = ub * (1.0 + 1e-8) + 1e-300
             inv = np.linalg.inv(sigma * np.eye(n) - M)
-    raise PerronConvergenceError(
-        f"no convergence after {it + it2} iterations (residual {res:.3e}); "
-        "dominant eigenvalue may be nearly non-simple",
-        rho=rho, profile=_normalize(v, w), iterations=it + it2, residual=res)
+        v = _normalize(np.maximum(inv @ v, 0.0), w)    # clip roundoff negatives
+        steps += 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,28 +194,18 @@ def perron(op: DiscreteOperator, tol: float = 1e-12, max_iter: int = 20000,
 
 def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
                     grid: TraitGrid) -> PerronPair:
-    """Label Regular vs PossiblySingular and attach level-set diagnostics.
+    """Label Regular vs PossiblySingular; attach the gap and the mass in the band.
 
-    The gap counts as open above gap_tol = 1e-3 rho. A single-grid label is
+    The gap rho - rbar counts as open above 1e-3 rho. The band is the traits
+    whose clonal rate r is within 1e-3 rho of rbar. A single-grid label is
     evidence only; the refinement sweep (n_x doubling) is the authoritative
-    classifier. Finite grids always show a positive gap, so the band
-    diagnostics matter more than the raw flag.
+    classifier. Finite grids always show a positive gap.
     """
-    gap_tol = 1e-3 * pair.rho
-    r = kernel.r_values
-    rbar = kernel.rbar
+    gap_tol, rbar = 1e-3 * pair.rho, kernel.rbar
     gap = pair.rho - rbar
-    band = r >= rbar - gap_tol
-    below = ~band
-    inv_gap = float(np.sum(grid.weights[below] / (rbar - r[below]))) if below.any() else np.inf
-    diagnostics = {
-        "gap": gap,
-        "rbar": rbar,
-        "gap_tol": gap_tol,
-        "plateau_count": int(band.sum()),
-        "inv_gap_integral": inv_gap,
-        "mass_in_band": float(np.sum(pair.profile[band] * grid.weights[band])),
-    }
+    band = kernel.r_values >= rbar - gap_tol
+    diagnostics = {"gap": gap,
+                   "mass_in_band": float(np.sum(pair.profile[band] * grid.weights[band]))}
     regime = "Regular" if gap > gap_tol else "PossiblySingular"
     return replace(pair, regime=regime, diagnostics=diagnostics)
 

@@ -106,6 +106,19 @@ def test_rerun_byte_identical(small_cfg, tmp_path):
         assert b1 == b2
 
 
+def test_summaries_record_the_blas_thread_environment(small_cfg, tmp_path, monkeypatch):
+    # reruns are byte-identical only at a fixed BLAS thread count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for command in ("spectral", "malthus"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", small_cfg, "--out", out]) == EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["blas_threads_env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+
+
 def test_scenario_constant_verify(tmp_path):
     out = str(tmp_path / "out")
     assert main(["scenario", "constant", "--verify", "--nx", "16",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -80,8 +81,8 @@ def test_N_factorization(constant_setup):
     R = survival_matrix(s.model, s.tgrid.nodes, s.agrid.nodes, tr.lambda_star)
     ratio = tr.N_grid[:, 0][:, None] * R
     assert np.abs(tr.N_grid - ratio).max() < 1e-12   # N = mu R by construction
-    assert np.allclose(tr.N_grid[:, 0] / tr.mu_profile,
-                       tr.N_grid[0, 0] / tr.mu_profile[0])
+    mu = s.problem.eigendata(tr.lambda_star)[1].profile
+    assert np.allclose(tr.N_grid[:, 0] / mu, tr.N_grid[0, 0] / mu[0])
 
 
 def test_boundary_identity(constant_setup):
@@ -295,6 +296,19 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
         collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
         problem.tgrid))
     assert abs(problem.rho_of_lambda(lam) - cold.rho) <= 1e-12 * cold.rho
+
+
+def test_singular_search_at_nx_3200_accepts_at_the_rounding_floor(monkeypatch):
+    # the Perron vector sharpens like 1/h here: at lambda = 0 rounding alone
+    # leaves a residual above 1e-12 rho, which only the floor term accepts
+    problem = singular_problem(3200)
+    solves = counting(monkeypatch, spectral, "perron")
+    start = time.perf_counter()
+    lam = problem.find_lambda_star(1e-6)
+    elapsed = time.perf_counter() - start
+    assert lam == pytest.approx(2.7882265, abs=1e-6)
+    assert max(p.residual / p.rho for p in solves) > 1e-12
+    assert elapsed < 20.0
 
 
 def test_eigentriple_reports_perron_and_keeps_factors():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from structpop import spectral
 from structpop.kernel import CollapsedKernel, collapse, mix_matrix, mutant_diagonal
 from structpop.model import (AgeGrid, TraitGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
@@ -213,7 +214,7 @@ def test_perron_random_nonnegative_matrices(M):
     M = M + 0.1 * np.eye(6)
     tg = midpoint_grid((0.0, 1.0), 6)
     op = DiscreteOperator(lam=0.0, M=M, weights=tg.weights)
-    pair = perron(op, tol=1e-10)
+    pair = perron(op)
     truth = float(np.abs(np.linalg.eigvals(M)).max())
     assert pair.rho == pytest.approx(truth, rel=1e-6, abs=1e-8)
     assert np.all(pair.profile >= 0)
@@ -248,27 +249,35 @@ def test_cold_shift_invert_matches_dense_eigenvalues(singular_ops):
     assert abs(pair.rho - truth) <= 1e-10 * truth
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_perron_refuses_max_iter_below_one(const_pair, max_iter):
-    ck, mix, tg = const_pair
-    with pytest.raises(ValueError, match="max_iter"):
-        perron(assemble(ck, mix, tg), max_iter=max_iter)
-
-
-def test_perron_raises_with_the_last_iterate_when_both_phases_run_out():
-    # max_iter bounds each phase: one power and one shift-inverse iteration
+def test_perron_raises_with_the_last_iterate_when_both_phases_run_out(monkeypatch):
+    # with nothing acceptable the residual reaches its floor, and FLOOR
+    # iterations without a new least residual end the solve
     cfg = singular_scenario(nx=64)
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     op = direct_operator(model, tg, ag, 0.0)
-    tol = 1e-12
+    accepted = perron(op)
+    monkeypatch.setattr(spectral, "TOL", 0.0)
+    monkeypatch.setattr(spectral, "ROUNDING", 0.0)
     with pytest.raises(PerronConvergenceError) as info:
-        perron(op, tol=tol, max_iter=1)
+        perron(op)
     err = info.value
-    assert err.iterations == 2
-    assert np.isfinite(err.rho) and err.rho > 0
+    assert accepted.iterations + spectral.FLOOR <= err.iterations
+    assert err.iterations < accepted.iterations + 2 * spectral.FLOOR
+    assert np.isfinite(err.rho) and err.rho == pytest.approx(accepted.rho, rel=1e-12)
+    assert np.all(np.isfinite(err.profile))
     assert float(err.profile @ tg.weights) == pytest.approx(1.0, rel=1e-12)
-    assert err.residual > tol * err.rho
+    assert 0.0 < err.residual < 1e-12 * err.rho        # at the floor, below the usual test
+
+
+@pytest.mark.parametrize("start", [None, np.ones(3)])
+def test_perron_raises_on_a_non_finite_residual(start):
+    tg = midpoint_grid((0.0, 1.0), 3)
+    M = np.ones((3, 3))
+    M[1, 2] = np.nan
+    with pytest.raises(PerronConvergenceError) as info:
+        perron(DiscreteOperator(lam=0.0, M=M, weights=tg.weights), start=start)
+    assert info.value.iterations <= 1
 
 
 def test_warm_perron_matches_cold(singular_ops):
