@@ -156,8 +156,8 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
     solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
     state = pde.uniform_state(tgrid, agrid)
     stride = max(1, int(round(0.1 / solver.dt)))
-    _, trace = pde.run(solver, state, tmax, mode="nonlinear", target=nbar,
-                       phi=triple.phi_grid, lam_star=lam, record_every=stride)
+    _, trace = pde.run(solver, state, tmax, target=nbar, phi=triple.phi_grid,
+                       lam_star=lam, record_every=stride)
     path = os.path.join(out, "pde_trace.csv")
     rows = zip(trace.t, trace.mass, trace.tv_to_target, trace.phi_weighted_dist,
                trace.D_t, trace.truncation_loss)

@@ -114,7 +114,7 @@ class MalthusProblem:
 
         The bracket [0, 1] doubles at most 60 times, to 2^60. lambda_search
         holds the lambdas solved, their bracket, the Perron iterations and
-        the age cells their collapses summed.
+        shifts, and the age cells their collapses summed.
         """
         solved_before = set(self._direct)
         rho0 = self.rho_of_lambda(0.0)
@@ -132,6 +132,7 @@ class MalthusProblem:
         solved = [pair for l, pair in self._direct.items() if l not in solved_before]
         self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
                               "perron_iterations": sum(pd.iterations for _, pd in solved),
+                              "perron_shifts": sum(pd.shifts for _, pd in solved),
                               "age_cells": sum(ck.age_cells for ck, _ in solved)}
         return lam
 

@@ -1,4 +1,4 @@
-"""Grid dynamics: nonlinear and linear structured-population equations.
+"""Grid dynamics of the structured-population equation with competition c * mass.
 
 Transport in age is exact along characteristics (the lattice shifts one cell
 per step, dt = da locked), death is exact through the survival matrix, and
@@ -6,8 +6,10 @@ the renewal boundary is semi-implicit: the newborn generation solves a small
 linear system so eigen-identities hold to first order without a step lag. That
 system, built from the birth-mutation matrix Mix (`kernel.mix_matrix`), is
 solved once, in advance: each step applies one precomposed matrix.
-Stepping holds n = s R_0 u, a renewal equation in u (see `TransportSolver._advance`).
-"""
+Stepping holds n = s R_0 u, a renewal equation in u (see
+`TransportSolver.step_nonlinear`, the one step). The flow is the model's: the
+linear flow is the flow of the model with c = 0, and since u's recursion is
+free of c, `transform_check` reads the linear flow off the nonlinear ring."""
 
 from __future__ import annotations
 
@@ -128,14 +130,16 @@ class TransportSolver:
         for m in range(1, K + 1):
             hist[:, :, m - 1] = np.matmul(self._W[:, :, m:], c[:, :L - m, None])[:, :, 0]
 
-    def _advance(self, state: DensityState, c: float) -> float:
-        """One dt of n <- exp(-c m dt) L n, L linear; returns the truncation loss.
+    def step_nonlinear(self, state: DensityState) -> float:
+        """One dt of n <- exp(-c m dt) L n, L linear, c the model's competition
+        rate and m the start-of-step mass; returns the truncation loss.
 
         n = s R u: column (head + j) mod (na+1) of the ring u is the cohort at
         age a_j, so transport moves the head, death is in R, competition
         scales s, and the newborns (R = 1 at age 0) are the one column written.
         As u's recursion is free of s, a block takes its history sums at its start
-        and reads its newborns off the ring, which it does not wrap.
+        and reads its newborns off the ring, which it does not wrap. With c = 0
+        s stays 1: this is then the linear step.
         """
         if state._cohort is None or state._cohort[0] is not self:
             v = state.values
@@ -149,7 +153,7 @@ class TransportSolver:
             m, K = 0, 1 if K == 0 else min(_BLOCK, head or u.shape[1])
             self._history(u, head, hist[:, :, :K])
         loss = s * float(self._loss_w @ u[:, head - 1])
-        s *= math.exp(-c * s * msum * self.dt)
+        s *= math.exp(-self.model.competition * s * msum * self.dt)
         head = (head - 1) % u.shape[1]
         # per trait: births and mass of the history and of the block's newborns
         young = np.matmul(self._W[:, :, 1:m + 1], u[:, head + 1:head + m + 1, None])
@@ -166,13 +170,6 @@ class TransportSolver:
         state.t += self.dt
         return loss
 
-    def step_nonlinear(self, state: DensityState) -> float:
-        """One step of the full dynamics; competition uses start-of-step mass."""
-        return self._advance(state, self.model.competition)
-
-    def step_linear(self, state: DensityState) -> float:
-        return self._advance(state, 0.0)
-
     # -- distances and diagnostics ----------------------------------------
 
     def distances(self, values: np.ndarray, target: np.ndarray, phi: np.ndarray | None = None,
@@ -185,10 +182,9 @@ class TransportSolver:
         pw = float(np.vdot(diff, phi)) if phi is not None else math.nan
         return float(diff.sum()), pw
 
-    def growth_diag(self, values: np.ndarray, lam_star: float, mass=None) -> float:
-        """D(t): mass-weighted mean of B - D minus lambda*; mass is self.mass(values)."""
-        m = self.mass(values) if mass is None else mass
-        return float(np.vdot(values, self._net_w)) / m - lam_star if m > 0 else math.nan
+    def growth_diag(self, values: np.ndarray, lam_star: float, mass: float) -> float:
+        """D(t): mass-weighted mean of B - D minus lambda*, given values' mass."""
+        return float(np.vdot(values, self._net_w)) / mass - lam_star if mass > 0 else math.nan
 
 
 def _n_steps(solver: TransportSolver, state: DensityState, T: float) -> int:
@@ -200,20 +196,20 @@ def _n_steps(solver: TransportSolver, state: DensityState, T: float) -> int:
 
 
 def run(solver: TransportSolver, state: DensityState, T: float,
-        mode: str = "nonlinear", target: np.ndarray | None = None,
-        phi: np.ndarray | None = None, lam_star: float | None = None,
+        target: np.ndarray | None = None, phi: np.ndarray | None = None,
+        lam_star: float | None = None,
         record_every: int = 1) -> tuple[DensityState, TraceRecord]:
     """Step to the first step time at or after T, tracing mass, distances, and
     the conserved pairing. T must be finite and not before state.t, else ValueError.
 
-    For linear runs with (phi, lam_star, target) supplied, the trace records
-    the invariant sum(e^{-lam* t} v phi) and the phi-weighted distance of
-    e^{-lam* t} v_t to the target (the expected limit m0 * N).
+    The flow is the solver's model's: a run is linear exactly when its
+    competition rate is 0 (the linear flow of a model is the flow of
+    `replace(model, competition=0.0)`). A linear run with lam_star supplied
+    scales the state by e^{-lam* t} before its distances, so the trace holds
+    the distances of e^{-lam* t} v_t to the target (the expected limit m0 * N),
+    and with phi also the invariant sum(e^{-lam* t} v phi).
     """
-    if mode not in ("nonlinear", "linear"):
-        raise ValueError(f"unknown mode {mode!r}")
-    linear = mode == "linear"
-    step = solver.step_linear if linear else solver.step_nonlinear
+    linear = solver.model.competition == 0
     n_steps = _n_steps(solver, state, T)
     trace = TraceRecord(steps=n_steps)
     cum_loss = 0.0
@@ -239,39 +235,32 @@ def run(solver: TransportSolver, state: DensityState, T: float,
 
     record()
     for i in range(n_steps):
-        cum_loss += step(state)
+        cum_loss += solver.step_nonlinear(state)
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             record()
     return state, trace
 
 
 def transform_check(solver: TransportSolver, state0: DensityState, T: float) -> float:
-    """Max TV gap between exp(c int rho) n_t (nonlinear) and v_t (linear).
+    """Max TV gap between exp(c int rho) n_t (nonlinear) and v_t (linear, c = 0).
 
-    The two runs start from copies of state0 and are stepped apart, in
-    lockstep, so their cohort rings share one head: the gap is read off the
-    rings, sum |exp(c int rho) s_1 u_1 - s_2 u_2| R_0 w qa, in one reused
-    buffer, and the mass is s_1 times the ring's mass sum. The mass integral
-    uses trapezoid in time with the start-of-step masses, matching the
-    scheme's own lag. T must be finite and not before state0.t.
+    One copy of state0 is stepped. The ring recursion in u is free of s, so
+    n_t = S_t v_t with the scalar S_t = prod_k exp(-c m_k dt), m_k the
+    start-of-step mass, and the gap is |exp(c int rho) S_t - 1| m_t / S_t.
+    The mass integral uses trapezoid in time with the start-of-step masses,
+    matching the scheme's own lag. T must be finite and not before state0.t.
     """
     n_steps = _n_steps(solver, state0, T)
-    nl, lin = state0.copy(), state0.copy()
-    c = solver.model.competition
-    mass = solver.mass(nl.values)
-    W, buf = solver._W[:, 1], np.empty_like(solver.R)     # mass per unit of u, by age
-    worst = int_rho = 0.0
+    state, c, dt = state0.copy(), solver.model.competition, solver.dt
+    mass = solver.mass(state.values)
+    S, worst, int_rho = 1.0, 0.0, 0.0
     for _ in range(n_steps):
-        solver.step_nonlinear(nl)
-        solver.step_linear(lin)
-        (_, u1, head, s1, msum), (_, u2, _, s2, _) = nl._cohort[:5], lin._cohort[:5]
-        previous, mass = mass, s1 * msum
-        int_rho += 0.5 * solver.dt * (previous + mass)
-        np.multiply(u1, math.exp(c * int_rho) * s1 / s2, out=buf)
-        gap = np.abs(np.subtract(buf, u2, out=buf), out=buf)     # ring order
-        k = gap.shape[1] - head                                 # ring column of age 0
-        worst = max(worst, s2 * float(np.einsum("ij,ij->", gap[:, head:], W[:, :k])
-                                      + np.einsum("ij,ij->", gap[:, :head], W[:, k:])))
+        solver.step_nonlinear(state)
+        S *= math.exp(-c * mass * dt)
+        s, msum = state._cohort[3:5]
+        previous, mass = mass, s * msum
+        int_rho += 0.5 * dt * (previous + mass)
+        worst = max(worst, abs(math.exp(c * int_rho) * S - 1.0) * mass / S)
     return worst
 
 

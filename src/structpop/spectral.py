@@ -43,14 +43,15 @@ class PerronPair:
     profile: np.ndarray         # nonnegative, sum(profile * w) = 1
     iterations: int
     residual: float
+    shifts: int = 0             # inverses (sigma I - M)^{-1} formed
     regime: str = "Regular"     # set by regime_classify
     diagnostics: dict = field(default_factory=dict)
     path: str = "power"         # "power" | "shift-invert" | "warm"
     cw_bracket: tuple[float, float] = (0.0, math.inf)   # Collatz-Wielandt, last iterate
 
     def summary(self) -> dict:
-        """The solve's path, iteration count and final bracket, JSON-ready."""
-        return {"path": self.path, "iterations": self.iterations,
+        """The solve's path, iteration and shift counts and final bracket, JSON-ready."""
+        return {"path": self.path, "iterations": self.iterations, "shifts": self.shifts,
                 "cw_bracket": list(self.cw_bracket)}
 
 
@@ -134,8 +135,9 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
     profile, or sB * mu for the dual of a symmetric kernel) is returned as
     it is if it passes the test, and otherwise shift-inverse steps start
     from it. `path` records "power", "shift-invert" or "warm", `iterations`
-    the iterates evaluated less the one shift-inverse starts from, and
-    `cw_bracket` the Collatz-Wielandt bracket of the returned vector.
+    the iterates evaluated less the one shift-inverse starts from, `shifts`
+    the inverses formed, and `cw_bracket` the Collatz-Wielandt bracket of
+    the returned vector.
 
     Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8).
     The upper bound is at least rho for any positive vector, so sigma > rho
@@ -156,14 +158,14 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
                              f"of length {n}")
     v = _normalize(v, w)
     evaluated, best, stale = 0, math.inf, 0
-    inv, steps, prev_width = None, 0, math.inf   # steps: shift-inverse steps taken
+    inv, steps, shifts, prev_width = None, 0, 0, math.inf   # steps: shift-inverse steps
     while True:
         y, lb, ub, rho, res = _evaluate(M, v, w)
         evaluated += 1
         it = evaluated - (path != "power")
         if res <= max(TOL, ROUNDING * v.max()) * max(rho, 1e-300):
-            return PerronPair(rho=rho, profile=_normalize(v, w) if it else v,
-                              iterations=it, residual=res, path=path, cw_bracket=(lb, ub))
+            return PerronPair(rho=rho, profile=_normalize(v, w) if it else v, iterations=it,
+                              residual=res, shifts=shifts, path=path, cw_bracket=(lb, ub))
         stale = 0 if res < best else stale + 1
         best = min(best, res)
         if stale == FLOOR or not math.isfinite(res):
@@ -184,6 +186,7 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
             # sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
             sigma = ub * (1.0 + 1e-8) + 1e-300
             inv = np.linalg.inv(sigma * np.eye(n) - M)
+            shifts += 1
         v = _normalize(np.maximum(inv @ v, 0.0), w)    # clip roundoff negatives
         steps += 1
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ class Setup:
         self.problem = MalthusProblem(self.model, self.tgrid, self.agrid)
         self._triple = None
         self._solver = None
+        self._linear_solver = None
 
     @property
     def triple(self):
@@ -28,6 +31,14 @@ class Setup:
         if self._solver is None:
             self._solver = TransportSolver(self.model, self.tgrid, self.agrid, self.problem.mix)
         return self._solver
+
+    @property
+    def linear_solver(self):
+        """The solver of the c = 0 twin: the linear flow."""
+        if self._linear_solver is None:
+            self._linear_solver = TransportSolver(replace(self.model, competition=0.0),
+                                                  self.tgrid, self.agrid, self.problem.mix)
+        return self._linear_solver
 
     def stationary(self):
         return stationary_state(self.problem, self.triple)

@@ -125,12 +125,13 @@ def _linear_diagnostics(da):
     tg, ag = build_grids(cfg, model)
     prob = MalthusProblem(model, tg, ag)
     tr = solve_eigentriple(prob, tol_lam=1e-10)
-    solver = pde.TransportSolver(model, tg, ag, prob.mix)
+    linear = dataclasses.replace(model, competition=0.0)
+    solver = pde.TransportSolver(linear, tg, ag, prob.mix)
     xt = (tg.nodes - tg.nodes[0]) / (tg.nodes[-1] - tg.nodes[0])
     v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
     m0 = float(np.sum(v0 * tr.phi_grid * solver.mass_w))
     st = pde.DensityState(0.0, v0)
-    _, trace = pde.run(solver, st, 20.0, mode="linear", target=m0 * tr.N_grid,
+    _, trace = pde.run(solver, st, 20.0, target=m0 * tr.N_grid,
                        phi=tr.phi_grid, lam_star=tr.lambda_star, record_every=20)
     inv = np.asarray(trace.invariant_value)
     drift = float(np.abs(inv - inv[0]).max() / inv[0])

@@ -444,7 +444,7 @@ def scipy_loaded_by(argv, cwd):
     return [m for m in modules_loaded_by(argv, cwd) if m.split(".")[0] == "scipy"]
 
 
-def test_scipy_loaded_only_for_shift_invert(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # scipy is a test dependency only: no command may load it
     cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16))
     for argv in (["pde", "--tmax", "0.2"], ["ibm", "--tmax", "0.5", "--replicates", "2"]):

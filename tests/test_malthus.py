@@ -298,6 +298,25 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
     assert abs(problem.rho_of_lambda(lam) - cold.rho) <= 1e-12 * cold.rho
 
 
+def test_perron_counts_the_inverses_it_forms(monkeypatch):
+    inverses = counting(monkeypatch, np.linalg, "inv")
+    solves = counting(monkeypatch, spectral, "perron")
+    problem = singular_problem(64)
+    problem.find_lambda_star(1e-6)
+    search = list(solves)
+    # the cold lambda = 0 solve leaves power iteration for shift-inverse
+    assert search[0].path == "shift-invert" and search[0].shifts >= 1
+    assert problem.lambda_search["perron_shifts"] == sum(p.shifts for p in search)
+    solve_eigentriple(problem)
+    assert sum(p.shifts for p in solves) == len(inverses)
+    assert all(p.summary()["shifts"] == p.shifts for p in solves)
+    del solves[:]
+    cfg = constant_scenario()
+    model = build_model(cfg)
+    solve_eigentriple(MalthusProblem(model, *build_grids(cfg, model)))
+    assert solves and all(p.shifts == 0 for p in solves)
+
+
 def test_singular_search_at_nx_3200_accepts_at_the_rounding_floor(monkeypatch):
     # the Perron vector sharpens like 1/h here: at lambda = 0 rounding alone
     # leaves a residual above 1e-12 rho, which only the floor term accepts

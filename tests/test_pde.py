@@ -37,6 +37,12 @@ def make_solver(birth=2.0, death=1.0, c=1.0, nx=16, n_cells=600):
     return model, tg, ag, pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
 
 
+def c_zero_twin(solver):
+    """The solver of the same model without competition: the linear flow."""
+    return pde.TransportSolver(dataclasses.replace(solver.model, competition=0.0),
+                               solver.tgrid, solver.agrid, solver.mix)
+
+
 def test_pure_death_closed_form():
     # young smooth cohort so nothing reaches the age horizon by T
     _, tg, ag, solver = make_solver(birth=0.0, c=0.0)
@@ -130,7 +136,7 @@ def test_linear_invariant_and_contraction(constant_setup):
     v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
     m0 = float(np.sum(v0 * tr.phi_grid * s.solver.mass_w))
     st = pde.DensityState(0.0, v0.copy())
-    _, trace = pde.run(s.solver, st, 20.0, mode="linear", target=m0 * tr.N_grid,
+    _, trace = pde.run(s.linear_solver, st, 20.0, target=m0 * tr.N_grid,
                        phi=tr.phi_grid, lam_star=tr.lambda_star, record_every=10)
     inv = np.asarray(trace.invariant_value)
     assert np.abs(inv - inv[0]).max() / inv[0] <= 0.01
@@ -150,11 +156,12 @@ def test_invariant_drift_halves_with_dt(constant_setup):
         tg, ag = build_grids(cfg, model)
         prob = MalthusProblem(model, tg, ag)
         tr = solve_eigentriple(prob, tol_lam=1e-10)
-        solver = pde.TransportSolver(model, tg, ag, prob.mix)
+        linear = dataclasses.replace(model, competition=0.0)
+        solver = pde.TransportSolver(linear, tg, ag, prob.mix)
         xt = (tg.nodes - tg.nodes[0]) / (tg.nodes[-1] - tg.nodes[0])
         v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
         st = pde.DensityState(0.0, v0)
-        _, trace = pde.run(solver, st, 20.0, mode="linear", phi=tr.phi_grid,
+        _, trace = pde.run(solver, st, 20.0, phi=tr.phi_grid,
                            lam_star=tr.lambda_star, record_every=50)
         inv = np.asarray(trace.invariant_value)
         return np.abs(inv - inv[0]).max() / inv[0]
@@ -169,7 +176,7 @@ def test_eigenfunction_grows_exponentially(constant_setup):
     s = constant_setup
     tr = s.triple
     st = pde.DensityState(0.0, tr.N_grid.copy())
-    _, trace = pde.run(s.solver, st, 5.0, mode="linear", record_every=500)
+    _, trace = pde.run(s.linear_solver, st, 5.0, record_every=500)
     expected = math.exp(tr.lambda_star * 5.0)
     assert trace.mass[-1] == pytest.approx(expected, rel=10 * s.agrid.da)
 
@@ -285,27 +292,21 @@ def test_run_to_the_state_time_makes_no_step():
     assert pde.transform_check(solver, st, 0.0) == 0.0
 
 
-def test_run_rejects_unknown_mode(constant_setup):
-    s = constant_setup
-    st = pde.uniform_state(s.tgrid, s.agrid)
-    with pytest.raises(ValueError):
-        pde.run(s.solver, st, 1.0, mode="sideways")
-
-
 def test_negative_density_raises_under_optimize():
     # the guard must survive `python -O`, which strips assert statements
     script = (
+        "import dataclasses\n"
         "from structpop import pde\n"
         "from structpop.kernel import mix_matrix\n"
         "from structpop.model import build_grids, build_model, constant_scenario\n"
         "cfg = constant_scenario(nx=8, tol=1e-6)\n"
-        "model = build_model(cfg)\n"
+        "model = dataclasses.replace(build_model(cfg), competition=0.0)\n"
         "tg, ag = build_grids(cfg, model)\n"
         "solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))\n"
         "state = pde.uniform_state(solver.tgrid, solver.agrid)\n"
         "state.values[0, 0] = -1.0\n"
         "try:\n"
-        "    solver.step_linear(state)\n"
+        "    solver.step_nonlinear(state)\n"
         "except ValueError:\n"
         "    raise SystemExit(7)\n"
     )
@@ -340,26 +341,18 @@ def reference_run(solver, values, n_steps, c):
     return n, loss
 
 
-def assert_matches_reference(solver, state0, n_steps, linear=False, read_values_at=None):
+def assert_matches_reference(solver, state0, n_steps, read_values_at=None):
     """Step a copy of state0 n_steps times and compare it with the per-cell scheme.
 
-    `linear` is one flag for every step or a sequence of per-step flags; reading
-    `values` after step `read_values_at` drops the pending block of history sums.
+    Reading `values` after step `read_values_at` drops the pending block of
+    history sums.
     """
-    flags = [linear] * n_steps if isinstance(linear, bool) else list(linear)
-    cs = [0.0 if lin else solver.model.competition for lin in flags]
     st, loss = state0.copy(), 0.0
-    for k, lin in enumerate(flags):
-        loss += solver.step_linear(st) if lin else solver.step_nonlinear(st)
+    for k in range(n_steps):
+        loss += solver.step_nonlinear(st)
         if k + 1 == read_values_at:
             assert np.all(np.isfinite(st.values)) and st._cohort is None
-    if len(set(cs)) == 1:
-        ref, ref_loss = reference_run(solver, state0.values, n_steps, cs[0])
-    else:                       # one reference step at a time, each with its own c
-        ref, ref_loss = state0.values, 0.0
-        for c in cs:
-            ref, step_loss = reference_run(solver, ref, 1, c)
-            ref_loss += step_loss
+    ref, ref_loss = reference_run(solver, state0.values, n_steps, solver.model.competition)
     assert np.all(np.isfinite(st.values))
     assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
     assert abs(loss - ref_loss) <= 1e-12 * max(ref_loss, 1e-300)
@@ -369,7 +362,8 @@ def assert_matches_reference(solver, state0, n_steps, linear=False, read_values_
 @pytest.mark.parametrize("linear", [False, True])
 def test_cohort_step_matches_per_cell_reference_constant(constant_setup, linear):
     s = constant_setup
-    assert_matches_reference(s.solver, pde.uniform_state(s.tgrid, s.agrid), 200, linear)
+    solver = s.linear_solver if linear else s.solver
+    assert_matches_reference(solver, pde.uniform_state(s.tgrid, s.agrid), 200)
 
 
 def age_dependent_solver():
@@ -392,7 +386,7 @@ def test_cohort_step_matches_per_cell_reference_age_dependent(linear):
     solver, R = age_dependent_solver()
     # cohorts of a constant birth flux: density R0 (1 + x), all ages populated
     st = pde.DensityState(0.0, R * (1.0 + solver.tgrid.nodes)[:, None])
-    assert_matches_reference(solver, st, 200, linear)
+    assert_matches_reference(c_zero_twin(solver) if linear else solver, st, 200)
 
 
 def test_cohort_step_loss_where_horizon_survival_squared_underflows():
@@ -434,7 +428,6 @@ BLOCK_CASES = {
     "constant_past_horizon_nonlinear": (dict(nx=8), 600 + 2 * 512 + 50, False, None),
     "constant_past_horizon_linear": (dict(nx=8), 600 + 2 * 512 + 50, True, None),
     "declining_linear": (dict(birth=0.5, nx=8), 700, True, None),
-    "interleaved": (dict(nx=8), 700, [k % 3 == 0 for k in range(700)], None),
     "values_read_mid_block": (dict(nx=8), 700, False, 300),
 }
 
@@ -446,8 +439,28 @@ def test_block_kernel_matches_per_cell_reference(case):
     if case == "declining_linear":
         prob = MalthusProblem(model, tg, ag)
         assert prob.rho_of_lambda(0.0) < 1.0          # subcritical: lambda* < 0
-    assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, linear, read_at)
+    if linear:
+        solver = c_zero_twin(solver)
+    assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, read_at)
     assert solver.history["fft_blocks"] >= 2 and solver.history["direct_blocks"] == 0
+
+
+def test_competition_only_scales_the_ring():
+    # the premise of the one stepping path: u's recursion is free of c, so the
+    # nonlinear state is s times the linear one until s is folded into u
+    _, tg, ag, solver = make_solver(nx=8)
+    twin = c_zero_twin(solver)
+    nonlinear = pde.uniform_state(tg, ag)
+    linear = nonlinear.copy()
+    for _ in range(2 * 512 + 50):
+        solver.step_nonlinear(nonlinear)
+        twin.step_nonlinear(linear)
+        (_, u, head, s, _, _), (_, v, head_v, one, _, _) = nonlinear._cohort, linear._cohort
+        assert head == head_v and one == 1.0 and pde._S_FLOOR <= s < 1.0
+        assert np.array_equal(u, v)
+    assert solver.history["fft_blocks"] >= 2 and twin.history["fft_blocks"] >= 2
+    ref = s * linear.values
+    assert np.abs(nonlinear.values - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_history_sums_are_direct_where_the_fft_bound_fails():
@@ -480,8 +493,8 @@ def test_run_ends_at_the_first_step_time_at_or_after_the_horizon(T, steps):
     assert trace.steps == steps
     assert trace.t[-1] >= T - 1e-9 * solver.dt
     assert trace.t[-1] == pytest.approx(t0 + steps * solver.dt, abs=1e-9)
-    linear_steps = []
-    step_linear = solver.step_linear
-    solver.step_linear = lambda state: linear_steps.append(1) or step_linear(state)
+    calls = []
+    step = solver.step_nonlinear
+    solver.step_nonlinear = lambda state: calls.append(1) or step(state)
     pde.transform_check(solver, st, T)
-    assert len(linear_steps) == steps
+    assert len(calls) == steps
