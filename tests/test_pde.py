@@ -201,6 +201,17 @@ def test_transform_identity_first_order(constant_setup):
     assert d2 <= 0.6 * d1
 
 
+def test_transform_check_reads_through_the_fold(monkeypatch):
+    # lambda* ~ 19: s is folded into u before t = 20, and S_t must not be
+    _, tg, ag, solver = make_solver(birth=20.0, nx=8)
+    st = pde.uniform_state(tg, ag)
+    _, trace = pde.run(solver, st.copy(), 20.0)
+    assert math.exp(-solver.dt * float(np.sum(trace.mass[:-1]))) < pde._S_FLOOR
+    folded = pde.transform_check(solver, st, 20.0)
+    monkeypatch.setattr(pde, "_S_FLOOR", 0.0)
+    assert folded == pytest.approx(pde.transform_check(solver, st, 20.0), rel=1e-12)
+
+
 def test_stationary_residual_and_negative_control(constant_setup):
     s = constant_setup
     _, nbar, _ = s.stationary()
