@@ -14,7 +14,7 @@ integral representation, normalized to int N = int N phi = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,13 +216,16 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: f
         model, xs, factors, ages[:kern.horizon(model, lam_star, first, ages) + 1])
     beyond = kern.cell_integrals(ext, lam_star).sum(axis=1)         # int_{A_max}^inf B R
     del ext
-    # reverse cumulative sums: tails[:, j] = int_{a_j}^inf B R
-    cells = kern.cell_integrals(factors, lam_star)                  # (nx, n)
-    cells[:, -1] += beyond
+    # reverse cumulative sums, tails[:, j] = int_{a_j}^inf B R, over blocks of
+    # 16 trait rows, so that no grid-sized temporary is formed
     tails = np.empty((xs.size, n + 1))
     tails[:, -1] = beyond
-    np.cumsum(cells[:, ::-1], axis=1, out=tails[:, -2::-1])
-    del cells
+    for i in range(0, xs.size, 16):
+        rows = slice(i, i + 16)
+        cells = kern.cell_integrals(replace(factors, C=factors.C[rows], d=factors.d[rows]),
+                                    lam_star)
+        cells[:, -1] += beyond[rows]
+        np.cumsum(cells[:, ::-1], axis=1, out=tails[rows, -2::-1])
 
     phi = tails
     phi *= (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
