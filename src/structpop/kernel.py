@@ -124,7 +124,8 @@ def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
     cum = _death_integral(_cell_death_rates(model, xs, ages), ages, 0.0)
-    return np.exp(-cum - lam * ages[None, :])
+    cum += lam * ages       # in place, so that R is the one grid formed here
+    return np.exp(np.negative(cum, out=cum), out=cum)
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,20 @@ class MalthusProblem:
     sums the lattice prefix its lambda needs, and the operator at lambda is
     mix diag(sB), the one nx x nx array a lambda forms. The factors are kept
     until `release_factors`, so every lambda asked of the problem reads the
-    same ones. Each direct solve starts from the last
-    direct profile. Per lambda solved, the collapsed kernel (sB, r) and the
+    same ones. Per lambda solved, the collapsed kernel (sB, r) and the
     direct Perron pair are kept (3 nx floats), so eigendata at a solved
-    lambda makes no collapse and no direct solve. When diag(w) mix is
-    symmetric (exactly when k is, on the nodes), the dual matrix is D M D^{-1}
-    with D = diag(sB), so the dual solve starts from sB * mu, which
-    `spectral.perron` checks by its residual test.
+    lambda makes no collapse and no direct solve.
+
+    Both solves start warm where `_warm` lets them (a finite, strictly
+    positive start, which `spectral.perron` then tests): the direct solve
+    from the last direct profile, the dual from sB mu k(x, x). Every registry
+    kernel is k(x, y) = g(x, y) / Z(x) with g symmetric and g(x, x) = g0, so
+    k(x, x) = g0 / Z(x) and k(x_i, x_j) / Z_j = k(x_j, x_i) / Z_i. If M mu =
+    rho mu, eta = sB mu / Z is the dual eigenvector:
+
+        (M* eta)_i = sB_i [(1-p) eta_i + p sum_j k(x_i, x_j) w_j eta_j]
+                   = (sB_i / Z_i) [(1-p) sB_i mu_i + p sum_j k(x_j, x_i) w_j sB_j mu_j]
+                   = (sB_i / Z_i) (M mu)_i = rho eta_i.
     """
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid):
@@ -61,8 +68,6 @@ class MalthusProblem:
         self.tgrid = tgrid
         self.agrid = agrid
         self.mix = kern.mix_matrix(model, tgrid)
-        wmix = self.mix * tgrid.weights[:, None]
-        self._symmetric = bool(np.array_equal(wmix, wmix.T))
         self._factors: kern.AgeFactors | None = None
         self._start: np.ndarray | None = None    # last direct profile
         self._direct: dict[float, tuple[kern.CollapsedKernel, spectral.PerronPair]] = {}
@@ -87,7 +92,7 @@ class MalthusProblem:
             ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
                                factors=self.factors)
             pd = spectral.perron(spectral.assemble(ck, self.mix, self.tgrid),
-                                 start=self._start)
+                                 start=_warm(self._start))
             self._start = pd.profile
             self._direct[lam] = (ck, pd)
         return self._direct[lam]
@@ -96,10 +101,9 @@ class MalthusProblem:
         """(CollapsedKernel, direct PerronPair, dual PerronPair) at lambda."""
         if lam not in self._cache:
             ck, pd = self._solve_direct(lam)
-            start = ck.sB * pd.profile  # the dual eigenvector if diag(w) mix is symmetric
-            warm = self._symmetric and np.all(start > 0)
             dual = spectral.dual(spectral.assemble(ck, self.mix, self.tgrid))
-            pq = spectral.perron(dual, start=start if warm else None)
+            kdiag = self.model.mutation_kernel(self.tgrid.nodes, self.tgrid.nodes)
+            pq = spectral.perron(dual, start=_warm(ck.sB * pd.profile * kdiag))
             pd = spectral.regime_classify(pd, ck, self.tgrid)
             self._cache[lam] = (ck, pd, pq)
         return self._cache[lam]
@@ -135,6 +139,11 @@ class MalthusProblem:
                               "perron_shifts": sum(pd.shifts for _, pd in solved),
                               "age_cells": sum(ck.age_cells for ck, _ in solved)}
         return lam
+
+
+def _warm(start: np.ndarray | None) -> np.ndarray | None:
+    """A Perron start if it is finite and strictly positive, else None (cold)."""
+    return start if start is not None and np.all(np.isfinite(start) & (start > 0)) else None
 
 
 _ACCEPT = 4 * math.ulp(1.0)     # |g| this small is a root: 4 machine epsilons
@@ -212,19 +221,18 @@ def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: f
     ages = agrid.da * np.arange(n, 2 * n + 1)                       # [A_max, 2 A_max]
     first = kern.cell_integrals(kern.continued_factors(model, xs, factors, ages[:2]),
                                 lam_star)[:, 0]
-    ext = kern.continued_factors(
-        model, xs, factors, ages[:kern.horizon(model, lam_star, first, ages) + 1])
-    beyond = kern.cell_integrals(ext, lam_star).sum(axis=1)         # int_{A_max}^inf B R
-    del ext
-    # reverse cumulative sums, tails[:, j] = int_{a_j}^inf B R, over blocks of
-    # 16 trait rows, so that no grid-sized temporary is formed
+    ages = ages[:kern.horizon(model, lam_star, first, ages) + 1]
+    # tails[:, j] = int_{a_j}^inf B R by blocks of 16 trait rows, the continuation
+    # past A_max included, so that no grid-sized temporary is formed
     tails = np.empty((xs.size, n + 1))
-    tails[:, -1] = beyond
     for i in range(0, xs.size, 16):
         rows = slice(i, i + 16)
-        cells = kern.cell_integrals(replace(factors, C=factors.C[rows], d=factors.d[rows]),
-                                    lam_star)
-        cells[:, -1] += beyond[rows]
+        block = replace(factors, C=factors.C[rows], d=factors.d[rows],
+                        death_end=factors.death_end[rows])
+        ext = kern.continued_factors(model, xs[rows], block, ages)
+        tails[rows, -1] = kern.cell_integrals(ext, lam_star).sum(axis=1)  # past A_max
+        cells = kern.cell_integrals(block, lam_star)
+        cells[:, -1] += tails[rows, -1]
         np.cumsum(cells[:, ::-1], axis=1, out=tails[rows, -2::-1])
 
     phi = tails

@@ -24,10 +24,7 @@ class PerronConvergenceError(RuntimeError):
 
     def __init__(self, msg, rho, profile, iterations, residual):
         super().__init__(msg)
-        self.rho = rho
-        self.profile = profile
-        self.iterations = iterations
-        self.residual = residual
+        self.rho, self.profile, self.iterations, self.residual = rho, profile, iterations, residual
 
 
 @dataclass(frozen=True)
@@ -92,24 +89,21 @@ def _cw_bounds(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
     return y, float(ratios.min()), float(ratios.max())
 
 
-def _rayleigh(v: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    """w-weighted Rayleigh quotient; converges even when the Collatz-Wielandt
-    bounds stall (e.g. diagonal-dominant operators with a flat iterate tail)."""
-    return float((v * w) @ y / ((v * w) @ v))
-
-
 def _evaluate(M: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """(M v, CW lower, CW upper, Rayleigh rho, ||M v - rho v||_inf) of an iterate.
+    """(M v, CW lower, CW upper, rho, ||M v - rho v||_inf) of an iterate.
 
-    The Rayleigh quotient is a weighted mean of the ratios that bound the
+    rho is the w-weighted Rayleigh quotient, which converges even when the
+    Collatz-Wielandt bounds stall (e.g. diagonal-dominant operators with a
+    flat iterate tail). It is a weighted mean of the ratios that bound the
     bracket, so it is kept inside the bracket against rounding."""
     y, lb, ub = _cw_bounds(M, v)
-    rho = min(max(_rayleigh(v, y, w), lb), ub)
+    vw = v * w
+    rho = min(max(float(vw @ y / (vw @ v)), lb), ub)
     return y, lb, ub, rho, float(np.abs(y - rho * v).max())
 
 
-SLOW_CHECK = 10         # power iterations between looks at the bracket
-SLOW_HORIZON = 200     # power iterations the bracket must narrow within
+SLOW_CHECK = 10         # iterations per look at the residual's contraction
+SLOW_HORIZON = 200     # iterations the residual may still need before a fresh shift
 TOL = 1e-12                             # accepted residual, per unit of rho
 ROUNDING = 16 * np.finfo(float).eps     # rounding's floor, per unit of rho * ||v||_inf
 FLOOR = 50              # iterations without a new least residual before giving up
@@ -125,27 +119,23 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
     least value for FLOOR iterations, or is not finite, is at its floor
     above the test: PerronConvergenceError carries the last iterate.
 
-    Without a start vector the loop takes power steps from the uniform
-    vector. Every SLOW_CHECK iterations up to SLOW_HORIZON, the
-    Collatz-Wielandt bracket's contraction over the last SLOW_CHECK
-    iterations is extrapolated to iteration SLOW_HORIZON; if the bracket
-    would still be wider than 1e-4 of its upper bound there, the spectrum
-    is slow and the loop switches to shift-inverse steps. A strictly
-    positive start vector (a nearby eigenvector: the previous lambda's
-    profile, or sB * mu for the dual of a symmetric kernel) is returned as
-    it is if it passes the test, and otherwise shift-inverse steps start
-    from it. `path` records "power", "shift-invert" or "warm", `iterations`
-    the iterates evaluated less the one shift-inverse starts from, `shifts`
-    the inverses formed, and `cw_bracket` the Collatz-Wielandt bracket of
-    the returned vector.
+    Power steps start from the uniform vector; a strictly positive start
+    vector (a nearby eigenvector) is returned as it is if it passes the test,
+    and otherwise shift-inverse steps start from it. One rule forms every
+    inverse: every SLOW_CHECK iterations, the least residual's contraction
+    over the last SLOW_CHECK projects the iterations left until the test (or
+    one ulp of rho ||v||_inf); past SLOW_HORIZON, about an inverse's cost in
+    steps at 800^2, a fresh inverse is formed. A window with no new least
+    residual projects no end: power steps switch, shift-inverse waits for
+    FLOOR. `path` is "power", "shift-invert" or "warm", `iterations` the
+    iterates evaluated less the one shift-inverse starts from, `shifts` the
+    inverses formed, `cw_bracket` the Collatz-Wielandt bracket of the result.
 
-    Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8).
-    The upper bound is at least rho for any positive vector, so sigma > rho
-    and (sigma I - M)^{-1} >= 0. That inverse is formed explicitly, once per
-    shift (re-shifted every 50 steps while sigma is more than 1e-7 above the
-    bound), and each step is one matrix-vector product: forming it costs
-    about four LU factorisations, but a product costs what an LU solve does,
-    and numpy alone suffices.
+    Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8),
+    which is at least rho for any positive vector, so (sigma I - M)^{-1} >= 0.
+    It is formed explicitly, once per shift, and each step is one product:
+    forming it costs about four LU factorisations, but a product costs what
+    an LU solve does, and numpy alone suffices.
     """
     M, w = op.M, op.weights
     n = M.shape[0]
@@ -157,13 +147,14 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
             raise ValueError("start vector must be finite and strictly positive, "
                              f"of length {n}")
     v = _normalize(v, w)
-    evaluated, best, stale = 0, math.inf, 0
-    inv, steps, shifts, prev_width = None, 0, 0, math.inf   # steps: shift-inverse steps
+    evaluated, best, stale, window = 0, math.inf, 0, math.inf   # window: best a check ago
+    inv, shifts = None, 0
     while True:
         y, lb, ub, rho, res = _evaluate(M, v, w)
         evaluated += 1
         it = evaluated - (path != "power")
-        if res <= max(TOL, ROUNDING * v.max()) * max(rho, 1e-300):
+        accept = max(TOL, ROUNDING * v.max()) * max(rho, 1e-300)
+        if res <= accept:
             return PerronPair(rho=rho, profile=_normalize(v, w) if it else v, iterations=it,
                               residual=res, shifts=shifts, path=path, cw_bracket=(lb, ub))
         stale = 0 if res < best else stale + 1
@@ -173,22 +164,24 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
                 f"residual {res:.3e} at its floor after {it} iterations; "
                 "dominant eigenvalue may be nearly non-simple",
                 rho=rho, profile=_normalize(v, w), iterations=it, residual=res)
+        if evaluated % SLOW_CHECK == 0:
+            # iterations the least residual needs at its last window's contraction
+            fell = best < window
+            need = (SLOW_CHECK * math.log(best / max(accept, math.ulp(rho * v.max())))
+                    / math.log(window / best) if fell else math.inf)
+            window = best
+            if need > SLOW_HORIZON and (fell or path == "power"):
+                # a fresh inverse; its first window only sets the next baseline
+                path, inv, window = ("shift-invert" if path == "power" else path), None, math.inf
         if path == "power":
             v = _normalize(y, w)
-            if evaluated % SLOW_CHECK == 0 and evaluated <= SLOW_HORIZON:
-                width = ub - lb
-                rate = min(width / prev_width, 1.0) if prev_width > 0 else 1.0
-                if width * rate ** ((SLOW_HORIZON - evaluated) / SLOW_CHECK) > 1e-4 * ub:
-                    path = "shift-invert"   # slow spectrum
-                prev_width = width
             continue
-        if inv is None or (steps % 50 == 0 and sigma > ub * (1.0 + 1e-7)):
+        if inv is None:
             # sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
             sigma = ub * (1.0 + 1e-8) + 1e-300
             inv = np.linalg.inv(sigma * np.eye(n) - M)
             shifts += 1
         v = _normalize(np.maximum(inv @ v, 0.0), w)    # clip roundoff negatives
-        steps += 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +212,12 @@ def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: Col
 
     M - diag(r) is M with its diagonal set to `kernel.mutant_diagonal` * sB.
     Only valid in the Regular regime: the fixed-point division degenerates as
-    rho approaches rbar.
+    rho approaches rbar. There rho - r > 1e-3 rho, so u >= 0, and u = 0 exactly
+    where mu = 0: at traits no newborn reaches, where a narrow k underflows.
     """
     if pair.regime != "Regular":
         raise ValueError("density representation requires the Regular regime")
     mu, mutant = pair.profile, direct.M.copy()
     np.fill_diagonal(mutant, mutant_diag * kernel.sB)
-    u = (mutant @ mu) / (pair.rho - kernel.r_values)
-    if np.any(u <= 0):
-        raise ValueError("density representative is not strictly positive")
-    u = _normalize(u, direct.weights)
-    residual = float(np.abs(u - mu).max())
-    return u, residual
+    u = _normalize((mutant @ mu) / (pair.rho - kernel.r_values), direct.weights)
+    return u, float(np.abs(u - mu).max())

@@ -240,6 +240,22 @@ def test_non_finite_summary_value_exits_1_without_a_summary(small_cfg, tmp_path,
     assert not os.path.exists(out / "summary.json")
 
 
+def test_malthus_solves_where_no_newborn_reaches_some_traits(tmp_path):
+    # births vanish below x = 0.5 and gaussian(0.01) underflows to 0 beyond
+    # about 0.39 from every parent, so mu is exactly 0 below x = 0.11: no
+    # warm start may be taken from it
+    cfg = dataclasses.replace(constant_scenario(nx=64), kernel={
+        "family": "gaussian", "params": {"width": 0.01}}, birth={
+        "family": "tabulated", "params": {"x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 1.0],
+                                          "values": [[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]]}})
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["malthus", "--config", path, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["regime"] == "Regular" and summary["density_residual"] < 1e-9
+    assert np.any(np.load(out / "N.npy") == 0.0)
+
+
 def test_malthus_summaries_report_the_tail_bound(tmp_path):
     config = constant_scenario(nx=16)
     cfg = write_config(tmp_path / "cfg.json", config)

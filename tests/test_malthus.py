@@ -317,6 +317,19 @@ def test_perron_counts_the_inverses_it_forms(monkeypatch):
     assert solves and all(p.shifts == 0 for p in solves)
 
 
+def test_narrow_kernel_search_shift_inverts_and_starts_the_dual_warm():
+    # gaussian(0.01) at nx = 200: power steps contract the residual too slowly,
+    # and the dual starts from its exact eigenvector
+    cfg = dataclasses.replace(constant_scenario(nx=200), kernel={
+        "family": "gaussian", "params": {"width": 0.01}})
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    triple = solve_eigentriple(problem)
+    assert problem.lambda_search["perron_iterations"] <= 500
+    dual_solve = triple.diagnostics["perron"]["dual"]
+    assert dual_solve["path"] == "warm" and dual_solve["iterations"] <= 1
+
+
 def test_singular_search_at_nx_3200_accepts_at_the_rounding_floor(monkeypatch):
     # the Perron vector sharpens like 1/h here: at lambda = 0 rounding alone
     # leaves a residual above 1e-12 rho, which only the floor term accepts
@@ -349,7 +362,9 @@ def test_eigentriple_reports_perron_and_keeps_factors():
 
 
 def test_profile_step_forms_no_grid_sized_integrand():
-    # R, N, and dual_profile's cells and tails: four (x, a) grids at most at once.
+    # R, N and dual_profile's tails are three (x, a) grids. The rest is formed
+    # by blocks of 16 trait rows, a quarter grid each at nx = 64: a block's
+    # continuation past A_max and its cells add about 1.1 grids at most.
     # np.sum(N * phi * mass_weights) holds three grids beside phi, R and N (5.1 in all)
     problem = singular_problem(64)
     problem.eigendata(problem.find_lambda_star(1e-6))
@@ -409,13 +424,30 @@ def test_dual_at_root_starts_from_direct_pair(scenario):
 
 
 @PRESETS
-def test_dual_stays_cold_for_a_nonsymmetric_kernel(scenario):
-    # the gaussian kernel is renormalised per row, so diag(w) Mix is not symmetric
+def test_dual_starts_warm_for_every_kernel_family(scenario):
+    # the gaussian kernel is g / Z with g symmetric, so sB mu k(x, x) is the
+    # dual eigenvector although diag(w) Mix is not symmetric
     cfg = dataclasses.replace(scenario(nx=64), kernel={
         "family": "gaussian", "params": {"width": 0.15}})
     _, pq, cold = problem_at_root(cfg)
-    assert (pq.path, pq.iterations) == (cold.path, cold.iterations)
-    np.testing.assert_array_equal(pq.profile, cold.profile)
+    assert pq.path == "warm" and pq.iterations <= 1
+    assert abs(pq.rho - cold.rho) <= 1e-12 * cold.rho
+    assert np.abs(pq.profile - cold.profile).max() <= 1e-9 * cold.profile.max()
+
+
+@pytest.mark.parametrize("family", [
+    {"family": "uniform", "params": {}},
+    {"family": "gaussian", "params": {"width": 0.15}},
+    {"family": "gaussian", "params": {"width": 0.01}}],
+    ids=["uniform", "gaussian_0.15", "gaussian_0.01"])
+def test_every_kernel_family_is_symmetric_over_its_diagonal(family):
+    # the dual start's premise: k(x, y) = g(x, y) / Z(x) with g symmetric and
+    # g(x, x) constant, so k(x_i, x_j) / k(x_i, x_i) = g_ij / g0 is symmetric
+    cfg = dataclasses.replace(constant_scenario(nx=64), kernel=family)
+    model = build_model(cfg)
+    K = model.mutation_kernel.matrix(build_grids(cfg, model)[0].nodes)
+    ratio = K / np.diag(K)[:, None]
+    np.testing.assert_allclose(ratio, ratio.T, rtol=1e-13, atol=0.0)
 
 
 @PRESETS
