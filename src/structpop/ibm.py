@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import math
 import os
 import random
 import shutil
-import subprocess
 import tempfile
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -57,7 +56,9 @@ class EventLog:
 def _rate(fam, lo: float):
     """(C family code, three parameters) of a rate, or None where the C loop has no
     code for its family, and its scalar form (x, a) -> float for the Python loop.
-    The codes are those of _ibm_loop.c, whose `rate` evaluates the same bodies."""
+    The codes are those of _ibm_loop.c, whose `rate` evaluates the same bodies.
+    The scalar forms use `math` (within 4 ulp of the family's NumPy `fn`),
+    except the tabulated family's, which calls `fn`."""
     par = fam.params
     if fam.name == "constant":
         v = par["value"]
@@ -68,6 +69,23 @@ def _rate(fam, lo: float):
     if fam.name == "sqrt_gap":
         bbar = par["bbar"]
         return (2, (bbar, 0.0, 0.0)), lambda x, a: bbar - math.sqrt(x - lo)
+    if fam.name == "gaussian_bump":
+        base, amp, center, width = par["base"], par["amp"], par["center"], par["width"]
+
+        def bump(x, a):
+            z = (x - center) / width
+            return base + amp * math.exp(-0.5 * (z * z))
+        return None, bump
+    if fam.name == "logistic_age":
+        low, span = par["low"], par["high"] - par["low"]
+        a0, scale = par["midpoint"], par["scale"]
+
+        def logistic(x, a):
+            try:
+                return low + span / (1.0 + math.exp(-(a - a0) / scale))
+            except OverflowError:   # np.exp gives inf there, and the rate its floor
+                return low
+        return None, logistic
     return None, lambda x, a: float(fam.fn(x, a))
 
 
@@ -120,6 +138,8 @@ def _c_loop():
     processes load the cached library without compiling. Any failure to
     compile, write or load leaves the Python loop in charge.
     """
+    import hashlib      # imported here: only the build needs them, not start-up
+    import subprocess
     try:
         with open(_C_SOURCE, "rb") as f:
             source = f.read()
@@ -355,14 +375,60 @@ def run_replicates(model: RateModel, tgrid: TraitGrid, K: int, T: float,
 # estimators
 # ---------------------------------------------------------------------------
 
+# One slot: (weakref to a frozen N_grid, tgrid, agrid, the grid's cell CDF), or None.
+# An entry is one tuple, read and replaced whole, so a reader never mixes two.
+_cdf_memo: list = [None]
+
+
+def _forget(ref) -> None:
+    """Drop the memo's CDF when its grid is freed."""
+    entry = _cdf_memo[0]
+    if entry is not None and entry[0] is ref:
+        _cdf_memo[0] = None
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """True if neither arr nor any array it views is writeable."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
+def _cell_cdf(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
+    """The CDF over the (x, a) cells that `Generator.choice` forms from the cell
+    probabilities N w_i qa_j, with choice's checks on them. A frozen grid's CDF
+    is kept until another is asked for or the grid is freed."""
+    entry = _cdf_memo[0]
+    if (entry is not None and entry[0]() is N_grid and entry[1] is tgrid
+            and entry[2] is agrid):
+        return entry[3]
+    probs = np.maximum((N_grid * mass_weights(tgrid, agrid)).ravel(), 0.0)
+    probs /= probs.sum()
+    # choice's own test: NaN (a NaN grid, or no positive mass) or a sum off 1
+    if not abs(probs.sum() - 1.0) <= math.sqrt(np.finfo(float).eps):
+        raise ValueError("probabilities contain NaN or do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    if _frozen(N_grid):
+        _cdf_memo[0] = (weakref.ref(N_grid, _forget), tgrid, agrid, cdf)
+    return cdf
+
+
 def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
                         count: int, seed: int) -> list[tuple[float, float]]:
-    """count i.i.d. (trait, age) draws from a grid density (cellwise uniform)."""
+    """count i.i.d. (trait, age) draws from a grid density (cellwise uniform).
+
+    The draws are those of `default_rng(seed).choice(cells, count, p=probs)`
+    over the cell probabilities, then one uniform offset per draw in x and one
+    in a: the cells come from choice's algorithm, one inverse-CDF bisection per
+    draw. A read-only grid (as `solve_eigentriple` returns N) keeps its CDF
+    between calls; a writeable grid is read afresh on every call. A grid with
+    a NaN, or with no positive mass, raises ValueError.
+    """
     rng = np.random.default_rng(seed)
-    probs = (N_grid * mass_weights(tgrid, agrid)).ravel()
-    probs = np.maximum(probs, 0.0)
-    probs /= probs.sum()
-    idx = rng.choice(probs.size, size=count, p=probs)
+    idx = _cell_cdf(N_grid, tgrid, agrid).searchsorted(rng.random(count), side="right")
     ii, jj = np.unravel_index(idx, N_grid.shape)
     dx = float(tgrid.weights[0])
     x = tgrid.nodes[ii] + dx * (rng.random(count) - 0.5)
@@ -372,21 +438,51 @@ def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
     return list(zip(x.tolist(), a.tolist()))
 
 
+INTERP_BLOCK = 8192     # particles per block of interp_phi
+
+
 def interp_phi(phi_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
                x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a grid function, clamped at the edges."""
-    x = np.asarray(x, float)
-    a = np.asarray(a, float)
-    xi = np.clip((x - tgrid.nodes[0]) / float(tgrid.weights[0]), 0.0, tgrid.n - 1.0)
-    aj = np.clip(a / agrid.da, 0.0, agrid.n_cells - 0.0)
-    i0 = np.clip(xi.astype(int), 0, tgrid.n - 2)
-    j0 = np.clip(aj.astype(int), 0, agrid.n_cells - 1)
-    tx = xi - i0
-    ta = aj - j0
-    return (phi_grid[i0, j0] * (1 - tx) * (1 - ta)
-            + phi_grid[i0 + 1, j0] * tx * (1 - ta)
-            + phi_grid[i0, j0 + 1] * (1 - tx) * ta
-            + phi_grid[i0 + 1, j0 + 1] * tx * ta)
+    """Bilinear interpolation of a grid function, clamped at the edges.
+
+    phi_grid is (tgrid.n, agrid.n_cells + 1). The points are taken by blocks of
+    INTERP_BLOCK, each corner read by one flat index, so no temporary outgrows
+    a block; every value has the bits of the 2-D-indexed formula
+    phi[i0, j0] (1 - tx)(1 - ta) + phi[i0 + 1, j0] tx (1 - ta)
+    + phi[i0, j0 + 1] (1 - tx) ta + phi[i0 + 1, j0 + 1] tx ta.
+    """
+    x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
+    out = np.empty(x.shape)
+    xs, as_, flat_out = x.reshape(-1), a.reshape(-1), out.reshape(-1)
+    flat = np.ascontiguousarray(phi_grid, dtype=float).reshape(-1)
+    ncol = phi_grid.shape[1]
+    x0, dx = tgrid.nodes[0], float(tgrid.weights[0])
+    for s in range(0, xs.size, INTERP_BLOCK):
+        xi = xs[s:s + INTERP_BLOCK] - x0
+        xi /= dx
+        np.clip(xi, 0.0, tgrid.n - 1.0, out=xi)
+        aj = as_[s:s + INTERP_BLOCK] / agrid.da
+        np.clip(aj, 0.0, agrid.n_cells - 0.0, out=aj)
+        # the lower corner (i0, j0), as floats: xi and aj are clipped to [0, n - 1],
+        # so floor and the upper clip give the integers the formula's clips give
+        i0 = np.fmin(np.floor(xi), tgrid.n - 2.0)
+        j0 = np.fmin(np.floor(aj), agrid.n_cells - 1.0)
+        xi -= i0                      # tx
+        aj -= j0                      # ta
+        i0 *= ncol
+        i0 += j0
+        k = i0.astype(np.intp)        # the flat index of (i0, j0)
+        sx, sa = 1 - xi, 1 - aj
+        v = flat_out[s:s + INTERP_BLOCK]
+        flat.take(k, out=v)
+        v *= sx
+        v *= sa
+        for corner, wx, wa in ((ncol, xi, sa), (1, sx, aj), (ncol + 1, xi, aj)):
+            term = flat.take(k + corner)    # (i0 + 1, j0), (i0, j0 + 1), (i0 + 1, j0 + 1)
+            term *= wx
+            term *= wa
+            v += term
+    return out
 
 
 def martingale_series(logs: list[EventLog], phi_grid: np.ndarray,

@@ -279,6 +279,7 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     dual path, iterations and bracket) and "warnings", a map from stable
     keys to messages. The problem keeps its age factors for later lambdas;
     a caller about to step the dynamics drops them with `release_factors`.
+    N_grid is read-only (its flag `writeable` is False).
     """
     lam_star = problem.find_lambda_star(tol_lam)
     ck, pd, pq = problem.eigendata(lam_star)
@@ -299,6 +300,7 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
             "continuum meaning is not certified")
     diagnostics = {"perron": {"direct": pd.summary(), "dual": pq.summary()},
                    "warnings": warn}
+    N.flags.writeable = False   # read-only, so the IBM sampler may keep its CDF
     return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi,
                        eta_lower=grid_eta, eta_lower_proof=proof_eta,
                        norms=norms, regime=pd.regime, diagnostics=diagnostics)

@@ -455,23 +455,34 @@ def modules_loaded_by(argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scipy_loaded_by(argv, cwd):
-    """scipy modules in sys.modules after `cli.main(argv)` in a fresh interpreter."""
-    return [m for m in modules_loaded_by(argv, cwd) if m.split(".")[0] == "scipy"]
+def scipy_of(modules):
+    """The scipy modules among a list of module names."""
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+# Only the build of the compiled IBM loop needs these; start-up must not pay for them.
+BUILD_ONLY_MODULES = {"hashlib", "subprocess"}
 
 
 def test_no_command_loads_scipy(tmp_path):
     # scipy is a test dependency only: no command may load it
     cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16))
-    for argv in (["pde", "--tmax", "0.2"], ["ibm", "--tmax", "0.5", "--replicates", "2"]):
-        assert scipy_loaded_by(argv + ["--config", cfg, "--out", "out"], tmp_path) == []
+    pde_run = modules_loaded_by(["pde", "--tmax", "0.2", "--config", cfg, "--out", "out"],
+                                tmp_path)
+    assert scipy_of(pde_run) == []
+    assert scipy_of(modules_loaded_by(["ibm", "--tmax", "0.5", "--replicates", "2",
+                                       "--config", cfg, "--out", "out"], tmp_path)) == []
     # numpy.fft is loaded by the first block of PDE steps, never at start-up
-    assert "numpy.fft" not in modules_loaded_by(None, tmp_path)
+    start_up = modules_loaded_by(None, tmp_path)
+    assert "numpy.fft" not in start_up
     assert "numpy.fft" not in modules_loaded_by(["stationary", "--config", cfg,
                                                  "--out", "st"], tmp_path)
     # the lambda = 0 solve of this run leaves power iteration for shift-inverse
-    assert scipy_loaded_by(["scenario", "singular", "--nx", "64", "--out", "sing"],
-                           tmp_path) == []
+    scenario = modules_loaded_by(["scenario", "singular", "--nx", "64", "--out", "sing"],
+                                 tmp_path)
+    assert scipy_of(scenario) == []
+    for modules in (start_up, pde_run, scenario):
+        assert BUILD_ONLY_MODULES.isdisjoint(modules)
 
 
 # Public names that no CLI path reaches, kept for what the tests check with them.

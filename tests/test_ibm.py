@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from scipy import stats
 
 from structpop import ibm
-from structpop.model import (AgeGrid, build_model, constant_scenario,
+from structpop.model import (AgeGrid, build_model, constant_scenario, mass_weights,
                              midpoint_grid)
 
 
@@ -494,6 +495,36 @@ def test_interp_phi_exact_at_nodes(tg):
     assert np.allclose(vals, phi[[5, 6, 7, 8], [0, 3, 7, 20]])
 
 
+def reference_interp_phi(phi_grid, tgrid, agrid, x, a):
+    """The bilinear formula with 2-D corner indexing, over all points at once."""
+    xi = np.clip((x - tgrid.nodes[0]) / float(tgrid.weights[0]), 0.0, tgrid.n - 1.0)
+    aj = np.clip(a / agrid.da, 0.0, agrid.n_cells - 0.0)
+    i0 = np.clip(xi.astype(int), 0, tgrid.n - 2)
+    j0 = np.clip(aj.astype(int), 0, agrid.n_cells - 1)
+    tx = xi - i0
+    ta = aj - j0
+    return (phi_grid[i0, j0] * (1 - tx) * (1 - ta)
+            + phi_grid[i0 + 1, j0] * tx * (1 - ta)
+            + phi_grid[i0, j0 + 1] * (1 - tx) * ta
+            + phi_grid[i0 + 1, j0 + 1] * tx * ta)
+
+
+def test_interp_phi_has_the_bits_of_the_two_d_formula(tg):
+    ag = AgeGrid(da=0.1, n_cells=20)
+    rng = np.random.default_rng(5)
+    phi = rng.random((tg.n, ag.n_cells + 1)) * np.exp(-ag.nodes)
+    n = 2 * ibm.INTERP_BLOCK + 123
+    x = rng.uniform(-0.2, 1.2, n)           # some traits outside the domain
+    a = rng.uniform(-0.5, 1.5 * ag.a_max, n)    # negative ages and ages past the end
+    x[:6] = [tg.nodes[0], tg.nodes[-1], 0.0, 1.0, -5.0, 7.0]
+    a[:6] = [0.0, ag.a_max, -1.0, 100.0, ag.nodes[3], ag.a_max - 1e-12]
+    assert (x < tg.nodes[0]).any() and (x > tg.nodes[-1]).any()
+    assert (a < 0).any() and (a > ag.a_max).any()
+    got = ibm.interp_phi(phi, tg, ag, x, a)
+    assert got.shape == (n,)
+    assert got.tobytes() == reference_interp_phi(phi, tg, ag, x, a).tobytes()
+
+
 def test_martingale_initial_pairing(constant_setup):
     s = constant_setup
     tr = s.triple
@@ -520,3 +551,116 @@ def test_square_integrability_constant(constant_setup):
     holed[3, 5] = 0.0
     assert ibm.square_integrability_constant(s.model, holed, s.tgrid, s.agrid,
                                             s.problem.mix) is None
+
+
+# -- the sampler and the Python loop's rates ----------------------------------
+
+def choice_draws(N_grid, tgrid, agrid, count, seed):
+    """sample_from_density by `Generator.choice`, with the cell CDF built per call."""
+    rng = np.random.default_rng(seed)
+    probs = np.maximum((N_grid * mass_weights(tgrid, agrid)).ravel(), 0.0)
+    probs /= probs.sum()
+    idx = rng.choice(probs.size, size=count, p=probs)
+    ii, jj = np.unravel_index(idx, N_grid.shape)
+    dx = float(tgrid.weights[0])
+    x = tgrid.nodes[ii] + dx * (rng.random(count) - 0.5)
+    a = np.maximum(agrid.nodes[jj] + agrid.da * (rng.random(count) - 0.5), 0.0)
+    lo, hi = tgrid.nodes[0] - 0.5 * dx, tgrid.nodes[-1] + 0.5 * dx
+    x = np.clip(x, lo + 1e-12, hi - 1e-12)
+    return list(zip(x.tolist(), a.tolist()))
+
+
+@pytest.mark.parametrize("preset", ["constant_setup", "singular_setup"])
+def test_sampler_draws_are_choices_draws(preset, request):
+    s = request.getfixturevalue(preset)
+    N = s.triple.N_grid
+    assert N.flags.writeable is False
+    for seed in range(24):
+        assert (ibm.sample_from_density(N, s.tgrid, s.agrid, 300, seed)
+                == choice_draws(N, s.tgrid, s.agrid, 300, seed))
+
+
+def test_sampler_reads_a_writeable_grid_afresh(constant_setup):
+    s = constant_setup
+    tg, ag = s.tgrid, s.agrid
+    N = s.triple.N_grid.copy()
+    view = N.view()
+    view.flags.writeable = False            # read-only, but its base is not
+    for grid in (N, view):
+        N[:] = s.triple.N_grid
+        assert ibm.sample_from_density(grid, tg, ag, 200, 4) == choice_draws(
+            grid, tg, ag, 200, 4)
+        N[:] = 0.0
+        N[5, 7] = 1.0                       # all the mass in one cell
+        draws = ibm.sample_from_density(grid, tg, ag, 200, 4)
+        assert draws == choice_draws(grid, tg, ag, 200, 4)
+        x, a = np.array(draws).T
+        half = 0.5 * float(tg.weights[0])
+        assert np.all(np.abs(x - tg.nodes[5]) <= half)
+        assert np.all(np.abs(a - ag.nodes[7]) <= 0.5 * ag.da)
+
+
+def test_sampler_keeps_a_frozen_grids_cdf_only_while_it_lives(constant_setup):
+    s = constant_setup
+    grid = s.triple.N_grid * np.linspace(1.0, 2.0, s.tgrid.n)[:, None]
+    grid.flags.writeable = False
+    for _ in range(2):
+        assert ibm.sample_from_density(grid, s.tgrid, s.agrid, 200, 8) == choice_draws(
+            grid, s.tgrid, s.agrid, 200, 8)
+    assert ibm._cdf_memo[0][0]() is grid
+    del grid
+    gc.collect()
+    assert ibm._cdf_memo[0] is None
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["writeable", "read_only"])
+@pytest.mark.parametrize("case", ["nan", "no_positive_mass"])
+def test_sampler_rejects_a_grid_without_a_law(constant_setup, case, frozen):
+    s = constant_setup
+    grid = s.triple.N_grid.copy()
+    if case == "nan":
+        grid[3, 5] = math.nan
+    else:
+        grid *= -1.0
+    grid.flags.writeable = not frozen
+    with np.errstate(invalid="ignore"):     # the division by a zero or NaN total
+        with pytest.raises(ValueError):
+            choice_draws(grid, s.tgrid, s.agrid, 10, 1)
+        with pytest.raises(ValueError):
+            ibm.sample_from_density(grid, s.tgrid, s.agrid, 10, 1)
+
+
+def test_eigentriple_density_is_read_only(singular_setup):
+    N = singular_setup.triple.N_grid
+    assert N.flags.writeable is False
+    with pytest.raises(ValueError):
+        N[0, 0] = 1.0
+
+
+def ulps(got, want):
+    """|got - want| in units in the last place of want."""
+    return abs(got - want) / np.spacing(abs(want))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("gaussian_bump", {"base": 0.5, "amp": 2.0, "center": 0.5, "width": 0.2}),
+    ("gaussian_bump", {"base": 0.0, "amp": 3.0, "center": 0.0, "width": 0.01}),
+    ("gaussian_bump", {"base": 1.0, "amp": 0.0, "center": 1.0, "width": 5.0}),
+    ("logistic_age", {"low": 0.5, "high": 3.0, "midpoint": 0.3, "scale": 0.1}),
+    ("logistic_age", {"low": 0.0, "high": 2.0, "midpoint": 10.0, "scale": 0.01}),
+    ("logistic_age", {"low": 1.0, "high": 1.0, "midpoint": 0.0, "scale": 1.0}),
+])
+def test_scalar_rate_forms_match_the_family(family, params):
+    model = model_from(birth={"family": family, "params": params})
+    fam = model.birth
+    code, scalar = ibm._rate(fam, model.trait_domain[0])
+    assert code is None                     # these run in the Python loop
+    lo, hi = model.trait_domain
+    xs = np.concatenate([[lo, hi], np.linspace(lo, hi, 37)])
+    ages = np.concatenate([[0.0, 1e-300, 50.0], np.linspace(0.0, 12.0, 41)])
+    with np.errstate(over="ignore"):        # np.exp overflows where math.exp raises
+        for x, a in itertools.product(xs, ages):
+            want = float(fam.fn(x, a))
+            got = scalar(float(x), float(a))
+            assert type(got) is float
+            assert got == want or ulps(got, want) <= 4, (x, a, got, want)
