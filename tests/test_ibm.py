@@ -516,13 +516,17 @@ def test_interp_phi_has_the_bits_of_the_two_d_formula(tg):
     n = 2 * ibm.INTERP_BLOCK + 123
     x = rng.uniform(-0.2, 1.2, n)           # some traits outside the domain
     a = rng.uniform(-0.5, 1.5 * ag.a_max, n)    # negative ages and ages past the end
-    x[:6] = [tg.nodes[0], tg.nodes[-1], 0.0, 1.0, -5.0, 7.0]
-    a[:6] = [0.0, ag.a_max, -1.0, 100.0, ag.nodes[3], ag.a_max - 1e-12]
+    x[:11] = [tg.nodes[0], tg.nodes[-1], 0.0, 1.0, -5.0, 7.0,
+              math.nan, 0.3, math.nan, math.inf, -math.inf]
+    a[:11] = [0.0, ag.a_max, -1.0, 100.0, ag.nodes[3], ag.a_max - 1e-12,
+              0.5, math.nan, math.nan, 1.0, math.inf]
     assert (x < tg.nodes[0]).any() and (x > tg.nodes[-1]).any()
     assert (a < 0).any() and (a > ag.a_max).any()
-    got = ibm.interp_phi(phi, tg, ag, x, a)
+    with np.errstate(invalid="ignore"):     # the reference casts NaN to an integer
+        want = reference_interp_phi(phi, tg, ag, x, a)
+        got = ibm.interp_phi(phi, tg, ag, x, a)
     assert got.shape == (n,)
-    assert got.tobytes() == reference_interp_phi(phi, tg, ag, x, a).tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_martingale_initial_pairing(constant_setup):
