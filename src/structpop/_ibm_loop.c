@@ -69,7 +69,8 @@ static double uniform(ibm_state *s)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* the scalar forms of ibm._rate; 0 when sqrt would raise in Python */
+/* the families' `scalar` forms (model._make_rate); 0 where sqrt would raise
+ * in Python */
 static int rate(int64_t fam, const double *par, double lo, double x, double a,
                 double *out)
 {

@@ -51,42 +51,17 @@ class EventLog:
     loop: str = "python"        # which event loop ran: "c" or "python"
 
 
-# -- rate families: the C loop's codes and the Python loop's scalar forms -----
+# _ibm_loop.c's family codes and the order of its three rate parameters; its
+# `rate` evaluates the same bodies as these families' `scalar`
+_C_RATES = {"constant": (0, ("value",)),
+            "affine": (1, ("base", "slope_x", "slope_a")),
+            "sqrt_gap": (2, ("bbar",))}
 
-def _rate(fam, lo: float):
-    """(C family code, three parameters) of a rate, or None where the C loop has no
-    code for its family, and its scalar form (x, a) -> float for the Python loop.
-    The codes are those of _ibm_loop.c, whose `rate` evaluates the same bodies.
-    The scalar forms use `math` (within 4 ulp of the family's NumPy `fn`),
-    except the tabulated family's, which calls `fn`."""
-    par = fam.params
-    if fam.name == "constant":
-        v = par["value"]
-        return (0, (v, 0.0, 0.0)), lambda x, a: v
-    if fam.name == "affine":
-        base, sx, sa = par["base"], par["slope_x"], par["slope_a"]
-        return (1, (base, sx, sa)), lambda x, a: base + sx * x + sa * a
-    if fam.name == "sqrt_gap":
-        bbar = par["bbar"]
-        return (2, (bbar, 0.0, 0.0)), lambda x, a: bbar - math.sqrt(x - lo)
-    if fam.name == "gaussian_bump":
-        base, amp, center, width = par["base"], par["amp"], par["center"], par["width"]
 
-        def bump(x, a):
-            z = (x - center) / width
-            return base + amp * math.exp(-0.5 * (z * z))
-        return None, bump
-    if fam.name == "logistic_age":
-        low, span = par["low"], par["high"] - par["low"]
-        a0, scale = par["midpoint"], par["scale"]
-
-        def logistic(x, a):
-            try:
-                return low + span / (1.0 + math.exp(-(a - a0) / scale))
-            except OverflowError:   # np.exp gives inf there, and the rate its floor
-                return low
-        return None, logistic
-    return None, lambda x, a: float(fam.fn(x, a))
+def _c_rate(fam) -> tuple[int, list[float]]:
+    """(C family code, three parameters) of a rate whose family is in _C_RATES."""
+    code, names = _C_RATES[fam.name]
+    return code, [fam.params[k] for k in names] + [0.0] * (3 - len(names))
 
 
 def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
@@ -246,10 +221,10 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     the draw is below n for the particle, one `random()` for the mark, and on
     a birth one `random()` for mutation and one more for the mutant trait.
 
-    Constant, affine and sqrt_gap rates run this loop compiled (_ibm_loop.c)
+    Rates of the families in _C_RATES run this loop compiled (_ibm_loop.c)
     when the library builds and loads; other rate families, and any host
-    without it, run it in Python. Both read the stream identically, and the
-    log's `loop` field says which one ran.
+    without it, run it in Python on the families' `scalar` forms. Both read the
+    stream identically, and the log's `loop` field says which one ran.
     """
     if K < 1:
         raise ValueError("scale K must be >= 1")
@@ -272,7 +247,7 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     if not math.isfinite(dsup):
         raise ValueError("thinning needs a bounded death rate")
     bd = model.birth.sup + dsup
-    (b_code, B), (d_code, D) = _rate(model.birth, lo), _rate(model.death, lo)
+    B, D = model.birth.scalar, model.death.scalar
     c = 0.0 if linear else model.competition    # comp = c * n / K is then 0.0
     p = model.mutation_prob
     cdf = _mutant_cdf_rows(model, tgrid)
@@ -286,12 +261,13 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
 
     n = len(xs)
     lib = None
-    if (b_code is not None and d_code is not None
+    if (model.birth.name in _C_RATES and model.death.name in _C_RATES
             and max(n, particle_cap + 1) < 2**32):   # getrandbits(k) reads one word
         lib, _ = _c_loop()
     if lib is not None:
+        rates = _c_rate(model.birth), _c_rate(model.death)
         xs, bt, t, n_events, n_deaths, peak, aborted, events, si = _c_events(
-            lib, rng, xs, bt, model, K, T, c, bd, (b_code, d_code), cdf, tgrid.nodes, dx,
+            lib, rng, xs, bt, model, K, T, c, bd, rates, cdf, tgrid.nodes, dx,
             particle_cap, samples, masses, snapshots, store_snapshots, record_events)
     else:
         cdf_rows, nodes, last = cdf.tolist(), tgrid.nodes.tolist(), tgrid.n - 1

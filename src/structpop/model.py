@@ -2,7 +2,8 @@
 
 Rates are supplied through a registry of named parametric families so that
 every scenario is fully described by a JSON config (no code-as-config).
-All rate callables are vectorized over numpy arrays.
+Each rate family is built once, in `_make_rate`: its `fn` is vectorized over
+numpy arrays, and its `scalar` evaluates the same rate on two Python floats.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ class RateFamily:
 
     name: str
     params: dict
-    fn: Callable
-    sup: float   # sup over S x R+
-    inf: float   # inf over S x R+
+    fn: Callable       # vectorized over numpy arrays
+    scalar: Callable   # (float, float) -> float, within 4 ulp of fn
+    sup: float         # sup over S x R+
+    inf: float         # inf over S x R+
 
     def __call__(self, x, a):
         return self.fn(x, a)
@@ -46,7 +48,8 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if v < 0:
             raise ConfigError("constant rate must be nonnegative")
         fam = RateFamily(name, {"value": v}, lambda x, a, v=v: np.full_like(
-            np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))[0], v), v, v)
+            np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))[0], v),
+            lambda x, a: v, v, v)
     elif name == "affine":
         base = float(p.pop("base"))
         sx = float(p.pop("slope_x", 0.0))
@@ -62,7 +65,8 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if inf_v < 0:
             raise ConfigError("affine rate is negative on the trait domain")
         sup_v = max(corner) if sa == 0 else math.inf
-        fam = RateFamily(name, {"base": base, "slope_x": sx, "slope_a": sa}, fn, sup_v, inf_v)
+        fam = RateFamily(name, {"base": base, "slope_x": sx, "slope_a": sa}, fn,
+                         lambda x, a: base + sx * x + sa * a, sup_v, inf_v)
     elif name == "sqrt_gap":
         # B(x) = bbar - sqrt(x - lo); the gap to the maximum closes like sqrt
         bbar = float(p.pop("bbar"))
@@ -73,7 +77,8 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
             x = np.asarray(x, float)
             return bbar - np.sqrt(x - lo) + 0.0 * np.asarray(a, float)
 
-        fam = RateFamily(name, {"bbar": bbar}, fn, bbar, bbar - math.sqrt(hi - lo))
+        fam = RateFamily(name, {"bbar": bbar}, fn, lambda x, a: bbar - math.sqrt(x - lo),
+                         bbar, bbar - math.sqrt(hi - lo))
     elif name == "gaussian_bump":
         base = float(p.pop("base"))
         amp = float(p.pop("amp"))
@@ -87,9 +92,13 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
             return base + amp * np.exp(-0.5 * ((x - center) / width) ** 2) \
                 + 0.0 * np.asarray(a, float)
 
+        def scalar(x, a):
+            z = (x - center) / width
+            return base + amp * math.exp(-0.5 * (z * z))
+
         edge = min(fn(lo, 0.0), fn(hi, 0.0))
         fam = RateFamily(name, {"base": base, "amp": amp, "center": center, "width": width},
-                         fn, base + amp, float(edge))
+                         fn, scalar, base + amp, float(edge))
     elif name == "logistic_age":
         low = float(p.pop("low"))
         high = float(p.pop("high"))
@@ -103,8 +112,14 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
             return low + (high - low) / (1.0 + np.exp(-(a - a0) / scale)) \
                 + 0.0 * np.asarray(x, float)
 
+        def scalar(x, a, span=high - low):
+            try:
+                return low + span / (1.0 + math.exp(-(a - a0) / scale))
+            except OverflowError:   # np.exp gives inf there, and the rate its floor
+                return low
+
         fam = RateFamily(name, {"low": low, "high": high, "midpoint": a0, "scale": scale},
-                         fn, high, low)
+                         fn, scalar, high, low)
     elif name == "tabulated":
         xs = np.asarray(p.pop("x_nodes"), float)
         as_ = np.asarray(p.pop("a_nodes"), float)
@@ -131,7 +146,8 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
 
         fam = RateFamily(name, {"x_nodes": xs.tolist(), "a_nodes": as_.tolist(),
                                 "values": vals.tolist()},
-                         fn, float(vals.max()), float(vals.min()))
+                         fn, lambda x, a: float(fn(x, a)),
+                         float(vals.max()), float(vals.min()))
     else:
         raise ConfigError(f"unknown rate family {name!r}")
     if p:
@@ -215,16 +231,17 @@ class RateModel:
     def __post_init__(self):
         if not 0.0 < self.mutation_prob < 1.0:
             raise ConfigError("mutation probability must lie in (0, 1)")
-        if self.competition < 0:
-            raise ConfigError("competition rate must be nonnegative")
+        if not (math.isfinite(self.competition) and self.competition >= 0):
+            raise ConfigError(f"competition rate must be finite and nonnegative, "
+                              f"got {self.competition!r}")
         if self.death.inf <= 0:
             raise ConfigError("death rate must be bounded below by a positive constant")
         if not math.isfinite(self.birth.sup):
             raise ConfigError("birth rate must be bounded above (age truncation "
                               "and thinning need a finite sup)")
         lo, hi = self.trait_domain
-        if not hi > lo:
-            raise ConfigError("trait domain must be a nondegenerate interval")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ConfigError("trait domain must be a finite nondegenerate interval")
 
     @property
     def death_floor(self) -> float:
@@ -316,6 +333,18 @@ class ScenarioConfig:
     tol: float
     seed: int = 0
 
+    def __post_init__(self):
+        """Checks the grid and seed fields, however the config was made: a preset,
+        `parse_config` or a `dataclasses.replace` of command-line overrides."""
+        if not (isinstance(self.nx, int) and self.nx >= 2):
+            raise ConfigError(f"grids.nx must be an integer >= 2, got {self.nx!r}")
+        for name in ("da", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"grids.{name} must be finite and positive, got {value!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+
     def to_dict(self) -> dict:
         return {
             "trait_domain": list(self.trait_domain),
@@ -353,16 +382,12 @@ def parse_config(data: dict | str) -> ScenarioConfig:
     _expect_keys(data["kernel"], {"family", "params"}, "kernel")
     grids = data["grids"]
     _expect_keys(grids, {"nx", "da", "tol"}, "grids")
-    if int(grids["nx"]) < 2:
-        raise ConfigError("grids.nx must be >= 2")
-    if float(grids["da"]) <= 0 or float(grids["tol"]) <= 0:
-        raise ConfigError("grids.da and grids.tol must be positive")
     return ScenarioConfig(
         trait_domain=(float(dom[0]), float(dom[1])),
         birth=rates["birth"], death=rates["death"], kernel=data["kernel"],
         p=float(data["p"]), c=float(data["c"]),
-        nx=int(grids["nx"]), da=float(grids["da"]), tol=float(grids["tol"]),
-        seed=int(data["seed"]),
+        nx=grids["nx"], da=float(grids["da"]), tol=float(grids["tol"]),
+        seed=data["seed"],
     )
 
 

@@ -188,16 +188,19 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
 # regime classification
 # ---------------------------------------------------------------------------
 
+GAP_RTOL = 1e-3     # the gap rho - rbar counts as open above GAP_RTOL rho
+
+
 def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
                     grid: TraitGrid) -> PerronPair:
     """Label Regular vs PossiblySingular; attach the gap and the mass in the band.
 
-    The gap rho - rbar counts as open above 1e-3 rho. The band is the traits
-    whose clonal rate r is within 1e-3 rho of rbar. A single-grid label is
+    The gap rho - rbar counts as open above GAP_RTOL rho. The band is the traits
+    whose clonal rate r is within GAP_RTOL rho of rbar. A single-grid label is
     evidence only; the refinement sweep (n_x doubling) is the authoritative
     classifier. Finite grids always show a positive gap.
     """
-    gap_tol, rbar = 1e-3 * pair.rho, kernel.rbar
+    gap_tol, rbar = GAP_RTOL * pair.rho, kernel.rbar
     gap = pair.rho - rbar
     band = kernel.r_values >= rbar - gap_tol
     diagnostics = {"gap": gap,
@@ -212,11 +215,14 @@ def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: Col
 
     M - diag(r) is M with its diagonal set to `kernel.mutant_diagonal` * sB.
     Only valid in the Regular regime: the fixed-point division degenerates as
-    rho approaches rbar. There rho - r > 1e-3 rho, so u >= 0, and u = 0 exactly
-    where mu = 0: at traits no newborn reaches, where a narrow k underflows.
+    rho approaches rbar. The gap itself is tested, not the pair's label, which
+    an unclassified pair holds at its default. There rho - r > GAP_RTOL rho, so
+    u >= 0, and u = 0 exactly where mu = 0: at traits no newborn reaches, where
+    a narrow k underflows.
     """
-    if pair.regime != "Regular":
-        raise ValueError("density representation requires the Regular regime")
+    if not pair.rho - kernel.rbar > GAP_RTOL * pair.rho:
+        raise ValueError("density representation requires the Regular regime "
+                         f"(rho - rbar > {GAP_RTOL:g} rho)")
     mu, mutant = pair.profile, direct.M.copy()
     np.fill_diagonal(mutant, mutant_diag * kernel.sB)
     u = _normalize((mutant @ mu) / (pair.rho - kernel.r_values), direct.weights)

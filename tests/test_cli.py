@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from structpop import cli, ibm, kernel, pde
+from structpop import cli, ibm, kernel, malthus, pde
 from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import (PRESETS, build_grids, build_model, constant_scenario,
                              singular_scenario)
@@ -414,6 +414,34 @@ def test_bad_replicates_or_tmax_is_usage_error(small_cfg, tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--config", small_cfg, "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()     # rejected before any solve or output
+
+
+@pytest.mark.parametrize("argv, change", [
+    (["scenario", "constant", "--da", "0"], {}),
+    (["scenario", "constant", "--tol", "-1"], {}),
+    (["scenario", "constant", "--da", "nan"], {}),
+    (["scenario", "constant", "--tol", "inf"], {}),
+    (["scenario", "constant", "--nx", "1"], {}),
+    (["ibm", "--seed", "-1"], {}),
+    (["malthus"], {"c": math.nan}),
+    (["stationary"], {"c": math.inf}),
+    (["malthus"], {"trait_domain": [0.0, math.inf]}),
+    (["malthus"], {"grids": {"nx": math.nan, "da": 0.01, "tol": 1e-8}}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else json.dumps(v))
+def test_invalid_scenario_values_are_config_errors_before_solving(
+        tmp_path, monkeypatch, capsys, argv, change):
+    # command-line overrides, presets and config files all pass one check
+    solves = []
+    monkeypatch.setattr(malthus, "solve_eigentriple", lambda *a, **k: solves.append(a))
+    if argv[0] != "scenario":
+        data = {**constant_scenario(nx=8, tol=1e-8).to_dict(), **change}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))    # NaN and Infinity as Python's json writes them
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().out)["kind"] == "config"
+    assert solves == [] and not (out / "summary.json").exists()
 
 
 def test_pde_subcommand(small_cfg, tmp_path):

@@ -1,3 +1,5 @@
+import ast
+import collections
 import dataclasses
 import gc
 import itertools
@@ -14,8 +16,8 @@ import pytest
 from scipy import stats
 
 from structpop import ibm
-from structpop.model import (AgeGrid, build_model, constant_scenario, mass_weights,
-                             midpoint_grid)
+from structpop.model import (AgeGrid, _make_rate, build_model, constant_scenario,
+                             mass_weights, midpoint_grid)
 
 
 def const_model(birth=2.0, c=1.0):
@@ -136,7 +138,7 @@ def python_loop_only(monkeypatch):
 
 def dispatched_loop(model):
     """The loop `ibm.simulate` should pick for this model on this host."""
-    in_c = all(ibm._rate(fam, 0.0)[0] is not None for fam in (model.birth, model.death))
+    in_c = all(fam.name in ibm._C_RATES for fam in (model.birth, model.death))
     return "c" if in_c and ibm._c_loop()[0] is not None else "python"
 
 
@@ -653,18 +655,40 @@ def ulps(got, want):
     ("logistic_age", {"low": 0.5, "high": 3.0, "midpoint": 0.3, "scale": 0.1}),
     ("logistic_age", {"low": 0.0, "high": 2.0, "midpoint": 10.0, "scale": 0.01}),
     ("logistic_age", {"low": 1.0, "high": 1.0, "midpoint": 0.0, "scale": 1.0}),
+    ("constant", {"value": 2.0}),
+    ("affine", {"base": 1.0, "slope_x": 0.5, "slope_a": 0.1}),
+    ("sqrt_gap", {"bbar": 4.0}),
+    ("tabulated", {"x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 1.0],
+                   "values": [[0.0, 1.0], [2.0, 0.5], [3.0, 3.0]]}),
 ])
 def test_scalar_rate_forms_match_the_family(family, params):
-    model = model_from(birth={"family": family, "params": params})
-    fam = model.birth
-    code, scalar = ibm._rate(fam, model.trait_domain[0])
-    assert code is None                     # these run in the Python loop
-    lo, hi = model.trait_domain
+    lo, hi = 0.0, 1.0
+    fam = _make_rate(family, params, (lo, hi))
     xs = np.concatenate([[lo, hi], np.linspace(lo, hi, 37)])
     ages = np.concatenate([[0.0, 1e-300, 50.0], np.linspace(0.0, 12.0, 41)])
     with np.errstate(over="ignore"):        # np.exp overflows where math.exp raises
         for x, a in itertools.product(xs, ages):
             want = float(fam.fn(x, a))
-            got = scalar(float(x), float(a))
+            got = fam.scalar(float(x), float(a))
             assert type(got) is float
             assert got == want or ulps(got, want) <= 4, (x, a, got, want)
+    if family == "sqrt_gap":                # as the C loop's DOMAIN status does
+        with pytest.raises(ValueError):
+            fam.scalar(lo - 1e-9, 0.0)
+
+
+def test_only_the_c_table_names_rate_families_in_ibm():
+    # each family is built once, in model._make_rate; ibm.py maps only the
+    # compiled loop's families to _ibm_loop.c's codes
+    families = {"constant", "affine", "sqrt_gap", "gaussian_bump", "logistic_age",
+                "tabulated"}
+    with open(ibm.__file__) as f:
+        tree = ast.parse(f.read())
+    named = collections.Counter(node.value for node in ast.walk(tree)
+                                if isinstance(node, ast.Constant)
+                                and node.value in families)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_C_RATES"])
+    keys = [key.value for key in table.keys]
+    assert sorted(keys) == sorted(ibm._C_RATES) == ["affine", "constant", "sqrt_gap"]
+    assert named == collections.Counter(keys)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from structpop import spectral
 from structpop.kernel import CollapsedKernel, collapse, mix_matrix, mutant_diagonal
+from structpop.malthus import MalthusProblem
 from structpop.model import (AgeGrid, TraitGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bounds,
@@ -205,6 +206,23 @@ def test_density_from_profile_rejects_singular():
     with pytest.raises(ValueError):
         density_from_profile(pair, op, ck, np.zeros(10))
 
+
+
+def test_density_from_profile_tests_the_gap_not_the_label():
+    # the direct solve alone is never classified: its pair keeps the default
+    # label "Regular", while eigendata's classified pair at the same lambda reads
+    # PossiblySingular on the singular preset at nx = 128
+    config = singular_scenario(nx=128)
+    model = build_model(config)
+    tg, ag = build_grids(config, model)
+    problem = MalthusProblem(model, tg, ag)
+    lam = problem.find_lambda_star()
+    ck, pd = problem._solve_direct(lam)
+    assert pd.regime == "Regular"
+    assert problem.eigendata(lam)[1].regime == "PossiblySingular"
+    with pytest.raises(ValueError):
+        density_from_profile(pd, assemble(ck, problem.mix, tg), ck,
+                             mutant_diagonal(model, tg))
 
 @settings(max_examples=20, deadline=None)
 @given(M=arrays(np.float64, (6, 6), elements=st.floats(0.01, 2.0)))
