@@ -8,8 +8,8 @@ average of the endpoint values. This is exact for age-constant rates and
 second-order otherwise, which is what the closed-form oracles require at
 da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
 sweep builds the lambda-free factors once, and `cell_integrals` is the one
-evaluation of the formula, which `collapse` and the dual profile's tail
-integrals share.
+evaluation of the formula, which `collapse` sums and the dual profile's
+backward recursion in age (`profiles`) reads, with no division by R.
 
 One tail rule sizes every age sum. `tail_bound` at lambda bounds what every
 age integral leaves out past a, and falls with a in closed form, so the age
@@ -92,45 +92,37 @@ def horizon(model: RateModel, lam: float, first: np.ndarray, ages: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# survival factor on the lattice
+# survival factor and product quadrature, factored in lambda
 # ---------------------------------------------------------------------------
 
-def _cell_death_rates(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> np.ndarray:
-    """d_ij: the trapezoid average of D(x_i, .) over age cell j, shape (nx, n_cells)."""
-    dvals = model.death(xs[:, None], ages[None, :])
-    d = dvals[:, :-1] + dvals[:, 1:]
-    d /= 2.0
-    return d
+def _cell_means(rate, xs: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """Each age cell's mean of a rate's endpoint values, shape (nx, n_cells)."""
+    vals = rate(xs[:, None], ages[None, :])
+    cells = vals[:, :-1] + vals[:, 1:]
+    cells *= 0.5
+    return cells
 
 
-def _death_integral(d: np.ndarray, ages: np.ndarray, start) -> np.ndarray:
-    """int_0^{a_j} D by the trapezoid rule from the cell rates d, shape (nx, na),
-    given its value `start` at ages[0]; one running sum, so a lattice continued
-    from its last node gets the same values as the whole lattice."""
+def _death_integral(d: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """int_{a_0}^{a_j} D by the trapezoid rule from the cell rates d, (nx, na);
+    one running sum, so that R is exactly consistent with the collapse quadrature."""
     cum = np.empty((d.shape[0], ages.size))
-    cum[:, 0] = start
+    cum[:, 0] = 0.0
     np.multiply(d, np.diff(ages), out=cum[:, 1:])
     return np.cumsum(cum, axis=1, out=cum)
 
 
 def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
                     lam: float) -> np.ndarray:
-    """R_lambda(x_i, a_j) = exp(-int_0^a D(x_i, .) - lambda a_j), shape (nx, na).
-
-    The death integral is accumulated by trapezoid along the (uniform or not)
-    age lattice, so R is exactly consistent with the collapse quadrature.
-    """
+    """R_lambda(x_i, a_j) / R_lambda(x_i, a_0), shape (nx, na): R_lambda itself
+    on a lattice from age 0."""
     _check_lambda(model, lam)
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
-    cum = _death_integral(_cell_death_rates(model, xs, ages), ages, 0.0)
-    cum += lam * ages       # in place, so that R is the one grid formed here
+    cum = _death_integral(_cell_means(model.death, xs, ages), ages)
+    cum += lam * (ages - ages[0])   # in place, so that R is the one grid formed here
     return np.exp(np.negative(cum, out=cum), out=cum)
 
-
-# ---------------------------------------------------------------------------
-# product quadrature, factored in lambda
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AgeFactors:
@@ -138,73 +130,49 @@ class AgeFactors:
 
     On cell [a_j, a_{j+1}] of width h_j the integrand B R_lambda is modeled as
     the average endpoint B times an exact exponential whose rate matches the
-    cell's death integral plus lambda. With R_lambda = R_0 e^{-lambda a} the
-    cell integral is
+    cell's death integral plus lambda. With R_lambda = R_0 e^{-lambda a}, the
+    cell integral over R_lambda(a_0) is
 
-        C_ij e^{-lambda a_j} (1 - e^{-(d_ij + lambda) h_j}) / (d_ij + lambda),
+        C_ij e^{-lambda (a_j - a_0)} h_j (1 - e^{-z_ij}) / z_ij,  z_ij = (d_ij + lambda) h_j,
 
-    where C = (average endpoint B) R_0(., a_j) and d_ij is the cell death rate
-    (the trapezoid average of D over the cell). Neither depends on lambda, so a
-    lambda search builds them once and pays per lambda only for the last
-    factor. Any prefix of the lattice reads its factors as column prefixes,
-    and `continued_factors` extends R_0 past the last node from death_end.
+    where C = (average endpoint B) R_0(., a_j) / R_0(., a_0) and d_ij is the cell
+    death rate. Neither depends on lambda, so a lambda search builds them once.
+    Any prefix of the lattice reads its factors as column prefixes.
     """
 
     ages: np.ndarray            # (n_cells + 1,) lattice nodes
     C: np.ndarray               # (nx, n_cells)
     d: np.ndarray               # (nx, n_cells)
-    death_end: np.ndarray       # (nx,) int_0^{ages[-1]} D
 
     @property
     def n_cells(self) -> int:
         return self.d.shape[1]
 
 
-def _factors(model: RateModel, xs: np.ndarray, ages: np.ndarray, start) -> AgeFactors:
-    xs = np.atleast_1d(np.asarray(xs, float))
-    ages = np.asarray(ages, float)
-    d = _cell_death_rates(model, xs, ages)
-    cum = _death_integral(d, ages, start)
-    death_end = cum[:, -1].copy()
-    R0 = np.exp(np.negative(cum, out=cum), out=cum)
-    bvals = model.birth(xs[:, None], ages[None, :])
-    C = bvals[:, :-1] + bvals[:, 1:]
-    del bvals
-    C *= 0.5
-    C *= R0[:, :-1]
-    return AgeFactors(ages=ages, C=C, d=d, death_end=death_end)
-
-
 def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
     """C and d of the product quadrature at trait nodes xs on the age lattice."""
-    return _factors(model, xs, ages, 0.0)
-
-
-def continued_factors(model: RateModel, xs: np.ndarray, factors: AgeFactors,
-                      ages: np.ndarray) -> AgeFactors:
-    """Age factors at trait nodes xs on a lattice `ages` that starts at the last
-    node of `factors`' lattice; the same numbers as factors built on the joined
-    lattice, bit for bit."""
-    if ages[0] != factors.ages[-1]:
-        raise ValueError(f"the continuation starts at {ages[0]}, "
-                         f"not at the lattice end {factors.ages[-1]}")
-    return _factors(model, xs, ages, factors.death_end)
+    xs = np.atleast_1d(np.asarray(xs, float))
+    ages = np.asarray(ages, float)
+    d = _cell_means(model.death, xs, ages)
+    cum = _death_integral(d, ages)
+    C = _cell_means(model.birth, xs, ages)
+    C *= np.exp(np.negative(cum, out=cum), out=cum)[:, :-1]
+    return AgeFactors(ages=ages, C=C, d=d)
 
 
 def cell_integrals(factors: AgeFactors, lam: float,
                    n_cells: int | None = None) -> np.ndarray:
-    """Per-cell integrals of B R_lambda over the first n_cells cells, (nx, n_cells).
+    """The first n_cells cells' integrals of B R_lambda / R_lambda(a_0), (nx, n_cells).
 
-    With z = (d + lambda) h, the exponential factor (1 - e^{-z}) / (d + lambda)
-    is evaluated as h (1 - e^{-z}) / z by expm1, and as h (1 - z / 2) where
-    |z| < 1e-8.
+    With z = (d + lambda) h, the exponential factor (1 - e^{-z}) / z is
+    evaluated by expm1, and as 1 - z / 2 where |z| < 1e-8.
     """
     n = factors.n_cells if n_cells is None else n_cells
     if not 0 < n <= factors.n_cells:
         raise ValueError(f"{n} cells asked of a lattice of {factors.n_cells}")
-    h = np.diff(factors.ages[:n + 1])
+    ages = factors.ages[:n + 1]
     mz = factors.d[:, :n] + lam
-    mz *= -h                                          # -z
+    mz *= -np.diff(ages)                              # -z
     cells = np.expm1(mz)                              # e^{-z} - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         cells /= mz                                   # (1 - e^{-z}) / z
@@ -213,8 +181,72 @@ def cell_integrals(factors: AgeFactors, lam: float,
         cells[small] = 1.0 + 0.5 * mz[small]
     del mz
     cells *= factors.C[:, :n]
-    cells *= h * np.exp(-lam * factors.ages[:n])
+    cells *= np.diff(ages) * np.exp(-lam * (ages[:-1] - ages[0]))
     return cells
+
+
+SPAN = 512.0            # the most E rises over an age block of `profiles`
+BLOCK_BYTES = 2 ** 19   # one (trait rows, ages) temporary of `profiles`
+
+
+def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
+             lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """R_lambda and q = int_a^inf B R_lambda da' / R_lambda(a), each (nx, na), on
+    the lattice of `factors`, the age factors at trait nodes xs from age 0.
+
+    q solves q_j = b_j h_j (1 - e^{-z_j}) / z_j + e^{-z_j} q_{j+1} (b_j the cell's
+    average endpoint B) from q = 0 at A + L, L the horizon of the continuation
+    past the lattice end A relative to its own start. It runs by age blocks on
+    which E = int_0^a (D + lambda) rises by at most SPAN: on [j0, j1], q_j =
+    (sum_{j <= k < j1} W_k g_k + W_j1 q_j1) / W_j with cells g and weights
+    W = e^{-(E - E_j0)} >= e^{-SPAN}, so no quotient is 0/0. The first block's
+    W is R, formed as `survival_matrix` forms it, and its cells `cell_integrals`'
+    on the lattice continued to A + L; at the presets' default tol it is the
+    only block. Later blocks read their factors from their own start.
+    """
+    _check_lambda(model, lam)
+    xs = np.atleast_1d(np.asarray(xs, float))
+    ages, n = factors.ages, factors.n_cells
+    past = ages[-1] + ages[:2]                  # the first cell past A, over R(A)
+    first = cell_integrals(AgeFactors(ages=past, C=_cell_means(model.birth, xs, past),
+                                      d=_cell_means(model.death, xs, past)), lam)[:, 0]
+    ages = np.concatenate([ages, ages[-1] + ages[1:horizon(model, lam, first, ages) + 1]])
+    R, q = np.empty((xs.size, n + 1)), np.empty((xs.size, n + 1))
+    step = max(1, BLOCK_BYTES // (8 * ages.size))     # rows per block of temporaries
+    for i in range(0, xs.size, step):
+        rows = slice(i, i + step)
+        x, Rb, qb = xs[rows], R[rows], q[rows]
+        d = np.hstack([factors.d[rows], _cell_means(model.death, x, ages[n:])])
+        E = _death_integral(d, ages)            # int_0^a D: one prefix sum
+        joined = AgeFactors(ages=ages, d=d, C=np.hstack(
+            [factors.C[rows], _cell_means(model.birth, x, ages[n:]) * np.exp(-E[:, n:-1])]))
+        E += lam * ages
+        np.exp(np.negative(E[:, :n + 1], out=Rb), out=Rb)
+        top, bounds = E.max(axis=0), [0]        # E rises along each row
+        while bounds[-1] < ages.size - 1:
+            j = int(np.searchsorted(top, E[:, bounds[-1]].min() + SPAN, side="right")) - 1
+            bounds.append(min(max(j, bounds[-1] + 1), ages.size - 1))
+        w_first = np.exp(-E[:, bounds[1]])      # the first block's last weight
+        del E
+        end = np.zeros(x.size)
+        for j0, j1 in zip(bounds[-2::-1], bounds[:0:-1]):
+            if j0 == 0:
+                cells, W, w_end = cell_integrals(joined, lam, j1), Rb, w_first
+            else:
+                f = age_factors(model, x, ages[j0:j1 + 1])
+                cells, W = cell_integrals(f, lam), survival_matrix(model, x, f.ages, lam)
+                w_end = W[:, -1]
+            m = min(max(n, j0), j1) - j0        # the block's cells on the lattice
+            end = cells[:, m:].sum(axis=1) + w_end * end    # the suffix sum at j0 + m
+            if m:                               # q on the block's lattice nodes
+                cells[:, m - 1] += end
+                block = qb[:, j0:j0 + m + 1]
+                block[:, -1] = end
+                np.cumsum(cells[:, m - 1::-1], axis=1, out=block[:, -2::-1])
+                block /= W[:, :m + 1]
+                end = block[:, 0]               # else past A, where W_j0 = 1
+        del joined, cells                       # before the next rows form theirs
+    return R, q
 
 
 # ---------------------------------------------------------------------------

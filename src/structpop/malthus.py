@@ -7,14 +7,14 @@ B/(D + lambda), so the first false-position step lands on the root there).
 The search solves the direct operator only, and the dual is solved once, at
 the root. The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
-to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi from the tail
-integral representation, normalized to int N = int N phi = 1.
+to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi(x,a) = (Mix* eta)(x)
+q(x,a) by a backward recursion in age, normalized to int N = int N phi = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,55 +191,21 @@ def _falsi(g, lo: float, hi: float, tol: float) -> float:
 
 def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
                    R: np.ndarray) -> np.ndarray:
-    """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass.
-
-    R is R_{lambda*} on the age lattice.
-    """
-    N = mu[:, None] * R
+    """N(x,a) = mu(x) R_{lambda*}(x,a), normalized to unit total mass, in R's place."""
+    N = np.multiply(R, mu[:, None], out=R)
     N /= grid_integral(tgrid, agrid, N)
     return N
 
 
-def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: float,
-                 eta: np.ndarray, R: np.ndarray, factors: kern.AgeFactors,
-                 mix: np.ndarray, N_grid: np.ndarray) -> np.ndarray:
-    """phi(x,a) from the tail-integral representation of the dual problem.
-
-    phi(x,a) = R(x,a)^{-1} (Mix* eta)(x) int_a^inf B R da', where Mix* eta
-    = (1-p) eta(x) + p sum_j eta_j w_j k(x, x_j) is the w-adjoint of the
-    birth-mutation matrix mix applied to eta.
-
-    Tail integrals run past the horizon A_max, so that phi keeps its
-    continuum value there instead of collapsing to zero. Their lattice cells
-    come from `factors`, the age factors on the lattice. Past A_max they run
-    over [A_max, A_max + L], with factors continued at lambda* only: L is the
-    shortest lattice-aligned length, at most A_max, past which `kern.horizon`
-    bounds the rest by TAIL_RTOL of the first cell beyond A_max. R is
-    R_{lambda*} on the age lattice. phi is scaled so that int N phi = 1.
-    """
-    xs, n = tgrid.nodes, agrid.n_cells
-    ages = agrid.da * np.arange(n, 2 * n + 1)                       # [A_max, 2 A_max]
-    first = kern.cell_integrals(kern.continued_factors(model, xs, factors, ages[:2]),
-                                lam_star)[:, 0]
-    ages = ages[:kern.horizon(model, lam_star, first, ages) + 1]
-    # tails[:, j] = int_{a_j}^inf B R by blocks of 16 trait rows, the continuation
-    # past A_max included, so that no grid-sized temporary is formed
-    tails = np.empty((xs.size, n + 1))
-    for i in range(0, xs.size, 16):
-        rows = slice(i, i + 16)
-        block = replace(factors, C=factors.C[rows], d=factors.d[rows],
-                        death_end=factors.death_end[rows])
-        ext = kern.continued_factors(model, xs[rows], block, ages)
-        tails[rows, -1] = kern.cell_integrals(ext, lam_star).sum(axis=1)  # past A_max
-        cells = kern.cell_integrals(block, lam_star)
-        cells[:, -1] += tails[rows, -1]
-        np.cumsum(cells[:, ::-1], axis=1, out=tails[rows, -2::-1])
-
-    phi = tails
+def dual_profile(model: RateModel, tgrid: TraitGrid, lam_star: float, eta: np.ndarray,
+                 factors: kern.AgeFactors, mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_{lambda*} and phi(x,a) = (Mix* eta)(x) q(x,a), up to its scale, on the
+    age lattice of `factors`: Mix* eta = (1-p) eta(x) + p sum_j eta_j w_j k(x, x_j)
+    is the w-adjoint of mix applied to eta, and q = int_a^inf B R da' / R(a)
+    comes from `kern.profiles`, which forms R in the same pass."""
+    R, phi = kern.profiles(model, tgrid.nodes, factors, lam_star)
     phi *= (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
-    phi /= R
-    phi /= grid_integral(tgrid, agrid, N_grid, phi)
-    return phi
+    return R, phi
 
 
 def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
@@ -284,10 +250,9 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     lam_star = problem.find_lambda_star(tol_lam)
     ck, pd, pq = problem.eigendata(lam_star)
     model, tgrid, agrid = problem.model, problem.tgrid, problem.agrid
-    R = kern.survival_matrix(model, tgrid.nodes, agrid.nodes, lam_star)
-    N = direct_profile(tgrid, agrid, pd.profile, R)
-    phi = dual_profile(model, tgrid, agrid, lam_star, pq.profile, R, problem.factors,
-                       problem.mix, N)
+    R, phi = dual_profile(model, tgrid, lam_star, pq.profile, problem.factors, problem.mix)
+    N = direct_profile(tgrid, agrid, pd.profile, R)     # in R's place
+    phi /= grid_integral(tgrid, agrid, N, phi)          # int N phi = 1
     norms = {
         "intN": grid_integral(tgrid, agrid, N),
         "intNphi": grid_integral(tgrid, agrid, N, phi),

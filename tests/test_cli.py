@@ -180,7 +180,7 @@ def test_verify_without_competition_skips_the_stationary_checks(no_competition_c
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["regime"] == "Regular" and "convergence_report" not in summary
     assert summary["manifest"] == [] and summary["all_green"]
-    assert not {"c_mass_is_lambda", "stationary_residual"} & set(summary["checks"])
+    assert "stationary_residual" not in summary["checks"]
     assert not os.path.exists(os.path.join(out, "refinement.csv"))
 
 
@@ -356,6 +356,37 @@ def test_verify_gaussian_kernel_assumptions(tmp_path):
     assert main(["verify", "--config", path, "--out", out]) == EXIT_OK
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["checks"]["assumptions"] is True
+    assert summary["checks"]["adjoint_defect"] is True
+
+
+def test_verify_adjoint_defect_fails_on_a_mix_that_reads_k_from_the_wrong_side(
+        tmp_path, monkeypatch):
+    # gaussian(0.15) renormalized on [0, 1] has k(x, y) != k(y, x) near the ends,
+    # so a Mix built on k(x_i, x_j) in place of k(x_j, x_i) is not the dual's
+    def untransposed(model, tgrid):
+        p = model.mutation_prob
+        mix = model.mutation_kernel.matrix(tgrid.nodes) * (p * tgrid.weights)
+        mix[np.diag_indices_from(mix)] += 1.0 - p
+        return mix
+    monkeypatch.setattr(kernel, "mix_matrix", untransposed)
+    cfg = dataclasses.replace(
+        constant_scenario(nx=16, tol=1e-8),
+        kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", write_config(tmp_path / "gauss.json", cfg),
+                 "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["checks"]["adjoint_defect"] is False and not summary["all_green"]
+
+
+def test_scenario_solves_where_the_survival_factor_underflows(tmp_path):
+    # at tol = 1e-180 the lattice runs to age 415, where R_lambda* ~ e^-830 is 0
+    out = str(tmp_path / "out")
+    assert main(["scenario", "constant", "--tol", "1e-180", "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "summary.json")) as f:
+        summary = json.loads(f.read(), parse_constant=_refuse)
+    assert summary["norms"]["intNphi"] == pytest.approx(1.0, abs=1e-8)
+    assert np.all(np.isfinite(np.load(os.path.join(out, "phi.npy"))))
 
 
 def test_ibm_subcommand(small_cfg, tmp_path):
@@ -562,7 +593,8 @@ def test_every_public_name_is_referenced():
 
 def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
     # the (1 - p)/p birth-mutation law is spelled once, in kernel.mix_matrix;
-    # the IBM's mutant CDF rows are the one other reader of k on the nodes
+    # the IBM's mutant CDF rows read k on the nodes too, and verify's
+    # adjoint_defect builds the dual from k itself to check Mix against it
     package = os.path.dirname(ibm.__file__)
     callers = []
     for name in sorted(os.listdir(package)):
@@ -579,7 +611,7 @@ def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
                         and isinstance(node.func.value, ast.Attribute)
                         and node.func.value.attr == "mutation_kernel"):
                     callers.append(f"{name[:-3]}.{fn.name}")
-    assert sorted(callers) == ["ibm._mutant_cdf_rows", "kernel.mix_matrix"]
+    assert sorted(callers) == ["cli.cmd_verify", "ibm._mutant_cdf_rows", "kernel.mix_matrix"]
 
 
 def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():

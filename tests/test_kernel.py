@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
-                              choose_age_truncation, collapse, continued_factors,
-                              horizon, survival_matrix, tail_bound)
+                              choose_age_truncation, collapse, horizon, profiles,
+                              survival_matrix, tail_bound)
 from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
 
@@ -276,13 +277,15 @@ def test_horizon_is_the_scanned_first_node(case, da, tol):
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     factors = age_factors(model, tg.nodes, ag.nodes)
-    beyond = ag.da * np.arange(ag.n_cells, 2 * ag.n_cells + 1)  # the continuation lattice
+    x, past = tg.nodes[:, None], ag.a_max + ag.nodes[:2]    # the continuation's first cell
+    b = (model.birth(x, past[0]) + model.birth(x, past[1])) / 2
+    d = (model.death(x, past[0]) + model.death(x, past[1])) / 2
     for lam in np.linspace(-0.9 * model.death_floor, 20.0, 24):
         first = cell_integrals(factors, lam, 1)[:, 0]
-        after = cell_integrals(continued_factors(model, tg.nodes, factors, beyond[:2]),
-                               lam)[:, 0]
-        for f, ages in ((first, ag.nodes), (after, beyond)):
-            assert horizon(model, lam, f, ages) == scanned_horizon(model, lam, f, ages)
+        z = (d + lam) * ag.da
+        after = (b * ag.da * -np.expm1(-z) / z)[:, 0]    # over R(A_max): relative to its start
+        for f in (first, after):
+            assert horizon(model, lam, f, ag.nodes) == scanned_horizon(model, lam, f, ag.nodes)
 
 
 @pytest.mark.parametrize("case", ["constant", "singular"])
@@ -306,14 +309,28 @@ def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
     np.testing.assert_array_equal(ck.sB, cell_integrals(factors, 4.0).sum(axis=1))
 
 
-def test_continued_factors_match_the_joined_lattice():
-    model = build_model(REFERENCE_CASES["affine_death_in_age"])
-    xs = midpoint_grid((0.0, 1.0), 5).nodes
-    joined = age_factors(model, xs, 0.01 * np.arange(801))
-    head = age_factors(model, xs, 0.01 * np.arange(501))
-    tail = continued_factors(model, xs, head, 0.01 * np.arange(500, 801))
-    np.testing.assert_array_equal(tail.C, joined.C[:, 500:])
-    np.testing.assert_array_equal(tail.d, joined.d[:, 500:])
-    np.testing.assert_array_equal(tail.death_end, joined.death_end)
-    with pytest.raises(ValueError):
-        continued_factors(model, xs, head, 0.01 * np.arange(501, 801))
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_profiles_form_R_as_survival_matrix_does(case):
+    # bit for bit, so that N = mu R is the same grid either way
+    model = build_model(HORIZON_CASES[case])
+    tg, ag = build_grids(HORIZON_CASES[case], model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    for lam in (0.5, 2.78):
+        R, q = profiles(model, tg.nodes, factors, lam)
+        np.testing.assert_array_equal(R, survival_matrix(model, tg.nodes, ag.nodes, lam))
+        assert np.all(np.isfinite(q)) and np.all(q > 0)
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_profiles_agree_across_age_blocks(case, monkeypatch):
+    # SPAN = 5 cuts [0, A_max + L] into blocks, some of them past A_max, each
+    # with its own prefix sum from its start: q is the one-block q to rounding,
+    # which the ulps of the one block's exponents set (1e-14 with aging deaths)
+    model = build_model(HORIZON_CASES[case])
+    tg, ag = build_grids(HORIZON_CASES[case], model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    R, q = profiles(model, tg.nodes, factors, 1.0)
+    monkeypatch.setattr(kernel, "SPAN", 5.0)
+    R5, q5 = profiles(model, tg.nodes, factors, 1.0)
+    np.testing.assert_array_equal(R5, R)
+    assert np.abs(q5 - q).max() <= 2e-14 * q.max()
