@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import w_adjoint
 from .model import AgeGrid, RateModel, TraitGrid, mass_weights
 
 PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
@@ -72,7 +71,7 @@ def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
     the cells for source node i, built once from the kernel's trait matrix, so
     a draw is one bisection (the index that `np.searchsorted(row, u)` gives).
     """
-    cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
+    cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.dx, axis=1)
     return cdf / cdf[:, -1:]
 
 
@@ -251,7 +250,7 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     c = 0.0 if linear else model.competition    # comp = c * n / K is then 0.0
     p = model.mutation_prob
     cdf = _mutant_cdf_rows(model, tgrid)
-    dx = float(tgrid.weights[0])
+    dx = tgrid.dx
 
     masses = np.zeros(sample_times.size)
     snapshots: list = [None] * sample_times.size
@@ -406,7 +405,7 @@ def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
     rng = np.random.default_rng(seed)
     idx = _cell_cdf(N_grid, tgrid, agrid).searchsorted(rng.random(count), side="right")
     ii, jj = np.unravel_index(idx, N_grid.shape)
-    dx = float(tgrid.weights[0])
+    dx = tgrid.dx
     x = tgrid.nodes[ii] + dx * (rng.random(count) - 0.5)
     a = np.maximum(agrid.nodes[jj] + agrid.da * (rng.random(count) - 0.5), 0.0)
     lo, hi = tgrid.nodes[0] - 0.5 * dx, tgrid.nodes[-1] + 0.5 * dx
@@ -432,7 +431,7 @@ def interp_phi(phi_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
     xs, as_, flat_out = x.reshape(-1), a.reshape(-1), out.reshape(-1)
     flat = np.ascontiguousarray(phi_grid, dtype=float).reshape(-1)
     ncol = phi_grid.shape[1]
-    x0, dx = tgrid.nodes[0], float(tgrid.weights[0])
+    x0, dx = tgrid.nodes[0], tgrid.dx
     for s in range(0, xs.size, INTERP_BLOCK):
         xi = xs[s:s + INTERP_BLOCK] - x0
         xi /= dx
@@ -493,8 +492,7 @@ def square_integrability_constant(model: RateModel, phi_grid: np.ndarray, tgrid:
     A = agrid.nodes[None, :]
     B = np.asarray(model.birth(X, A), float)
     D = np.asarray(model.death(X, A), float)
-    dual_mix = w_adjoint(mix, tgrid.weights)
-    lhs = B * (dual_mix @ phi_grid[:, 0] ** 2)[:, None] + D * phi_grid ** 2
+    lhs = B * (mix.T @ phi_grid[:, 0] ** 2)[:, None] + D * phi_grid ** 2
     cells = (phi_grid != 0) | (lhs != 0)
     if np.any(phi_grid[cells] <= 0):
         return None

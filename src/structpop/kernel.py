@@ -25,8 +25,9 @@ horizon shrinks as lambda grows.
 A newborn keeps its parent's trait with probability 1 - p and otherwise
 draws it from k(x, .). On the trait grid that law is one matrix, `mix_matrix`,
 built once per model and grid: the direct renewal operator at lambda is
-Mix diag(sB_lambda), its dual the w-adjoint (`w_adjoint`), and the PDE's
-newborns and the dual profiles are formed from the same Mix.
+Mix diag(sB_lambda), and on the uniform midpoint grid its dual is the
+transpose diag(sB_lambda) Mix^T. The PDE's newborns and the dual profiles
+are formed from the same Mix.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
     average endpoint B) from q = 0 at A + L, L the horizon of the continuation
     past the lattice end A relative to its own start. It runs by age blocks on
     which E = int_0^a (D + lambda) rises by at most SPAN: on [j0, j1], q_j =
-    (sum_{j <= k < j1} W_k g_k + W_j1 q_j1) / W_j with cells g and weights
+    (sum_{j <= k < j1} W_k g_k + W_j1 q_j1) / W_j with cells g and factors
     W = e^{-(E - E_j0)} >= e^{-SPAN}, so no quotient is 0/0. The first block's
     W is R, formed as `survival_matrix` forms it, and its cells `cell_integrals`'
     on the lattice continued to A + L; at the presets' default tol it is the
@@ -254,25 +255,19 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
 # ---------------------------------------------------------------------------
 
 def mix_matrix(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
-    """Mix[i, j] = (1 - p) delta_ij + p k(x_j, x_i) w_j: the newborns at x_i per
+    """Mix[i, j] = (1 - p) delta_ij + p k(x_j, x_i) dx: the newborns at x_i per
     unit of births from trait-x_j parents."""
     p = model.mutation_prob
     mix = np.ascontiguousarray(model.mutation_kernel.matrix(tgrid.nodes).T)
-    mix *= p * tgrid.weights
+    mix *= p * tgrid.dx
     mix[np.diag_indices_from(mix)] += 1.0 - p
     return mix
 
 
 def mutant_diagonal(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
-    """p k(x_i, x_i) w_i from k itself: Mix[i, i] - (1 - p) would cancel."""
+    """p k(x_i, x_i) dx from k itself: Mix[i, i] - (1 - p) would cancel."""
     x = tgrid.nodes
-    return np.asarray(model.mutation_kernel(x, x), float) * (model.mutation_prob * tgrid.weights)
-
-
-def w_adjoint(A: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """diag(w)^{-1} A^T diag(w), so that <A f, g>_w = <f, A* g>_w; an exact
-    transpose when the weights are uniform."""
-    return A.T * (weights / weights[:, None])
+    return np.asarray(model.mutation_kernel(x, x), float) * (model.mutation_prob * tgrid.dx)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ B/(D + lambda), so the first false-position step lands on the root there).
 The search solves the direct operator only, and the dual is solved once, at
 the root. The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
-to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi(x,a) = (Mix* eta)(x)
+to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi(x,a) = (Mix^T eta)(x)
 q(x,a) by a backward recursion in age, normalized to int N = int N phi = 1.
 """
 
@@ -58,9 +58,9 @@ class MalthusProblem:
     k(x, x) = g0 / Z(x) and k(x_i, x_j) / Z_j = k(x_j, x_i) / Z_i. If M mu =
     rho mu, eta = sB mu / Z is the dual eigenvector:
 
-        (M* eta)_i = sB_i [(1-p) eta_i + p sum_j k(x_i, x_j) w_j eta_j]
-                   = (sB_i / Z_i) [(1-p) sB_i mu_i + p sum_j k(x_j, x_i) w_j sB_j mu_j]
-                   = (sB_i / Z_i) (M mu)_i = rho eta_i.
+        (M^T eta)_i = sB_i [(1-p) eta_i + p sum_j k(x_i, x_j) dx eta_j]
+                    = (sB_i / Z_i) [(1-p) sB_i mu_i + p sum_j k(x_j, x_i) dx sB_j mu_j]
+                    = (sB_i / Z_i) (M mu)_i = rho eta_i.
     """
 
     def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid):
@@ -166,7 +166,7 @@ def _falsi(g, lo: float, hi: float, tol: float) -> float:
         return gx
 
     glo, ghi = value(lo), value(hi)
-    wlo = whi = 1.0         # the ends' Illinois weights
+    wlo = whi = 1.0         # the ends' Illinois factors
     side = 0                # the end replaced last: -1 lo, 1 hi
     for _ in range(100):
         best, gbest = (lo, glo) if abs(glo) <= abs(ghi) else (hi, ghi)
@@ -199,12 +199,13 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
 
 def dual_profile(model: RateModel, tgrid: TraitGrid, lam_star: float, eta: np.ndarray,
                  factors: kern.AgeFactors, mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R_{lambda*} and phi(x,a) = (Mix* eta)(x) q(x,a), up to its scale, on the
-    age lattice of `factors`: Mix* eta = (1-p) eta(x) + p sum_j eta_j w_j k(x, x_j)
-    is the w-adjoint of mix applied to eta, and q = int_a^inf B R da' / R(a)
-    comes from `kern.profiles`, which forms R in the same pass."""
+    """R_{lambda*} and phi(x,a) = (Mix^T eta)(x) q(x,a), up to its scale, on the
+    age lattice of `factors`: Mix^T eta = (1-p) eta(x) + p dx sum_j eta_j k(x, x_j)
+    is the dual of mix, its transpose on the uniform trait grid, applied to
+    eta, and q = int_a^inf B R da' / R(a) comes from `kern.profiles`, which
+    forms R in the same pass."""
     R, phi = kern.profiles(model, tgrid.nodes, factors, lam_star)
-    phi *= (kern.w_adjoint(mix, tgrid.weights) @ eta)[:, None]
+    phi *= (mix.T @ eta)[:, None]
     return R, phi
 
 

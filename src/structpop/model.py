@@ -250,8 +250,10 @@ class RateModel:
 
 @dataclass(frozen=True)
 class TraitGrid:
+    """Midpoint nodes of a uniform trait grid and its step dx, every node's weight."""
+
     nodes: np.ndarray
-    weights: np.ndarray
+    dx: float
 
     @property
     def n(self) -> int:
@@ -287,22 +289,21 @@ class AgeGrid:
 
 
 def mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
-    """w_i qa_j, shape (nx, na+1): the quadrature weights of int f dx da on the
-    (x, a) nodes, for the trait weights w and the age lattice's Simpson weights qa."""
-    return tgrid.weights[:, None] * agrid.quad_weights()[None, :]
+    """dx qa_j, shape (na+1,): the quadrature weights of int f dx da on every
+    trait row of the (x, a) nodes, for the age lattice's Simpson weights qa."""
+    return tgrid.dx * agrid.quad_weights()
 
 
 def grid_integral(tgrid: TraitGrid, agrid: AgeGrid, *fs: np.ndarray) -> float:
-    """int f_1 ... f_k dx da for (nx, na+1) grids f: sum(f_1 ... f_k mass_weights),
-    formed and summed pairwise over blocks of 16 trait rows, so that no
-    grid-sized array is formed."""
-    qa, total = agrid.quad_weights(), 0.0
+    """int f_1 ... f_k dx da for (nx, na+1) grids f: sum(f_1 mass_weights f_2 ... f_k),
+    the weights broadcast over blocks of 16 trait rows, each block summed
+    pairwise, so that each grid is read once and no grid-sized array is formed."""
+    mw, total = mass_weights(tgrid, agrid), 0.0
     for i in range(0, tgrid.n, 16):
         rows = slice(i, i + 16)
-        block = fs[0][rows].copy()
+        block = fs[0][rows] * mw
         for f in fs[1:]:
             block *= f[rows]
-        block *= tgrid.weights[rows, None] * qa
         total += float(np.sum(block))
     return total
 
@@ -313,7 +314,7 @@ def midpoint_grid(domain: tuple[float, float], nx: int) -> TraitGrid:
     lo, hi = domain
     dx = (hi - lo) / nx
     nodes = lo + dx * (np.arange(nx) + 0.5)
-    return TraitGrid(nodes=nodes, weights=np.full(nx, dx))
+    return TraitGrid(nodes=nodes, dx=dx)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import survival_matrix, w_adjoint
+from .kernel import survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid, grid_integral, mass_weights
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
@@ -67,7 +67,8 @@ class TransportSolver:
         self.mass_w = mass_weights(tgrid, agrid)
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
-        self._net_w = (self.B - D) * self.mass_w      # weights of the D(t) numerator
+        self._net = self.B - D
+        self._excess = (math.nan, None)     # lambda* and (B - D - lambda*) mass_w
 
         self.R = R = survival_matrix(model, xs, ages, 0.0)
         R[R < 1e-300] = 0.0     # keeps u = n / R finite
@@ -81,7 +82,7 @@ class TransportSolver:
         # the horizon column's mass one cell on, per unit of u; divided first
         # so that R^2 cannot underflow where R does not
         self._loss_w = (R[:, -1] / np.maximum(R[:, -2], 1e-300) * R[:, -1]
-                        * tgrid.weights * self.qa[-1])
+                        * tgrid.dx * self.qa[-1])
 
         # newborns: n0 = Mix (f + qa_0 B(., 0) n0), with f the births of the
         # older ages; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
@@ -90,7 +91,7 @@ class TransportSolver:
     # -- quadratures -------------------------------------------------------
 
     def mass(self, values: np.ndarray) -> float:
-        return float(np.vdot(values, self.mass_w))
+        return float(np.sum(values @ self.mass_w))
 
     def renewal_flux(self, values: np.ndarray) -> np.ndarray:
         """F[n](x): clonal plus mutant birth flux at age zero, per trait node."""
@@ -161,7 +162,7 @@ class TransportSolver:
         u[:, head] = np.maximum(self._newborn @ sums[:, 0], 0.0) if s > 0.0 else math.nan
         if not np.isfinite(u[:, head]).all():
             raise ValueError("transport step produced a negative, NaN or infinite density")
-        msum = float(sums[:, 1].sum() + self.mass_w[:, 0] @ u[:, head])
+        msum = float(sums[:, 1].sum() + self.mass_w[0] * u[:, head].sum())
         if s < _S_FLOOR:
             u *= s
             hist *= s
@@ -183,8 +184,11 @@ class TransportSolver:
         return float(diff.sum()), pw
 
     def growth_diag(self, values: np.ndarray, lam_star: float, mass: float) -> float:
-        """D(t): mass-weighted mean of B - D minus lambda*, given values' mass."""
-        return float(np.vdot(values, self._net_w)) / mass - lam_star if mass > 0 else math.nan
+        """D(t): mass-weighted mean of B - D - lambda*, given values' mass, by one
+        pass against (B - D - lambda*) mass_w, formed at the first call per lambda*."""
+        if self._excess[0] != lam_star:
+            self._excess = lam_star, (self._net - lam_star) * self.mass_w
+        return float(np.vdot(values, self._excess[1])) / mass if mass > 0 else math.nan
 
 
 def _n_steps(solver: TransportSolver, state: DensityState, T: float) -> int:
@@ -290,10 +294,9 @@ def stationary_residual(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
     birth = np.asarray(model.birth(X, A), float)
     death = model.death(X, A)
     mass = grid_integral(tgrid, agrid, nbar)
-    dual_mix = w_adjoint(mix, tgrid.weights)
     worst = 0.0
     for f, dfda in default_test_basket(tgrid, agrid):
-        G = birth * (dual_mix @ f[:, 0])[:, None]
+        G = birth * (mix.T @ f[:, 0])[:, None]
         integrand = dfda - (death + model.competition * mass) * f + G
         worst = max(worst, abs(grid_integral(tgrid, agrid, integrand, nbar)))
     return worst
@@ -318,7 +321,7 @@ def dirac_state(tgrid: TraitGrid, agrid: AgeGrid, x: float, a: float = 0.0,
     i = int(np.argmin(np.abs(tgrid.nodes - x)))
     j = int(round(a / agrid.da))
     values = np.zeros((tgrid.n, agrid.n_cells + 1))
-    values[i, j] = mass / mass_weights(tgrid, agrid)[i, j]
+    values[i, j] = mass / mass_weights(tgrid, agrid)[j]
     return DensityState(t=0.0, values=values)
 
 

@@ -3,9 +3,10 @@
 The direct operator M = Mix diag(sB_lambda) acts on trait densities: births
 sB_j at x_j are spread over the newborns' traits by the birth-mutation matrix
 Mix (`kernel.mix_matrix`). The dual operator, acting on test functions, is
-its w-adjoint diag(w)^{-1} M^T diag(w). On the uniform-weight midpoint grid
-the two matrices are exact transposes, which makes the spectral-radius
-identity and the adjoint pairing hold to machine precision by construction.
+its adjoint for the pairing <f, g> = dx sum_i f_i g_i of the midpoint grid,
+whose every node weighs the same dx: the transpose M^T. So the
+spectral-radius identity and the adjoint pairing hold to machine precision
+by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernel import CollapsedKernel, w_adjoint
+from .kernel import CollapsedKernel
 from .model import TraitGrid
 
 
@@ -31,13 +32,13 @@ class PerronConvergenceError(RuntimeError):
 class DiscreteOperator:
     lam: float
     M: np.ndarray               # (nx, nx), elementwise nonnegative
-    weights: np.ndarray
+    dx: float                   # the trait step, every node's weight
 
 
 @dataclass(frozen=True)
 class PerronPair:
     rho: float
-    profile: np.ndarray         # nonnegative, sum(profile * w) = 1
+    profile: np.ndarray         # nonnegative, dx sum(profile) = 1
     iterations: int
     residual: float
     shifts: int = 0             # inverses (sigma I - M)^{-1} formed
@@ -53,54 +54,29 @@ class PerronPair:
 
 
 def assemble(kernel: CollapsedKernel, mix: np.ndarray, grid: TraitGrid) -> DiscreteOperator:
-    """The direct operator Mix diag(sB): M[i,j] = r_i delta_ij + p sB_j k(x_j, x_i) w_j."""
+    """The direct operator Mix diag(sB): M[i,j] = r_i delta_ij + p sB_j k(x_j, x_i) dx."""
     if kernel.sB.shape != (grid.n,) or mix.shape != (grid.n, grid.n):
         raise ValueError("kernel, mixing matrix and grid sizes do not match")
-    return DiscreteOperator(lam=kernel.lam, M=mix * kernel.sB, weights=grid.weights)
+    return DiscreteOperator(lam=kernel.lam, M=mix * kernel.sB, dx=grid.dx)
 
 
 def dual(direct: DiscreteOperator) -> DiscreteOperator:
-    """The w-adjoint of the direct operator: r_i delta_ij + p sB_i k(x_i, x_j) w_j."""
-    return replace(direct, M=w_adjoint(direct.M, direct.weights))
+    """The adjoint of the direct operator, its transpose (a view):
+    r_i delta_ij + p sB_i k(x_i, x_j) dx."""
+    return replace(direct, M=direct.M.T)
 
 
 def adjoint_residual(direct: DiscreteOperator, dual: DiscreteOperator) -> float:
-    """Max defect of the discrete duality pairing <M_dir f, g>_w = <f, M_dual g>_w."""
+    """Max defect of the discrete duality pairing <M_dir f, g> = <f, M_dual g>,
+    each entry weighed by dx."""
     if direct.M.shape != dual.M.shape or direct.lam != dual.lam:
         raise ValueError("operators are not a matching direct/dual pair")
-    w = direct.weights
-    defect = direct.M * w[:, None] - dual.M.T * w[None, :]
-    return float(np.abs(defect).max())
+    return float(np.abs(direct.M * direct.dx - dual.M.T * direct.dx).max())
 
 
 # ---------------------------------------------------------------------------
 # Perron iteration
 # ---------------------------------------------------------------------------
-
-def _normalize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return v / float(v @ w)
-
-
-def _cw_bounds(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Collatz-Wielandt bracket for the spectral radius from a positive iterate."""
-    y = M @ v
-    mask = v > 0
-    ratios = y[mask] / v[mask]
-    return y, float(ratios.min()), float(ratios.max())
-
-
-def _evaluate(M: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """(M v, CW lower, CW upper, rho, ||M v - rho v||_inf) of an iterate.
-
-    rho is the w-weighted Rayleigh quotient, which converges even when the
-    Collatz-Wielandt bounds stall (e.g. diagonal-dominant operators with a
-    flat iterate tail). It is a weighted mean of the ratios that bound the
-    bracket, so it is kept inside the bracket against rounding."""
-    y, lb, ub = _cw_bounds(M, v)
-    vw = v * w
-    rho = min(max(float(vw @ y / (vw @ v)), lb), ub)
-    return y, lb, ub, rho, float(np.abs(y - rho * v).max())
-
 
 SLOW_CHECK = 10         # iterations per look at the residual's contraction
 SLOW_HORIZON = 200     # iterations the residual may still need before a fresh shift
@@ -109,10 +85,36 @@ ROUNDING = 16 * np.finfo(float).eps     # rounding's floor, per unit of rho * ||
 FLOOR = 50              # iterations without a new least residual before giving up
 
 
+def _normalize(v: np.ndarray, dx: float) -> np.ndarray:
+    return v / (float(v.sum()) * dx)
+
+
+def _cw_bounds(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Collatz-Wielandt bracket for the spectral radius from a nonnegative
+    iterate, its ratios taken over the entries above ROUNDING ||v||_inf: an
+    entry below that floor carries no digit of its ratio."""
+    y = M @ v
+    mask = v > ROUNDING * v.max()
+    ratios = y[mask] / v[mask]
+    return y, float(ratios.min()), float(ratios.max())
+
+
+def _evaluate(M: np.ndarray, v: np.ndarray):
+    """(M v, CW lower, CW upper, rho, ||M v - rho v||_inf) of an iterate.
+
+    rho is the Rayleigh quotient, which converges even when the
+    Collatz-Wielandt bounds stall (e.g. diagonal-dominant operators with a
+    flat iterate tail). It is a weighted mean of the ratios that bound the
+    bracket, so it is kept inside the bracket against rounding."""
+    y, lb, ub = _cw_bounds(M, v)
+    rho = min(max(float(v @ y / (v @ v)), lb), ub)
+    return y, lb, ub, rho, float(np.abs(y - rho * v).max())
+
+
 def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
     """Dominant eigenpair of a nonnegative matrix, deterministic start.
 
-    One loop evaluates the iterate v (sum(v * w) = 1) and accepts it when
+    One loop evaluates the iterate v (dx sum(v) = 1) and accepts it when
     ||M v - rho v||_inf <= max(TOL, ROUNDING * ||v||_inf) * rho. The second
     term is the floor rounding leaves: a sharp v, as the singular regime's
     fine grids give, cannot reach TOL * rho. A residual that sets no new
@@ -132,12 +134,13 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
     inverses formed, `cw_bracket` the Collatz-Wielandt bracket of the result.
 
     Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8),
-    which is at least rho for any positive vector, so (sigma I - M)^{-1} >= 0.
+    which is at least rho for any vector with no entry at or below ROUNDING
+    ||v||_inf, so (sigma I - M)^{-1} >= 0.
     It is formed explicitly, once per shift, and each step is one product:
     forming it costs about four LU factorisations, but a product costs what
     an LU solve does, and numpy alone suffices.
     """
-    M, w = op.M, op.weights
+    M, dx = op.M, op.dx
     n = M.shape[0]
     if start is None:
         path, v = "power", np.ones(n)
@@ -146,16 +149,16 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
         if v.shape != (n,) or not np.all(np.isfinite(v) & (v > 0)):
             raise ValueError("start vector must be finite and strictly positive, "
                              f"of length {n}")
-    v = _normalize(v, w)
+    v = _normalize(v, dx)
     evaluated, best, stale, window = 0, math.inf, 0, math.inf   # window: best a check ago
     inv, shifts = None, 0
     while True:
-        y, lb, ub, rho, res = _evaluate(M, v, w)
+        y, lb, ub, rho, res = _evaluate(M, v)
         evaluated += 1
         it = evaluated - (path != "power")
         accept = max(TOL, ROUNDING * v.max()) * max(rho, 1e-300)
         if res <= accept:
-            return PerronPair(rho=rho, profile=_normalize(v, w) if it else v, iterations=it,
+            return PerronPair(rho=rho, profile=_normalize(v, dx) if it else v, iterations=it,
                               residual=res, shifts=shifts, path=path, cw_bracket=(lb, ub))
         stale = 0 if res < best else stale + 1
         best = min(best, res)
@@ -163,7 +166,7 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
             raise PerronConvergenceError(
                 f"residual {res:.3e} at its floor after {it} iterations; "
                 "dominant eigenvalue may be nearly non-simple",
-                rho=rho, profile=_normalize(v, w), iterations=it, residual=res)
+                rho=rho, profile=_normalize(v, dx), iterations=it, residual=res)
         if evaluated % SLOW_CHECK == 0:
             # iterations the least residual needs at its last window's contraction
             fell = best < window
@@ -174,14 +177,14 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
                 # a fresh inverse; its first window only sets the next baseline
                 path, inv, window = ("shift-invert" if path == "power" else path), None, math.inf
         if path == "power":
-            v = _normalize(y, w)
+            v = _normalize(y, dx)
             continue
         if inv is None:
             # sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
             sigma = ub * (1.0 + 1e-8) + 1e-300
             inv = np.linalg.inv(sigma * np.eye(n) - M)
             shifts += 1
-        v = _normalize(np.maximum(inv @ v, 0.0), w)    # clip roundoff negatives
+        v = _normalize(np.maximum(inv @ v, 0.0), dx)   # clip roundoff negatives
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
     gap = pair.rho - rbar
     band = kernel.r_values >= rbar - gap_tol
     diagnostics = {"gap": gap,
-                   "mass_in_band": float(np.sum(pair.profile[band] * grid.weights[band]))}
+                   "mass_in_band": float(np.sum(pair.profile[band] * grid.dx))}
     regime = "Regular" if gap > gap_tol else "PossiblySingular"
     return replace(pair, regime=regime, diagnostics=diagnostics)
 
@@ -225,5 +228,5 @@ def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: Col
                          f"(rho - rbar > {GAP_RTOL:g} rho)")
     mu, mutant = pair.profile, direct.M.copy()
     np.fill_diagonal(mutant, mutant_diag * kernel.sB)
-    u = _normalize((mutant @ mu) / (pair.rho - kernel.r_values), direct.weights)
+    u = _normalize((mutant @ mu) / (pair.rho - kernel.r_values), direct.dx)
     return u, float(np.abs(u - mu).max())

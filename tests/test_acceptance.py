@@ -46,17 +46,17 @@ def test_criterion_01_malthusian_parameter():
 def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup):
     worst_rel, worst_adj = 0.0, 0.0
     for s in (constant_setup, singular_setup):
-        p, w = s.model.mutation_prob, s.tgrid.weights
+        p, dx = s.model.mutation_prob, s.tgrid.dx
         k = s.model.mutation_kernel.matrix(s.tgrid.nodes)     # k[i, j] = k(x_i, x_j)
         for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
             ck = collapse(s.model, s.tgrid, s.agrid, lam)
             direct = assemble(ck, mix_matrix(s.model, s.tgrid), s.tgrid)
             rd, rq = perron(direct).rho, perron(dual(direct)).rho
             worst_rel = max(worst_rel, abs(rd - rq) / rd)
-            # dual(direct) is the w-adjoint by construction; pair direct with
-            # a dual built from k instead: r_i delta_ij + p sB_i k(x_i, x_j) w_j
-            dual_k = DiscreteOperator(lam=lam, weights=w,
-                                      M=np.diag(ck.r_values) + p * ck.sB[:, None] * k * w)
+            # dual(direct) is the transpose by construction; pair direct with
+            # a dual built from k instead: r_i delta_ij + p sB_i k(x_i, x_j) dx
+            dual_k = DiscreteOperator(lam=lam, dx=dx,
+                                      M=np.diag(ck.r_values) + p * ck.sB[:, None] * k * dx)
             worst_adj = max(worst_adj, adjoint_residual(direct, dual_k))
     ok = worst_rel <= 1e-10 and worst_adj <= 1e-14
     report(2, "direct/dual spectral radius identity", ok,
@@ -168,7 +168,7 @@ def test_criterion_08_singular_example():
         lams.append(lam)
         gaps.append(pair.rho - ck.rbar)
         sel = prob.tgrid.nodes <= 0.05
-        fracs.append(float(np.sum(pair.profile[sel] * prob.tgrid.weights[sel])))
+        fracs.append(float(np.sum(pair.profile[sel] * prob.tgrid.dx)))
     const_rows = refinement_sweep(
         lambda nx: make_problem(nx, constant_scenario), [100, 200, 400])
     elapsed = time.monotonic() - t0

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from structpop import cli, ibm, kernel, malthus, pde
+from structpop import cli, ibm, kernel, malthus, pde, spectral
 from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import (PRESETS, build_grids, build_model, constant_scenario,
                              singular_scenario)
@@ -80,7 +80,7 @@ def test_malthus_artifacts(small_cfg, tmp_path, capsys):
     assert grids["N"].shape == grids["phi"].shape == (tgrid.n, agrid.n_cells + 1)
     np.testing.assert_array_equal(grids["x"], tgrid.nodes)
     np.testing.assert_array_equal(grids["a"], agrid.nodes)
-    mass = float(tgrid.weights @ grids["N"] @ agrid.quad_weights())
+    mass = tgrid.dx * float(np.sum(grids["N"] @ agrid.quad_weights()))
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -240,20 +240,37 @@ def test_non_finite_summary_value_exits_1_without_a_summary(small_cfg, tmp_path,
     assert not os.path.exists(out / "summary.json")
 
 
-def test_malthus_solves_where_no_newborn_reaches_some_traits(tmp_path):
+def unreached_traits_config():
     # births vanish below x = 0.5 and gaussian(0.01) underflows to 0 beyond
-    # about 0.39 from every parent, so mu is exactly 0 below x = 0.11: no
-    # warm start may be taken from it
-    cfg = dataclasses.replace(constant_scenario(nx=64), kernel={
+    # about 0.39 from every parent, so mu is exactly 0 below x = 0.11
+    return dataclasses.replace(constant_scenario(nx=64), kernel={
         "family": "gaussian", "params": {"width": 0.01}}, birth={
         "family": "tabulated", "params": {"x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 1.0],
                                           "values": [[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]]}})
-    path = write_config(tmp_path / "cfg.json", cfg)
+
+
+def test_malthus_solves_where_no_newborn_reaches_some_traits(tmp_path):
+    # mu has exact zeros: no warm start may be taken from it
+    path = write_config(tmp_path / "cfg.json", unreached_traits_config())
     out = tmp_path / "out"
     assert main(["malthus", "--config", path, "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["regime"] == "Regular" and summary["density_residual"] < 1e-9
     assert np.any(np.load(out / "N.npy") == 0.0)
+
+
+def test_collatz_wielandt_brackets_are_narrow_where_profiles_have_zeros():
+    # the entries next to the profiles' exact zeros are tiny, and their
+    # ratios carry no digit: taken over every positive entry, the direct
+    # bracket read [0.99992739, 1 + 9e-15]
+    cfg = unreached_traits_config()
+    model = build_model(cfg)
+    problem = malthus.MalthusProblem(model, *build_grids(cfg, model))
+    _, pd, pq = problem.eigendata(problem.find_lambda_star())
+    for pair in (pd, pq):
+        lb, ub = pair.cw_bracket
+        assert np.any(pair.profile == 0.0)
+        assert lb <= pair.rho <= ub and ub - lb < 1e-9 * pair.rho
 
 
 def test_malthus_summaries_report_the_tail_bound(tmp_path):
@@ -359,13 +376,48 @@ def test_verify_gaussian_kernel_assumptions(tmp_path):
     assert summary["checks"]["adjoint_defect"] is True
 
 
+def verify_summary(cfg_path, out):
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_verify_rho_identity_fails_on_a_scaled_dual(small_cfg, tmp_path, monkeypatch):
+    dual = spectral.dual
+    monkeypatch.setattr(spectral, "dual", lambda direct: dataclasses.replace(
+        dual(direct), M=dual(direct).M * (1.0 + 1e-6)))
+    summary = verify_summary(small_cfg, tmp_path / "out")
+    assert summary["checks"]["rho_identity"] is False and not summary["all_green"]
+
+
+def test_verify_rho_decreasing_fails_on_a_flat_rho(small_cfg, tmp_path, monkeypatch):
+    # rho at the last sampled lambda reads as at the one before it; the lambda*
+    # search on this config never reaches that lambda
+    rho_of_lambda = malthus.MalthusProblem.rho_of_lambda
+    *_, before, last = cli.LAMBDA_SAMPLE
+    monkeypatch.setattr(malthus.MalthusProblem, "rho_of_lambda", lambda self, lam:
+                        rho_of_lambda(self, before if lam == last else lam))
+    summary = verify_summary(small_cfg, tmp_path / "out")
+    assert summary["checks"]["rho_decreasing"] is False and not summary["all_green"]
+
+
+def test_verify_norms_finite_fails_on_a_non_finite_norm(small_cfg, tmp_path, monkeypatch):
+    solve = cli._solve
+
+    def nan_norm(config):
+        *rest, triple = solve(config)
+        return (*rest, dataclasses.replace(triple, norms={**triple.norms, "intNphi": math.nan}))
+    monkeypatch.setattr(cli, "_solve", nan_norm)
+    summary = verify_summary(small_cfg, tmp_path / "out")
+    assert summary["checks"]["norms_finite"] is False and not summary["all_green"]
+
+
 def test_verify_adjoint_defect_fails_on_a_mix_that_reads_k_from_the_wrong_side(
         tmp_path, monkeypatch):
     # gaussian(0.15) renormalized on [0, 1] has k(x, y) != k(y, x) near the ends,
     # so a Mix built on k(x_i, x_j) in place of k(x_j, x_i) is not the dual's
     def untransposed(model, tgrid):
         p = model.mutation_prob
-        mix = model.mutation_kernel.matrix(tgrid.nodes) * (p * tgrid.weights)
+        mix = model.mutation_kernel.matrix(tgrid.nodes) * (p * tgrid.dx)
         mix[np.diag_indices_from(mix)] += 1.0 - p
         return mix
     monkeypatch.setattr(kernel, "mix_matrix", untransposed)
@@ -615,8 +667,8 @@ def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
 
 
 def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():
-    # w_i qa_j is formed in model.mass_weights, and per block of trait rows in
-    # model.grid_integral; the solver also reads qa alone
+    # dx qa_j is formed in model.mass_weights, which model.grid_integral
+    # broadcasts over blocks of trait rows; the solver also reads qa alone
     package = os.path.dirname(ibm.__file__)
 
     def calls(node):
@@ -635,5 +687,19 @@ def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():
                 where = [top, node] if node is not top else [top]
                 qualified = ".".join(getattr(n, "name", "<body>") for n in where)
                 callers += [f"{name[:-3]}.{qualified}"] * calls(node)
-    assert sorted(callers) == ["model.grid_integral", "model.mass_weights",
-                               "pde.TransportSolver.__init__"]
+    assert sorted(callers) == ["model.mass_weights", "pde.TransportSolver.__init__"]
+
+
+def test_no_module_reads_a_trait_weight_vector():
+    # every trait grid is uniform: TraitGrid holds its step dx, and no code
+    # reads a per-node `weights` attribute
+    package = os.path.dirname(ibm.__file__)
+    readers = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        readers += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "weights"]
+    assert readers == []

@@ -46,9 +46,9 @@ def reference_simulate(model, tgrid, K, T, sample_times, seed, init=None,
         init = [(lo + (hi - lo) * rng.random(), 0.0) for _ in range(K)]
     xs = [float(x) for x, _ in init]
     bt = [-float(a) for _, a in init]
-    cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.weights, axis=1)
+    cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.dx, axis=1)
     cdf = cdf / cdf[:, -1:]
-    nodes, dx = tgrid.nodes, float(tgrid.weights[0])
+    nodes, dx = tgrid.nodes, tgrid.dx
     sample_times = np.asarray(sorted(sample_times), float)
     masses = np.zeros(sample_times.size)
     snapshots = [None] * sample_times.size
@@ -499,7 +499,7 @@ def test_interp_phi_exact_at_nodes(tg):
 
 def reference_interp_phi(phi_grid, tgrid, agrid, x, a):
     """The bilinear formula with 2-D corner indexing, over all points at once."""
-    xi = np.clip((x - tgrid.nodes[0]) / float(tgrid.weights[0]), 0.0, tgrid.n - 1.0)
+    xi = np.clip((x - tgrid.nodes[0]) / tgrid.dx, 0.0, tgrid.n - 1.0)
     aj = np.clip(a / agrid.da, 0.0, agrid.n_cells - 0.0)
     i0 = np.clip(xi.astype(int), 0, tgrid.n - 2)
     j0 = np.clip(aj.astype(int), 0, agrid.n_cells - 1)
@@ -568,7 +568,7 @@ def choice_draws(N_grid, tgrid, agrid, count, seed):
     probs /= probs.sum()
     idx = rng.choice(probs.size, size=count, p=probs)
     ii, jj = np.unravel_index(idx, N_grid.shape)
-    dx = float(tgrid.weights[0])
+    dx = tgrid.dx
     x = tgrid.nodes[ii] + dx * (rng.random(count) - 0.5)
     a = np.maximum(agrid.nodes[jj] + agrid.da * (rng.random(count) - 0.5), 0.0)
     lo, hi = tgrid.nodes[0] - 0.5 * dx, tgrid.nodes[-1] + 0.5 * dx
@@ -601,7 +601,7 @@ def test_sampler_reads_a_writeable_grid_afresh(constant_setup):
         draws = ibm.sample_from_density(grid, tg, ag, 200, 4)
         assert draws == choice_draws(grid, tg, ag, 200, 4)
         x, a = np.array(draws).T
-        half = 0.5 * float(tg.weights[0])
+        half = 0.5 * tg.dx
         assert np.all(np.abs(x - tg.nodes[5]) <= half)
         assert np.all(np.abs(a - ag.nodes[7]) <= 0.5 * ag.da)
 

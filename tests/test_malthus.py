@@ -108,7 +108,7 @@ def test_dual_ode_residual(constant_setup):
     p = s.model.mutation_prob
     phi0 = phi[:, 0]
     mut = s.model.mutation_kernel(X, s.tgrid.nodes[None, :]) @ (
-        phi0 * s.tgrid.weights)
+        phi0 * s.tgrid.dx)
     G = B * ((1 - p) * phi0[:, None] + p * mut[:, None])
     res = dphi - (D + tr.lambda_star) * mid + G
     assert np.abs(res).max() < 10 * da
@@ -121,7 +121,7 @@ def test_duality_pairing_at_star(constant_setup):
     direct = assemble(ck, s.problem.mix, s.tgrid)
     adjoint = dual(direct)
     rng = np.random.default_rng(3)
-    w = s.tgrid.weights
+    w = s.tgrid.dx
     for _ in range(5):
         f = rng.random(s.tgrid.n)
         g = rng.random(s.tgrid.n)
@@ -210,7 +210,7 @@ def _secular_rho(ck, tgrid, model):
     """
     p, r = model.mutation_prob, ck.r_values
     lo, hi = model.trait_domain
-    c = (p / (hi - lo)) * (r / (1.0 - p)) * tgrid.weights
+    c = (p / (hi - lo)) * (r / (1.0 - p)) * tgrid.dx
     rbar = float(r.max())
     return brentq(lambda rho: 1.0 - float(np.sum(c / (rho - r))),
                   rbar + c[np.argmax(r)], rbar + c.sum(), xtol=1e-15)
@@ -401,9 +401,9 @@ def reference_phi(problem, triple):
     doubled = kernel.age_factors(model, tg.nodes, ag.da * np.arange(2 * ag.n_cells + 1))
     cells = kernel.cell_integrals(doubled, lam)
     tails = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1][:, :ag.n_cells + 1]
-    phi = tails * (kernel.w_adjoint(problem.mix, tg.weights) @ pq.profile)[:, None]
+    phi = tails * (problem.mix.T @ pq.profile)[:, None]
     phi /= survival_matrix(model, tg.nodes, ag.nodes, lam)
-    mw = tg.weights[:, None] * ag.quad_weights()[None, :]
+    mw = tg.dx * ag.quad_weights()[None, :]
     return phi / np.sum(triple.N_grid * phi * mw)
 
 

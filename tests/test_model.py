@@ -16,7 +16,7 @@ from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
 def test_midpoint_grid_example():
     g = midpoint_grid((0.0, 1.0), 4)
     assert np.allclose(g.nodes, [0.125, 0.375, 0.625, 0.875])
-    assert np.allclose(g.weights, 0.25)
+    assert g.dx == 0.25
 
 
 @pytest.mark.parametrize("nx", [5, 16, 37])
@@ -37,7 +37,8 @@ def test_midpoint_grid_rejects_degenerate():
 @given(nx=st.integers(2, 500), hi=st.floats(0.5, 10.0))
 def test_midpoint_weights_sum_to_length(nx, hi):
     g = midpoint_grid((0.0, hi), nx)
-    assert math.isclose(float(g.weights.sum()), hi, rel_tol=1e-13)
+    assert math.isclose(g.dx * g.n, hi, rel_tol=1e-13)
+    assert math.isclose(g.nodes[-1] + 0.5 * g.dx, hi, rel_tol=1e-13)
     assert np.all(np.diff(g.nodes) > 0)
 
 
@@ -46,7 +47,7 @@ def test_midpoint_second_order_on_x_squared():
     errs = []
     for nx in (10, 20, 40):
         g = midpoint_grid((0.0, 1.0), nx)
-        errs.append(abs(float(np.sum(g.nodes ** 2 * g.weights)) - 1.0 / 3.0))
+        errs.append(abs(float(np.sum(g.nodes ** 2 * g.dx)) - 1.0 / 3.0))
     assert errs[1] < 0.30 * errs[0]
     assert errs[2] < 0.30 * errs[1]
 

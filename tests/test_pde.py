@@ -20,7 +20,7 @@ def age_bump_state(tgrid, agrid, mass=1.0):
     prof = np.exp(-((agrid.nodes - 0.25) / 0.05) ** 2)
     values = np.ones((tgrid.n, 1)) * prof[None, :]
     qa = agrid.quad_weights()
-    total = float(np.sum(values * tgrid.weights[:, None] * qa[None, :]))
+    total = float(np.sum(values * tgrid.dx * qa[None, :]))
     return pde.DensityState(t=0.0, values=values * (mass / total))
 
 
@@ -258,7 +258,7 @@ def newborn_reference(solver, v):
     """The boundary solve the precomposed matrix replaced: LU of I - A, then mix."""
     p, b0, q0 = solver.model.mutation_prob, solver.B[:, 0], solver.qa[0]
     kmat = solver.model.mutation_kernel.matrix(solver.tgrid.nodes)
-    w = solver.tgrid.weights
+    w = solver.tgrid.dx
     A = np.diag((1.0 - p) * b0 * q0)
     A += p * q0 * (kmat * (b0 * w)[:, None]).T
     mixed = (1.0 - p) * v + p * kmat.T @ (v * w)
@@ -341,7 +341,7 @@ def reference_run(solver, values, n_steps, c):
         M[:, i] = solver.renewal_flux(unit)
     n, loss = values.copy(), 0.0
     for _ in range(n_steps):
-        loss += float(np.sum(n[:, -1] * cell_survival[:, -1] * solver.tgrid.weights)
+        loss += float(np.sum(n[:, -1] * cell_survival[:, -1] * solver.tgrid.dx)
                       * solver.qa[-1])
         shifted = np.zeros_like(n)
         shifted[:, 1:] = n[:, :-1] * cell_survival * math.exp(

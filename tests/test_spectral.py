@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from structpop import spectral
 from structpop.kernel import CollapsedKernel, collapse, mix_matrix, mutant_diagonal
 from structpop.malthus import MalthusProblem
-from structpop.model import (AgeGrid, TraitGrid, build_grids, build_model,
+from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bounds,
                                 adjoint_residual, assemble, density_from_profile, dual,
@@ -55,22 +55,22 @@ def test_assemble_rejects_size_mismatch(const_pair):
         assemble(ck, mix, midpoint_grid((0.0, 1.0), 3))
 
 
-def test_assembly_on_nonuniform_weights_is_the_w_adjoint():
-    # the gaussian kernel is renormalised per row, so k(x, y) != k(y, x); with
-    # unequal weights a plain transpose of the direct matrix is not the dual
+def test_assembly_under_an_asymmetric_kernel_is_the_transpose():
+    # the gaussian kernel is renormalised per row, so k(x, y) != k(y, x): the
+    # direct operator reads k(x_j, x_i) and its dual k(x_i, x_j)
     model = build_model(dataclasses.replace(
         constant_scenario(), kernel={"family": "gaussian", "params": {"width": 0.15}}))
-    nodes = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 0.95])
-    tg = TraitGrid(nodes=nodes, weights=np.array([0.1, 0.1, 0.2, 0.2, 0.3, 0.1]))
+    tg = midpoint_grid((0.0, 1.0), 6)
     ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=500), 0.4)
-    p, sB, w, r = model.mutation_prob, ck.sB, tg.weights, ck.r_values
-    k = model.mutation_kernel(nodes[:, None], nodes[None, :])     # k[i, j] = k(x_i, x_j)
+    p, sB, dx, r = model.mutation_prob, ck.sB, tg.dx, ck.r_values
+    k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])   # k[i, j] = k(x_i, x_j)
     assert not np.allclose(k, k.T)
     direct = assemble(ck, mix_matrix(model, tg), tg)
-    expected = np.diag(r) + p * sB[None, :] * k.T * w[None, :]
+    expected = np.diag(r) + p * sB[None, :] * k.T * dx
     np.testing.assert_allclose(direct.M, expected, rtol=1e-15, atol=0.0)
-    expected = np.diag(r) + p * sB[:, None] * k * w[None, :]
+    expected = np.diag(r) + p * sB[:, None] * k * dx
     np.testing.assert_allclose(dual(direct).M, expected, rtol=1e-15, atol=0.0)
+    assert np.array_equal(dual(direct).M, direct.M.T)
 
 
 def test_adjoint_defect_machine_zero(const_pair):
@@ -84,10 +84,10 @@ def test_adjoint_defect_detects_perturbation(const_pair):
     direct = assemble(ck, mix, tg)
     M = dual(direct).M.copy()
     M[0, 1] += 1e-3
-    perturbed = DiscreteOperator(lam=direct.lam, M=M, weights=direct.weights)
+    perturbed = DiscreteOperator(lam=direct.lam, M=M, dx=direct.dx)
     # defect scales with the perturbation times the quadrature weight
     assert adjoint_residual(direct, perturbed) == pytest.approx(
-        1e-3 * tg.weights[0], rel=1e-9)
+        1e-3 * tg.dx, rel=1e-9)
 
 
 def test_perron_constant_model():
@@ -147,7 +147,7 @@ def test_rho_at_least_rbar():
     rng = np.random.default_rng(7)
     r = 0.5 + rng.random(16)
     K = rng.random((16, 16))
-    op = DiscreteOperator(lam=0.0, M=np.diag(r) + K.T * tg.weights, weights=tg.weights)
+    op = DiscreteOperator(lam=0.0, M=np.diag(r) + K.T * tg.dx, dx=tg.dx)
     pair = perron(op)
     assert pair.rho >= r.max() - 1e-10
 
@@ -192,9 +192,9 @@ def test_density_from_profile_takes_no_difference_of_the_clonal_rate():
     op = assemble(ck, mix_matrix(model, tg), tg)
     pair = regime_classify(perron(op), ck, tg)
     k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])    # k[i, j] = k(x_i, x_j)
-    ref = (p * ck.sB * k.T * tg.weights) @ pair.profile / (pair.rho - ck.r_values)
+    ref = (p * ck.sB * k.T * tg.dx) @ pair.profile / (pair.rho - ck.r_values)
     u, _ = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
-    np.testing.assert_allclose(u, ref / np.sum(ref * tg.weights), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(u, ref / np.sum(ref * tg.dx), rtol=1e-14, atol=0.0)
 
 
 def test_density_from_profile_rejects_singular():
@@ -231,7 +231,7 @@ def test_perron_random_nonnegative_matrices(M):
     # nonnegative matrices would cap any residual-based estimate at sqrt(tol)
     M = M + 0.1 * np.eye(6)
     tg = midpoint_grid((0.0, 1.0), 6)
-    op = DiscreteOperator(lam=0.0, M=M, weights=tg.weights)
+    op = DiscreteOperator(lam=0.0, M=M, dx=tg.dx)
     pair = perron(op)
     truth = float(np.abs(np.linalg.eigvals(M)).max())
     assert pair.rho == pytest.approx(truth, rel=1e-6, abs=1e-8)
@@ -284,7 +284,7 @@ def test_perron_raises_with_the_last_iterate_when_both_phases_run_out(monkeypatc
     assert err.iterations < accepted.iterations + 2 * spectral.FLOOR
     assert np.isfinite(err.rho) and err.rho == pytest.approx(accepted.rho, rel=1e-12)
     assert np.all(np.isfinite(err.profile))
-    assert float(err.profile @ tg.weights) == pytest.approx(1.0, rel=1e-12)
+    assert float(err.profile.sum() * tg.dx) == pytest.approx(1.0, rel=1e-12)
     assert 0.0 < err.residual < 1e-12 * err.rho        # at the floor, below the usual test
 
 
@@ -294,7 +294,7 @@ def test_perron_raises_on_a_non_finite_residual(start):
     M = np.ones((3, 3))
     M[1, 2] = np.nan
     with pytest.raises(PerronConvergenceError) as info:
-        perron(DiscreteOperator(lam=0.0, M=M, weights=tg.weights), start=start)
+        perron(DiscreteOperator(lam=0.0, M=M, dx=tg.dx), start=start)
     assert info.value.iterations <= 1
 
 
@@ -326,6 +326,6 @@ def test_warm_perron_returns_an_eigenvector_start_unchanged():
                                  np.r_[1.0, np.nan, 1.0], np.ones(4)])
 def test_warm_perron_refuses_bad_start(bad):
     tg = midpoint_grid((0.0, 1.0), 3)
-    op = DiscreteOperator(lam=0.0, M=np.ones((3, 3)), weights=tg.weights)
+    op = DiscreteOperator(lam=0.0, M=np.ones((3, 3)), dx=tg.dx)
     with pytest.raises(ValueError, match="start vector"):
         perron(op, start=bad)
