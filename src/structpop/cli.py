@@ -94,7 +94,8 @@ def cmd_spectral(config, out: str) -> dict:
     rows = []
     for lam in LAMBDA_SAMPLE:
         ck, pd, pq = problem.eigendata(lam)
-        rows.append((lam, pd.rho, pq.rho, ck.rbar, pd.rho - ck.rbar, pd.regime))
+        rows.append((lam, pd.rho, pq.rho, ck.rbar, pd.rho - ck.rbar,
+                     spectral.regime(pd.rho, ck.rbar)))
     path = os.path.join(out, "rho_curve.csv")
     _write_csv(path, ["lambda", "rho_direct", "rho_dual", "rbar", "gap", "regime"], rows)
     return {"rho_curve": rows[0][1], "manifest": [path]}
@@ -116,9 +117,9 @@ def _solve(config):
 def cmd_malthus(config, out: str, solved=None) -> dict:
     model, tgrid, agrid, problem, triple = solved or _solve(config)
     rho0 = problem.rho_of_lambda(0.0)
+    ck, pd = problem.direct_pair(triple.lambda_star)
     density_residual = None     # the continuous density exists in the Regular regime
     if triple.regime == "Regular":
-        ck, pd, _ = problem.eigendata(triple.lambda_star)
         direct = spectral.assemble(ck, problem.mix, tgrid)
         density_residual = spectral.density_from_profile(
             pd, direct, ck, kernel.mutant_diagonal(model, tgrid))[1]
@@ -130,6 +131,7 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
         "tail_bound": kernel.tail_bound(model, triple.lambda_star, agrid.a_max),
         "rho_at_zero": rho0,
         "regime": triple.regime,
+        "gap": pd.rho - ck.rbar,     # the gap the regime was read from
         "eta_lower": triple.eta_lower,
         "eta_lower_proof": triple.eta_lower_proof,
         "norms": triple.norms,
@@ -229,9 +231,7 @@ def _refinement_rows(config, problem):
 
 def cmd_verify(config, out: str, solved=None) -> dict:
     model, tgrid, agrid, problem, triple = solved or _solve(config)
-    checks = {}
-    report = validate_assumptions(model, tgrid, agrid)
-    checks["assumptions"] = report.all_ok
+    checks = validate_assumptions(model, tgrid, agrid).checks
     ck, pd, pq = problem.eigendata(0.0)
     direct = spectral.assemble(ck, problem.mix, tgrid)
     # the dual from k itself, not through Mix: r_i delta_ij + p sB_i k(x_i, x_j) dx

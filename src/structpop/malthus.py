@@ -5,7 +5,8 @@ regula falsi on 1/rho - 1 inside a doubling bracket (rho is continuous and
 strictly decreasing; 1/rho is affine in lambda when the age collapse is
 B/(D + lambda), so the first false-position step lands on the root there).
 The search solves the direct operator only, and the dual is solved once, at
-the root. The direct eigenvector
+the root. The regime is read from the direct solve alone (`spectral.regime`).
+The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
 to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi(x,a) = (Mix^T eta)(x)
 q(x,a) by a backward recursion in age, normalized to int N = int N phi = 1.
@@ -48,8 +49,9 @@ class MalthusProblem:
     mix diag(sB), the one nx x nx array a lambda forms. The factors are kept
     until `release_factors`, so every lambda asked of the problem reads the
     same ones. Per lambda solved, the collapsed kernel (sB, r) and the
-    direct Perron pair are kept (3 nx floats), so eigendata at a solved
-    lambda makes no collapse and no direct solve.
+    direct Perron pair are kept (3 nx floats), and per lambda `eigendata` is
+    asked, the dual Perron pair (nx floats): a solved lambda is never
+    collapsed or solved again.
 
     Both solves start warm where `_warm` lets them (a finite, strictly
     positive start, which `spectral.perron` then tests): the direct solve
@@ -71,7 +73,7 @@ class MalthusProblem:
         self._factors: kern.AgeFactors | None = None
         self._start: np.ndarray | None = None    # last direct profile
         self._direct: dict[float, tuple[kern.CollapsedKernel, spectral.PerronPair]] = {}
-        self._cache: dict[float, tuple] = {}
+        self._dual: dict[float, spectral.PerronPair] = {}
         self.lambda_search: dict = {}   # evaluations and bracket of the last search
 
     @property
@@ -86,7 +88,7 @@ class MalthusProblem:
         """Drop the age factors (rebuilt on next use) to free their memory."""
         self._factors = None
 
-    def _solve_direct(self, lam: float) -> tuple[kern.CollapsedKernel, spectral.PerronPair]:
+    def direct_pair(self, lam: float) -> tuple[kern.CollapsedKernel, spectral.PerronPair]:
         """(CollapsedKernel, direct PerronPair) at lambda, solved once per lambda."""
         if lam not in self._direct:
             ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
@@ -99,18 +101,16 @@ class MalthusProblem:
 
     def eigendata(self, lam: float):
         """(CollapsedKernel, direct PerronPair, dual PerronPair) at lambda."""
-        if lam not in self._cache:
-            ck, pd = self._solve_direct(lam)
+        ck, pd = self.direct_pair(lam)
+        if lam not in self._dual:
             dual = spectral.dual(spectral.assemble(ck, self.mix, self.tgrid))
             kdiag = self.model.mutation_kernel(self.tgrid.nodes, self.tgrid.nodes)
-            pq = spectral.perron(dual, start=_warm(ck.sB * pd.profile * kdiag))
-            pd = spectral.regime_classify(pd, ck, self.tgrid)
-            self._cache[lam] = (ck, pd, pq)
-        return self._cache[lam]
+            self._dual[lam] = spectral.perron(dual, start=_warm(ck.sB * pd.profile * kdiag))
+        return ck, pd, self._dual[lam]
 
     def rho_of_lambda(self, lam: float) -> float:
         """rho at lambda from the direct operator alone."""
-        return self._solve_direct(lam)[1].rho
+        return self.direct_pair(lam)[1].rho
 
     def find_lambda_star(self, tol_lam: float = 1e-6) -> float:
         """Root of rho(lambda) = 1, by `_falsi` on 1/rho - 1 with bracket width
@@ -260,7 +260,8 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
         "rho_at_star": pd.rho,
     }
     grid_eta, proof_eta, warn = eta_lower_bound(phi, model, lam_star)
-    if pd.regime != "Regular":
+    regime = spectral.regime(pd.rho, ck.rbar)
+    if regime != "Regular":
         warn["near_singular_spectrum"] = (
             "near-singular spectrum: grid eigen-elements returned, but their "
             "continuum meaning is not certified")
@@ -269,7 +270,7 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     N.flags.writeable = False   # read-only, so the IBM sampler may keep its CDF
     return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi,
                        eta_lower=grid_eta, eta_lower_proof=proof_eta,
-                       norms=norms, regime=pd.regime, diagnostics=diagnostics)
+                       norms=norms, regime=regime, diagnostics=diagnostics)
 
 
 def stationary_state(problem: MalthusProblem,
@@ -283,18 +284,21 @@ def stationary_state(problem: MalthusProblem,
 
 
 def refinement_sweep(make_problem, nx_list, tol_lam: float = 1e-6) -> list[dict]:
-    """lambda*_h, spectral gap and mass-in-band across trait refinements.
+    """lambda*_h, spectral gap, mass in the band and regime across trait refinements.
 
-    make_problem: nx -> MalthusProblem. This sweep is the authoritative
-    regular/singular classifier: a gap collapsing under refinement with mass
-    accumulating on the argmax band is the singular signature.
+    make_problem: nx -> MalthusProblem. Each row reads the direct solve at
+    lambda*_h alone; a grid whose lambda* is already solved is not solved
+    again. The band is the traits whose clonal rate r is within GAP_RTOL rho
+    of rbar. The rows only record the trend: a gap that collapses under
+    refinement while mass accumulates in the band is the singular signature.
     """
     rows = []
     for nx in nx_list:
         prob = make_problem(nx)
         lam = prob.find_lambda_star(tol_lam)
-        ck, pd, _ = prob.eigendata(lam)
-        d = pd.diagnostics
-        rows.append({"nx": nx, "lambda_star_h": lam, "gap": d["gap"],
-                     "mass_in_band": d["mass_in_band"], "regime": pd.regime})
+        ck, pd = prob.direct_pair(lam)
+        band = ck.r_values >= ck.rbar - spectral.GAP_RTOL * pd.rho
+        rows.append({"nx": nx, "lambda_star_h": lam, "gap": pd.rho - ck.rbar,
+                     "mass_in_band": float(np.sum(pd.profile[band] * prob.tgrid.dx)),
+                     "regime": spectral.regime(pd.rho, ck.rbar)})
     return rows

@@ -428,11 +428,6 @@ def build_grids(config: ScenarioConfig,
 class AssumptionReport:
     checks: dict = field(default_factory=dict)   # name -> bool
     details: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
 
 
 def validate_assumptions(model: RateModel, tgrid: TraitGrid,
@@ -473,12 +468,6 @@ def validate_assumptions(model: RateModel, tgrid: TraitGrid,
     kxy = model.mutation_kernel(tgrid.nodes[:-1], tgrid.nodes[1:])
     a4 = bool(np.all(np.any(bvals[:-1] > 0, axis=1) & (kxy > 0)))
     rep.checks["support_overlap_sampled"] = a4
-    if not a4:
-        rep.warnings.append("no sampled age window with positive birth and mutation density "
-                            "for some neighboring traits; support condition falsified on samples")
-    else:
-        rep.warnings.append("support condition checked on samples only; "
-                            "a sampled check cannot certify an open-set condition")
     return rep
 
 

@@ -14,6 +14,7 @@ free of c, `transform_check` reads the linear flow off the nonlinear ring."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,18 +273,19 @@ def transform_check(solver: TransportSolver, state0: DensityState, T: float) -> 
 # stationarity in weak form
 # ---------------------------------------------------------------------------
 
-def default_test_basket(tgrid: TraitGrid, agrid: AgeGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Smooth (f, df/da) pairs: polynomials and trig in x times decaying age."""
+def default_test_basket(tgrid: TraitGrid,
+                        agrid: AgeGrid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Smooth (f, df/da) pairs: polynomials and trig in x times decaying age,
+    each pair of (nx, na+1) grids formed as it is asked for."""
     X = tgrid.nodes[:, None]
     A = agrid.nodes[None, :]
     ea = np.exp(-A)
-    basket = []
     for g in (np.ones_like(X), X, X ** 2, np.sin(np.pi * X), np.cos(np.pi * X)):
         ones = g * np.ones_like(A)
-        basket.append((ones, np.zeros_like(ones)))
-        basket.append((g * ea, -g * ea))
-        basket.append((g * A * ea, g * (1.0 - A) * ea))
-    return basket
+        yield ones, np.zeros_like(ones)
+        del ones        # the caller may drop it: holding it costs a grid
+        yield g * ea, -g * ea
+        yield g * A * ea, g * (1.0 - A) * ea
 
 
 def stationary_residual(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,

@@ -12,7 +12,7 @@ by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class PerronPair:
     iterations: int
     residual: float
     shifts: int = 0             # inverses (sigma I - M)^{-1} formed
-    regime: str = "Regular"     # set by regime_classify
-    diagnostics: dict = field(default_factory=dict)
     path: str = "power"         # "power" | "shift-invert" | "warm"
     cw_bracket: tuple[float, float] = (0.0, math.inf)   # Collatz-Wielandt, last iterate
 
@@ -188,28 +186,21 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
 
 
 # ---------------------------------------------------------------------------
-# regime classification
+# regime
 # ---------------------------------------------------------------------------
 
 GAP_RTOL = 1e-3     # the gap rho - rbar counts as open above GAP_RTOL rho
 
 
-def regime_classify(pair: PerronPair, kernel: CollapsedKernel,
-                    grid: TraitGrid) -> PerronPair:
-    """Label Regular vs PossiblySingular; attach the gap and the mass in the band.
+def regime(rho: float, rbar: float) -> str:
+    """"Regular" if the gap rho - rbar of a direct solve is open, above
+    GAP_RTOL rho, else "PossiblySingular": the one place the regime is decided.
 
-    The gap rho - rbar counts as open above GAP_RTOL rho. The band is the traits
-    whose clonal rate r is within GAP_RTOL rho of rbar. A single-grid label is
-    evidence only; the refinement sweep (n_x doubling) is the authoritative
-    classifier. Finite grids always show a positive gap.
+    A single-grid label is evidence only, since finite grids always show a
+    positive gap; `malthus.refinement_sweep` records how the gap moves as the
+    trait grid is refined.
     """
-    gap_tol, rbar = GAP_RTOL * pair.rho, kernel.rbar
-    gap = pair.rho - rbar
-    band = kernel.r_values >= rbar - gap_tol
-    diagnostics = {"gap": gap,
-                   "mass_in_band": float(np.sum(pair.profile[band] * grid.dx))}
-    regime = "Regular" if gap > gap_tol else "PossiblySingular"
-    return replace(pair, regime=regime, diagnostics=diagnostics)
+    return "Regular" if rho - rbar > GAP_RTOL * rho else "PossiblySingular"
 
 
 def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: CollapsedKernel,
@@ -217,13 +208,12 @@ def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: Col
     """Continuous-density representative u = (M - diag(r)) mu / (rho - r), unit mass.
 
     M - diag(r) is M with its diagonal set to `kernel.mutant_diagonal` * sB.
-    Only valid in the Regular regime: the fixed-point division degenerates as
-    rho approaches rbar. The gap itself is tested, not the pair's label, which
-    an unclassified pair holds at its default. There rho - r > GAP_RTOL rho, so
+    Only valid in the Regular regime (`regime`): the fixed-point division
+    degenerates as rho approaches rbar. There rho - r > GAP_RTOL rho, so
     u >= 0, and u = 0 exactly where mu = 0: at traits no newborn reaches, where
     a narrow k underflows.
     """
-    if not pair.rho - kernel.rbar > GAP_RTOL * pair.rho:
+    if regime(pair.rho, kernel.rbar) != "Regular":
         raise ValueError("density representation requires the Regular regime "
                          f"(rho - rbar > {GAP_RTOL:g} rho)")
     mu, mutant = pair.profile, direct.M.copy()

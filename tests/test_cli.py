@@ -259,6 +259,23 @@ def test_malthus_solves_where_no_newborn_reaches_some_traits(tmp_path):
     assert np.any(np.load(out / "N.npy") == 0.0)
 
 
+@pytest.mark.parametrize("preset, nx, regime", [("constant", 16, "Regular"),
+                                                 ("singular", 128, "PossiblySingular")])
+def test_malthus_summaries_record_the_gap_their_label_read(tmp_path, preset, nx, regime):
+    config = PRESETS[preset](nx=nx)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    model = build_model(config)
+    problem = malthus.MalthusProblem(model, *build_grids(config, model))
+    ck, pd = problem.direct_pair(problem.find_lambda_star(cli._tol_lam(config)))
+    for name, argv in (("malthus", ["malthus", "--config", cfg]),
+                       ("scenario", ["scenario", preset, "--nx", str(nx)])):
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out]) == EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["gap"] == pd.rho - ck.rbar
+        assert summary["regime"] == regime == spectral.regime(pd.rho, ck.rbar)
+
+
 def test_collatz_wielandt_brackets_are_narrow_where_profiles_have_zeros():
     # the entries next to the profiles' exact zeros are tiny, and their
     # ratios carry no digit: taken over every positive entry, the direct
@@ -372,7 +389,8 @@ def test_verify_gaussian_kernel_assumptions(tmp_path):
     out = str(tmp_path / "out")
     assert main(["verify", "--config", path, "--out", out]) == EXIT_OK
     summary = json.load(open(os.path.join(out, "summary.json")))
-    assert summary["checks"]["assumptions"] is True
+    for name in ("death_floor", "kernel_normalized", "support_overlap_sampled"):
+        assert summary["checks"][name] is True
     assert summary["checks"]["adjoint_defect"] is True
 
 
@@ -398,6 +416,37 @@ def test_verify_rho_decreasing_fails_on_a_flat_rho(small_cfg, tmp_path, monkeypa
                         rho_of_lambda(self, before if lam == last else lam))
     summary = verify_summary(small_cfg, tmp_path / "out")
     assert summary["checks"]["rho_decreasing"] is False and not summary["all_green"]
+
+
+def test_verify_stationary_residual_fails_on_a_scaled_state(tmp_path, monkeypatch):
+    # 1.01 nbar moves the weak-form residual from 1.2e-8 to 1.0e-2 on the
+    # constant preset at nx = 64, against the check's 1e-3
+    stationary_state = malthus.stationary_state
+
+    def scaled(problem, triple):
+        lam, nbar, mass = stationary_state(problem, triple)
+        return lam, 1.01 * nbar, 1.01 * mass
+    monkeypatch.setattr(malthus, "stationary_state", scaled)
+    path = write_config(tmp_path / "cfg.json", constant_scenario(nx=64))
+    summary = verify_summary(path, tmp_path / "out")
+    assert summary["checks"]["stationary_residual"] is False and not summary["all_green"]
+
+
+def test_verify_names_the_assumption_a_scaled_kernel_fails(small_cfg, tmp_path, monkeypatch):
+    # k scaled by 1 + 1e-3 leaves unit mass by 1e-3, far above the 1e-8 test;
+    # the death floor and the sampled support overlap still hold
+    build_model = cli.build_model
+
+    def scaled_kernel(config):
+        model = build_model(config)
+        k = model.mutation_kernel
+        return dataclasses.replace(model, mutation_kernel=dataclasses.replace(
+            k, fn=lambda x, y, fn=k.fn: 1.001 * fn(x, y)))
+    monkeypatch.setattr(cli, "build_model", scaled_kernel)
+    summary = verify_summary(small_cfg, tmp_path / "out")
+    checks = summary["checks"]
+    assert checks["kernel_normalized"] is False and not summary["all_green"]
+    assert checks["death_floor"] is True and checks["support_overlap_sampled"] is True
 
 
 def test_verify_norms_finite_fails_on_a_non_finite_norm(small_cfg, tmp_path, monkeypatch):

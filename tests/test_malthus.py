@@ -258,17 +258,43 @@ def counting(monkeypatch, module, name):
 def test_eigendata_reuses_the_search(monkeypatch):
     problem = singular_problem(64)
     rho = problem.rho_of_lambda(1.5)
-    _, pd_search = problem._solve_direct(1.5)
+    _, pd_search = problem.direct_pair(1.5)
     collapses = counting(monkeypatch, kernel, "collapse")
     solves = counting(monkeypatch, spectral, "perron")
     ck, pd, pq = problem.eigendata(1.5)
     assert collapses == []
     assert [pair.rho for pair in solves] == [pq.rho]     # the dual solve alone
-    np.testing.assert_array_equal(pd.profile, pd_search.profile)
+    assert pd is pd_search
+    assert problem.eigendata(1.5)[2] is pq and len(solves) == 1   # asked again: kept
     fresh = collapse(problem.model, problem.tgrid, problem.agrid, 1.5)
     assert pd.rho == rho and ck.rbar == fresh.rbar
     np.testing.assert_array_equal(ck.sB, fresh.sB)
     np.testing.assert_array_equal(ck.r_values, fresh.r_values)
+
+
+def test_refinement_sweep_solves_direct_pairs_only(monkeypatch):
+    # a fresh grid costs its search's direct solves and no dual; the grid whose
+    # lambda* is already solved costs no solve at all
+    solved = singular_problem(64)
+    solved.find_lambda_star(1e-6)
+    fresh = []
+
+    def make_problem(nx):
+        if nx == solved.tgrid.n:
+            return solved
+        fresh.append(singular_problem(nx))
+        return fresh[-1]
+
+    def no_dual(direct):
+        raise AssertionError("the sweep formed a dual operator")
+    monkeypatch.setattr(spectral, "dual", no_dual)
+    solves = counting(monkeypatch, spectral, "perron")
+    rows = refinement_sweep(make_problem, [16, 32, 64])
+    assert len(fresh) == 2 and solved.lambda_search["evaluations"] == 0
+    assert len(solves) == sum(p.lambda_search["evaluations"] for p in fresh) > 0
+    ck, pd = solved.direct_pair(rows[-1]["lambda_star_h"])
+    assert rows[-1]["gap"] == pd.rho - ck.rbar
+    assert rows[-1]["regime"] == spectral.regime(pd.rho, ck.rbar)
 
 
 @pytest.mark.parametrize("death, evaluations", [
@@ -289,7 +315,7 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
         assert [p.iterations for p in solves[1:]] == [0] * (evaluations - 1)
     assert search["perron_iterations"] == sum(p.iterations for p in solves)
     n = problem.agrid.n_cells
-    cells = [problem._solve_direct(l)[0].age_cells for l in problem._direct]
+    cells = [problem.direct_pair(l)[0].age_cells for l in problem._direct]
     assert search["age_cells"] == sum(cells) < evaluations * n
     assert cells[0] == n                  # lambda = 0 sums the whole lattice
     cold = spectral.perron(spectral.assemble(

@@ -156,13 +156,13 @@ def test_rates_nonnegative_on_domain(x, a):
 def test_validate_assumptions_constant(constant_setup):
     s = constant_setup
     rep = validate_assumptions(s.model, s.tgrid, s.agrid)
-    assert rep.all_ok
+    assert all(rep.checks.values())
 
 
 def test_validate_assumptions_singular(singular_setup):
     s = singular_setup
     rep = validate_assumptions(s.model, s.tgrid, s.agrid)
-    assert rep.all_ok
+    assert all(rep.checks.values())
 
 
 def test_validate_assumptions_flags_zero_birth():
@@ -173,7 +173,7 @@ def test_validate_assumptions_flags_zero_birth():
     tg = midpoint_grid(model.trait_domain, 8)
     rep = validate_assumptions(model, tg, AgeGrid(da=0.01, n_cells=100))
     assert not rep.checks["support_overlap_sampled"]
-    assert not rep.all_ok
+    assert not all(rep.checks.values())
 
 
 def test_kernel_normalized_gaussian_and_scaled():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,23 @@ def test_stationary_residual_and_negative_control(constant_setup):
     assert pde.stationary_residual(s.model, s.tgrid, s.agrid, s.problem.mix, nbar) <= 1e-3
     bogus = pde.uniform_state(s.tgrid, s.agrid).values
     assert pde.stationary_residual(s.model, s.tgrid, s.agrid, s.problem.mix, bogus) > 1e-2
+
+
+def test_stationary_residual_forms_one_test_function_at_a_time(constant_setup):
+    # the basket's 15 (f, df/da) pairs are 30 (x, a) grids: formed whole, the
+    # residual peaked at 36 grids. One pair at a time it holds B and D, the
+    # last pair with its G and integrand, and the next pair with one
+    # temporary: 9 grids
+    s = constant_setup
+    _, nbar, _ = s.stationary()
+    grid = 8 * s.tgrid.n * (s.agrid.n_cells + 1)
+    tracemalloc.start()
+    try:
+        pde.stationary_residual(s.model, s.tgrid, s.agrid, s.problem.mix, nbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * grid
 
 
 def test_mass_ode_diagnostic(constant_setup):

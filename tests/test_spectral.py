@@ -13,7 +13,7 @@ from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 from structpop.spectral import (DiscreteOperator, PerronConvergenceError, _cw_bounds,
                                 adjoint_residual, assemble, density_from_profile, dual,
-                                perron, regime_classify)
+                                perron, regime)
 
 
 def make_ck(r, lam=0.0):
@@ -107,7 +107,7 @@ def test_perron_diagonal_picks_max():
     ck = make_ck(r)
     pair = perron(assemble(ck, np.eye(40), tg))
     assert pair.rho == pytest.approx(float(r.max()), abs=1e-12)
-    assert regime_classify(pair, ck, tg).regime == "PossiblySingular"
+    assert regime(pair.rho, ck.rbar) == "PossiblySingular"
 
 
 def test_perron_matches_dense_eigensolver():
@@ -164,9 +164,9 @@ def test_regime_classification_constant():
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
     ck = collapse(model, tg, ag, 1.0)
-    pair = regime_classify(perron(assemble(ck, mix_matrix(model, tg), tg)), ck, tg)
-    assert pair.regime == "Regular"
-    assert pair.diagnostics["gap"] == pytest.approx(0.3, abs=1e-6)
+    pair = perron(assemble(ck, mix_matrix(model, tg), tg))
+    assert regime(pair.rho, ck.rbar) == "Regular"
+    assert pair.rho - ck.rbar == pytest.approx(0.3, abs=1e-6)
 
 
 def test_density_from_profile_constant():
@@ -175,7 +175,7 @@ def test_density_from_profile_constant():
     ag = AgeGrid(da=0.01, n_cells=2372)
     ck = collapse(model, tg, ag, 1.0)
     op = assemble(ck, mix_matrix(model, tg), tg)
-    pair = regime_classify(perron(op), ck, tg)
+    pair = perron(op)
     u, res = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
     assert np.abs(u - 1.0).max() < 1e-6
     assert res < 1e-6
@@ -190,7 +190,7 @@ def test_density_from_profile_takes_no_difference_of_the_clonal_rate():
     tg = midpoint_grid((0.0, 1.0), 200)
     ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=2000), 1.0)
     op = assemble(ck, mix_matrix(model, tg), tg)
-    pair = regime_classify(perron(op), ck, tg)
+    pair = perron(op)
     k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])    # k[i, j] = k(x_i, x_j)
     ref = (p * ck.sB * k.T * tg.dx) @ pair.profile / (pair.rho - ck.r_values)
     u, _ = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
@@ -202,24 +202,22 @@ def test_density_from_profile_rejects_singular():
     r = np.ones(10)
     ck = make_ck(r)
     op = assemble(ck, np.eye(10), tg)
-    pair = regime_classify(perron(op), ck, tg)
+    pair = perron(op)
     with pytest.raises(ValueError):
         density_from_profile(pair, op, ck, np.zeros(10))
 
 
 
 def test_density_from_profile_tests_the_gap_not_the_label():
-    # the direct solve alone is never classified: its pair keeps the default
-    # label "Regular", while eigendata's classified pair at the same lambda reads
-    # PossiblySingular on the singular preset at nx = 128
+    # a pair carries no label: the direct solve alone, with no dual solve,
+    # is refused on the singular preset at nx = 128, where its gap is closed
     config = singular_scenario(nx=128)
     model = build_model(config)
     tg, ag = build_grids(config, model)
     problem = MalthusProblem(model, tg, ag)
     lam = problem.find_lambda_star()
-    ck, pd = problem._solve_direct(lam)
-    assert pd.regime == "Regular"
-    assert problem.eigendata(lam)[1].regime == "PossiblySingular"
+    ck, pd = problem.direct_pair(lam)
+    assert regime(pd.rho, ck.rbar) == "PossiblySingular"
     with pytest.raises(ValueError):
         density_from_profile(pd, assemble(ck, problem.mix, tg), ck,
                              mutant_diagonal(model, tg))
