@@ -105,12 +105,17 @@ def _tol_lam(config) -> float:
     return min(config.tol * 1e4, 1e-6)
 
 
-def _solve(config):
-    """Set up and solve the eigen-triple. The problem keeps its age factors for
-    later lambdas; each command drops them before it steps the dynamics."""
+def _solve(config, dynamics: bool = False):
+    """Set up, find lambda* and lift the eigen-triple. The profiles are formed on
+    the ages they need at lambda* (`kernel.profile_lattice`), or for the
+    dynamics on the whole age lattice, which they step on. The problem keeps
+    its age factors for later lambdas; each command drops them before it steps
+    the dynamics."""
     model, tgrid, agrid = _setup(config)
     problem = malthus.MalthusProblem(model, tgrid, agrid)
-    triple = malthus.solve_eigentriple(problem, tol_lam=_tol_lam(config))
+    lam = problem.find_lambda_star(_tol_lam(config))
+    lattice = agrid if dynamics else kernel.profile_lattice(model, lam, agrid)
+    triple = malthus.eigentriple(problem, lam, lattice)
     return model, tgrid, agrid, problem, triple
 
 
@@ -123,12 +128,12 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
         direct = spectral.assemble(ck, problem.mix, tgrid)
         density_residual = spectral.density_from_profile(
             pd, direct, ck, kernel.mutant_diagonal(model, tgrid))[1]
-    manifest = _write_grids(out, tgrid, agrid, N=triple.N_grid, phi=triple.phi_grid)
+    manifest = _write_grids(out, tgrid, triple.agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
         "density_residual": density_residual,
         "lambda_search": problem.lambda_search,
-        "tail_bound": kernel.tail_bound(model, triple.lambda_star, agrid.a_max),
+        "tail_bound": kernel.tail_bound(model, triple.lambda_star, triple.agrid.a_max),
         "rho_at_zero": rho0,
         "regime": triple.regime,
         "gap": pd.rho - ck.rbar,     # the gap the regime was read from
@@ -145,15 +150,15 @@ def cmd_stationary(config, out: str) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     lam, nbar, mass = malthus.stationary_state(problem, triple)
     problem.release_factors()
-    residual = pde.stationary_residual(model, tgrid, agrid, problem.mix, nbar)
-    manifest = _write_grids(out, tgrid, agrid, nbar=nbar)
+    residual = pde.stationary_residual(model, tgrid, triple.agrid, problem.mix, nbar)
+    manifest = _write_grids(out, tgrid, triple.agrid, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
             "weak_form_residual": residual, "regime": triple.regime,
             "warnings": triple.diagnostics["warnings"], "manifest": manifest}
 
 
 def cmd_pde(config, out: str, tmax: float) -> dict:
-    model, tgrid, agrid, problem, triple = _solve(config)
+    model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
     lam, nbar, _ = malthus.stationary_state(problem, triple)
     problem.release_factors()
     solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
@@ -177,7 +182,7 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
 
 
 def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
-    model, tgrid, agrid, problem, triple = _solve(config)
+    model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
     problem.release_factors()
     # the run is linear: its expected population at tmax is scale * e^{lambda* tmax}
     if math.log(scale) + triple.lambda_star * tmax > math.log(ibm.PARTICLE_CAP):
@@ -252,12 +257,12 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     summary["eta_lower"] = triple.eta_lower
     # report-only: the constant C of G[phi^2] + D phi^2 <= C phi
     summary["square_integrability_constant"] = ibm.square_integrability_constant(
-        model, triple.phi_grid, tgrid, agrid, problem.mix)
+        model, triple.phi_grid, tgrid, triple.agrid, problem.mix)
     summary["warnings"] = triple.diagnostics["warnings"]
     if triple.regime == "Regular" and model.competition > 0:
         nbar = malthus.stationary_state(problem, triple)[1]
         checks["stationary_residual"] = pde.stationary_residual(
-            model, tgrid, agrid, problem.mix, nbar) <= 1e-3
+            model, tgrid, triple.agrid, problem.mix, nbar) <= 1e-3
     elif triple.regime != "Regular":    # a Regular model without competition has no nbar
         summary["convergence_report"] = REFUSED
         rows = _refinement_rows(config, problem)

@@ -15,9 +15,11 @@ One tail rule sizes every age sum. `tail_bound` at lambda bounds what every
 age integral leaves out past a, and falls with a in closed form, so the age
 where it meets a tolerance is a logarithm (`_tail_age`). The age lattice
 [0, A_max] is that age at lambda = 0 and `tol`, rounded up to the lattice
-(`choose_age_truncation`). Each age sum stops at the first lattice node at or
-past that age at its own lambda and TAIL_RTOL of the sum's first cell
-(`horizon`), with no search. Since every cell is nonnegative, the first cell
+(`choose_age_truncation`, `age_lattice`). The eigen-profiles at lambda* decay
+like e^{-(D + lambda*) a}, so they need only the prefix whose tail bound at
+lambda* is no larger than the lattice's at 0 (`profile_lattice`). Each age sum
+stops at the first lattice node at or past that age at its own lambda and
+TAIL_RTOL of the sum's first cell (`horizon`), with no search. Since every cell is nonnegative, the first cell
 is a lower bound on each row sum, so the cells left out weigh less than an
 ulp of every sum. The integrand decays like e^{-(D + lambda) a}, so the
 horizon shrinks as lambda grows.
@@ -75,6 +77,21 @@ def choose_age_truncation(model: RateModel, lam: float, tol: float,
     return max(da, math.ceil(_tail_age(model, lam, tol) / da - 1e-12) * da)
 
 
+def age_lattice(model: RateModel, lam: float, tol: float, da: float) -> AgeGrid:
+    """The age lattice of step da to `choose_age_truncation`'s horizon, its cell
+    count rounded up to even (Simpson's rule needs it)."""
+    n_cells = int(round(choose_age_truncation(model, lam, tol, da) / da))
+    return AgeGrid(da=da, n_cells=n_cells + n_cells % 2)
+
+
+def profile_lattice(model: RateModel, lam: float, agrid: AgeGrid) -> AgeGrid:
+    """The shortest prefix of agrid, of an even cell count, whose tail bound at
+    lambda is no larger than agrid's own at lambda = 0: the ages the eigen-
+    profiles at lambda = lambda* need, at the accuracy agrid was sized for."""
+    short = age_lattice(model, lam, tail_bound(model, 0.0, agrid.a_max), agrid.da)
+    return short if short.n_cells < agrid.n_cells else agrid
+
+
 def horizon(model: RateModel, lam: float, first: np.ndarray, ages: np.ndarray) -> int:
     """Cells of the lattice `ages` that an age sum at lambda needs.
 
@@ -84,12 +101,15 @@ def horizon(model: RateModel, lam: float, first: np.ndarray, ages: np.ndarray) -
     cells it leaves out weigh less than TAIL_RTOL of every row; n is at least
     1. It covers the whole lattice when first has a zero or no node is that old.
     """
-    n_cells = ages.size - 1
+    a = _horizon_age(model, lam, first)
+    return min(max(int(np.searchsorted(ages, a)), 1), ages.size - 1)
+
+
+def _horizon_age(model: RateModel, lam: float, first: np.ndarray) -> float:
+    """The age where tail_bound(model, lam, .) meets TAIL_RTOL * min(first);
+    inf where first has a zero."""
     floor = float(first.min())
-    if not floor > 0:
-        return n_cells
-    a = _tail_age(model, lam, TAIL_RTOL * floor)
-    return min(max(int(np.searchsorted(ages, a)), 1), n_cells)
+    return _tail_age(model, lam, TAIL_RTOL * floor) if floor > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +169,13 @@ class AgeFactors:
     def n_cells(self) -> int:
         return self.d.shape[1]
 
+    def prefix(self, n_cells: int) -> "AgeFactors":
+        """The factors of the lattice's first n_cells cells, as column views."""
+        if not 0 < n_cells <= self.n_cells:
+            raise ValueError(f"{n_cells} cells asked of a lattice of {self.n_cells}")
+        return AgeFactors(ages=self.ages[:n_cells + 1], C=self.C[:, :n_cells],
+                          d=self.d[:, :n_cells])
+
 
 def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
     """C and d of the product quadrature at trait nodes xs on the age lattice."""
@@ -197,7 +224,11 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
 
     q solves q_j = b_j h_j (1 - e^{-z_j}) / z_j + e^{-z_j} q_{j+1} (b_j the cell's
     average endpoint B) from q = 0 at A + L, L the horizon of the continuation
-    past the lattice end A relative to its own start. It runs by age blocks on
+    past the lattice end A relative to its own start, on the lattice's step (a
+    uniform lattice) continued as far as that tail rule asks, however short the
+    lattice. So q on a prefix of a lattice is q on the whole to rounding, and R
+    the same bits: the profiles at lambda* take the prefix that
+    `profile_lattice` sizes. It runs by age blocks on
     which E = int_0^a (D + lambda) rises by at most SPAN: on [j0, j1], q_j =
     (sum_{j <= k < j1} W_k g_k + W_j1 q_j1) / W_j with cells g and factors
     W = e^{-(E - E_j0)} >= e^{-SPAN}, so no quotient is 0/0. The first block's
@@ -211,7 +242,11 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
     past = ages[-1] + ages[:2]                  # the first cell past A, over R(A)
     first = cell_integrals(AgeFactors(ages=past, C=_cell_means(model.birth, xs, past),
                                       d=_cell_means(model.death, xs, past)), lam)[:, 0]
-    ages = np.concatenate([ages, ages[-1] + ages[1:horizon(model, lam, first, ages) + 1]])
+    # the lattice's step continued past A as far as the tail rule from A asks,
+    # or the lattice's own length where the rule gives no age
+    a = _horizon_age(model, lam, first)
+    steps = ages[1] * np.arange(n + 1 if math.isinf(a) else math.ceil(a / ages[1]) + 2)
+    ages = np.concatenate([ages, ages[-1] + steps[1:horizon(model, lam, first, steps) + 1]])
     R, q = np.empty((xs.size, n + 1)), np.empty((xs.size, n + 1))
     step = max(1, BLOCK_BYTES // (8 * ages.size))     # rows per block of temporaries
     for i in range(0, xs.size, step):

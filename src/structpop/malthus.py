@@ -8,8 +8,12 @@ The search solves the direct operator only, and the dual is solved once, at
 the root. The regime is read from the direct solve alone (`spectral.regime`).
 The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
-to age-structured profiles: N(x,a) = mu(x) R(x,a) and phi(x,a) = (Mix^T eta)(x)
-q(x,a) by a backward recursion in age, normalized to int N = int N phi = 1.
+to age-structured profiles (`eigentriple`): N(x,a) = mu(x) R(x,a) and
+phi(x,a) = (Mix^T eta)(x) q(x,a) by a backward recursion in age, normalized to
+int N = int N phi = 1 on the age lattice they are formed on. That lattice is
+a prefix of the problem's: the whole of it for the dynamics, which step on it,
+or the ages the profiles need at lambda* (`kernel.profile_lattice`) for the
+commands that write them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,12 @@ class SubcriticalError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenTriple:
+    """lambda* and the profiles N and phi on the age lattice `agrid`, a prefix
+    of the problem's, on which they are normalized; readers of the grids
+    read that lattice."""
+
     lambda_star: float
+    agrid: AgeGrid              # the profiles' age lattice, na = agrid.n_cells
     N_grid: np.ndarray          # (nx, na+1), int N = 1
     phi_grid: np.ndarray        # (nx, na+1), int N phi = 1
     eta_lower: float            # grid value of the contraction constant
@@ -240,7 +249,14 @@ def eta_lower_bound(phi_grid: np.ndarray, model: RateModel,
 
 
 def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTriple:
-    """lambda*, N, phi, eta bounds and normalization flags in one shot.
+    """lambda* by `find_lambda_star`, and its `eigentriple` on the problem's
+    whole age lattice: N_grid and phi_grid are (nx, problem.agrid.n_cells + 1)."""
+    return eigentriple(problem, problem.find_lambda_star(tol_lam), problem.agrid)
+
+
+def eigentriple(problem: MalthusProblem, lam_star: float, agrid: AgeGrid) -> EigenTriple:
+    """N, phi, eta bounds and normalization flags at the solved lambda*, on the
+    age lattice agrid, a prefix of the problem's (its factors' column prefix).
 
     diagnostics carries the Perron solves at lambda* ("perron": direct and
     dual path, iterations and bracket) and "warnings", a map from stable
@@ -248,10 +264,12 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     a caller about to step the dynamics drops them with `release_factors`.
     N_grid is read-only (its flag `writeable` is False).
     """
-    lam_star = problem.find_lambda_star(tol_lam)
+    if agrid.da != problem.agrid.da:
+        raise ValueError(f"age step {agrid.da} is not the problem's {problem.agrid.da}")
     ck, pd, pq = problem.eigendata(lam_star)
-    model, tgrid, agrid = problem.model, problem.tgrid, problem.agrid
-    R, phi = dual_profile(model, tgrid, lam_star, pq.profile, problem.factors, problem.mix)
+    model, tgrid = problem.model, problem.tgrid
+    R, phi = dual_profile(model, tgrid, lam_star, pq.profile,
+                          problem.factors.prefix(agrid.n_cells), problem.mix)
     N = direct_profile(tgrid, agrid, pd.profile, R)     # in R's place
     phi /= grid_integral(tgrid, agrid, N, phi)          # int N phi = 1
     norms = {
@@ -268,14 +286,15 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
     diagnostics = {"perron": {"direct": pd.summary(), "dual": pq.summary()},
                    "warnings": warn}
     N.flags.writeable = False   # read-only, so the IBM sampler may keep its CDF
-    return EigenTriple(lambda_star=lam_star, N_grid=N, phi_grid=phi,
+    return EigenTriple(lambda_star=lam_star, agrid=agrid, N_grid=N, phi_grid=phi,
                        eta_lower=grid_eta, eta_lower_proof=proof_eta,
                        norms=norms, regime=regime, diagnostics=diagnostics)
 
 
 def stationary_state(problem: MalthusProblem,
                      triple: EigenTriple) -> tuple[float, np.ndarray, float]:
-    """Stationary density nbar = (lambda*/c) N, so that c * mass = lambda*."""
+    """Stationary density nbar = (lambda*/c) N on triple.agrid, so that
+    c * mass = lambda*."""
     if problem.model.competition <= 0:
         raise ValueError("stationary state needs a positive competition rate")
     scale = triple.lambda_star / problem.model.competition

@@ -408,16 +408,12 @@ def build_grids(config: ScenarioConfig,
                 model: RateModel | None = None) -> tuple[TraitGrid, AgeGrid]:
     """Midpoint trait grid plus an age lattice truncated from the tail bound at
     lambda = 0, which bounds the tail at every lambda >= 0."""
-    from .kernel import choose_age_truncation
+    from .kernel import age_lattice
 
     if model is None:
         model = build_model(config)
     tgrid = midpoint_grid(config.trait_domain, config.nx)
-    a_max = choose_age_truncation(model, 0.0, config.tol, config.da)
-    n_cells = int(round(a_max / config.da))
-    if n_cells % 2:
-        n_cells += 1   # Simpson weights need an even cell count
-    return tgrid, AgeGrid(da=config.da, n_cells=n_cells)
+    return tgrid, age_lattice(model, 0.0, config.tol, config.da)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +435,6 @@ def validate_assumptions(model: RateModel, tgrid: TraitGrid,
     """
     rep = AssumptionReport()
     lo, hi = model.trait_domain
-    ages = agrid.nodes[:: max(1, agrid.n_cells // 32)]
-    X, A = np.meshgrid(tgrid.nodes, ages, indexing="ij")
-
-    dvals = model.death(X, A)
-    bvals = model.birth(X, A)
-    ok = bool(np.all(np.isfinite(dvals)) and np.all(np.isfinite(bvals))
-              and np.all(bvals >= 0) and np.all(dvals >= model.death_floor - 1e-12))
-    rep.checks["death_floor"] = ok
-    rep.details["death_floor"] = {"floor": model.death_floor, "min_sampled": float(dvals.min())}
 
     # kernel normalization by composite Gauss-Legendre quadrature (16 panels of
     # 64 nodes), independent of the trait grid; its own error is at roundoff
@@ -465,6 +452,8 @@ def validate_assumptions(model: RateModel, tgrid: TraitGrid,
 
     # sampled (A4)-style check: B(x,.) > 0 somewhere in age and k(x, y) > 0
     # for neighboring trait nodes
+    ages = agrid.nodes[:: max(1, agrid.n_cells // 32)]
+    bvals = model.birth(*np.meshgrid(tgrid.nodes, ages, indexing="ij"))
     kxy = model.mutation_kernel(tgrid.nodes[:-1], tgrid.nodes[1:])
     a4 = bool(np.all(np.any(bvals[:-1] > 0, axis=1) & (kxy > 0)))
     rep.checks["support_overlap_sampled"] = a4

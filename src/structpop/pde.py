@@ -291,16 +291,22 @@ def default_test_basket(tgrid: TraitGrid,
 def stationary_residual(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
                         mix: np.ndarray, nbar: np.ndarray) -> float:
     """Max weak-form defect |int (df/da - (D + c mass) f + G[f]) nbar| over
-    the functions f of `default_test_basket`, for the birth-mutation matrix mix."""
+    the functions f of `default_test_basket`, for the birth-mutation matrix mix.
+
+    Each term is its own `grid_integral`, and int G[f] nbar is (Mix^T f(., 0))
+    . b with b_i = int B nbar dx da on trait row i, so besides the pair being
+    tested only (D + c mass) nbar is a grid."""
     X, A = tgrid.nodes[:, None], agrid.nodes[None, :]
-    birth = np.asarray(model.birth(X, A), float)
-    death = model.death(X, A)
     mass = grid_integral(tgrid, agrid, nbar)
+    b = np.multiply(model.birth(X, A), nbar) @ mass_weights(tgrid, agrid)
+    loss = np.asarray(model.death(X, A), float) + model.competition * mass
+    loss *= nbar
     worst = 0.0
     for f, dfda in default_test_basket(tgrid, agrid):
-        G = birth * (mix.T @ f[:, 0])[:, None]
-        integrand = dfda - (death + model.competition * mass) * f + G
-        worst = max(worst, abs(grid_integral(tgrid, agrid, integrand, nbar)))
+        defect = (grid_integral(tgrid, agrid, dfda, nbar) - grid_integral(tgrid, agrid, f, loss)
+                  + float((mix.T @ f[:, 0]) @ b))
+        worst = max(worst, abs(defect))
+        del f, dfda     # before the basket forms the next pair
     return worst
 
 

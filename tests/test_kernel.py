@@ -334,3 +334,35 @@ def test_profiles_agree_across_age_blocks(case, monkeypatch):
     R5, q5 = profiles(model, tg.nodes, factors, 1.0)
     np.testing.assert_array_equal(R5, R)
     assert np.abs(q5 - q).max() <= 2e-14 * q.max()
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_profile_lattice_is_the_shortest_even_prefix_under_the_whole_bound(case):
+    model = build_model(SCAN_CASES[case])
+    _, ag = build_grids(SCAN_CASES[case], model)
+    bound = tail_bound(model, 0.0, ag.a_max)
+    assert kernel.profile_lattice(model, 0.0, ag) == ag
+    for lam in (0.05, 0.5, 1.0, 2.78, 10.0, 1e3):
+        short = kernel.profile_lattice(model, lam, ag)
+        assert short.da == ag.da and 2 <= short.n_cells < ag.n_cells
+        assert short.n_cells % 2 == 0
+        assert tail_bound(model, lam, short.a_max) <= bound
+        if short.n_cells > 2:
+            assert tail_bound(model, lam, (short.n_cells - 2) * ag.da) > bound
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_profiles_on_a_prefix_are_the_whole_lattices(case):
+    # the continuation past the prefix's end runs as far as the tail rule
+    # asks, past the prefix's own length: R is the same bits, q the same to
+    # rounding; a continuation cut at the prefix's length moved q by 3.7e-11
+    # to 1.8e-10 of its maximum
+    model = build_model(HORIZON_CASES[case])
+    tg, ag = build_grids(HORIZON_CASES[case], model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    for lam in (0.5, 2.78):
+        R, q = profiles(model, tg.nodes, factors, lam)
+        n = kernel.profile_lattice(model, lam, ag).n_cells
+        Rp, qp = profiles(model, tg.nodes, factors.prefix(n), lam)
+        np.testing.assert_array_equal(Rp, R[:, :n + 1])
+        assert np.abs(qp - q[:, :n + 1]).max() <= 4e-15 * q.max()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from structpop import kernel, spectral
+from structpop import kernel, malthus, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import collapse, survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
@@ -411,6 +411,41 @@ PRESETS = pytest.mark.parametrize("scenario", [singular_scenario, constant_scena
                                   ids=["singular", "constant"])
 
 
+@PRESETS
+def test_solve_eigentriple_lifts_on_the_whole_age_lattice(scenario):
+    # the IBM benchmark workload reads N_grid and phi_grid with build_grids' lattice
+    cfg = scenario(nx=16)
+    model = build_model(cfg)
+    tgrid, agrid = build_grids(cfg, model)
+    triple = solve_eigentriple(MalthusProblem(model, tgrid, agrid), tol_lam=1e-6)
+    assert triple.agrid == agrid
+    assert triple.N_grid.shape == triple.phi_grid.shape == (cfg.nx, agrid.n_cells + 1)
+
+
+@PRESETS
+def test_profiles_on_the_lambda_star_lattice_are_the_whole_ones_renormalized(scenario):
+    # N = mu R with R the same bits on the prefix, so N moves only by its
+    # scale: the mass past the prefix's end, 8.9e-11 (singular) and 9.9e-11
+    # (constant) at nx = 64. The rows' tails are one fraction of each row, so
+    # phi's scale does not move, and phi reads 2.5e-16 and 4.4e-16 of its maximum
+    cfg = scenario(nx=64)
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    lam = problem.find_lambda_star(1e-6)
+    lattice = kernel.profile_lattice(model, lam, problem.agrid)
+    short = malthus.eigentriple(problem, lam, lattice)
+    whole = malthus.eigentriple(problem, lam, problem.agrid)
+    m = lattice.n_cells + 1
+    assert short.agrid == lattice and short.N_grid.shape == (problem.tgrid.n, m)
+    assert short.lambda_star == whole.lambda_star
+    ratio = short.N_grid / whole.N_grid[:, :m]
+    assert 0.0 < ratio.min() - 1.0 <= 1e-10
+    assert ratio.max() - ratio.min() <= 1e-15
+    assert np.abs(short.phi_grid - whole.phi_grid[:, :m]).max() <= 1e-15 * whole.phi_grid.max()
+    for key in ("intN", "intNphi"):
+        assert short.norms[key] == pytest.approx(1.0, abs=1e-14)
+
+
 def problem_at_root(cfg):
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
@@ -445,14 +480,17 @@ def test_phi_matches_tails_over_twice_the_horizon(scenario):
 
 @pytest.mark.parametrize("scenario, tol, bound", [
     (constant_scenario, 1e-10, 2e-15), (constant_scenario, 1e-180, 2e-15),
+    (constant_scenario, 1e-4, 1e-14),
     (singular_scenario, 1e-10, 2e-14), (singular_scenario, 1e-180, 1.5e-13)],
-    ids=["constant", "constant-1e-180", "singular", "singular-1e-180"])
+    ids=["constant", "constant-1e-180", "constant-1e-4", "singular", "singular-1e-180"])
 def test_phi_is_constant_in_age_where_the_rates_are(scenario, tol, bound):
     # B and D do not depend on age, so every cell of a row is the same and the
     # recursion's fixed point is one value per row. At tol = 1e-180 the lattice
     # runs to age 415, where R underflows, and the recursion takes age blocks.
     # The singular preset reads 1.3e-14 and 9.1e-14: its exponents reach
-    # about 140 and SPAN, and each is rounded to an ulp, which e^-E carries
+    # about 140 and SPAN, and each is rounded to an ulp, which e^-E carries.
+    # At tol = 1e-4 the continuation past A_max needs more ages than the
+    # lattice has: cut at the lattice's length, phi moved 2.4e-9 in age
     cfg = scenario(nx=64, tol=tol)
     model = build_model(cfg)
     phi = solve_eigentriple(MalthusProblem(model, *build_grids(cfg, model))).phi_grid
