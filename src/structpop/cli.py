@@ -125,14 +125,14 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
     ck, pd = problem.direct_pair(triple.lambda_star)
     density_residual = None     # the continuous density exists in the Regular regime
     if triple.regime == "Regular":
-        direct = spectral.assemble(ck, problem.mix, tgrid)
         density_residual = spectral.density_from_profile(
-            pd, direct, ck, kernel.mutant_diagonal(model, tgrid))[1]
+            pd, spectral.assemble(ck, problem.mix, tgrid), ck)[1]
     manifest = _write_grids(out, tgrid, triple.agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
         "density_residual": density_residual,
         "lambda_search": problem.lambda_search,
+        "mix": problem.mix.summary(),
         "tail_bound": kernel.tail_bound(model, triple.lambda_star, triple.agrid.a_max),
         "rho_at_zero": rho0,
         "regime": triple.regime,
@@ -234,15 +234,24 @@ def _refinement_rows(config, problem):
     return malthus.refinement_sweep(make_problem, nx_list, _tol_lam(config))
 
 
+def _dual_rows_from_k(model, tgrid, ck, rows: slice) -> np.ndarray:
+    """Rows of the dual from k itself, not through Mix:
+    r_i delta_ij + p sB_i k(x_i, x_j) dx."""
+    x = tgrid.nodes
+    block = model.mutation_prob * ck.sB[rows, None] * model.mutation_kernel.matrix(x[rows], x)
+    block *= tgrid.dx
+    index = np.arange(tgrid.n)[rows]
+    block[np.arange(index.size), index] += ck.r_values[index]
+    return block
+
+
 def cmd_verify(config, out: str, solved=None) -> dict:
     model, tgrid, agrid, problem, triple = solved or _solve(config)
     checks = validate_assumptions(model, tgrid, agrid).checks
     ck, pd, pq = problem.eigendata(0.0)
-    direct = spectral.assemble(ck, problem.mix, tgrid)
-    # the dual from k itself, not through Mix: r_i delta_ij + p sB_i k(x_i, x_j) dx
-    dual_k = replace(direct, M=np.diag(ck.r_values) + model.mutation_prob * ck.sB[:, None]
-                     * model.mutation_kernel.matrix(tgrid.nodes) * tgrid.dx)
-    checks["adjoint_defect"] = spectral.adjoint_residual(direct, dual_k) <= 1e-12
+    checks["adjoint_defect"] = spectral.adjoint_residual(
+        spectral.assemble(ck, problem.mix, tgrid),
+        lambda rows: _dual_rows_from_k(model, tgrid, ck, rows)) <= 1e-12
     checks["rho_identity"] = abs(pd.rho - pq.rho) <= 1e-10 * pd.rho
 
     rhos = [problem.rho_of_lambda(l) for l in LAMBDA_SAMPLE]
@@ -250,7 +259,7 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     problem.release_factors()     # the sweep below re-asks lambda*, which stays cached
 
     manifest = []
-    summary = {"checks": checks, "rho_at_zero": pd.rho}
+    summary = {"checks": checks, "rho_at_zero": pd.rho, "mix": problem.mix.summary()}
     checks["norms_finite"] = all(math.isfinite(triple.norms[k]) for k in ("intN", "intNphi"))
     summary["lambda_star"] = triple.lambda_star
     summary["regime"] = triple.regime

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import MixForm
 from .model import AgeGrid, RateModel, TraitGrid, mass_weights
 
 PARTICLE_CAP = 5_000_000    # live particles per replicate before ExplosionError
@@ -70,6 +71,9 @@ def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
     with the grid discretization. Row i is the normalised cumulative sum over
     the cells for source node i, built once from the kernel's trait matrix, so
     a draw is one bisection (the index that `np.searchsorted(row, u)` gives).
+    The rows stay dense, (nx, nx), by the dynamics' rule: a draw reads one
+    row's cumulative sum, which a factor of Mix does not give, and the
+    dynamics run on grids whose nx^2 array is small beside their (nx, na) state.
     """
     cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.dx, axis=1)
     return cdf / cdf[:, -1:]
@@ -485,7 +489,7 @@ def martingale_series(logs: list[EventLog], phi_grid: np.ndarray,
 
 
 def square_integrability_constant(model: RateModel, phi_grid: np.ndarray, tgrid: TraitGrid,
-                                  agrid: AgeGrid, mix: np.ndarray) -> float | None:
+                                  agrid: AgeGrid, mix: MixForm) -> float | None:
     """Grid estimate of the least C with G[phi^2] + D phi^2 <= C phi (G from Mix),
     over the cells where phi or the left side is nonzero; None if no finite C."""
     X = tgrid.nodes[:, None]

@@ -25,21 +25,25 @@ ulp of every sum. The integrand decays like e^{-(D + lambda) a}, so the
 horizon shrinks as lambda grows.
 
 A newborn keeps its parent's trait with probability 1 - p and otherwise
-draws it from k(x, .). On the trait grid that law is one matrix, `mix_matrix`,
-built once per model and grid: the direct renewal operator at lambda is
-Mix diag(sB_lambda), and on the uniform midpoint grid its dual is the
-transpose diag(sB_lambda) Mix^T. The PDE's newborns and the dual profiles
-are formed from the same Mix.
+draws it from k(x, .). On the trait grid that law is one matrix,
+Mix = (1 - p) I + p dx K^T, built once per model and grid by `mix_matrix`
+and held as its clonal diagonal plus its mutant part (`MixForm`): a factor
+U V^T of small rank, from a pivoted Cholesky factor of the kernel, or the
+dense part where no small factor exists. The direct renewal operator at
+lambda is Mix diag(sB_lambda), in the same form, and on the uniform midpoint
+grid its dual is the transpose diag(sB_lambda) Mix^T, the factors swapped.
+The PDE's newborns and the dual profiles are formed from the same Mix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .model import AgeGrid, RateModel, TraitGrid
+from .model import AgeGrid, ConfigError, RateModel, TraitGrid
 
 TAIL_RTOL = 2.0 ** -60      # what an age sum leaves out, relative to its first cell
 
@@ -74,7 +78,11 @@ def choose_age_truncation(model: RateModel, lam: float, tol: float,
     decay = model.death_floor + lam
     if model.birth.sup == 0 or tol >= model.birth.sup / decay:
         return da   # degenerate: never less than one lattice step
-    return max(da, math.ceil(_tail_age(model, lam, tol) / da - 1e-12) * da)
+    age = _tail_age(model, lam, tol)
+    if math.isinf(age):
+        raise ConfigError(f"tol = {tol!r} is too small: the age where the tail bound "
+                          "meets it is not finite")
+    return max(da, math.ceil(age / da - 1e-12) * da)
 
 
 def age_lattice(model: RateModel, lam: float, tol: float, da: float) -> AgeGrid:
@@ -289,20 +297,139 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
 # the birth-mutation law and the collapsed kernel
 # ---------------------------------------------------------------------------
 
-def mix_matrix(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
+MIX_RTOL = 1e-14     # the kernel factor's stop, relative to the kernel's diagonal
+
+
+@dataclass(frozen=True)
+class MixForm:
+    """diag(d) + U V^T: Mix, and every operator formed from it, held as its
+    clonal diagonal d and its mutant part U V^T, so the diagonal is never
+    recovered by a difference.
+
+    Factored, U and V are (n, r) and a product costs O(n r); dense, V is None
+    and U is the (n, n) mutant part itself. The transpose swaps U and V.
+    """
+
+    d: np.ndarray                   # (n,)
+    U: np.ndarray                   # (n, r), or the (n, n) mutant part
+    V: np.ndarray | None = None     # (n, r), or None for the dense form
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.d.size, self.d.size
+
+    @property
+    def form(self) -> str:
+        return "dense" if self.V is None else "factored"
+
+    @property
+    def rank(self) -> int:
+        """r of the factored form; n, the part's own size, of the dense one."""
+        return self.U.shape[1]
+
+    @property
+    def T(self) -> "MixForm":
+        return MixForm(self.d, self.U.T) if self.V is None else MixForm(self.d, self.V, self.U)
+
+    def mutant(self, v: np.ndarray) -> np.ndarray:
+        """U V^T v, the mutant part applied to a vector."""
+        return self.U @ v if self.V is None else self.U @ (self.V.T @ v)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.d * v + self.mutant(v)
+
+    def scaled(self, s: np.ndarray) -> "MixForm":
+        """self diag(s), in the same form."""
+        if self.V is None:
+            return MixForm(self.d * s, self.U * s)
+        return MixForm(self.d * s, self.U, self.V * s[:, None])
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """The rows `rows` of the matrix, dense: (len, n)."""
+        block = np.array(self.U[rows]) if self.V is None else self.U[rows] @ self.V.T
+        index = np.arange(self.d.size)[rows]
+        block[np.arange(index.size), index] += self.d[index]
+        return block
+
+    def toarray(self) -> np.ndarray:
+        """The whole (n, n) matrix, for the dynamics' one-off solves."""
+        return self.rows(slice(None))
+
+    def shift_inverse(self, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> (sigma I - self)^{-1} v, for sigma above every d_i.
+
+        Dense, the inverse is formed once and each solve is one product.
+        Factored, with D = sigma - d > 0 and w = D^{-1} v, Woodbury's identity
+
+            (D - U V^T)^{-1} v = w + D^{-1} U C^{-1} V^T w,   C = I - V^T D^{-1} U,
+
+        takes one r x r inverse and O(n r) per solve.
+        """
+        D = sigma - self.d
+        if self.V is None:
+            A = np.negative(self.U)
+            A[np.diag_indices_from(A)] += D
+            inv = np.linalg.inv(A)
+            return lambda v: inv @ v
+        DU = self.U / D[:, None]
+        W = np.linalg.inv(np.eye(self.rank) - self.V.T @ DU) @ self.V.T    # C^{-1} V^T
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            w = v / D
+            return w + DU @ (W @ w)
+        return solve
+
+    def summary(self) -> dict:
+        """The form held, its rank and the factor's tolerance, JSON-ready."""
+        return {"form": self.form, "rank": self.rank, "rtol": MIX_RTOL}
+
+
+def _kernel_factor(model: RateModel, x: np.ndarray, cap: int) -> np.ndarray | None:
+    """L (n, r) with L L^T = G to MIX_RTOL in every entry, where G[i, j] =
+    k(x_i, x_j) / k(x_i, x_i) for the model's mutation kernel k; None where r
+    would pass cap.
+
+    Every registry kernel is k(x, y) = g(x, y) / Z(x) with g symmetric positive
+    semidefinite and g(x, x) = g0, so G = g / g0 is too, with a unit diagonal.
+    Pivoted Cholesky (Harbrecht, Peters & Schneider 2012, Appl. Numer. Math.
+    62) takes the row of G at the largest remaining diagonal entry, one
+    k(x_i, .) at a time, and stops when that entry is at most MIX_RTOL: the
+    remainder G - L L^T is positive semidefinite too, so no entry of it is
+    larger than its largest diagonal entry.
+    """
+    rest, Lt = np.ones(x.size), np.empty((cap, x.size))     # Lt: L's columns as rows
+    for r in range(cap):
+        i = int(np.argmax(rest))
+        if rest[i] <= MIX_RTOL:
+            return Lt[:r].T
+        row = model.mutation_kernel.matrix(x[i:i + 1], x)[0]
+        row /= row[i]
+        row -= Lt[:r, i] @ Lt[:r]
+        row /= math.sqrt(rest[i])
+        Lt[r] = row
+        rest -= row * row
+    return Lt.T if rest.max() <= MIX_RTOL else None
+
+
+def mix_matrix(model: RateModel, tgrid: TraitGrid) -> MixForm:
     """Mix[i, j] = (1 - p) delta_ij + p k(x_j, x_i) dx: the newborns at x_i per
-    unit of births from trait-x_j parents."""
-    p = model.mutation_prob
-    mix = np.ascontiguousarray(model.mutation_kernel.matrix(tgrid.nodes).T)
-    mix *= p * tgrid.dx
-    mix[np.diag_indices_from(mix)] += 1.0 - p
-    return mix
+    unit of births from trait-x_j parents, as a `MixForm`.
 
-
-def mutant_diagonal(model: RateModel, tgrid: TraitGrid) -> np.ndarray:
-    """p k(x_i, x_i) dx from k itself: Mix[i, i] - (1 - p) would cancel."""
-    x = tgrid.nodes
-    return np.asarray(model.mutation_kernel(x, x), float) * (model.mutation_prob * tgrid.dx)
+    With kd = k(x, x), K^T = G diag(kd) for the G that `_kernel_factor`
+    factors as L L^T, so Mix = (1 - p) I + (p dx L)(kd L)^T. One rule keeps the
+    dense form, U = p dx K^T: where the factor's rank would pass nx / 4, or
+    where the kernel's certified floor `inf` is 0, so that k underflows to
+    exact zeros a truncated factor would blur.
+    """
+    p, x = model.mutation_prob, tgrid.nodes
+    clonal = np.full(tgrid.n, 1.0 - p)
+    L = _kernel_factor(model, x, tgrid.n // 4) if model.mutation_kernel.inf > 0 else None
+    if L is None:
+        mutant = np.ascontiguousarray(model.mutation_kernel.matrix(x).T)
+        mutant *= p * tgrid.dx
+        return MixForm(clonal, mutant)
+    kd = np.asarray(model.mutation_kernel(x, x), float)
+    return MixForm(clonal, L * (p * tgrid.dx), L * kd[:, None])
 
 
 @dataclass(frozen=True)

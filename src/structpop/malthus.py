@@ -53,9 +53,10 @@ class MalthusProblem:
     """rho(lambda) along a lambda sweep, and full eigendata where asked.
 
     The lambda-free parts of the age collapse (`kern.AgeFactors` on the age
-    lattice) and the birth-mutation matrix `mix` are built once; each collapse
-    sums the lattice prefix its lambda needs, and the operator at lambda is
-    mix diag(sB), the one nx x nx array a lambda forms. The factors are kept
+    lattice) and the birth-mutation matrix `mix` (a `kern.MixForm`) are built
+    once; each collapse sums the lattice prefix its lambda needs, and the
+    operator at lambda is mix diag(sB), in mix's form: where the kernel has a
+    factor of small rank, a lambda forms no nx x nx array. The factors are kept
     until `release_factors`, so every lambda asked of the problem reads the
     same ones. Per lambda solved, the collapsed kernel (sB, r) and the
     direct Perron pair are kept (3 nx floats), and per lambda `eigendata` is
@@ -125,7 +126,9 @@ class MalthusProblem:
         """Root of rho(lambda) = 1, by `_falsi` on 1/rho - 1 with bracket width
         tol_lam; records lambda_search.
 
-        The bracket [0, 1] doubles at most 60 times, to 2^60. lambda_search
+        The bracket [0, 1] doubles until rho(hi) <= 1, at most 60 times, to
+        2^60: an end where rho is 1 exactly is the root, which `_falsi`
+        returns with no further solve. lambda_search
         holds the lambdas solved, their bracket, the Perron iterations and
         shifts, and the age cells their collapses summed.
         """
@@ -136,7 +139,7 @@ class MalthusProblem:
                 f"rho(0) = {rho0:.6g} <= 1: the model is subcritical")
         lo, hi = 0.0, 1.0
         for _ in range(60):
-            if self.rho_of_lambda(hi) < 1.0:
+            if self.rho_of_lambda(hi) <= 1.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:
@@ -159,7 +162,7 @@ _ACCEPT = 4 * math.ulp(1.0)     # |g| this small is a root: 4 machine epsilons
 
 
 def _falsi(g, lo: float, hi: float, tol: float) -> float:
-    """Root of an increasing g with g(lo) <= 0 < g(hi), by Illinois regula falsi
+    """Root of an increasing g with g(lo) <= 0 <= g(hi), by Illinois regula falsi
     (Dowell & Jarratt 1971, BIT 11:168-174).
 
     A point with |g| <= 4 eps is the root, the bracket's ends included;
@@ -207,12 +210,12 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
 
 
 def dual_profile(model: RateModel, tgrid: TraitGrid, lam_star: float, eta: np.ndarray,
-                 factors: kern.AgeFactors, mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 factors: kern.AgeFactors, mix: kern.MixForm) -> tuple[np.ndarray, np.ndarray]:
     """R_{lambda*} and phi(x,a) = (Mix^T eta)(x) q(x,a), up to its scale, on the
     age lattice of `factors`: Mix^T eta = (1-p) eta(x) + p dx sum_j eta_j k(x, x_j)
-    is the dual of mix, its transpose on the uniform trait grid, applied to
-    eta, and q = int_a^inf B R da' / R(a) comes from `kern.profiles`, which
-    forms R in the same pass."""
+    is the dual of mix, its transpose on the uniform trait grid (the factors
+    swapped), applied to eta, and q = int_a^inf B R da' / R(a) comes from
+    `kern.profiles`, which forms R in the same pass."""
     R, phi = kern.profiles(model, tgrid.nodes, factors, lam_star)
     phi *= (mix.T @ eta)[:, None]
     return R, phi

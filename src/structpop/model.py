@@ -168,9 +168,10 @@ class KernelFamily:
     def __call__(self, x, y):
         return self.fn(x, y)
 
-    def matrix(self, nodes: np.ndarray) -> np.ndarray:
-        """kmat[i, j] = k(x_i, x_j) on the given trait nodes."""
-        return np.asarray(self.fn(nodes[:, None], nodes[None, :]), float)
+    def matrix(self, xs: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+        """kmat[i, j] = k(x_i, y_j) on the trait nodes xs and ys (ys = xs if not given)."""
+        ys = xs if ys is None else ys
+        return np.asarray(self.fn(xs[:, None], ys[None, :]), float)
 
 
 def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> KernelFamily:

@@ -4,8 +4,11 @@ Transport in age is exact along characteristics (the lattice shifts one cell
 per step, dt = da locked), death is exact through the survival matrix, and
 the renewal boundary is semi-implicit: the newborn generation solves a small
 linear system so eigen-identities hold to first order without a step lag. That
-system, built from the birth-mutation matrix Mix (`kernel.mix_matrix`), is
-solved once, in advance: each step applies one precomposed matrix.
+system, built from the dense form of the birth-mutation matrix Mix
+(`kernel.MixForm.toarray`), is solved once, in advance: each step applies one
+precomposed (nx, nx) matrix. The dynamics keep that dense array by rule: their
+state is (nx, na) and na is in the thousands, so an nx^2 array is small beside
+it, while the spectral stack holds Mix in its factored form.
 Stepping holds n = s R_0 u, a renewal equation in u (see
 `TransportSolver.step_nonlinear`, the one step). The flow is the model's: the
 linear flow is the flow of the model with c = 0, and since u's recursion is
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import survival_matrix
+from .kernel import MixForm, survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid, grid_integral, mass_weights
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
@@ -60,7 +63,7 @@ class TraceRecord:
 class TransportSolver:
     """Precomputed machinery for stepping one scenario on fixed grids, given its Mix."""
 
-    def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, mix: np.ndarray):
+    def __init__(self, model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, mix: MixForm):
         self.model, self.tgrid, self.agrid, self.mix = model, tgrid, agrid, mix
         self.dt = agrid.da       # transport step locked to the age step
         xs, ages = tgrid.nodes, agrid.nodes
@@ -87,7 +90,9 @@ class TransportSolver:
 
         # newborns: n0 = Mix (f + qa_0 B(., 0) n0), with f the births of the
         # older ages; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
-        self._newborn = np.linalg.solve(np.eye(tgrid.n) - self.qa[0] * mix * self.B[:, 0], mix)
+        dense = mix.toarray()
+        self._newborn = np.linalg.solve(np.eye(tgrid.n) - self.qa[0] * dense * self.B[:, 0],
+                                        dense)
 
     # -- quadratures -------------------------------------------------------
 
@@ -289,7 +294,7 @@ def default_test_basket(tgrid: TraitGrid,
 
 
 def stationary_residual(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid,
-                        mix: np.ndarray, nbar: np.ndarray) -> float:
+                        mix: MixForm, nbar: np.ndarray) -> float:
     """Max weak-form defect |int (df/da - (D + c mass) f + G[f]) nbar| over
     the functions f of `default_test_basket`, for the birth-mutation matrix mix.
 

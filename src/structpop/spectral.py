@@ -2,9 +2,13 @@
 
 The direct operator M = Mix diag(sB_lambda) acts on trait densities: births
 sB_j at x_j are spread over the newborns' traits by the birth-mutation matrix
-Mix (`kernel.mix_matrix`). The dual operator, acting on test functions, is
-its adjoint for the pairing <f, g> = dx sum_i f_i g_i of the midpoint grid,
-whose every node weighs the same dx: the transpose M^T. So the
+Mix (`kernel.mix_matrix`). M is held in Mix's form (`kernel.MixForm`): the
+clonal diagonal (1 - p) sB plus the mutant part, a factor of small rank where
+the kernel has one, so a product with M, and a shift-inverse solve by
+Woodbury's identity, cost O(nx r) and the lambda search forms no nx x nx
+array. The dual operator, acting on test functions, is its adjoint for the
+pairing <f, g> = dx sum_i f_i g_i of the midpoint grid, whose every node
+weighs the same dx: the transpose M^T, the factors swapped. So the
 spectral-radius identity and the adjoint pairing hold to machine precision
 by construction.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import CollapsedKernel
+from .kernel import CollapsedKernel, MixForm
 from .model import TraitGrid
 
 
@@ -31,7 +35,7 @@ class PerronConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class DiscreteOperator:
     lam: float
-    M: np.ndarray               # (nx, nx), elementwise nonnegative
+    M: MixForm                  # (nx, nx), elementwise nonnegative
     dx: float                   # the trait step, every node's weight
 
 
@@ -41,7 +45,7 @@ class PerronPair:
     profile: np.ndarray         # nonnegative, dx sum(profile) = 1
     iterations: int
     residual: float
-    shifts: int = 0             # inverses (sigma I - M)^{-1} formed
+    shifts: int = 0             # shifts sigma, each with its (sigma I - M)^{-1}
     path: str = "power"         # "power" | "shift-invert" | "warm"
     cw_bracket: tuple[float, float] = (0.0, math.inf)   # Collatz-Wielandt, last iterate
 
@@ -51,25 +55,39 @@ class PerronPair:
                 "cw_bracket": list(self.cw_bracket)}
 
 
-def assemble(kernel: CollapsedKernel, mix: np.ndarray, grid: TraitGrid) -> DiscreteOperator:
-    """The direct operator Mix diag(sB): M[i,j] = r_i delta_ij + p sB_j k(x_j, x_i) dx."""
+def assemble(kernel: CollapsedKernel, mix: MixForm, grid: TraitGrid) -> DiscreteOperator:
+    """The direct operator Mix diag(sB): M[i,j] = r_i delta_ij + p sB_j k(x_j, x_i) dx,
+    in mix's form."""
     if kernel.sB.shape != (grid.n,) or mix.shape != (grid.n, grid.n):
         raise ValueError("kernel, mixing matrix and grid sizes do not match")
-    return DiscreteOperator(lam=kernel.lam, M=mix * kernel.sB, dx=grid.dx)
+    return DiscreteOperator(lam=kernel.lam, M=mix.scaled(kernel.sB), dx=grid.dx)
 
 
 def dual(direct: DiscreteOperator) -> DiscreteOperator:
-    """The adjoint of the direct operator, its transpose (a view):
+    """The adjoint of the direct operator, its transpose:
     r_i delta_ij + p sB_i k(x_i, x_j) dx."""
     return replace(direct, M=direct.M.T)
 
 
-def adjoint_residual(direct: DiscreteOperator, dual: DiscreteOperator) -> float:
+BLOCK_ENTRIES = 2 ** 16     # entries of one block of rows `adjoint_residual` forms
+
+
+def adjoint_residual(direct: DiscreteOperator, dual_rows) -> float:
     """Max defect of the discrete duality pairing <M_dir f, g> = <f, M_dual g>,
-    each entry weighed by dx."""
-    if direct.M.shape != dual.M.shape or direct.lam != dual.lam:
-        raise ValueError("operators are not a matching direct/dual pair")
-    return float(np.abs(direct.M * direct.dx - dual.M.T * direct.dx).max())
+    each entry weighed by dx: max |M_dir[j, i] - M_dual[i, j]| dx.
+
+    dual_rows(rows) gives the rows `rows` (a slice) of the dual's matrix,
+    dense; both sides are formed by blocks of rows, so no (nx, nx) array is.
+    """
+    Mt, n = direct.M.T, direct.M.shape[0]
+    step, worst = max(1, BLOCK_ENTRIES // n), 0.0
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        theirs = dual_rows(rows)
+        if theirs.shape != (min(step, n - i), n):
+            raise ValueError("operators are not a matching direct/dual pair")
+        worst = max(worst, float(np.abs(Mt.rows(rows) - theirs).max()))
+    return worst * direct.dx
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +139,26 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
 
     Power steps start from the uniform vector; a strictly positive start
     vector (a nearby eigenvector) is returned as it is if it passes the test,
-    and otherwise shift-inverse steps start from it. One rule forms every
-    inverse: every SLOW_CHECK iterations, the least residual's contraction
+    and otherwise shift-inverse steps start from it. One rule takes every
+    shift: every SLOW_CHECK iterations, the least residual's contraction
     over the last SLOW_CHECK projects the iterations left until the test (or
-    one ulp of rho ||v||_inf); past SLOW_HORIZON, about an inverse's cost in
-    steps at 800^2, a fresh inverse is formed. A window with no new least
-    residual projects no end: power steps switch, shift-inverse waits for
-    FLOOR. `path` is "power", "shift-invert" or "warm", `iterations` the
-    iterates evaluated less the one shift-inverse starts from, `shifts` the
-    inverses formed, `cw_bracket` the Collatz-Wielandt bracket of the result.
+    one ulp of rho ||v||_inf); past SLOW_HORIZON a fresh shift is taken. The
+    horizon prices a shift in iterations: a shift-inverse step converges in
+    tens of iterations where power steps would need thousands, but a fresh
+    shift spends its first window setting a new baseline, and in the dense
+    form it costs an nx^3 inverse, about 180 products at 800^2. A window with
+    no new least residual projects no end: power steps switch, shift-inverse
+    waits for FLOOR. `path` is "power", "shift-invert" or "warm",
+    `iterations` the iterates evaluated less the one shift-inverse starts
+    from, `shifts` the shifts taken, `cw_bracket` the Collatz-Wielandt
+    bracket of the result.
 
     Shift-inverse uses sigma = (CW upper bound of the iterate) * (1 + 1e-8),
     which is at least rho for any vector with no entry at or below ROUNDING
-    ||v||_inf, so (sigma I - M)^{-1} >= 0.
-    It is formed explicitly, once per shift, and each step is one product:
-    forming it costs about four LU factorisations, but a product costs what
-    an LU solve does, and numpy alone suffices.
+    ||v||_inf, so (sigma I - M)^{-1} >= 0. M's form solves with it
+    (`MixForm.shift_inverse`): factored, by Woodbury's identity with one
+    r x r inverse per shift and O(nx r) per step; dense, by the inverse
+    formed once per shift, each step one product.
     """
     M, dx = op.M, op.dx
     n = M.shape[0]
@@ -149,7 +171,7 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
                              f"of length {n}")
     v = _normalize(v, dx)
     evaluated, best, stale, window = 0, math.inf, 0, math.inf   # window: best a check ago
-    inv, shifts = None, 0
+    solve, shifts = None, 0
     while True:
         y, lb, ub, rho, res = _evaluate(M, v)
         evaluated += 1
@@ -172,17 +194,16 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
                     / math.log(window / best) if fell else math.inf)
             window = best
             if need > SLOW_HORIZON and (fell or path == "power"):
-                # a fresh inverse; its first window only sets the next baseline
-                path, inv, window = ("shift-invert" if path == "power" else path), None, math.inf
+                # a fresh shift; its first window only sets the next baseline
+                path, solve, window = ("shift-invert" if path == "power" else path), None, math.inf
         if path == "power":
             v = _normalize(y, dx)
             continue
-        if inv is None:
+        if solve is None:
             # sigma > ub >= rho keeps (sigma I - M)^{-1} >= 0
-            sigma = ub * (1.0 + 1e-8) + 1e-300
-            inv = np.linalg.inv(sigma * np.eye(n) - M)
+            solve = M.shift_inverse(ub * (1.0 + 1e-8) + 1e-300)
             shifts += 1
-        v = _normalize(np.maximum(inv @ v, 0.0), dx)   # clip roundoff negatives
+        v = _normalize(np.maximum(solve(v), 0.0), dx)   # clip roundoff negatives
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +224,19 @@ def regime(rho: float, rbar: float) -> str:
     return "Regular" if rho - rbar > GAP_RTOL * rho else "PossiblySingular"
 
 
-def density_from_profile(pair: PerronPair, direct: DiscreteOperator, kernel: CollapsedKernel,
-                         mutant_diag: np.ndarray) -> tuple[np.ndarray, float]:
+def density_from_profile(pair: PerronPair, direct: DiscreteOperator,
+                         kernel: CollapsedKernel) -> tuple[np.ndarray, float]:
     """Continuous-density representative u = (M - diag(r)) mu / (rho - r), unit mass.
 
-    M - diag(r) is M with its diagonal set to `kernel.mutant_diagonal` * sB.
-    Only valid in the Regular regime (`regime`): the fixed-point division
-    degenerates as rho approaches rbar. There rho - r > GAP_RTOL rho, so
-    u >= 0, and u = 0 exactly where mu = 0: at traits no newborn reaches, where
-    a narrow k underflows.
+    M - diag(r) is M's mutant part (`MixForm.mutant`), applied with no
+    difference taken. Only valid in the Regular regime (`regime`): the
+    fixed-point division degenerates as rho approaches rbar. There
+    rho - r > GAP_RTOL rho, so u >= 0, and u = 0 exactly where mu = 0: at
+    traits no newborn reaches, where a narrow k underflows.
     """
     if regime(pair.rho, kernel.rbar) != "Regular":
         raise ValueError("density representation requires the Regular regime "
                          f"(rho - rbar > {GAP_RTOL:g} rho)")
-    mu, mutant = pair.profile, direct.M.copy()
-    np.fill_diagonal(mutant, mutant_diag * kernel.sB)
-    u = _normalize((mutant @ mu) / (pair.rho - kernel.r_values), direct.dx)
+    mu = pair.profile
+    u = _normalize(direct.M.mutant(mu) / (pair.rho - kernel.r_values), direct.dx)
     return u, float(np.abs(u - mu).max())

@@ -15,11 +15,11 @@ import pytest
 import conftest
 
 from structpop import ibm, pde
-from structpop.kernel import CollapsedKernel, collapse, mix_matrix
+from structpop.kernel import CollapsedKernel, MixForm, collapse, mix_matrix
 from structpop.malthus import MalthusProblem, refinement_sweep, solve_eigentriple
 from structpop.model import (build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
-from structpop.spectral import DiscreteOperator, adjoint_residual, assemble, dual, perron
+from structpop.spectral import adjoint_residual, assemble, dual, perron
 
 
 def report(num, desc, ok, detail=""):
@@ -55,9 +55,8 @@ def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup)
             worst_rel = max(worst_rel, abs(rd - rq) / rd)
             # dual(direct) is the transpose by construction; pair direct with
             # a dual built from k instead: r_i delta_ij + p sB_i k(x_i, x_j) dx
-            dual_k = DiscreteOperator(lam=lam, dx=dx,
-                                      M=np.diag(ck.r_values) + p * ck.sB[:, None] * k * dx)
-            worst_adj = max(worst_adj, adjoint_residual(direct, dual_k))
+            dual_k = np.diag(ck.r_values) + p * ck.sB[:, None] * k * dx
+            worst_adj = max(worst_adj, adjoint_residual(direct, lambda rows: dual_k[rows]))
     ok = worst_rel <= 1e-10 and worst_adj <= 1e-14
     report(2, "direct/dual spectral radius identity", ok,
            f"max rel diff={worst_rel:.2e}, adjoint defect={worst_adj:.2e}")
@@ -232,7 +231,8 @@ def test_criterion_11_degenerate_spectrum():
     tg = midpoint_grid((0.0, 1.0), 50)
     r = 0.8 + 0.4 * np.cos(2.0 * tg.nodes)
     ck = CollapsedKernel(lam=0.0, r_values=r, sB=r, age_cells=0)   # Mix = I: no mutation
-    pair = perron(assemble(ck, np.eye(50), tg))
+    mutation_free = MixForm(np.ones(50), np.zeros((50, 0)), np.zeros((50, 0)))
+    pair = perron(assemble(ck, mutation_free, tg))
     err = abs(pair.rho - float(r.max()))
     ok = err <= 1e-12
     report(11, "mutation-free operator has rho = max r", ok, f"err={err:.2e}")

@@ -1,7 +1,11 @@
 import ast
 import collections
 import dataclasses
+import fnmatch
 import gc
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -470,7 +474,7 @@ def verify_summary(cfg_path, out):
 def test_verify_rho_identity_fails_on_a_scaled_dual(small_cfg, tmp_path, monkeypatch):
     dual = spectral.dual
     monkeypatch.setattr(spectral, "dual", lambda direct: dataclasses.replace(
-        dual(direct), M=dual(direct).M * (1.0 + 1e-6)))
+        dual(direct), M=dual(direct).M.scaled(np.full(direct.M.shape[0], 1.0 + 1e-6))))
     summary = verify_summary(small_cfg, tmp_path / "out")
     assert summary["checks"]["rho_identity"] is False and not summary["all_green"]
 
@@ -532,12 +536,8 @@ def test_verify_adjoint_defect_fails_on_a_mix_that_reads_k_from_the_wrong_side(
         tmp_path, monkeypatch):
     # gaussian(0.15) renormalized on [0, 1] has k(x, y) != k(y, x) near the ends,
     # so a Mix built on k(x_i, x_j) in place of k(x_j, x_i) is not the dual's
-    def untransposed(model, tgrid):
-        p = model.mutation_prob
-        mix = model.mutation_kernel.matrix(tgrid.nodes) * (p * tgrid.dx)
-        mix[np.diag_indices_from(mix)] += 1.0 - p
-        return mix
-    monkeypatch.setattr(kernel, "mix_matrix", untransposed)
+    mix_matrix = kernel.mix_matrix
+    monkeypatch.setattr(kernel, "mix_matrix", lambda model, tgrid: mix_matrix(model, tgrid).T)
     cfg = dataclasses.replace(
         constant_scenario(nx=16, tol=1e-8),
         kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
@@ -546,6 +546,44 @@ def test_verify_adjoint_defect_fails_on_a_mix_that_reads_k_from_the_wrong_side(
                  "--out", out]) == EXIT_OK
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["checks"]["adjoint_defect"] is False and not summary["all_green"]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as_built", "factors_swapped"])
+def test_verify_adjoint_defect_reads_which_side_a_factored_mix_takes_k_from(
+        tmp_path, monkeypatch, swap):
+    # at nx = 128, gaussian(0.15) is factored at rank 25; swapping its factors
+    # reads k(x_i, x_j) in place of k(x_j, x_i), and verify compares with k itself
+    mix_matrix = kernel.mix_matrix
+
+    def mix(model, tgrid):
+        built = mix_matrix(model, tgrid)
+        assert (built.form, built.rank) == ("factored", 25)
+        return dataclasses.replace(built, U=built.V, V=built.U) if swap else built
+    monkeypatch.setattr(kernel, "mix_matrix", mix)
+    cfg = dataclasses.replace(
+        constant_scenario(nx=128, tol=1e-8),
+        kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", write_config(tmp_path / "gauss.json", cfg),
+                 "--out", out]) == EXIT_OK
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["checks"]["adjoint_defect"] is not swap
+
+
+def test_spectral_summaries_record_how_mix_is_held(small_cfg, tmp_path):
+    # the uniform kernel factors at rank 1; the dynamics' summaries leave it out
+    record = {"form": "factored", "rank": 1, "rtol": kernel.MIX_RTOL}
+    runs = {"malthus": ["malthus", "--config", small_cfg],
+            "verify": ["verify", "--config", small_cfg],
+            "scenario": ["scenario", "constant", "--nx", "8", "--verify"],
+            "pde": ["pde", "--config", small_cfg, "--tmax", "0.5"],
+            "ibm": ["ibm", "--config", small_cfg, "--tmax", "0.5", "--replicates", "2"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.get("mix") == (record if name in ("malthus", "verify", "scenario")
+                                      else None), name
 
 
 def test_scenario_solves_where_the_survival_factor_underflows(tmp_path):
@@ -621,6 +659,9 @@ def test_bad_replicates_or_tmax_is_usage_error(small_cfg, tmp_path, argv):
     (["scenario", "constant", "--tol", "-1"], {}),
     (["scenario", "constant", "--da", "nan"], {}),
     (["scenario", "constant", "--tol", "inf"], {}),
+    # tol (D + lambda) is subnormal or 0: the tail age is not finite
+    (["scenario", "constant", "--nx", "8", "--tol", "1e-320"], {}),
+    (["scenario", "constant", "--nx", "8", "--tol", "5e-324"], {}),
     (["scenario", "constant", "--nx", "1"], {}),
     (["ibm", "--seed", "-1"], {}),
     (["malthus"], {"c": math.nan}),
@@ -764,9 +805,11 @@ def test_every_public_name_is_referenced():
 
 
 def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
-    # the (1 - p)/p birth-mutation law is spelled once, in kernel.mix_matrix;
-    # the IBM's mutant CDF rows read k on the nodes too, and verify's
-    # adjoint_defect builds the dual from k itself to check Mix against it
+    # the (1 - p)/p birth-mutation law is spelled once, in kernel.mix_matrix,
+    # which reads k on the grid for its dense form and, through its factor
+    # builder kernel._kernel_factor, one row at a time; the IBM's mutant CDF
+    # rows read k on the nodes too, and verify's adjoint_defect builds the
+    # dual's rows from k itself to check Mix against it
     package = os.path.dirname(ibm.__file__)
     callers = []
     for name in sorted(os.listdir(package)):
@@ -783,7 +826,34 @@ def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
                         and isinstance(node.func.value, ast.Attribute)
                         and node.func.value.attr == "mutation_kernel"):
                     callers.append(f"{name[:-3]}.{fn.name}")
-    assert sorted(callers) == ["cli.cmd_verify", "ibm._mutant_cdf_rows", "kernel.mix_matrix"]
+    assert sorted(callers) == ["cli._dual_rows_from_k", "ibm._mutant_cdf_rows",
+                               "kernel._kernel_factor", "kernel.mix_matrix"]
+
+
+def test_every_traced_structpop_target_resolves():
+    # perfbench/tracer.py wraps these paths from outside the program; one that
+    # no longer resolves turns its per-layer metric into "absent" and 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    checked = 0
+    for name, module_name, path, _ in tracer.TARGETS:
+        if not module_name.startswith("structpop"):
+            continue
+        owner_path, _, attr = path.rpartition(".")
+        owner = importlib.import_module(module_name)
+        for part in filter(None, owner_path.split(".")):
+            owner = getattr(owner, part)
+        if "*" in attr:
+            found = [a for a in vars(owner) if fnmatch.fnmatch(a, attr)
+                     and inspect.isfunction(inspect.getattr_static(owner, a))]
+        else:
+            found = [attr] if inspect.isfunction(inspect.getattr_static(owner, attr, None)) else []
+        assert found, f"{name}: {module_name}.{path} does not resolve"
+        checked += 1
+    assert checked >= 10
 
 
 def test_only_mass_weights_and_the_transport_solver_read_the_age_weights():

@@ -8,8 +8,8 @@ from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
                               choose_age_truncation, collapse, horizon, profiles,
                               survival_matrix, tail_bound)
-from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
-                             midpoint_grid, singular_scenario)
+from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
+                             constant_scenario, midpoint_grid, singular_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -366,3 +366,41 @@ def test_profiles_on_a_prefix_are_the_whole_lattices(case):
         Rp, qp = profiles(model, tg.nodes, factors.prefix(n), lam)
         np.testing.assert_array_equal(Rp, R[:, :n + 1])
         assert np.abs(qp - q[:, :n + 1]).max() <= 4e-15 * q.max()
+
+
+KERNELS = {"uniform": {"family": "uniform", "params": {}},
+           "gaussian_0.15": {"family": "gaussian", "params": {"width": 0.15}},
+           "gaussian_0.01": {"family": "gaussian", "params": {"width": 0.01}}}
+
+
+@pytest.mark.parametrize("name, nx, form, rank", [
+    ("uniform", 64, "factored", 1),
+    ("uniform", 800, "factored", 1),
+    ("gaussian_0.15", 800, "factored", 24),
+    # its certified floor is 0: k underflows to exact zeros, held dense
+    ("gaussian_0.01", 64, "dense", 64),
+])
+def test_mix_is_held_in_the_form_its_rule_gives(name, nx, form, rank):
+    config = dataclasses.replace(singular_scenario(nx=nx), kernel=KERNELS[name])
+    model = build_model(config)
+    mix = kernel.mix_matrix(model, build_grids(config, model)[0])
+    assert mix.summary() == {"form": form, "rank": rank, "rtol": kernel.MIX_RTOL}
+
+
+def test_mix_is_dense_where_the_factor_would_pass_a_quarter_of_nx():
+    # gaussian(0.15) needs rank 24-25 at every nx; at nx = 64 that passes 16
+    config = dataclasses.replace(singular_scenario(nx=64), kernel=KERNELS["gaussian_0.15"])
+    model = build_model(config)
+    tgrid = build_grids(config, model)[0]
+    mix = kernel.mix_matrix(model, tgrid)
+    assert (mix.form, mix.rank) == ("dense", 64)
+    k = model.mutation_kernel.matrix(tgrid.nodes)
+    p = model.mutation_prob
+    expected = p * tgrid.dx * k.T + (1.0 - p) * np.eye(64)
+    np.testing.assert_allclose(mix.toarray(), expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-320, 5e-324])
+def test_a_tol_whose_tail_age_is_not_finite_is_a_config_error(const_model, tol):
+    with pytest.raises(ConfigError, match="tail bound"):
+        choose_age_truncation(const_model, 0.0, tol, 0.01)

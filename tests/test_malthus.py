@@ -626,3 +626,33 @@ def test_search_rejects_a_non_finite_rho(monkeypatch):
 def test_falsi_errors(g, tol, error):
     with pytest.raises(error):
         _falsi(g, 0.0, 1.0, tol)
+
+
+def test_lambda_search_forms_no_nx_by_nx_array(monkeypatch):
+    # the singular preset holds Mix at rank 1, so no operator or shift-inverse
+    # of the search is an (nx, nx) array: each assemble and perron call's
+    # tracemalloc peak, above what was traced as it began, stays below one
+    nx = 800
+    config = singular_scenario(nx=nx)
+    model = build_model(config)
+    problem = MalthusProblem(model, *build_grids(config, model))
+    peaks = []
+
+    def measured(fn):
+        def call(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+        return call
+    monkeypatch.setattr(spectral, "assemble", measured(spectral.assemble))
+    monkeypatch.setattr(spectral, "perron", measured(spectral.perron))
+    tracemalloc.start()
+    try:
+        problem.find_lambda_star()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 * problem.lambda_search["evaluations"] == 10
+    assert problem.lambda_search["perron_shifts"] >= 1     # a shift-inverse ran
+    assert max(peaks) < nx * nx * 8

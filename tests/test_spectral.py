@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from structpop import spectral
-from structpop.kernel import CollapsedKernel, collapse, mix_matrix, mutant_diagonal
+from structpop.kernel import MIX_RTOL, CollapsedKernel, MixForm, collapse, mix_matrix
 from structpop.malthus import MalthusProblem
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
@@ -20,6 +20,16 @@ def make_ck(r, lam=0.0):
     """A mutation-free kernel: with Mix = I its operator is diag(r), and sB = r."""
     r = np.asarray(r, float)
     return CollapsedKernel(lam=lam, r_values=r, sB=r, age_cells=0)
+
+
+def mutation_free(n):
+    """Mix = I: the clonal diagonal alone, a factor of rank 0."""
+    return MixForm(np.ones(n), np.zeros((n, 0)), np.zeros((n, 0)))
+
+
+def dense(M):
+    """A square matrix held whole, as MixForm's dense form with a zero diagonal."""
+    return MixForm(np.zeros(len(M)), M)
 
 
 def direct_operator(model, tg, ag, lam):
@@ -38,15 +48,15 @@ def test_assemble_hand_example(const_pair):
     ck, mix, tg = const_pair
     direct = assemble(ck, mix, tg)
     expected = np.array([[1.7, 0.3], [0.3, 1.7]])
-    assert np.abs(direct.M - expected).max() < 1e-8
-    assert np.array_equal(dual(direct).M, direct.M.T)
+    assert np.abs(direct.M.toarray() - expected).max() < 1e-8
+    assert np.array_equal(dual(direct).M.toarray(), direct.M.toarray().T)
 
 
 def test_assemble_diagonal_when_no_mutation():
     tg = midpoint_grid((0.0, 1.0), 5)
     r = np.linspace(0.5, 1.5, 5)
-    op = assemble(make_ck(r), np.eye(5), tg)
-    assert np.array_equal(op.M, np.diag(r))
+    op = assemble(make_ck(r), mutation_free(5), tg)
+    assert np.array_equal(op.M.toarray(), np.diag(r))
 
 
 def test_assemble_rejects_size_mismatch(const_pair):
@@ -67,26 +77,25 @@ def test_assembly_under_an_asymmetric_kernel_is_the_transpose():
     assert not np.allclose(k, k.T)
     direct = assemble(ck, mix_matrix(model, tg), tg)
     expected = np.diag(r) + p * sB[None, :] * k.T * dx
-    np.testing.assert_allclose(direct.M, expected, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(direct.M.toarray(), expected, rtol=1e-15, atol=0.0)
     expected = np.diag(r) + p * sB[:, None] * k * dx
-    np.testing.assert_allclose(dual(direct).M, expected, rtol=1e-15, atol=0.0)
-    assert np.array_equal(dual(direct).M, direct.M.T)
+    np.testing.assert_allclose(dual(direct).M.toarray(), expected, rtol=1e-15, atol=0.0)
+    assert np.array_equal(dual(direct).M.toarray(), direct.M.toarray().T)
 
 
 def test_adjoint_defect_machine_zero(const_pair):
     ck, mix, tg = const_pair
     direct = assemble(ck, mix, tg)
-    assert adjoint_residual(direct, dual(direct)) <= 1e-14
+    assert adjoint_residual(direct, dual(direct).M.rows) <= 1e-14
 
 
 def test_adjoint_defect_detects_perturbation(const_pair):
     ck, mix, tg = const_pair
     direct = assemble(ck, mix, tg)
-    M = dual(direct).M.copy()
+    M = dual(direct).M.toarray()
     M[0, 1] += 1e-3
-    perturbed = DiscreteOperator(lam=direct.lam, M=M, dx=direct.dx)
     # defect scales with the perturbation times the quadrature weight
-    assert adjoint_residual(direct, perturbed) == pytest.approx(
+    assert adjoint_residual(direct, lambda rows: M[rows]) == pytest.approx(
         1e-3 * tg.dx, rel=1e-9)
 
 
@@ -105,7 +114,7 @@ def test_perron_diagonal_picks_max():
     tg = midpoint_grid((0.0, 1.0), 40)
     r = 1.0 + 0.3 * np.sin(3 * tg.nodes)
     ck = make_ck(r)
-    pair = perron(assemble(ck, np.eye(40), tg))
+    pair = perron(assemble(ck, mutation_free(40), tg))
     assert pair.rho == pytest.approx(float(r.max()), abs=1e-12)
     assert regime(pair.rho, ck.rbar) == "PossiblySingular"
 
@@ -122,7 +131,7 @@ def test_perron_matches_dense_eigensolver():
     for lam in (0.0, 0.8):
         op = direct_operator(model, tg, ag, lam)
         pair = perron(op)
-        eigs = np.linalg.eigvals(op.M)
+        eigs = np.linalg.eigvals(op.M.toarray())
         dominant = eigs[np.argmax(np.abs(eigs))]
         assert abs(dominant.imag) < 1e-10
         assert pair.rho == pytest.approx(float(dominant.real), abs=1e-8)
@@ -147,14 +156,14 @@ def test_rho_at_least_rbar():
     rng = np.random.default_rng(7)
     r = 0.5 + rng.random(16)
     K = rng.random((16, 16))
-    op = DiscreteOperator(lam=0.0, M=np.diag(r) + K.T * tg.dx, dx=tg.dx)
+    op = DiscreteOperator(lam=0.0, M=dense(np.diag(r) + K.T * tg.dx), dx=tg.dx)
     pair = perron(op)
     assert pair.rho >= r.max() - 1e-10
 
 
 def test_primitivity_small_grid(const_pair):
     ck, mix, tg = const_pair
-    M = assemble(ck, mix, tg).M
+    M = assemble(ck, mix, tg).M.toarray()
     P = np.linalg.matrix_power(M, tg.n)
     assert np.all(P > 0)
 
@@ -176,7 +185,7 @@ def test_density_from_profile_constant():
     ck = collapse(model, tg, ag, 1.0)
     op = assemble(ck, mix_matrix(model, tg), tg)
     pair = perron(op)
-    u, res = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
+    u, res = density_from_profile(pair, op, ck)
     assert np.abs(u - 1.0).max() < 1e-6
     assert res < 1e-6
 
@@ -193,7 +202,7 @@ def test_density_from_profile_takes_no_difference_of_the_clonal_rate():
     pair = perron(op)
     k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])    # k[i, j] = k(x_i, x_j)
     ref = (p * ck.sB * k.T * tg.dx) @ pair.profile / (pair.rho - ck.r_values)
-    u, _ = density_from_profile(pair, op, ck, mutant_diagonal(model, tg))
+    u, _ = density_from_profile(pair, op, ck)
     np.testing.assert_allclose(u, ref / np.sum(ref * tg.dx), rtol=1e-14, atol=0.0)
 
 
@@ -201,10 +210,10 @@ def test_density_from_profile_rejects_singular():
     tg = midpoint_grid((0.0, 1.0), 10)
     r = np.ones(10)
     ck = make_ck(r)
-    op = assemble(ck, np.eye(10), tg)
+    op = assemble(ck, mutation_free(10), tg)
     pair = perron(op)
     with pytest.raises(ValueError):
-        density_from_profile(pair, op, ck, np.zeros(10))
+        density_from_profile(pair, op, ck)
 
 
 
@@ -219,8 +228,7 @@ def test_density_from_profile_tests_the_gap_not_the_label():
     ck, pd = problem.direct_pair(lam)
     assert regime(pd.rho, ck.rbar) == "PossiblySingular"
     with pytest.raises(ValueError):
-        density_from_profile(pd, assemble(ck, problem.mix, tg), ck,
-                             mutant_diagonal(model, tg))
+        density_from_profile(pd, assemble(ck, problem.mix, tg), ck)
 
 @settings(max_examples=20, deadline=None)
 @given(M=arrays(np.float64, (6, 6), elements=st.floats(0.01, 2.0)))
@@ -229,7 +237,7 @@ def test_perron_random_nonnegative_matrices(M):
     # nonnegative matrices would cap any residual-based estimate at sqrt(tol)
     M = M + 0.1 * np.eye(6)
     tg = midpoint_grid((0.0, 1.0), 6)
-    op = DiscreteOperator(lam=0.0, M=M, dx=tg.dx)
+    op = DiscreteOperator(lam=0.0, M=dense(M), dx=tg.dx)
     pair = perron(op)
     truth = float(np.abs(np.linalg.eigvals(M)).max())
     assert pair.rho == pytest.approx(truth, rel=1e-6, abs=1e-8)
@@ -260,7 +268,7 @@ def test_cold_shift_invert_matches_dense_eigenvalues(singular_ops):
     op = singular_ops[1]
     pair = perron(op)
     assert pair.path == "shift-invert"
-    eig = np.linalg.eigvals(op.M)
+    eig = np.linalg.eigvals(op.M.toarray())
     truth = float(eig[np.abs(eig.imag) <= 1e-12 * np.abs(eig).max()].real.max())
     assert abs(pair.rho - truth) <= 1e-10 * truth
 
@@ -292,7 +300,7 @@ def test_perron_raises_on_a_non_finite_residual(start):
     M = np.ones((3, 3))
     M[1, 2] = np.nan
     with pytest.raises(PerronConvergenceError) as info:
-        perron(DiscreteOperator(lam=0.0, M=M, dx=tg.dx), start=start)
+        perron(DiscreteOperator(lam=0.0, M=dense(M), dx=tg.dx), start=start)
     assert info.value.iterations <= 1
 
 
@@ -324,6 +332,44 @@ def test_warm_perron_returns_an_eigenvector_start_unchanged():
                                  np.r_[1.0, np.nan, 1.0], np.ones(4)])
 def test_warm_perron_refuses_bad_start(bad):
     tg = midpoint_grid((0.0, 1.0), 3)
-    op = DiscreteOperator(lam=0.0, M=np.ones((3, 3)), dx=tg.dx)
+    op = DiscreteOperator(lam=0.0, M=dense(np.ones((3, 3))), dx=tg.dx)
     with pytest.raises(ValueError, match="start vector"):
         perron(op, start=bad)
+
+
+@pytest.mark.parametrize("family", [
+    {"family": "uniform", "params": {}},
+    {"family": "gaussian", "params": {"width": 0.15}},
+    {"family": "gaussian", "params": {"width": 0.05}},
+], ids=["uniform", "gaussian_0.15", "gaussian_0.05"])
+def test_factored_operator_matches_dense_references_from_k(family):
+    # The factor leaves |G - L L^T| <= MIX_RTOL in every entry, G[i, j] =
+    # k(x_i, x_j) / k(x_i, x_i), so each entry M[i, j] = r_i delta_ij + p sB_j
+    # k(x_j, x_i) dx moves by at most MIX_RTOL w_j, w = p dx k(x, x) sB. The
+    # bounds add the dense references' own rounding, n eps |M| |v| (a length-n
+    # dot product's), and for a solve of A = sigma I - M (A^{-1} >= 0) carry
+    # both through ||A^{-1}||_inf = max(A^{-1} 1).
+    eps = np.finfo(float).eps
+    config = dataclasses.replace(singular_scenario(nx=400), kernel=family)
+    model = build_model(config)
+    tg, ag = build_grids(config, model)
+    n, p, x = tg.n, model.mutation_prob, tg.nodes
+    mix = mix_matrix(model, tg)
+    assert mix.form == "factored"
+    ck = collapse(model, tg, ag, 2.7)
+    op = assemble(ck, mix, tg)
+    M = np.diag(ck.r_values) + p * ck.sB[None, :] * model.mutation_kernel.matrix(x).T * tg.dx
+    w = p * tg.dx * model.mutation_kernel(x, x) * ck.sB
+    v = np.random.default_rng(25).random(n)
+    bound = MIX_RTOL * (w @ v) + n * eps * (M @ v)
+    assert np.all(np.abs(op.M @ v - M @ v) <= bound)
+    bound = MIX_RTOL * w * v.sum() + n * eps * (M.T @ v)
+    assert np.all(np.abs(dual(op).M @ v - M.T @ v) <= bound)
+    rho = perron(op).rho
+    for sigma in (rho * (1.0 + 1e-8), 1.5 * rho):     # the Perron shift, and a far one
+        A = sigma * np.eye(n) - M
+        solved = op.M.shift_inverse(sigma)(v)
+        norm_inv = np.linalg.solve(A, np.ones(n)).max()
+        bound = norm_inv * (MIX_RTOL * (w @ np.abs(solved))
+                            + n * eps * (np.abs(A) @ np.abs(solved)))
+        assert np.all(np.abs(solved - np.linalg.solve(A, v)) <= bound)
