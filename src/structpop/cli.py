@@ -148,8 +148,8 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
 
 def cmd_stationary(config, out: str) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
-    lam, nbar, mass = malthus.stationary_state(problem, triple)
     problem.release_factors()
+    lam, nbar, mass = malthus.stationary_state(problem, triple)
     residual = pde.stationary_residual(model, tgrid, triple.agrid, problem.mix, nbar)
     manifest = _write_grids(out, tgrid, triple.agrid, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
@@ -159,8 +159,8 @@ def cmd_stationary(config, out: str) -> dict:
 
 def cmd_pde(config, out: str, tmax: float) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
-    lam, nbar, _ = malthus.stationary_state(problem, triple)
     problem.release_factors()
+    lam, nbar, _ = malthus.stationary_state(problem, triple)
     solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
     state = pde.uniform_state(tgrid, agrid)
     stride = max(1, int(round(0.1 / solver.dt)))

@@ -24,6 +24,12 @@ is a lower bound on each row sum, so the cells left out weigh less than an
 ulp of every sum. The integrand decays like e^{-(D + lambda) a}, so the
 horizon shrinks as lambda grows.
 
+Every pass over (trait rows, ages) goes by blocks of trait rows
+(`row_blocks`), each temporary at most BLOCK_BYTES: `age_factors` fills C and
+d a block at a time, `collapse` sums its cells by blocks, and `profiles` runs
+its recursion by blocks. A row's sums run in the same order in any block, so
+the blocks change memory, not bits.
+
 A newborn keeps its parent's trait with probability 1 - p and otherwise
 draws it from k(x, .). On the trait grid that law is one matrix,
 Mix = (1 - p) I + p dx K^T, built once per model and grid by `mix_matrix`
@@ -38,14 +44,23 @@ The PDE's newborns and the dual profiles are formed from the same Mix.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import AgeGrid, ConfigError, RateModel, TraitGrid
 
 TAIL_RTOL = 2.0 ** -60      # what an age sum leaves out, relative to its first cell
+BLOCK_BYTES = 2 ** 19       # one (trait rows, width) temporary of a pass by row blocks
+
+
+def row_blocks(n_rows: int, width: int) -> Iterator[slice]:
+    """Slices covering range(n_rows) in order, each of as many rows (at least
+    one) as fit a float (rows, width) temporary in BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (8 * width))
+    for i in range(0, n_rows, step):
+        yield slice(i, min(i + step, n_rows))
 
 
 def _check_lambda(model: RateModel, lam: float) -> None:
@@ -124,10 +139,12 @@ def _horizon_age(model: RateModel, lam: float, first: np.ndarray) -> float:
 # survival factor and product quadrature, factored in lambda
 # ---------------------------------------------------------------------------
 
-def _cell_means(rate, xs: np.ndarray, ages: np.ndarray) -> np.ndarray:
-    """Each age cell's mean of a rate's endpoint values, shape (nx, n_cells)."""
+def _cell_means(rate, xs: np.ndarray, ages: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Each age cell's mean of a rate's endpoint values, shape (nx, n_cells)
+    (into `out` if given)."""
     vals = rate(xs[:, None], ages[None, :])
-    cells = vals[:, :-1] + vals[:, 1:]
+    cells = np.add(vals[:, :-1], vals[:, 1:], out=out)
     cells *= 0.5
     return cells
 
@@ -184,15 +201,25 @@ class AgeFactors:
         return AgeFactors(ages=self.ages[:n_cells + 1], C=self.C[:, :n_cells],
                           d=self.d[:, :n_cells])
 
+    def rows(self, rows: slice) -> "AgeFactors":
+        """The factors of the trait rows `rows`, as row views."""
+        return AgeFactors(ages=self.ages, C=self.C[rows], d=self.d[rows])
+
 
 def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
-    """C and d of the product quadrature at trait nodes xs on the age lattice."""
+    """C and d of the product quadrature at trait nodes xs on the age lattice.
+
+    Both are filled a row block at a time (`row_blocks`), so no temporary of
+    the whole (nx, n_cells) grid sits beside them; a row's values do not
+    depend on the block that holds it.
+    """
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
-    d = _cell_means(model.death, xs, ages)
-    cum = _death_integral(d, ages)
-    C = _cell_means(model.birth, xs, ages)
-    C *= np.exp(np.negative(cum, out=cum), out=cum)[:, :-1]
+    C, d = np.empty((xs.size, ages.size - 1)), np.empty((xs.size, ages.size - 1))
+    for rows in row_blocks(xs.size, ages.size):
+        cum = _death_integral(_cell_means(model.death, xs[rows], ages, out=d[rows]), ages)
+        Cb = _cell_means(model.birth, xs[rows], ages, out=C[rows])
+        Cb *= np.exp(np.negative(cum, out=cum), out=cum)[:, :-1]
     return AgeFactors(ages=ages, C=C, d=d)
 
 
@@ -222,7 +249,6 @@ def cell_integrals(factors: AgeFactors, lam: float,
 
 
 SPAN = 512.0            # the most E rises over an age block of `profiles`
-BLOCK_BYTES = 2 ** 19   # one (trait rows, ages) temporary of `profiles`
 
 
 def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
@@ -256,9 +282,7 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
     steps = ages[1] * np.arange(n + 1 if math.isinf(a) else math.ceil(a / ages[1]) + 2)
     ages = np.concatenate([ages, ages[-1] + steps[1:horizon(model, lam, first, steps) + 1]])
     R, q = np.empty((xs.size, n + 1)), np.empty((xs.size, n + 1))
-    step = max(1, BLOCK_BYTES // (8 * ages.size))     # rows per block of temporaries
-    for i in range(0, xs.size, step):
-        rows = slice(i, i + step)
+    for rows in row_blocks(xs.size, ages.size):
         x, Rb, qb = xs[rows], R[rows], q[rows]
         d = np.hstack([factors.d[rows], _cell_means(model.death, x, ages[n:])])
         E = _death_integral(d, ages)            # int_0^a D: one prefix sum
@@ -453,13 +477,16 @@ def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
 
     factors (`age_factors` at the trait nodes, on the age lattice or on any
     lattice it is a prefix of) are built here when not given; a lambda sweep
-    passes them in.
+    passes them in. The cells are formed and summed by `row_blocks`, so no
+    (nx, n) temporary is.
     """
     _check_lambda(model, lam)
     if factors is None:
         factors = age_factors(model, tgrid.nodes, agrid.nodes)
     n = horizon(model, lam, cell_integrals(factors, lam, 1)[:, 0],
                 factors.ages[:agrid.n_cells + 1])
-    sB = cell_integrals(factors, lam, n).sum(axis=1)   # int B R da
+    sB = np.empty(tgrid.n)                              # int B R da
+    for rows in row_blocks(tgrid.n, n):
+        sB[rows] = cell_integrals(factors.rows(rows), lam, n).sum(axis=1)
     return CollapsedKernel(lam=lam, r_values=(1.0 - model.mutation_prob) * sB, sB=sB,
                            age_cells=n)

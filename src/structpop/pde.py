@@ -99,10 +99,6 @@ class TransportSolver:
     def mass(self, values: np.ndarray) -> float:
         return float(np.sum(values @ self.mass_w))
 
-    def renewal_flux(self, values: np.ndarray) -> np.ndarray:
-        """F[n](x): clonal plus mutant birth flux at age zero, per trait node."""
-        return self.mix @ np.sum(self.B * values * self.qa[None, :], axis=1)
-
     # -- stepping ----------------------------------------------------------
 
     def density(self, state: DensityState, out: np.ndarray | None = None) -> np.ndarray:

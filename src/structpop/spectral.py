@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import CollapsedKernel, MixForm
+from .kernel import CollapsedKernel, MixForm, row_blocks
 from .model import TraitGrid
 
 
@@ -69,22 +69,19 @@ def dual(direct: DiscreteOperator) -> DiscreteOperator:
     return replace(direct, M=direct.M.T)
 
 
-BLOCK_ENTRIES = 2 ** 16     # entries of one block of rows `adjoint_residual` forms
-
-
 def adjoint_residual(direct: DiscreteOperator, dual_rows) -> float:
     """Max defect of the discrete duality pairing <M_dir f, g> = <f, M_dual g>,
     each entry weighed by dx: max |M_dir[j, i] - M_dual[i, j]| dx.
 
     dual_rows(rows) gives the rows `rows` (a slice) of the dual's matrix,
-    dense; both sides are formed by blocks of rows, so no (nx, nx) array is.
+    dense; both sides are formed by `kernel.row_blocks`, so no (nx, nx)
+    array is.
     """
     Mt, n = direct.M.T, direct.M.shape[0]
-    step, worst = max(1, BLOCK_ENTRIES // n), 0.0
-    for i in range(0, n, step):
-        rows = slice(i, i + step)
+    worst = 0.0
+    for rows in row_blocks(n, n):
         theirs = dual_rows(rows)
-        if theirs.shape != (min(step, n - i), n):
+        if theirs.shape != (rows.stop - rows.start, n):
             raise ValueError("operators are not a matching direct/dual pair")
         worst = max(worst, float(np.abs(Mt.rows(rows) - theirs).max()))
     return worst * direct.dx

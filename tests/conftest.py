@@ -44,6 +44,12 @@ class Setup:
         return stationary_state(self.problem, self.triple)
 
 
+def renewal_flux(solver, values):
+    """F[n](x): clonal plus mutant birth flux at age zero, per trait node, from
+    the solver's Mix, B and age weights."""
+    return solver.mix @ np.sum(solver.B * values * solver.qa[None, :], axis=1)
+
+
 # PASS/FAIL lines recorded by the acceptance tests; replayed after the run
 # so the report survives output capture.
 acceptance_lines = []

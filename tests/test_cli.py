@@ -408,8 +408,9 @@ def test_verify_builds_the_age_factors_once_per_problem(tmp_path, monkeypatch, p
 @pytest.mark.parametrize("argv, module, name", [
     (["pde", "--tmax", "0.5"], pde, "run"),
     (["ibm", "--tmax", "0.5", "--replicates", "2"], ibm, "run_replicates"),
-    (["stationary"], pde, "stationary_residual")],
-    ids=["pde", "ibm", "stationary"])
+    (["stationary"], pde, "stationary_residual"),
+    (["stationary"], malthus, "stationary_state")],
+    ids=["pde", "ibm", "stationary", "stationary_nbar"])
 def test_dynamics_run_without_age_factors(small_cfg, tmp_path, monkeypatch, argv, module, name):
     built = recording_age_factor_builds(monkeypatch)
     step = getattr(module, name)
@@ -759,7 +760,6 @@ def test_no_command_loads_scipy(tmp_path):
 REACHABILITY_EXEMPT = {
     "transform_check": "criterion 12 checks the competition transform with it",
     "dirac_state": "criterion 06's initial state",
-    "TransportSolver.renewal_flux": "the per-cell reference scheme compares against it",
     "solve_eigentriple": "the library's one-call solve on the whole age lattice, "
                          "which the IBM benchmark workload reads",
 }

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
                               choose_age_truncation, collapse, horizon, profiles,
-                              survival_matrix, tail_bound)
+                              row_blocks, survival_matrix, tail_bound)
 from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 
@@ -307,6 +308,78 @@ def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
     ck = collapse(model, tg, ag, 4.0, factors=factors)
     assert ck.age_cells == ag.n_cells
     np.testing.assert_array_equal(ck.sB, cell_integrals(factors, 4.0).sum(axis=1))
+
+
+def whole_grid_age_factors(model, xs, ages):
+    """C and d formed on the whole (nx, n_cells) grid at once, by the formula
+    `age_factors` follows row by row."""
+    def cell_means(rate):
+        vals = rate(xs[:, None], ages[None, :])
+        return 0.5 * (vals[:, :-1] + vals[:, 1:])
+    d = cell_means(model.death)
+    cum = np.cumsum(np.hstack([np.zeros((xs.size, 1)), d * np.diff(ages)]), axis=1)
+    return cell_means(model.birth) * np.exp(-cum)[:, :-1], d
+
+
+BLOCKED_CASES = {"singular": singular_scenario(nx=256),
+                 "affine_death_in_age": dataclasses.replace(
+                     REFERENCE_CASES["affine_death_in_age"], nx=256)}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+def test_row_blocks_keep_the_bits_of_the_whole_grid(case):
+    # each row's sums run in the same order whichever block holds the row
+    model = build_model(BLOCKED_CASES[case])
+    tg, ag = build_grids(BLOCKED_CASES[case], model)
+    assert len(list(row_blocks(tg.n, ag.n_cells + 1))) > 1
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    C, d = whole_grid_age_factors(model, tg.nodes, ag.nodes)
+    np.testing.assert_array_equal(factors.C, C)
+    np.testing.assert_array_equal(factors.d, d)
+    for lam in (0.0, 1.0, 2.78):
+        ck = collapse(model, tg, ag, lam, factors=factors)
+        assert len(list(row_blocks(tg.n, ck.age_cells))) > 1
+        np.testing.assert_array_equal(
+            ck.sB, cell_integrals(factors, lam, ck.age_cells).sum(axis=1))
+
+
+def traced_peak(call):
+    """The peak of what call() allocates, by tracemalloc, and call's value."""
+    tracemalloc.start()
+    try:
+        value = call()
+        return tracemalloc.get_traced_memory()[1], value
+    finally:
+        tracemalloc.stop()
+
+
+# In units of one (nx, n_cells) grid, 2442 cells on the singular preset at
+# nx = 256. A row block is kernel.BLOCK_BYTES // (8 (n_cells + 1)) = 26 trait
+# rows (10 blocks), 0.10 grid per (rows, n_cells) temporary.
+MEMORY_CASE = singular_scenario(nx=256)
+
+
+def test_age_factors_form_no_whole_grid_temporary():
+    # C and d are 2 grids. Beside them each block holds the running death
+    # integral and one rate's endpoint values, 0.20 grid: 2.24 grids read,
+    # where the whole-grid formula (d, the death integral, the birth values
+    # and C) reads 4.03. The bound leaves a quarter grid over.
+    model = build_model(MEMORY_CASE)
+    tg, ag = build_grids(MEMORY_CASE, model)
+    peak, _ = traced_peak(lambda: age_factors(model, tg.nodes, ag.nodes))
+    assert peak <= 2.5 * (8 * tg.n * ag.n_cells)
+
+
+def test_collapse_sums_its_cells_by_row_blocks():
+    # At lambda = 0 the sum runs to the whole lattice. Each block holds
+    # cell_integrals' -z and cells at once: 0.20 grid read, where summing the
+    # whole grid at once reads 2.00. The bound leaves a tenth of a grid over.
+    model = build_model(MEMORY_CASE)
+    tg, ag = build_grids(MEMORY_CASE, model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    peak, ck = traced_peak(lambda: collapse(model, tg, ag, 0.0, factors=factors))
+    assert ck.age_cells == ag.n_cells
+    assert peak <= 0.3 * (8 * tg.n * ag.n_cells)
 
 
 @pytest.mark.parametrize("case", sorted(HORIZON_CASES))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import renewal_flux
 from structpop import kernel, malthus, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import collapse, survival_matrix
@@ -89,7 +90,7 @@ def test_boundary_identity(constant_setup):
     # independent check of the factorization: N(x, 0) equals the birth flux
     s = constant_setup
     tr = s.triple
-    flux = s.solver.renewal_flux(tr.N_grid)
+    flux = renewal_flux(s.solver, tr.N_grid)
     assert np.abs(flux - tr.N_grid[:, 0]).max() < 1e-6
 
 
@@ -390,7 +391,8 @@ def test_eigentriple_reports_perron_and_keeps_factors():
 def test_profile_step_forms_no_grid_sized_integrand():
     # R and phi are the two (x, a) grids the profile step forms; N is formed in
     # R's place. The recursion's temporaries span [0, A_max + L], 3658 ages at
-    # nx = 64, by blocks of 17 trait rows (kernel.BLOCK_BYTES): 0.4 grid each.
+    # nx = 64, by blocks of 17 trait rows (kernel.row_blocks, each temporary
+    # at most kernel.BLOCK_BYTES): 0.4 grid each.
     # Four are alive at once (the joined factors d and C, and cell_integrals'
     # -z and cells), so the step reads 3.64 grids; the bound leaves a quarter
     # grid over that.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from conftest import renewal_flux
 from structpop import pde
 from structpop.kernel import mix_matrix, survival_matrix
 from structpop.model import (AgeGrid, build_grids, build_model,
@@ -105,8 +106,8 @@ def test_stationary_state_is_fixed_point(constant_setup):
 
 def test_renewal_flux_examples(constant_setup):
     s = constant_setup
-    assert np.all(s.solver.renewal_flux(np.zeros_like(s.triple.N_grid)) == 0)
-    flux = s.solver.renewal_flux(s.triple.N_grid)
+    assert np.all(renewal_flux(s.solver, np.zeros_like(s.triple.N_grid)) == 0)
+    flux = renewal_flux(s.solver, s.triple.N_grid)
     assert np.abs(flux - s.triple.N_grid[:, 0]).max() < 1e-6
 
 
@@ -118,7 +119,7 @@ def test_renewal_flux_mutation_free_limit():
     solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
     n = np.exp(-ag.nodes)[None, :] * (1.0 + tg.nodes)[:, None]
     clonal = np.sum(solver.B * n * solver.qa[None, :], axis=1)
-    assert np.abs(solver.renewal_flux(n) - clonal).max() < 1e-10
+    assert np.abs(renewal_flux(solver, n) - clonal).max() < 1e-10
 
 
 def test_distances_trivial_cases(constant_setup):
@@ -358,7 +359,7 @@ def reference_run(solver, values, n_steps, c):
     for i in range(nx):
         unit = np.zeros_like(values)
         unit[i, 0] = 1.0
-        M[:, i] = solver.renewal_flux(unit)
+        M[:, i] = renewal_flux(solver, unit)
     n, loss = values.copy(), 0.0
     for _ in range(n_steps):
         loss += float(np.sum(n[:, -1] * cell_survival[:, -1] * solver.tgrid.dx)
@@ -366,7 +367,7 @@ def reference_run(solver, values, n_steps, c):
         shifted = np.zeros_like(n)
         shifted[:, 1:] = n[:, :-1] * cell_survival * math.exp(
             -c * float(np.sum(n * solver.mass_w)) * solver.dt)
-        n0 = np.linalg.solve(np.eye(nx) - M, solver.renewal_flux(shifted))
+        n0 = np.linalg.solve(np.eye(nx) - M, renewal_flux(solver, shifted))
         shifted[:, 0] = np.maximum(n0, 0.0)
         n = shifted
     return n, loss
