@@ -1,0 +1,281 @@
+/* The compiled loops of structpop, built into one library by structpop._loops:
+ * the event loop of ibm.simulate (ibm_run) and the trace record of pde.run
+ * (pde_record). Build with -ffp-contract=off (no fused multiply-adds) and
+ * without -ffast-math.
+ *
+ * ibm_run is the event loop for constant, affine and sqrt_gap rates, on
+ * CPython's MT19937 stream. It reads the stream exactly as the Python loop in
+ * ibm.py does, with the same floating-point operations in the same order, so
+ * both loops produce the same events bit for bit. It advances the state
+ * until something needs Python and returns why: a sample time is crossed,
+ * the horizon or extinction is reached, the particle cap is exceeded, a rate
+ * leaves its domain, or a buffer is full.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+enum { DONE = 0, EXTINCT = 1, SAMPLE = 2, ABORTED = 3, FULL = 4, DOMAIN = 5 };
+enum { CONSTANT = 0, AFFINE = 1, SQRT_GAP = 2 };
+
+typedef struct {
+    uint32_t mt[624];
+    int64_t mti;            /* next word of mt; 624 regenerates the table */
+    double *xs, *bt;        /* traits and birth times of the live particles */
+    int64_t n, cap;         /* live count and buffer length */
+    double *ev_t;           /* event times and kinds (1 birth, 0 death), */
+    uint8_t *ev_kind;       /* written only when ev_cap > 0 */
+    int64_t n_ev, ev_cap;
+    double t, T, s_next;
+    int64_t pending;        /* waiting time drawn, its event not yet run */
+    int64_t n_events, n_deaths, peak, particle_cap;
+    int64_t bfam, dfam;
+    double bpar[3], dpar[3];
+    double bd, c, K, p, lo, dx;
+    const double *cdf;      /* nx rows of nx mutant CDF entries */
+    const double *nodes;
+    int64_t nx;
+} ibm_state;
+
+/* genrand_uint32 of CPython's Modules/_randommodule.c */
+static uint32_t genrand(ibm_state *s)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y, *mt = s->mt;
+    if (s->mti >= 624) {
+        int kk;
+        for (kk = 0; kk < 624 - 397; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + 397] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < 623; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (397 - 624)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[623] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[623] = mt[396] ^ (y >> 1) ^ mag01[y & 0x1U];
+        s->mti = 0;
+    }
+    y = mt[s->mti++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.random(): 53 bits from two words */
+static double uniform(ibm_state *s)
+{
+    uint32_t a = genrand(s) >> 5, b = genrand(s) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* the families' `scalar` forms (model._make_rate); 0 where sqrt would raise
+ * in Python */
+static int rate(int64_t fam, const double *par, double lo, double x, double a,
+                double *out)
+{
+    if (fam == CONSTANT) {
+        *out = par[0];
+    } else if (fam == AFFINE) {
+        *out = par[0] + par[1] * x + par[2] * a;
+    } else {
+        double gap = x - lo;
+        if (gap < 0.0)
+            return 0;
+        *out = par[0] - sqrt(gap);
+    }
+    return 1;
+}
+
+int ibm_run(ibm_state *s)
+{
+    for (;;) {
+        int64_t n = s->n;
+        if (n == 0)
+            return EXTINCT;
+        if (n >= s->cap || (s->ev_cap > 0 && s->n_ev >= s->ev_cap))
+            return FULL;
+        double comp = s->c * n / s->K;
+        double bound = s->bd + comp;
+        if (!s->pending) {
+            s->t -= log(1.0 - uniform(s)) / (n * bound);
+            if (s->t >= s->T) {
+                s->t = s->T;
+                return DONE;
+            }
+            s->pending = 1;
+        }
+        if (s->s_next <= s->t + 1e-12)
+            return SAMPLE;
+        s->pending = 0;
+        s->n_events++;
+
+        int k = 64 - __builtin_clzll((unsigned long long)n);   /* n.bit_length() */
+        int64_t i;
+        do {
+            i = genrand(s) >> (32 - k);                         /* getrandbits(k) */
+        } while (i >= n);
+        double x = s->xs[i];
+        double a = s->t - s->bt[i];
+        double u = uniform(s) * bound;
+        double b, d;
+        if (!rate(s->bfam, s->bpar, s->lo, x, a, &b))
+            return DOMAIN;
+        if (u < b) {
+            if (uniform(s) < s->p) {
+                double q = (x - s->lo) / s->dx;
+                int64_t last = s->nx - 1;
+                int64_t cell = q >= (double)last ? last : (q < 0.0 ? 0 : (int64_t)q);
+                const double *row = s->cdf + cell * s->nx;
+                double v = uniform(s);
+                int64_t lo = 0, hi = s->nx;       /* bisect_left */
+                while (lo < hi) {
+                    int64_t m = (lo + hi) / 2;
+                    if (row[m] < v)
+                        lo = m + 1;
+                    else
+                        hi = m;
+                }
+                x = s->nodes[lo < last ? lo : last];
+            }
+            s->xs[n] = x;
+            s->bt[n] = s->t;
+            s->n = ++n;
+            if (s->ev_cap > 0) {
+                s->ev_t[s->n_ev] = s->t;
+                s->ev_kind[s->n_ev++] = 1;
+            }
+            if (n > s->peak)
+                s->peak = n;
+            if (n > s->particle_cap)
+                return ABORTED;
+        } else {
+            if (!rate(s->dfam, s->dpar, s->lo, x, a, &d))
+                return DOMAIN;
+            if (u < b + d + comp) {
+                s->xs[i] = s->xs[n - 1];
+                s->bt[i] = s->bt[n - 1];
+                s->n = n - 1;
+                s->n_deaths++;
+                if (s->ev_cap > 0) {
+                    s->ev_t[s->n_ev] = s->t;
+                    s->ev_kind[s->n_ev++] = 0;
+                }
+            }
+        }
+    }
+}
+
+/* ---- the trace record of pde.run ----------------------------------------
+ *
+ * pde_record takes the five sums of one record in one pass over the cohort
+ * ring: with v = s u R the density at each (x, a) node and mw the mass
+ * weights,
+ *   sums[0] = sum v mw                       the mass
+ *   sums[1] = sum v excess                   D(t)'s numerator
+ *   sums[2] = sum v (phi mw)                 the invariant
+ *   sums[3] = sum |scale v - target| mw      tv
+ *   sums[4] = sum |scale v - target| mw phi  pw
+ * Each term is the NumPy record's product, its factors in the same order;
+ * only the order of the sums differs. Row x of the ring holds age a_j at column (head + j) mod L,
+ * so a row is two spans of ages, [0, L - head) from column head and
+ * [L - head, L) from column 0. Each row is summed in two lanes, the even and
+ * the odd ages of each span, and the rows are added in order: the sums are
+ * the same bits on every run and at any BLAS thread count.
+ *
+ * R NULL reads u as the density itself (a materialised state: head 0, s 1).
+ * excess, phi or target NULL leaves the sums that read it at 0.
+ */
+
+typedef double pair __attribute__((vector_size(16)));   /* two ages of a row */
+
+enum { HAS_R = 1, HAS_EXCESS = 2, HAS_PHI = 4, HAS_TARGET = 8 };
+
+/* p[j] and p[j + 1], or p[j] and 0 where j is a span's odd last age */
+static inline pair ages(const double *p, int64_t j, int last)
+{
+    pair r = {p[j], 0.0};
+    if (!last)
+        memcpy(&r, p + j, sizeof r);
+    return r;
+}
+
+static inline __attribute__((always_inline)) void
+record_ages(pair acc[5], int has, int64_t j, int last, const double *u,
+            const double *R, pair s, const double *mw, const double *excess,
+            const double *phi, const double *target, pair scale)
+{
+    pair v = ages(u, j, last);
+    if (has & HAS_R)
+        v = v * ages(R, j, last) * s;
+    pair m = ages(mw, j, last);
+    acc[0] += v * m;
+    if (has & HAS_EXCESS)
+        acc[1] += v * ages(excess, j, last);
+    pair p = has & HAS_PHI ? ages(phi, j, last) : m;
+    if (has & HAS_PHI)
+        acc[2] += v * (p * m);
+    if (has & HAS_TARGET) {
+        pair d = scale * v - ages(target, j, last);
+        d = (pair){fabs(d[0]), fabs(d[1])} * m;
+        acc[3] += d;
+        if (has & HAS_PHI)
+            acc[4] += d * p;
+    }
+}
+
+/* ages [0, n) of one span; every pointer is at the span's first age */
+static inline __attribute__((always_inline)) void
+record_span(pair acc[5], int has, int64_t n, const double *u, const double *R,
+            pair s, const double *mw, const double *excess, const double *phi,
+            const double *target, pair scale)
+{
+    int64_t j = 0;
+    for (; j + 1 < n; j += 2)
+        record_ages(acc, has, j, 0, u, R, s, mw, excess, phi, target, scale);
+    if (j < n)
+        record_ages(acc, has, j, 1, u, R, s, mw, excess, phi, target, scale);
+}
+
+static inline __attribute__((always_inline)) void
+record_rows(double sums[5], int has, int64_t nx, int64_t L, const double *u,
+            int64_t head, double s, const double *R, const double *mw,
+            const double *excess, const double *phi, const double *target,
+            double scale)
+{
+    int64_t k = L - head;
+    pair s2 = {s, s}, scale2 = {scale, scale};
+    for (int64_t x = 0; x < nx; x++) {
+        int64_t o = x * L;
+        pair acc[5] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
+        record_span(acc, has, k, u + o + head, R + o, s2, mw, excess + o, phi + o,
+                    target + o, scale2);
+        record_span(acc, has, head, u + o, R + o + k, s2, mw + k, excess + o + k,
+                    phi + o + k, target + o + k, scale2);
+        for (int q = 0; q < 5; q++)
+            sums[q] += acc[q][0] + acc[q][1];
+    }
+}
+
+void pde_record(int64_t nx, int64_t L, const double *u, int64_t head, double s,
+                const double *R, const double *mw, const double *excess,
+                const double *phi, const double *target, double scale,
+                double sums[5])
+{
+    int has = (R ? HAS_R : 0) | (excess ? HAS_EXCESS : 0) | (phi ? HAS_PHI : 0)
+              | (target ? HAS_TARGET : 0);
+    const double *grid = u;     /* an absent grid's stand-in: u's shape, never read */
+    R = R ? R : grid;
+    excess = excess ? excess : grid;
+    phi = phi ? phi : grid;
+    target = target ? target : grid;
+    for (int q = 0; q < 5; q++)
+        sums[q] = 0.0;
+    if (has == (HAS_R | HAS_EXCESS | HAS_PHI | HAS_TARGET))    /* a stepped record */
+        record_rows(sums, HAS_R | HAS_EXCESS | HAS_PHI | HAS_TARGET, nx, L, u, head, s,
+                    R, mw, excess, phi, target, scale);
+    else
+        record_rows(sums, has, nx, L, u, head, s, R, mw, excess, phi, target, scale);
+}

@@ -150,11 +150,14 @@ def cmd_stationary(config, out: str) -> dict:
     model, tgrid, agrid, problem, triple = _solve(config)
     problem.release_factors()
     lam, nbar, mass = malthus.stationary_state(problem, triple)
-    residual = pde.stationary_residual(model, tgrid, triple.agrid, problem.mix, nbar)
-    manifest = _write_grids(out, tgrid, triple.agrid, nbar=nbar)
+    # n-bar is a scaled copy of N: drop the triple's N and phi grids before the residual
+    lattice, regime, warnings = triple.agrid, triple.regime, triple.diagnostics["warnings"]
+    del triple
+    residual = pde.stationary_residual(model, tgrid, lattice, problem.mix, nbar)
+    manifest = _write_grids(out, tgrid, lattice, nbar=nbar)
     return {"lambda_star": lam, "mass": mass, "c_mass": model.competition * mass,
-            "weak_form_residual": residual, "regime": triple.regime,
-            "warnings": triple.diagnostics["warnings"], "manifest": manifest}
+            "weak_form_residual": residual, "regime": regime,
+            "warnings": warnings, "manifest": manifest}
 
 
 def cmd_pde(config, out: str, tmax: float) -> dict:
@@ -175,7 +178,7 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
             "final_tv": trace.tv_to_target[-1], "regime": triple.regime,
             "warnings": triple.diagnostics["warnings"],
             "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1],
-                    "history": dict(solver.history),
+                    "history": dict(solver.history), "record": trace.record,
                     "mass_ode_residual": pde.mass_ode_residual(trace, lam,
                                                                model.competition)},
             "manifest": [path]}

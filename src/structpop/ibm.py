@@ -10,18 +10,15 @@ streams spawned from one root seed.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
-import os
 import random
-import shutil
-import tempfile
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _loops
 from .kernel import MixForm
 from .model import AgeGrid, RateModel, TraitGrid, mass_weights
 
@@ -51,7 +48,7 @@ class EventLog:
     loop: str = "python"        # which event loop ran: "c" or "python"
 
 
-# _ibm_loop.c's family codes and the order of its three rate parameters; its
+# _loops.c's family codes and the order of its three rate parameters; its
 # `rate` evaluates the same bodies as these families' `scalar`
 _C_RATES = {"constant": (0, ("value",)),
             "affine": (1, ("base", "slope_x", "slope_a")),
@@ -87,65 +84,9 @@ def _sample(xs: list, bt: list, K: int, s: float, store_snapshots: bool):
     return len(xs) / K, (np.array(xs, float), ages)   # a copy, never a live buffer
 
 
-# -- the compiled event loop (_ibm_loop.c), an optional speed-up --------------
+# -- the compiled event loop (ibm_run in _loops.c), an optional speed-up ----
 
-_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ibm_loop.c")
-_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")   # no FMA, no fast-math
 _DONE, _EXTINCT, _SAMPLE, _ABORTED, _FULL, _DOMAIN = range(6)
-
-
-class _LoopState(ctypes.Structure):
-    """Mirror of `ibm_state` in _ibm_loop.c."""
-    _i, _d, _p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    _fields_ = [("mt", ctypes.c_uint32 * 624), ("mti", _i),
-                ("xs", _p), ("bt", _p), ("n", _i), ("cap", _i),
-                ("ev_t", _p), ("ev_kind", _p), ("n_ev", _i), ("ev_cap", _i),
-                ("t", _d), ("T", _d), ("s_next", _d), ("pending", _i),
-                ("n_events", _i), ("n_deaths", _i), ("peak", _i), ("particle_cap", _i),
-                ("bfam", _i), ("dfam", _i), ("bpar", _d * 3), ("dpar", _d * 3),
-                ("bd", _d), ("c", _d), ("K", _d), ("p", _d), ("lo", _d), ("dx", _d),
-                ("cdf", _p), ("nodes", _p), ("nx", _i)]
-
-
-@functools.cache
-def _c_loop():
-    """(library, None) for the compiled event loop, or (None, why it is unavailable).
-
-    Built on the first call with `cc` (or `gcc`) from PATH into the package's
-    `__pycache__/`, named by the SHA-256 of the source and flags, so later
-    processes load the cached library without compiling. Any failure to
-    compile, write or load leaves the Python loop in charge.
-    """
-    import hashlib      # imported here: only the build needs them, not start-up
-    import subprocess
-    try:
-        with open(_C_SOURCE, "rb") as f:
-            source = f.read()
-        digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
-        cache = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
-        path = os.path.join(cache, f"_ibm_loop-{digest}.so")
-        if not os.path.exists(path):
-            cc = shutil.which("cc") or shutil.which("gcc")
-            if cc is None:
-                return None, "no C compiler (cc or gcc) on PATH"
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([cc, *_C_FLAGS, "-o", tmp, _C_SOURCE, "-lm"],
-                               check=True, capture_output=True, timeout=120)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        lib = ctypes.CDLL(path)
-        lib.ibm_run.argtypes = [ctypes.POINTER(_LoopState)]
-        lib.ibm_run.restype = ctypes.c_int
-        return lib, None
-    except subprocess.CalledProcessError as e:
-        return None, f"compiler failed: {e.stderr.decode(errors='replace').strip()}"
-    except (OSError, subprocess.SubprocessError) as e:
-        return None, f"{type(e).__name__}: {e}"
 
 
 def _grown(buf: np.ndarray, used: int) -> np.ndarray:
@@ -163,7 +104,7 @@ def _c_events(lib, rng, xs, bt, model, K, T, c, bd, rates, cdf, nodes, dx,
     Fills masses and snapshots up to the last crossed sample time and returns
     (traits, birth times, t, n_events, n_deaths, peak, aborted, events, si).
     """
-    st = _LoopState()
+    st = _loops.IbmState()
     words = rng.getstate()[1]
     st.mt[:] = words[:624]
     st.mti = words[624]
@@ -224,8 +165,8 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     the draw is below n for the particle, one `random()` for the mark, and on
     a birth one `random()` for mutation and one more for the mutant trait.
 
-    Rates of the families in _C_RATES run this loop compiled (_ibm_loop.c)
-    when the library builds and loads; other rate families, and any host
+    Rates of the families in _C_RATES run this loop compiled (`ibm_run` in
+    _loops.c) when the library builds and loads; other rate families, and any host
     without it, run it in Python on the families' `scalar` forms. Both read the
     stream identically, and the log's `loop` field says which one ran.
     """
@@ -266,7 +207,7 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     lib = None
     if (model.birth.name in _C_RATES and model.death.name in _C_RATES
             and max(n, particle_cap + 1) < 2**32):   # getrandbits(k) reads one word
-        lib, _ = _c_loop()
+        lib, _ = _loops.library()
     if lib is not None:
         rates = _c_rate(model.birth), _c_rate(model.death)
         xs, bt, t, n_events, n_deaths, peak, aborted, events, si = _c_events(

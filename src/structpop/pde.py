@@ -12,7 +12,10 @@ it, while the spectral stack holds Mix in its factored form.
 Stepping holds n = s R_0 u, a renewal equation in u (see
 `TransportSolver.step_nonlinear`, the one step). The flow is the model's: the
 linear flow is the flow of the model with c = 0, and since u's recursion is
-free of c, `transform_check` reads the linear flow off the nonlinear ring."""
+free of c, `transform_check` reads the linear flow off the nonlinear ring.
+A trace record of `run` takes its sums in one compiled pass that reads the
+ring in place (`pde_record` in _loops.c) where that library loads, and
+otherwise by NumPy over the materialised density."""
 
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _loops
 from .kernel import MixForm, survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid, grid_integral, mass_weights
 
@@ -58,6 +62,7 @@ class TraceRecord:
     D_t: list = field(default_factory=list)
     truncation_loss: list = field(default_factory=list)
     steps: int = 0
+    record: str = "numpy"       # which record took the sums: "c" or "numpy"
 
 
 class TransportSolver:
@@ -72,7 +77,6 @@ class TransportSolver:
         self.B = np.asarray(model.birth(xs[:, None], ages[None, :]), float)
         D = np.asarray(model.death(xs[:, None], ages[None, :]), float)
         self._net = self.B - D
-        self._excess = (math.nan, None)     # lambda* and (B - D - lambda*) mass_w
 
         self.R = R = survival_matrix(model, xs, ages, 0.0)
         R[R < 1e-300] = 0.0     # keeps u = n / R finite
@@ -182,15 +186,14 @@ class TransportSolver:
             raise ValueError("state and target shapes differ")
         diff = np.abs(np.subtract(values, target, out=out), out=out)
         diff *= self.mass_w
-        pw = float(np.vdot(diff, phi)) if phi is not None else math.nan
-        return float(diff.sum()), pw
+        tv = float(diff.sum())
+        pw = float(np.multiply(diff, phi, out=diff).sum()) if phi is not None else math.nan
+        return tv, pw
 
-    def growth_diag(self, values: np.ndarray, lam_star: float, mass: float) -> float:
-        """D(t): mass-weighted mean of B - D - lambda*, given values' mass, by one
-        pass against (B - D - lambda*) mass_w, formed at the first call per lambda*."""
-        if self._excess[0] != lam_star:
-            self._excess = lam_star, (self._net - lam_star) * self.mass_w
-        return float(np.vdot(values, self._excess[1])) / mass if mass > 0 else math.nan
+    def growth_diag(self, values: np.ndarray, excess: np.ndarray, mass: float) -> float:
+        """D(t): mass-weighted mean of B - D - lambda*, given values' mass and the
+        weights (B - D - lambda*) mass_w, by one pass (NumPy's own loop, not BLAS)."""
+        return float(np.einsum("ij,ij->", values, excess)) / mass if mass > 0 else math.nan
 
 
 def _n_steps(solver: TransportSolver, state: DensityState, T: float) -> int:
@@ -206,7 +209,8 @@ def run(solver: TransportSolver, state: DensityState, T: float,
         lam_star: float | None = None,
         record_every: int = 1) -> tuple[DensityState, TraceRecord]:
     """Step to the first step time at or after T, tracing mass, distances, and
-    the conserved pairing. T must be finite and not before state.t, else ValueError.
+    the conserved pairing. T must be finite and not before state.t, else
+    ValueError; so is a state, target or phi whose shape is not the solver's.
 
     The flow is the solver's model's: a run is linear exactly when its
     competition rate is 0 (the linear flow of a model is the flow of
@@ -214,27 +218,71 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     scales the state by e^{-lam* t} before its distances, so the trace holds
     the distances of e^{-lam* t} v_t to the target (the expected limit m0 * N),
     and with phi also the invariant sum(e^{-lam* t} v phi).
+
+    Each record's sums are taken in one pass over the cohort ring by
+    `pde_record` in _loops.c when the library builds and loads, and otherwise
+    by NumPy over the materialised density; `trace.record` says which. The
+    two agree to roundoff. Neither sums by a BLAS dot product, whose order of
+    summation moves with the BLAS thread count.
     """
     linear = solver.model.competition == 0
     n_steps = _n_steps(solver, state, T)
-    trace = TraceRecord(steps=n_steps)
+    shape = solver.R.shape
+    if state._values is None and state._cohort[0] is not solver:
+        state.values        # a ring another solver stepped, read through that solver
+    for name, grid in (("state", state._values), ("target", target), ("phi", phi)):
+        if grid is not None and np.shape(grid) != shape:
+            raise ValueError(f"{name} shape {np.shape(grid)} differs from the "
+                             f"solver's {shape}")
+    lib = _loops.library()[0]
+    trace = TraceRecord(steps=n_steps, record="numpy" if lib is None else "c")
     cum_loss = 0.0
-    buf = np.empty_like(solver.R)
     invariant = linear and phi is not None and lam_star is not None
-    phi_w = phi * solver.mass_w if invariant else None
+    excess = (solver._net - lam_star) * solver.mass_w if lam_star is not None else None
 
-    def record():       # one materialisation into buf, which the distances overwrite
-        values = solver.density(state, out=buf)
-        trace.t.append(state.t)
-        trace.mass.append(mass := solver.mass(values))
+    if lib is None:
+        buf = np.empty(shape)
+        phi_w = phi * solver.mass_w if invariant else None
+
+        def sums(scale):    # one materialisation into buf, which the distances overwrite
+            values = solver.density(state, out=buf)
+            mass = solver.mass(values)
+            growth = solver.growth_diag(values, excess, mass) if excess is not None else None
+            inv = float(np.einsum("ij,ij->", values, phi_w)) if invariant else None
+            tv = pw = None
+            if target is not None:
+                scaled = np.multiply(values, scale, out=buf) if linear else values
+                tv, pw = solver.distances(scaled, target, phi, out=buf)
+            return mass, growth, inv, tv, pw
+    else:
+        # the C reads these through raw pointers: float64, C order, held until run returns
+        grids = [None if g is None else np.ascontiguousarray(g, dtype=float)
+                 for g in (solver.R, solver.mass_w, excess, phi, target)]
+        R, mw, ex, ph, tg = (None if g is None else g.ctypes.data for g in grids)
+        out = np.empty(5)
+
+        def sums(scale):    # over the ring v = s u R, or over a materialised state's values
+            if state._values is not None:
+                u = np.ascontiguousarray(state._values, dtype=float)
+                head, s, ring_R = 0, 1.0, None
+            else:
+                (_, u, head, s), ring_R = state._cohort[:4], R
+            lib.pde_record(shape[0], shape[1], u.ctypes.data, head, s, ring_R, mw, ex,
+                           ph, tg, scale, out.ctypes.data)
+            mass, num, inv, tv, pw = out.tolist()
+            growth = num / mass if mass > 0 else math.nan
+            return mass, growth, inv, tv, pw if phi is not None else math.nan
+
+    def record():
         scale = math.exp(-lam_star * state.t) if linear and lam_star is not None else 1.0
+        mass, growth, inv, tv, pw = sums(scale)
+        trace.t.append(state.t)
+        trace.mass.append(mass)
         if invariant:
-            trace.invariant_value.append(scale * float(np.vdot(values, phi_w)))
+            trace.invariant_value.append(scale * inv)
         if lam_star is not None:
-            trace.D_t.append(solver.growth_diag(values, lam_star, mass))
+            trace.D_t.append(growth)
         if target is not None:
-            scaled = np.multiply(values, scale, out=buf) if linear else values
-            tv, pw = solver.distances(scaled, target, phi, out=buf)
             trace.tv_to_target.append(tv)
             trace.phi_weighted_dist.append(pw)
         trace.truncation_loss.append(cum_loss)

@@ -12,12 +12,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from structpop import cli, ibm, kernel, malthus, pde, spectral
+from structpop import _loops, cli, ibm, kernel, malthus, pde, spectral
 from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import (PRESETS, build_grids, build_model, constant_scenario,
                              mass_weights, midpoint_grid, singular_scenario)
@@ -128,6 +129,24 @@ def test_stationary_writes_nbar_on_the_lambda_star_lattice(tmp_path):
     assert np.load(out / "nbar.npy").shape == (config.nx, lattice.n_cells + 1)
     assert summary["c_mass"] == pytest.approx(summary["lambda_star"], rel=1e-12)
     assert summary["weak_form_residual"] <= 1e-3
+
+
+def test_stationary_residual_runs_beside_nbar_alone(tmp_path, monkeypatch):
+    # n-bar is a scaled copy of N, so the triple's N and phi grids are dropped first
+    seen = {}
+    residual = pde.stationary_residual
+
+    def traced(model, tgrid, agrid, mix, nbar):
+        seen["held"], seen["grid"] = tracemalloc.get_traced_memory()[0], nbar.nbytes
+        return residual(model, tgrid, agrid, mix, nbar)
+    monkeypatch.setattr(pde, "stationary_residual", traced)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli.cmd_stationary(constant_scenario(nx=64), str(tmp_path))
+    finally:
+        tracemalloc.stop()
+    assert seen["held"] - start <= 1.5 * seen["grid"]       # 3.0 grids with the triple
 
 
 @pytest.mark.parametrize("argv", [["pde", "--tmax", "0.5"],
@@ -626,7 +645,7 @@ def test_ibm_default_horizon_finishes(small_cfg, tmp_path):
     assert counters["phantom_fraction"] == 0.0    # constant rates: no rejected marks
     assert counters["peak_population"] >= rows[:, 2].max() * 500
     # constant rates run compiled wherever the loop library builds
-    assert counters["loop"] == ("c" if ibm._c_loop()[0] is not None else "python")
+    assert counters["loop"] == ("c" if _loops.library()[0] is not None else "python")
 
 
 def test_ibm_preflight_rejects_exploding_linear_run(small_cfg, tmp_path, capsys):
@@ -697,6 +716,31 @@ def test_pde_subcommand(small_cfg, tmp_path):
     rows = np.loadtxt(os.path.join(out, "pde_trace.csv"), delimiter=",", skiprows=1)
     assert summary["pde"]["steps"] == 200
     assert summary["pde"]["truncation_loss"] == rows[-1, -1] >= 0.0
+    assert summary["pde"]["record"] == ("c" if _loops.library()[0] is not None else "numpy")
+
+
+def test_pde_trace_is_the_same_bits_at_one_and_two_blas_threads(tmp_path):
+    # neither record sums through BLAS; the NumPy one runs with the loader disabled
+    cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16))
+    code = ("import sys\n"
+            "from structpop import _loops, cli\n"
+            "for record in ('c', 'numpy'):\n"
+            "    if record == 'numpy':\n"
+            "        _loops.library = lambda: (None, 'disabled')\n"
+            "    assert cli.main(['pde', '--config', sys.argv[1], '--tmax', '1',\n"
+            "                     '--out', sys.argv[2] + '-' + record]) == 0\n")
+    src = os.path.dirname(os.path.dirname(pde.__file__))
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, **{k: threads for k in cli.BLAS_THREAD_VARS})
+        subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / threads)], env=env,
+                       check=True, capture_output=True, timeout=120)
+    compiled = _loops.library()[0] is not None
+    for record in ("c", "numpy"):
+        outs = [tmp_path / f"{threads}-{record}" for threads in ("1", "2")]
+        for out in outs:
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["pde"]["record"] == (record if compiled else "numpy")
+        assert (outs[0] / "pde_trace.csv").read_bytes() == (outs[1] / "pde_trace.csv").read_bytes()
 
 
 def test_pde_summary_counts_history_blocks(small_cfg, tmp_path):
@@ -731,13 +775,14 @@ def scipy_of(modules):
     return [m for m in modules if m.split(".")[0] == "scipy"]
 
 
-# Only the build of the compiled IBM loop needs these; start-up must not pay for them.
+# Only the build of the compiled loops needs these; start-up must not pay for them.
 BUILD_ONLY_MODULES = {"hashlib", "subprocess"}
 
 
 def test_no_command_loads_scipy(tmp_path):
     # scipy is a test dependency only: no command may load it
     cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16))
+    built = _loops.library()[0] is not None     # here, so the pde run below only loads it
     pde_run = modules_loaded_by(["pde", "--tmax", "0.2", "--config", cfg, "--out", "out"],
                                 tmp_path)
     assert scipy_of(pde_run) == []
@@ -752,7 +797,7 @@ def test_no_command_loads_scipy(tmp_path):
     scenario = modules_loaded_by(["scenario", "singular", "--nx", "64", "--out", "sing"],
                                  tmp_path)
     assert scipy_of(scenario) == []
-    for modules in (start_up, pde_run, scenario):
+    for modules in (start_up, scenario) + ((pde_run,) if built else ()):
         assert BUILD_ONLY_MODULES.isdisjoint(modules)
 
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from structpop import ibm
+from structpop import _loops, ibm, pde
+from structpop.kernel import mix_matrix
 from structpop.model import (AgeGrid, _make_rate, build_model, constant_scenario,
                              mass_weights, midpoint_grid)
 
@@ -132,14 +133,15 @@ STREAM_CASES = {
 
 
 def python_loop_only(monkeypatch):
-    """Route `ibm.simulate` to its Python loop, as on a host without a compiler."""
-    monkeypatch.setattr(ibm, "_c_loop", lambda: (None, "disabled for this test"))
+    """Route `ibm.simulate` to its Python loop (and `pde.run` to its NumPy record),
+    as on a host without a compiler."""
+    monkeypatch.setattr(_loops, "library", lambda: (None, "disabled for this test"))
 
 
 def dispatched_loop(model):
     """The loop `ibm.simulate` should pick for this model on this host."""
     in_c = all(fam.name in ibm._C_RATES for fam in (model.birth, model.death))
-    return "c" if in_c and ibm._c_loop()[0] is not None else "python"
+    return "c" if in_c and _loops.library()[0] is not None else "python"
 
 
 def check_stream_case(tg, case, linear, loop):
@@ -272,7 +274,7 @@ def test_mutant_draw_tie_resolves_left_on_both_loops(monkeypatch):
     assert [probe.getrandbits(32) for _ in words] == words
     tg2 = midpoint_grid((0.0, 1.0), 2)
     model = model_from(p=0.9)
-    loops = ["python"] + (["c"] if ibm._c_loop()[0] is not None else [])
+    loops = ["python"] + (["c"] if _loops.library()[0] is not None else [])
     for loop in loops:
         with monkeypatch.context() as m:
             rng = preset_stream(words)
@@ -288,31 +290,50 @@ def test_mutant_draw_tie_resolves_left_on_both_loops(monkeypatch):
 
 
 def test_import_builds_and_loads_nothing():
-    # a fresh interpreter: importing the CLI must not touch the compiled loop
-    code = ("import os\n"
-            "import structpop.cli\n"
-            "from structpop import ibm\n"
-            "assert ibm._c_loop.cache_info().misses == 0\n"
-            "maps = '/proc/self/maps'\n"
-            "assert not os.path.exists(maps) or '_ibm_loop' not in open(maps).read()\n")
+    # a fresh interpreter: importing the CLI or the PDE module must not touch
+    # the compiled loops
     src = os.path.dirname(os.path.dirname(ibm.__file__))
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env=dict(os.environ, PYTHONPATH=src))
+    for module in ("structpop.cli", "structpop.pde"):
+        code = ("import os\n"
+                f"import {module}\n"
+                "from structpop import _loops\n"
+                "assert _loops.library.cache_info().misses == 0\n"
+                "maps = '/proc/self/maps'\n"
+                "assert not os.path.exists(maps) or '_loops-' not in open(maps).read()\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.fixture
 def fresh_loader():
-    ibm._c_loop.cache_clear()
+    _loops.library.cache_clear()
     yield
-    ibm._c_loop.cache_clear()
+    _loops.library.cache_clear()
 
 
-def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader, tg):
+@pytest.fixture
+def loops_source(tmp_path, monkeypatch):
+    """A copy of _loops.c in tmp_path, which the loader then builds from."""
+    source = tmp_path / "_loops.c"
+    shutil.copy(_loops.SOURCE, source)
+    monkeypatch.setattr(_loops, "SOURCE", str(source))
+    return source
+
+
+def short_pde_run(tg):
+    """The trace of a 20-step pde.run on the constant model, with a target and phi."""
+    model = const_model()
+    ag = AgeGrid(da=0.01, n_cells=100)
+    solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
+    grid = np.ones((tg.n, ag.n_cells + 1))
+    return pde.run(solver, pde.uniform_state(tg, ag), 0.2, target=grid, phi=grid,
+                   lam_star=1.0, record_every=5)[1]
+
+
+def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader,
+                                             loops_source, tg):
     if shutil.which("cc") is None and shutil.which("gcc") is None:
         pytest.skip("no C compiler on PATH")
-    source = tmp_path / "_ibm_loop.c"
-    shutil.copy(ibm._C_SOURCE, source)
-    monkeypatch.setattr(ibm, "_C_SOURCE", str(source))
     compiles = []
     run = subprocess.run
     monkeypatch.setattr(subprocess, "run",
@@ -320,21 +341,23 @@ def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader
     model = const_model()
     first = ibm.simulate(model, tg, 50, 0.5, [0.5], seed=2, store_snapshots=False)
     assert first.loop == "c" and len(compiles) == 1
-    assert len(list((tmp_path / "__pycache__").glob("_ibm_loop-*.so"))) == 1
-    ibm._c_loop.cache_clear()      # as a new process would: only the cache on disk
+    trace = short_pde_run(tg)        # the same library serves the PDE record
+    assert trace.record == "c" and len(compiles) == 1
+    assert len(list((tmp_path / "__pycache__").glob("_loops-*.so"))) == 1
+    _loops.library.cache_clear()     # as a new process would: only the cache on disk
+    again = short_pde_run(tg)
+    assert again.record == "c" and again.mass == trace.mass
     second = ibm.simulate(model, tg, 50, 0.5, [0.5], seed=2, store_snapshots=False)
     assert second.loop == "c" and len(compiles) == 1
     assert second.masses.tobytes() == first.masses.tobytes()
 
 
-def test_no_compiler_falls_back_to_python(tmp_path, monkeypatch, fresh_loader, tg):
-    source = tmp_path / "_ibm_loop.c"
-    shutil.copy(ibm._C_SOURCE, source)
-    monkeypatch.setattr(ibm, "_C_SOURCE", str(source))
+def test_no_compiler_falls_back_to_python(monkeypatch, fresh_loader, loops_source, tg):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     log = ibm.simulate(const_model(), tg, 50, 0.5, [0.5], seed=2)
     assert log.loop == "python"
-    assert ibm._c_loop() == (None, "no C compiler (cc or gcc) on PATH")
+    assert short_pde_run(tg).record == "numpy"
+    assert _loops.library() == (None, "no C compiler (cc or gcc) on PATH")
 
 
 def test_determinism_bit_for_bit(tg):
@@ -679,7 +702,7 @@ def test_scalar_rate_forms_match_the_family(family, params):
 
 def test_only_the_c_table_names_rate_families_in_ibm():
     # each family is built once, in model._make_rate; ibm.py maps only the
-    # compiled loop's families to _ibm_loop.c's codes
+    # compiled loop's families to _loops.c's codes
     families = {"constant", "affine", "sqrt_gap", "gaussian_bump", "logistic_age",
                 "tabulated"}
     with open(ibm.__file__) as f:

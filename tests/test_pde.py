@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from conftest import renewal_flux
-from structpop import pde
+from structpop import _loops, pde
 from structpop.kernel import mix_matrix, survival_matrix
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid)
@@ -530,3 +530,59 @@ def test_run_ends_at_the_first_step_time_at_or_after_the_horizon(T, steps):
     solver.step_nonlinear = lambda state: calls.append(1) or step(state)
     pde.transform_check(solver, st, T)
     assert len(calls) == steps
+
+
+def record_case(case, s):
+    """(solver, initial state, run keywords) of one run the two records must agree on."""
+    tr = s.triple
+    nbar = s.stationary()[1]
+    if case == "constant_pde":      # the benchmark's shape: nonlinear, from uniform
+        return s.solver, pde.uniform_state(s.tgrid, s.agrid), dict(
+            target=nbar, phi=tr.phi_grid, lam_star=tr.lambda_star)
+    if case == "linear":            # test_linear_invariant_and_contraction's run
+        xt = (s.tgrid.nodes - s.tgrid.nodes[0]) / (s.tgrid.nodes[-1] - s.tgrid.nodes[0])
+        v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
+        m0 = float(np.sum(v0 * tr.phi_grid * s.solver.mass_w))
+        return s.linear_solver, pde.DensityState(0.0, v0), dict(
+            target=m0 * tr.N_grid, phi=tr.phi_grid, lam_star=tr.lambda_star)
+    if case == "dirac":             # a spike, and distances without phi
+        return s.solver, pde.dirac_state(s.tgrid, s.agrid, x=0.3, a=0.5), dict(
+            target=nbar, lam_star=tr.lambda_star)
+    # no target and no phi; lambda* off the model's, so D(t) is not 0
+    _, tg, ag, solver = make_solver(birth=3.0, nx=8, n_cells=400)
+    return solver, age_bump_state(tg, ag), dict(lam_star=0.5)
+
+
+@pytest.mark.parametrize("case", ["constant_pde", "linear", "dirac", "bare"])
+def test_compiled_record_matches_the_numpy_record(constant_setup, monkeypatch, case):
+    if _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    traces = {}
+    for record in ("c", "numpy"):
+        solver, state, kwargs = record_case(case, constant_setup)
+        with monkeypatch.context() as m:
+            if record == "numpy":
+                m.setattr(_loops, "library", lambda: (None, "disabled for this test"))
+            traces[record] = pde.run(solver, state, 3.0, record_every=10, **kwargs)[1]
+        assert traces[record].record == record
+    c, ref = traces["c"], traces["numpy"]
+    assert c.t == ref.t and c.truncation_loss == ref.truncation_loss and len(c.t) == 31
+    mass = np.asarray(ref.mass)
+    np.testing.assert_allclose(c.mass, mass, rtol=1e-13, atol=0.0)
+    inv = np.asarray(ref.invariant_value)
+    assert inv.size == (31 if case == "linear" else 0)
+    np.testing.assert_allclose(c.invariant_value, inv, rtol=1e-13, atol=0.0)
+    distances = {"tv": (c.tv_to_target, ref.tv_to_target),
+                 "pw": (c.phi_weighted_dist, ref.phi_weighted_dist)}
+    if case == "bare":
+        assert all(got == want == [] for got, want in distances.values())
+    for name, (got, want) in distances.items():
+        if case == "dirac" and name == "pw":
+            assert len(got) == 31 and np.isnan(got).all() and np.isnan(want).all()
+        elif case != "bare":
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-14 * mass)
+    if case == "bare":
+        assert min(np.abs(ref.D_t)) > 0.1
+        np.testing.assert_allclose(c.D_t, ref.D_t, rtol=1e-13, atol=0.0)
+    else:                           # B - D = 1 = lambda*: every numerator term is 0
+        assert all(d == 0.0 for d in c.D_t + ref.D_t) and len(c.D_t) == 31
