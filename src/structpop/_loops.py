@@ -66,10 +66,10 @@ def library():
 
 def _build(path: str) -> str | None:
     """Compile SOURCE into path, written whole or not at all; None, or why it failed."""
-    import subprocess   # imported here: only a build needs it
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return "no C compiler (cc or gcc) on PATH"
+    import subprocess   # imported here: only a build needs it
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)

@@ -152,7 +152,8 @@ class TransportSolver:
             v = state.values
             if not (np.isfinite(v).all() and (v >= 0.0).all()):
                 raise ValueError("density state has a negative, NaN or infinite entry")
-            u = np.divide(v, self.R, out=np.zeros_like(v), where=self.R > 0.0)
+            # the ring is float64 in C order whatever v is: pde_record reads it so
+            u = np.divide(v, self.R, out=np.zeros(v.shape), where=self.R > 0.0)
             state._cohort = (self, u, 0, 1.0, self.mass(v), None)
         _, u, head, s, msum, block = state._cohort
         hist, m, K = block or (np.empty((u.shape[0], 2, _BLOCK)), 0, 0)

@@ -354,10 +354,12 @@ def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader
 
 def test_no_compiler_falls_back_to_python(monkeypatch, fresh_loader, loops_source, tg):
     monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.delitem(sys.modules, "subprocess")   # only a build may import it
     log = ibm.simulate(const_model(), tg, 50, 0.5, [0.5], seed=2)
     assert log.loop == "python"
     assert short_pde_run(tg).record == "numpy"
     assert _loops.library() == (None, "no C compiler (cc or gcc) on PATH")
+    assert "subprocess" not in sys.modules
 
 
 def test_determinism_bit_for_bit(tg):

@@ -536,8 +536,11 @@ def record_case(case, s):
     """(solver, initial state, run keywords) of one run the two records must agree on."""
     tr = s.triple
     nbar = s.stationary()[1]
-    if case == "constant_pde":      # the benchmark's shape: nonlinear, from uniform
-        return s.solver, pde.uniform_state(s.tgrid, s.agrid), dict(
+    if case in ("constant_pde", "float32", "fortran"):  # the benchmark's shape
+        v0 = pde.uniform_state(s.tgrid, s.agrid).values
+        # a state in another dtype or memory order steps on a float64, C-order ring
+        v0 = {"float32": v0.astype(np.float32), "fortran": np.asfortranarray(v0)}.get(case, v0)
+        return s.solver, pde.DensityState(0.0, v0), dict(
             target=nbar, phi=tr.phi_grid, lam_star=tr.lambda_star)
     if case == "linear":            # test_linear_invariant_and_contraction's run
         xt = (s.tgrid.nodes - s.tgrid.nodes[0]) / (s.tgrid.nodes[-1] - s.tgrid.nodes[0])
@@ -553,7 +556,8 @@ def record_case(case, s):
     return solver, age_bump_state(tg, ag), dict(lam_star=0.5)
 
 
-@pytest.mark.parametrize("case", ["constant_pde", "linear", "dirac", "bare"])
+@pytest.mark.parametrize("case", ["constant_pde", "float32", "fortran", "linear", "dirac",
+                                  "bare"])
 def test_compiled_record_matches_the_numpy_record(constant_setup, monkeypatch, case):
     if _loops.library()[0] is None:
         pytest.skip("the compiled loops are unavailable on this host")
