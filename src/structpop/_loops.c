@@ -1,22 +1,22 @@
 /* The compiled loops of structpop, built into one library by structpop._loops:
- * the event loop of ibm.simulate (ibm_run) and the trace record of pde.run
- * (pde_record). Build with -ffp-contract=off (no fused multiply-adds) and
- * without -ffast-math.
+ * the event loop of ibm.simulate (ibm_run), and the steps (pde_steps) and
+ * the trace record (pde_record) of pde.run. Build with -ffp-contract=off (no
+ * fused multiply-adds) and without -ffast-math.
  *
- * ibm_run is the event loop for constant, affine and sqrt_gap rates, on
- * CPython's MT19937 stream. It reads the stream exactly as the Python loop in
- * ibm.py does, with the same floating-point operations in the same order, so
- * both loops produce the same events bit for bit. It advances the state
- * until something needs Python and returns why: a sample time is crossed,
- * the horizon or extinction is reached, the particle cap is exceeded, a rate
- * leaves its domain, or a buffer is full.
+ * ibm_run is the event loop for constant, affine, sqrt_gap, gaussian_bump
+ * and logistic_age rates, on CPython's MT19937 stream. It reads the stream
+ * exactly as the Python loop in ibm.py does, with the same floating-point
+ * operations in the same order, so both loops produce the same events bit
+ * for bit. It advances the state until something needs Python and returns
+ * why: a sample time is crossed, the horizon or extinction is reached, the
+ * particle cap is exceeded, a rate leaves its domain, or a buffer is full.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 enum { DONE = 0, EXTINCT = 1, SAMPLE = 2, ABORTED = 3, FULL = 4, DOMAIN = 5 };
-enum { CONSTANT = 0, AFFINE = 1, SQRT_GAP = 2 };
+enum { CONSTANT = 0, AFFINE = 1, SQRT_GAP = 2, GAUSSIAN_BUMP = 3, LOGISTIC_AGE = 4 };
 
 typedef struct {
     uint32_t mt[624];
@@ -30,7 +30,7 @@ typedef struct {
     int64_t pending;        /* waiting time drawn, its event not yet run */
     int64_t n_events, n_deaths, peak, particle_cap;
     int64_t bfam, dfam;
-    double bpar[3], dpar[3];
+    double bpar[4], dpar[4];
     double bd, c, K, p, lo, dx;
     const double *cdf;      /* nx rows of nx mutant CDF entries */
     const double *nodes;
@@ -72,19 +72,27 @@ static double uniform(ibm_state *s)
 }
 
 /* the families' `scalar` forms (model._make_rate); 0 where sqrt would raise
- * in Python */
-static int rate(int64_t fam, const double *par, double lo, double x, double a,
-                double *out)
+ * in Python. Where logistic_age's exp overflows, math.exp raises and the
+ * scalar returns low; here exp is inf and the same expression is low.
+ * Inlined, so that a constant rate costs the event loop no call. */
+static inline __attribute__((always_inline)) int
+rate(int64_t fam, const double *par, double lo, double x, double a, double *out)
 {
     if (fam == CONSTANT) {
         *out = par[0];
     } else if (fam == AFFINE) {
         *out = par[0] + par[1] * x + par[2] * a;
-    } else {
+    } else if (fam == SQRT_GAP) {
         double gap = x - lo;
         if (gap < 0.0)
             return 0;
         *out = par[0] - sqrt(gap);
+    } else if (fam == GAUSSIAN_BUMP) {         /* base, amp, center, width */
+        double z = (x - par[2]) / par[3];
+        *out = par[0] + par[1] * exp(-0.5 * (z * z));
+    } else {                                    /* low, high, midpoint, scale */
+        double span = par[1] - par[0];
+        *out = par[0] + span / (1.0 + exp(-(a - par[2]) / par[3]));
     }
     return 1;
 }
@@ -278,4 +286,101 @@ void pde_record(int64_t nx, int64_t L, const double *u, int64_t head, double s,
                     R, mw, excess, phi, target, scale);
     else
         record_rows(sums, has, nx, L, u, head, s, R, mw, excess, phi, target, scale);
+}
+
+/* ---- the steps of pde.run -------------------------------------------------
+ *
+ * pde_steps advances the cohort ring of TransportSolver.step_nonlinear by n
+ * steps inside one block of history sums (m + n at most the block's length;
+ * Python starts each block), forming each step as the NumPy step does:
+ *   the horizon column's loss, s times sum_x loss_w u[x, head - 1];
+ *   s *= exp(-c s msum dt), and the head moves back one column;
+ *   per trait, the births and mass sums[x, r] = hist[x, r, m] plus
+ *     sum_{j=1..m} W[x, r, j] u[x, head + j] over the block's newborns;
+ *   the newborn column max(G births, 0), NaN kept, and NaN where s <= 0;
+ *   msum = sum_x sums[x, 1] + mw0 sum_x u[x, head];
+ *   below s = floor, s is folded into u and hist.
+ * A newborn that is not finite stops the steps with NONFINITE, that step not
+ * taken. Each sum is in order or in fixed lanes, so it is the same bits on
+ * every run; the sums differ from NumPy's at roundoff.
+ */
+
+enum { STEPPED = 0, NONFINITE = 1 };
+
+typedef struct {
+    int64_t nx, L;          /* the ring: nx trait rows of L ages */
+    double *u;              /* (nx, L), age a_j of row x at column (head + j) mod L */
+    int64_t head;
+    double s, msum, t;      /* competition factor, mass of u, time */
+    double *hist;           /* the block's history sums, (nx, 2, stride) */
+    int64_t stride, m;      /* hist's last length, and the block's next step */
+    const double *W;        /* birth and mass weights per unit u, (nx, 2, L) */
+    const double *G;        /* newborns per birth, (nx, nx) */
+    const double *loss_w;   /* the horizon column's loss per unit u, (nx,) */
+    double mw0, c, dt, floor;
+    double loss;            /* the steps' truncation losses are added to it */
+} pde_ring;
+
+/* sum over j < n of a[j] v[j], in eight lanes */
+static double dot(const double *a, const double *v, int64_t n)
+{
+    pair s0 = {0.0, 0.0}, s1 = s0, s2 = s0, s3 = s0;
+    int64_t j = 0;
+    for (; j + 7 < n; j += 8) {
+        s0 += ages(a, j, 0) * ages(v, j, 0);
+        s1 += ages(a, j + 2, 0) * ages(v, j + 2, 0);
+        s2 += ages(a, j + 4, 0) * ages(v, j + 4, 0);
+        s3 += ages(a, j + 6, 0) * ages(v, j + 6, 0);
+    }
+    for (; j < n; j += 2)
+        s0 += ages(a, j, j + 1 == n) * ages(v, j, j + 1 == n);
+    s0 = (s0 + s1) + (s2 + s3);
+    return s0[0] + s0[1];
+}
+
+int pde_steps(pde_ring *r, int64_t n)
+{
+    int64_t nx = r->nx, L = r->L, hs = r->stride;
+    double *u = r->u, *hist = r->hist;
+    double births[nx];      /* the newborns' right-hand side */
+    for (; n > 0; n--) {
+        int64_t m = r->m, head = (r->head + L - 1) % L;
+        double s = r->s, loss = 0.0, mass = 0.0, born = 0.0;
+        for (int64_t x = 0; x < nx; x++)
+            loss += r->loss_w[x] * u[x * L + head];
+        s *= exp(-r->c * s * r->msum * r->dt);
+        for (int64_t x = 0; x < nx; x++) {
+            const double *w = r->W + 2 * x * L + 1, *young = u + x * L + head + 1;
+            const double *h = hist + 2 * x * hs + m;
+            births[x] = h[0] + dot(w, young, m);
+            mass += h[hs] + dot(w + L, young, m);
+        }
+        for (int64_t i = 0; i < nx; i++) {
+            double v = NAN;
+            if (s > 0.0) {
+                v = dot(r->G + i * nx, births, nx);
+                if (v < 0.0)
+                    v = 0.0;
+            }
+            if (!isfinite(v))
+                return NONFINITE;
+            u[i * L + head] = v;
+            born += v;
+        }
+        r->loss += r->s * loss;
+        r->msum = mass + r->mw0 * born;
+        if (s < r->floor) {
+            for (int64_t k = 0; k < nx * L; k++)
+                u[k] *= s;
+            for (int64_t k = 0; k < 2 * nx * hs; k++)
+                hist[k] *= s;
+            r->msum *= s;
+            s = 1.0;
+        }
+        r->s = s;
+        r->head = head;
+        r->m = m + 1;
+        r->t += r->dt;
+    }
+    return STEPPED;
 }

@@ -1,8 +1,9 @@
 """The package's compiled loops, `_loops.c`: one library, built on first use.
 
-It holds the event loop of `ibm.simulate` (`ibm_run`) and the trace record
-of `pde.run` (`pde_record`). Each caller asks `library()` for it and runs
-its own Python code where the library is unavailable, so the library is an
+It holds the event loop of `ibm.simulate` (`ibm_run`), the steps of
+`TransportSolver.step_nonlinear` (`pde_steps`) and the trace record of
+`pde.run` (`pde_record`). Each caller asks `library()` for it and runs its
+own Python code where the library is unavailable, so the library is an
 optional speed-up, never a requirement.
 """
 
@@ -27,9 +28,18 @@ class IbmState(ctypes.Structure):
                 ("ev_t", _p), ("ev_kind", _p), ("n_ev", _i), ("ev_cap", _i),
                 ("t", _d), ("T", _d), ("s_next", _d), ("pending", _i),
                 ("n_events", _i), ("n_deaths", _i), ("peak", _i), ("particle_cap", _i),
-                ("bfam", _i), ("dfam", _i), ("bpar", _d * 3), ("dpar", _d * 3),
+                ("bfam", _i), ("dfam", _i), ("bpar", _d * 4), ("dpar", _d * 4),
                 ("bd", _d), ("c", _d), ("K", _d), ("p", _d), ("lo", _d), ("dx", _d),
                 ("cdf", _p), ("nodes", _p), ("nx", _i)]
+
+
+class PdeRing(ctypes.Structure):
+    """Mirror of `pde_ring` in _loops.c."""
+    _i, _d, _p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    _fields_ = [("nx", _i), ("L", _i), ("u", _p), ("head", _i), ("s", _d), ("msum", _d),
+                ("t", _d), ("hist", _p), ("stride", _i), ("m", _i), ("W", _p), ("G", _p),
+                ("loss_w", _p), ("mw0", _d), ("c", _d), ("dt", _d), ("floor", _d),
+                ("loss", _d)]
 
 
 @functools.cache
@@ -59,6 +69,8 @@ def library():
         # nx, L, u, head, s, R, mw, excess, phi, target, scale, sums
         lib.pde_record.argtypes = [i64, i64, ptr, i64, dbl, ptr, ptr, ptr, ptr, ptr, dbl, ptr]
         lib.pde_record.restype = None
+        lib.pde_steps.argtypes = [ctypes.POINTER(PdeRing), i64]
+        lib.pde_steps.restype = ctypes.c_int
         return lib, None
     except OSError as e:
         return None, f"{type(e).__name__}: {e}"

@@ -48,17 +48,19 @@ class EventLog:
     loop: str = "python"        # which event loop ran: "c" or "python"
 
 
-# _loops.c's family codes and the order of its three rate parameters; its
+# _loops.c's family codes and the order of its four rate parameters; its
 # `rate` evaluates the same bodies as these families' `scalar`
 _C_RATES = {"constant": (0, ("value",)),
             "affine": (1, ("base", "slope_x", "slope_a")),
-            "sqrt_gap": (2, ("bbar",))}
+            "sqrt_gap": (2, ("bbar",)),
+            "gaussian_bump": (3, ("base", "amp", "center", "width")),
+            "logistic_age": (4, ("low", "high", "midpoint", "scale"))}
 
 
 def _c_rate(fam) -> tuple[int, list[float]]:
-    """(C family code, three parameters) of a rate whose family is in _C_RATES."""
+    """(C family code, four parameters) of a rate whose family is in _C_RATES."""
     code, names = _C_RATES[fam.name]
-    return code, [fam.params[k] for k in names] + [0.0] * (3 - len(names))
+    return code, [fam.params[k] for k in names] + [0.0] * (4 - len(names))
 
 
 def _mutant_cdf_rows(model: RateModel, tgrid: TraitGrid) -> np.ndarray:

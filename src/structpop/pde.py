@@ -13,9 +13,11 @@ Stepping holds n = s R_0 u, a renewal equation in u (see
 `TransportSolver.step_nonlinear`, the one step). The flow is the model's: the
 linear flow is the flow of the model with c = 0, and since u's recursion is
 free of c, `transform_check` reads the linear flow off the nonlinear ring.
-A trace record of `run` takes its sums in one compiled pass that reads the
-ring in place (`pde_record` in _loops.c) where that library loads, and
-otherwise by NumPy over the materialised density."""
+Where the compiled library (_loops.c) loads, the steps of a block run in one
+call (`pde_steps`) and a trace record of `run` takes its sums in one pass that
+reads the ring in place (`pde_record`); `run` advances each record interval
+with one call of `step_nonlinear`. Without the library the steps run one by
+one in NumPy and a record sums by NumPy over the materialised density."""
 
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .model import AgeGrid, RateModel, TraitGrid, grid_integral, mass_weights
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
 _BLOCK = 512        # most steps in a block, whose history sums one FFT gives
 _CHUNK = 8          # traits per FFT, to bound its temporaries
+_NONFINITE = "transport step produced a negative, NaN or infinite density"
 
 
 class DensityState:
@@ -62,7 +65,7 @@ class TraceRecord:
     D_t: list = field(default_factory=list)
     truncation_loss: list = field(default_factory=list)
     steps: int = 0
-    record: str = "numpy"       # which record took the sums: "c" or "numpy"
+    record: str = "numpy"       # which loops stepped and took the sums: "c" or "numpy"
 
 
 class TransportSolver:
@@ -95,8 +98,10 @@ class TransportSolver:
         # newborns: n0 = Mix (f + qa_0 B(., 0) n0), with f the births of the
         # older ages; so n0 = G f, G = (I - qa_0 Mix diag(B(., 0)))^{-1} Mix
         dense = mix.toarray()
-        self._newborn = np.linalg.solve(np.eye(tgrid.n) - self.qa[0] * dense * self.B[:, 0],
-                                        dense)
+        self._newborn = np.ascontiguousarray(np.linalg.solve(
+            np.eye(tgrid.n) - self.qa[0] * dense * self.B[:, 0], dense))
+        # the host's compiled loops, or None: the solver then steps by NumPy
+        self._lib = _loops.library()[0]
 
     # -- quadratures -------------------------------------------------------
 
@@ -137,9 +142,10 @@ class TransportSolver:
         for m in range(1, K + 1):
             hist[:, :, m - 1] = np.matmul(self._W[:, :, m:], c[:, :L - m, None])[:, :, 0]
 
-    def step_nonlinear(self, state: DensityState) -> float:
-        """One dt of n <- exp(-c m dt) L n, L linear, c the model's competition
-        rate and m the start-of-step mass; returns the truncation loss.
+    def step_nonlinear(self, state: DensityState, n: int = 1) -> float:
+        """n steps of dt, each n <- exp(-c m dt) L n, L linear, c the model's
+        competition rate and m the start-of-step mass; returns their summed
+        truncation loss.
 
         n = s R u: column (head + j) mod (na+1) of the ring u is the cohort at
         age a_j, so transport moves the head, death is in R, competition
@@ -147,19 +153,48 @@ class TransportSolver:
         As u's recursion is free of s, a block takes its history sums at its start
         and reads its newborns off the ring, which it does not wrap. With c = 0
         s stays 1: this is then the linear step.
+
+        The steps of a block run in one call of `pde_steps` in _loops.c where
+        the library loaded when the solver was built, and otherwise one by one
+        in NumPy (`_numpy_step`); the two agree to roundoff.
         """
         if state._cohort is None or state._cohort[0] is not self:
             v = state.values
             if not (np.isfinite(v).all() and (v >= 0.0).all()):
                 raise ValueError("density state has a negative, NaN or infinite entry")
-            # the ring is float64 in C order whatever v is: pde_record reads it so
+            # the ring is float64 in C order whatever v is: the C loops read it so
             u = np.divide(v, self.R, out=np.zeros(v.shape), where=self.R > 0.0)
-            state._cohort = (self, u, 0, 1.0, self.mass(v), None)
+            # the ring holds the state from here: v would otherwise live through the steps
+            state._values, state._cohort = None, (self, u, 0, 1.0, self.mass(v), None)
+            del v
         _, u, head, s, msum, block = state._cohort
         hist, m, K = block or (np.empty((u.shape[0], 2, _BLOCK)), 0, 0)
-        if m == K:
-            m, K = 0, 1 if K == 0 else min(_BLOCK, head or u.shape[1])
-            self._history(u, head, hist[:, :, :K])
+        loss = 0.0
+        while n > 0:
+            if m == K:
+                m, K = 0, 1 if K == 0 else min(_BLOCK, head or u.shape[1])
+                self._history(u, head, hist[:, :, :K])
+            k = min(n, K - m)
+            if self._lib is None:
+                for _ in range(k):
+                    step_loss, head, s, msum = self._numpy_step(u, head, s, msum, hist, m)
+                    loss, m, state.t = loss + step_loss, m + 1, state.t + self.dt
+            else:
+                ring = _loops.PdeRing(*u.shape, u.ctypes.data, head, s, msum, state.t,
+                                      hist.ctypes.data, hist.shape[2], m, self._W.ctypes.data,
+                                      self._newborn.ctypes.data, self._loss_w.ctypes.data,
+                                      self.mass_w[0], self.model.competition, self.dt,
+                                      _S_FLOOR, loss)
+                if self._lib.pde_steps(ring, k):
+                    raise ValueError(_NONFINITE)
+                head, s, msum, m, state.t, loss = (ring.head, ring.s, ring.msum, ring.m,
+                                                   ring.t, ring.loss)
+            n -= k
+        state._values, state._cohort = None, (self, u, head, s, msum, (hist, m, K))
+        return loss
+
+    def _numpy_step(self, u, head, s, msum, hist, m):
+        """Step m of a block on the ring: (truncation loss, head, s, msum) after it."""
         loss = s * float(self._loss_w @ u[:, head - 1])
         s *= math.exp(-self.model.competition * s * msum * self.dt)
         head = (head - 1) % u.shape[1]
@@ -168,15 +203,13 @@ class TransportSolver:
         sums = hist[:, :, m] + young[:, :, 0]
         u[:, head] = np.maximum(self._newborn @ sums[:, 0], 0.0) if s > 0.0 else math.nan
         if not np.isfinite(u[:, head]).all():
-            raise ValueError("transport step produced a negative, NaN or infinite density")
+            raise ValueError(_NONFINITE)
         msum = float(sums[:, 1].sum() + self.mass_w[0] * u[:, head].sum())
         if s < _S_FLOOR:
             u *= s
             hist *= s
             s, msum = 1.0, msum * s
-        state._values, state._cohort = None, (self, u, head, s, msum, (hist, m + 1, K))
-        state.t += self.dt
-        return loss
+        return loss, head, s, msum
 
     # -- distances and diagnostics ----------------------------------------
 
@@ -220,12 +253,17 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     the distances of e^{-lam* t} v_t to the target (the expected limit m0 * N),
     and with phi also the invariant sum(e^{-lam* t} v phi).
 
-    Each record's sums are taken in one pass over the cohort ring by
-    `pde_record` in _loops.c when the library builds and loads, and otherwise
-    by NumPy over the materialised density; `trace.record` says which. The
-    two agree to roundoff. Neither sums by a BLAS dot product, whose order of
-    summation moves with the BLAS thread count.
+    The steps between two records are one call of `step_nonlinear`, so
+    record_every below 1 raises ValueError. Each record's sums are taken in
+    one pass over the cohort ring by `pde_record` in _loops.c when the
+    library builds and loads, and otherwise by NumPy over the materialised
+    density; `trace.record` says which, and the solver steps on the same
+    path (the host's library, loaded when the solver was built). The two
+    agree to roundoff. No record sums by a BLAS dot product, whose order of
+    summation moves with the BLAS thread count, nor does a compiled step.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every = {record_every!r} must be at least 1")
     linear = solver.model.competition == 0
     n_steps = _n_steps(solver, state, T)
     shape = solver.R.shape
@@ -289,10 +327,9 @@ def run(solver: TransportSolver, state: DensityState, T: float,
         trace.truncation_loss.append(cum_loss)
 
     record()
-    for i in range(n_steps):
-        cum_loss += solver.step_nonlinear(state)
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            record()
+    for done in range(0, n_steps, record_every):     # one call per record interval
+        cum_loss += solver.step_nonlinear(state, min(record_every, n_steps - done))
+        record()
     return state, trace
 
 

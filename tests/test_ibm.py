@@ -209,6 +209,40 @@ def test_python_loop_reference_extinction_and_explosion(tg, monkeypatch):
     check_explosion(tg, "python")
 
 
+# the compiled families without a stream case above; at this logistic_age's
+# steep midpoint, exp overflows below age 0.29 (math.exp raises there) and
+# not above it, so both branches of the rate run
+C_ONLY_RATES = {
+    "gaussian_bump": {"family": "gaussian_bump",
+                      "params": {"base": 0.5, "amp": 2.0, "center": 0.3, "width": 0.15}},
+    "logistic_age": {"family": "logistic_age",
+                     "params": {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.001}},
+}
+
+
+@pytest.mark.parametrize("role", ["birth", "death"])
+@pytest.mark.parametrize("family", sorted(C_ONLY_RATES))
+def test_compiled_family_matches_the_python_loop_bit_for_bit(tg, family, role, monkeypatch):
+    if _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    model = model_from(p=0.5, **{role: C_ONLY_RATES[family]})
+    times = np.linspace(0.0, 2.0, 5)
+    logs = {}
+    for loop in ("c", "python"):
+        with monkeypatch.context() as m:
+            if loop == "python":
+                python_loop_only(m)
+            logs[loop] = ibm.simulate(model, tg, 200, 2.0, times, seed=23, record_events=True)
+        assert logs[loop].loop == loop
+    c, py = logs["c"], logs["python"]
+    assert c.n_events > 500 and c.n_deaths > 0
+    assert c.events == py.events and c.masses.tobytes() == py.masses.tobytes()
+    assert (c.n_events, c.n_deaths, c.peak) == (py.n_events, py.n_deaths, py.peak)
+    for got, want in zip(c.snapshots, py.snapshots):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 class _DyadicStream(random.Random):
     """Uniforms cycling through dyadic values that land on mutant CDF entries.
 
@@ -320,6 +354,14 @@ def loops_source(tmp_path, monkeypatch):
     return source
 
 
+def count_numpy_steps(monkeypatch):
+    """The calls of the NumPy step from now on, one entry per step."""
+    steps, step = [], pde.TransportSolver._numpy_step
+    monkeypatch.setattr(pde.TransportSolver, "_numpy_step",
+                        lambda self, *a: steps.append(1) or step(self, *a))
+    return steps
+
+
 def short_pde_run(tg):
     """The trace of a 20-step pde.run on the constant model, with a target and phi."""
     model = const_model()
@@ -341,8 +383,9 @@ def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader
     model = const_model()
     first = ibm.simulate(model, tg, 50, 0.5, [0.5], seed=2, store_snapshots=False)
     assert first.loop == "c" and len(compiles) == 1
-    trace = short_pde_run(tg)        # the same library serves the PDE record
-    assert trace.record == "c" and len(compiles) == 1
+    numpy_steps = count_numpy_steps(monkeypatch)
+    trace = short_pde_run(tg)        # the same library serves the PDE steps and record
+    assert trace.record == "c" and numpy_steps == [] and len(compiles) == 1
     assert len(list((tmp_path / "__pycache__").glob("_loops-*.so"))) == 1
     _loops.library.cache_clear()     # as a new process would: only the cache on disk
     again = short_pde_run(tg)
@@ -357,7 +400,8 @@ def test_no_compiler_falls_back_to_python(monkeypatch, fresh_loader, loops_sourc
     monkeypatch.delitem(sys.modules, "subprocess")   # only a build may import it
     log = ibm.simulate(const_model(), tg, 50, 0.5, [0.5], seed=2)
     assert log.loop == "python"
-    assert short_pde_run(tg).record == "numpy"
+    numpy_steps = count_numpy_steps(monkeypatch)
+    assert short_pde_run(tg).record == "numpy" and len(numpy_steps) == 20
     assert _loops.library() == (None, "no C compiler (cc or gcc) on PATH")
     assert "subprocess" not in sys.modules
 
@@ -715,5 +759,6 @@ def test_only_the_c_table_names_rate_families_in_ibm():
     table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["_C_RATES"])
     keys = [key.value for key in table.keys]
-    assert sorted(keys) == sorted(ibm._C_RATES) == ["affine", "constant", "sqrt_gap"]
+    assert sorted(keys) == sorted(ibm._C_RATES) == ["affine", "constant", "gaussian_bump",
+                                                    "logistic_age", "sqrt_gap"]
     assert named == collections.Counter(keys)

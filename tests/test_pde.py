@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -316,6 +317,15 @@ def test_run_and_transform_check_reject_bad_horizon(T):
     assert st.t == pytest.approx(1.0)          # nothing was stepped
 
 
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_run_rejects_a_record_stride_below_one(record_every):
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)
+    st = pde.uniform_state(tg, ag)
+    with pytest.raises(ValueError, match="record_every"):
+        pde.run(solver, st, 1.0, record_every=record_every)
+    assert st.t == 0.0 and st._cohort is None   # nothing was stepped
+
+
 def test_run_to_the_state_time_makes_no_step():
     _, tg, ag, solver = make_solver(nx=8, n_cells=200)
     st = pde.uniform_state(tg, ag)
@@ -373,21 +383,36 @@ def reference_run(solver, values, n_steps, c):
     return n, loss
 
 
+def numpy_twin(solver):
+    """A solver of the same model, grids and Mix that steps by NumPy, as every
+    solver does on a host without the compiled loops."""
+    twin = pde.TransportSolver(solver.model, solver.tgrid, solver.agrid, solver.mix)
+    twin._lib = None
+    return twin
+
+
+def step_paths(solver):
+    """The solver and, where it steps compiled, its NumPy twin."""
+    return [solver] + ([numpy_twin(solver)] if solver._lib is not None else [])
+
+
 def assert_matches_reference(solver, state0, n_steps, read_values_at=None):
-    """Step a copy of state0 n_steps times and compare it with the per-cell scheme.
+    """Step a copy of state0 n_steps times on each step path and compare it with
+    the per-cell scheme.
 
     Reading `values` after step `read_values_at` drops the pending block of
     history sums.
     """
-    st, loss = state0.copy(), 0.0
-    for k in range(n_steps):
-        loss += solver.step_nonlinear(st)
-        if k + 1 == read_values_at:
-            assert np.all(np.isfinite(st.values)) and st._cohort is None
     ref, ref_loss = reference_run(solver, state0.values, n_steps, solver.model.competition)
-    assert np.all(np.isfinite(st.values))
-    assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert abs(loss - ref_loss) <= 1e-12 * max(ref_loss, 1e-300)
+    for stepper in step_paths(solver):
+        st, loss = state0.copy(), 0.0
+        for k in range(n_steps):
+            loss += stepper.step_nonlinear(st)
+            if k + 1 == read_values_at:
+                assert np.all(np.isfinite(st.values)) and st._cohort is None
+        assert np.all(np.isfinite(st.values))
+        assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert abs(loss - ref_loss) <= 1e-12 * max(ref_loss, 1e-300)
     return ref_loss
 
 
@@ -432,26 +457,29 @@ def test_cohort_step_loss_where_horizon_survival_squared_underflows():
 
 def test_cohort_step_kills_mass_where_survival_underflows():
     solver, R = age_dependent_solver()
-    st = pde.uniform_state(solver.tgrid, solver.agrid, a_scale=5.0)
     dead = R < 1e-300                   # includes every age where R0 is exactly 0
-    assert np.all(st.values[dead] > 0)
-    solver.step_nonlinear(st)
-    assert np.all(st.values[dead] == 0.0)
-    for _ in range(20):
-        solver.step_nonlinear(st)
-    assert np.all(np.isfinite(st.values)) and np.all(st.values[dead] == 0.0)
+    for stepper in step_paths(solver):
+        st = pde.uniform_state(solver.tgrid, solver.agrid, a_scale=5.0)
+        assert np.all(st.values[dead] > 0)
+        stepper.step_nonlinear(st)
+        assert np.all(st.values[dead] == 0.0)
+        stepper.step_nonlinear(st, 20)
+        assert np.all(np.isfinite(st.values)) and np.all(st.values[dead] == 0.0)
 
 
 def test_cohort_step_long_run_folds_the_competition_scalar():
     # lambda* ~ 19: the product of exp(-c m dt) underflows long before t = 60
     _, tg, ag, solver = make_solver(birth=20.0, nx=8)
-    st = pde.uniform_state(tg, ag)
-    state0 = st.copy()
-    _, trace = pde.run(solver, st, 60.0, record_every=1)
-    assert math.exp(-solver.dt * float(np.sum(trace.mass[:-1]))) == 0.0
-    ref, _ = reference_run(solver, state0.values, trace.steps, 1.0)
-    assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert trace.mass[-1] == pytest.approx(np.sum(ref * solver.mass_w), rel=1e-12)
+    state0 = pde.uniform_state(tg, ag)
+    ref = None
+    for stepper in step_paths(solver):
+        st = state0.copy()
+        _, trace = pde.run(stepper, st, 60.0, record_every=1)
+        assert math.exp(-solver.dt * float(np.sum(trace.mass[:-1]))) == 0.0
+        if ref is None:
+            ref, _ = reference_run(solver, state0.values, trace.steps, 1.0)
+        assert np.abs(st.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert trace.mass[-1] == pytest.approx(np.sum(ref * solver.mass_w), rel=1e-12)
 
 
 # the block kernel: history sums by FFT over blocks of steps, newborns read off the ring
@@ -475,6 +503,60 @@ def test_block_kernel_matches_per_cell_reference(case):
         solver = c_zero_twin(solver)
     assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, read_at)
     assert solver.history["fft_blocks"] >= 2 and solver.history["direct_blocks"] == 0
+
+
+def assert_same_ring(got, want):
+    """Two stepped states hold the same ring to roundoff: head, block, s and msum."""
+    (_, u, head, s, msum, (_, m, K)), (_, v, head_v, s_v, msum_v, (_, m_v, K_v)) = (
+        got._cohort, want._cohort)
+    assert (head, m, K) == (head_v, m_v, K_v) and got.t == want.t
+    assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
+    assert s == pytest.approx(s_v, rel=1e-12) and msum == pytest.approx(msum_v, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES) + ["constant_pde"])
+def test_compiled_step_matches_the_numpy_step(constant_setup, case):
+    if _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    if case == "constant_pde":      # the benchmark's shape: nx = 64, 3000 steps
+        s = constant_setup
+        solver = pde.TransportSolver(s.model, s.tgrid, s.agrid, s.problem.mix)
+        n_steps, read_at, state0 = 3000, None, pde.uniform_state(s.tgrid, s.agrid)
+    else:
+        solver_args, n_steps, linear, read_at = BLOCK_CASES[case]
+        _, tg, ag, solver = make_solver(**solver_args)
+        solver = c_zero_twin(solver) if linear else solver
+        state0 = pde.uniform_state(tg, ag)
+    twin = numpy_twin(solver)
+    assert solver._lib is not None
+    compiled, stepped = state0.copy(), state0.copy()
+    done, sizes = 0, itertools.cycle((1, 37, 300))  # calls that start, end and span blocks
+    while done < n_steps:
+        stop = read_at if read_at and done < read_at else n_steps
+        n = min(next(sizes), stop - done)
+        loss = solver.step_nonlinear(compiled, n)
+        assert loss == pytest.approx(twin.step_nonlinear(stepped, n), rel=1e-12, abs=1e-300)
+        assert_same_ring(compiled, stepped)
+        done += n
+        if done == read_at:
+            assert np.abs(compiled.values - stepped.values).max() <= (
+                1e-12 * np.abs(stepped.values).max())
+    assert solver.history == twin.history and solver.history["fft_blocks"] >= 2
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_a_non_finite_newborn_raises_on_both_step_paths(linear):
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)
+    if linear:      # the births of a density near the float limit overflow
+        solver, mass = c_zero_twin(solver), 1e308
+    else:           # exp(-c m dt) underflows: s = 0, and the newborns are NaN
+        mass = 1e6
+    for stepper in step_paths(solver):
+        st = pde.uniform_state(tg, ag, mass=mass)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="transport step produced"):
+            stepper.step_nonlinear(st, 5)
+        assert st.t == 0.0
 
 
 def test_competition_only_scales_the_ring():
@@ -563,7 +645,9 @@ def test_compiled_record_matches_the_numpy_record(constant_setup, monkeypatch, c
         pytest.skip("the compiled loops are unavailable on this host")
     traces = {}
     for record in ("c", "numpy"):
+        # built with the library loaded, so both arms step compiled: only the record differs
         solver, state, kwargs = record_case(case, constant_setup)
+        assert solver._lib is not None
         with monkeypatch.context() as m:
             if record == "numpy":
                 m.setattr(_loops, "library", lambda: (None, "disabled for this test"))
