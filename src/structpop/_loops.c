@@ -193,13 +193,13 @@ int ibm_run(ibm_state *s)
  * the odd ages of each span, and the rows are added in order: the sums are
  * the same bits on every run and at any BLAS thread count.
  *
- * R NULL reads u as the density itself (a materialised state: head 0, s 1).
- * excess, phi or target NULL leaves the sums that read it at 0.
+ * Every grid is read, and the record has one mode: R NULL reads u as the
+ * density itself (a materialised state: head 0, s 1). Where a run has no
+ * excess, phi or target, pde.run passes a stand-in grid of the same shape
+ * and does not keep the sums that read it.
  */
 
 typedef double pair __attribute__((vector_size(16)));   /* two ages of a row */
-
-enum { HAS_R = 1, HAS_EXCESS = 2, HAS_PHI = 4, HAS_TARGET = 8 };
 
 /* p[j] and p[j + 1], or p[j] and 0 where j is a span's odd last age */
 static inline pair ages(const double *p, int64_t j, int last)
@@ -211,56 +211,52 @@ static inline pair ages(const double *p, int64_t j, int last)
 }
 
 static inline __attribute__((always_inline)) void
-record_ages(pair acc[5], int has, int64_t j, int last, const double *u,
+record_ages(pair acc[5], int ring, int64_t j, int last, const double *u,
             const double *R, pair s, const double *mw, const double *excess,
             const double *phi, const double *target, pair scale)
 {
     pair v = ages(u, j, last);
-    if (has & HAS_R)
+    if (ring)
         v = v * ages(R, j, last) * s;
-    pair m = ages(mw, j, last);
+    pair m = ages(mw, j, last), p = ages(phi, j, last);
     acc[0] += v * m;
-    if (has & HAS_EXCESS)
-        acc[1] += v * ages(excess, j, last);
-    pair p = has & HAS_PHI ? ages(phi, j, last) : m;
-    if (has & HAS_PHI)
-        acc[2] += v * (p * m);
-    if (has & HAS_TARGET) {
-        pair d = scale * v - ages(target, j, last);
-        d = (pair){fabs(d[0]), fabs(d[1])} * m;
-        acc[3] += d;
-        if (has & HAS_PHI)
-            acc[4] += d * p;
-    }
+    acc[1] += v * ages(excess, j, last);
+    acc[2] += v * (p * m);
+    pair d = scale * v - ages(target, j, last);
+    d = (pair){fabs(d[0]), fabs(d[1])} * m;
+    acc[3] += d;
+    acc[4] += d * p;
 }
 
 /* ages [0, n) of one span; every pointer is at the span's first age */
 static inline __attribute__((always_inline)) void
-record_span(pair acc[5], int has, int64_t n, const double *u, const double *R,
+record_span(pair acc[5], int ring, int64_t n, const double *u, const double *R,
             pair s, const double *mw, const double *excess, const double *phi,
             const double *target, pair scale)
 {
     int64_t j = 0;
     for (; j + 1 < n; j += 2)
-        record_ages(acc, has, j, 0, u, R, s, mw, excess, phi, target, scale);
+        record_ages(acc, ring, j, 0, u, R, s, mw, excess, phi, target, scale);
     if (j < n)
-        record_ages(acc, has, j, 1, u, R, s, mw, excess, phi, target, scale);
+        record_ages(acc, ring, j, 1, u, R, s, mw, excess, phi, target, scale);
 }
 
 static inline __attribute__((always_inline)) void
-record_rows(double sums[5], int has, int64_t nx, int64_t L, const double *u,
+record_rows(double sums[5], int ring, int64_t nx, int64_t L, const double *u,
             int64_t head, double s, const double *R, const double *mw,
             const double *excess, const double *phi, const double *target,
             double scale)
 {
     int64_t k = L - head;
     pair s2 = {s, s}, scale2 = {scale, scale};
+    for (int q = 0; q < 5; q++)
+        sums[q] = 0.0;
     for (int64_t x = 0; x < nx; x++) {
         int64_t o = x * L;
         pair acc[5] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-        record_span(acc, has, k, u + o + head, R + o, s2, mw, excess + o, phi + o,
+        record_span(acc, ring, k, u + o + head, R + o, s2, mw, excess + o, phi + o,
                     target + o, scale2);
-        record_span(acc, has, head, u + o, R + o + k, s2, mw + k, excess + o + k,
+        record_span(acc, ring, head, u + o, R + o + k, s2, mw + k, excess + o + k,
                     phi + o + k, target + o + k, scale2);
         for (int q = 0; q < 5; q++)
             sums[q] += acc[q][0] + acc[q][1];
@@ -272,20 +268,10 @@ void pde_record(int64_t nx, int64_t L, const double *u, int64_t head, double s,
                 const double *phi, const double *target, double scale,
                 double sums[5])
 {
-    int has = (R ? HAS_R : 0) | (excess ? HAS_EXCESS : 0) | (phi ? HAS_PHI : 0)
-              | (target ? HAS_TARGET : 0);
-    const double *grid = u;     /* an absent grid's stand-in: u's shape, never read */
-    R = R ? R : grid;
-    excess = excess ? excess : grid;
-    phi = phi ? phi : grid;
-    target = target ? target : grid;
-    for (int q = 0; q < 5; q++)
-        sums[q] = 0.0;
-    if (has == (HAS_R | HAS_EXCESS | HAS_PHI | HAS_TARGET))    /* a stepped record */
-        record_rows(sums, HAS_R | HAS_EXCESS | HAS_PHI | HAS_TARGET, nx, L, u, head, s,
-                    R, mw, excess, phi, target, scale);
-    else
-        record_rows(sums, has, nx, L, u, head, s, R, mw, excess, phi, target, scale);
+    if (R)
+        record_rows(sums, 1, nx, L, u, head, s, R, mw, excess, phi, target, scale);
+    else    /* u is the density; R is never read */
+        record_rows(sums, 0, nx, L, u, head, s, u, mw, excess, phi, target, scale);
 }
 
 /* ---- the steps of pde.run -------------------------------------------------

@@ -472,17 +472,14 @@ class CollapsedKernel:
 
 
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
-             factors: AgeFactors | None = None) -> CollapsedKernel:
+             factors: AgeFactors) -> CollapsedKernel:
     """sB and r on the trait grid by age quadrature, summed to the horizon at lambda.
 
-    factors (`age_factors` at the trait nodes, on the age lattice or on any
-    lattice it is a prefix of) are built here when not given; a lambda sweep
-    passes them in. The cells are formed and summed by `row_blocks`, so no
-    (nx, n) temporary is.
+    factors are `age_factors` at the trait nodes, on the age lattice or on any
+    lattice it is a prefix of, so that a lambda sweep builds them once. The
+    cells are formed and summed by `row_blocks`, so no (nx, n) temporary is.
     """
     _check_lambda(model, lam)
-    if factors is None:
-        factors = age_factors(model, tgrid.nodes, agrid.nodes)
     n = horizon(model, lam, cell_integrals(factors, lam, 1)[:, 0],
                 factors.ages[:agrid.n_cells + 1])
     sB = np.empty(tgrid.n)                              # int B R da

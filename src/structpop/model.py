@@ -47,7 +47,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         v = float(p.pop("value"))
         if v < 0:
             raise ConfigError("constant rate must be nonnegative")
-        fam = RateFamily(name, {"value": v}, lambda x, a, v=v: np.full_like(
+        fam = RateFamily(name, {"value": v}, lambda x, a: np.full_like(
             np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))[0], v),
             lambda x, a: v, v, v)
     elif name == "affine":
@@ -57,7 +57,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if sa < 0:
             raise ConfigError("affine rate with slope_a < 0 is unbounded below in age")
 
-        def fn(x, a, base=base, sx=sx, sa=sa):
+        def fn(x, a):
             return base + sx * np.asarray(x, float) + sa * np.asarray(a, float)
 
         corner = [base + sx * lo, base + sx * hi]
@@ -73,7 +73,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if bbar - math.sqrt(hi - lo) < 0:
             raise ConfigError("sqrt_gap rate is negative at the right edge")
 
-        def fn(x, a, bbar=bbar, lo=lo):
+        def fn(x, a):
             x = np.asarray(x, float)
             return bbar - np.sqrt(x - lo) + 0.0 * np.asarray(a, float)
 
@@ -87,7 +87,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if base < 0 or amp < 0 or width <= 0:
             raise ConfigError("gaussian_bump needs base, amp >= 0 and width > 0")
 
-        def fn(x, a, base=base, amp=amp, center=center, width=width):
+        def fn(x, a):
             x = np.asarray(x, float)
             return base + amp * np.exp(-0.5 * ((x - center) / width) ** 2) \
                 + 0.0 * np.asarray(a, float)
@@ -107,14 +107,14 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if low < 0 or high < low or scale <= 0:
             raise ConfigError("logistic_age needs 0 <= low <= high and scale > 0")
 
-        def fn(x, a, low=low, high=high, a0=a0, scale=scale):
-            a = np.asarray(a, float)
-            return low + (high - low) / (1.0 + np.exp(-(a - a0) / scale)) \
-                + 0.0 * np.asarray(x, float)
+        def fn(x, a):
+            with np.errstate(over="ignore"):    # exp's inf gives low, as in scalar
+                e = np.exp(-(np.asarray(a, float) - a0) / scale)
+            return low + (high - low) / (1.0 + e) + 0.0 * np.asarray(x, float)
 
-        def scalar(x, a, span=high - low):
+        def scalar(x, a):
             try:
-                return low + span / (1.0 + math.exp(-(a - a0) / scale))
+                return low + (high - low) / (1.0 + math.exp(-(a - a0) / scale))
             except OverflowError:   # np.exp gives inf there, and the rate its floor
                 return low
 
@@ -129,7 +129,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         if np.any(vals < 0):
             raise ConfigError("tabulated rate values must be nonnegative")
 
-        def fn(x, a, xs=xs, as_=as_, vals=vals):
+        def fn(x, a):
             x = np.clip(np.asarray(x, float), xs[0], xs[-1])
             a = np.clip(np.asarray(a, float), as_[0], as_[-1])
             x, a = np.broadcast_arrays(x, a)
@@ -182,7 +182,7 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
     if name == "uniform":
         val = 1.0 / leb
 
-        def fn(x, y, val=val):
+        def fn(x, y):
             shape = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0]
             return np.full_like(shape, val)
 
@@ -194,12 +194,12 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
             raise ConfigError("gaussian kernel needs width > 0")
         rt2 = math.sqrt(2.0)
 
-        def norm_const(x, width=width, lo=lo, hi=hi, rt2=rt2):
+        def norm_const(x):
             x = np.asarray(x, float)
             erf = np.vectorize(math.erf)
             return 0.5 * (erf((hi - x) / (width * rt2)) - erf((lo - x) / (width * rt2)))
 
-        def fn(x, y, width=width):
+        def fn(x, y):
             x = np.asarray(x, float)
             y = np.asarray(y, float)
             z = np.exp(-0.5 * ((y - x) / width) ** 2) / (width * math.sqrt(2 * math.pi))
@@ -405,14 +405,11 @@ def build_model(config: ScenarioConfig) -> RateModel:
     )
 
 
-def build_grids(config: ScenarioConfig,
-                model: RateModel | None = None) -> tuple[TraitGrid, AgeGrid]:
+def build_grids(config: ScenarioConfig, model: RateModel) -> tuple[TraitGrid, AgeGrid]:
     """Midpoint trait grid plus an age lattice truncated from the tail bound at
     lambda = 0, which bounds the tail at every lambda >= 0."""
     from .kernel import age_lattice
 
-    if model is None:
-        model = build_model(config)
     tgrid = midpoint_grid(config.trait_domain, config.nx)
     return tgrid, age_lattice(model, 0.0, config.tol, config.da)
 

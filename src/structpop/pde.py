@@ -124,10 +124,11 @@ class TransportSolver:
     def _history(self, u: np.ndarray, head: int, hist: np.ndarray) -> None:
         """hist[:, :, m-1] = sum_j W[:, :, j+m] c_j, c_j the ring's column at age a_j:
         its births and mass over the next K steps. By FFT if K > 1, the sums are
-        finite and the bound max_x |W_x| |u_x| is within 100 times the largest."""
+        finite and the bound max_x |W_x| |u_x| is within 100 times the largest.
+        Neither path warns: a sum that overflows is left for the step to raise."""
         (nx, L), K, n = u.shape, hist.shape[2], self._nfft
-        if K > 1:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if K > 1:
                 for i in range(0, nx, _CHUNK):
                     rows = slice(i, i + _CHUNK)
                     ring = np.fft.rfft(np.roll(u[rows], -head, axis=1), n).conj()[:, None]
@@ -135,12 +136,12 @@ class TransportSolver:
                     hist[rows] = np.fft.irfft(spectra, n)[:, :, 1:K + 1]
                 bound = (self._W_norm * np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]).max(0)
                 ok = np.isfinite(hist).all() and np.all(bound <= 100 * abs(hist).max((0, 2)))
-            self.history["fft_blocks" if ok else "direct_blocks"] += 1
-            if ok:
-                return
-        c = np.roll(u, -head, axis=1)
-        for m in range(1, K + 1):
-            hist[:, :, m - 1] = np.matmul(self._W[:, :, m:], c[:, :L - m, None])[:, :, 0]
+                self.history["fft_blocks" if ok else "direct_blocks"] += 1
+                if ok:
+                    return
+            c = np.roll(u, -head, axis=1)
+            for m in range(1, K + 1):
+                hist[:, :, m - 1] = np.matmul(self._W[:, :, m:], c[:, :L - m, None])[:, :, 0]
 
     def step_nonlinear(self, state: DensityState, n: int = 1) -> float:
         """n steps of dt, each n <- exp(-c m dt) L n, L linear, c the model's
@@ -213,16 +214,13 @@ class TransportSolver:
 
     # -- distances and diagnostics ----------------------------------------
 
-    def distances(self, values: np.ndarray, target: np.ndarray, phi: np.ndarray | None = None,
+    def distances(self, values: np.ndarray, target: np.ndarray, phi: np.ndarray,
                   out: np.ndarray | None = None) -> tuple[float, float]:
         """Plain and phi-weighted L1 distances, formed in `out` if given."""
-        if values.shape != target.shape:
-            raise ValueError("state and target shapes differ")
         diff = np.abs(np.subtract(values, target, out=out), out=out)
         diff *= self.mass_w
         tv = float(diff.sum())
-        pw = float(np.multiply(diff, phi, out=diff).sum()) if phi is not None else math.nan
-        return tv, pw
+        return tv, float(np.multiply(diff, phi, out=diff).sum())
 
     def growth_diag(self, values: np.ndarray, excess: np.ndarray, mass: float) -> float:
         """D(t): mass-weighted mean of B - D - lambda*, given values' mass and the
@@ -254,13 +252,17 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     and with phi also the invariant sum(e^{-lam* t} v phi).
 
     The steps between two records are one call of `step_nonlinear`, so
-    record_every below 1 raises ValueError. Each record's sums are taken in
-    one pass over the cohort ring by `pde_record` in _loops.c when the
-    library builds and loads, and otherwise by NumPy over the materialised
-    density; `trace.record` says which, and the solver steps on the same
-    path (the host's library, loaded when the solver was built). The two
-    agree to roundoff. No record sums by a BLAS dot product, whose order of
-    summation moves with the BLAS thread count, nor does a compiled step.
+    record_every below 1 raises ValueError. Every record takes the same five
+    sums (mass, D(t)'s numerator, the invariant, tv and pw), reading a
+    stand-in grid for an absent target, phi or lam_star, and keeps those of
+    the grids it was given (pw is NaN without phi). It takes them in one pass
+    over the cohort ring, or over the state's values where it holds them, by
+    `pde_record` in _loops.c when the library builds and loads, and otherwise
+    by NumPy over the materialised density; `trace.record` says which, and
+    the solver steps on the same path (the host's library, loaded when the
+    solver was built). The two agree to roundoff. No record sums by a BLAS
+    dot product, whose order of summation moves with the BLAS thread count,
+    nor does a compiled step.
     """
     if record_every < 1:
         raise ValueError(f"record_every = {record_every!r} must be at least 1")
@@ -277,27 +279,27 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     trace = TraceRecord(steps=n_steps, record="numpy" if lib is None else "c")
     cum_loss = 0.0
     invariant = linear and phi is not None and lam_star is not None
-    excess = (solver._net - lam_star) * solver.mass_w if lam_star is not None else None
+    # the C reads these through raw pointers: float64, C order, held until run
+    # returns; solver.R, already so, stands in for an absent grid
+    excess = solver.R if lam_star is None else (solver._net - lam_star) * solver.mass_w
+    phi_g, target_g = (solver.R if g is None else np.ascontiguousarray(g, dtype=float)
+                       for g in (phi, target))
 
     if lib is None:
         buf = np.empty(shape)
-        phi_w = phi * solver.mass_w if invariant else None
+        phi_w = phi_g * solver.mass_w
 
         def sums(scale):    # one materialisation into buf, which the distances overwrite
             values = solver.density(state, out=buf)
             mass = solver.mass(values)
-            growth = solver.growth_diag(values, excess, mass) if excess is not None else None
-            inv = float(np.einsum("ij,ij->", values, phi_w)) if invariant else None
-            tv = pw = None
-            if target is not None:
-                scaled = np.multiply(values, scale, out=buf) if linear else values
-                tv, pw = solver.distances(scaled, target, phi, out=buf)
+            growth = solver.growth_diag(values, excess, mass)
+            inv = float(np.einsum("ij,ij->", values, phi_w))
+            tv, pw = solver.distances(np.multiply(values, scale, out=buf), target_g, phi_g,
+                                      out=buf)
             return mass, growth, inv, tv, pw
     else:
-        # the C reads these through raw pointers: float64, C order, held until run returns
-        grids = [None if g is None else np.ascontiguousarray(g, dtype=float)
-                 for g in (solver.R, solver.mass_w, excess, phi, target)]
-        R, mw, ex, ph, tg = (None if g is None else g.ctypes.data for g in grids)
+        R, mw, ex, ph, tg = (g.ctypes.data for g in (solver.R, solver.mass_w, excess, phi_g,
+                                                     target_g))
         out = np.empty(5)
 
         def sums(scale):    # over the ring v = s u R, or over a materialised state's values
@@ -309,8 +311,7 @@ def run(solver: TransportSolver, state: DensityState, T: float,
             lib.pde_record(shape[0], shape[1], u.ctypes.data, head, s, ring_R, mw, ex,
                            ph, tg, scale, out.ctypes.data)
             mass, num, inv, tv, pw = out.tolist()
-            growth = num / mass if mass > 0 else math.nan
-            return mass, growth, inv, tv, pw if phi is not None else math.nan
+            return mass, num / mass if mass > 0 else math.nan, inv, tv, pw
 
     def record():
         scale = math.exp(-lam_star * state.t) if linear and lam_star is not None else 1.0
@@ -323,7 +324,7 @@ def run(solver: TransportSolver, state: DensityState, T: float,
             trace.D_t.append(growth)
         if target is not None:
             trace.tv_to_target.append(tv)
-            trace.phi_weighted_dist.append(pw)
+            trace.phi_weighted_dist.append(pw if phi is not None else math.nan)
         trace.truncation_loss.append(cum_loss)
 
     record()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from structpop import build_grids, build_model, constant_scenario, singular_scenario
+from structpop import build_grids, build_model, constant_scenario, kernel, singular_scenario
 from structpop.malthus import MalthusProblem, solve_eigentriple, stationary_state
 from structpop.pde import TransportSolver
 
@@ -48,6 +48,12 @@ def renewal_flux(solver, values):
     """F[n](x): clonal plus mutant birth flux at age zero, per trait node, from
     the solver's Mix, B and age weights."""
     return solver.mix @ np.sum(solver.B * values * solver.qa[None, :], axis=1)
+
+
+def lattice_collapse(model, tgrid, agrid, lam):
+    """`kernel.collapse` at lam, with the age factors of agrid's own lattice."""
+    factors = kernel.age_factors(model, tgrid.nodes, agrid.nodes)
+    return kernel.collapse(model, tgrid, agrid, lam, factors)
 
 
 # PASS/FAIL lines recorded by the acceptance tests; replayed after the run

@@ -15,7 +15,7 @@ import pytest
 import conftest
 
 from structpop import ibm, pde
-from structpop.kernel import CollapsedKernel, MixForm, collapse, mix_matrix
+from structpop.kernel import CollapsedKernel, MixForm, mix_matrix
 from structpop.malthus import MalthusProblem, refinement_sweep, solve_eigentriple
 from structpop.model import (build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
@@ -49,7 +49,7 @@ def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup)
         p, dx = s.model.mutation_prob, s.tgrid.dx
         k = s.model.mutation_kernel.matrix(s.tgrid.nodes)     # k[i, j] = k(x_i, x_j)
         for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
-            ck = collapse(s.model, s.tgrid, s.agrid, lam)
+            ck = conftest.lattice_collapse(s.model, s.tgrid, s.agrid, lam)
             direct = assemble(ck, mix_matrix(s.model, s.tgrid), s.tgrid)
             rd, rq = perron(direct).rho, perron(dual(direct)).rho
             worst_rel = max(worst_rel, abs(rd - rq) / rd)

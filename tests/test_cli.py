@@ -849,6 +849,73 @@ def test_every_public_name_is_referenced():
     assert unreferenced == [], "\n".join(unreferenced)
 
 
+# Optional parameters that no call in the package or the benchmark passes,
+# kept for what the tests set with them.
+OPTIONAL_EXEMPT = {
+    "simulate(particle_cap)": "the particle-cap tests abort a run at a small cap",
+    "simulate(record_events)": "the reference-stream tests compare each event",
+    "dirac_state(a)": "criterion 06 and the record tests start spikes at an age",
+    "dirac_state(mass)": "the tests' initial spikes of a given mass",
+    "uniform_state(a_scale)": "the tests' states with density out to the horizon",
+    "uniform_state(mass)": "the tests' states near the float limit",
+    **{f"{preset}({name})": "a preset on the tests' own grids and seeds"
+       for preset in ("constant_scenario", "singular_scenario")
+       for name in ("nx", "da", "tol", "seed")},
+}
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    # a keyword that only the tests set is a mode no config can reach
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def parse(directory):
+        return [ast.parse(open(os.path.join(directory, name)).read())
+                for name in sorted(os.listdir(directory)) if name.endswith(".py")]
+
+    package = parse(os.path.dirname(ibm.__file__))
+    calls = [node for tree in package + parse(os.path.join(root, "perfbench"))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passes(call, index, name):
+        """Whether call sets the parameter at position index (None: keyword only)."""
+        positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+        return (any(k.arg == name for k in call.keywords)
+                or (index is not None and index < len(positional)))
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    functions = []          # (name it is called by, FunctionDef, leading self or cls)
+    for tree in package:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        name = node.name if item.name == "__init__" else item.name
+                        functions.append((name, item, 0 if static else 1))
+        methods = {id(fn) for _, fn, _ in functions}
+        functions += [(node.name, node, 0) for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and id(node) not in methods]
+    unpassed, checked = [], 0
+    for name, fn, skip in functions:
+        args = fn.args.posonlyargs + fn.args.args
+        optional = [(i - skip, a.arg) for i, a in enumerate(args)
+                    if i >= len(args) - len(fn.args.defaults)]
+        optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None]
+        for index, param in optional:
+            checked += 1
+            if not any(callee(c) == name and passes(c, index, param) for c in calls):
+                unpassed.append(f"{name}({param})")
+    assert checked >= len(OPTIONAL_EXEMPT) + 10
+    assert set(OPTIONAL_EXEMPT) <= set(unpassed), "an exempt parameter is now passed"
+    unpassed = [u for u in unpassed if u not in OPTIONAL_EXEMPT]
+    assert unpassed == [], "\n".join(unpassed)
+
+
 def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
     # the (1 - p)/p birth-mutation law is spelled once, in kernel.mix_matrix,
     # which reads k on the grid for its dense form and, through its factor

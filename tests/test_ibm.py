@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -735,7 +736,8 @@ def test_scalar_rate_forms_match_the_family(family, params):
     fam = _make_rate(family, params, (lo, hi))
     xs = np.concatenate([[lo, hi], np.linspace(lo, hi, 37)])
     ages = np.concatenate([[0.0, 1e-300, 50.0], np.linspace(0.0, 12.0, 41)])
-    with np.errstate(over="ignore"):        # np.exp overflows where math.exp raises
+    with warnings.catch_warnings():         # np.exp overflows where math.exp raises
+        warnings.simplefilter("error", RuntimeWarning)
         for x, a in itertools.product(xs, ages):
             want = float(fam.fn(x, a))
             got = fam.scalar(float(x), float(a))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import lattice_collapse
 from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
                               choose_age_truncation, collapse, horizon, profiles,
@@ -66,13 +67,13 @@ def test_age_truncation_degenerate_tolerance(const_model):
 def test_collapse_closed_forms(const_model):
     tg = midpoint_grid((0.0, 1.0), 16)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    ck0 = collapse(const_model, tg, ag, 0.0)
+    ck0 = lattice_collapse(const_model, tg, ag, 0.0)
     # (1-p) B/(lam+D) = 1.4 and p B k/(lam+D) = 0.6
     assert np.abs(ck0.r_values - 1.4).max() < 1e-8
     p = const_model.mutation_prob                     # K = p sB k with k = 1
     assert np.abs(p * ck0.sB - 0.6).max() < 1e-8
     assert ck0.rbar == pytest.approx(1.4, abs=1e-8)
-    ck1 = collapse(const_model, tg, ag, 1.0)
+    ck1 = lattice_collapse(const_model, tg, ag, 1.0)
     assert np.abs(ck1.r_values - 0.7).max() < 1e-8
     assert np.abs(p * ck1.sB - 0.3).max() < 1e-8
 
@@ -83,7 +84,7 @@ def test_collapse_zero_birth():
         birth={"family": "constant", "params": {"value": 0.0}})
     model = build_model(cfg)
     tg = midpoint_grid((0.0, 1.0), 8)
-    ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=100), 0.5)
+    ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=100), 0.5)
     assert np.all(ck.r_values == 0.0)
     assert np.all(ck.sB == 0.0)
 
@@ -93,7 +94,7 @@ def test_collapse_monotone_in_lambda(const_model):
     ag = AgeGrid(da=0.01, n_cells=2372)
     prev = None
     for lam in (0.0, 0.5, 1.0, 2.0):
-        ck = collapse(const_model, tg, ag, lam)
+        ck = lattice_collapse(const_model, tg, ag, lam)
         if prev is not None:
             assert np.all(prev.r_values > ck.r_values + 1e-6)
             assert np.all(prev.sB >= ck.sB)
@@ -104,8 +105,8 @@ def test_collapse_lipschitz_in_lambda(const_model):
     tg = midpoint_grid((0.0, 1.0), 8)
     ag = AgeGrid(da=0.01, n_cells=2372)
     lam0, h = 0.5, 1e-3
-    r0 = collapse(const_model, tg, ag, lam0).r_values
-    r1 = collapse(const_model, tg, ag, lam0 + h).r_values
+    r0 = lattice_collapse(const_model, tg, ag, lam0).r_values
+    r1 = lattice_collapse(const_model, tg, ag, lam0 + h).r_values
     # |dr/dlam| <= (1-p) ||B|| / (D+lam)^2 here; allow slack
     L = const_model.birth.sup / (const_model.death_floor + lam0) ** 2
     assert np.abs(r1 - r0).max() <= 1.1 * L * h
@@ -115,7 +116,7 @@ def test_collapse_sqrt_gap_positive():
     from structpop.model import singular_scenario
     model = build_model(singular_scenario())
     tg = midpoint_grid((0.0, 1.0), 32)
-    ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=2472), 0.0)
+    ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=2472), 0.0)
     assert np.all(ck.r_values > 0)
     assert np.all(ck.sB >= 0)
     # r follows (1-p) B(x)/D: decreasing in x
@@ -169,7 +170,7 @@ def test_factored_collapse_matches_reference_quadrature(case):
     for lam in (0.0, 1.0, 2.78, 4.0):
         ref = reference_cell_integrals(model, tg.nodes, ag.nodes, lam)
         sB = ref.sum(axis=1)
-        for ck in (collapse(model, tg, ag, lam),
+        for ck in (lattice_collapse(model, tg, ag, lam),
                    collapse(model, tg, ag, lam, factors=factors)):
             assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
             assert np.abs(ck.r_values - (1 - p) * sB).max() <= 1e-13 * sB.max()
@@ -201,7 +202,7 @@ def test_collapse_and_cell_integrals_share_one_formula():
     for lam in (0.0, 2.5):
         cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
         # bit for bit: the lattice factors are a prefix of the extended ones
-        np.testing.assert_array_equal(collapse(model, tg, ag, lam).sB, cells.sum(axis=1))
+        np.testing.assert_array_equal(lattice_collapse(model, tg, ag, lam).sB, cells.sum(axis=1))
         np.testing.assert_array_equal(
             collapse(model, tg, ag, lam, factors=extended).sB, cells.sum(axis=1))
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import renewal_flux
+from conftest import lattice_collapse, renewal_flux
 from structpop import kernel, malthus, spectral
 from structpop.ibm import square_integrability_constant
-from structpop.kernel import collapse, survival_matrix
+from structpop.kernel import survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
                                dual_profile, eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
@@ -226,12 +226,12 @@ def test_secular_equation_oracle_singular_800():
     lam_star = problem.find_lambda_star(1e-6)
 
     for lam in (0.0, 2.0, lam_star):
-        ck = collapse(model, tgrid, agrid, lam)
+        ck = lattice_collapse(model, tgrid, agrid, lam)
         rho = perron(assemble(ck, problem.mix, tgrid)).rho
         assert abs(rho - _secular_rho(ck, tgrid, model)) <= 1e-12 * rho
 
     def secular_gap(lam):
-        return _secular_rho(collapse(model, tgrid, agrid, lam), tgrid, model) - 1.0
+        return _secular_rho(lattice_collapse(model, tgrid, agrid, lam), tgrid, model) - 1.0
 
     lo, hi = problem.lambda_search["bracket"]
     lam_oracle = brentq(secular_gap, lo, hi, xtol=1e-13)
@@ -267,7 +267,7 @@ def test_eigendata_reuses_the_search(monkeypatch):
     assert [pair.rho for pair in solves] == [pq.rho]     # the dual solve alone
     assert pd is pd_search
     assert problem.eigendata(1.5)[2] is pq and len(solves) == 1   # asked again: kept
-    fresh = collapse(problem.model, problem.tgrid, problem.agrid, 1.5)
+    fresh = lattice_collapse(problem.model, problem.tgrid, problem.agrid, 1.5)
     assert pd.rho == rho and ck.rbar == fresh.rbar
     np.testing.assert_array_equal(ck.sB, fresh.sB)
     np.testing.assert_array_equal(ck.r_values, fresh.r_values)
@@ -320,7 +320,7 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
     assert search["age_cells"] == sum(cells) < evaluations * n
     assert cells[0] == n                  # lambda = 0 sums the whole lattice
     cold = spectral.perron(spectral.assemble(
-        collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
+        lattice_collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
         problem.tgrid))
     assert abs(problem.rho_of_lambda(lam) - cold.rho) <= 1e-12 * cold.rho
 

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
+from structpop.model import (AgeGrid, ConfigError, _make_rate, build_grids, build_model,
                              constant_scenario, grid_integral, mass_weights,
                              midpoint_grid, parse_config, singular_scenario,
                              validate_assumptions)
@@ -54,7 +55,7 @@ def test_midpoint_second_order_on_x_squared():
 
 def test_build_grids_age_horizon_constant_model():
     cfg = constant_scenario()
-    _, agrid = build_grids(cfg)
+    _, agrid = build_grids(cfg, build_model(cfg))
     # ||B|| e^{-D A}/D < 1e-10 solves to A = ln(2e10) = 23.719...
     assert agrid.a_max == pytest.approx(23.72, abs=0.011)
     assert agrid.n_cells % 2 == 0
@@ -204,6 +205,17 @@ def test_model_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         build_model(dataclasses.replace(
             cfg, death={"family": "constant", "params": {"value": 0.0}}))
+
+
+def test_logistic_age_rate_is_its_floor_where_exp_overflows():
+    fam = _make_rate("logistic_age",
+                     {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.001}, (0.0, 1.0))
+    ages = np.array([0.0, 0.2, 0.29])     # -(a - a0) / scale = 1000, 800, 710: past 709
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = fam.fn(0.5, ages)
+    assert got.tolist() == [0.5, 0.5, 0.5]
+    assert [fam.scalar(0.5, float(a)) for a in ages] == [0.5, 0.5, 0.5]
 
 
 def test_tabulated_rate_bilinear():

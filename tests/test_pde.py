@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_distances_trivial_cases(constant_setup):
     target = s.triple.N_grid
     tv, pw = s.solver.distances(target, target, s.triple.phi_grid)
     assert tv == 0.0 and pw == 0.0
-    tv, _ = s.solver.distances(2.0 * target, target)
+    tv, _ = s.solver.distances(2.0 * target, target, s.triple.phi_grid)
     assert tv == pytest.approx(1.0, abs=1e-8)   # unit-mass target
 
 
@@ -324,6 +325,17 @@ def test_run_rejects_a_record_stride_below_one(record_every):
     with pytest.raises(ValueError, match="record_every"):
         pde.run(solver, st, 1.0, record_every=record_every)
     assert st.t == 0.0 and st._cohort is None   # nothing was stepped
+
+
+@pytest.mark.parametrize("grid", ["state", "target", "phi"])
+def test_run_rejects_a_grid_of_another_shape(grid):
+    # the compiled record reads every grid through a raw pointer at the solver's shape
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)
+    short = np.ones((8, 200))
+    state = pde.DensityState(0.0, short if grid == "state" else solver.R.copy())
+    kwargs = {grid: short} if grid != "state" else {}
+    with pytest.raises(ValueError, match=f"{grid} shape"):
+        pde.run(solver, state, 0.1, **kwargs)
 
 
 def test_run_to_the_state_time_makes_no_step():
@@ -553,8 +565,10 @@ def test_a_non_finite_newborn_raises_on_both_step_paths(linear):
         mass = 1e6
     for stepper in step_paths(solver):
         st = pde.uniform_state(tg, ag, mass=mass)
-        with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                       match="transport step produced"):
+        # the step raises, and warns of nothing on the way
+        with warnings.catch_warnings(), pytest.raises(ValueError,
+                                                      match="transport step produced"):
+            warnings.simplefilter("error", RuntimeWarning)
             stepper.step_nonlinear(st, 5)
         assert st.t == 0.0
 
@@ -674,3 +688,47 @@ def test_compiled_record_matches_the_numpy_record(constant_setup, monkeypatch, c
         np.testing.assert_allclose(c.D_t, ref.D_t, rtol=1e-13, atol=0.0)
     else:                           # B - D = 1 = lambda*: every numerator term is 0
         assert all(d == 0.0 for d in c.D_t + ref.D_t) and len(c.D_t) == 31
+
+
+def use_record_path(monkeypatch, record):
+    """Have the solvers and runs built from here on take their records on one
+    path: "c" (skipped where the library is unavailable) or "numpy"."""
+    if record == "c" and _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    if record == "numpy":
+        monkeypatch.setattr(_loops, "library", lambda: (None, "disabled for this test"))
+
+
+@pytest.mark.parametrize("record", ["c", "numpy"])
+def test_the_first_record_reads_the_state_as_given(monkeypatch, record):
+    # the state has density at ages where R0 < 1e-300, which the ring cannot
+    # hold: record 0 still reports the state's own mass, not the ring's
+    use_record_path(monkeypatch, record)
+    solver, _ = age_dependent_solver()
+    st = pde.uniform_state(solver.tgrid, solver.agrid, a_scale=5.0)
+    mass = solver.mass(st.values)
+    assert mass == pytest.approx(1.0, rel=1e-14)
+    assert solver.mass(st.values * (solver.R > 0.0)) < 0.98
+    _, trace = pde.run(solver, st, 0.03)
+    assert trace.record == record and len(trace.mass) == 4
+    assert trace.mass[0] == pytest.approx(mass, rel=1e-13)
+
+
+@pytest.mark.parametrize("record", ["c", "numpy"])
+@pytest.mark.parametrize("other", ["c_zero_twin", "other_death"])
+def test_run_traces_a_state_another_solver_stepped(monkeypatch, record, other):
+    # the c = 0 twin's ring has the solver's R; another death rate's does not
+    use_record_path(monkeypatch, record)
+    _, tg, ag, solver = make_solver(nx=8, n_cells=200)
+    stepper = c_zero_twin(solver) if other == "c_zero_twin" else make_solver(
+        death=1.5, nx=8, n_cells=200)[3]
+    st = pde.uniform_state(tg, ag)
+    stepper.step_nonlinear(st, 31)      # an odd head: the ring's spans change lanes
+    assert st._values is None and st._cohort[0] is stepper
+    given = pde.DensityState(st.t, stepper.density(st).copy())
+    kwargs = dict(target=given.values.copy(), phi=np.ones(solver.R.shape), lam_star=1.0,
+                  record_every=5)
+    _, got = pde.run(solver, st, st.t + 0.5, **kwargs)
+    _, want = pde.run(solver, given, given.t + 0.5, **kwargs)
+    assert got.record == record and len(got.t) == 11
+    assert got == want

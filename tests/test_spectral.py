@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import lattice_collapse
 from structpop import spectral
-from structpop.kernel import MIX_RTOL, CollapsedKernel, MixForm, collapse, mix_matrix
+from structpop.kernel import MIX_RTOL, CollapsedKernel, MixForm, mix_matrix
 from structpop.malthus import MalthusProblem
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
@@ -33,7 +34,7 @@ def dense(M):
 
 
 def direct_operator(model, tg, ag, lam):
-    return assemble(collapse(model, tg, ag, lam), mix_matrix(model, tg), tg)
+    return assemble(lattice_collapse(model, tg, ag, lam), mix_matrix(model, tg), tg)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def const_pair():
     model = build_model(constant_scenario())
     tg = midpoint_grid((0.0, 1.0), 2)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    return collapse(model, tg, ag, 0.0), mix_matrix(model, tg), tg
+    return lattice_collapse(model, tg, ag, 0.0), mix_matrix(model, tg), tg
 
 
 def test_assemble_hand_example(const_pair):
@@ -71,7 +72,7 @@ def test_assembly_under_an_asymmetric_kernel_is_the_transpose():
     model = build_model(dataclasses.replace(
         constant_scenario(), kernel={"family": "gaussian", "params": {"width": 0.15}}))
     tg = midpoint_grid((0.0, 1.0), 6)
-    ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=500), 0.4)
+    ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=500), 0.4)
     p, sB, dx, r = model.mutation_prob, ck.sB, tg.dx, ck.r_values
     k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])   # k[i, j] = k(x_i, x_j)
     assert not np.allclose(k, k.T)
@@ -172,7 +173,7 @@ def test_regime_classification_constant():
     model = build_model(constant_scenario())
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    ck = collapse(model, tg, ag, 1.0)
+    ck = lattice_collapse(model, tg, ag, 1.0)
     pair = perron(assemble(ck, mix_matrix(model, tg), tg))
     assert regime(pair.rho, ck.rbar) == "Regular"
     assert pair.rho - ck.rbar == pytest.approx(0.3, abs=1e-6)
@@ -182,7 +183,7 @@ def test_density_from_profile_constant():
     model = build_model(constant_scenario())
     tg = midpoint_grid((0.0, 1.0), 32)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    ck = collapse(model, tg, ag, 1.0)
+    ck = lattice_collapse(model, tg, ag, 1.0)
     op = assemble(ck, mix_matrix(model, tg), tg)
     pair = perron(op)
     u, res = density_from_profile(pair, op, ck)
@@ -197,7 +198,7 @@ def test_density_from_profile_takes_no_difference_of_the_clonal_rate():
     model = build_model(dataclasses.replace(
         constant_scenario(), p=p, kernel={"family": "gaussian", "params": {"width": 0.15}}))
     tg = midpoint_grid((0.0, 1.0), 200)
-    ck = collapse(model, tg, AgeGrid(da=0.01, n_cells=2000), 1.0)
+    ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=2000), 1.0)
     op = assemble(ck, mix_matrix(model, tg), tg)
     pair = perron(op)
     k = model.mutation_kernel(tg.nodes[:, None], tg.nodes[None, :])    # k[i, j] = k(x_i, x_j)
@@ -356,7 +357,7 @@ def test_factored_operator_matches_dense_references_from_k(family):
     n, p, x = tg.n, model.mutation_prob, tg.nodes
     mix = mix_matrix(model, tg)
     assert mix.form == "factored"
-    ck = collapse(model, tg, ag, 2.7)
+    ck = lattice_collapse(model, tg, ag, 2.7)
     op = assemble(ck, mix, tg)
     M = np.diag(ck.r_values) + p * ck.sB[None, :] * model.mutation_kernel.matrix(x).T * tg.dx
     w = p * tg.dx * model.mutation_kernel(x, x) * ck.sB
