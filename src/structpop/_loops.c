@@ -10,6 +10,9 @@
  * for bit. It advances the state until something needs Python and returns
  * why: a sample time is crossed, the horizon or extinction is reached, the
  * particle cap is exceeded, a rate leaves its domain, or a buffer is full.
+ * Between entry and return the state is held in locals, and the stream is
+ * read from a tempered copy of the MT table, made on entry and at each
+ * regeneration; the raw table stays in the state, which regeneration reads.
  */
 #include <math.h>
 #include <stdint.h>
@@ -37,37 +40,56 @@ typedef struct {
     int64_t nx;
 } ibm_state;
 
-/* genrand_uint32 of CPython's Modules/_randommodule.c */
-static uint32_t genrand(ibm_state *s)
+/* the tempered outputs of the raw words mt: a draw is then one load of tab */
+static void temper(const uint32_t *mt, uint32_t *tab)
+{
+    for (int k = 0; k < 624; k++) {
+        uint32_t y = mt[k];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= (y >> 18);
+        tab[k] = y;
+    }
+}
+
+/* MT19937's next table in mt, in place, as genrand_uint32 of CPython's
+ * Modules/_randommodule.c regenerates it; then its words tempered into tab.
+ * Out of line: the event loop calls it once per 624 words. */
+static __attribute__((noinline)) void refill(uint32_t *mt, uint32_t *tab)
 {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y, *mt = s->mt;
-    if (s->mti >= 624) {
-        int kk;
-        for (kk = 0; kk < 624 - 397; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + 397] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < 623; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (397 - 624)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[623] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[623] = mt[396] ^ (y >> 1) ^ mag01[y & 0x1U];
-        s->mti = 0;
+    uint32_t y;
+    int kk;
+    for (kk = 0; kk < 624 - 397; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + 397] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[s->mti++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+    for (; kk < 623; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (397 - 624)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[623] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[623] = mt[396] ^ (y >> 1) ^ mag01[y & 0x1U];
+    temper(mt, tab);
+}
+
+/* genrand_uint32: the next tempered word, the table refilled when spent */
+static inline __attribute__((always_inline)) uint32_t
+next_word(uint32_t *mt, uint32_t *tab, int64_t *mti)
+{
+    if (*mti >= 624) {
+        refill(mt, tab);
+        *mti = 0;
+    }
+    return tab[(*mti)++];
 }
 
 /* random.random(): 53 bits from two words */
-static double uniform(ibm_state *s)
+static inline __attribute__((always_inline)) double
+next_uniform(uint32_t *mt, uint32_t *tab, int64_t *mti)
 {
-    uint32_t a = genrand(s) >> 5, b = genrand(s) >> 6;
+    uint32_t a = next_word(mt, tab, mti) >> 5, b = next_word(mt, tab, mti) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
@@ -97,83 +119,124 @@ rate(int64_t fam, const double *par, double lo, double x, double a, double *out)
     return 1;
 }
 
+/* The state is read into locals on entry and stored back at the one exit:
+ * a store through xs or bt (double *) may alias any double of *s, and one
+ * into mt any word of it, so fields read through s would be loaded again
+ * after every such store. */
 int ibm_run(ibm_state *s)
 {
+    uint32_t *mt = s->mt, tab[624];
+    int64_t mti = s->mti, n = s->n, n_ev = s->n_ev, pending = s->pending;
+    int64_t n_events = s->n_events, n_deaths = s->n_deaths, peak = s->peak;
+    const int64_t cap = s->cap, ev_cap = s->ev_cap, particle_cap = s->particle_cap;
+    const int64_t bfam = s->bfam, dfam = s->dfam, nx = s->nx;
+    double *xs = s->xs, *bt = s->bt, *ev_t = s->ev_t;
+    uint8_t *ev_kind = s->ev_kind;
+    double t = s->t;
+    const double T = s->T, s_next = s->s_next, bd = s->bd, c = s->c, K = s->K;
+    const double p = s->p, lo = s->lo, dx = s->dx;
+    const double *cdf = s->cdf, *nodes = s->nodes;
+    double bpar[4], dpar[4];
+    memcpy(bpar, s->bpar, sizeof bpar);
+    memcpy(dpar, s->dpar, sizeof dpar);
+    temper(mt, tab);
+    int status;
     for (;;) {
-        int64_t n = s->n;
-        if (n == 0)
-            return EXTINCT;
-        if (n >= s->cap || (s->ev_cap > 0 && s->n_ev >= s->ev_cap))
-            return FULL;
-        double comp = s->c * n / s->K;
-        double bound = s->bd + comp;
-        if (!s->pending) {
-            s->t -= log(1.0 - uniform(s)) / (n * bound);
-            if (s->t >= s->T) {
-                s->t = s->T;
-                return DONE;
-            }
-            s->pending = 1;
+        if (n == 0) {
+            status = EXTINCT;
+            break;
         }
-        if (s->s_next <= s->t + 1e-12)
-            return SAMPLE;
-        s->pending = 0;
-        s->n_events++;
+        if (n >= cap || (ev_cap > 0 && n_ev >= ev_cap)) {
+            status = FULL;
+            break;
+        }
+        double comp = c * n / K;
+        double bound = bd + comp;
+        if (!pending) {
+            t -= log(1.0 - next_uniform(mt, tab, &mti)) / (n * bound);
+            if (t >= T) {
+                t = T;
+                status = DONE;
+                break;
+            }
+            pending = 1;
+        }
+        if (s_next <= t + 1e-12) {
+            status = SAMPLE;
+            break;
+        }
+        pending = 0;
+        n_events++;
 
         int k = 64 - __builtin_clzll((unsigned long long)n);   /* n.bit_length() */
         int64_t i;
         do {
-            i = genrand(s) >> (32 - k);                         /* getrandbits(k) */
+            i = next_word(mt, tab, &mti) >> (32 - k);           /* getrandbits(k) */
         } while (i >= n);
-        double x = s->xs[i];
-        double a = s->t - s->bt[i];
-        double u = uniform(s) * bound;
+        double x = xs[i];
+        double a = t - bt[i];
+        double u = next_uniform(mt, tab, &mti) * bound;
         double b, d;
-        if (!rate(s->bfam, s->bpar, s->lo, x, a, &b))
-            return DOMAIN;
+        if (!rate(bfam, bpar, lo, x, a, &b)) {
+            status = DOMAIN;
+            break;
+        }
         if (u < b) {
-            if (uniform(s) < s->p) {
-                double q = (x - s->lo) / s->dx;
-                int64_t last = s->nx - 1;
+            if (next_uniform(mt, tab, &mti) < p) {
+                double q = (x - lo) / dx;
+                int64_t last = nx - 1;
                 int64_t cell = q >= (double)last ? last : (q < 0.0 ? 0 : (int64_t)q);
-                const double *row = s->cdf + cell * s->nx;
-                double v = uniform(s);
-                int64_t lo = 0, hi = s->nx;       /* bisect_left */
-                while (lo < hi) {
-                    int64_t m = (lo + hi) / 2;
+                const double *row = cdf + cell * nx;
+                double v = next_uniform(mt, tab, &mti);
+                int64_t l = 0, h = nx;            /* bisect_left */
+                while (l < h) {
+                    int64_t m = (l + h) / 2;
                     if (row[m] < v)
-                        lo = m + 1;
+                        l = m + 1;
                     else
-                        hi = m;
+                        h = m;
                 }
-                x = s->nodes[lo < last ? lo : last];
+                x = nodes[l < last ? l : last];
             }
-            s->xs[n] = x;
-            s->bt[n] = s->t;
-            s->n = ++n;
-            if (s->ev_cap > 0) {
-                s->ev_t[s->n_ev] = s->t;
-                s->ev_kind[s->n_ev++] = 1;
+            xs[n] = x;
+            bt[n] = t;
+            n++;
+            if (ev_cap > 0) {
+                ev_t[n_ev] = t;
+                ev_kind[n_ev++] = 1;
             }
-            if (n > s->peak)
-                s->peak = n;
-            if (n > s->particle_cap)
-                return ABORTED;
+            if (n > peak)
+                peak = n;
+            if (n > particle_cap) {
+                status = ABORTED;
+                break;
+            }
         } else {
-            if (!rate(s->dfam, s->dpar, s->lo, x, a, &d))
-                return DOMAIN;
+            if (!rate(dfam, dpar, lo, x, a, &d)) {
+                status = DOMAIN;
+                break;
+            }
             if (u < b + d + comp) {
-                s->xs[i] = s->xs[n - 1];
-                s->bt[i] = s->bt[n - 1];
-                s->n = n - 1;
-                s->n_deaths++;
-                if (s->ev_cap > 0) {
-                    s->ev_t[s->n_ev] = s->t;
-                    s->ev_kind[s->n_ev++] = 0;
+                xs[i] = xs[n - 1];
+                bt[i] = bt[n - 1];
+                n--;
+                n_deaths++;
+                if (ev_cap > 0) {
+                    ev_t[n_ev] = t;
+                    ev_kind[n_ev++] = 0;
                 }
             }
         }
     }
+    s->mti = mti;
+    s->n = n;
+    s->n_ev = n_ev;
+    s->pending = pending;
+    s->n_events = n_events;
+    s->n_deaths = n_deaths;
+    s->peak = peak;
+    s->t = t;
+    return status;
 }
 
 /* ---- the trace record of pde.run ----------------------------------------

@@ -18,7 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import ibm, kernel, malthus, pde, spectral
+# pde and ibm are imported by the commands that run them, so that the others
+# start without them (and without the compiled loops they load)
+from . import kernel, malthus, spectral
 from .model import (ConfigError, PRESETS, ScenarioConfig, build_grids,
                     build_model, parse_config, validate_assumptions)
 
@@ -147,6 +149,7 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
 
 
 def cmd_stationary(config, out: str) -> dict:
+    from . import pde
     model, tgrid, agrid, problem, triple = _solve(config)
     problem.release_factors()
     lam, nbar, mass = malthus.stationary_state(problem, triple)
@@ -161,6 +164,7 @@ def cmd_stationary(config, out: str) -> dict:
 
 
 def cmd_pde(config, out: str, tmax: float) -> dict:
+    from . import pde
     model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
     problem.release_factors()
     lam, nbar, _ = malthus.stationary_state(problem, triple)
@@ -185,6 +189,7 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
 
 
 def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
+    from . import ibm
     model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
     problem.release_factors()
     # the run is linear: its expected population at tmax is scale * e^{lambda* tmax}
@@ -249,6 +254,7 @@ def _dual_rows_from_k(model, tgrid, ck, rows: slice) -> np.ndarray:
 
 
 def cmd_verify(config, out: str, solved=None) -> dict:
+    from . import ibm, pde
     model, tgrid, agrid, problem, triple = solved or _solve(config)
     checks = validate_assumptions(model, tgrid, agrid).checks
     ck, pd, pq = problem.eigendata(0.0)

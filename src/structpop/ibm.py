@@ -97,11 +97,12 @@ def _grown(buf: np.ndarray, used: int) -> np.ndarray:
     return out
 
 
-def _c_events(lib, rng, xs, bt, model, K, T, c, bd, rates, cdf, nodes, dx,
+def _c_events(lib, rng, traits, births, model, K, T, c, bd, rates, cdf, nodes, dx,
               particle_cap, samples, masses, snapshots, store_snapshots,
               record_events):
-    """The Python loop's events, run by the compiled loop on rng's stream, for the
-    birth and death rates' (code, parameters) and the mutant CDF array.
+    """The Python loop's events, run by the compiled loop on rng's stream, from
+    the initial traits and birth times (arrays), for the birth and death rates'
+    (code, parameters) and the mutant CDF array.
 
     Fills masses and snapshots up to the last crossed sample time and returns
     (traits, birth times, t, n_events, n_deaths, peak, aborted, events, si).
@@ -110,10 +111,10 @@ def _c_events(lib, rng, xs, bt, model, K, T, c, bd, rates, cdf, nodes, dx,
     words = rng.getstate()[1]
     st.mt[:] = words[:624]
     st.mti = words[624]
-    n = len(xs)
+    n = traits.size
     xa = np.empty(max(2 * n, 1024))
     ba = np.empty_like(xa)
-    xa[:n], ba[:n] = xs, bt
+    xa[:n], ba[:n] = traits, births
     ev_t = np.empty(1024 if record_events else 0)
     ev_k = np.empty(ev_t.size, np.uint8)
     nodes = np.ascontiguousarray(nodes, dtype=float)
@@ -158,9 +159,10 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
              replicate: int = 0, record_events: bool = False) -> EventLog:
     """Exact simulation of the birth/mutation/death process up to time T.
 
-    init: iterable of (trait, age) pairs at t=0; defaults to K individuals at
-    age 0 with traits uniform over the trait domain. Every sample time must lie
-    in [0, T].
+    init: the population at t=0 as a pair (traits, ages) of 1-D arrays of one
+    length, as `sample_from_density` returns it; ValueError otherwise, before
+    any draw. Defaults to K individuals at age 0 with traits uniform over the
+    trait domain. Every sample time must lie in [0, T].
 
     The random stream is fixed by this loop: per event, one `random()` for the
     waiting time -log(1 - U)/(n * bound), `getrandbits(n.bit_length())` until
@@ -179,15 +181,19 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     sample_times = np.asarray(sorted(sample_times), float)
     if not np.all((sample_times >= 0.0) & (sample_times <= T)):
         raise ValueError(f"sample times must lie in [0, T={T:g}]")
+    if init is not None:
+        traits, ages = (np.asarray(v, dtype=float) for v in init)
+        if traits.ndim != 1 or traits.shape != ages.shape:
+            raise ValueError("init must be (traits, ages), two 1-D arrays of one length; "
+                             f"got shapes {traits.shape} and {ages.shape}")
     rng = random.Random(seed)
     random_ = rng.random
     getrandbits = rng.getrandbits
     ln = math.log
     lo, hi = model.trait_domain
     if init is None:
-        init = [(lo + (hi - lo) * random_(), 0.0) for _ in range(K)]
-    xs = [float(x) for x, _ in init]
-    bt = [-float(a) for _, a in init]
+        traits, ages = np.array([lo + (hi - lo) * random_() for _ in range(K)]), np.zeros(K)
+    births = np.negative(ages)     # birth times; age 0 is born at -0.0
 
     dsup = model.death.sup
     if not math.isfinite(dsup):
@@ -205,7 +211,7 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     si = 0
     s_next = samples[0]
 
-    n = len(xs)
+    n = traits.size
     lib = None
     if (model.birth.name in _C_RATES and model.death.name in _C_RATES
             and max(n, particle_cap + 1) < 2**32):   # getrandbits(k) reads one word
@@ -213,9 +219,10 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     if lib is not None:
         rates = _c_rate(model.birth), _c_rate(model.death)
         xs, bt, t, n_events, n_deaths, peak, aborted, events, si = _c_events(
-            lib, rng, xs, bt, model, K, T, c, bd, rates, cdf, tgrid.nodes, dx,
+            lib, rng, traits, births, model, K, T, c, bd, rates, cdf, tgrid.nodes, dx,
             particle_cap, samples, masses, snapshots, store_snapshots, record_events)
     else:
+        xs, bt = traits.tolist(), births.tolist()
         cdf_rows, nodes, last = cdf.tolist(), tgrid.nodes.tolist(), tgrid.n - 1
         peak = n
         n_events = n_deaths = 0
@@ -339,8 +346,9 @@ def _cell_cdf(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarra
 
 
 def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
-                        count: int, seed: int) -> list[tuple[float, float]]:
-    """count i.i.d. (trait, age) draws from a grid density (cellwise uniform).
+                        count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """count i.i.d. draws from a grid density (cellwise uniform), as the pair
+    (traits, ages) of float arrays that `simulate` takes as its init.
 
     The draws are those of `default_rng(seed).choice(cells, count, p=probs)`
     over the cell probabilities, then one uniform offset per draw in x and one
@@ -357,7 +365,7 @@ def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
     a = np.maximum(agrid.nodes[jj] + agrid.da * (rng.random(count) - 0.5), 0.0)
     lo, hi = tgrid.nodes[0] - 0.5 * dx, tgrid.nodes[-1] + 0.5 * dx
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
-    return list(zip(x.tolist(), a.tolist()))
+    return x, a
 
 
 INTERP_BLOCK = 8192     # particles per block of interp_phi

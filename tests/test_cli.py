@@ -777,6 +777,8 @@ def scipy_of(modules):
 
 # Only the build of the compiled loops needs these; start-up must not pay for them.
 BUILD_ONLY_MODULES = {"hashlib", "subprocess"}
+# The dynamics and their compiled loops; neither start-up nor a spectral solve needs them.
+DYNAMICS_MODULES = {"structpop.pde", "structpop.ibm", "structpop._loops"}
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -799,6 +801,9 @@ def test_no_command_loads_scipy(tmp_path):
     assert scipy_of(scenario) == []
     for modules in (start_up, pde_run, scenario):
         assert BUILD_ONLY_MODULES.isdisjoint(modules)
+    # only the commands that step dynamics or verify load the PDE and IBM modules
+    for modules in (start_up, scenario):
+        assert DYNAMICS_MODULES.isdisjoint(modules)
 
 
 # Public names that no CLI path reaches, kept for what the tests check with them.

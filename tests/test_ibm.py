@@ -29,6 +29,11 @@ def const_model(birth=2.0, c=1.0):
     return build_model(cfg)
 
 
+def clones(trait, count):
+    """`simulate`'s init of count particles of one trait, all at age 0."""
+    return np.full(count, float(trait)), np.zeros(count)
+
+
 @pytest.fixture(scope="module")
 def tg():
     return midpoint_grid((0.0, 1.0), 32)
@@ -45,9 +50,9 @@ def reference_simulate(model, tgrid, K, T, sample_times, seed, init=None,
     rng = rng_cls(seed)
     lo, hi = model.trait_domain
     if init is None:
-        init = [(lo + (hi - lo) * rng.random(), 0.0) for _ in range(K)]
-    xs = [float(x) for x, _ in init]
-    bt = [-float(a) for _, a in init]
+        init = [lo + (hi - lo) * rng.random() for _ in range(K)], [0.0] * K
+    xs = [float(x) for x in init[0]]
+    bt = [-float(a) for a in init[1]]
     cdf = np.cumsum(model.mutation_kernel.matrix(tgrid.nodes) * tgrid.dx, axis=1)
     cdf = cdf / cdf[:, -1:]
     nodes, dx = tgrid.nodes, tgrid.dx
@@ -173,7 +178,7 @@ def check_extinction(tg, loop):
 def check_explosion(tg, loop):
     model = const_model()
     times = [0.0, 0.5, 50.0]
-    init = [(0.5, 0.0)] * 10
+    init = clones(0.5, 10)
     ref, aborted = reference_simulate(model, tg, 10, 50.0, times, seed=1,
                                       init=init, linear=True, particle_cap=200)
     with pytest.raises(ibm.ExplosionError) as err:
@@ -242,6 +247,35 @@ def test_compiled_family_matches_the_python_loop_bit_for_bit(tg, family, role, m
     for got, want in zip(c.snapshots, py.snapshots):
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_compiled_loop_reenters_across_table_refills(tg, monkeypatch):
+    # a sample time every few events: ibm_run returns about a thousand times,
+    # three of them with the MT table spent (mti = 624), and each entry tempers
+    # the raw table afresh
+    lib = _loops.library()[0]
+    if lib is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    mtis = []
+
+    class Recorder:
+        def ibm_run(self, ref):
+            status = lib.ibm_run(ref)
+            mtis.append(ref._obj.mti)
+            return status
+
+    times = np.linspace(0.0, 2.0, 1000)
+    logs = {}
+    for loop in ("c", "python"):
+        with monkeypatch.context() as m:
+            if loop == "c":
+                m.setattr(_loops, "library", lambda: (Recorder(), None))
+            else:
+                python_loop_only(m)
+            logs[loop] = ibm.simulate(const_model(), tg, 200, 2.0, times, seed=1,
+                                      record_events=True)
+    assert len(mtis) > 900 and mtis.count(624) >= 2
+    assert_same_log(logs["c"], vars(logs["python"]))
 
 
 class _DyadicStream(random.Random):
@@ -317,7 +351,7 @@ def test_mutant_draw_tie_resolves_left_on_both_loops(monkeypatch):
             if loop == "python":
                 python_loop_only(m)
             log = ibm.simulate(model, tg2, 1, 1.0, [0.0, 1.0], seed=0,
-                               init=[(float(tg2.nodes[1]), 0.0)], linear=True,
+                               init=clones(tg2.nodes[1], 1), linear=True,
                                record_events=True)
         assert log.loop == loop
         assert log.events == [(0.0 - math.log(1.0 - 0.5) / 3.0, "birth")]
@@ -407,10 +441,21 @@ def test_no_compiler_falls_back_to_python(monkeypatch, fresh_loader, loops_sourc
     assert "subprocess" not in sys.modules
 
 
+def test_loops_source_compiles_without_warnings(tmp_path):
+    # at the loader's flags; -Wall also finds a static helper left unused
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    proc = subprocess.run([cc, *_loops.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "loops.so"), _loops.SOURCE, "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_determinism_bit_for_bit(tg):
     model = const_model()
     times = np.linspace(0, 2, 5)
-    init = [(0.5, 0.0)] * 50
+    init = clones(0.5, 50)
     a = ibm.simulate(model, tg, 50, 2.0, times, seed=99, init=init,
                      record_events=True)
     b = ibm.simulate(model, tg, 50, 2.0, times, seed=99, init=init,
@@ -437,7 +482,7 @@ def test_single_particle_death_law(tg):
     times = []
     for seed in range(10_000):
         log = ibm.simulate(model, tg, 1, 50.0, [], seed=seed,
-                           init=[(0.5, 0.0)], record_events=True,
+                           init=clones(0.5, 1), record_events=True,
                            store_snapshots=False)
         assert len(log.events) == 1 and log.events[0][1] == "death"
         times.append(log.events[0][0])
@@ -448,7 +493,7 @@ def test_single_particle_death_law(tg):
 def test_c_zero_equals_linear_run(tg):
     model = const_model(c=0.0)
     times = np.linspace(0, 2, 5)
-    init = [(0.3, 0.0)] * 40
+    init = clones(0.3, 40)
     a = ibm.simulate(model, tg, 40, 2.0, times, seed=7, init=init,
                      linear=False, record_events=True)
     b = ibm.simulate(model, tg, 40, 2.0, times, seed=7, init=init,
@@ -462,7 +507,7 @@ def test_linear_mean_growth(tg):
     model = const_model()
     K, M, T = 200, 40, 2.0
     logs = ibm.run_replicates(model, tg, K, T, [0.0, T], seed=21, M=M,
-                              init_sampler=lambda s: [(0.5, 0.0)] * K,
+                              init_sampler=lambda s: clones(0.5, K),
                               linear=True, store_snapshots=False)
     finals = np.array([l.masses[-1] for l in logs])
     se = finals.std(ddof=1) / math.sqrt(M)
@@ -473,7 +518,7 @@ def test_pure_death_mean_survival(tg):
     model = const_model(birth=0.0, c=0.0)
     K, M, T = 500, 30, 1.0
     logs = ibm.run_replicates(model, tg, K, T, [0.0, T], seed=31, M=M,
-                              init_sampler=lambda s: [(0.5, 0.0)] * K,
+                              init_sampler=lambda s: clones(0.5, K),
                               linear=True, store_snapshots=False)
     finals = np.array([l.masses[-1] for l in logs])
     se = finals.std(ddof=1) / math.sqrt(M)
@@ -483,7 +528,7 @@ def test_pure_death_mean_survival(tg):
 def test_mass_integer_particles(tg):
     model = const_model()
     log = ibm.simulate(model, tg, 10, 3.0, np.linspace(0, 3, 13), seed=2,
-                       init=[(0.5, 0.0)] * 10, store_snapshots=False)
+                       init=clones(0.5, 10), store_snapshots=False)
     counts = log.masses * 10
     assert np.allclose(counts, np.round(counts))
     assert np.all(log.masses >= 0)
@@ -495,7 +540,7 @@ def test_mutants_stay_in_domain(tg):
         kernel={"family": "gaussian", "params": {"width": 0.1}})
     model = build_model(cfg)
     log = ibm.simulate(model, tg, 100, 2.0, [2.0], seed=11,
-                       init=[(0.95, 0.0)] * 100)
+                       init=clones(0.95, 100))
     x, a = log.snapshots[0]
     assert np.all((x >= 0.0) & (x <= 1.0))
     assert np.all(a >= 0.0)
@@ -504,9 +549,28 @@ def test_mutants_stay_in_domain(tg):
 def test_explosion_guard(tg):
     model = const_model()
     with pytest.raises(ibm.ExplosionError) as err:
-        ibm.simulate(model, tg, 10, 50.0, [], seed=1, init=[(0.5, 0.0)] * 10,
+        ibm.simulate(model, tg, 10, 50.0, [], seed=1, init=clones(0.5, 10),
                      linear=True, particle_cap=200, store_snapshots=False)
     assert err.value.log.aborted
+
+
+def _no_stream(seed):
+    raise AssertionError("a random stream was made before init was checked")
+
+
+@pytest.mark.parametrize("init", [
+    [(0.5, 0.0)] * 10,                                  # the pairs, not the pair of arrays
+    (np.full((2, 5), 0.5), np.zeros((2, 5))),
+    (np.full(10, 0.5), np.zeros(9)),
+    (0.5, 0.0),
+], ids=["pairs", "two_d", "lengths_differ", "scalars"])
+@pytest.mark.parametrize("loop", ["dispatched", "python"])
+def test_malformed_init_rejected_before_any_draw(tg, init, loop, monkeypatch):
+    if loop == "python":
+        python_loop_only(monkeypatch)
+    monkeypatch.setattr(ibm, "random", types.SimpleNamespace(Random=_no_stream))
+    with pytest.raises(ValueError):
+        ibm.simulate(const_model(), tg, 10, 1.0, [0.0, 1.0], seed=1, init=init)
 
 
 def phantoms(log, initial):
@@ -643,7 +707,12 @@ def choice_draws(N_grid, tgrid, agrid, count, seed):
     a = np.maximum(agrid.nodes[jj] + agrid.da * (rng.random(count) - 0.5), 0.0)
     lo, hi = tgrid.nodes[0] - 0.5 * dx, tgrid.nodes[-1] + 0.5 * dx
     x = np.clip(x, lo + 1e-12, hi - 1e-12)
-    return list(zip(x.tolist(), a.tolist()))
+    return x, a
+
+
+def same_draws(got, want):
+    """Both (traits, ages) pairs hold float arrays of the same bits."""
+    return all(g.dtype == float and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("preset", ["constant_setup", "singular_setup"])
@@ -652,8 +721,8 @@ def test_sampler_draws_are_choices_draws(preset, request):
     N = s.triple.N_grid
     assert N.flags.writeable is False
     for seed in range(24):
-        assert (ibm.sample_from_density(N, s.tgrid, s.agrid, 300, seed)
-                == choice_draws(N, s.tgrid, s.agrid, 300, seed))
+        assert same_draws(ibm.sample_from_density(N, s.tgrid, s.agrid, 300, seed),
+                          choice_draws(N, s.tgrid, s.agrid, 300, seed))
 
 
 def test_sampler_reads_a_writeable_grid_afresh(constant_setup):
@@ -664,13 +733,13 @@ def test_sampler_reads_a_writeable_grid_afresh(constant_setup):
     view.flags.writeable = False            # read-only, but its base is not
     for grid in (N, view):
         N[:] = s.triple.N_grid
-        assert ibm.sample_from_density(grid, tg, ag, 200, 4) == choice_draws(
-            grid, tg, ag, 200, 4)
+        assert same_draws(ibm.sample_from_density(grid, tg, ag, 200, 4),
+                          choice_draws(grid, tg, ag, 200, 4))
         N[:] = 0.0
         N[5, 7] = 1.0                       # all the mass in one cell
         draws = ibm.sample_from_density(grid, tg, ag, 200, 4)
-        assert draws == choice_draws(grid, tg, ag, 200, 4)
-        x, a = np.array(draws).T
+        assert same_draws(draws, choice_draws(grid, tg, ag, 200, 4))
+        x, a = draws
         half = 0.5 * tg.dx
         assert np.all(np.abs(x - tg.nodes[5]) <= half)
         assert np.all(np.abs(a - ag.nodes[7]) <= 0.5 * ag.da)
@@ -681,8 +750,8 @@ def test_sampler_keeps_a_frozen_grids_cdf_only_while_it_lives(constant_setup):
     grid = s.triple.N_grid * np.linspace(1.0, 2.0, s.tgrid.n)[:, None]
     grid.flags.writeable = False
     for _ in range(2):
-        assert ibm.sample_from_density(grid, s.tgrid, s.agrid, 200, 8) == choice_draws(
-            grid, s.tgrid, s.agrid, 200, 8)
+        assert same_draws(ibm.sample_from_density(grid, s.tgrid, s.agrid, 200, 8),
+                          choice_draws(grid, s.tgrid, s.agrid, 200, 8))
     assert ibm._cdf_memo[0][0]() is grid
     del grid
     gc.collect()
