@@ -77,7 +77,14 @@ def library():
 
 
 def _build(path: str) -> str | None:
-    """Compile SOURCE into path, written whole or not at all; None, or why it failed."""
+    """Compile SOURCE into path, written whole or not at all; None, or why it failed.
+
+    After a build, the libraries of earlier sources beside path (`_loops-*.so`,
+    and `_ibm_loop-*.so` from before the library held every loop) are removed,
+    so the folder holds one. Unlinking a library that another process has
+    mapped is safe on Linux: the process keeps its mapping of the file, which
+    is freed when the last mapping goes.
+    """
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return "no C compiler (cc or gcc) on PATH"
@@ -96,4 +103,11 @@ def _build(path: str) -> str | None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    folder, built = os.path.split(path)
+    for name in os.listdir(folder):
+        if name != built and name.endswith(".so") and name.startswith(("_loops-", "_ibm_loop-")):
+            try:
+                os.unlink(os.path.join(folder, name))
+            except OSError:     # gone already, or not ours to remove: it stays
+                pass
     return None

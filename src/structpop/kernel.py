@@ -11,18 +11,23 @@ sweep builds the lambda-free factors once, and `cell_integrals` is the one
 evaluation of the formula, which `collapse` sums and the dual profile's
 backward recursion in age (`profiles`) reads, with no division by R.
 
+Past the age a_f where the rates stop reading age (`age_flat_from`) the
+cells are a geometric series, summed in closed form, so the factors cover the
+lattice only to its first node at or past a_f (`prefix_cells`): none of it
+for age-independent rates (both presets), all of it where a_f is inf.
+
 One tail rule sizes every age sum. `tail_bound` at lambda bounds what every
 age integral leaves out past a, and falls with a in closed form, so the age
 where it meets a tolerance is a logarithm (`_tail_age`). The age lattice
 [0, A_max] is that age at lambda = 0 and `tol`, rounded up to the lattice
 (`choose_age_truncation`, `age_lattice`). The eigen-profiles at lambda* decay
 like e^{-(D + lambda*) a}, so they need only the prefix whose tail bound at
-lambda* is no larger than the lattice's at 0 (`profile_lattice`). Each age sum
-stops at the first lattice node at or past that age at its own lambda and
-TAIL_RTOL of the sum's first cell (`horizon`), with no search. Since every cell is nonnegative, the first cell
-is a lower bound on each row sum, so the cells left out weigh less than an
-ulp of every sum. The integrand decays like e^{-(D + lambda) a}, so the
-horizon shrinks as lambda grows.
+lambda* is no larger than the lattice's at 0 (`profile_lattice`). Each sum
+of cells stops at the first lattice node at or past that age at its own
+lambda and TAIL_RTOL of the sum's first cell (`horizon`), with no search.
+Since every cell is nonnegative, the first cell is a lower bound on each row
+sum, so the cells left out weigh less than an ulp of every sum. The integrand
+decays like e^{-(D + lambda) a}, so the horizon shrinks as lambda grows.
 
 Every pass over (trait rows, ages) goes by blocks of trait rows
 (`row_blocks`), each temporary at most BLOCK_BYTES: `age_factors` fills C and
@@ -57,7 +62,7 @@ BLOCK_BYTES = 2 ** 19       # one (trait rows, width) temporary of a pass by row
 
 def row_blocks(n_rows: int, width: int) -> Iterator[slice]:
     """Slices covering range(n_rows) in order, each of as many rows (at least
-    one) as fit a float (rows, width) temporary in BLOCK_BYTES."""
+    one) as fit a float (rows, width) temporary in BLOCK_BYTES; width > 0."""
     step = max(1, BLOCK_BYTES // (8 * width))
     for i in range(0, n_rows, step):
         yield slice(i, min(i + step, n_rows))
@@ -183,44 +188,49 @@ class AgeFactors:
 
     where C = (average endpoint B) R_0(., a_j) / R_0(., a_0) and d_ij is the cell
     death rate. Neither depends on lambda, so a lambda search builds them once.
-    Any prefix of the lattice reads its factors as column prefixes.
+    Where the rates stop reading age at the last node a_n, the cells past it
+    sum to C_end e^{-lambda (a_n - a_0)} / (d_end + lambda) (`collapse`), with
+    C_end and d_end the C and D of a_n; else both are None.
     """
 
     ages: np.ndarray            # (n_cells + 1,) lattice nodes
     C: np.ndarray               # (nx, n_cells)
     d: np.ndarray               # (nx, n_cells)
+    C_end: np.ndarray | None    # (nx,), or None
+    d_end: np.ndarray | None    # (nx,), or None
 
     @property
     def n_cells(self) -> int:
         return self.d.shape[1]
 
-    def prefix(self, n_cells: int) -> "AgeFactors":
-        """The factors of the lattice's first n_cells cells, as column views."""
-        if not 0 < n_cells <= self.n_cells:
-            raise ValueError(f"{n_cells} cells asked of a lattice of {self.n_cells}")
-        return AgeFactors(ages=self.ages[:n_cells + 1], C=self.C[:, :n_cells],
-                          d=self.d[:, :n_cells])
 
-    def rows(self, rows: slice) -> "AgeFactors":
-        """The factors of the trait rows `rows`, as row views."""
-        return AgeFactors(ages=self.ages, C=self.C[rows], d=self.d[rows])
+def prefix_cells(model: RateModel, ages: np.ndarray) -> int:
+    """Cells of the lattice `ages` up to its first node at or past the model's
+    age_flat_from; all of them where no node is that old."""
+    return min(int(np.searchsorted(ages, model.age_flat_from)), ages.size - 1)
 
 
 def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactors:
-    """C and d of the product quadrature at trait nodes xs on the age lattice.
+    """C and d of the product quadrature at trait nodes xs on the prefix of the
+    age lattice that `prefix_cells` counts, and C_end and d_end past it.
 
-    Both are filled a row block at a time (`row_blocks`), so no temporary of
+    C and d are filled a row block at a time (`row_blocks`), so no temporary of
     the whole (nx, n_cells) grid sits beside them; a row's values do not
     depend on the block that holds it.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
     ages = np.asarray(ages, float)
+    ages = ages[:prefix_cells(model, ages) + 1]
     C, d = np.empty((xs.size, ages.size - 1)), np.empty((xs.size, ages.size - 1))
+    R_end = np.empty(xs.size)                   # R_0 at the last node
     for rows in row_blocks(xs.size, ages.size):
         cum = _death_integral(_cell_means(model.death, xs[rows], ages, out=d[rows]), ages)
         Cb = _cell_means(model.birth, xs[rows], ages, out=C[rows])
         Cb *= np.exp(np.negative(cum, out=cum), out=cum)[:, :-1]
-    return AgeFactors(ages=ages, C=C, d=d)
+        R_end[rows] = cum[:, -1]
+    if ages[-1] < model.age_flat_from:
+        return AgeFactors(ages, C, d, None, None)
+    return AgeFactors(ages, C, d, R_end * model.birth(xs, ages[-1]), model.death(xs, ages[-1]))
 
 
 def cell_integrals(factors: AgeFactors, lam: float,
@@ -251,52 +261,68 @@ def cell_integrals(factors: AgeFactors, lam: float,
 SPAN = 512.0            # the most E rises over an age block of `profiles`
 
 
-def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
+def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors, agrid: AgeGrid,
              lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """R_lambda and q = int_a^inf B R_lambda da' / R_lambda(a), each (nx, na), on
-    the lattice of `factors`, the age factors at trait nodes xs from age 0.
+    """R_lambda and q = int_a^inf B R_lambda da' / R_lambda(a), each (nx, na + 1),
+    on the age lattice agrid: a prefix of the factors' lattice, or longer where
+    their rates stop reading age at its end.
 
     q solves q_j = b_j h_j (1 - e^{-z_j}) / z_j + e^{-z_j} q_{j+1} (b_j the cell's
-    average endpoint B) from q = 0 at A + L, L the horizon of the continuation
-    past the lattice end A relative to its own start, on the lattice's step (a
-    uniform lattice) continued as far as that tail rule asks, however short the
-    lattice. So q on a prefix of a lattice is q on the whole to rounding, and R
-    the same bits: the profiles at lambda* take the prefix that
-    `profile_lattice` sizes. It runs by age blocks on
-    which E = int_0^a (D + lambda) rises by at most SPAN: on [j0, j1], q_j =
-    (sum_{j <= k < j1} W_k g_k + W_j1 q_j1) / W_j with cells g and factors
-    W = e^{-(E - E_j0)} >= e^{-SPAN}, so no quotient is 0/0. The first block's
-    W is R, formed as `survival_matrix` forms it, and its cells `cell_integrals`'
-    on the lattice continued to A + L; at the presets' default tol it is the
-    only block. Later blocks read their factors from their own start.
+    average endpoint B) on the factors' cells, continued past them on the
+    lattice's step as far as the tail rule asks, however short agrid is, and
+    no further than the first node at or past a_f. At that last node q is
+    B / (D + lambda) if it is past a_f, else 0 (the horizon). So q on a prefix
+    of a lattice is q on the whole to rounding, and R the same bits: the
+    profiles at lambda* take the prefix that `profile_lattice` sizes. Past the
+    cells q stays B / (D + lambda) and R falls at D + lambda. The recursion
+    runs by age blocks on which E = int_0^a (D + lambda) rises by at most SPAN:
+    on [j0, j1], q_j = (sum_{j <= k < j1} W_k g_k + W_j1 q_j1) / W_j with cells g
+    and factors W = e^{-(E - E_j0)} >= e^{-SPAN}, so no quotient is 0/0. The
+    first block's W is R, formed as `survival_matrix` forms it, and its cells
+    `cell_integrals`'; at the default tol it is the only block. Later blocks
+    read their factors from their own start.
     """
     _check_lambda(model, lam)
     xs = np.atleast_1d(np.asarray(xs, float))
-    ages, n = factors.ages, factors.n_cells
-    past = ages[-1] + ages[:2]                  # the first cell past A, over R(A)
-    first = cell_integrals(AgeFactors(ages=past, C=_cell_means(model.birth, xs, past),
-                                      d=_cell_means(model.death, xs, past)), lam)[:, 0]
-    # the lattice's step continued past A as far as the tail rule from A asks,
-    # or the lattice's own length where the rule gives no age
-    a = _horizon_age(model, lam, first)
-    steps = ages[1] * np.arange(n + 1 if math.isinf(a) else math.ceil(a / ages[1]) + 2)
-    ages = np.concatenate([ages, ages[-1] + steps[1:horizon(model, lam, first, steps) + 1]])
-    R, q = np.empty((xs.size, n + 1)), np.empty((xs.size, n + 1))
+    a_f, n = model.age_flat_from, min(factors.n_cells, agrid.n_cells)
+    ages = factors.ages[:n + 1]
+    if ages[-1] < a_f:      # continue past the factors' end
+        past = ages[-1] + ages[:2]              # the first cell past it, over R there
+        first = cell_integrals(AgeFactors(past, _cell_means(model.birth, xs, past),
+                                          _cell_means(model.death, xs, past), None, None),
+                               lam)[:, 0]
+        # the step continued as far as the tail rule from the end asks, or the
+        # lattice's own length where the rule gives no age, and at most to a_f
+        a = _horizon_age(model, lam, first)
+        steps = ages[1] * np.arange(n + 1 if math.isinf(a) else math.ceil(a / ages[1]) + 2)
+        more = ages[-1] + steps
+        more = more[1:min(horizon(model, lam, first, steps), int(np.searchsorted(more, a_f))) + 1]
+        ages = np.concatenate([ages, more])
+    flat = ages[-1] >= a_f      # the recursion starts from B / (D + lambda)
+    R, q = np.empty((xs.size, agrid.n_cells + 1)), np.empty((xs.size, agrid.n_cells + 1))
     for rows in row_blocks(xs.size, ages.size):
         x, Rb, qb = xs[rows], R[rows], q[rows]
-        d = np.hstack([factors.d[rows], _cell_means(model.death, x, ages[n:])])
+        d = np.hstack([factors.d[rows, :n], _cell_means(model.death, x, ages[n:])])
         E = _death_integral(d, ages)            # int_0^a D: one prefix sum
-        joined = AgeFactors(ages=ages, d=d, C=np.hstack(
-            [factors.C[rows], _cell_means(model.birth, x, ages[n:]) * np.exp(-E[:, n:-1])]))
+        joined = AgeFactors(ages, np.hstack([factors.C[rows, :n], _cell_means(
+            model.birth, x, ages[n:]) * np.exp(-E[:, n:-1])]), d, None, None)
         E += lam * ages
-        np.exp(np.negative(E[:, :n + 1], out=Rb), out=Rb)
+        np.exp(np.negative(E[:, :n + 1], out=Rb[:, :n + 1]), out=Rb[:, :n + 1])
+        end = np.zeros(x.size)
+        if flat:                                # B and D from the last node on
+            rate = model.death(x, ages[-1]) + lam
+            end = model.birth(x, ages[-1]) / rate
+            qb[:, ages.size - 1:] = end[:, None]
+            tail = Rb[:, ages.size:]            # R(a_K) e^{-(D + lambda)(a - a_K)}
+            np.multiply.outer(rate, agrid.nodes[ages.size:] - ages[-1], out=tail)
+            tail += E[:, -1, None]
+            np.exp(np.negative(tail, out=tail), out=tail)
         top, bounds = E.max(axis=0), [0]        # E rises along each row
         while bounds[-1] < ages.size - 1:
             j = int(np.searchsorted(top, E[:, bounds[-1]].min() + SPAN, side="right")) - 1
             bounds.append(min(max(j, bounds[-1] + 1), ages.size - 1))
-        w_first = np.exp(-E[:, bounds[1]])      # the first block's last weight
+        w_first = np.exp(-E[:, bounds[1]]) if len(bounds) > 1 else None  # first block's end
         del E
-        end = np.zeros(x.size)
         for j0, j1 in zip(bounds[-2::-1], bounds[:0:-1]):
             if j0 == 0:
                 cells, W, w_end = cell_integrals(joined, lam, j1), Rb, w_first
@@ -313,7 +339,7 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors,
                 np.cumsum(cells[:, m - 1::-1], axis=1, out=block[:, -2::-1])
                 block /= W[:, :m + 1]
                 end = block[:, 0]               # else past A, where W_j0 = 1
-        del joined, cells                       # before the next rows form theirs
+        joined = cells = None                   # before the next rows form theirs
     return R, q
 
 
@@ -473,17 +499,22 @@ class CollapsedKernel:
 
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
              factors: AgeFactors) -> CollapsedKernel:
-    """sB and r on the trait grid by age quadrature, summed to the horizon at lambda.
+    """sB and r on the trait grid: the age factors' cells summed to the horizon
+    at lambda, and their closed-form tail where the sum reaches its node.
 
     factors are `age_factors` at the trait nodes, on the age lattice or on any
     lattice it is a prefix of, so that a lambda sweep builds them once. The
     cells are formed and summed by `row_blocks`, so no (nx, n) temporary is.
     """
     _check_lambda(model, lam)
-    n = horizon(model, lam, cell_integrals(factors, lam, 1)[:, 0],
-                factors.ages[:agrid.n_cells + 1])
-    sB = np.empty(tgrid.n)                              # int B R da
-    for rows in row_blocks(tgrid.n, n):
-        sB[rows] = cell_integrals(factors.rows(rows), lam, n).sum(axis=1)
+    n = min(factors.n_cells, agrid.n_cells)
+    sB = np.zeros(tgrid.n)                              # int B R da
+    if n:
+        n = horizon(model, lam, cell_integrals(factors, lam, 1)[:, 0], factors.ages[:n + 1])
+        for rows in row_blocks(tgrid.n, n):
+            block = AgeFactors(factors.ages, factors.C[rows], factors.d[rows], None, None)
+            sB[rows] = cell_integrals(block, lam, n).sum(axis=1)
+    if n == factors.n_cells and factors.C_end is not None:     # the lattice is from age 0
+        sB += factors.C_end * math.exp(-lam * factors.ages[-1]) / (factors.d_end + lam)
     return CollapsedKernel(lam=lam, r_values=(1.0 - model.mutation_prob) * sB, sB=sB,
                            age_cells=n)

@@ -9,7 +9,8 @@ the root. The regime is read from the direct solve alone (`spectral.regime`).
 The direct eigenvector
 mu and dual eigenvector eta of the collapsed trait operators are lifted back
 to age-structured profiles (`eigentriple`): N(x,a) = mu(x) R(x,a) and
-phi(x,a) = (Mix^T eta)(x) q(x,a) by a backward recursion in age, normalized to
+phi(x,a) = (Mix^T eta)(x) q(x,a) by a backward recursion in age, in closed
+form past the age where the rates stop reading age, normalized to
 int N = int N phi = 1 on the age lattice they are formed on. That lattice is
 a prefix of the problem's: the whole of it for the dynamics, which step on it,
 or the ages the profiles need at lambda* (`kernel.profile_lattice`) for the
@@ -53,8 +54,8 @@ class MalthusProblem:
     """rho(lambda) along a lambda sweep, and full eigendata where asked.
 
     The lambda-free parts of the age collapse (`kern.AgeFactors` on the age
-    lattice) and the birth-mutation matrix `mix` (a `kern.MixForm`) are built
-    once; each collapse sums the lattice prefix its lambda needs, and the
+    lattice's prefix) and the birth-mutation matrix `mix` (a `kern.MixForm`)
+    are built once; each collapse sums the prefix its lambda needs, and the
     operator at lambda is mix diag(sB), in mix's form: where the kernel has a
     factor of small rank, a lambda forms no nx x nx array. The factors are kept
     until `release_factors`, so every lambda asked of the problem reads the
@@ -88,7 +89,7 @@ class MalthusProblem:
 
     @property
     def factors(self) -> kern.AgeFactors:
-        """Age factors on the age lattice, built on first use."""
+        """Age factors on the age lattice's prefix, built on first use."""
         if self._factors is None:
             self._factors = kern.age_factors(self.model, self.tgrid.nodes,
                                              self.agrid.nodes)
@@ -130,7 +131,8 @@ class MalthusProblem:
         2^60: an end where rho is 1 exactly is the root, which `_falsi`
         returns with no further solve. lambda_search
         holds the lambdas solved, their bracket, the Perron iterations and
-        shifts, and the age cells their collapses summed.
+        shifts, the age cells their collapses summed, and the age factors'
+        cells and age_flat_from (None for inf).
         """
         solved_before = set(self._direct)
         rho0 = self.rho_of_lambda(0.0)
@@ -146,10 +148,13 @@ class MalthusProblem:
             raise RuntimeError("doubling cap reached while bracketing lambda*")
         lam = _falsi(lambda l: 1.0 / self.rho_of_lambda(l) - 1.0, lo, hi, tol_lam)
         solved = [pair for l, pair in self._direct.items() if l not in solved_before]
+        a_f = self.model.age_flat_from
         self.lambda_search = {"evaluations": len(solved), "bracket": [lo, hi],
                               "perron_iterations": sum(pd.iterations for _, pd in solved),
                               "perron_shifts": sum(pd.shifts for _, pd in solved),
-                              "age_cells": sum(ck.age_cells for ck, _ in solved)}
+                              "age_cells": sum(ck.age_cells for ck, _ in solved),
+                              "age_flat_from": None if math.isinf(a_f) else a_f,
+                              "prefix_cells": kern.prefix_cells(self.model, self.agrid.nodes)}
         return lam
 
 
@@ -209,14 +214,15 @@ def direct_profile(tgrid: TraitGrid, agrid: AgeGrid, mu: np.ndarray,
     return N
 
 
-def dual_profile(model: RateModel, tgrid: TraitGrid, lam_star: float, eta: np.ndarray,
-                 factors: kern.AgeFactors, mix: kern.MixForm) -> tuple[np.ndarray, np.ndarray]:
+def dual_profile(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam_star: float,
+                 eta: np.ndarray, factors: kern.AgeFactors,
+                 mix: kern.MixForm) -> tuple[np.ndarray, np.ndarray]:
     """R_{lambda*} and phi(x,a) = (Mix^T eta)(x) q(x,a), up to its scale, on the
-    age lattice of `factors`: Mix^T eta = (1-p) eta(x) + p dx sum_j eta_j k(x, x_j)
+    age lattice agrid: Mix^T eta = (1-p) eta(x) + p dx sum_j eta_j k(x, x_j)
     is the dual of mix, its transpose on the uniform trait grid (the factors
     swapped), applied to eta, and q = int_a^inf B R da' / R(a) comes from
     `kern.profiles`, which forms R in the same pass."""
-    R, phi = kern.profiles(model, tgrid.nodes, factors, lam_star)
+    R, phi = kern.profiles(model, tgrid.nodes, factors, agrid, lam_star)
     phi *= (mix.T @ eta)[:, None]
     return R, phi
 
@@ -259,7 +265,7 @@ def solve_eigentriple(problem: MalthusProblem, tol_lam: float = 1e-6) -> EigenTr
 
 def eigentriple(problem: MalthusProblem, lam_star: float, agrid: AgeGrid) -> EigenTriple:
     """N, phi, eta bounds and normalization flags at the solved lambda*, on the
-    age lattice agrid, a prefix of the problem's (its factors' column prefix).
+    age lattice agrid, a prefix of the problem's.
 
     diagnostics carries the Perron solves at lambda* ("perron": direct and
     dual path, iterations and bracket) and "warnings", a map from stable
@@ -271,8 +277,8 @@ def eigentriple(problem: MalthusProblem, lam_star: float, agrid: AgeGrid) -> Eig
         raise ValueError(f"age step {agrid.da} is not the problem's {problem.agrid.da}")
     ck, pd, pq = problem.eigendata(lam_star)
     model, tgrid = problem.model, problem.tgrid
-    R, phi = dual_profile(model, tgrid, lam_star, pq.profile,
-                          problem.factors.prefix(agrid.n_cells), problem.mix)
+    R, phi = dual_profile(model, tgrid, agrid, lam_star, pq.profile, problem.factors,
+                          problem.mix)
     N = direct_profile(tgrid, agrid, pd.profile, R)     # in R's place
     phi /= grid_integral(tgrid, agrid, N, phi)          # int N phi = 1
     norms = {

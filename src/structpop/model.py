@@ -34,6 +34,7 @@ class RateFamily:
     scalar: Callable   # (float, float) -> float, within 4 ulp of fn
     sup: float         # sup over S x R+
     inf: float         # inf over S x R+
+    age_flat_from: float    # fn(x, a) = fn(x, a') for all a, a' at or past it (else inf)
 
     def __call__(self, x, a):
         return self.fn(x, a)
@@ -49,7 +50,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
             raise ConfigError("constant rate must be nonnegative")
         fam = RateFamily(name, {"value": v}, lambda x, a: np.full_like(
             np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))[0], v),
-            lambda x, a: v, v, v)
+            lambda x, a: v, v, v, 0.0)
     elif name == "affine":
         base = float(p.pop("base"))
         sx = float(p.pop("slope_x", 0.0))
@@ -64,9 +65,9 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         inf_v = min(corner)
         if inf_v < 0:
             raise ConfigError("affine rate is negative on the trait domain")
-        sup_v = max(corner) if sa == 0 else math.inf
+        sup_v, flat = (max(corner), 0.0) if sa == 0 else (math.inf, math.inf)
         fam = RateFamily(name, {"base": base, "slope_x": sx, "slope_a": sa}, fn,
-                         lambda x, a: base + sx * x + sa * a, sup_v, inf_v)
+                         lambda x, a: base + sx * x + sa * a, sup_v, inf_v, flat)
     elif name == "sqrt_gap":
         # B(x) = bbar - sqrt(x - lo); the gap to the maximum closes like sqrt
         bbar = float(p.pop("bbar"))
@@ -78,7 +79,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
             return bbar - np.sqrt(x - lo) + 0.0 * np.asarray(a, float)
 
         fam = RateFamily(name, {"bbar": bbar}, fn, lambda x, a: bbar - math.sqrt(x - lo),
-                         bbar, bbar - math.sqrt(hi - lo))
+                         bbar, bbar - math.sqrt(hi - lo), 0.0)
     elif name == "gaussian_bump":
         base = float(p.pop("base"))
         amp = float(p.pop("amp"))
@@ -98,7 +99,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
 
         edge = min(fn(lo, 0.0), fn(hi, 0.0))
         fam = RateFamily(name, {"base": base, "amp": amp, "center": center, "width": width},
-                         fn, scalar, base + amp, float(edge))
+                         fn, scalar, base + amp, float(edge), 0.0)
     elif name == "logistic_age":
         low = float(p.pop("low"))
         high = float(p.pop("high"))
@@ -119,7 +120,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
                 return low
 
         fam = RateFamily(name, {"low": low, "high": high, "midpoint": a0, "scale": scale},
-                         fn, scalar, high, low)
+                         fn, scalar, high, low, math.inf)
     elif name == "tabulated":
         xs = np.asarray(p.pop("x_nodes"), float)
         as_ = np.asarray(p.pop("a_nodes"), float)
@@ -147,7 +148,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         fam = RateFamily(name, {"x_nodes": xs.tolist(), "a_nodes": as_.tolist(),
                                 "values": vals.tolist()},
                          fn, lambda x, a: float(fn(x, a)),
-                         float(vals.max()), float(vals.min()))
+                         float(vals.max()), float(vals.min()), float(as_[-1]))
     else:
         raise ConfigError(f"unknown rate family {name!r}")
     if p:
@@ -247,6 +248,11 @@ class RateModel:
     @property
     def death_floor(self) -> float:
         return self.death.inf
+
+    @property
+    def age_flat_from(self) -> float:
+        """The age past which neither rate reads age."""
+        return max(self.birth.age_flat_from, self.death.age_flat_from)
 
 
 @dataclass(frozen=True)

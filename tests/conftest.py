@@ -50,6 +50,16 @@ def renewal_flux(solver, values):
     return solver.mix @ np.sum(solver.B * values * solver.qa[None, :], axis=1)
 
 
+def cell_path(config):
+    """config with its constant death rate taken by a `logistic_age` family flat
+    at the same value: the same rates, bit for bit, but of a family that reads
+    age (age_flat_from = inf), so that every age sum runs cell by cell over the
+    whole lattice, as it does where the rates depend on age."""
+    value = config.death["params"]["value"]
+    return replace(config, death={"family": "logistic_age", "params": {
+        "low": value, "high": value, "midpoint": 0.0, "scale": 1.0}})
+
+
 def lattice_collapse(model, tgrid, agrid, lam):
     """`kernel.collapse` at lam, with the age factors of agrid's own lattice."""
     factors = kernel.age_factors(model, tgrid.nodes, agrid.nodes)

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import fnmatch
 import gc
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -394,9 +395,11 @@ def test_malthus_summaries_report_the_tail_bound(tmp_path):
         closed = model.birth.sup * math.exp(-decay * a_end) / decay
         assert summary["tail_bound"] == pytest.approx(closed, rel=1e-12)
         assert 0.0 < summary["tail_bound"] <= config.tol
-        # the search's collapses stop at their horizons; lambda = 0 sums them all
+        # the preset's rates do not read age: no collapse sums a cell, each is
+        # its closed-form tail from age 0
         search = summary["lambda_search"]
-        assert agrid.n_cells < search["age_cells"] < search["evaluations"] * agrid.n_cells
+        assert search["age_flat_from"] == 0.0
+        assert search["prefix_cells"] == search["age_cells"] == 0 < search["evaluations"]
 
 
 def recording_age_factor_builds(monkeypatch):
@@ -415,13 +418,75 @@ def recording_age_factor_builds(monkeypatch):
 @pytest.mark.parametrize("preset, nxs", [("singular", [100, 25, 50]), ("constant", [16])])
 def test_verify_builds_the_age_factors_once_per_problem(tmp_path, monkeypatch, preset, nxs):
     # verify's rho samples after the solve read the factors the search built;
-    # the refinement sweep builds them once for each coarser grid
+    # the refinement sweep builds them once for each coarser grid. The
+    # presets' rates do not read age, so the factors hold no age cell.
     built = recording_age_factor_builds(monkeypatch)
     assert main(["scenario", preset, "--nx", str(nxs[0]), "--verify",
                  "--out", str(tmp_path / "out")]) == EXIT_OK
-    config = PRESETS[preset](nx=nxs[0])
-    _, agrid = build_grids(config, build_model(config))
-    assert [shape for shape, _ in built] == [(nx, agrid.n_cells) for nx in nxs]
+    assert [shape for shape, _ in built] == [(nx, 0) for nx in nxs]
+
+
+def test_scenario_singular_forms_no_age_cell(tmp_path, monkeypatch):
+    # the benchmark's spectral run: the search's collapses and the profiles
+    # are their closed-form tails, with no cell of the age lattice formed
+    built = recording_age_factor_builds(monkeypatch)
+    cells = []
+    formula = kernel.cell_integrals
+    monkeypatch.setattr(kernel, "cell_integrals", lambda *a: cells.append(1) or formula(*a))
+    out = tmp_path / "out"
+    assert main(["scenario", "singular", "--nx", "800", "--out", str(out)]) == EXIT_OK
+    assert [shape for shape, _ in built] == [(800, 0)] and cells == []
+    search = json.loads((out / "summary.json").read_text())["lambda_search"]
+    assert search["age_cells"] == search["prefix_cells"] == 0
+
+
+# Rates that read age at every age (age_flat_from = inf) take the cell path
+# alone, as before the closed-form tail: digests of their outputs, recorded at
+# the commit before it. The summary is taken without the keys that name the
+# run's config path and thread environment, or the tail's own counts.
+AGE_READING = {
+    "logistic_age_birth": dataclasses.replace(
+        singular_scenario(nx=16), birth={"family": "logistic_age", "params": {
+            "low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.4}},
+        kernel={"family": "gaussian", "params": {"width": 0.15}}),
+    "aging_death": dataclasses.replace(constant_scenario(nx=16), death={
+        "family": "affine", "params": {"base": 1.0, "slope_x": 0.5, "slope_a": 0.5}}),
+}
+AGE_READING_DIGESTS = {
+    ("logistic_age_birth", "malthus"):
+        "63d25b871fbc80982fbe534916689dff7cd62f002ef1007fb3a0b7313fb668b5",
+    ("logistic_age_birth", "stationary"):
+        "ffffd0656fd0267188b6d6938bc2a9096095ee035dc078757fa3c4731f74ae93",
+    ("aging_death", "malthus"):
+        "3303a7c1279d1cdbd9f685a7f93f421d73fa7905cccca500a777165e179e74a1",
+    ("aging_death", "stationary"):
+        "899426a62045756da43e4c939fad6837c186c9c10f0ecd92dbf535cfc776d235",
+}
+
+
+def output_digest(out):
+    """sha256 of a run's summary, less its run-specific keys, and its manifest's bytes."""
+    summary = json.loads((out / "summary.json").read_text())
+    for key in ("scenario", "blas_threads_env"):
+        del summary[key]
+    for key in ("age_flat_from", "prefix_cells"):
+        summary.get("lambda_search", {}).pop(key, None)
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode())
+    for name in summary["manifest"]:
+        digest.update((out / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case, command", sorted(AGE_READING_DIGESTS))
+def test_rates_that_read_age_at_every_age_keep_their_bytes(tmp_path, case, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path / "cfg.json", AGE_READING[case]),
+                 "--out", str(out)]) == EXIT_OK
+    assert output_digest(out) == AGE_READING_DIGESTS[case, command]
+    if command == "malthus":
+        search = json.loads((out / "summary.json").read_text())["lambda_search"]
+        _, agrid = build_grids(AGE_READING[case], build_model(AGE_READING[case]))
+        assert search["age_flat_from"] is None and search["prefix_cells"] == agrid.n_cells
 
 
 @pytest.mark.parametrize("argv, module, name", [

@@ -430,6 +430,23 @@ def test_loop_library_built_once_then_reused(tmp_path, monkeypatch, fresh_loader
     assert second.masses.tobytes() == first.masses.tobytes()
 
 
+def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path, fresh_loader,
+                                                          loops_source):
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = [cache / "_loops-0123456789abcdef.so", cache / "_ibm_loop-4be3483452.so"]
+    kept = [cache / "_loops-notes.txt", cache / "other.so", cache / "kernel.cpython-311.pyc"]
+    for path in stale + kept:
+        path.write_bytes(b"")
+    lib, why = _loops.library()
+    assert lib is not None and why is None
+    libraries = [p for p in cache.glob("*.so") if p.name.startswith(("_loops-", "_ibm_loop-"))]
+    assert len(libraries) == 1 and libraries[0] not in stale
+    assert all(path.exists() for path in kept) and not any(path.exists() for path in stale)
+
+
 def test_no_compiler_falls_back_to_python(monkeypatch, fresh_loader, loops_source, tg):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     monkeypatch.delitem(sys.modules, "subprocess")   # only a build may import it

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import lattice_collapse
+from conftest import cell_path, lattice_collapse
 from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
-                              choose_age_truncation, collapse, horizon, profiles,
-                              row_blocks, survival_matrix, tail_bound)
+                              choose_age_truncation, collapse, horizon, prefix_cells,
+                              profiles, row_blocks, survival_matrix, tail_bound)
 from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 
@@ -162,24 +162,32 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_factored_collapse_matches_reference_quadrature(case):
+    # The presets' rates stop reading age at 0: their collapse is the closed-form
+    # tail, the integral to infinity, which the reference summed over the
+    # extended lattice gives to below roundoff. Rates that read age at every
+    # age are summed over the lattice, as the reference is.
     model = build_model(REFERENCE_CASES[case])
     tg, ag = build_grids(REFERENCE_CASES[case], model)
     ages = 0.01 * np.arange(2 * ag.n_cells + 1)      # the extended lattice
     factors = age_factors(model, tg.nodes, ages)
+    flat = model.age_flat_from == 0.0
+    assert factors.n_cells == (0 if flat else ages.size - 1)
     p = model.mutation_prob
     for lam in (0.0, 1.0, 2.78, 4.0):
-        ref = reference_cell_integrals(model, tg.nodes, ag.nodes, lam)
+        ref = reference_cell_integrals(model, tg.nodes, ages if flat else ag.nodes, lam)
         sB = ref.sum(axis=1)
         for ck in (lattice_collapse(model, tg, ag, lam),
                    collapse(model, tg, ag, lam, factors=factors)):
             assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
             assert np.abs(ck.r_values - (1 - p) * sB).max() <= 1e-13 * sB.max()
-        cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
-        assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
+        if not flat:
+            cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
+            assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
 
 
-def test_small_rate_branch_matches_reference(const_model):
+def test_small_rate_branch_matches_reference():
     # lambda just above -D: the cell rate d + lambda is ~1e-12, so z < 1e-8
+    const_model = build_model(cell_path(constant_scenario()))
     tg = midpoint_grid((0.0, 1.0), 3)
     ages = 0.01 * np.arange(201)
     lam = -1.0 + 1e-12
@@ -195,7 +203,7 @@ def test_small_rate_branch_matches_reference(const_model):
 
 
 def test_collapse_and_cell_integrals_share_one_formula():
-    model = build_model(singular_scenario())
+    model = build_model(cell_path(singular_scenario()))
     tg = midpoint_grid((0.0, 1.0), 16)
     ag = AgeGrid(da=0.01, n_cells=500)
     extended = age_factors(model, tg.nodes, 0.01 * np.arange(1001))
@@ -207,10 +215,12 @@ def test_collapse_and_cell_integrals_share_one_formula():
             collapse(model, tg, ag, lam, factors=extended).sB, cells.sum(axis=1))
 
 
+# the presets' rates through the cell path, and rates that read age at every age
 HORIZON_CASES = {
-    "constant": constant_scenario(nx=16),
-    "singular": singular_scenario(nx=16),
+    "constant": cell_path(constant_scenario(nx=16)),
+    "singular": cell_path(singular_scenario(nx=16)),
     "affine_death_in_age": REFERENCE_CASES["affine_death_in_age"],
+    "logistic_age_birth": dataclasses.replace(REFERENCE_CASES["logistic_age_birth"], nx=16),
 }
 
 
@@ -301,14 +311,19 @@ def test_horizon_scan_on_a_long_lattice_for_tiny_and_large_first_cells(case):
 
 
 def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
-    # B = 0 on the first age cell: the first column bounds no row sum from below
-    model = build_model(LATE_BIRTHS)
-    tg, ag = build_grids(LATE_BIRTHS, model)
-    factors = age_factors(model, tg.nodes, ag.nodes)
+    # B = 0 on the first age cell: the first column bounds no row sum from
+    # below, so the sum runs over every cell the factors hold: the whole
+    # lattice through the cell path, and the prefix to a_f = 1 with its tail
+    whole, prefix = (build_model(cfg) for cfg in (cell_path(LATE_BIRTHS), LATE_BIRTHS))
+    tg, ag = build_grids(LATE_BIRTHS, prefix)
+    factors = age_factors(whole, tg.nodes, ag.nodes)
     assert np.all(factors.C[:, 0] == 0.0) and np.all(factors.C[:, 1] > 0.0)
-    ck = collapse(model, tg, ag, 4.0, factors=factors)
+    ck = collapse(whole, tg, ag, 4.0, factors=factors)
     assert ck.age_cells == ag.n_cells
     np.testing.assert_array_equal(ck.sB, cell_integrals(factors, 4.0).sum(axis=1))
+    short = collapse(prefix, tg, ag, 4.0, factors=age_factors(prefix, tg.nodes, ag.nodes))
+    assert short.age_cells == prefix_cells(prefix, ag.nodes) == 100
+    assert np.all(np.abs(short.sB - ck.sB) <= 4 * np.spacing(ck.sB))
 
 
 def whole_grid_age_factors(model, xs, ages):
@@ -322,7 +337,7 @@ def whole_grid_age_factors(model, xs, ages):
     return cell_means(model.birth) * np.exp(-cum)[:, :-1], d
 
 
-BLOCKED_CASES = {"singular": singular_scenario(nx=256),
+BLOCKED_CASES = {"singular": cell_path(singular_scenario(nx=256)),
                  "affine_death_in_age": dataclasses.replace(
                      REFERENCE_CASES["affine_death_in_age"], nx=256)}
 
@@ -344,6 +359,71 @@ def test_row_blocks_keep_the_bits_of_the_whole_grid(case):
             ck.sB, cell_integrals(factors, lam, ck.age_cells).sum(axis=1))
 
 
+# a_f = 1.5: the birth stops reading age at 1, the death at 1.5
+TABULATED = dataclasses.replace(constant_scenario(nx=16), birth={
+    "family": "tabulated", "params": {"x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 0.3, 1.0],
+                                      "values": [[0.0, 3.0, 2.0], [0.5, 2.5, 1.5],
+                                                 [1.0, 2.0, 2.5]]}},
+    death={"family": "tabulated", "params": {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 0.5, 1.5],
+                                             "values": [[1.0, 1.5, 1.2], [0.8, 1.0, 2.0]]}})
+TAIL_CASES = {"constant": (constant_scenario(nx=16), 0),
+              "singular": (singular_scenario(nx=16), 0),
+              "tabulated": (TABULATED, 150)}
+
+
+def whole_lattice_sums(model, tg, ag, lam):
+    """sB and q of the product quadrature summed cell by cell over the lattice
+    extended to 2 A_max, whose remainder lies below roundoff at lambda >= 0.5."""
+    ext = ag.da * np.arange(2 * ag.n_cells + 1)
+    cells = cell_integrals(kernel.AgeFactors(
+        ext, *whole_grid_age_factors(model, tg.nodes, ext), None, None), lam)
+    tails = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1][:, :ag.n_cells + 1]
+    return cells.sum(axis=1), tails / survival_matrix(model, tg.nodes, ag.nodes, lam)
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_CASES))
+def test_prefix_and_tail_match_the_whole_lattice_sum(case):
+    # The factors stop at the first node at or past a_f, and the cells past it
+    # are summed in closed form: sB to a few ulps of the whole lattice's sum (6
+    # at most, measured), R and q to the rounding of the cell path's running
+    # sums (R 2.5e-12 and q 9e-14 with the tabulated aging death, below 2e-14
+    # on the presets). A tail taken from the node after a_f's misses one cell,
+    # 1-2 % of each sum.
+    config, n_cells = TAIL_CASES[case]
+    model = build_model(config)
+    tg, ag = build_grids(config, model)
+    factors = age_factors(model, tg.nodes, ag.nodes)
+    assert factors.n_cells == prefix_cells(model, ag.nodes) == n_cells
+    assert factors.C.shape == factors.d.shape == (tg.n, n_cells)
+    for lam in (0.5, 1.0, 2.78, 4.0):
+        ck = collapse(model, tg, ag, lam, factors)
+        sB, q_ref = whole_lattice_sums(model, tg, ag, lam)
+        assert ck.age_cells == n_cells
+        assert np.all(np.abs(ck.sB - sB) <= 16 * np.spacing(sB))
+        R, q = profiles(model, tg.nodes, factors, ag, lam)
+        R_ref = survival_matrix(model, tg.nodes, ag.nodes, lam)
+        assert np.abs(R - R_ref).max() <= 1e-11 * R_ref.max()
+        assert np.all(np.abs(R - R_ref) <= 1e-11 * R_ref)
+        assert np.all(np.abs(q - q_ref) <= 2e-13 * q_ref)
+        if n_cells == 0:        # the continuum's closed forms, to the rounding of one division
+            B, D = model.birth(tg.nodes, 0.0), model.death(tg.nodes, 0.0)
+            np.testing.assert_array_equal(ck.sB, B / (D + lam))
+            np.testing.assert_array_equal(q, np.repeat((B / (D + lam))[:, None], q.shape[1], 1))
+            np.testing.assert_array_equal(R, np.exp(-np.multiply.outer(D + lam, ag.nodes)))
+
+
+def test_collapse_at_lambda_zero_adds_what_the_lattice_end_leaves_out():
+    # at lambda = 0 the sum over the lattice stops at A_max, where the tail
+    # bound is tol = 1e-10: the closed form adds that remainder
+    config = constant_scenario(nx=4)
+    model = build_model(config)
+    tg, ag = build_grids(config, model)
+    ck = collapse(model, tg, ag, 0.0, age_factors(model, tg.nodes, ag.nodes))
+    np.testing.assert_array_equal(ck.sB, np.full(tg.n, 2.0))
+    cut = lattice_collapse(build_model(cell_path(config)), tg, ag, 0.0)
+    assert np.all(0.0 < ck.sB - cut.sB) and np.all(ck.sB - cut.sB <= config.tol)
+
+
 def traced_peak(call):
     """The peak of what call() allocates, by tracemalloc, and call's value."""
     tracemalloc.start()
@@ -354,10 +434,11 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-# In units of one (nx, n_cells) grid, 2442 cells on the singular preset at
-# nx = 256. A row block is kernel.BLOCK_BYTES // (8 (n_cells + 1)) = 26 trait
-# rows (10 blocks), 0.10 grid per (rows, n_cells) temporary.
-MEMORY_CASE = singular_scenario(nx=256)
+# In units of one (nx, n_cells) grid, 2442 cells with the singular preset's
+# rates at nx = 256, through the cell path. A row block is
+# kernel.BLOCK_BYTES // (8 (n_cells + 1)) = 26 trait rows (10 blocks), 0.10
+# grid per (rows, n_cells) temporary.
+MEMORY_CASE = cell_path(singular_scenario(nx=256))
 
 
 def test_age_factors_form_no_whole_grid_temporary():
@@ -390,7 +471,7 @@ def test_profiles_form_R_as_survival_matrix_does(case):
     tg, ag = build_grids(HORIZON_CASES[case], model)
     factors = age_factors(model, tg.nodes, ag.nodes)
     for lam in (0.5, 2.78):
-        R, q = profiles(model, tg.nodes, factors, lam)
+        R, q = profiles(model, tg.nodes, factors, ag, lam)
         np.testing.assert_array_equal(R, survival_matrix(model, tg.nodes, ag.nodes, lam))
         assert np.all(np.isfinite(q)) and np.all(q > 0)
 
@@ -403,9 +484,9 @@ def test_profiles_agree_across_age_blocks(case, monkeypatch):
     model = build_model(HORIZON_CASES[case])
     tg, ag = build_grids(HORIZON_CASES[case], model)
     factors = age_factors(model, tg.nodes, ag.nodes)
-    R, q = profiles(model, tg.nodes, factors, 1.0)
+    R, q = profiles(model, tg.nodes, factors, ag, 1.0)
     monkeypatch.setattr(kernel, "SPAN", 5.0)
-    R5, q5 = profiles(model, tg.nodes, factors, 1.0)
+    R5, q5 = profiles(model, tg.nodes, factors, ag, 1.0)
     np.testing.assert_array_equal(R5, R)
     assert np.abs(q5 - q).max() <= 2e-14 * q.max()
 
@@ -435,9 +516,10 @@ def test_profiles_on_a_prefix_are_the_whole_lattices(case):
     tg, ag = build_grids(HORIZON_CASES[case], model)
     factors = age_factors(model, tg.nodes, ag.nodes)
     for lam in (0.5, 2.78):
-        R, q = profiles(model, tg.nodes, factors, lam)
-        n = kernel.profile_lattice(model, lam, ag).n_cells
-        Rp, qp = profiles(model, tg.nodes, factors.prefix(n), lam)
+        R, q = profiles(model, tg.nodes, factors, ag, lam)
+        short = kernel.profile_lattice(model, lam, ag)
+        n = short.n_cells
+        Rp, qp = profiles(model, tg.nodes, factors, short, lam)
         np.testing.assert_array_equal(Rp, R[:, :n + 1])
         assert np.abs(qp - q[:, :n + 1]).max() <= 4e-15 * q.max()
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import lattice_collapse, renewal_flux
+from conftest import cell_path, lattice_collapse, renewal_flux
 from structpop import kernel, malthus, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import survival_matrix
@@ -238,6 +238,9 @@ def test_secular_equation_oracle_singular_800():
     assert abs(lam_star - lam_oracle) <= 1e-6
 
 
+AGING_DEATH = {"family": "affine", "params": {"base": 1.0, "slope_a": 0.5}}
+
+
 def singular_problem(nx, **changes):
     cfg = dataclasses.replace(singular_scenario(nx=nx), **changes)
     model = build_model(cfg)
@@ -300,8 +303,9 @@ def test_refinement_sweep_solves_direct_pairs_only(monkeypatch):
 
 @pytest.mark.parametrize("death, evaluations", [
     ({"family": "constant", "params": {"value": 1.0}}, 5),
-    ({"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}, 7)],
-    ids=["preset", "trait_dependent_death"])
+    ({"family": "affine", "params": {"base": 1.0, "slope_x": 0.5}}, 7),
+    (AGING_DEATH, 9)],
+    ids=["preset", "trait_dependent_death", "aging_death"])
 def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
     problem = singular_problem(200, death=death)
     solves = counting(monkeypatch, spectral, "perron")
@@ -317,8 +321,13 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
     assert search["perron_iterations"] == sum(p.iterations for p in solves)
     n = problem.agrid.n_cells
     cells = [problem.direct_pair(l)[0].age_cells for l in problem._direct]
-    assert search["age_cells"] == sum(cells) < evaluations * n
-    assert cells[0] == n                  # lambda = 0 sums the whole lattice
+    assert search["age_cells"] == sum(cells)
+    assert cells[0] == search["prefix_cells"]   # lambda = 0 sums every cell the factors hold
+    if death is AGING_DEATH:    # the whole lattice, cut at the horizon as lambda grows
+        assert search["prefix_cells"] == n and sum(cells) < evaluations * n
+        assert search["age_flat_from"] is None
+    else:                       # no cells: each collapse is its closed-form tail
+        assert search["prefix_cells"] == 0 and search["age_flat_from"] == 0.0
     cold = spectral.perron(spectral.assemble(
         lattice_collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
         problem.tgrid))
@@ -388,25 +397,35 @@ def test_eigentriple_reports_perron_and_keeps_factors():
     assert problem._factors is None
 
 
-def test_profile_step_forms_no_grid_sized_integrand():
-    # R and phi are the two (x, a) grids the profile step forms; N is formed in
-    # R's place. The recursion's temporaries span [0, A_max + L], 3658 ages at
-    # nx = 64, by blocks of 17 trait rows (kernel.row_blocks, each temporary
-    # at most kernel.BLOCK_BYTES): 0.4 grid each.
-    # Four are alive at once (the joined factors d and C, and cell_integrals'
-    # -z and cells), so the step reads 3.64 grids; the bound leaves a quarter
-    # grid over that.
-    problem = singular_problem(64)
+def profile_step_peak(config):
+    """What `solve_eigentriple` allocates at its peak once lambda* is solved, in
+    (nx, na + 1) grids of the whole age lattice."""
+    model = build_model(config)
+    problem = MalthusProblem(model, *build_grids(config, model))
     problem.eigendata(problem.find_lambda_star(1e-6))
     problem.factors
     grid = 8 * problem.tgrid.n * (problem.agrid.n_cells + 1)
     tracemalloc.start()
     try:
         solve_eigentriple(problem)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / grid
     finally:
         tracemalloc.stop()
-    assert peak <= 3.9 * grid
+
+
+def test_profile_step_forms_no_grid_sized_integrand():
+    # R and phi are the two (x, a) grids the profile step forms; N is formed in
+    # R's place. Through the cell path, the recursion's temporaries span
+    # [0, A_max + L], 3658 ages at nx = 64 with the singular preset's rates, by
+    # blocks of 17 trait rows (kernel.row_blocks, each temporary at most
+    # kernel.BLOCK_BYTES): 0.4 grid each.
+    # Four are alive at once (the joined factors d and C, and cell_integrals'
+    # -z and cells), so the step reads 3.64 grids; the bound leaves a quarter
+    # grid over that.
+    assert profile_step_peak(cell_path(singular_scenario(nx=64))) <= 3.9
+    # The preset itself forms no cells: R and phi in closed form, and two of
+    # the normalisation's 16-row blocks (`grid_integral`), 2.56 grids
+    assert profile_step_peak(singular_scenario(nx=64)) <= 2.6
 
 
 PRESETS = pytest.mark.parametrize("scenario", [singular_scenario, constant_scenario],
@@ -456,12 +475,14 @@ def problem_at_root(cfg):
     return ck, pq, cold
 
 
-def reference_phi(problem, triple):
-    """phi with its tail integrals summed over the whole of [0, 2 A_max]."""
-    model, tg, ag = problem.model, problem.tgrid, problem.agrid
+def reference_phi(problem, triple, model):
+    """phi with its tail integrals summed cell by cell over the whole of
+    [0, 2 A_max], for the problem's rates as `model` holds them."""
+    tg, ag = problem.tgrid, problem.agrid
     lam = triple.lambda_star
     _, _, pq = problem.eigendata(lam)
     doubled = kernel.age_factors(model, tg.nodes, ag.da * np.arange(2 * ag.n_cells + 1))
+    assert doubled.n_cells == 2 * ag.n_cells
     cells = kernel.cell_integrals(doubled, lam)
     tails = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1][:, :ag.n_cells + 1]
     phi = tails * (problem.mix.T @ pq.profile)[:, None]
@@ -472,12 +493,30 @@ def reference_phi(problem, triple):
 
 @PRESETS
 def test_phi_matches_tails_over_twice_the_horizon(scenario):
+    # The presets' q is B / (D + lambda*) in closed form, so phi is flat along
+    # each row, at its age-0 value: the sum of the tails from 0. The reference
+    # sums the same rates cell by cell; past age 0 it divides by R, and so
+    # drifts along a row by the rounding of R's exponent (2.6e-14 of a row on
+    # the singular preset at nx = 64).
     cfg = scenario(nx=64)
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
     triple = solve_eigentriple(problem)
-    ref = reference_phi(problem, triple)
-    assert np.abs(triple.phi_grid - ref).max() <= 1e-15 * ref.max()
+    ref = reference_phi(problem, triple, build_model(cell_path(cfg)))
+    phi = triple.phi_grid
+    assert np.abs(phi[:, 0] - ref[:, 0]).max() <= 1e-15 * ref.max()
+    np.testing.assert_array_equal(phi, np.repeat(phi[:, :1], phi.shape[1], axis=1))
+
+
+def test_phi_matches_tails_over_twice_the_horizon_where_the_death_rate_ages():
+    # cell by cell to the horizon on the whole lattice: 3.1e-15 of phi's maximum
+    # off, at the far end of the rows, where R's exponent rounds the most
+    cfg = dataclasses.replace(singular_scenario(nx=64), death=AGING_DEATH)
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    triple = solve_eigentriple(problem)
+    ref = reference_phi(problem, triple, model)
+    assert np.abs(triple.phi_grid - ref).max() <= 4e-15 * ref.max()
 
 
 @pytest.mark.parametrize("scenario, tol, bound", [
@@ -658,3 +697,65 @@ def test_lambda_search_forms_no_nx_by_nx_array(monkeypatch):
     assert len(peaks) == 2 * problem.lambda_search["evaluations"] == 10
     assert problem.lambda_search["perron_shifts"] >= 1     # a shift-inverse ran
     assert max(peaks) < nx * nx * 8
+
+
+# The exact age structure: B = 2, D = 1 + 0.5 a (an `affine` death with
+# slope_a), p = 0.3 and the uniform kernel. B and D do not read the trait, so
+# Mix's column sums of 1 give rho(lambda) = sB_lambda, and with
+# R = e^{-beta a - s a^2 / 2}, beta = d0 + lambda,
+#     sB_lambda = B I(beta),   I(beta) = int_0^inf e^{-beta t - s t^2 / 2} dt
+#               = sqrt(pi / 2s) e^{beta^2 / 2s} erfc(beta / sqrt(2s)).
+# At the root B I(beta*) = 1, so N = mu R with mu = B; q(a) = B I(beta* + s a),
+# and int R q da = B int a R da = (B - beta*) / s gives phi = s q / (B (B - beta*)).
+AGE_ORACLE = {"birth": 2.0, "base": 1.0, "slope_a": 0.5}
+
+
+def _age_integral(beta: float) -> float:
+    """I(beta) of the age oracle, by math.erfc."""
+    s = AGE_ORACLE["slope_a"]
+    z = beta / math.sqrt(2.0 * s)
+    return math.sqrt(math.pi / (2.0 * s)) * math.exp(z * z) * math.erfc(z)
+
+
+def _age_oracle_root() -> float:
+    """lambda* of the age oracle: B I(d0 + lambda) = 1, by bisection to rounding."""
+    lo, hi = 0.0, 2.0
+    while hi - lo > 4 * math.ulp(hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if AGE_ORACLE["birth"] * _age_integral(AGE_ORACLE["base"] + mid) > 1 \
+            else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def age_oracle_errors(da):
+    """The errors of lambda*, N and phi (the last two relative to each one's
+    maximum) on the profiles' lattice at age step da, nx = 16."""
+    b, s = AGE_ORACLE["birth"], AGE_ORACLE["slope_a"]
+    cfg = dataclasses.replace(constant_scenario(nx=16, da=da), death={
+        "family": "affine", "params": {"base": AGE_ORACLE["base"], "slope_a": s}})
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    lam = problem.find_lambda_star(1e-13)
+    triple = malthus.eigentriple(problem, lam, kernel.profile_lattice(model, lam, problem.agrid))
+    exact = _age_oracle_root()
+    beta, a = AGE_ORACLE["base"] + exact, triple.agrid.nodes
+    N = b * np.exp(-beta * a - 0.5 * s * a * a)
+    phi = np.array([s * b * _age_integral(beta + s * x) / (b * (b - beta)) for x in a])
+    return (lam - exact, np.abs(triple.N_grid - N).max() / N.max(),
+            np.abs(triple.phi_grid - phi).max() / phi.max())
+
+
+def test_age_structure_oracle_second_order_in_da():
+    # The product quadrature is second order in da where the rates read age.
+    # Measured: lambda* - exact = -0.0914 da^2 (-9.144e-6 at da = 0.01), N's
+    # error 0.0417 da^2 and phi's 0.00706 da^2, each halving dividing it by
+    # 4.00. The bounds leave a fifth over the measured constants; a cell's
+    # death rate read at one end makes the error first order.
+    errors = {da: age_oracle_errors(da) for da in (0.02, 0.01, 0.005)}
+    lam_err, N_err, phi_err = errors[0.01]
+    assert _age_oracle_root() == pytest.approx(0.7721767308567238, abs=1e-15)
+    assert abs(lam_err) <= 0.11 * 0.01 ** 2
+    assert N_err <= 0.05 * 0.01 ** 2
+    assert phi_err <= 0.0085 * 0.01 ** 2
+    for coarse, fine in ((0.02, 0.01), (0.01, 0.005)):
+        assert errors[coarse][0] / errors[fine][0] == pytest.approx(4.0, abs=0.1)

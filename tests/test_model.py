@@ -227,3 +227,32 @@ def test_tabulated_rate_bilinear():
     model = build_model(cfg)
     assert float(model.birth(0.5, 2.0)) == pytest.approx(2.0)
     assert model.birth.sup == 3.0 and model.birth.inf == 1.0
+
+
+AGE_FAMILIES = {
+    "constant": ({"value": 2.0}, 0.0),
+    "affine": ({"base": 1.0, "slope_x": 0.5}, 0.0),
+    "affine_slope_a": ({"base": 1.0, "slope_a": 0.5}, math.inf),
+    "sqrt_gap": ({"bbar": 4.0}, 0.0),
+    "gaussian_bump": ({"base": 1.0, "amp": 2.0, "center": 0.3, "width": 0.1}, 0.0),
+    "logistic_age": ({"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.4}, math.inf),
+    "tabulated": ({"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 0.3, 1.5],
+                   "values": [[0.0, 3.0, 2.0], [1.0, 2.0, 2.5]]}, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGE_FAMILIES))
+def test_each_rate_family_states_the_age_past_which_it_is_flat(case):
+    # fn reads no age past age_flat_from, and reads age everywhere when it is inf
+    params, flat = AGE_FAMILIES[case]
+    rate = _make_rate(case.replace("_slope_a", ""), params, (0.0, 1.0))
+    assert rate.age_flat_from == flat
+    x = np.linspace(0.0, 1.0, 5)[:, None]
+    ages = (0.0 if math.isinf(flat) else flat) + np.array([0.0, 0.01, 0.7, 30.0])[None, :]
+    values = rate(x, ages)
+    if math.isinf(flat):
+        assert np.all(np.diff(values, axis=1) != 0.0)
+    else:
+        np.testing.assert_array_equal(values, np.repeat(values[:, :1], ages.size, axis=1))
+    if case == "tabulated":     # and reads it just before
+        assert np.any(rate(x, flat - 0.01) != values[:, 0])
