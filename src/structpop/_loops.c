@@ -242,23 +242,27 @@ int ibm_run(ibm_state *s)
 /* ---- the trace record of pde.run ----------------------------------------
  *
  * pde_record takes the five sums of one record in one pass over the cohort
- * ring: with v = s u R the density at each (x, a) node and mw the mass
- * weights,
+ * ring: with v = s u R the density at each (x, a) node, mw the mass weights
+ * and g = B - D - lambda*,
  *   sums[0] = sum v mw                       the mass
- *   sums[1] = sum v excess                   D(t)'s numerator
+ *   sums[1] = sum v (g mw)                   D(t)'s numerator
  *   sums[2] = sum v (phi mw)                 the invariant
  *   sums[3] = sum |scale v - target| mw      tv
  *   sums[4] = sum |scale v - target| mw phi  pw
- * Each term is the NumPy record's product, its factors in the same order;
- * only the order of the sums differs. Row x of the ring holds age a_j at column (head + j) mod L,
- * so a row is two spans of ages, [0, L - head) from column head and
- * [L - head, L) from column 0. Each row is summed in two lanes, the even and
- * the odd ages of each span, and the rows are added in order: the sums are
- * the same bits on every run and at any BLAS thread count.
+ * On the ages from `tail` on, g and phi are constant along each row: there
+ * a row sums only its mass m and its tv d, and adds g m, phi m and phi d,
+ * g and phi read at age `tail` (tail = L: no such ages). On the other ages
+ * each term is the NumPy record's product, its factors in the same order,
+ * so the records differ at roundoff. Row x of the ring holds age a_j at column
+ * (head + j) mod L, so a row is two spans of ages, [0, L - head) from column
+ * head and [L - head, L) from column 0, and each span splits at `tail`.
+ * Each piece is summed in two lanes, the even and the odd ages from its
+ * start, and the rows are added in order: the sums are the same bits on
+ * every run and at any BLAS thread count.
  *
  * Every grid is read, and the record has one mode: R NULL reads u as the
  * density itself (a materialised state: head 0, s 1). Where a run has no
- * excess, phi or target, pde.run passes a stand-in grid of the same shape
+ * lambda*, phi or target, pde.run passes a stand-in grid of the same shape
  * and does not keep the sums that read it.
  */
 
@@ -273,68 +277,93 @@ static inline pair ages(const double *p, int64_t j, int last)
     return r;
 }
 
+/* the record's terms at ages j and j + 1: all five in acc, or on the tail
+ * only the mass and tv in acc[0] and acc[1] */
 static inline __attribute__((always_inline)) void
-record_ages(pair acc[5], int ring, int64_t j, int last, const double *u,
-            const double *R, pair s, const double *mw, const double *excess,
+record_ages(pair acc[5], int ring, int tail, int64_t j, int last, const double *u,
+            const double *R, pair s, const double *mw, const double *growth,
             const double *phi, const double *target, pair scale)
 {
     pair v = ages(u, j, last);
     if (ring)
         v = v * ages(R, j, last) * s;
-    pair m = ages(mw, j, last), p = ages(phi, j, last);
-    acc[0] += v * m;
-    acc[1] += v * ages(excess, j, last);
-    acc[2] += v * (p * m);
+    pair m = ages(mw, j, last);
     pair d = scale * v - ages(target, j, last);
     d = (pair){fabs(d[0]), fabs(d[1])} * m;
+    acc[0] += v * m;
+    if (tail) {
+        acc[1] += d;
+        return;
+    }
+    pair p = ages(phi, j, last);
+    acc[1] += v * (ages(growth, j, last) * m);
+    acc[2] += v * (p * m);
     acc[3] += d;
     acc[4] += d * p;
 }
 
-/* ages [0, n) of one span; every pointer is at the span's first age */
+/* ages [0, n) of one piece of a span; every pointer is at its first age */
 static inline __attribute__((always_inline)) void
-record_span(pair acc[5], int ring, int64_t n, const double *u, const double *R,
-            pair s, const double *mw, const double *excess, const double *phi,
-            const double *target, pair scale)
+record_span(pair acc[5], int ring, int tail, int64_t n, const double *u,
+            const double *R, pair s, const double *mw, const double *growth,
+            const double *phi, const double *target, pair scale)
 {
     int64_t j = 0;
     for (; j + 1 < n; j += 2)
-        record_ages(acc, ring, j, 0, u, R, s, mw, excess, phi, target, scale);
+        record_ages(acc, ring, tail, j, 0, u, R, s, mw, growth, phi, target, scale);
     if (j < n)
-        record_ages(acc, ring, j, 1, u, R, s, mw, excess, phi, target, scale);
+        record_ages(acc, ring, tail, j, 1, u, R, s, mw, growth, phi, target, scale);
 }
 
 static inline __attribute__((always_inline)) void
 record_rows(double sums[5], int ring, int64_t nx, int64_t L, const double *u,
             int64_t head, double s, const double *R, const double *mw,
-            const double *excess, const double *phi, const double *target,
-            double scale)
+            const double *growth, const double *phi, const double *target,
+            double scale, int64_t tail)
 {
-    int64_t k = L - head;
+    int64_t k = L - head, p1 = tail < k ? tail : k, p2 = tail > k ? tail : k;
     pair s2 = {s, s}, scale2 = {scale, scale};
     for (int q = 0; q < 5; q++)
         sums[q] = 0.0;
     for (int64_t x = 0; x < nx; x++) {
         int64_t o = x * L;
         pair acc[5] = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-        record_span(acc, ring, k, u + o + head, R + o, s2, mw, excess + o, phi + o,
+        pair flat[5] = {{0.0, 0.0}, {0.0, 0.0}};
+        /* ages [0, k) from column head, then [k, L) from column 0 */
+        record_span(acc, ring, 0, p1, u + o + head, R + o, s2, mw, growth + o, phi + o,
                     target + o, scale2);
-        record_span(acc, ring, head, u + o, R + o + k, s2, mw + k, excess + o + k,
+        record_span(flat, ring, 1, k - p1, u + o + head + p1, R + o + p1, s2, mw + p1,
+                    growth, phi, target + o + p1, scale2);
+        record_span(acc, ring, 0, p2 - k, u + o, R + o + k, s2, mw + k, growth + o + k,
                     phi + o + k, target + o + k, scale2);
+        record_span(flat, ring, 1, L - p2, u + o + p2 - k, R + o + p2, s2, mw + p2,
+                    growth, phi, target + o + p2, scale2);
+        double row[5];
         for (int q = 0; q < 5; q++)
-            sums[q] += acc[q][0] + acc[q][1];
+            row[q] = acc[q][0] + acc[q][1];
+        if (tail < L) {
+            double g = growth[o + tail], p = phi[o + tail];
+            double m = flat[0][0] + flat[0][1], d = flat[1][0] + flat[1][1];
+            row[0] += m;
+            row[1] += g * m;
+            row[2] += p * m;
+            row[3] += d;
+            row[4] += p * d;
+        }
+        for (int q = 0; q < 5; q++)
+            sums[q] += row[q];
     }
 }
 
 void pde_record(int64_t nx, int64_t L, const double *u, int64_t head, double s,
-                const double *R, const double *mw, const double *excess,
-                const double *phi, const double *target, double scale,
+                const double *R, const double *mw, const double *growth,
+                const double *phi, const double *target, double scale, int64_t tail,
                 double sums[5])
 {
     if (R)
-        record_rows(sums, 1, nx, L, u, head, s, R, mw, excess, phi, target, scale);
+        record_rows(sums, 1, nx, L, u, head, s, R, mw, growth, phi, target, scale, tail);
     else    /* u is the density; R is never read */
-        record_rows(sums, 0, nx, L, u, head, s, u, mw, excess, phi, target, scale);
+        record_rows(sums, 0, nx, L, u, head, s, u, mw, growth, phi, target, scale, tail);
 }
 
 /* ---- the steps of pde.run -------------------------------------------------
@@ -363,7 +392,8 @@ typedef struct {
     double s, msum, t;      /* competition factor, mass of u, time */
     double *hist;           /* the block's history sums, (nx, 2, stride) */
     int64_t stride, m;      /* hist's last length, and the block's next step */
-    const double *W;        /* birth and mass weights per unit u, (nx, 2, L) */
+    const double *W;        /* birth and mass weights per unit u, (nx, 2, width) */
+    int64_t width;          /* at least the block's length */
     const double *G;        /* newborns per birth, (nx, nx) */
     const double *loss_w;   /* the horizon column's loss per unit u, (nx,) */
     double mw0, c, dt, floor;
@@ -399,10 +429,10 @@ int pde_steps(pde_ring *r, int64_t n)
             loss += r->loss_w[x] * u[x * L + head];
         s *= exp(-r->c * s * r->msum * r->dt);
         for (int64_t x = 0; x < nx; x++) {
-            const double *w = r->W + 2 * x * L + 1, *young = u + x * L + head + 1;
+            const double *w = r->W + 2 * x * r->width + 1, *young = u + x * L + head + 1;
             const double *h = hist + 2 * x * hs + m;
             births[x] = h[0] + dot(w, young, m);
-            mass += h[hs] + dot(w + L, young, m);
+            mass += h[hs] + dot(w + r->width, young, m);
         }
         for (int64_t i = 0; i < nx; i++) {
             double v = NAN;

@@ -37,8 +37,8 @@ class PdeRing(ctypes.Structure):
     """Mirror of `pde_ring` in _loops.c."""
     _i, _d, _p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     _fields_ = [("nx", _i), ("L", _i), ("u", _p), ("head", _i), ("s", _d), ("msum", _d),
-                ("t", _d), ("hist", _p), ("stride", _i), ("m", _i), ("W", _p), ("G", _p),
-                ("loss_w", _p), ("mw0", _d), ("c", _d), ("dt", _d), ("floor", _d),
+                ("t", _d), ("hist", _p), ("stride", _i), ("m", _i), ("W", _p), ("width", _i),
+                ("G", _p), ("loss_w", _p), ("mw0", _d), ("c", _d), ("dt", _d), ("floor", _d),
                 ("loss", _d)]
 
 
@@ -66,8 +66,9 @@ def library():
         lib.ibm_run.argtypes = [ctypes.POINTER(IbmState)]
         lib.ibm_run.restype = ctypes.c_int
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        # nx, L, u, head, s, R, mw, excess, phi, target, scale, sums
-        lib.pde_record.argtypes = [i64, i64, ptr, i64, dbl, ptr, ptr, ptr, ptr, ptr, dbl, ptr]
+        # nx, L, u, head, s, R, mw, growth, phi, target, scale, tail, sums
+        lib.pde_record.argtypes = [i64, i64, ptr, i64, dbl, ptr, ptr, ptr, ptr, ptr, dbl, i64,
+                                   ptr]
         lib.pde_record.restype = None
         lib.pde_steps.argtypes = [ctypes.POINTER(PdeRing), i64]
         lib.pde_steps.restype = ctypes.c_int

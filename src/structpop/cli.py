@@ -183,6 +183,8 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
             "warnings": triple.diagnostics["warnings"],
             "pde": {"steps": trace.steps, "truncation_loss": trace.truncation_loss[-1],
                     "history": dict(solver.history), "record": trace.record,
+                    "age_flat_from": None if math.isinf(model.age_flat_from)
+                    else model.age_flat_from, "prefix_cells": solver.prefix_cells,
                     "mass_ode_residual": pde.mass_ode_residual(trace, lam,
                                                                model.competition)},
             "manifest": [path]}

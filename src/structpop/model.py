@@ -303,12 +303,14 @@ def mass_weights(tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarray:
 
 def grid_integral(tgrid: TraitGrid, agrid: AgeGrid, *fs: np.ndarray) -> float:
     """int f_1 ... f_k dx da for (nx, na+1) grids f: sum(f_1 mass_weights f_2 ... f_k),
-    the weights broadcast over blocks of 16 trait rows, each block summed
-    pairwise, so that each grid is read once and no grid-sized array is formed."""
+    the weights broadcast over blocks of 16 trait rows, each block formed in one
+    reused buffer and summed pairwise, so that each grid is read once and no
+    grid-sized array is formed."""
     mw, total = mass_weights(tgrid, agrid), 0.0
+    buf = np.empty((min(16, tgrid.n), mw.size))
     for i in range(0, tgrid.n, 16):
         rows = slice(i, i + 16)
-        block = fs[0][rows] * mw
+        block = np.multiply(fs[0][rows], mw, out=buf[:fs[0][rows].shape[0]])
         for f in fs[1:]:
             block *= f[rows]
         total += float(np.sum(block))

@@ -17,7 +17,16 @@ Where the compiled library (_loops.c) loads, the steps of a block run in one
 call (`pde_steps`) and a trace record of `run` takes its sums in one pass that
 reads the ring in place (`pde_record`); `run` advances each record interval
 with one call of `step_nonlinear`. Without the library the steps run one by
-one in NumPy and a record sums by NumPy over the materialised density."""
+one in NumPy and a record sums by NumPy over the materialised density.
+
+Past the age a_f where the rates stop reading age (`RateModel.age_flat_from`),
+from the lattice's first node at or past it (`kernel.prefix_cells`, as the
+age collapse cuts it; no such node where a_f is inf), B, D and R's decay
+rate are constant along each trait row. There a block's history sums over
+the ring's ages are two parity running sums per row, in closed form, and
+only the ages before it go through the FFT; the compiled record reads
+B - D - lambda* and phi once per row (phi where `run` finds it flat there).
+Where no node is past a_f, both are as they were cell by cell, to the bit."""
 
 from __future__ import annotations
 
@@ -28,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _loops
-from .kernel import MixForm, survival_matrix
+from .kernel import MixForm, prefix_cells, survival_matrix
 from .model import AgeGrid, RateModel, TraitGrid, grid_integral, mass_weights
 
 _S_FLOOR = 1e-100   # s only shrinks (c >= 0); below this it is folded into u
@@ -83,13 +92,27 @@ class TransportSolver:
 
         self.R = R = survival_matrix(model, xs, ages, 0.0)
         R[R < 1e-300] = 0.0     # keeps u = n / R finite
-        n = ages.size + min(_BLOCK, ages.size)     # L + K, and the FFT length is the
-        self._nfft = next(m for m in range(n, 2 * n) if 30 ** 64 % m == 0)   # next 5-smooth
-        self._W = W = np.empty((tgrid.n, 2, ages.size))   # birth and mass weights per unit u
-        np.multiply(self.B * self.qa, R, out=W[:, 0])
-        np.multiply(self.mass_w, R, out=W[:, 1])
+        # the tail: the ages from the first node at or past a_f, where neither rate
+        # reads age (`kernel.prefix_cells`); none where no node is that old
+        self.prefix_cells = p = prefix_cells(model, ages)
+        self._tail = t = p if ages[p] >= model.age_flat_from else ages.size
+        K = min(_BLOCK, ages.size)
+        n = t + K                           # and the FFT length is the next 5-smooth
+        self._nfft = next(m for m in range(n, 2 * n) if 30 ** 64 % m == 0)
+        # birth and mass weights per unit u, on the ages the prefix's sums and a step read
+        k = min(n, ages.size)
+        self._W = W = np.empty((tgrid.n, 2, k))
+        np.multiply(self.B[:, :k] * self.qa[:k], R[:, :k], out=W[:, 0])
+        np.multiply(self.mass_w[:k], R[:, :k], out=W[:, 1])
         self._W_norm = np.sqrt(np.einsum("xrj,xrj->xr", W, W))
-        self.history = {"fft_blocks": 0, "direct_blocks": 0}
+        if t < ages.size:
+            # on the tail (j >= t), W[x, r, j + m] = w[x, r] qa_{j+m} R[x, j] e^{-D_x a_m}
+            # with w = (B(x, a_t), dx); here w qa_0 e^{-D a_m} by block step m, as
+            # Simpson's weights are qa_0 (1, 4, 2, ..., 4, 1)
+            decay = np.exp(np.multiply.outer(-D[:, t], agrid.da * np.arange(1, K + 1)))
+            self._tail_w = np.stack([self.B[:, t, None] * decay, tgrid.dx * decay], axis=1)
+            self._tail_w *= self.qa[0]
+        self.history = {"fft_blocks": 0, "direct_blocks": 0, "closed_form_blocks": 0}
         # the horizon column's mass one cell on, per unit of u; divided first
         # so that R^2 cannot underflow where R does not
         self._loss_w = (R[:, -1] / np.maximum(R[:, -2], 1e-300) * R[:, -1]
@@ -123,25 +146,62 @@ class TransportSolver:
 
     def _history(self, u: np.ndarray, head: int, hist: np.ndarray) -> None:
         """hist[:, :, m-1] = sum_j W[:, :, j+m] c_j, c_j the ring's column at age a_j:
-        its births and mass over the next K steps. By FFT if K > 1, the sums are
-        finite and the bound max_x |W_x| |u_x| is within 100 times the largest.
-        Neither path warns: a sum that overflows is left for the step to raise."""
-        (nx, L), K, n = u.shape, hist.shape[2], self._nfft
+        its births and mass over the next K steps.
+
+        The terms of the prefix's ages (j before the tail) are by FFT if K > 1, the
+        sums are finite and the bound max_x |W_x| |c_x| is within 100 times the
+        largest, and else direct. Those of the tail's ages are w e^{-D a_m} sum_j
+        qa_{j+m} R_j c_j (see `__init__`), in closed form: Simpson's qa_{j+m} is 4
+        or 2 times qa_0 by the parity of j + m, and qa_0 at the last node, so the
+        sum is two running sums of R c from the tail start, one for each parity of
+        j, read at L - 1 - m. Both run by _CHUNK trait rows. Neither path warns: a
+        sum that overflows is left for the step to raise."""
+        (nx, L), K, t = u.shape, hist.shape[2], self._tail
         with np.errstate(over="ignore", invalid="ignore"):
-            if K > 1:
-                for i in range(0, nx, _CHUNK):
-                    rows = slice(i, i + _CHUNK)
-                    ring = np.fft.rfft(np.roll(u[rows], -head, axis=1), n).conj()[:, None]
-                    spectra = np.fft.rfft(self._W[rows], n) * ring
-                    hist[rows] = np.fft.irfft(spectra, n)[:, :, 1:K + 1]
-                bound = (self._W_norm * np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]).max(0)
-                ok = np.isfinite(hist).all() and np.all(bound <= 100 * abs(hist).max((0, 2)))
-                self.history["fft_blocks" if ok else "direct_blocks"] += 1
-                if ok:
-                    return
-            c = np.roll(u, -head, axis=1)
-            for m in range(1, K + 1):
-                hist[:, :, m - 1] = np.matmul(self._W[:, :, m:], c[:, :L - m, None])[:, :, 0]
+            if t == 0:
+                hist[...] = 0.0
+            elif K == 1 or not self._prefix_fft(u, head, hist):
+                c = np.roll(u, -head, axis=1)
+                for m in range(1, K + 1):
+                    j = min(t, L - m)
+                    hist[:, :, m - 1] = np.matmul(self._W[:, :, m:m + j],
+                                                  c[:, :j, None])[:, :, 0]
+            if t == L:
+                return
+            self.history["closed_form_blocks"] += 1
+            M = min(K, L - 1 - t)                   # the steps m that a tail age reaches
+            # sum_{t <= i <= j} of R_i c_i over the i of j's parity, at column j - t + 2
+            sums = np.zeros((min(_CHUNK, nx), L - t + 2))
+            top = np.arange(L - t, L - t - M, -1)   # j = L - 1 - m
+            for i in range(0, nx, _CHUNK):
+                rows = slice(i, i + _CHUNK)
+                c = np.roll(u[rows], -head, axis=1)[:, t:]
+                g = sums[:c.shape[0]]
+                np.multiply(c, self.R[rows, t:], out=g[:, 2:])
+                last = g[:, top]                    # the last node's term, qa_0 R c
+                np.cumsum(g[:, 0::2], axis=1, out=g[:, 0::2])
+                np.cumsum(g[:, 1::2], axis=1, out=g[:, 1::2])
+                # in qa_0: 2 for the i of j's parity (m's, as L - 1 is even), 4 for
+                # the others, and 1, not 2, at j itself, the last node
+                part = 2.0 * g[:, top] + 4.0 * g[:, top - 1] - last
+                hist[rows, :, :M] += self._tail_w[rows, :, :M] * part[:, None]
+
+    def _prefix_fft(self, u: np.ndarray, head: int, hist: np.ndarray) -> bool:
+        """The prefix's history sums by FFT into hist; whether they pass the accuracy
+        guard, which the history counters record."""
+        (nx, _), K, t, n = u.shape, hist.shape[2], self._tail, self._nfft
+        norm = np.empty(nx)
+        for i in range(0, nx, _CHUNK):
+            rows = slice(i, i + _CHUNK)
+            c = np.roll(u[rows], -head, axis=1)[:, :t]
+            norm[rows] = np.sqrt(np.einsum("ij,ij->i", c, c))
+            ring = np.fft.rfft(c, n).conj()[:, None]
+            spectra = np.fft.rfft(self._W[rows], n) * ring
+            hist[rows] = np.fft.irfft(spectra, n)[:, :, 1:K + 1]
+        bound = (self._W_norm * norm[:, None]).max(0)
+        ok = bool(np.isfinite(hist).all() and np.all(bound <= 100 * abs(hist).max((0, 2))))
+        self.history["fft_blocks" if ok else "direct_blocks"] += 1
+        return ok
 
     def step_nonlinear(self, state: DensityState, n: int = 1) -> float:
         """n steps of dt, each n <- exp(-c m dt) L n, L linear, c the model's
@@ -183,9 +243,9 @@ class TransportSolver:
             else:
                 ring = _loops.PdeRing(*u.shape, u.ctypes.data, head, s, msum, state.t,
                                       hist.ctypes.data, hist.shape[2], m, self._W.ctypes.data,
-                                      self._newborn.ctypes.data, self._loss_w.ctypes.data,
-                                      self.mass_w[0], self.model.competition, self.dt,
-                                      _S_FLOOR, loss)
+                                      self._W.shape[2], self._newborn.ctypes.data,
+                                      self._loss_w.ctypes.data, self.mass_w[0],
+                                      self.model.competition, self.dt, _S_FLOOR, loss)
                 if self._lib.pde_steps(ring, k):
                     raise ValueError(_NONFINITE)
                 head, s, msum, m, state.t, loss = (ring.head, ring.s, ring.msum, ring.m,
@@ -260,9 +320,12 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     `pde_record` in _loops.c when the library builds and loads, and otherwise
     by NumPy over the materialised density; `trace.record` says which, and
     the solver steps on the same path (the host's library, loaded when the
-    solver was built). The two agree to roundoff. No record sums by a BLAS
-    dot product, whose order of summation moves with the BLAS thread count,
-    nor does a compiled step.
+    solver was built). The two agree to roundoff. On the solver's tail the
+    compiled record reads B - D - lambda* and phi once per trait row, phi
+    only where it equals its tail-start value on every later age of each
+    row, and otherwise at every age. No record sums by a BLAS dot product,
+    whose order of summation moves with the BLAS thread count, nor does a
+    compiled step.
     """
     if record_every < 1:
         raise ValueError(f"record_every = {record_every!r} must be at least 1")
@@ -281,25 +344,33 @@ def run(solver: TransportSolver, state: DensityState, T: float,
     invariant = linear and phi is not None and lam_star is not None
     # the C reads these through raw pointers: float64, C order, held until run
     # returns; solver.R, already so, stands in for an absent grid
-    excess = solver.R if lam_star is None else (solver._net - lam_star) * solver.mass_w
+    growth = solver.R if lam_star is None else solver._net - lam_star
     phi_g, target_g = (solver.R if g is None else np.ascontiguousarray(g, dtype=float)
                        for g in (phi, target))
 
     if lib is None:
         buf = np.empty(shape)
-        phi_w = phi_g * solver.mass_w
+        excess, phi_w = growth * solver.mass_w, phi_g * solver.mass_w
+        del growth      # the NumPy record reads (B - D - lambda*) mw alone
 
         def sums(scale):    # one materialisation into buf, which the distances overwrite
             values = solver.density(state, out=buf)
             mass = solver.mass(values)
-            growth = solver.growth_diag(values, excess, mass)
+            d_t = solver.growth_diag(values, excess, mass)
             inv = float(np.einsum("ij,ij->", values, phi_w))
             tv, pw = solver.distances(np.multiply(values, scale, out=buf), target_g, phi_g,
                                       out=buf)
-            return mass, growth, inv, tv, pw
+            return mass, d_t, inv, tv, pw
     else:
-        R, mw, ex, ph, tg = (g.ctypes.data for g in (solver.R, solver.mass_w, excess, phi_g,
+        R, mw, gr, ph, tg = (g.ctypes.data for g in (solver.R, solver.mass_w, growth, phi_g,
                                                      target_g))
+        # the record's tail: growth is flat along each row past the solver's
+        # tail start, and phi must be too for a row to read it once
+        tail = solver._tail
+        if phi is not None and not all((phi_g[i:i + _CHUNK, tail:]
+                                        == phi_g[i:i + _CHUNK, tail:tail + 1]).all()
+                                       for i in range(0, shape[0], _CHUNK)):
+            tail = shape[1]
         out = np.empty(5)
 
         def sums(scale):    # over the ring v = s u R, or over a materialised state's values
@@ -308,8 +379,8 @@ def run(solver: TransportSolver, state: DensityState, T: float,
                 head, s, ring_R = 0, 1.0, None
             else:
                 (_, u, head, s), ring_R = state._cohort[:4], R
-            lib.pde_record(shape[0], shape[1], u.ctypes.data, head, s, ring_R, mw, ex,
-                           ph, tg, scale, out.ctypes.data)
+            lib.pde_record(shape[0], shape[1], u.ctypes.data, head, s, ring_R, mw, gr,
+                           ph, tg, scale, tail, out.ctypes.data)
             mass, num, inv, tv, pw = out.tolist()
             return mass, num / mass if mass > 0 else math.nan, inv, tv, pw
 

@@ -19,6 +19,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import cell_path
 from structpop import _loops, cli, ibm, kernel, malthus, pde, spectral
 from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import (PRESETS, build_grids, build_model, constant_scenario,
@@ -441,8 +442,9 @@ def test_scenario_singular_forms_no_age_cell(tmp_path, monkeypatch):
 
 
 # Rates that read age at every age (age_flat_from = inf) take the cell path
-# alone, as before the closed-form tail: digests of their outputs, recorded at
-# the commit before it. The summary is taken without the keys that name the
+# alone, as before the closed-form tails: digests of their outputs, recorded at
+# the commit before each (the PDE's at the commit before its history sums and
+# records took the tail). The summary is taken without the keys that name the
 # run's config path and thread environment, or the tail's own counts.
 AGE_READING = {
     "logistic_age_birth": dataclasses.replace(
@@ -461,7 +463,12 @@ AGE_READING_DIGESTS = {
         "3303a7c1279d1cdbd9f685a7f93f421d73fa7905cccca500a777165e179e74a1",
     ("aging_death", "stationary"):
         "899426a62045756da43e4c939fad6837c186c9c10f0ecd92dbf535cfc776d235",
+    ("logistic_age_birth", "pde"):
+        "ba9d60111e5af4ffdca06d4a36fc05dfd972d5f2860f4544ed045d5faba8ac8d",
+    ("aging_death", "pde"):
+        "11bf3c0ad8fecc63f9667fe268745dabaaf0752e96621686f1cde6a198b0485c",
 }
+COMMAND_ARGS = {"pde": ["--tmax", "3"]}
 
 
 def output_digest(out):
@@ -471,6 +478,8 @@ def output_digest(out):
         del summary[key]
     for key in ("age_flat_from", "prefix_cells"):
         summary.get("lambda_search", {}).pop(key, None)
+        summary.get("pde", {}).pop(key, None)
+    summary.get("pde", {}).get("history", {}).pop("closed_form_blocks", None)
     digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode())
     for name in summary["manifest"]:
         digest.update((out / name).read_bytes())
@@ -481,12 +490,15 @@ def output_digest(out):
 def test_rates_that_read_age_at_every_age_keep_their_bytes(tmp_path, case, command):
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path / "cfg.json", AGE_READING[case]),
-                 "--out", str(out)]) == EXIT_OK
+                 "--out", str(out), *COMMAND_ARGS.get(command, [])]) == EXIT_OK
     assert output_digest(out) == AGE_READING_DIGESTS[case, command]
-    if command == "malthus":
-        search = json.loads((out / "summary.json").read_text())["lambda_search"]
+    if command in ("malthus", "pde"):
+        summary = json.loads((out / "summary.json").read_text())
+        search = summary["lambda_search" if command == "malthus" else "pde"]
         _, agrid = build_grids(AGE_READING[case], build_model(AGE_READING[case]))
         assert search["age_flat_from"] is None and search["prefix_cells"] == agrid.n_cells
+    if command == "pde":
+        assert summary["pde"]["history"]["closed_form_blocks"] == 0
 
 
 @pytest.mark.parametrize("argv, module, name", [
@@ -808,11 +820,25 @@ def test_pde_trace_is_the_same_bits_at_one_and_two_blas_threads(tmp_path):
         assert (outs[0] / "pde_trace.csv").read_bytes() == (outs[1] / "pde_trace.csv").read_bytes()
 
 
-def test_pde_summary_counts_history_blocks(small_cfg, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["pde", "--config", small_cfg, "--out", out, "--tmax", "12"]) == EXIT_OK
-    history = json.load(open(os.path.join(out, "summary.json")))["pde"]["history"]
-    assert history["fft_blocks"] >= 2 and history["direct_blocks"] == 0
+def test_pde_summary_counts_history_blocks(tmp_path):
+    # the constant preset's history sums are in closed form from age 0; its
+    # cell-path twin's are by FFT over the whole lattice
+    cfg = constant_scenario(nx=8, tol=1e-8)
+    _, agrid = build_grids(cfg, build_model(cfg))
+    for name, config in (("preset", cfg), ("twin", cell_path(cfg))):
+        out = str(tmp_path / name)
+        assert main(["pde", "--config", write_config(tmp_path / f"{name}.json", config),
+                     "--out", out, "--tmax", "12"]) == EXIT_OK
+        summary = json.load(open(os.path.join(out, "summary.json")))["pde"]
+        fft, direct, closed = (summary["history"][key] for key in (
+            "fft_blocks", "direct_blocks", "closed_form_blocks"))
+        if name == "preset":
+            assert closed >= 2 and fft == direct == 0
+            assert summary["age_flat_from"] == 0.0 and summary["prefix_cells"] == 0
+        else:
+            assert fft >= 2 and direct == closed == 0
+            assert summary["age_flat_from"] is None
+            assert summary["prefix_cells"] == agrid.n_cells
 
 
 def test_tmax_rejected_where_not_read(small_cfg, tmp_path):

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -467,6 +468,36 @@ def test_loops_source_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "loops.so"), _loops.SOURCE, "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def exported_functions(source):
+    """{name: parameter count} of the functions _loops.c defines without static:
+    a definition is name(params) then its body's brace at file level, and its
+    declaration specifiers are the text back to the previous ';' or '}'."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+    found = {}
+    for m in re.finditer(r"\b(\w+)\s*\(([^()]*)\)\s*\{", code):
+        if code.count("{", 0, m.start()) != code.count("}", 0, m.start()):
+            continue                    # inside a body: a loop or a branch
+        start = max(code.rfind(";", 0, m.start()), code.rfind("}", 0, m.start()))
+        if "static" in code[start + 1:m.start()].split():
+            continue
+        params = m.group(2).strip()
+        found[m.group(1)] = 0 if params in ("", "void") else params.count(",") + 1
+    return found
+
+
+def test_every_exported_loop_has_argtypes_of_its_arity():
+    # ctypes passes what argtypes says: a parameter missing from it is read as garbage
+    lib, why = _loops.library()
+    if lib is None:
+        pytest.skip(why)
+    with open(_loops.SOURCE) as f:
+        exported = exported_functions(f.read())
+    assert set(exported) == {"ibm_run", "pde_record", "pde_steps"}
+    for name, count in exported.items():
+        argtypes = getattr(lib, name).argtypes
+        assert argtypes is not None and len(argtypes) == count, name
 
 
 def test_determinism_bit_for_bit(tg):

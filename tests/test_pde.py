@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from conftest import renewal_flux
+from conftest import cell_path, renewal_flux
 from structpop import _loops, pde
-from structpop.kernel import mix_matrix, survival_matrix
+from structpop.kernel import mix_matrix, prefix_cells, survival_matrix
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid)
 from structpop.malthus import MalthusProblem, solve_eigentriple
@@ -28,14 +28,14 @@ def age_bump_state(tgrid, agrid, mass=1.0):
     return pde.DensityState(t=0.0, values=values * (mass / total))
 
 
-def make_solver(birth=2.0, death=1.0, c=1.0, nx=16, n_cells=600):
+def make_solver(birth=2.0, death=1.0, c=1.0, nx=16, n_cells=600, twin=False):
+    """Constant rates, whose history sums past age 0 are in closed form; or with
+    twin, their cell-path twin (`conftest.cell_path`), whose are by FFT."""
     cfg = dataclasses.replace(
         constant_scenario(nx=nx), c=c,
-        birth={"family": "constant", "params": {"value": birth}})
-    if death != 1.0:
-        cfg = dataclasses.replace(
-            cfg, death={"family": "constant", "params": {"value": death}})
-    model = build_model(cfg)
+        birth={"family": "constant", "params": {"value": birth}},
+        death={"family": "constant", "params": {"value": death}})
+    model = build_model(cell_path(cfg) if twin else cfg)
     tg = midpoint_grid((0.0, 1.0), nx)
     ag = AgeGrid(da=0.01, n_cells=n_cells)
     return model, tg, ag, pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
@@ -494,7 +494,8 @@ def test_cohort_step_long_run_folds_the_competition_scalar():
         assert trace.mass[-1] == pytest.approx(np.sum(ref * solver.mass_w), rel=1e-12)
 
 
-# the block kernel: history sums by FFT over blocks of steps, newborns read off the ring
+# the block kernel: history sums over blocks of steps, newborns read off the ring
+HISTORY_KEYS = ("fft_blocks", "direct_blocks", "closed_form_blocks")
 BLOCK_CASES = {
     # the horizon is 600 steps: past it, plus two blocks, only newborns remain
     "constant_past_horizon_nonlinear": (dict(nx=8), 600 + 2 * 512 + 50, False, None),
@@ -506,15 +507,21 @@ BLOCK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_kernel_matches_per_cell_reference(case):
+    # the constant model's history sums are in closed form, its cell-path twin's by FFT
     solver_args, n_steps, linear, read_at = BLOCK_CASES[case]
-    model, tg, ag, solver = make_solver(**solver_args)
-    if case == "declining_linear":
-        prob = MalthusProblem(model, tg, ag)
-        assert prob.rho_of_lambda(0.0) < 1.0          # subcritical: lambda* < 0
-    if linear:
-        solver = c_zero_twin(solver)
-    assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, read_at)
-    assert solver.history["fft_blocks"] >= 2 and solver.history["direct_blocks"] == 0
+    for twin in (False, True):
+        model, tg, ag, solver = make_solver(**solver_args, twin=twin)
+        if case == "declining_linear":
+            prob = MalthusProblem(model, tg, ag)
+            assert prob.rho_of_lambda(0.0) < 1.0          # subcritical: lambda* < 0
+        if linear:
+            solver = c_zero_twin(solver)
+        assert_matches_reference(solver, pde.uniform_state(tg, ag), n_steps, read_at)
+        fft, direct, closed = (solver.history[k] for k in HISTORY_KEYS)
+        if twin:
+            assert fft >= 2 and direct == 0 and closed == 0
+        else:
+            assert closed >= 2 and fft == direct == 0
 
 
 def assert_same_ring(got, want):
@@ -553,7 +560,7 @@ def test_compiled_step_matches_the_numpy_step(constant_setup, case):
         if done == read_at:
             assert np.abs(compiled.values - stepped.values).max() <= (
                 1e-12 * np.abs(stepped.values).max())
-    assert solver.history == twin.history and solver.history["fft_blocks"] >= 2
+    assert solver.history == twin.history and solver.history["closed_form_blocks"] >= 2
 
 
 @pytest.mark.parametrize("linear", [False, True])
@@ -586,16 +593,132 @@ def test_competition_only_scales_the_ring():
         (_, u, head, s, _, _), (_, v, head_v, one, _, _) = nonlinear._cohort, linear._cohort
         assert head == head_v and one == 1.0 and pde._S_FLOOR <= s < 1.0
         assert np.array_equal(u, v)
-    assert solver.history["fft_blocks"] >= 2 and twin.history["fft_blocks"] >= 2
+    assert solver.history["closed_form_blocks"] >= 2 and twin.history["closed_form_blocks"] >= 2
     ref = s * linear.values
     assert np.abs(nonlinear.values - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_history_sums_are_direct_where_the_fft_bound_fails():
-    # death 80: u = n / R0 reaches ~1e208 at the horizon, far beyond the FFT's accuracy
-    _, tg, ag, solver = make_solver(death=80.0, nx=8)
-    assert_matches_reference(solver, pde.uniform_state(tg, ag, a_scale=5.0), 600)
-    assert solver.history["direct_blocks"] >= 1
+    # death 80: u = n / R0 reaches ~1e208 at the horizon, far beyond the FFT's
+    # accuracy; the cell-path twin's guard sends a block to the direct sum, and
+    # the constant model's closed form, which sums R0 u = n, holds throughout
+    for twin in (True, False):
+        _, tg, ag, solver = make_solver(death=80.0, nx=8, twin=twin)
+        assert_matches_reference(solver, pde.uniform_state(tg, ag, a_scale=5.0), 600)
+        if twin:
+            assert solver.history["direct_blocks"] >= 1
+        else:
+            assert solver.history["closed_form_blocks"] >= 1
+            assert solver.history["fft_blocks"] == solver.history["direct_blocks"] == 0
+
+
+def tabulated_solver(a_f, nx=8, n_cells=600, values=((0.5, 1.0), (0.8, 1.3))):
+    """Death tabulated in age up to a_f and flat past it, so that the history
+    sums' tail starts at the first node at or past a_f; values[i] are the
+    rates at trait x_i = i and ages 0 and a_f."""
+    cfg = dataclasses.replace(constant_scenario(nx=nx), death={
+        "family": "tabulated", "params": {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, a_f],
+                                          "values": [list(v) for v in values]}})
+    model = build_model(cfg)
+    tg, ag = midpoint_grid((0.0, 1.0), nx), AgeGrid(da=0.01, n_cells=n_cells)
+    return pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
+
+
+def defining_history(solver, u, head, K):
+    """hist[:, :, m-1] = sum_j W[:, :, j+m] c_j over the whole lattice, term by term."""
+    W = np.stack([solver.B * solver.qa * solver.R, solver.mass_w * solver.R], axis=1)
+    c, L = np.roll(u, -head, axis=1), u.shape[1]
+    hist = np.zeros((u.shape[0], 2, K))
+    for m in range(1, min(K, L - 1) + 1):
+        hist[:, :, m - 1] = np.einsum("xrj,xj->xr", W[:, :, m:], c[:, :L - m])
+    return hist
+
+
+# the tail starts at age 0 (constant rates), or past it at an even or an odd node
+HISTORY_TAILS = {"constant": (None, 0), "even_start": (0.5, 50), "odd_start": (0.37, 37)}
+
+
+@pytest.mark.parametrize("K", [1, 2, 37, 200, 201])
+@pytest.mark.parametrize("case", sorted(HISTORY_TAILS))
+def test_closed_form_history_sums_match_the_defining_sums(case, K, rng):
+    # a block of K = 201 steps is longer than the 200 ages left past a_1
+    a_f, tail = HISTORY_TAILS[case]
+    solver = (make_solver(nx=8, n_cells=200)[3] if a_f is None
+              else tabulated_solver(a_f, n_cells=200))
+    assert solver._tail == solver.prefix_cells == tail
+    assert solver.prefix_cells == prefix_cells(solver.model, solver.agrid.nodes)
+    u = rng.uniform(0.5, 1.5, solver.R.shape)
+    for head in (0, 1, 77):
+        hist = np.full((u.shape[0], 2, K), np.nan)
+        solver._history(u, head, hist)
+        want = defining_history(solver, u, head, K)
+        assert np.all(np.abs(hist - want) <= 4e-15 * np.abs(want).max(axis=2)[:, :, None])
+    blocks = solver.history
+    assert blocks["closed_form_blocks"] == 3
+    assert blocks["fft_blocks"] + blocks["direct_blocks"] == (3 if K > 1 and tail else 0)
+
+
+def test_history_sums_keep_their_precision_under_a_steeply_aging_death(rng):
+    # death 0.1 -> 20 over ages [0, 10], flat past them: R falls by e^{-100} before
+    # the tail, so a tail survival carried back to age 0 would stand e^{99} too
+    # large there, and running sums from age 0 would drop every tail term of a
+    # density spread over all ages
+    solver = tabulated_solver(10.0, n_cells=2000, values=((0.1, 20.0), (0.1, 18.0)))
+    assert solver._tail == 1000
+    # u of order 1 (a density that falls as R), and n = u R of order 1; the second
+    # reads R's exponent, down to -300 here, whose running sum's rounding moves R
+    # along the tail by about 1e-12 (8.3e-15 of a row's largest sum, measured,
+    # against 2.0e-15 for the first)
+    u = rng.uniform(0.5, 1.5, solver.R.shape)
+    for ring, bound in ((u, 4e-15), (u / solver.R, 2e-14)):
+        for head in (0, 77):
+            c = np.roll(ring, head, axis=1)         # age a_j at column (head + j) mod L
+            hist = np.full((u.shape[0], 2, 512), np.nan)
+            solver._history(c, head, hist)
+            want = defining_history(solver, c, head, 512)
+            assert np.all(np.abs(hist - want) <= bound * np.abs(want).max(axis=2)[:, :, None])
+    assert solver.history["closed_form_blocks"] == 4
+    assert_matches_reference(solver, pde.uniform_state(solver.tgrid, solver.agrid), 700)
+    assert solver.history["closed_form_blocks"] >= 6
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_tail_past_age_zero_matches_per_cell_reference(linear):
+    solver = tabulated_solver(1.5)
+    assert solver._tail == 150 and solver.history["closed_form_blocks"] == 0
+    solver = c_zero_twin(solver) if linear else solver
+    # cohorts of a constant birth flux: density R0 (1 + x), all ages populated
+    st = pde.DensityState(0.0, solver.R * (1.0 + solver.tgrid.nodes)[:, None])
+    assert_matches_reference(solver, st, 700)
+    assert solver.history["closed_form_blocks"] >= 2 and solver.history["fft_blocks"] >= 2
+
+
+@pytest.mark.parametrize("record", ["c", "numpy"])
+def test_preset_run_matches_its_cell_path_twin(constant_setup, monkeypatch, record):
+    # the same rates, summed in closed form past age 0 and cell by cell
+    use_record_path(monkeypatch, record)
+    s = constant_setup
+    twin = pde.TransportSolver(build_model(cell_path(s.config)), s.tgrid, s.agrid, s.problem.mix)
+    solver = pde.TransportSolver(s.model, s.tgrid, s.agrid, s.problem.mix)
+    assert (solver._tail, twin._tail) == (0, s.agrid.n_cells + 1)
+    assert (solver.prefix_cells, twin.prefix_cells) == (0, s.agrid.n_cells)
+    kwargs = dict(target=s.stationary()[1], phi=s.triple.phi_grid,
+                  lam_star=s.triple.lambda_star, record_every=10)
+    runs = [pde.run(sv, pde.uniform_state(s.tgrid, s.agrid), 12.0, **kwargs)
+            for sv in (solver, twin)]
+    (got, got_trace), (want, want_trace) = runs
+    assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+    mass = np.asarray(want_trace.mass)
+    for name in ("mass", "truncation_loss"):
+        np.testing.assert_allclose(getattr(got_trace, name), getattr(want_trace, name),
+                                   rtol=1e-12, atol=0.0)
+    for name in ("tv_to_target", "phi_weighted_dist"):     # they fall to 1e-5 of the mass
+        gap = np.subtract(getattr(got_trace, name), getattr(want_trace, name))
+        assert np.all(np.abs(gap) <= 1e-14 * mass)
+    assert got_trace.t == want_trace.t and got_trace.D_t == want_trace.D_t
+    assert solver.history["fft_blocks"] == solver.history["direct_blocks"] == 0
+    assert twin.history["closed_form_blocks"] == 0
+    assert solver.history["closed_form_blocks"] == twin.history["fft_blocks"] + 1 >= 3
 
 
 def test_growth_diagnostic_is_exactly_zero_on_the_constant_preset(constant_setup):
@@ -647,13 +770,24 @@ def record_case(case, s):
     if case == "dirac":             # a spike, and distances without phi
         return s.solver, pde.dirac_state(s.tgrid, s.agrid, x=0.3, a=0.5), dict(
             target=nbar, lam_star=tr.lambda_star)
+    if case == "phi_reads_age":     # phi not flat past the tail start: read per cell
+        phi = tr.phi_grid * (1.0 + 0.5 * np.cos(3.0 * s.agrid.nodes))
+        return s.solver, pde.uniform_state(s.tgrid, s.agrid), dict(
+            target=nbar, phi=phi, lam_star=tr.lambda_star)
+    if case == "tail_past_age_zero":    # the record's tail from node 150, across heads
+        solver = tabulated_solver(1.5)
+        ages = solver.agrid.nodes
+        phi = (1.0 + solver.tgrid.nodes)[:, None] * (
+            1.0 + 0.5 * np.cos(3.0 * np.minimum(ages, ages[150])))
+        return solver, pde.uniform_state(solver.tgrid, solver.agrid), dict(
+            target=solver.R * 0.7, phi=phi, lam_star=0.5)
     # no target and no phi; lambda* off the model's, so D(t) is not 0
     _, tg, ag, solver = make_solver(birth=3.0, nx=8, n_cells=400)
     return solver, age_bump_state(tg, ag), dict(lam_star=0.5)
 
 
 @pytest.mark.parametrize("case", ["constant_pde", "float32", "fortran", "linear", "dirac",
-                                  "bare"])
+                                  "bare", "phi_reads_age", "tail_past_age_zero"])
 def test_compiled_record_matches_the_numpy_record(constant_setup, monkeypatch, case):
     if _loops.library()[0] is None:
         pytest.skip("the compiled loops are unavailable on this host")
@@ -683,7 +817,7 @@ def test_compiled_record_matches_the_numpy_record(constant_setup, monkeypatch, c
             assert len(got) == 31 and np.isnan(got).all() and np.isnan(want).all()
         elif case != "bare":
             assert np.all(np.abs(np.subtract(got, want)) <= 1e-14 * mass)
-    if case == "bare":
+    if case in ("bare", "tail_past_age_zero"):
         assert min(np.abs(ref.D_t)) > 0.1
         np.testing.assert_allclose(c.D_t, ref.D_t, rtol=1e-13, atol=0.0)
     else:                           # B - D = 1 = lambda*: every numerator term is 0
