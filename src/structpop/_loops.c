@@ -1,7 +1,8 @@
 /* The compiled loops of structpop, built into one library by structpop._loops:
- * the event loop of ibm.simulate (ibm_run), and the steps (pde_steps) and
- * the trace record (pde_record) of pde.run. Build with -ffp-contract=off (no
- * fused multiply-adds) and without -ffast-math.
+ * the event loop of ibm.simulate (ibm_run), the steps (pde_steps) and the
+ * trace record (pde_record) of pde.run, and the interpolation of
+ * ibm.interp_phi (phi_interp). Build with -ffp-contract=off (no fused
+ * multiply-adds) and without -ffast-math.
  *
  * ibm_run is the event loop for constant, affine, sqrt_gap, gaussian_bump
  * and logistic_age rates, on CPython's MT19937 stream. It reads the stream
@@ -462,4 +463,47 @@ int pde_steps(pde_ring *r, int64_t n)
         r->t += r->dt;
     }
     return STEPPED;
+}
+
+/* ---- the interpolation of ibm.interp_phi --------------------------------
+ *
+ * phi_interp evaluates interp_phi's bilinear formula at n points (x, a) of
+ * the (nx, ncol) grid phi, with interp_phi's NumPy operations in their order,
+ * so every value has their bits: the position (x - x0) / dx and a / da;
+ * np.clip's clamp, NaN kept; floor, then np.fmin with the last lower corner,
+ * which takes a NaN to that corner (an integer cast of NaN is undefined);
+ * the flat index formed in double; and the four corner terms (phi w) w,
+ * added in order.
+ */
+
+/* np.clip(v, lo, hi): NaN compares false, so it is kept */
+static inline double clamp(double v, double lo, double hi)
+{
+    v = v < lo ? lo : v;
+    return v > hi ? hi : v;
+}
+
+/* fmin(v, hi) for an hi that is not NaN, without a libm call: a NaN v takes
+ * hi, and so does a tie of zeros, as in glibc's fmin and NumPy's SIMD loop */
+static inline double lower(double v, double hi)
+{
+    return v < hi ? v : hi;
+}
+
+void phi_interp(int64_t n, const double *x, const double *a, const double *phi,
+                int64_t nx, int64_t ncol, double x0, double dx, double da, double *out)
+{
+    const double xmax = (double)(nx - 1), amax = (double)(ncol - 1);
+    for (int64_t p = 0; p < n; p++) {
+        double xi = clamp((x[p] - x0) / dx, 0.0, xmax);
+        double aj = clamp(a[p] / da, 0.0, amax);
+        double i0 = lower(floor(xi), xmax - 1.0), j0 = lower(floor(aj), amax - 1.0);
+        double tx = xi - i0, ta = aj - j0, sx = 1.0 - tx, sa = 1.0 - ta;
+        const double *c = phi + (int64_t)(i0 * (double)ncol + j0);
+        double v = c[0] * sx * sa;
+        v += c[ncol] * tx * sa;
+        v += c[1] * sx * ta;
+        v += c[ncol + 1] * tx * ta;
+        out[p] = v;
+    }
 }

@@ -1,6 +1,7 @@
 """The package's compiled loops, `_loops.c`: one library, built on first use.
 
-It holds the event loop of `ibm.simulate` (`ibm_run`), the steps of
+It holds the event loop of `ibm.simulate` (`ibm_run`), the interpolation
+of `ibm.interp_phi` (`phi_interp`), the steps of
 `TransportSolver.step_nonlinear` (`pde_steps`) and the trace record of
 `pde.run` (`pde_record`). Each caller asks `library()` for it and runs its
 own Python code where the library is unavailable, so the library is an
@@ -66,6 +67,9 @@ def library():
         lib.ibm_run.argtypes = [ctypes.POINTER(IbmState)]
         lib.ibm_run.restype = ctypes.c_int
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        # n, x, a, phi, nx, ncol, x0, dx, da, out
+        lib.phi_interp.argtypes = [i64, ptr, ptr, ptr, i64, i64, dbl, dbl, dbl, ptr]
+        lib.phi_interp.restype = None
         # nx, L, u, head, s, R, mw, growth, phi, target, scale, tail, sums
         lib.pde_record.argtypes = [i64, i64, ptr, i64, dbl, ptr, ptr, ptr, ptr, ptr, dbl, i64,
                                    ptr]

@@ -345,6 +345,15 @@ def _cell_cdf(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid) -> np.ndarra
     return cdf
 
 
+def _bisect_sorted(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right"), as choice bisects, with u taken in
+    sorted order, so the CDF is read in cache order, and scattered back."""
+    order = u.argsort()
+    idx = np.empty(u.size, np.intp)
+    idx[order] = cdf.searchsorted(u[order], side="right")
+    return idx
+
+
 def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
                         count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """count i.i.d. draws from a grid density (cellwise uniform), as the pair
@@ -353,12 +362,13 @@ def sample_from_density(N_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
     The draws are those of `default_rng(seed).choice(cells, count, p=probs)`
     over the cell probabilities, then one uniform offset per draw in x and one
     in a: the cells come from choice's algorithm, one inverse-CDF bisection per
-    draw. A read-only grid (as `solve_eigentriple` returns N) keeps its CDF
-    between calls; a writeable grid is read afresh on every call. A grid with
-    a NaN, or with no positive mass, raises ValueError.
+    draw, made in the uniforms' sorted order (`_bisect_sorted`). A read-only
+    grid (as `solve_eigentriple` returns N) keeps its CDF between calls; a
+    writeable grid is read afresh on every call. A grid with a NaN, or with
+    no positive mass, raises ValueError.
     """
     rng = np.random.default_rng(seed)
-    idx = _cell_cdf(N_grid, tgrid, agrid).searchsorted(rng.random(count), side="right")
+    idx = _bisect_sorted(_cell_cdf(N_grid, tgrid, agrid), rng.random(count))
     ii, jj = np.unravel_index(idx, N_grid.shape)
     dx = tgrid.dx
     x = tgrid.nodes[ii] + dx * (rng.random(count) - 0.5)
@@ -375,18 +385,30 @@ def interp_phi(phi_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
                x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a grid function, clamped at the edges.
 
-    phi_grid is (tgrid.n, agrid.n_cells + 1). The points are taken by blocks of
-    INTERP_BLOCK, each corner read by one flat index, so no temporary outgrows
-    a block; every value has the bits of the 2-D-indexed formula
+    phi_grid must be (tgrid.n, agrid.n_cells + 1), else ValueError before any
+    read. Every value has the bits of the 2-D-indexed formula
     phi[i0, j0] (1 - tx)(1 - ta) + phi[i0 + 1, j0] tx (1 - ta)
     + phi[i0, j0 + 1] (1 - tx) ta + phi[i0 + 1, j0 + 1] tx ta.
+    Where the compiled library loads, `phi_interp` in _loops.c evaluates each
+    point with this body's operations in their order; otherwise this body
+    takes the points by blocks of INTERP_BLOCK, each corner read by one flat
+    index, so no temporary outgrows a block.
     """
+    shape = (tgrid.n, agrid.n_cells + 1)
+    if np.shape(phi_grid) != shape:
+        raise ValueError(f"phi shape {np.shape(phi_grid)} differs from the lattice's {shape}")
     x, a = np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))
     out = np.empty(x.shape)
-    xs, as_, flat_out = x.reshape(-1), a.reshape(-1), out.reshape(-1)
     flat = np.ascontiguousarray(phi_grid, dtype=float).reshape(-1)
-    ncol = phi_grid.shape[1]
+    ncol = shape[1]
     x0, dx = tgrid.nodes[0], tgrid.dx
+    lib = _loops.library()[0]
+    if lib is not None:
+        xs, as_ = np.ascontiguousarray(x), np.ascontiguousarray(a)
+        lib.phi_interp(out.size, xs.ctypes.data, as_.ctypes.data, flat.ctypes.data,
+                       tgrid.n, ncol, x0, dx, agrid.da, out.ctypes.data)
+        return out
+    xs, as_, flat_out = x.reshape(-1), a.reshape(-1), out.reshape(-1)
     for s in range(0, xs.size, INTERP_BLOCK):
         xi = xs[s:s + INTERP_BLOCK] - x0
         xi /= dx

@@ -154,18 +154,21 @@ class TransportSolver:
         qa_{j+m} R_j c_j (see `__init__`), in closed form: Simpson's qa_{j+m} is 4
         or 2 times qa_0 by the parity of j + m, and qa_0 at the last node, so the
         sum is two running sums of R c from the tail start, one for each parity of
-        j, read at L - 1 - m. Both run by _CHUNK trait rows. Neither path warns: a
-        sum that overflows is left for the step to raise."""
+        j, read at L - 1 - m. The FFT with its guard, the direct sums and the closed
+        form all run by _CHUNK trait rows, so none forms a temporary of the ring's
+        size. No path warns: a sum that overflows is left for the step to raise."""
         (nx, L), K, t = u.shape, hist.shape[2], self._tail
         with np.errstate(over="ignore", invalid="ignore"):
             if t == 0:
                 hist[...] = 0.0
             elif K == 1 or not self._prefix_fft(u, head, hist):
-                c = np.roll(u, -head, axis=1)
-                for m in range(1, K + 1):
-                    j = min(t, L - m)
-                    hist[:, :, m - 1] = np.matmul(self._W[:, :, m:m + j],
-                                                  c[:, :j, None])[:, :, 0]
+                for i in range(0, nx, _CHUNK):
+                    rows = slice(i, i + _CHUNK)
+                    c = np.roll(u[rows], -head, axis=1)
+                    for m in range(1, K + 1):
+                        j = min(t, L - m)
+                        hist[rows, :, m - 1] = np.matmul(self._W[rows, :, m:m + j],
+                                                         c[:, :j, None])[:, :, 0]
             if t == L:
                 return
             self.history["closed_form_blocks"] += 1
@@ -190,7 +193,7 @@ class TransportSolver:
         """The prefix's history sums by FFT into hist; whether they pass the accuracy
         guard, which the history counters record."""
         (nx, _), K, t, n = u.shape, hist.shape[2], self._tail, self._nfft
-        norm = np.empty(nx)
+        norm, largest, finite = np.empty(nx), np.zeros(2), True
         for i in range(0, nx, _CHUNK):
             rows = slice(i, i + _CHUNK)
             c = np.roll(u[rows], -head, axis=1)[:, :t]
@@ -198,8 +201,10 @@ class TransportSolver:
             ring = np.fft.rfft(c, n).conj()[:, None]
             spectra = np.fft.rfft(self._W[rows], n) * ring
             hist[rows] = np.fft.irfft(spectra, n)[:, :, 1:K + 1]
+            finite = finite and bool(np.isfinite(hist[rows]).all())
+            np.maximum(largest, abs(hist[rows]).max((0, 2)), out=largest)
         bound = (self._W_norm * norm[:, None]).max(0)
-        ok = bool(np.isfinite(hist).all() and np.all(bound <= 100 * abs(hist).max((0, 2))))
+        ok = finite and bool(np.all(bound <= 100 * largest))
         self.history["fft_blocks" if ok else "direct_blocks"] += 1
         return ok
 

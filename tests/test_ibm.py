@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -494,7 +495,7 @@ def test_every_exported_loop_has_argtypes_of_its_arity():
         pytest.skip(why)
     with open(_loops.SOURCE) as f:
         exported = exported_functions(f.read())
-    assert set(exported) == {"ibm_run", "pde_record", "pde_steps"}
+    assert set(exported) == {"ibm_run", "phi_interp", "pde_record", "pde_steps"}
     for name, count in exported.items():
         argtypes = getattr(lib, name).argtypes
         assert argtypes is not None and len(argtypes) == count, name
@@ -693,7 +694,20 @@ def reference_interp_phi(phi_grid, tgrid, agrid, x, a):
             + phi_grid[i0 + 1, j0 + 1] * tx * ta)
 
 
-def test_interp_phi_has_the_bits_of_the_two_d_formula(tg):
+@pytest.fixture(params=["c", "numpy"])
+def interp_path(request, monkeypatch):
+    """`ibm.interp_phi` on one path: "c", `phi_interp` in _loops.c (skipped where
+    the library is unavailable), or "numpy", with the library withheld."""
+    if request.param == "c" and _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    if request.param == "numpy":
+        python_loop_only(monkeypatch)
+    return request.param
+
+
+def test_interp_phi_has_the_bits_of_the_two_d_formula(tg, interp_path):
+    # NaN, infinite, negative and past-the-end points: C's cast of NaN to an
+    # integer is undefined, so the lower corner is floor, then fmin
     ag = AgeGrid(da=0.1, n_cells=20)
     rng = np.random.default_rng(5)
     phi = rng.random((tg.n, ag.n_cells + 1)) * np.exp(-ag.nodes)
@@ -711,6 +725,61 @@ def test_interp_phi_has_the_bits_of_the_two_d_formula(tg):
         got = ibm.interp_phi(phi, tg, ag, x, a)
     assert got.shape == (n,)
     assert got.tobytes() == want.tobytes()
+
+
+def test_interp_phi_paths_agree_on_zeros_and_infinities(monkeypatch):
+    # phi with signed zeros and infinities, points on the nodes and off the
+    # lattice, at the smallest trait grid: the compiled path's clamp, floor
+    # and fmin keep the NumPy path's bits, the sign of a zero included
+    if _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    rng = np.random.default_rng(11)
+    for tgrid, ag in ((midpoint_grid((-1.0, 0.0), 2), AgeGrid(da=0.05, n_cells=2)),
+                      (midpoint_grid((-3.0, 5.0), 7), AgeGrid(da=0.3, n_cells=10))):
+        phi = rng.choice([-0.0, 0.0, -1.5, 2.0, 1e-300, math.inf, -math.inf],
+                         size=(tgrid.n, ag.n_cells + 1))
+        phi[:, :2] = -0.0                   # cells whose four corners are all -0
+        edge = [-0.0, 0.0, math.nan, math.inf, -math.inf]
+        x = np.concatenate([rng.uniform(-4.0, 6.0, 5000), np.repeat(tgrid.nodes, 3),
+                            edge * 5])
+        a = np.concatenate([rng.uniform(-1.0, ag.a_max + 1.0, 5000),
+                            np.tile(ag.nodes[:3], tgrid.n), edge[::-1] * 5])
+        with np.errstate(invalid="ignore"):     # inf - inf and 0 inf in the terms
+            got = ibm.interp_phi(phi, tgrid, ag, x, a)
+            with monkeypatch.context() as m:
+                python_loop_only(m)
+                want = ibm.interp_phi(phi, tgrid, ag, x, a)
+        assert np.isnan(got).any() and np.signbit(got[got == 0.0]).any()
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32, 20), (32, 22), (31, 21), (33, 21), (672,)])
+def test_interp_phi_rejects_a_phi_of_another_shape(tg, interp_path, shape):
+    # a phi one column short would read the next row's entries (and past the
+    # buffer's end on the compiled path) at the last age
+    ag = AgeGrid(da=0.1, n_cells=20)
+    with pytest.raises(ValueError, match="phi shape"):
+        ibm.interp_phi(np.ones(shape), tg, ag, tg.nodes[:3], np.full(3, ag.a_max))
+
+
+@pytest.mark.parametrize("a_scalar", [False, True], ids=["arrays", "scalar_age"])
+def test_compiled_interp_phi_forms_no_per_point_temporary(tg, a_scalar):
+    # out, plus the contiguous copy of a broadcast age: 8 bytes a point each
+    if _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    ag = AgeGrid(da=0.1, n_cells=20)
+    phi = np.outer(1.0 + tg.nodes, np.exp(-ag.nodes))
+    n = 100_000
+    x = np.linspace(0.0, 1.0, n)
+    a = 0.7 if a_scalar else np.linspace(0.0, ag.a_max, n)
+    ibm.interp_phi(phi, tg, ag, x[:5], 0.7)     # the library loaded before the count
+    tracemalloc.start()
+    try:
+        ibm.interp_phi(phi, tg, ag, x, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * (2 if a_scalar else 1) + 16_384
 
 
 def test_martingale_initial_pairing(constant_setup):
@@ -771,6 +840,39 @@ def test_sampler_draws_are_choices_draws(preset, request):
     for seed in range(24):
         assert same_draws(ibm.sample_from_density(N, s.tgrid, s.agrid, 300, seed),
                           choice_draws(N, s.tgrid, s.agrid, 300, seed))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2000])
+def test_sampler_draws_are_choices_draws_at_any_count(constant_setup, count):
+    # on the eigentriple's frozen N, and on a writeable grid with runs of
+    # zero-mass cells: whole trait rows, whole age columns and every other cell
+    # of a row, where the CDF is flat and side="right" takes the cell past the run
+    s = constant_setup
+    holed = s.triple.N_grid.copy()
+    holed[10:14] = 0.0
+    holed[:, 40:90] = 0.0
+    holed[20, ::2] = 0.0
+    for grid in (s.triple.N_grid, holed):
+        for seed in range(4):
+            draws = ibm.sample_from_density(grid, s.tgrid, s.agrid, count, seed)
+            assert draws[0].shape == (count,)
+            assert same_draws(draws, choice_draws(grid, s.tgrid, s.agrid, count, seed))
+
+
+def test_sorted_bisection_is_searchsorted_on_flat_runs_and_ties():
+    # a CDF with flat runs, read at its own values (inside and at the ends of
+    # the runs), at 0 and 1, and at repeated keys
+    rng = np.random.default_rng(3)
+    probs = rng.random(200)
+    probs[[0, 1, 2, 50, 51, 52, 53, 120, 198, 199]] = 0.0
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([rng.random(3000), cdf, cdf[::7], [0.0, 1.0, 0.0, 1.0]])
+    u = rng.permutation(np.repeat(u, 2))
+    assert (np.diff(cdf) == 0.0).sum() >= 6
+    got = ibm._bisect_sorted(cdf, u)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
 def test_sampler_reads_a_writeable_grid_afresh(constant_setup):

@@ -612,6 +612,36 @@ def test_history_sums_are_direct_where_the_fft_bound_fails():
             assert solver.history["fft_blocks"] == solver.history["direct_blocks"] == 0
 
 
+def test_history_sums_by_trait_chunks_where_the_fft_bound_fails():
+    # the death-80 cell-path twin at nx = 64: the FFT guard fails and the sums
+    # are direct. Guard and direct sums run by _CHUNK trait rows, so a block
+    # forms no ring-sized temporary beyond one chunk's FFTs: measured 2.19
+    # (nx, na+1) grids at K = 512 and 0.28 at K = 1, where the whole-ring guard
+    # and roll took 2.54 and 1.02. The sums are the whole ring's, bit for bit
+    _, tg, ag, solver = make_solver(death=80.0, nx=64, twin=True)
+    v = pde.uniform_state(tg, ag, a_scale=5.0).values
+    u = np.roll(np.divide(v, solver.R, out=np.zeros(v.shape), where=solver.R > 0.0), 77,
+                axis=1)
+    L, t, grid = u.shape[1], solver._tail, v.nbytes
+    c = np.roll(u, -77, axis=1)
+    solver._history(u, 77, np.empty((tg.n, 2, 512)))     # plans the FFT length once
+    for K, bound in ((512, 2.3), (1, 0.4)):
+        hist = np.full((tg.n, 2, K), np.nan)
+        direct = solver.history["direct_blocks"]
+        tracemalloc.start()
+        try:
+            solver._history(u, 77, hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver.history["direct_blocks"] == direct + (K > 1)     # K = 1: no FFT
+        assert peak <= bound * grid, (K, peak / grid)
+        for m in range(1, K + 1):
+            j = min(t, L - m)
+            want = np.matmul(solver._W[:, :, m:m + j], c[:, :j, None])[:, :, 0]
+            assert hist[:, :, m - 1].tobytes() == want.tobytes()
+
+
 def tabulated_solver(a_f, nx=8, n_cells=600, values=((0.5, 1.0), (0.8, 1.3))):
     """Death tabulated in age up to a_f and flat past it, so that the history
     sums' tail starts at the first node at or past a_f; values[i] are the
