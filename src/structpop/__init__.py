@@ -10,13 +10,12 @@ from .model import (AgeGrid, ConfigError, RateModel, ScenarioConfig, TraitGrid,
                     build_grids, build_model, constant_scenario, parse_config,
                     singular_scenario)
 from .kernel import CollapsedKernel, collapse, choose_age_truncation
-from .spectral import DiscreteOperator, PerronPair, assemble, perron
+from .spectral import PerronPair, perron
 from .malthus import EigenTriple, MalthusProblem, SubcriticalError, solve_eigentriple
 
 __all__ = [
-    "AgeGrid", "CollapsedKernel", "ConfigError", "DiscreteOperator",
-    "EigenTriple", "MalthusProblem", "PerronPair", "RateModel",
-    "ScenarioConfig", "SubcriticalError", "TraitGrid", "assemble",
+    "AgeGrid", "CollapsedKernel", "ConfigError", "EigenTriple", "MalthusProblem",
+    "PerronPair", "RateModel", "ScenarioConfig", "SubcriticalError", "TraitGrid",
     "build_grids", "build_model", "choose_age_truncation", "collapse",
     "constant_scenario", "parse_config", "perron", "singular_scenario",
     "solve_eigentriple",

@@ -470,8 +470,8 @@ int pde_steps(pde_ring *r, int64_t n)
  * phi_interp evaluates interp_phi's bilinear formula at n points (x, a) of
  * the (nx, ncol) grid phi, with interp_phi's NumPy operations in their order,
  * so every value has their bits: the position (x - x0) / dx and a / da;
- * np.clip's clamp, NaN kept; floor, then np.fmin with the last lower corner,
- * which takes a NaN to that corner (an integer cast of NaN is undefined);
+ * np.clip's clamp, NaN kept; floor, then the upper clip at the last lower
+ * corner, which takes a NaN to that corner (an integer cast of NaN is undefined);
  * the flat index formed in double; and the four corner terms (phi w) w,
  * added in order.
  */
@@ -484,7 +484,7 @@ static inline double clamp(double v, double lo, double hi)
 }
 
 /* fmin(v, hi) for an hi that is not NaN, without a libm call: a NaN v takes
- * hi, and so does a tie of zeros, as in glibc's fmin and NumPy's SIMD loop */
+ * hi, and so does a tie of zeros, as in glibc's fmin and interp_phi's NumPy path */
 static inline double lower(double v, double hi)
 {
     return v < hi ? v : hi;

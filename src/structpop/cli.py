@@ -95,9 +95,9 @@ def cmd_spectral(config, out: str) -> dict:
     problem = malthus.MalthusProblem(*_setup(config))
     rows = []
     for lam in LAMBDA_SAMPLE:
-        ck, pd, pq = problem.eigendata(lam)
-        rows.append((lam, pd.rho, pq.rho, ck.rbar, pd.rho - ck.rbar,
-                     spectral.regime(pd.rho, ck.rbar)))
+        pd, pq = problem.eigendata(lam)[1:]
+        rbar = float(problem.clonal_rate(lam).max())
+        rows.append((lam, pd.rho, pq.rho, rbar, pd.rho - rbar, spectral.regime(pd.rho, rbar)))
     path = os.path.join(out, "rho_curve.csv")
     _write_csv(path, ["lambda", "rho_direct", "rho_dual", "rbar", "gap", "regime"], rows)
     return {"rho_curve": rows[0][1], "manifest": [path]}
@@ -128,7 +128,7 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
     density_residual = None     # the continuous density exists in the Regular regime
     if triple.regime == "Regular":
         density_residual = spectral.density_from_profile(
-            pd, spectral.assemble(ck, problem.mix, tgrid), ck)[1]
+            pd, problem.mix.scaled(ck.sB), tgrid.dx)[1]
     manifest = _write_grids(out, tgrid, triple.agrid, N=triple.N_grid, phi=triple.phi_grid)
     return {
         "lambda_star": triple.lambda_star,
@@ -138,7 +138,8 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
         "tail_bound": kernel.tail_bound(model, triple.lambda_star, triple.agrid.a_max),
         "rho_at_zero": rho0,
         "regime": triple.regime,
-        "gap": pd.rho - ck.rbar,     # the gap the regime was read from
+        # the gap the regime was read from
+        "gap": pd.rho - float(problem.clonal_rate(triple.lambda_star).max()),
         "eta_lower": triple.eta_lower,
         "eta_lower_proof": triple.eta_lower_proof,
         "norms": triple.norms,
@@ -246,12 +247,12 @@ def _refinement_rows(config, problem):
 
 def _dual_rows_from_k(model, tgrid, ck, rows: slice) -> np.ndarray:
     """Rows of the dual from k itself, not through Mix:
-    r_i delta_ij + p sB_i k(x_i, x_j) dx."""
+    (1 - p) sB_i delta_ij + p sB_i k(x_i, x_j) dx."""
     x = tgrid.nodes
     block = model.mutation_prob * ck.sB[rows, None] * model.mutation_kernel.matrix(x[rows], x)
     block *= tgrid.dx
     index = np.arange(tgrid.n)[rows]
-    block[np.arange(index.size), index] += ck.r_values[index]
+    block[np.arange(index.size), index] += (1.0 - model.mutation_prob) * ck.sB[index]
     return block
 
 
@@ -261,7 +262,7 @@ def cmd_verify(config, out: str, solved=None) -> dict:
     checks = validate_assumptions(model, tgrid, agrid).checks
     ck, pd, pq = problem.eigendata(0.0)
     checks["adjoint_defect"] = spectral.adjoint_residual(
-        spectral.assemble(ck, problem.mix, tgrid),
+        problem.mix.scaled(ck.sB), tgrid.dx,
         lambda rows: _dual_rows_from_k(model, tgrid, ck, rows)) <= 1e-12
     checks["rho_identity"] = abs(pd.rho - pq.rho) <= 1e-10 * pd.rho
 
@@ -321,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", default=None)
         sp.add_argument("--out", default="out")
         sp.add_argument("--nx", type=int, default=None)
         sp.add_argument("--da", type=float, default=None)
@@ -331,6 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("spectral", "malthus", "stationary", "pde", "ibm", "verify"):
         sp = common(sub.add_parser(name))
+        sp.add_argument("--config", default=None)   # scenario runs its preset's config
         if name == "pde":
             sp.add_argument("--tmax", type=_positive_time, default=10.0)
         if name == "ibm":   # the linear run grows like e^{lambda* t}: a short horizon
@@ -356,6 +357,8 @@ def main(argv=None) -> int:
         command = args.command
         if command in ("stationary", "pde") and config.c <= 0:
             raise ConfigError(f"{command} needs a positive competition rate c, got {config.c}")
+        if command == "ibm" and not math.isfinite(build_model(config).death.sup):
+            raise ConfigError("ibm's thinning needs a bounded death rate")
         if command == "scenario":
             solved = _solve(config)
             summary = cmd_malthus(config, args.out, solved)

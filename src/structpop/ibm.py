@@ -416,9 +416,12 @@ def interp_phi(phi_grid: np.ndarray, tgrid: TraitGrid, agrid: AgeGrid,
         aj = as_[s:s + INTERP_BLOCK] / agrid.da
         np.clip(aj, 0.0, agrid.n_cells - 0.0, out=aj)
         # the lower corner (i0, j0), as floats: xi and aj are clipped to [0, n - 1],
-        # so floor and the upper clip give the integers the formula's clips give
-        i0 = np.fmin(np.floor(xi), tgrid.n - 2.0)
-        j0 = np.fmin(np.floor(aj), agrid.n_cells - 1.0)
+        # so floor and the upper clip give the integers the formula's clips give.
+        # The upper clip is phi_interp's v < hi ? v : hi, where a NaN and a tie of
+        # zeros take hi (np.fmin signs a tie by the entry's place in its SIMD loop)
+        i0, j0 = np.floor(xi), np.floor(aj)
+        i0[~(i0 < tgrid.n - 2.0)] = tgrid.n - 2.0
+        j0[~(j0 < agrid.n_cells - 1.0)] = agrid.n_cells - 1.0
         xi -= i0                      # tx
         aj -= j0                      # ta
         i0 *= ncol

@@ -9,7 +9,9 @@ second-order otherwise, which is what the closed-form oracles require at
 da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
 sweep builds the lambda-free factors once, and `cell_integrals` is the one
 evaluation of the formula, which `collapse` sums and the dual profile's
-backward recursion in age (`profiles`) reads, with no division by R.
+backward recursion in age (`profiles`) reads. That recursion divides by R
+on its first age block and by R relative to each later block's start, and
+every such divisor is at least e^{-SPAN}, so no quotient is 0/0.
 
 Past the age a_f where the rates stop reading age (`age_flat_from`) the
 cells are a geometric series, summed in closed form, so the factors cover the
@@ -41,8 +43,9 @@ Mix = (1 - p) I + p dx K^T, built once per model and grid by `mix_matrix`
 and held as its clonal diagonal plus its mutant part (`MixForm`): a factor
 U V^T of small rank, from a pivoted Cholesky factor of the kernel, or the
 dense part where no small factor exists. The direct renewal operator at
-lambda is Mix diag(sB_lambda), in the same form, and on the uniform midpoint
-grid its dual is the transpose diag(sB_lambda) Mix^T, the factors swapped.
+lambda is Mix diag(sB_lambda), `mix.scaled(sB)` in the same form, its
+diagonal the clonal rate r = (1 - p) sB; on the uniform midpoint grid its
+dual is the transpose `.T`, the factors swapped.
 The PDE's newborns and the dual profiles are formed from the same Mix.
 """
 
@@ -484,22 +487,16 @@ def mix_matrix(model: RateModel, tgrid: TraitGrid) -> MixForm:
 
 @dataclass(frozen=True)
 class CollapsedKernel:
-    """Trait-space data of the renewal operator at a fixed lambda: the birth
-    integral sB = int B R_lambda da and the clonal rate r = (1 - p) sB per node."""
+    """The birth integral sB = int B R_lambda da at a fixed lambda, per trait
+    node: the renewal operator is Mix diag(sB), `mix.scaled(sB)`."""
 
-    lam: float
-    r_values: np.ndarray        # (nx,)
     sB: np.ndarray              # (nx,)
     age_cells: int              # age cells summed for sB
-
-    @property
-    def rbar(self) -> float:
-        return float(self.r_values.max())
 
 
 def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
              factors: AgeFactors) -> CollapsedKernel:
-    """sB and r on the trait grid: the age factors' cells summed to the horizon
+    """sB on the trait grid: the age factors' cells summed to the horizon
     at lambda, and their closed-form tail where the sum reaches its node.
 
     factors are `age_factors` at the trait nodes, on the age lattice or on any
@@ -516,5 +513,4 @@ def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
             sB[rows] = cell_integrals(block, lam, n).sum(axis=1)
     if n == factors.n_cells and factors.C_end is not None:     # the lattice is from age 0
         sB += factors.C_end * math.exp(-lam * factors.ages[-1]) / (factors.d_end + lam)
-    return CollapsedKernel(lam=lam, r_values=(1.0 - model.mutation_prob) * sB, sB=sB,
-                           age_cells=n)
+    return CollapsedKernel(sB=sB, age_cells=n)

@@ -59,10 +59,10 @@ class MalthusProblem:
     operator at lambda is mix diag(sB), in mix's form: where the kernel has a
     factor of small rank, a lambda forms no nx x nx array. The factors are kept
     until `release_factors`, so every lambda asked of the problem reads the
-    same ones. Per lambda solved, the collapsed kernel (sB, r) and the
-    direct Perron pair are kept (3 nx floats), and per lambda `eigendata` is
-    asked, the dual Perron pair (nx floats): a solved lambda is never
-    collapsed or solved again.
+    same ones. Per lambda solved, the collapsed kernel (sB) and the direct
+    Perron pair are kept (2 nx floats), and per lambda `eigendata` is asked,
+    the dual Perron pair (nx floats): a solved lambda is never collapsed or
+    solved again.
 
     Both solves start warm where `_warm` lets them (a finite, strictly
     positive start, which `spectral.perron` then tests): the direct solve
@@ -104,7 +104,7 @@ class MalthusProblem:
         if lam not in self._direct:
             ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
                                factors=self.factors)
-            pd = spectral.perron(spectral.assemble(ck, self.mix, self.tgrid),
+            pd = spectral.perron(self.mix.scaled(ck.sB), self.tgrid.dx,
                                  start=_warm(self._start))
             self._start = pd.profile
             self._direct[lam] = (ck, pd)
@@ -114,10 +114,15 @@ class MalthusProblem:
         """(CollapsedKernel, direct PerronPair, dual PerronPair) at lambda."""
         ck, pd = self.direct_pair(lam)
         if lam not in self._dual:
-            dual = spectral.dual(spectral.assemble(ck, self.mix, self.tgrid))
             kdiag = self.model.mutation_kernel(self.tgrid.nodes, self.tgrid.nodes)
-            self._dual[lam] = spectral.perron(dual, start=_warm(ck.sB * pd.profile * kdiag))
+            self._dual[lam] = spectral.perron(self.mix.scaled(ck.sB).T, self.tgrid.dx,
+                                              start=_warm(ck.sB * pd.profile * kdiag))
         return ck, pd, self._dual[lam]
+
+    def clonal_rate(self, lam: float) -> np.ndarray:
+        """r = Mix.d sB at lambda, the direct operator's diagonal, read without
+        forming the operator; its max is rbar."""
+        return self.mix.d * self.direct_pair(lam)[0].sB
 
     def rho_of_lambda(self, lam: float) -> float:
         """rho at lambda from the direct operator alone."""
@@ -275,7 +280,7 @@ def eigentriple(problem: MalthusProblem, lam_star: float, agrid: AgeGrid) -> Eig
     """
     if agrid.da != problem.agrid.da:
         raise ValueError(f"age step {agrid.da} is not the problem's {problem.agrid.da}")
-    ck, pd, pq = problem.eigendata(lam_star)
+    pd, pq = problem.eigendata(lam_star)[1:]
     model, tgrid = problem.model, problem.tgrid
     R, phi = dual_profile(model, tgrid, agrid, lam_star, pq.profile, problem.factors,
                           problem.mix)
@@ -287,7 +292,7 @@ def eigentriple(problem: MalthusProblem, lam_star: float, agrid: AgeGrid) -> Eig
         "rho_at_star": pd.rho,
     }
     grid_eta, proof_eta, warn = eta_lower_bound(phi, model, lam_star)
-    regime = spectral.regime(pd.rho, ck.rbar)
+    regime = spectral.regime(pd.rho, float(problem.clonal_rate(lam_star).max()))
     if regime != "Regular":
         warn["near_singular_spectrum"] = (
             "near-singular spectrum: grid eigen-elements returned, but their "
@@ -324,9 +329,10 @@ def refinement_sweep(make_problem, nx_list, tol_lam: float = 1e-6) -> list[dict]
     for nx in nx_list:
         prob = make_problem(nx)
         lam = prob.find_lambda_star(tol_lam)
-        ck, pd = prob.direct_pair(lam)
-        band = ck.r_values >= ck.rbar - spectral.GAP_RTOL * pd.rho
-        rows.append({"nx": nx, "lambda_star_h": lam, "gap": pd.rho - ck.rbar,
+        pd, r = prob.direct_pair(lam)[1], prob.clonal_rate(lam)
+        rbar = float(r.max())
+        band = r >= rbar - spectral.GAP_RTOL * pd.rho
+        rows.append({"nx": nx, "lambda_star_h": lam, "gap": pd.rho - rbar,
                      "mass_in_band": float(np.sum(pd.profile[band] * prob.tgrid.dx)),
-                     "regime": spectral.regime(pd.rho, ck.rbar)})
+                     "regime": spectral.regime(pd.rho, rbar)})
     return rows

@@ -1,27 +1,26 @@
-"""Discretized renewal operators and their Perron eigen-elements.
+"""The renewal operator's Perron eigen-elements.
 
 The direct operator M = Mix diag(sB_lambda) acts on trait densities: births
 sB_j at x_j are spread over the newborns' traits by the birth-mutation matrix
-Mix (`kernel.mix_matrix`). M is held in Mix's form (`kernel.MixForm`): the
-clonal diagonal (1 - p) sB plus the mutant part, a factor of small rank where
-the kernel has one, so a product with M, and a shift-inverse solve by
-Woodbury's identity, cost O(nx r) and the lambda search forms no nx x nx
-array. The dual operator, acting on test functions, is its adjoint for the
-pairing <f, g> = dx sum_i f_i g_i of the midpoint grid, whose every node
-weighs the same dx: the transpose M^T, the factors swapped. So the
-spectral-radius identity and the adjoint pairing hold to machine precision
-by construction.
+Mix (`kernel.mix_matrix`). M is `mix.scaled(sB)`, a `kernel.MixForm`: its
+diagonal is the clonal rate r = (1 - p) sB, and its mutant part a factor of
+small rank where the kernel has one, so a product with M, and a
+shift-inverse solve by Woodbury's identity, cost O(nx r) and the lambda
+search forms no nx x nx array. The dual operator, acting on test functions,
+is its adjoint for the pairing <f, g> = dx sum_i f_i g_i of the midpoint
+grid, whose every node weighs the same dx: the transpose `M.T`, the factors
+swapped. So the spectral-radius identity and the adjoint pairing hold to
+machine precision by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CollapsedKernel, MixForm, row_blocks
-from .model import TraitGrid
+from .kernel import MixForm, row_blocks
 
 
 class PerronConvergenceError(RuntimeError):
@@ -30,13 +29,6 @@ class PerronConvergenceError(RuntimeError):
     def __init__(self, msg, rho, profile, iterations, residual):
         super().__init__(msg)
         self.rho, self.profile, self.iterations, self.residual = rho, profile, iterations, residual
-
-
-@dataclass(frozen=True)
-class DiscreteOperator:
-    lam: float
-    M: MixForm                  # (nx, nx), elementwise nonnegative
-    dx: float                   # the trait step, every node's weight
 
 
 @dataclass(frozen=True)
@@ -55,36 +47,22 @@ class PerronPair:
                 "cw_bracket": list(self.cw_bracket)}
 
 
-def assemble(kernel: CollapsedKernel, mix: MixForm, grid: TraitGrid) -> DiscreteOperator:
-    """The direct operator Mix diag(sB): M[i,j] = r_i delta_ij + p sB_j k(x_j, x_i) dx,
-    in mix's form."""
-    if kernel.sB.shape != (grid.n,) or mix.shape != (grid.n, grid.n):
-        raise ValueError("kernel, mixing matrix and grid sizes do not match")
-    return DiscreteOperator(lam=kernel.lam, M=mix.scaled(kernel.sB), dx=grid.dx)
-
-
-def dual(direct: DiscreteOperator) -> DiscreteOperator:
-    """The adjoint of the direct operator, its transpose:
-    r_i delta_ij + p sB_i k(x_i, x_j) dx."""
-    return replace(direct, M=direct.M.T)
-
-
-def adjoint_residual(direct: DiscreteOperator, dual_rows) -> float:
-    """Max defect of the discrete duality pairing <M_dir f, g> = <f, M_dual g>,
-    each entry weighed by dx: max |M_dir[j, i] - M_dual[i, j]| dx.
+def adjoint_residual(M: MixForm, dx: float, dual_rows) -> float:
+    """Max defect of the discrete duality pairing <M f, g> = <f, M_dual g> of
+    the direct operator M, each entry weighed by dx: max |M[j, i] - M_dual[i, j]| dx.
 
     dual_rows(rows) gives the rows `rows` (a slice) of the dual's matrix,
     dense; both sides are formed by `kernel.row_blocks`, so no (nx, nx)
     array is.
     """
-    Mt, n = direct.M.T, direct.M.shape[0]
+    Mt, n = M.T, M.shape[0]
     worst = 0.0
     for rows in row_blocks(n, n):
         theirs = dual_rows(rows)
         if theirs.shape != (rows.stop - rows.start, n):
             raise ValueError("operators are not a matching direct/dual pair")
         worst = max(worst, float(np.abs(Mt.rows(rows) - theirs).max()))
-    return worst * direct.dx
+    return worst * dx
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +102,9 @@ def _evaluate(M: np.ndarray, v: np.ndarray):
     return y, lb, ub, rho, float(np.abs(y - rho * v).max())
 
 
-def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
-    """Dominant eigenpair of a nonnegative matrix, deterministic start.
+def perron(M: MixForm, dx: float, start: np.ndarray | None = None) -> PerronPair:
+    """Dominant eigenpair of a nonnegative matrix M on a trait grid of step dx,
+    deterministic start.
 
     One loop evaluates the iterate v (dx sum(v) = 1) and accepts it when
     ||M v - rho v||_inf <= max(TOL, ROUNDING * ||v||_inf) * rho. The second
@@ -157,7 +136,6 @@ def perron(op: DiscreteOperator, start: np.ndarray | None = None) -> PerronPair:
     r x r inverse per shift and O(nx r) per step; dense, by the inverse
     formed once per shift, each step one product.
     """
-    M, dx = op.M, op.dx
     n = M.shape[0]
     if start is None:
         path, v = "power", np.ones(n)
@@ -221,19 +199,20 @@ def regime(rho: float, rbar: float) -> str:
     return "Regular" if rho - rbar > GAP_RTOL * rho else "PossiblySingular"
 
 
-def density_from_profile(pair: PerronPair, direct: DiscreteOperator,
-                         kernel: CollapsedKernel) -> tuple[np.ndarray, float]:
-    """Continuous-density representative u = (M - diag(r)) mu / (rho - r), unit mass.
+def density_from_profile(pair: PerronPair, M: MixForm,
+                         dx: float) -> tuple[np.ndarray, float]:
+    """Continuous-density representative u = (M - diag(r)) mu / (rho - r), unit
+    mass, of the direct pair of M, whose diagonal is the clonal rate r.
 
     M - diag(r) is M's mutant part (`MixForm.mutant`), applied with no
     difference taken. Only valid in the Regular regime (`regime`): the
-    fixed-point division degenerates as rho approaches rbar. There
+    fixed-point division degenerates as rho approaches rbar = max r. There
     rho - r > GAP_RTOL rho, so u >= 0, and u = 0 exactly where mu = 0: at
     traits no newborn reaches, where a narrow k underflows.
     """
-    if regime(pair.rho, kernel.rbar) != "Regular":
+    if regime(pair.rho, float(M.d.max())) != "Regular":
         raise ValueError("density representation requires the Regular regime "
                          f"(rho - rbar > {GAP_RTOL:g} rho)")
     mu = pair.profile
-    u = _normalize(direct.M.mutant(mu) / (pair.rho - kernel.r_values), direct.dx)
+    u = _normalize(M.mutant(mu) / (pair.rho - M.d), dx)
     return u, float(np.abs(u - mu).max())

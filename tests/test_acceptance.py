@@ -15,11 +15,11 @@ import pytest
 import conftest
 
 from structpop import ibm, pde
-from structpop.kernel import CollapsedKernel, MixForm, mix_matrix
+from structpop.kernel import MixForm, mix_matrix
 from structpop.malthus import MalthusProblem, refinement_sweep, solve_eigentriple
 from structpop.model import (build_grids, build_model, constant_scenario,
                              midpoint_grid, singular_scenario)
-from structpop.spectral import adjoint_residual, assemble, dual, perron
+from structpop.spectral import adjoint_residual, perron
 
 
 def report(num, desc, ok, detail=""):
@@ -50,13 +50,13 @@ def test_criterion_02_spectral_radius_identities(constant_setup, singular_setup)
         k = s.model.mutation_kernel.matrix(s.tgrid.nodes)     # k[i, j] = k(x_i, x_j)
         for lam in (0.0, 0.5, 1.0, 2.0, 3.0):
             ck = conftest.lattice_collapse(s.model, s.tgrid, s.agrid, lam)
-            direct = assemble(ck, mix_matrix(s.model, s.tgrid), s.tgrid)
-            rd, rq = perron(direct).rho, perron(dual(direct)).rho
+            direct = mix_matrix(s.model, s.tgrid).scaled(ck.sB)
+            rd, rq = perron(direct, dx).rho, perron(direct.T, dx).rho
             worst_rel = max(worst_rel, abs(rd - rq) / rd)
-            # dual(direct) is the transpose by construction; pair direct with
-            # a dual built from k instead: r_i delta_ij + p sB_i k(x_i, x_j) dx
-            dual_k = np.diag(ck.r_values) + p * ck.sB[:, None] * k * dx
-            worst_adj = max(worst_adj, adjoint_residual(direct, lambda rows: dual_k[rows]))
+            # direct.T is the transpose by construction; pair direct with a
+            # dual built from k instead: (1 - p) sB_i delta_ij + p sB_i k(x_i, x_j) dx
+            dual_k = np.diag((1 - p) * ck.sB) + p * ck.sB[:, None] * k * dx
+            worst_adj = max(worst_adj, adjoint_residual(direct, dx, lambda rows: dual_k[rows]))
     ok = worst_rel <= 1e-10 and worst_adj <= 1e-14
     report(2, "direct/dual spectral radius identity", ok,
            f"max rel diff={worst_rel:.2e}, adjoint defect={worst_adj:.2e}")
@@ -163,9 +163,9 @@ def test_criterion_08_singular_example():
     for nx in nx_list:
         prob = make_problem(nx)
         lam = prob.find_lambda_star(tol_lam=1e-6)
-        ck, pair, _ = prob.eigendata(lam)
+        pair = prob.eigendata(lam)[1]
         lams.append(lam)
-        gaps.append(pair.rho - ck.rbar)
+        gaps.append(pair.rho - float(prob.clonal_rate(lam).max()))
         sel = prob.tgrid.nodes <= 0.05
         fracs.append(float(np.sum(pair.profile[sel] * prob.tgrid.dx)))
     const_rows = refinement_sweep(
@@ -230,9 +230,8 @@ def test_criterion_10_martingale_flatness(constant_setup):
 def test_criterion_11_degenerate_spectrum():
     tg = midpoint_grid((0.0, 1.0), 50)
     r = 0.8 + 0.4 * np.cos(2.0 * tg.nodes)
-    ck = CollapsedKernel(lam=0.0, r_values=r, sB=r, age_cells=0)   # Mix = I: no mutation
     mutation_free = MixForm(np.ones(50), np.zeros((50, 0)), np.zeros((50, 0)))
-    pair = perron(assemble(ck, mutation_free, tg))
+    pair = perron(mutation_free.scaled(r), tg.dx)     # Mix = I: no mutation, sB = r
     err = abs(pair.rho - float(r.max()))
     ok = err <= 1e-12
     report(11, "mutation-free operator has rho = max r", ok, f"err={err:.2e}")

@@ -262,6 +262,19 @@ def test_stationary_commands_refuse_no_competition_before_solving(
     assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
+def test_ibm_refuses_an_unbounded_death_rate_before_solving(tmp_path, capsys, monkeypatch):
+    # thinning needs a finite sup of the death rate; an aging death has none
+    cfg = dataclasses.replace(constant_scenario(nx=8, tol=1e-8), death={
+        "family": "affine", "params": {"base": 1.0, "slope_a": 0.5}})
+    path = write_config(tmp_path / "aging.json", cfg)
+    monkeypatch.setattr(cli, "_solve", lambda *args, **kwargs: pytest.fail("solved"))
+    out = str(tmp_path / "out")
+    assert main(["ibm", "--config", path, "--out", out]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)
+    assert err["kind"] == "config" and "bounded death rate" in err["message"]
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
 def test_verify_without_competition_skips_the_stationary_checks(no_competition_cfg,
                                                                 tmp_path):
     out = str(tmp_path / "out")
@@ -356,13 +369,14 @@ def test_malthus_summaries_record_the_gap_their_label_read(tmp_path, preset, nx,
     model = build_model(config)
     problem = malthus.MalthusProblem(model, *build_grids(config, model))
     ck, pd = problem.direct_pair(problem.find_lambda_star(cli._tol_lam(config)))
+    rbar = float(((1.0 - model.mutation_prob) * ck.sB).max())
     for name, argv in (("malthus", ["malthus", "--config", cfg]),
                        ("scenario", ["scenario", preset, "--nx", str(nx)])):
         out = str(tmp_path / name)
         assert main(argv + ["--out", out]) == EXIT_OK
         summary = json.load(open(os.path.join(out, "summary.json")))
-        assert summary["gap"] == pd.rho - ck.rbar
-        assert summary["regime"] == regime == spectral.regime(pd.rho, ck.rbar)
+        assert summary["gap"] == pd.rho - rbar
+        assert summary["regime"] == regime == spectral.regime(pd.rho, rbar)
 
 
 def test_collatz_wielandt_brackets_are_narrow_where_profiles_have_zeros():
@@ -569,9 +583,10 @@ def verify_summary(cfg_path, out):
 
 
 def test_verify_rho_identity_fails_on_a_scaled_dual(small_cfg, tmp_path, monkeypatch):
-    dual = spectral.dual
-    monkeypatch.setattr(spectral, "dual", lambda direct: dataclasses.replace(
-        dual(direct), M=dual(direct).M.scaled(np.full(direct.M.shape[0], 1.0 + 1e-6))))
+    # the dual operator is the direct one's transpose, MixForm.T
+    transpose = kernel.MixForm.T.fget
+    monkeypatch.setattr(kernel.MixForm, "T", property(lambda M: transpose(M).scaled(
+        np.full(M.shape[0], 1.0 + 1e-6))))
     summary = verify_summary(small_cfg, tmp_path / "out")
     assert summary["checks"]["rho_identity"] is False and not summary["all_green"]
 
@@ -846,6 +861,13 @@ def test_tmax_rejected_where_not_read(small_cfg, tmp_path):
                  "--tmax", "5"]) == EXIT_USAGE
 
 
+def test_config_rejected_where_not_read(small_cfg, tmp_path):
+    # scenario runs its preset's config, and would ignore another
+    out = tmp_path / "out"
+    assert main(["scenario", "constant", "--config", small_cfg, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def modules_loaded_by(argv, cwd):
     """sys.modules after importing structpop.cli and, unless argv is None,
     `cli.main(argv)`, in a fresh interpreter."""
@@ -1036,6 +1058,33 @@ def test_only_the_mix_builder_evaluates_the_mutation_kernel_on_the_grid():
                     callers.append(f"{name[:-3]}.{fn.name}")
     assert sorted(callers) == ["cli._dual_rows_from_k", "ibm._mutant_cdf_rows",
                                "kernel._kernel_factor", "kernel.mix_matrix"]
+
+
+def test_only_the_clonal_law_and_its_checks_read_the_mutation_probability():
+    # the birth-mutation law's (1 - p) is stated once, in kernel.mix_matrix:
+    # every operator is mix.scaled(sB), whose diagonal is r. verify's dual from
+    # k restates it as the independent check it is, the contraction bound reads
+    # p, and the IBM and the model's own validation read it for themselves
+    package = os.path.dirname(ibm.__file__)
+    readers = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for top in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "mutation_prob"
+                   for node in ast.walk(top)):
+                readers.add(f"{name[:-3]}.{getattr(top, 'name', '<body>')}")
+    assert sorted(r for r in readers if r.split(".")[0] not in ("ibm", "model")) == [
+        "cli._dual_rows_from_k", "kernel.mix_matrix", "malthus.eta_lower_bound"]
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is gone breaks `import *`
+    import structpop
+    assert [n for n in structpop.__all__ if not hasattr(structpop, n)] == []
+    assert len(set(structpop.__all__)) == len(structpop.__all__)
 
 
 def test_every_traced_structpop_target_resolves():

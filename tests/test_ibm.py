@@ -751,6 +751,17 @@ def test_interp_phi_paths_agree_on_zeros_and_infinities(monkeypatch):
                 want = ibm.interp_phi(phi, tgrid, ag, x, a)
         assert np.isnan(got).any() and np.signbit(got[got == 0.0]).any()
         assert got.tobytes() == want.tobytes()
+    # x = -0.0 on the node x0 = 0 of a two-node grid: the lower corner ties
+    # -0.0 with the last lower corner +0.0, and np.fmin's SIMD loop and its
+    # scalar tail (the ninth point) gave that tie opposite signs
+    tgrid, ag = midpoint_grid((-0.25, 0.75), 2), AgeGrid(da=0.05, n_cells=2)
+    phi = np.repeat([[-0.0], [2.0]], ag.n_cells + 1, axis=1)
+    x, a = np.full(9, -0.0), np.zeros(9)
+    got = ibm.interp_phi(phi, tgrid, ag, x, a)
+    with monkeypatch.context() as m:
+        python_loop_only(m)
+        want = ibm.interp_phi(phi, tgrid, ag, x, a)
+    assert np.all(np.signbit(got)) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(32, 20), (32, 22), (31, 21), (33, 21), (672,)])

@@ -8,8 +8,9 @@ import pytest
 from conftest import cell_path, lattice_collapse
 from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
-                              choose_age_truncation, collapse, horizon, prefix_cells,
-                              profiles, row_blocks, survival_matrix, tail_bound)
+                              choose_age_truncation, collapse, horizon, mix_matrix,
+                              prefix_cells, profiles, row_blocks, survival_matrix,
+                              tail_bound)
 from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
 
@@ -17,6 +18,11 @@ from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
 @pytest.fixture(scope="module")
 def const_model():
     return build_model(constant_scenario())
+
+
+def clonal_rate(model, tgrid, agrid, lam):
+    """r = Mix.d sB at lam, the direct operator's diagonal."""
+    return mix_matrix(model, tgrid).scaled(lattice_collapse(model, tgrid, agrid, lam).sB).d
 
 
 def survival_at(model, x, a, lam):
@@ -69,12 +75,11 @@ def test_collapse_closed_forms(const_model):
     ag = AgeGrid(da=0.01, n_cells=2372)
     ck0 = lattice_collapse(const_model, tg, ag, 0.0)
     # (1-p) B/(lam+D) = 1.4 and p B k/(lam+D) = 0.6
-    assert np.abs(ck0.r_values - 1.4).max() < 1e-8
+    assert np.abs(clonal_rate(const_model, tg, ag, 0.0) - 1.4).max() < 1e-8
     p = const_model.mutation_prob                     # K = p sB k with k = 1
     assert np.abs(p * ck0.sB - 0.6).max() < 1e-8
-    assert ck0.rbar == pytest.approx(1.4, abs=1e-8)
     ck1 = lattice_collapse(const_model, tg, ag, 1.0)
-    assert np.abs(ck1.r_values - 0.7).max() < 1e-8
+    assert np.abs(clonal_rate(const_model, tg, ag, 1.0) - 0.7).max() < 1e-8
     assert np.abs(p * ck1.sB - 0.3).max() < 1e-8
 
 
@@ -85,18 +90,17 @@ def test_collapse_zero_birth():
     model = build_model(cfg)
     tg = midpoint_grid((0.0, 1.0), 8)
     ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=100), 0.5)
-    assert np.all(ck.r_values == 0.0)
     assert np.all(ck.sB == 0.0)
 
 
 def test_collapse_monotone_in_lambda(const_model):
     tg = midpoint_grid((0.0, 1.0), 8)
     ag = AgeGrid(da=0.01, n_cells=2372)
-    prev = None
+    prev, clonal = None, 1 - const_model.mutation_prob
     for lam in (0.0, 0.5, 1.0, 2.0):
         ck = lattice_collapse(const_model, tg, ag, lam)
         if prev is not None:
-            assert np.all(prev.r_values > ck.r_values + 1e-6)
+            assert np.all(clonal * prev.sB > clonal * ck.sB + 1e-6)    # r = (1 - p) sB
             assert np.all(prev.sB >= ck.sB)
         prev = ck
 
@@ -105,8 +109,8 @@ def test_collapse_lipschitz_in_lambda(const_model):
     tg = midpoint_grid((0.0, 1.0), 8)
     ag = AgeGrid(da=0.01, n_cells=2372)
     lam0, h = 0.5, 1e-3
-    r0 = lattice_collapse(const_model, tg, ag, lam0).r_values
-    r1 = lattice_collapse(const_model, tg, ag, lam0 + h).r_values
+    r0 = clonal_rate(const_model, tg, ag, lam0)
+    r1 = clonal_rate(const_model, tg, ag, lam0 + h)
     # |dr/dlam| <= (1-p) ||B|| / (D+lam)^2 here; allow slack
     L = const_model.birth.sup / (const_model.death_floor + lam0) ** 2
     assert np.abs(r1 - r0).max() <= 1.1 * L * h
@@ -116,13 +120,14 @@ def test_collapse_sqrt_gap_positive():
     from structpop.model import singular_scenario
     model = build_model(singular_scenario())
     tg = midpoint_grid((0.0, 1.0), 32)
-    ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=2472), 0.0)
-    assert np.all(ck.r_values > 0)
+    ag = AgeGrid(da=0.01, n_cells=2472)
+    ck = lattice_collapse(model, tg, ag, 0.0)
+    r = clonal_rate(model, tg, ag, 0.0)
+    assert np.all(r > 0)
     assert np.all(ck.sB >= 0)
     # r follows (1-p) B(x)/D: decreasing in x
-    assert np.all(np.diff(ck.r_values) < 0)
-    assert ck.r_values[0] == pytest.approx(0.95 * (4 - math.sqrt(tg.nodes[0])),
-                                           rel=1e-6)
+    assert np.all(np.diff(r) < 0)
+    assert r[0] == pytest.approx(0.95 * (4 - math.sqrt(tg.nodes[0])), rel=1e-6)
 
 
 def reference_cell_integrals(model, xs, ages, lam):
@@ -179,7 +184,8 @@ def test_factored_collapse_matches_reference_quadrature(case):
         for ck in (lattice_collapse(model, tg, ag, lam),
                    collapse(model, tg, ag, lam, factors=factors)):
             assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
-            assert np.abs(ck.r_values - (1 - p) * sB).max() <= 1e-13 * sB.max()
+            r = mix_matrix(model, tg).scaled(ck.sB).d
+            assert np.abs(r - (1 - p) * sB).max() <= 1e-13 * sB.max()
         if not flat:
             cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
             assert np.abs(cells - ref).max() <= 1e-13 * ref.max()

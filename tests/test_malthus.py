@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import cell_path, lattice_collapse, renewal_flux
-from structpop import kernel, malthus, spectral
+from structpop import kernel, malthus, pde, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
@@ -17,18 +17,18 @@ from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
 from structpop.model import (build_grids, build_model, constant_scenario,
                              singular_scenario)
 from structpop.pde import stationary_residual
-from structpop.spectral import assemble, dual, perron
+from structpop.spectral import perron
 
 
 def test_rho_of_lambda_closed_forms(constant_setup):
     prob = constant_setup.problem
-    rho, rbar = prob.rho_of_lambda(0.0), prob.eigendata(0.0)[0].rbar
+    rho, rbar = prob.rho_of_lambda(0.0), prob.clonal_rate(0.0).max()
     assert rho == pytest.approx(2.0, abs=1e-6)
     assert rbar == pytest.approx(1.4, abs=1e-6)
-    rho, rbar = prob.rho_of_lambda(1.0), prob.eigendata(1.0)[0].rbar
+    rho, rbar = prob.rho_of_lambda(1.0), prob.clonal_rate(1.0).max()
     assert rho == pytest.approx(1.0, abs=1e-6)
     assert rbar == pytest.approx(0.7, abs=1e-6)
-    rho, rbar = prob.rho_of_lambda(9.0), prob.eigendata(9.0)[0].rbar
+    rho, rbar = prob.rho_of_lambda(9.0), prob.clonal_rate(9.0).max()
     assert rho == pytest.approx(0.2, abs=1e-6)
     assert rbar == pytest.approx(0.14, abs=1e-6)
 
@@ -119,15 +119,14 @@ def test_duality_pairing_at_star(constant_setup):
     s = constant_setup
     lam = s.triple.lambda_star
     ck, _, _ = s.problem.eigendata(lam)
-    direct = assemble(ck, s.problem.mix, s.tgrid)
-    adjoint = dual(direct)
+    direct = s.problem.mix.scaled(ck.sB)
     rng = np.random.default_rng(3)
     w = s.tgrid.dx
     for _ in range(5):
         f = rng.random(s.tgrid.n)
         g = rng.random(s.tgrid.n)
-        lhs = float((direct.M @ f) @ (g * w))
-        rhs = float(f @ ((adjoint.M @ g) * w))
+        lhs = float((direct @ f) @ (g * w))
+        rhs = float(f @ ((direct.T @ g) * w))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -206,12 +205,13 @@ def _secular_rho(ck, tgrid, model):
     """Perron root of diag(r) + rank one, for the uniform kernel k = 1/|S|.
 
     rho is the unique root above rbar of 1 = sum_j c_j / (rho - r_j), with
-    c_j = (p/|S|) sB_j w_j and sB = r / (1 - p). The sum is at least 1 at
+    c_j = (p/|S|) sB_j w_j and r = (1 - p) sB. The sum is at least 1 at
     rbar + c_argmax and at most 1 at rbar + sum(c), which brackets the root.
     """
-    p, r = model.mutation_prob, ck.r_values
+    p = model.mutation_prob
+    r = (1.0 - p) * ck.sB
     lo, hi = model.trait_domain
-    c = (p / (hi - lo)) * (r / (1.0 - p)) * tgrid.dx
+    c = (p / (hi - lo)) * ck.sB * tgrid.dx
     rbar = float(r.max())
     return brentq(lambda rho: 1.0 - float(np.sum(c / (rho - r))),
                   rbar + c[np.argmax(r)], rbar + c.sum(), xtol=1e-15)
@@ -227,7 +227,7 @@ def test_secular_equation_oracle_singular_800():
 
     for lam in (0.0, 2.0, lam_star):
         ck = lattice_collapse(model, tgrid, agrid, lam)
-        rho = perron(assemble(ck, problem.mix, tgrid)).rho
+        rho = perron(problem.mix.scaled(ck.sB), tgrid.dx).rho
         assert abs(rho - _secular_rho(ck, tgrid, model)) <= 1e-12 * rho
 
     def secular_gap(lam):
@@ -271,9 +271,11 @@ def test_eigendata_reuses_the_search(monkeypatch):
     assert pd is pd_search
     assert problem.eigendata(1.5)[2] is pq and len(solves) == 1   # asked again: kept
     fresh = lattice_collapse(problem.model, problem.tgrid, problem.agrid, 1.5)
-    assert pd.rho == rho and ck.rbar == fresh.rbar
+    assert pd.rho == rho
     np.testing.assert_array_equal(ck.sB, fresh.sB)
-    np.testing.assert_array_equal(ck.r_values, fresh.r_values)
+    # the operator's diagonal is the clonal law's (1 - p) sB, bit for bit
+    np.testing.assert_array_equal(problem.clonal_rate(1.5),
+                                  (1.0 - problem.model.mutation_prob) * fresh.sB)
 
 
 def test_refinement_sweep_solves_direct_pairs_only(monkeypatch):
@@ -291,14 +293,15 @@ def test_refinement_sweep_solves_direct_pairs_only(monkeypatch):
 
     def no_dual(direct):
         raise AssertionError("the sweep formed a dual operator")
-    monkeypatch.setattr(spectral, "dual", no_dual)
+    monkeypatch.setattr(kernel.MixForm, "T", property(no_dual))
     solves = counting(monkeypatch, spectral, "perron")
     rows = refinement_sweep(make_problem, [16, 32, 64])
     assert len(fresh) == 2 and solved.lambda_search["evaluations"] == 0
     assert len(solves) == sum(p.lambda_search["evaluations"] for p in fresh) > 0
     ck, pd = solved.direct_pair(rows[-1]["lambda_star_h"])
-    assert rows[-1]["gap"] == pd.rho - ck.rbar
-    assert rows[-1]["regime"] == spectral.regime(pd.rho, ck.rbar)
+    rbar = float(((1.0 - solved.model.mutation_prob) * ck.sB).max())
+    assert rows[-1]["gap"] == pd.rho - rbar
+    assert rows[-1]["regime"] == spectral.regime(pd.rho, rbar)
 
 
 @pytest.mark.parametrize("death, evaluations", [
@@ -328,9 +331,9 @@ def test_search_warm_starts_each_direct_solve(monkeypatch, death, evaluations):
         assert search["age_flat_from"] is None
     else:                       # no cells: each collapse is its closed-form tail
         assert search["prefix_cells"] == 0 and search["age_flat_from"] == 0.0
-    cold = spectral.perron(spectral.assemble(
-        lattice_collapse(problem.model, problem.tgrid, problem.agrid, lam), problem.mix,
-        problem.tgrid))
+    cold = spectral.perron(problem.mix.scaled(
+        lattice_collapse(problem.model, problem.tgrid, problem.agrid, lam).sB),
+        problem.tgrid.dx)
     assert abs(problem.rho_of_lambda(lam) - cold.rho) <= 1e-12 * cold.rho
 
 
@@ -472,7 +475,7 @@ def problem_at_root(cfg):
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
     ck, pd, pq = problem.eigendata(problem.find_lambda_star(1e-6))
-    cold = perron(dual(assemble(ck, problem.mix, problem.tgrid)))
+    cold = perron(problem.mix.scaled(ck.sB).T, problem.tgrid.dx)
     return ck, pq, cold
 
 
@@ -672,8 +675,9 @@ def test_falsi_errors(g, tol, error):
 
 def test_lambda_search_forms_no_nx_by_nx_array(monkeypatch):
     # the singular preset holds Mix at rank 1, so no operator or shift-inverse
-    # of the search is an (nx, nx) array: each assemble and perron call's
-    # tracemalloc peak, above what was traced as it began, stays below one
+    # of the search is an (nx, nx) array: the tracemalloc peak of each
+    # operator's forming (MixForm.scaled) and each perron call, above what was
+    # traced as it began, stays below one
     nx = 800
     config = singular_scenario(nx=nx)
     model = build_model(config)
@@ -688,7 +692,7 @@ def test_lambda_search_forms_no_nx_by_nx_array(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
             return result
         return call
-    monkeypatch.setattr(spectral, "assemble", measured(spectral.assemble))
+    monkeypatch.setattr(kernel.MixForm, "scaled", measured(kernel.MixForm.scaled))
     monkeypatch.setattr(spectral, "perron", measured(spectral.perron))
     tracemalloc.start()
     try:
@@ -728,19 +732,32 @@ def _age_oracle_root() -> float:
     return 0.5 * (lo + hi)
 
 
+def age_oracle_model(nx, da):
+    """The age oracle's model, c = 1, with its grids at nx and da."""
+    cfg = dataclasses.replace(constant_scenario(nx=nx, da=da), death={
+        "family": "affine", "params": {"base": AGE_ORACLE["base"],
+                                       "slope_a": AGE_ORACLE["slope_a"]}})
+    model = build_model(cfg)
+    return model, *build_grids(cfg, model)
+
+
+def age_oracle_N(lam, a):
+    """The oracle's N at the growth rate lam, on the ages a: B R, unit mass on |S| = 1."""
+    beta, s = AGE_ORACLE["base"] + lam, AGE_ORACLE["slope_a"]
+    return AGE_ORACLE["birth"] * np.exp(-beta * a - 0.5 * s * a * a)
+
+
 def age_oracle_errors(da):
     """The errors of lambda*, N and phi (the last two relative to each one's
     maximum) on the profiles' lattice at age step da, nx = 16."""
     b, s = AGE_ORACLE["birth"], AGE_ORACLE["slope_a"]
-    cfg = dataclasses.replace(constant_scenario(nx=16, da=da), death={
-        "family": "affine", "params": {"base": AGE_ORACLE["base"], "slope_a": s}})
-    model = build_model(cfg)
-    problem = MalthusProblem(model, *build_grids(cfg, model))
+    model, tgrid, agrid = age_oracle_model(16, da)
+    problem = MalthusProblem(model, tgrid, agrid)
     lam = problem.find_lambda_star(1e-13)
     triple = malthus.eigentriple(problem, lam, kernel.profile_lattice(model, lam, problem.agrid))
     exact = _age_oracle_root()
     beta, a = AGE_ORACLE["base"] + exact, triple.agrid.nodes
-    N = b * np.exp(-beta * a - 0.5 * s * a * a)
+    N = age_oracle_N(exact, a)
     phi = np.array([s * b * _age_integral(beta + s * x) / (b * (b - beta)) for x in a])
     return (lam - exact, np.abs(triple.N_grid - N).max() / N.max(),
             np.abs(triple.phi_grid - phi).max() / phi.max())
@@ -760,3 +777,24 @@ def test_age_structure_oracle_second_order_in_da():
     assert phi_err <= 0.0085 * 0.01 ** 2
     for coarse, fine in ((0.02, 0.01), (0.01, 0.005)):
         assert errors[coarse][0] / errors[fine][0] == pytest.approx(4.0, abs=0.1)
+
+
+def test_dynamics_settle_on_the_exact_stationary_state():
+    # The nonlinear flow of the age oracle (c = 1) from a uniform state, to
+    # T = 20 at nx = 8, da = 0.01, against the exact stationary state
+    # (lambda*/c) N: its history sums take the FFT path once and fall back to
+    # the direct sums three times. Measured: mass - lambda*/c = 1.86e-8 and
+    # the distance 1.84e-8, both still falling with t (at 2.5e-8 at t = 19.6):
+    # the flow's own transient, not its discretization, sets them. The bounds
+    # leave a third over them; a cell's death rate read at its left end moves
+    # both to 2.5e-3.
+    model, tgrid, agrid = age_oracle_model(8, 0.01)
+    lam = _age_oracle_root()
+    target = np.broadcast_to(lam / model.competition * age_oracle_N(lam, agrid.nodes),
+                             (tgrid.n, agrid.n_cells + 1))
+    solver = pde.TransportSolver(model, tgrid, agrid, kernel.mix_matrix(model, tgrid))
+    _, trace = pde.run(solver, pde.uniform_state(tgrid, agrid), 20.0, target=target,
+                       record_every=10)
+    assert solver.history["fft_blocks"] >= 1 and solver.history["direct_blocks"] >= 1
+    assert abs(trace.mass[-1] - lam / model.competition) <= 2.5e-8
+    assert trace.tv_to_target[-1] <= 2.5e-8
