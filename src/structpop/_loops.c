@@ -14,6 +14,8 @@
  * Between entry and return the state is held in locals, and the stream is
  * read from a tempered copy of the MT table, made on entry and at each
  * regeneration; the raw table stays in the state, which regeneration reads.
+ * The table is regenerated and tempered four words at a time, in the lanes
+ * of a GCC vector, into the same words as CPython's genrand_uint32.
  */
 #include <math.h>
 #include <stdint.h>
@@ -41,37 +43,71 @@ typedef struct {
     int64_t nx;
 } ibm_state;
 
-/* the tempered outputs of the raw words mt: a draw is then one load of tab */
+typedef uint32_t quad __attribute__((vector_size(16)));   /* four words of the table */
+
+static inline quad load4(const uint32_t *p)
+{
+    quad q;
+    memcpy(&q, p, sizeof q);
+    return q;
+}
+
+/* MT19937's tempering of four words */
+static inline quad temper4(quad y)
+{
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* the tempered outputs of the raw words mt, four at a time: a draw is then
+ * one load of tab */
 static void temper(const uint32_t *mt, uint32_t *tab)
 {
-    for (int k = 0; k < 624; k++) {
-        uint32_t y = mt[k];
-        y ^= (y >> 11);
-        y ^= (y << 7) & 0x9d2c5680U;
-        y ^= (y << 15) & 0xefc60000U;
-        y ^= (y >> 18);
-        tab[k] = y;
+    for (int k = 0; k < 624; k += 4) {
+        quad y = temper4(load4(mt + k));
+        memcpy(tab + k, &y, sizeof y);
     }
 }
 
-/* MT19937's next table in mt, in place, as genrand_uint32 of CPython's
- * Modules/_randommodule.c regenerates it; then its words tempered into tab.
- * Out of line: the event loop calls it once per 624 words. */
+/* the twist of word k from its upper bit, the lower bits of word k + 1 and
+ * the word `far`, 397 places on (mod 624); MATRIX_A is xored in where y is
+ * odd, as genrand_uint32's mag01[y & 1] */
+static inline uint32_t twist(uint32_t cur, uint32_t next, uint32_t far)
+{
+    uint32_t y = (cur & 0x80000000U) | (next & 0x7fffffffU);
+    return far ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+}
+
+/* the twist of four words */
+static inline quad twist4(quad cur, quad next, quad far)
+{
+    quad y = (cur & 0x80000000U) | (next & 0x7fffffffU);
+    return far ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+}
+
+/* MT19937's next table in mt, in place, the same words as genrand_uint32 of
+ * CPython's Modules/_randommodule.c, four words at a time; then its words
+ * tempered into tab. Word k reads words k + 1 and k + 397 (mod 624), so the
+ * words [0, 224) read only words not yet rewritten, and the words [227, 623)
+ * read word k - 227, which this refill has already written; 224-226, whose
+ * lanes would straddle the two, and 623, which reads word 0, are twisted one
+ * at a time. Out of line: the event loop calls it once per 624 words. */
 static __attribute__((noinline)) void refill(uint32_t *mt, uint32_t *tab)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    int kk;
-    for (kk = 0; kk < 624 - 397; kk++) {
-        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-        mt[kk] = mt[kk + 397] ^ (y >> 1) ^ mag01[y & 0x1U];
+    int k;
+    for (k = 0; k < 224; k += 4) {
+        quad w = twist4(load4(mt + k), load4(mt + k + 1), load4(mt + k + 397));
+        memcpy(mt + k, &w, sizeof w);
     }
-    for (; kk < 623; kk++) {
-        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-        mt[kk] = mt[kk + (397 - 624)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    for (; k < 227; k++)
+        mt[k] = twist(mt[k], mt[k + 1], mt[k + 397]);
+    for (; k < 623; k += 4) {
+        quad w = twist4(load4(mt + k), load4(mt + k + 1), load4(mt + k - 227));
+        memcpy(mt + k, &w, sizeof w);
     }
-    y = (mt[623] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-    mt[623] = mt[396] ^ (y >> 1) ^ mag01[y & 0x1U];
+    mt[623] = twist(mt[623], mt[0], mt[396]);
     temper(mt, tab);
 }
 
@@ -189,14 +225,15 @@ int ibm_run(ibm_state *s)
                 int64_t cell = q >= (double)last ? last : (q < 0.0 ? 0 : (int64_t)q);
                 const double *row = cdf + cell * nx;
                 double v = next_uniform(mt, tab, &mti);
-                int64_t l = 0, h = nx;            /* bisect_left */
-                while (l < h) {
-                    int64_t m = (l + h) / 2;
-                    if (row[m] < v)
-                        l = m + 1;
-                    else
-                        h = m;
-                }
+                /* bisect_left, branch-free: the first entry >= v lies in
+                 * [base, base + len], which each compare halves; one final
+                 * compare picks base or the entry after it. The index is
+                 * bisect_left's wherever row[m] < v holds on a prefix of the
+                 * row, as on every CDF row (nondecreasing, any NaN at its end) */
+                const double *base = row;
+                for (int64_t len = nx; len > 1; len -= len / 2)
+                    base = base[len / 2] < v ? base + len / 2 : base;
+                int64_t l = (base - row) + (*base < v);
                 x = nodes[l < last ? l : last];
             }
             xs[n] = x;

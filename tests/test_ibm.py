@@ -280,6 +280,32 @@ def test_compiled_loop_reenters_across_table_refills(tg, monkeypatch):
     assert_same_log(logs["c"], vars(logs["python"]))
 
 
+def test_compiled_stream_matches_over_many_refills_near_a_power_of_two(tg, monkeypatch):
+    # a nonlinear population that wanders across n = 2048 = 2^11: from 2048
+    # on, the index draw takes 12 bits and rejects about half of them, below
+    # it almost none. Mutation at p = 0.9 on a gaussian kernel draws a
+    # mutant's cell from rows that differ from trait to trait, and an affine
+    # birth rate makes the events depend on every mutant's cell. Each event
+    # reads at least five words, so 6240 events regenerate the MT table at
+    # least 50 times.
+    if _loops.library()[0] is None:
+        pytest.skip("the compiled loops are unavailable on this host")
+    model = model_from(p=0.9, birth={"family": "affine", "params": {"base": 1.8, "slope_x": 0.4}},
+                       kernel={"family": "gaussian", "params": {"width": 0.1}})
+    K, times = 2100, np.linspace(0.0, 1.0, 5)
+    logs = {}
+    for loop in ("c", "python"):
+        with monkeypatch.context() as m:
+            if loop == "python":
+                python_loop_only(m)
+            logs[loop] = ibm.simulate(model, tg, K, 1.0, times, seed=6, record_events=True)
+        assert logs[loop].loop == loop
+    c = logs["c"]
+    sizes = K + np.cumsum([1 if kind == "birth" else -1 for _, kind in c.events])
+    assert c.n_events > 6240 and 0.2 < np.mean(sizes >= 2048) < 0.8
+    assert_same_log(c, vars(logs["python"]))
+
+
 class _DyadicStream(random.Random):
     """Uniforms cycling through dyadic values that land on mutant CDF entries.
 
@@ -461,11 +487,18 @@ def test_no_compiler_falls_back_to_python(monkeypatch, fresh_loader, loops_sourc
 
 
 def test_loops_source_compiles_without_warnings(tmp_path):
-    # at the loader's flags; -Wall also finds a static helper left unused
+    # at the loader's flags; -Wall also finds a static helper left unused, and
+    # gcc's -Wvector-operation-performance a vector operation that the target
+    # cannot do in one instruction and expands to scalar code (clang has no
+    # such flag)
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    proc = subprocess.run([cc, *_loops.FLAGS, "-Wall", "-Wextra", "-Werror",
+    macros = subprocess.run([cc, "-dM", "-E", "-"], input="", capture_output=True,
+                            text=True, timeout=60).stdout
+    is_gcc = "__GNUC__" in macros and "__clang__" not in macros
+    warn = ["-Wall", "-Wextra", "-Werror"] + ["-Wvector-operation-performance"] * is_gcc
+    proc = subprocess.run([cc, *_loops.FLAGS, *warn,
                            "-o", str(tmp_path / "loops.so"), _loops.SOURCE, "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
