@@ -10,7 +10,7 @@
  * operations in the same order, so both loops produce the same events bit
  * for bit. It advances the state until something needs Python and returns
  * why: a sample time is crossed, the horizon or extinction is reached, the
- * particle cap is exceeded, a rate leaves its domain, or a buffer is full.
+ * particle cap is exceeded, or a buffer is full.
  * Between entry and return the state is held in locals, and the stream is
  * read from a tempered copy of the MT table, made on entry and at each
  * regeneration; the raw table stays in the state, which regeneration reads.
@@ -21,7 +21,7 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { DONE = 0, EXTINCT = 1, SAMPLE = 2, ABORTED = 3, FULL = 4, DOMAIN = 5 };
+enum { DONE = 0, EXTINCT = 1, SAMPLE = 2, ABORTED = 3, FULL = 4 };
 enum { CONSTANT = 0, AFFINE = 1, SQRT_GAP = 2, GAUSSIAN_BUMP = 3, LOGISTIC_AGE = 4 };
 
 typedef struct {
@@ -130,30 +130,26 @@ next_uniform(uint32_t *mt, uint32_t *tab, int64_t *mti)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* the families' `scalar` forms (model._make_rate); 0 where sqrt would raise
- * in Python. Where logistic_age's exp overflows, math.exp raises and the
+/* the families' `scalar` forms (model._make_rate). Every trait lies in the
+ * domain (ibm.simulate checks its initial traits), so sqrt_gap's gap is never
+ * negative. Where logistic_age's exp overflows, math.exp raises and the
  * scalar returns low; here exp is inf and the same expression is low.
  * Inlined, so that a constant rate costs the event loop no call. */
-static inline __attribute__((always_inline)) int
-rate(int64_t fam, const double *par, double lo, double x, double a, double *out)
+static inline __attribute__((always_inline)) double
+rate(int64_t fam, const double *par, double lo, double x, double a)
 {
-    if (fam == CONSTANT) {
-        *out = par[0];
-    } else if (fam == AFFINE) {
-        *out = par[0] + par[1] * x + par[2] * a;
-    } else if (fam == SQRT_GAP) {
-        double gap = x - lo;
-        if (gap < 0.0)
-            return 0;
-        *out = par[0] - sqrt(gap);
-    } else if (fam == GAUSSIAN_BUMP) {         /* base, amp, center, width */
+    if (fam == CONSTANT)
+        return par[0];
+    if (fam == AFFINE)
+        return par[0] + par[1] * x + par[2] * a;
+    if (fam == SQRT_GAP)
+        return par[0] - sqrt(x - lo);
+    if (fam == GAUSSIAN_BUMP) {                 /* base, amp, center, width */
         double z = (x - par[2]) / par[3];
-        *out = par[0] + par[1] * exp(-0.5 * (z * z));
-    } else {                                    /* low, high, midpoint, scale */
-        double span = par[1] - par[0];
-        *out = par[0] + span / (1.0 + exp(-(a - par[2]) / par[3]));
+        return par[0] + par[1] * exp(-0.5 * (z * z));
     }
-    return 1;
+    double span = par[1] - par[0];              /* low, high, midpoint, scale */
+    return par[0] + span / (1.0 + exp(-(a - par[2]) / par[3]));
 }
 
 /* The state is read into locals on entry and stored back at the one exit:
@@ -213,11 +209,7 @@ int ibm_run(ibm_state *s)
         double x = xs[i];
         double a = t - bt[i];
         double u = next_uniform(mt, tab, &mti) * bound;
-        double b, d;
-        if (!rate(bfam, bpar, lo, x, a, &b)) {
-            status = DOMAIN;
-            break;
-        }
+        double b = rate(bfam, bpar, lo, x, a);
         if (u < b) {
             if (next_uniform(mt, tab, &mti) < p) {
                 double q = (x - lo) / dx;
@@ -249,20 +241,14 @@ int ibm_run(ibm_state *s)
                 status = ABORTED;
                 break;
             }
-        } else {
-            if (!rate(dfam, dpar, lo, x, a, &d)) {
-                status = DOMAIN;
-                break;
-            }
-            if (u < b + d + comp) {
-                xs[i] = xs[n - 1];
-                bt[i] = bt[n - 1];
-                n--;
-                n_deaths++;
-                if (ev_cap > 0) {
-                    ev_t[n_ev] = t;
-                    ev_kind[n_ev++] = 0;
-                }
+        } else if (u < b + rate(dfam, dpar, lo, x, a) + comp) {
+            xs[i] = xs[n - 1];
+            bt[i] = bt[n - 1];
+            n--;
+            n_deaths++;
+            if (ev_cap > 0) {
+                ev_t[n_ev] = t;
+                ev_kind[n_ev++] = 0;
             }
         }
     }

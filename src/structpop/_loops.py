@@ -84,11 +84,10 @@ def library():
 def _build(path: str) -> str | None:
     """Compile SOURCE into path, written whole or not at all; None, or why it failed.
 
-    After a build, the libraries of earlier sources beside path (`_loops-*.so`,
-    and `_ibm_loop-*.so` from before the library held every loop) are removed,
-    so the folder holds one. Unlinking a library that another process has
-    mapped is safe on Linux: the process keeps its mapping of the file, which
-    is freed when the last mapping goes.
+    After a build, the libraries of earlier sources beside path (`_loops-*.so`)
+    are removed, so the folder holds one. Unlinking a library that another
+    process has mapped is safe on Linux: the process keeps its mapping of the
+    file, which is freed when the last mapping goes.
     """
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
@@ -110,7 +109,7 @@ def _build(path: str) -> str | None:
             os.unlink(tmp)
     folder, built = os.path.split(path)
     for name in os.listdir(folder):
-        if name != built and name.endswith(".so") and name.startswith(("_loops-", "_ibm_loop-")):
+        if name != built and name.endswith(".so") and name.startswith("_loops-"):
             try:
                 os.unlink(os.path.join(folder, name))
             except OSError:     # gone already, or not ours to remove: it stays

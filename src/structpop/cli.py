@@ -233,16 +233,13 @@ def _refinement_rows(config, problem):
     """Refinement sweep up to the solved grid, reusing its problem at nx = n.
 
     The grids are n/4 (at least 8), n/2 and n, less those outside [2, n], in
-    increasing order.
+    increasing order; each problem is built as the sweep reaches it.
     """
     n = problem.tgrid.n
-
-    def make_problem(nx):
-        if nx == n:
-            return problem
-        return malthus.MalthusProblem(*_setup(replace(config, nx=nx)))
     nx_list = sorted({nx for nx in (max(n // 4, 8), n // 2, n) if 2 <= nx <= n})
-    return malthus.refinement_sweep(make_problem, nx_list, _tol_lam(config))
+    problems = (problem if nx == n else malthus.MalthusProblem(*_setup(replace(config, nx=nx)))
+                for nx in nx_list)
+    return malthus.refinement_sweep(problems, _tol_lam(config))
 
 
 def _dual_rows_from_k(model, tgrid, ck, rows: slice) -> np.ndarray:
@@ -286,11 +283,9 @@ def cmd_verify(config, out: str, solved=None) -> dict:
             model, tgrid, triple.agrid, problem.mix, nbar) <= 1e-3
     elif triple.regime != "Regular":    # a Regular model without competition has no nbar
         summary["convergence_report"] = REFUSED
-        rows = _refinement_rows(config, problem)
         path = os.path.join(out, "refinement.csv")
         _write_csv(path, ["nx", "lambda_star_h", "gap", "mass_in_band"],
-                   [(r["nx"], r["lambda_star_h"], r["gap"], r["mass_in_band"])
-                    for r in rows])
+                   _refinement_rows(config, problem))
         manifest.append(path)
     summary["checks"] = checks
     summary["all_green"] = all(checks.values())
@@ -355,9 +350,10 @@ def main(argv=None) -> int:
         config = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
         command = args.command
+        model = build_model(config)     # every family's parameters, read before any solve
         if command in ("stationary", "pde") and config.c <= 0:
             raise ConfigError(f"{command} needs a positive competition rate c, got {config.c}")
-        if command == "ibm" and not math.isfinite(build_model(config).death.sup):
+        if command == "ibm" and not math.isfinite(model.death.sup):
             raise ConfigError("ibm's thinning needs a bounded death rate")
         if command == "scenario":
             solved = _solve(config)

@@ -43,7 +43,6 @@ class EventLog:
     n_events: int = 0
     n_deaths: int = 0
     peak: int = 0               # largest live count
-    aborted: bool = False
     events: list | None = None  # optional (t, kind) records
     loop: str = "python"        # which event loop ran: "c" or "python"
 
@@ -88,7 +87,7 @@ def _sample(xs: list, bt: list, K: int, s: float, store_snapshots: bool):
 
 # -- the compiled event loop (ibm_run in _loops.c), an optional speed-up ----
 
-_DONE, _EXTINCT, _SAMPLE, _ABORTED, _FULL, _DOMAIN = range(6)
+_DONE, _EXTINCT, _SAMPLE, _ABORTED, _FULL = range(5)
 
 
 def _grown(buf: np.ndarray, used: int) -> np.ndarray:
@@ -140,8 +139,6 @@ def _c_events(lib, rng, traits, births, model, K, T, c, bd, rates, cdf, nodes, d
                 xa, ba = _grown(xa, n), _grown(ba, n)
             if record_events and st.n_ev >= ev_t.size:
                 ev_t, ev_k = _grown(ev_t, st.n_ev), _grown(ev_k, st.n_ev)
-        elif status == _DOMAIN:
-            raise ValueError("math domain error")
         else:
             break
     events = None
@@ -160,7 +157,8 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     """Exact simulation of the birth/mutation/death process up to time T.
 
     init: the population at t=0 as a pair (traits, ages) of 1-D arrays of one
-    length, as `sample_from_density` returns it; ValueError otherwise, before
+    length, as `sample_from_density` returns it, its traits in the trait
+    domain and its ages finite and nonnegative; ValueError otherwise, before
     any draw. Defaults to K individuals at age 0 with traits uniform over the
     trait domain. Every sample time must lie in [0, T].
 
@@ -181,16 +179,20 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
     sample_times = np.asarray(sorted(sample_times), float)
     if not np.all((sample_times >= 0.0) & (sample_times <= T)):
         raise ValueError(f"sample times must lie in [0, T={T:g}]")
+    lo, hi = model.trait_domain
     if init is not None:
         traits, ages = (np.asarray(v, dtype=float) for v in init)
         if traits.ndim != 1 or traits.shape != ages.shape:
             raise ValueError("init must be (traits, ages), two 1-D arrays of one length; "
                              f"got shapes {traits.shape} and {ages.shape}")
+        if not (np.all((lo <= traits) & (traits <= hi))
+                and np.all((0 <= ages) & (ages < math.inf))):
+            raise ValueError(f"init traits must lie in the trait domain [{lo:g}, {hi:g}] "
+                             "and init ages be finite and nonnegative")
     rng = random.Random(seed)
     random_ = rng.random
     getrandbits = rng.getrandbits
     ln = math.log
-    lo, hi = model.trait_domain
     if init is None:
         traits, ages = np.array([lo + (hi - lo) * random_() for _ in range(K)]), np.zeros(K)
     births = np.negative(ages)     # birth times; age 0 is born at -0.0
@@ -278,7 +280,7 @@ def simulate(model: RateModel, tgrid: TraitGrid, K: int, T: float,
         masses[si], snapshots[si] = _sample(xs, bt, K, samples[si], store_snapshots)
     log = EventLog(sample_times=sample_times, masses=masses, snapshots=snapshots,
                    replicate=replicate, K=K, n_events=n_events, n_deaths=n_deaths,
-                   peak=peak, aborted=aborted, events=events,
+                   peak=peak, events=events,
                    loop="python" if lib is None else "c")
     if aborted:
         raise ExplosionError(f"particle cap {particle_cap} exceeded at t={t:.4g}", log)

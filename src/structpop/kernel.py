@@ -9,7 +9,9 @@ second-order otherwise, which is what the closed-form oracles require at
 da = 0.01. The quadrature is factored in lambda (`AgeFactors`): a lambda
 sweep builds the lambda-free factors once, and `cell_integrals` is the one
 evaluation of the formula, which `collapse` sums and the dual profile's
-backward recursion in age (`profiles`) reads. That recursion divides by R
+backward recursion in age (`profiles`) reads. It takes a lattice and the C
+and d of its cells, so only `age_factors` builds an `AgeFactors`, and
+`collapse` sums the lattice its factors were built on. That recursion divides by R
 on its first age block and by R relative to each later block's start, and
 every such divisor is at least e^{-SPAN}, so no quotient is 0/0.
 
@@ -236,18 +238,14 @@ def age_factors(model: RateModel, xs: np.ndarray, ages: np.ndarray) -> AgeFactor
     return AgeFactors(ages, C, d, R_end * model.birth(xs, ages[-1]), model.death(xs, ages[-1]))
 
 
-def cell_integrals(factors: AgeFactors, lam: float,
-                   n_cells: int | None = None) -> np.ndarray:
-    """The first n_cells cells' integrals of B R_lambda / R_lambda(a_0), (nx, n_cells).
+def cell_integrals(ages: np.ndarray, C: np.ndarray, d: np.ndarray, lam: float) -> np.ndarray:
+    """The integrals of B R_lambda / R_lambda(a_0) over the cells of the lattice
+    `ages`, (nx, ages.size - 1), from an `AgeFactors`' C and d on those cells.
 
     With z = (d + lambda) h, the exponential factor (1 - e^{-z}) / z is
     evaluated by expm1, and as 1 - z / 2 where |z| < 1e-8.
     """
-    n = factors.n_cells if n_cells is None else n_cells
-    if not 0 < n <= factors.n_cells:
-        raise ValueError(f"{n} cells asked of a lattice of {factors.n_cells}")
-    ages = factors.ages[:n + 1]
-    mz = factors.d[:, :n] + lam
+    mz = d + lam
     mz *= -np.diff(ages)                              # -z
     cells = np.expm1(mz)                              # e^{-z} - 1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,7 +254,7 @@ def cell_integrals(factors: AgeFactors, lam: float,
         small = np.abs(mz) < 1e-8
         cells[small] = 1.0 + 0.5 * mz[small]
     del mz
-    cells *= factors.C[:, :n]
+    cells *= C
     cells *= np.diff(ages) * np.exp(-lam * (ages[:-1] - ages[0]))
     return cells
 
@@ -291,9 +289,8 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors, agrid: AgeGr
     ages = factors.ages[:n + 1]
     if ages[-1] < a_f:      # continue past the factors' end
         past = ages[-1] + ages[:2]              # the first cell past it, over R there
-        first = cell_integrals(AgeFactors(past, _cell_means(model.birth, xs, past),
-                                          _cell_means(model.death, xs, past), None, None),
-                               lam)[:, 0]
+        first = cell_integrals(past, _cell_means(model.birth, xs, past),
+                               _cell_means(model.death, xs, past), lam)[:, 0]
         # the step continued as far as the tail rule from the end asks, or the
         # lattice's own length where the rule gives no age, and at most to a_f
         a = _horizon_age(model, lam, first)
@@ -307,8 +304,8 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors, agrid: AgeGr
         x, Rb, qb = xs[rows], R[rows], q[rows]
         d = np.hstack([factors.d[rows, :n], _cell_means(model.death, x, ages[n:])])
         E = _death_integral(d, ages)            # int_0^a D: one prefix sum
-        joined = AgeFactors(ages, np.hstack([factors.C[rows, :n], _cell_means(
-            model.birth, x, ages[n:]) * np.exp(-E[:, n:-1])]), d, None, None)
+        C = np.hstack([factors.C[rows, :n], _cell_means(model.birth, x, ages[n:])
+                       * np.exp(-E[:, n:-1])])
         E += lam * ages
         np.exp(np.negative(E[:, :n + 1], out=Rb[:, :n + 1]), out=Rb[:, :n + 1])
         end = np.zeros(x.size)
@@ -328,10 +325,12 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors, agrid: AgeGr
         del E
         for j0, j1 in zip(bounds[-2::-1], bounds[:0:-1]):
             if j0 == 0:
-                cells, W, w_end = cell_integrals(joined, lam, j1), Rb, w_first
+                cells = cell_integrals(ages[:j1 + 1], C[:, :j1], d[:, :j1], lam)
+                W, w_end = Rb, w_first
             else:
                 f = age_factors(model, x, ages[j0:j1 + 1])
-                cells, W = cell_integrals(f, lam), survival_matrix(model, x, f.ages, lam)
+                cells = cell_integrals(f.ages, f.C, f.d, lam)
+                W = survival_matrix(model, x, f.ages, lam)
                 w_end = W[:, -1]
             m = min(max(n, j0), j1) - j0        # the block's cells on the lattice
             end = cells[:, m:].sum(axis=1) + w_end * end    # the suffix sum at j0 + m
@@ -342,7 +341,7 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors, agrid: AgeGr
                 np.cumsum(cells[:, m - 1::-1], axis=1, out=block[:, -2::-1])
                 block /= W[:, :m + 1]
                 end = block[:, 0]               # else past A, where W_j0 = 1
-        joined = cells = None                   # before the next rows form theirs
+        C = d = cells = None                    # before the next rows form theirs
     return R, q
 
 
@@ -494,23 +493,22 @@ class CollapsedKernel:
     age_cells: int              # age cells summed for sB
 
 
-def collapse(model: RateModel, tgrid: TraitGrid, agrid: AgeGrid, lam: float,
-             factors: AgeFactors) -> CollapsedKernel:
-    """sB on the trait grid: the age factors' cells summed to the horizon
-    at lambda, and their closed-form tail where the sum reaches its node.
+def collapse(model: RateModel, lam: float, factors: AgeFactors) -> CollapsedKernel:
+    """sB at the trait nodes the factors were built at: the cells of their
+    lattice summed to the horizon at lambda, and their closed-form tail where
+    the sum reaches its node.
 
-    factors are `age_factors` at the trait nodes, on the age lattice or on any
-    lattice it is a prefix of, so that a lambda sweep builds them once. The
-    cells are formed and summed by `row_blocks`, so no (nx, n) temporary is.
+    factors are `age_factors` on the age lattice, so that a lambda sweep
+    builds them once. The cells are formed and summed by `row_blocks`, so no
+    (nx, n) temporary is.
     """
     _check_lambda(model, lam)
-    n = min(factors.n_cells, agrid.n_cells)
-    sB = np.zeros(tgrid.n)                              # int B R da
+    ages, C, d, n = factors.ages, factors.C, factors.d, factors.n_cells
+    sB = np.zeros(d.shape[0])                           # int B R da
     if n:
-        n = horizon(model, lam, cell_integrals(factors, lam, 1)[:, 0], factors.ages[:n + 1])
-        for rows in row_blocks(tgrid.n, n):
-            block = AgeFactors(factors.ages, factors.C[rows], factors.d[rows], None, None)
-            sB[rows] = cell_integrals(block, lam, n).sum(axis=1)
+        n = horizon(model, lam, cell_integrals(ages[:2], C[:, :1], d[:, :1], lam)[:, 0], ages)
+        for rows in row_blocks(sB.size, n):
+            sB[rows] = cell_integrals(ages[:n + 1], C[rows, :n], d[rows, :n], lam).sum(axis=1)
     if n == factors.n_cells and factors.C_end is not None:     # the lattice is from age 0
-        sB += factors.C_end * math.exp(-lam * factors.ages[-1]) / (factors.d_end + lam)
+        sB += factors.C_end * math.exp(-lam * ages[-1]) / (factors.d_end + lam)
     return CollapsedKernel(sB=sB, age_cells=n)

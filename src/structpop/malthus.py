@@ -102,8 +102,7 @@ class MalthusProblem:
     def direct_pair(self, lam: float) -> tuple[kern.CollapsedKernel, spectral.PerronPair]:
         """(CollapsedKernel, direct PerronPair) at lambda, solved once per lambda."""
         if lam not in self._direct:
-            ck = kern.collapse(self.model, self.tgrid, self.agrid, lam,
-                               factors=self.factors)
+            ck = kern.collapse(self.model, lam, self.factors)
             pd = spectral.perron(self.mix.scaled(ck.sB), self.tgrid.dx,
                                  start=_warm(self._start))
             self._start = pd.profile
@@ -316,23 +315,23 @@ def stationary_state(problem: MalthusProblem,
     return triple.lambda_star, nbar, scale * triple.norms["intN"]
 
 
-def refinement_sweep(make_problem, nx_list, tol_lam: float = 1e-6) -> list[dict]:
-    """lambda*_h, spectral gap, mass in the band and regime across trait refinements.
+def refinement_sweep(problems, tol_lam: float = 1e-6) -> list[tuple]:
+    """(nx, lambda*_h, spectral gap, mass in the band) per problem, in order:
+    the rows of `refinement.csv`, across trait refinements.
 
-    make_problem: nx -> MalthusProblem. Each row reads the direct solve at
-    lambda*_h alone; a grid whose lambda* is already solved is not solved
-    again. The band is the traits whose clonal rate r is within GAP_RTOL rho
-    of rbar. The rows only record the trend: a gap that collapses under
-    refinement while mass accumulates in the band is the singular signature.
+    Each row reads the direct solve at lambda*_h alone; a problem whose lambda*
+    is already solved is not solved again, and problems may be a generator,
+    so that one grid's problem is alive at a time. The band is the traits
+    whose clonal rate r is within GAP_RTOL rho of rbar. The rows only record
+    the trend: a gap that collapses under refinement while mass accumulates
+    in the band is the singular signature.
     """
     rows = []
-    for nx in nx_list:
-        prob = make_problem(nx)
+    for prob in problems:
         lam = prob.find_lambda_star(tol_lam)
         pd, r = prob.direct_pair(lam)[1], prob.clonal_rate(lam)
         rbar = float(r.max())
         band = r >= rbar - spectral.GAP_RTOL * pd.rho
-        rows.append({"nx": nx, "lambda_star_h": lam, "gap": pd.rho - rbar,
-                     "mass_in_band": float(np.sum(pd.profile[band] * prob.tgrid.dx)),
-                     "regime": spectral.regime(pd.rho, rbar)})
+        rows.append((prob.tgrid.n, lam, pd.rho - rbar,
+                     float(np.sum(pd.profile[band] * prob.tgrid.dx))))
     return rows

@@ -40,21 +40,43 @@ class RateFamily:
         return self.fn(x, a)
 
 
+def _params(family: str, params, names: tuple[str, ...], arrays: bool = False,
+            **defaults: float) -> list:
+    """A family's parameters `names`, in order, by the one rule every family and
+    kernel reads them with: params is a JSON object of exactly these keys (less
+    those given a default), each a finite float, or with `arrays` a finite float
+    array. ConfigError, naming the family and the key, otherwise."""
+    where = f"params of family {family!r}"
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {params!r}")
+    params = {**defaults, **params}
+    _expect_keys(params, set(names), where)
+    values = []
+    for key in names:
+        try:
+            v = np.asarray(params[key], float) if arrays else float(params[key])
+        except (TypeError, ValueError):
+            v = math.nan
+        if not np.all(np.isfinite(v)):
+            what = "finite numbers" if arrays else "a finite number"
+            raise ConfigError(f"{where}: {key} must be {what}, got {params[key]!r}")
+        values.append(v)
+    return values
+
+
 def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFamily:
     lo, hi = domain
-    p = dict(params)
 
     if name == "constant":
-        v = float(p.pop("value"))
+        v, = _params(name, params, ("value",))
         if v < 0:
             raise ConfigError("constant rate must be nonnegative")
         fam = RateFamily(name, {"value": v}, lambda x, a: np.full_like(
             np.broadcast_arrays(np.asarray(x, float), np.asarray(a, float))[0], v),
             lambda x, a: v, v, v, 0.0)
     elif name == "affine":
-        base = float(p.pop("base"))
-        sx = float(p.pop("slope_x", 0.0))
-        sa = float(p.pop("slope_a", 0.0))
+        base, sx, sa = _params(name, params, ("base", "slope_x", "slope_a"),
+                               slope_x=0.0, slope_a=0.0)
         if sa < 0:
             raise ConfigError("affine rate with slope_a < 0 is unbounded below in age")
 
@@ -70,7 +92,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
                          lambda x, a: base + sx * x + sa * a, sup_v, inf_v, flat)
     elif name == "sqrt_gap":
         # B(x) = bbar - sqrt(x - lo); the gap to the maximum closes like sqrt
-        bbar = float(p.pop("bbar"))
+        bbar, = _params(name, params, ("bbar",))
         if bbar - math.sqrt(hi - lo) < 0:
             raise ConfigError("sqrt_gap rate is negative at the right edge")
 
@@ -81,10 +103,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         fam = RateFamily(name, {"bbar": bbar}, fn, lambda x, a: bbar - math.sqrt(x - lo),
                          bbar, bbar - math.sqrt(hi - lo), 0.0)
     elif name == "gaussian_bump":
-        base = float(p.pop("base"))
-        amp = float(p.pop("amp"))
-        center = float(p.pop("center"))
-        width = float(p.pop("width"))
+        base, amp, center, width = _params(name, params, ("base", "amp", "center", "width"))
         if base < 0 or amp < 0 or width <= 0:
             raise ConfigError("gaussian_bump needs base, amp >= 0 and width > 0")
 
@@ -101,10 +120,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         fam = RateFamily(name, {"base": base, "amp": amp, "center": center, "width": width},
                          fn, scalar, base + amp, float(edge), 0.0)
     elif name == "logistic_age":
-        low = float(p.pop("low"))
-        high = float(p.pop("high"))
-        a0 = float(p.pop("midpoint"))
-        scale = float(p.pop("scale"))
+        low, high, a0, scale = _params(name, params, ("low", "high", "midpoint", "scale"))
         if low < 0 or high < low or scale <= 0:
             raise ConfigError("logistic_age needs 0 <= low <= high and scale > 0")
 
@@ -122,9 +138,11 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
         fam = RateFamily(name, {"low": low, "high": high, "midpoint": a0, "scale": scale},
                          fn, scalar, high, low, math.inf)
     elif name == "tabulated":
-        xs = np.asarray(p.pop("x_nodes"), float)
-        as_ = np.asarray(p.pop("a_nodes"), float)
-        vals = np.asarray(p.pop("values"), float)
+        xs, as_, vals = _params(name, params, ("x_nodes", "a_nodes", "values"), arrays=True)
+        for axis, nodes in (("x_nodes", xs), ("a_nodes", as_)):
+            if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0):
+                raise ConfigError(f"params of family {name!r}: {axis} must be a strictly "
+                                  "increasing list of at least two nodes")
         if vals.shape != (xs.size, as_.size):
             raise ConfigError("tabulated values must have shape (len(x_nodes), len(a_nodes))")
         if np.any(vals < 0):
@@ -151,8 +169,6 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
                          float(vals.max()), float(vals.min()), float(as_[-1]))
     else:
         raise ConfigError(f"unknown rate family {name!r}")
-    if p:
-        raise ConfigError(f"unknown parameters for rate family {name!r}: {sorted(p)}")
     return fam
 
 
@@ -160,11 +176,8 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
 class KernelFamily:
     """Mutation density k(x, y), a probability density in y over S."""
 
-    name: str
-    params: dict
     fn: Callable                 # (x, y) -> density
     inf: float
-    sup: float
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -178,19 +191,19 @@ class KernelFamily:
 def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> KernelFamily:
     lo, hi = domain
     leb = hi - lo
-    p = dict(params)
 
     if name == "uniform":
+        _params(name, params, ())
         val = 1.0 / leb
 
         def fn(x, y):
             shape = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0]
             return np.full_like(shape, val)
 
-        fam = KernelFamily(name, {}, fn, val, val)
-    elif name == "gaussian":
+        return KernelFamily(fn, val)
+    if name == "gaussian":
         # gaussian in (y - x), truncated to S and renormalized with erf
-        width = float(p.pop("width"))
+        width, = _params(name, params, ("width",))
         if width <= 0:
             raise ConfigError("gaussian kernel needs width > 0")
         rt2 = math.sqrt(2.0)
@@ -206,15 +219,10 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
             z = np.exp(-0.5 * ((y - x) / width) ** 2) / (width * math.sqrt(2 * math.pi))
             return z / norm_const(x)
 
-        # certified floor: the normaliser is at most 1 and |y - x| <= |S|; the
-        # maximum sits on a corner of the diagonal, where the normaliser is least
+        # certified floor: the normaliser is at most 1 and |y - x| <= |S|
         floor = math.exp(-0.5 * (leb / width) ** 2) / (width * math.sqrt(2 * math.pi))
-        fam = KernelFamily(name, {"width": width}, fn, floor, float(fn(lo, lo)))
-    else:
-        raise ConfigError(f"unknown kernel family {name!r}")
-    if p:
-        raise ConfigError(f"unknown parameters for kernel family {name!r}: {sorted(p)}")
-    return fam
+        return KernelFamily(fn, floor)
+    raise ConfigError(f"unknown kernel family {name!r}")
 
 
 # ---------------------------------------------------------------------------

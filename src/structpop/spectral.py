@@ -80,24 +80,20 @@ def _normalize(v: np.ndarray, dx: float) -> np.ndarray:
     return v / (float(v.sum()) * dx)
 
 
-def _cw_bounds(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Collatz-Wielandt bracket for the spectral radius from a nonnegative
-    iterate, its ratios taken over the entries above ROUNDING ||v||_inf: an
-    entry below that floor carries no digit of its ratio."""
-    y = M @ v
-    mask = v > ROUNDING * v.max()
-    ratios = y[mask] / v[mask]
-    return y, float(ratios.min()), float(ratios.max())
-
-
 def _evaluate(M: np.ndarray, v: np.ndarray):
     """(M v, CW lower, CW upper, rho, ||M v - rho v||_inf) of an iterate.
 
-    rho is the Rayleigh quotient, which converges even when the
-    Collatz-Wielandt bounds stall (e.g. diagonal-dominant operators with a
-    flat iterate tail). It is a weighted mean of the ratios that bound the
-    bracket, so it is kept inside the bracket against rounding."""
-    y, lb, ub = _cw_bounds(M, v)
+    The Collatz-Wielandt bracket for the spectral radius takes the ratios of
+    a nonnegative iterate over its entries above ROUNDING ||v||_inf: an entry
+    below that floor carries no digit of its ratio. rho is the Rayleigh
+    quotient, which converges even when the Collatz-Wielandt bounds stall
+    (e.g. diagonal-dominant operators with a flat iterate tail). It is a
+    weighted mean of the ratios that bound the bracket, so it is kept inside
+    the bracket against rounding."""
+    y = M @ v
+    mask = v > ROUNDING * v.max()
+    ratios = y[mask] / v[mask]
+    lb, ub = float(ratios.min()), float(ratios.max())
     rho = min(max(float(v @ y / (v @ v)), lb), ub)
     return y, lb, ub, rho, float(np.abs(y - rho * v).max())
 

@@ -63,7 +63,14 @@ def cell_path(config):
 def lattice_collapse(model, tgrid, agrid, lam):
     """`kernel.collapse` at lam, with the age factors of agrid's own lattice."""
     factors = kernel.age_factors(model, tgrid.nodes, agrid.nodes)
-    return kernel.collapse(model, tgrid, agrid, lam, factors)
+    return kernel.collapse(model, lam, factors)
+
+
+def factor_cells(factors, lam, n=None):
+    """`kernel.cell_integrals` at lam on the first n cells of an `AgeFactors`'
+    lattice, all of them by default."""
+    n = factors.n_cells if n is None else n
+    return kernel.cell_integrals(factors.ages[:n + 1], factors.C[:, :n], factors.d[:, :n], lam)
 
 
 # PASS/FAIL lines recorded by the acceptance tests; replayed after the run

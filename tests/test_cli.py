@@ -1,3 +1,4 @@
+import argparse
 import ast
 import collections
 import dataclasses
@@ -45,6 +46,16 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["status"] == "error" and err["kind"] == "config"
     assert not os.path.exists(tmp_path / "out" / "summary.json")
+
+
+@pytest.mark.parametrize("command", ["spectral", "malthus", "stationary", "pde", "ibm",
+                                     "verify"])
+def test_a_command_without_a_config_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)
+    assert err["kind"] == "config" and "no config given" in err["message"]
+    assert not (out / "summary.json").exists()
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -272,6 +283,50 @@ def test_ibm_refuses_an_unbounded_death_rate_before_solving(tmp_path, capsys, mo
     assert main(["ibm", "--config", path, "--out", out]) == EXIT_USAGE
     err = json.loads(capsys.readouterr().out)
     assert err["kind"] == "config" and "bounded death rate" in err["message"]
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+TABLE = {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 1.0], "values": [[2.0, 2.0], [2.0, 2.0]]}
+MALFORMED_FAMILIES = {
+    "missing_value": ("birth", {"family": "constant", "params": {}}),
+    "missing_width": ("kernel", {"family": "gaussian", "params": {}}),
+    "value_two": ("birth", {"family": "constant", "params": {"value": "two"}}),
+    "params_null": ("birth", {"family": "constant", "params": None}),
+    "width_nan": ("kernel", {"family": "gaussian", "params": {"width": math.nan}}),
+    "width_inf": ("kernel", {"family": "gaussian", "params": {"width": math.inf}}),
+    "low_nan": ("birth", {"family": "logistic_age", "params": {
+        "low": math.nan, "high": 3.0, "midpoint": 1.0, "scale": 0.5}}),
+    "scale_inf": ("birth", {"family": "logistic_age", "params": {
+        "low": 1.0, "high": 3.0, "midpoint": 1.0, "scale": math.inf}}),
+    "one_node_axis": ("birth", {"family": "tabulated", "params": {
+        **TABLE, "x_nodes": [0.5], "values": [[2.0, 2.0]]}}),
+    "nodes_unsorted": ("birth", {"family": "tabulated", "params": {
+        **TABLE, "x_nodes": [1.0, 0.0], "values": [[2.0, 2.0], [3.0, 1.0]]}}),
+    "death_nan": ("death", {"family": "constant", "params": {"value": math.nan}}),
+    "birth_nan": ("birth", {"family": "constant", "params": {"value": math.nan}}),
+    "death_inf": ("death", {"family": "constant", "params": {"value": math.inf}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FAMILIES))
+@pytest.mark.parametrize("command", ["spectral", "malthus", "stationary", "pde", "ibm",
+                                     "verify"])
+def test_malformed_family_parameters_exit_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                           command, case):
+    where, spec = MALFORMED_FAMILIES[case]
+    data = {**constant_scenario(nx=8, tol=1e-8).to_dict()}
+    if where == "kernel":
+        data["kernel"] = spec
+    else:
+        data["rates"] = {**data["rates"], where: spec}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))    # NaN and Infinity as Python's json writes them
+    monkeypatch.setattr(cli, "_solve", lambda *args, **kwargs: pytest.fail("solved"))
+    monkeypatch.setattr(cli, "_setup", lambda *args, **kwargs: pytest.fail("set up"))
+    out = str(tmp_path / "out")
+    assert main([command, "--config", str(path), "--out", out]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)
+    assert err["kind"] == "config" and f"family {spec['family']!r}" in err["message"]
     assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
@@ -926,6 +981,34 @@ REACHABILITY_EXEMPT = {
     "solve_eigentriple": "the library's one-call solve on the whole age lattice, "
                          "which the IBM benchmark workload reads",
 }
+
+
+COMMON_OPTIONS = [("--out", "out", None), ("--nx", None, None), ("--da", None, None),
+                  ("--tol", None, None), ("--seed", None, None)]
+CONFIG_OPTION = [("--config", None, None)]
+CLI_SURFACE = {
+    "spectral": COMMON_OPTIONS + CONFIG_OPTION,
+    "malthus": COMMON_OPTIONS + CONFIG_OPTION,
+    "stationary": COMMON_OPTIONS + CONFIG_OPTION,
+    "pde": COMMON_OPTIONS + CONFIG_OPTION + [("--tmax", 10.0, None)],
+    "ibm": COMMON_OPTIONS + CONFIG_OPTION + [("--tmax", 3.0, None), ("--replicates", 20, None)],
+    "verify": COMMON_OPTIONS + CONFIG_OPTION,
+    "scenario": [("preset", None, ["constant", "singular"]), ("--verify", False, None)]
+    + COMMON_OPTIONS,
+}
+
+
+def test_the_command_line_surface_is_pinned():
+    # each subcommand's option strings, defaults and choices, read from the
+    # parser (--help's text changes between Python versions): a change that
+    # simplifies adds none, and building only the parser a command needs keeps them
+    parser = cli._build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.option_strings for a in parser._actions] == [["-h", "--help"], []]
+    surface = {name: [(" ".join(a.option_strings) or a.dest, a.default, a.choices)
+                      for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+               for name, sp in sub.choices.items()}
+    assert surface == CLI_SURFACE
 
 
 def test_every_public_name_is_referenced():

@@ -1,5 +1,6 @@
 import ast
 import collections
+import ctypes
 import dataclasses
 import gc
 import itertools
@@ -186,7 +187,7 @@ def check_explosion(tg, loop):
     with pytest.raises(ibm.ExplosionError) as err:
         ibm.simulate(model, tg, 10, 50.0, times, seed=1, init=init, linear=True,
                      particle_cap=200, record_events=True)
-    assert aborted and err.value.log.aborted and err.value.log.loop == loop
+    assert aborted and err.value.log.loop == loop
     assert_same_log(err.value.log, ref)
 
 
@@ -464,13 +465,13 @@ def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path, fresh_loader
         pytest.skip("no C compiler on PATH")
     cache = tmp_path / "__pycache__"
     cache.mkdir()
-    stale = [cache / "_loops-0123456789abcdef.so", cache / "_ibm_loop-4be3483452.so"]
+    stale = [cache / "_loops-0123456789abcdef.so", cache / "_loops-fedcba9876543210.so"]
     kept = [cache / "_loops-notes.txt", cache / "other.so", cache / "kernel.cpython-311.pyc"]
     for path in stale + kept:
         path.write_bytes(b"")
     lib, why = _loops.library()
     assert lib is not None and why is None
-    libraries = [p for p in cache.glob("*.so") if p.name.startswith(("_loops-", "_ibm_loop-"))]
+    libraries = [p for p in cache.glob("*.so") if p.name.startswith("_loops-")]
     assert len(libraries) == 1 and libraries[0] not in stale
     assert all(path.exists() for path in kept) and not any(path.exists() for path in stale)
 
@@ -502,6 +503,35 @@ def test_loops_source_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "loops.so"), _loops.SOURCE, "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ctypes_mirrors_lay_out_the_c_structs(tmp_path):
+    # a harness that includes _loops.c prints sizeof of each struct and the
+    # offset and size of each field the mirror names: a field that one side
+    # drops or retypes moves an offset, the size, or fails the compile
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    mirrors = {"ibm_state": _loops.IbmState, "pde_ring": _loops.PdeRing}
+    body, want = [], []
+    for struct, mirror in mirrors.items():
+        body.append(f'printf("{struct} %zu\\n", sizeof({struct}));')
+        want.append(f"{struct} {ctypes.sizeof(mirror)}")
+        for name, _ in mirror._fields_:
+            body.append(f'printf("{struct}.{name} %zu %zu\\n", offsetof({struct}, {name}), '
+                        f'sizeof((({struct} *)0)->{name}));')
+            field = getattr(mirror, name)
+            want.append(f"{struct}.{name} {field.offset} {field.size}")
+    harness = tmp_path / "layout.c"
+    harness.write_text("#include <stddef.h>\n#include <stdio.h>\n"
+                       f'#include "{_loops.SOURCE}"\n'
+                       "int main(void)\n{\n" + "\n".join(body) + "\nreturn 0;\n}\n")
+    exe = tmp_path / "layout"
+    proc = subprocess.run([cc, "-o", str(exe), str(harness), "-lm"], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = subprocess.run([str(exe)], capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == want
 
 
 def exported_functions(source):
@@ -633,7 +663,7 @@ def test_explosion_guard(tg):
     with pytest.raises(ibm.ExplosionError) as err:
         ibm.simulate(model, tg, 10, 50.0, [], seed=1, init=clones(0.5, 10),
                      linear=True, particle_cap=200, store_snapshots=False)
-    assert err.value.log.aborted
+    assert err.value.log.peak == 201
 
 
 def _no_stream(seed):
@@ -645,7 +675,14 @@ def _no_stream(seed):
     (np.full((2, 5), 0.5), np.zeros((2, 5))),
     (np.full(10, 0.5), np.zeros(9)),
     (0.5, 0.0),
-], ids=["pairs", "two_d", "lengths_differ", "scalars"])
+    (np.full(10, -1e-9), np.zeros(10)),
+    (np.full(10, 1.0 + 1e-9), np.zeros(10)),
+    (np.full(10, math.nan), np.zeros(10)),
+    (np.full(10, 0.5), np.full(10, -1e-9)),
+    (np.full(10, 0.5), np.full(10, math.inf)),
+    (np.full(10, 0.5), np.full(10, math.nan)),
+], ids=["pairs", "two_d", "lengths_differ", "scalars", "trait_below_lo", "trait_above_hi",
+        "trait_nan", "age_negative", "age_inf", "age_nan"])
 @pytest.mark.parametrize("loop", ["dispatched", "python"])
 def test_malformed_init_rejected_before_any_draw(tg, init, loop, monkeypatch):
     if loop == "python":
@@ -1006,7 +1043,7 @@ def test_scalar_rate_forms_match_the_family(family, params):
             got = fam.scalar(float(x), float(a))
             assert type(got) is float
             assert got == want or ulps(got, want) <= 4, (x, a, got, want)
-    if family == "sqrt_gap":                # as the C loop's DOMAIN status does
+    if family == "sqrt_gap":                # below lo, which simulate's init check refuses
         with pytest.raises(ValueError):
             fam.scalar(lo - 1e-9, 0.0)
 
@@ -1027,3 +1064,28 @@ def test_only_the_c_table_names_rate_families_in_ibm():
     assert sorted(keys) == sorted(ibm._C_RATES) == ["affine", "constant", "gaussian_bump",
                                                     "logistic_age", "sqrt_gap"]
     assert named == collections.Counter(keys)
+
+
+def test_simulate_refuses_a_scale_below_one(tg):
+    with pytest.raises(ValueError, match="scale K must be >= 1"):
+        ibm.simulate(const_model(), tg, 0, 1.0, [], seed=1)
+
+
+def test_simulate_refuses_an_unbounded_death_rate(tg):
+    # an empty population, so that a missing check returns at once instead of
+    # thinning against an infinite bound
+    model = model_from(death={"family": "affine", "params": {"base": 1.0, "slope_a": 0.5}})
+    with pytest.raises(ValueError, match="bounded death rate"):
+        ibm.simulate(model, tg, 10, 1.0, [], seed=1, init=(np.empty(0), np.empty(0)))
+
+
+def test_a_failed_build_leaves_no_library_and_the_python_loop_runs(tmp_path, fresh_loader,
+                                                                  loops_source, tg):
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    loops_source.write_text(loops_source.read_text() + "\n#error this source does not build\n")
+    lib, why = _loops.library()
+    assert lib is None and why.startswith("compiler failed:") and "does not build" in why
+    assert list((tmp_path / "__pycache__").iterdir()) == []    # no temporary .so stays
+    log = ibm.simulate(const_model(), tg, 50, 0.5, [0.5], seed=2, store_snapshots=False)
+    assert log.loop == "python" and log.n_events > 0

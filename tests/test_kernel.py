@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import cell_path, lattice_collapse
+from conftest import cell_path, factor_cells, lattice_collapse
 from structpop import kernel
 from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
                               choose_age_truncation, collapse, horizon, mix_matrix,
@@ -68,6 +68,12 @@ def test_age_truncation_oracles(const_model):
 def test_age_truncation_degenerate_tolerance(const_model):
     # tol above the whole integral: still at least one lattice step
     assert choose_age_truncation(const_model, 0.0, 10.0, 0.01) == 0.01
+
+
+@pytest.mark.parametrize("tol, da", [(0.0, 0.01), (-1e-8, 0.01), (1e-8, 0.0), (1e-8, -0.01)])
+def test_age_truncation_refuses_a_nonpositive_tol_or_step(const_model, tol, da):
+    with pytest.raises(ValueError, match="tol and da must be positive"):
+        choose_age_truncation(const_model, 0.0, tol, da)
 
 
 def test_collapse_closed_forms(const_model):
@@ -181,13 +187,12 @@ def test_factored_collapse_matches_reference_quadrature(case):
     for lam in (0.0, 1.0, 2.78, 4.0):
         ref = reference_cell_integrals(model, tg.nodes, ages if flat else ag.nodes, lam)
         sB = ref.sum(axis=1)
-        for ck in (lattice_collapse(model, tg, ag, lam),
-                   collapse(model, tg, ag, lam, factors=factors)):
-            assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
-            r = mix_matrix(model, tg).scaled(ck.sB).d
-            assert np.abs(r - (1 - p) * sB).max() <= 1e-13 * sB.max()
+        ck = lattice_collapse(model, tg, ag, lam)
+        assert np.abs(ck.sB - sB).max() <= 1e-13 * sB.max()
+        r = mix_matrix(model, tg).scaled(ck.sB).d
+        assert np.abs(r - (1 - p) * sB).max() <= 1e-13 * sB.max()
         if not flat:
-            cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
+            cells = factor_cells(age_factors(model, tg.nodes, ag.nodes), lam)
             assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
 
 
@@ -198,12 +203,12 @@ def test_small_rate_branch_matches_reference():
     ages = 0.01 * np.arange(201)
     lam = -1.0 + 1e-12
     ref = reference_cell_integrals(const_model, tg.nodes, ages, lam)
-    cells = cell_integrals(age_factors(const_model, tg.nodes, ages), lam)
+    cells = factor_cells(age_factors(const_model, tg.nodes, ages), lam)
     assert np.abs(cells - ref).max() <= 1e-13 * ref.max()
     assert cells.sum(axis=1) == pytest.approx(np.full(3, 2.0 * 2.0), rel=1e-9)
     # at d + lambda = 0 exactly, (1 - e^{-z}) / z is 0/0: the branch gives its limit
     factors = age_factors(const_model, tg.nodes, ages)
-    limit = cell_integrals(factors, -1.0)
+    limit = factor_cells(factors, -1.0)
     np.testing.assert_allclose(limit, factors.C * np.diff(ages) * np.exp(ages[:-1]),
                                rtol=1e-14)
 
@@ -212,13 +217,9 @@ def test_collapse_and_cell_integrals_share_one_formula():
     model = build_model(cell_path(singular_scenario()))
     tg = midpoint_grid((0.0, 1.0), 16)
     ag = AgeGrid(da=0.01, n_cells=500)
-    extended = age_factors(model, tg.nodes, 0.01 * np.arange(1001))
     for lam in (0.0, 2.5):
-        cells = cell_integrals(age_factors(model, tg.nodes, ag.nodes), lam)
-        # bit for bit: the lattice factors are a prefix of the extended ones
+        cells = factor_cells(age_factors(model, tg.nodes, ag.nodes), lam)
         np.testing.assert_array_equal(lattice_collapse(model, tg, ag, lam).sB, cells.sum(axis=1))
-        np.testing.assert_array_equal(
-            collapse(model, tg, ag, lam, factors=extended).sB, cells.sum(axis=1))
 
 
 # the presets' rates through the cell path, and rates that read age at every age
@@ -236,11 +237,11 @@ def test_collapse_to_the_horizon_matches_the_whole_lattice(case):
     tg, ag = build_grids(HORIZON_CASES[case], model)
     factors = age_factors(model, tg.nodes, ag.nodes)
     for lam in (0.0, 1.0, 2.78, 4.0):
-        ck = collapse(model, tg, ag, lam, factors=factors)
-        whole = cell_integrals(factors, lam).sum(axis=1)
+        ck = collapse(model, lam, factors)
+        whole = factor_cells(factors, lam).sum(axis=1)
         assert np.all(np.abs(ck.sB - whole) <= 4 * np.spacing(whole))
         # a sum that stops early leaves out less than TAIL_RTOL of every row
-        first = cell_integrals(factors, lam, 1)[:, 0]
+        first = factor_cells(factors, lam, 1)[:, 0]
         if ck.age_cells < ag.n_cells:
             assert tail_bound(model, lam, ag.nodes[ck.age_cells]) <= TAIL_RTOL * first.min()
         else:
@@ -253,7 +254,7 @@ def test_horizon_is_non_increasing_in_lambda(case):
     tg, ag = build_grids(HORIZON_CASES[case], model)
     factors = age_factors(model, tg.nodes, ag.nodes)
     lams = np.linspace(-0.9 * model.death_floor, 10.0, 60)
-    cells = [collapse(model, tg, ag, lam, factors=factors).age_cells for lam in lams]
+    cells = [collapse(model, lam, factors).age_cells for lam in lams]
     assert cells[0] == ag.n_cells and cells[-1] < ag.n_cells // 4
     assert all(a >= b for a, b in zip(cells, cells[1:]))
 
@@ -299,7 +300,7 @@ def test_horizon_is_the_scanned_first_node(case, da, tol):
     b = (model.birth(x, past[0]) + model.birth(x, past[1])) / 2
     d = (model.death(x, past[0]) + model.death(x, past[1])) / 2
     for lam in np.linspace(-0.9 * model.death_floor, 20.0, 24):
-        first = cell_integrals(factors, lam, 1)[:, 0]
+        first = factor_cells(factors, lam, 1)[:, 0]
         z = (d + lam) * ag.da
         after = (b * ag.da * -np.expm1(-z) / z)[:, 0]    # over R(A_max): relative to its start
         for f in (first, after):
@@ -324,10 +325,10 @@ def test_collapse_falls_back_to_the_whole_lattice_where_births_start_late():
     tg, ag = build_grids(LATE_BIRTHS, prefix)
     factors = age_factors(whole, tg.nodes, ag.nodes)
     assert np.all(factors.C[:, 0] == 0.0) and np.all(factors.C[:, 1] > 0.0)
-    ck = collapse(whole, tg, ag, 4.0, factors=factors)
+    ck = collapse(whole, 4.0, factors)
     assert ck.age_cells == ag.n_cells
-    np.testing.assert_array_equal(ck.sB, cell_integrals(factors, 4.0).sum(axis=1))
-    short = collapse(prefix, tg, ag, 4.0, factors=age_factors(prefix, tg.nodes, ag.nodes))
+    np.testing.assert_array_equal(ck.sB, factor_cells(factors, 4.0).sum(axis=1))
+    short = collapse(prefix, 4.0, age_factors(prefix, tg.nodes, ag.nodes))
     assert short.age_cells == prefix_cells(prefix, ag.nodes) == 100
     assert np.all(np.abs(short.sB - ck.sB) <= 4 * np.spacing(ck.sB))
 
@@ -359,10 +360,10 @@ def test_row_blocks_keep_the_bits_of_the_whole_grid(case):
     np.testing.assert_array_equal(factors.C, C)
     np.testing.assert_array_equal(factors.d, d)
     for lam in (0.0, 1.0, 2.78):
-        ck = collapse(model, tg, ag, lam, factors=factors)
+        ck = collapse(model, lam, factors)
         assert len(list(row_blocks(tg.n, ck.age_cells))) > 1
         np.testing.assert_array_equal(
-            ck.sB, cell_integrals(factors, lam, ck.age_cells).sum(axis=1))
+            ck.sB, factor_cells(factors, lam, ck.age_cells).sum(axis=1))
 
 
 # a_f = 1.5: the birth stops reading age at 1, the death at 1.5
@@ -381,8 +382,7 @@ def whole_lattice_sums(model, tg, ag, lam):
     """sB and q of the product quadrature summed cell by cell over the lattice
     extended to 2 A_max, whose remainder lies below roundoff at lambda >= 0.5."""
     ext = ag.da * np.arange(2 * ag.n_cells + 1)
-    cells = cell_integrals(kernel.AgeFactors(
-        ext, *whole_grid_age_factors(model, tg.nodes, ext), None, None), lam)
+    cells = cell_integrals(ext, *whole_grid_age_factors(model, tg.nodes, ext), lam)
     tails = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1][:, :ag.n_cells + 1]
     return cells.sum(axis=1), tails / survival_matrix(model, tg.nodes, ag.nodes, lam)
 
@@ -402,7 +402,7 @@ def test_prefix_and_tail_match_the_whole_lattice_sum(case):
     assert factors.n_cells == prefix_cells(model, ag.nodes) == n_cells
     assert factors.C.shape == factors.d.shape == (tg.n, n_cells)
     for lam in (0.5, 1.0, 2.78, 4.0):
-        ck = collapse(model, tg, ag, lam, factors)
+        ck = collapse(model, lam, factors)
         sB, q_ref = whole_lattice_sums(model, tg, ag, lam)
         assert ck.age_cells == n_cells
         assert np.all(np.abs(ck.sB - sB) <= 16 * np.spacing(sB))
@@ -424,7 +424,7 @@ def test_collapse_at_lambda_zero_adds_what_the_lattice_end_leaves_out():
     config = constant_scenario(nx=4)
     model = build_model(config)
     tg, ag = build_grids(config, model)
-    ck = collapse(model, tg, ag, 0.0, age_factors(model, tg.nodes, ag.nodes))
+    ck = collapse(model, 0.0, age_factors(model, tg.nodes, ag.nodes))
     np.testing.assert_array_equal(ck.sB, np.full(tg.n, 2.0))
     cut = lattice_collapse(build_model(cell_path(config)), tg, ag, 0.0)
     assert np.all(0.0 < ck.sB - cut.sB) and np.all(ck.sB - cut.sB <= config.tol)
@@ -465,7 +465,7 @@ def test_collapse_sums_its_cells_by_row_blocks():
     model = build_model(MEMORY_CASE)
     tg, ag = build_grids(MEMORY_CASE, model)
     factors = age_factors(model, tg.nodes, ag.nodes)
-    peak, ck = traced_peak(lambda: collapse(model, tg, ag, 0.0, factors=factors))
+    peak, ck = traced_peak(lambda: collapse(model, 0.0, factors))
     assert ck.age_cells == ag.n_cells
     assert peak <= 0.3 * (8 * tg.n * ag.n_cells)
 

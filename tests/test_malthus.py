@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import cell_path, lattice_collapse, renewal_flux
+from conftest import cell_path, factor_cells, lattice_collapse, renewal_flux
 from structpop import kernel, malthus, pde, spectral
 from structpop.ibm import square_integrability_constant
 from structpop.kernel import survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
                                dual_profile, eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
-from structpop.model import (build_grids, build_model, constant_scenario,
+from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
                              singular_scenario)
 from structpop.pde import stationary_residual
 from structpop.spectral import perron
@@ -178,10 +178,10 @@ def test_refinement_sweep_regular_gap_persists():
         tg, ag = build_grids(cfg, model)
         return MalthusProblem(model, tg, ag)
 
-    rows = refinement_sweep(make_problem, [16, 32, 64])
-    for row in rows:
-        assert row["regime"] == "Regular"
-        assert row["gap"] == pytest.approx(0.3, abs=1e-4)
+    rows = refinement_sweep(make_problem(nx) for nx in (16, 32, 64))
+    assert [row[0] for row in rows] == [16, 32, 64]
+    for _, _, gap, _ in rows:
+        assert gap == pytest.approx(0.3, abs=1e-4)
 
 
 def test_gaussian_kernel_constant_rates():
@@ -295,13 +295,13 @@ def test_refinement_sweep_solves_direct_pairs_only(monkeypatch):
         raise AssertionError("the sweep formed a dual operator")
     monkeypatch.setattr(kernel.MixForm, "T", property(no_dual))
     solves = counting(monkeypatch, spectral, "perron")
-    rows = refinement_sweep(make_problem, [16, 32, 64])
+    rows = refinement_sweep(make_problem(nx) for nx in (16, 32, 64))
     assert len(fresh) == 2 and solved.lambda_search["evaluations"] == 0
     assert len(solves) == sum(p.lambda_search["evaluations"] for p in fresh) > 0
-    ck, pd = solved.direct_pair(rows[-1]["lambda_star_h"])
+    nx, lam, gap, _ = rows[-1]
+    ck, pd = solved.direct_pair(lam)
     rbar = float(((1.0 - solved.model.mutation_prob) * ck.sB).max())
-    assert rows[-1]["gap"] == pd.rho - rbar
-    assert rows[-1]["regime"] == spectral.regime(pd.rho, rbar)
+    assert nx == 64 and gap == pd.rho - rbar
 
 
 @pytest.mark.parametrize("death, evaluations", [
@@ -487,7 +487,7 @@ def reference_phi(problem, triple, model):
     _, _, pq = problem.eigendata(lam)
     doubled = kernel.age_factors(model, tg.nodes, ag.da * np.arange(2 * ag.n_cells + 1))
     assert doubled.n_cells == 2 * ag.n_cells
-    cells = kernel.cell_integrals(doubled, lam)
+    cells = factor_cells(doubled, lam)
     tails = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1][:, :ag.n_cells + 1]
     phi = tails * (problem.mix.T @ pq.profile)[:, None]
     phi /= survival_matrix(model, tg.nodes, ag.nodes, lam)
@@ -798,3 +798,28 @@ def test_dynamics_settle_on_the_exact_stationary_state():
     assert solver.history["fft_blocks"] >= 1 and solver.history["direct_blocks"] >= 1
     assert abs(trace.mass[-1] - lam / model.competition) <= 2.5e-8
     assert trace.tv_to_target[-1] <= 2.5e-8
+
+
+def test_lambda_search_stops_at_its_doubling_cap():
+    # B = 1e20 keeps rho(lambda) = B / (D + lambda) above 1 at lambda = 2^60
+    cfg = dataclasses.replace(constant_scenario(nx=8, tol=1e-8),
+                              birth={"family": "constant", "params": {"value": 1e20}})
+    model = build_model(cfg)
+    problem = MalthusProblem(model, *build_grids(cfg, model))
+    with pytest.raises(RuntimeError, match="doubling cap reached"):
+        problem.find_lambda_star()
+    assert problem.rho_of_lambda(2.0 ** 60) > 1.0
+
+
+def test_eigentriple_refuses_a_lattice_of_another_age_step(constant_setup):
+    s = constant_setup
+    coarse = AgeGrid(da=2 * s.agrid.da, n_cells=s.agrid.n_cells // 2)
+    with pytest.raises(ValueError, match="age step"):
+        malthus.eigentriple(s.problem, s.triple.lambda_star, coarse)
+
+
+def test_stationary_state_needs_a_positive_competition_rate(constant_setup):
+    s = constant_setup
+    problem = MalthusProblem(dataclasses.replace(s.model, competition=0.0), s.tgrid, s.agrid)
+    with pytest.raises(ValueError, match="positive competition rate"):
+        stationary_state(problem, s.triple)

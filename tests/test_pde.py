@@ -896,3 +896,12 @@ def test_run_traces_a_state_another_solver_stepped(monkeypatch, record, other):
     _, want = pde.run(solver, given, given.t + 0.5, **kwargs)
     assert got.record == record and len(got.t) == 11
     assert got == want
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
+def test_step_refuses_a_negative_or_non_finite_state(constant_setup, bad):
+    s = constant_setup
+    state = pde.uniform_state(s.tgrid, s.agrid)
+    state.values[3, 7] = bad
+    with pytest.raises(ValueError, match="negative, NaN or infinite entry"):
+        s.solver.step_nonlinear(state)

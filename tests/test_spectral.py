@@ -12,7 +12,7 @@ from structpop.kernel import MIX_RTOL, MixForm, mix_matrix
 from structpop.malthus import MalthusProblem
 from structpop.model import (AgeGrid, build_grids, build_model,
                              constant_scenario, midpoint_grid, singular_scenario)
-from structpop.spectral import (PerronConvergenceError, _cw_bounds, adjoint_residual,
+from structpop.spectral import (PerronConvergenceError, _evaluate, adjoint_residual,
                                 density_from_profile, perron, regime)
 
 
@@ -307,7 +307,7 @@ def test_warm_perron_matches_cold(singular_ops):
     assert abs(warm.rho - cold.rho) <= 1e-12 * cold.rho
     assert np.abs(warm.profile - cold.profile).max() <= 1e-9 * cold.profile.max()
     # the shift is the start's Collatz-Wielandt upper bound, above rho
-    sigma = _cw_bounds(M, start)[2] * (1.0 + 1e-8)
+    sigma = _evaluate(M, start)[2] * (1.0 + 1e-8)
     assert sigma > cold.rho
 
 
@@ -366,3 +366,11 @@ def test_factored_operator_matches_dense_references_from_k(family):
         bound = norm_inv * (MIX_RTOL * (w @ np.abs(solved))
                             + n * eps * (np.abs(A) @ np.abs(solved)))
         assert np.all(np.abs(solved - np.linalg.solve(A, v)) <= bound)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (4, 3)])
+def test_adjoint_residual_refuses_a_dual_of_another_shape(shape):
+    # (1, n) and (n, 1) would broadcast against the direct rows without the check
+    M = MixForm(np.ones(4), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="matching direct/dual pair"):
+        adjoint_residual(M, 0.25, lambda rows: np.zeros(shape))
