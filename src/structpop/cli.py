@@ -14,15 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 # pde and ibm are imported by the commands that run them, so that the others
 # start without them (and without the compiled loops they load)
 from . import kernel, malthus, spectral
-from .model import (ConfigError, PRESETS, ScenarioConfig, build_grids,
-                    build_model, parse_config, validate_assumptions)
+from .model import (ConfigError, PRESETS, ScenarioConfig, build_grids, build_model,
+                    midpoint_grid, parse_config, replace, validate_assumptions)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -81,18 +80,12 @@ def _load_config(args) -> ScenarioConfig:
     return config
 
 
-def _setup(config: ScenarioConfig):
-    model = build_model(config)
-    tgrid, agrid = build_grids(config, model)
-    return model, tgrid, agrid
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectral(config, out: str) -> dict:
-    problem = malthus.MalthusProblem(*_setup(config))
+def cmd_spectral(config, model, out: str) -> dict:
+    problem = malthus.MalthusProblem(model, *build_grids(config, model))
     rows = []
     for lam in LAMBDA_SAMPLE:
         pd, pq = problem.eigendata(lam)[1:]
@@ -107,22 +100,22 @@ def _tol_lam(config) -> float:
     return min(config.tol * 1e4, 1e-6)
 
 
-def _solve(config, dynamics: bool = False):
-    """Set up, find lambda* and lift the eigen-triple. The profiles are formed on
-    the ages they need at lambda* (`kernel.profile_lattice`), or for the
-    dynamics on the whole age lattice, which they step on. The problem keeps
+def _solve(config, model, dynamics: bool = False):
+    """Build the grids, find lambda* and lift the eigen-triple. The profiles are
+    formed on the ages they need at lambda* (`kernel.profile_lattice`), or for
+    the dynamics on the whole age lattice, which they step on. The problem keeps
     its age factors for later lambdas; each command drops them before it steps
     the dynamics."""
-    model, tgrid, agrid = _setup(config)
+    tgrid, agrid = build_grids(config, model)
     problem = malthus.MalthusProblem(model, tgrid, agrid)
     lam = problem.find_lambda_star(_tol_lam(config))
     lattice = agrid if dynamics else kernel.profile_lattice(model, lam, agrid)
     triple = malthus.eigentriple(problem, lam, lattice)
-    return model, tgrid, agrid, problem, triple
+    return tgrid, agrid, problem, triple
 
 
-def cmd_malthus(config, out: str, solved=None) -> dict:
-    model, tgrid, agrid, problem, triple = solved or _solve(config)
+def cmd_malthus(config, model, out: str, solved=None) -> dict:
+    tgrid, agrid, problem, triple = solved or _solve(config, model)
     rho0 = problem.rho_of_lambda(0.0)
     ck, pd = problem.direct_pair(triple.lambda_star)
     density_residual = None     # the continuous density exists in the Regular regime
@@ -149,9 +142,9 @@ def cmd_malthus(config, out: str, solved=None) -> dict:
     }
 
 
-def cmd_stationary(config, out: str) -> dict:
+def cmd_stationary(config, model, out: str) -> dict:
     from . import pde
-    model, tgrid, agrid, problem, triple = _solve(config)
+    tgrid, agrid, problem, triple = _solve(config, model)
     problem.release_factors()
     lam, nbar, mass = malthus.stationary_state(problem, triple)
     # n-bar is a scaled copy of N: drop the triple's N and phi grids before the residual
@@ -164,9 +157,9 @@ def cmd_stationary(config, out: str) -> dict:
             "warnings": warnings, "manifest": manifest}
 
 
-def cmd_pde(config, out: str, tmax: float) -> dict:
+def cmd_pde(config, model, out: str, tmax: float) -> dict:
     from . import pde
-    model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
+    tgrid, agrid, problem, triple = _solve(config, model, dynamics=True)
     problem.release_factors()
     lam, nbar, _ = malthus.stationary_state(problem, triple)
     solver = pde.TransportSolver(model, tgrid, agrid, problem.mix)
@@ -191,9 +184,9 @@ def cmd_pde(config, out: str, tmax: float) -> dict:
             "manifest": [path]}
 
 
-def cmd_ibm(config, out: str, tmax: float, replicates: int, scale: int) -> dict:
+def cmd_ibm(config, model, out: str, tmax: float, replicates: int, scale: int) -> dict:
     from . import ibm
-    model, tgrid, agrid, problem, triple = _solve(config, dynamics=True)
+    tgrid, agrid, problem, triple = _solve(config, model, dynamics=True)
     problem.release_factors()
     # the run is linear: its expected population at tmax is scale * e^{lambda* tmax}
     if math.log(scale) + triple.lambda_star * tmax > math.log(ibm.PARTICLE_CAP):
@@ -233,12 +226,13 @@ def _refinement_rows(config, problem):
     """Refinement sweep up to the solved grid, reusing its problem at nx = n.
 
     The grids are n/4 (at least 8), n/2 and n, less those outside [2, n], in
-    increasing order; each problem is built as the sweep reaches it.
+    increasing order; each problem is built as the sweep reaches it, on the
+    solved problem's model and age lattice, which do not depend on nx.
     """
-    n = problem.tgrid.n
+    n, model = problem.tgrid.n, problem.model
     nx_list = sorted({nx for nx in (max(n // 4, 8), n // 2, n) if 2 <= nx <= n})
-    problems = (problem if nx == n else malthus.MalthusProblem(*_setup(replace(config, nx=nx)))
-                for nx in nx_list)
+    problems = (problem if nx == n else malthus.MalthusProblem(
+        model, midpoint_grid(model.trait_domain, nx), problem.agrid) for nx in nx_list)
     return malthus.refinement_sweep(problems, _tol_lam(config))
 
 
@@ -253,9 +247,9 @@ def _dual_rows_from_k(model, tgrid, ck, rows: slice) -> np.ndarray:
     return block
 
 
-def cmd_verify(config, out: str, solved=None) -> dict:
+def cmd_verify(config, model, out: str, solved=None) -> dict:
     from . import ibm, pde
-    model, tgrid, agrid, problem, triple = solved or _solve(config)
+    tgrid, agrid, problem, triple = solved or _solve(config, model)
     checks = validate_assumptions(model, tgrid, agrid).checks
     ck, pd, pq = problem.eigendata(0.0)
     checks["adjoint_defect"] = spectral.adjoint_residual(
@@ -311,36 +305,37 @@ def _replicate_count(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("spectral", "malthus", "stationary", "pde", "ibm", "verify", "scenario")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone where it names one."""
     parser = argparse.ArgumentParser(prog="structpop",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name in (command,) if command in COMMANDS else COMMANDS:
+        sp = sub.add_parser(name)
+        if name == "scenario":
+            sp.add_argument("preset", choices=sorted(PRESETS))
+            sp.add_argument("--verify", action="store_true")
         sp.add_argument("--out", default="out")
         sp.add_argument("--nx", type=int, default=None)
         sp.add_argument("--da", type=float, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        return sp
-
-    for name in ("spectral", "malthus", "stationary", "pde", "ibm", "verify"):
-        sp = common(sub.add_parser(name))
-        sp.add_argument("--config", default=None)   # scenario runs its preset's config
+        if name != "scenario":      # scenario runs its preset's config
+            sp.add_argument("--config", default=None)
         if name == "pde":
             sp.add_argument("--tmax", type=_positive_time, default=10.0)
         if name == "ibm":   # the linear run grows like e^{lambda* t}: a short horizon
             sp.add_argument("--tmax", type=_positive_time, default=3.0)
             sp.add_argument("--replicates", type=_replicate_count, default=20)
-    sc = sub.add_parser("scenario")
-    sc.add_argument("preset", choices=sorted(PRESETS))
-    sc.add_argument("--verify", action="store_true")
-    common(sc)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -356,27 +351,27 @@ def main(argv=None) -> int:
         if command == "ibm" and not math.isfinite(model.death.sup):
             raise ConfigError("ibm's thinning needs a bounded death rate")
         if command == "scenario":
-            solved = _solve(config)
-            summary = cmd_malthus(config, args.out, solved)
+            solved = _solve(config, model)
+            summary = cmd_malthus(config, model, args.out, solved)
             if args.verify:
-                v = cmd_verify(config, args.out, solved)
+                v = cmd_verify(config, model, args.out, solved)
                 summary["verify"] = {k: v[k] for k in ("checks", "all_green",
                                                        "square_integrability_constant")}
                 summary["manifest"] += v["manifest"]
             if summary["regime"] != "Regular":
                 summary["convergence_report"] = REFUSED
         elif command == "spectral":
-            summary = cmd_spectral(config, args.out)
+            summary = cmd_spectral(config, model, args.out)
         elif command == "malthus":
-            summary = cmd_malthus(config, args.out)
+            summary = cmd_malthus(config, model, args.out)
         elif command == "stationary":
-            summary = cmd_stationary(config, args.out)
+            summary = cmd_stationary(config, model, args.out)
         elif command == "pde":
-            summary = cmd_pde(config, args.out, args.tmax)
+            summary = cmd_pde(config, model, args.out, args.tmax)
         elif command == "ibm":
-            summary = cmd_ibm(config, args.out, args.tmax, args.replicates, 500)
+            summary = cmd_ibm(config, model, args.out, args.tmax, args.replicates, 500)
         else:
-            summary = cmd_verify(config, args.out)
+            summary = cmd_verify(config, model, args.out)
         summary["scenario"] = getattr(args, "preset", None) or args.config
         summary["config"] = config.to_dict()
         summary["blas_threads_env"] = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}

@@ -14,7 +14,6 @@ import math
 import random
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +32,16 @@ class ExplosionError(RuntimeError):
         self.log = log
 
 
-@dataclass
 class EventLog:
-    sample_times: np.ndarray
-    masses: np.ndarray
-    snapshots: list             # per sample time: (traits array, ages array) or None
-    replicate: int = 0
-    K: int = 1
-    n_events: int = 0
-    n_deaths: int = 0
-    peak: int = 0               # largest live count
-    events: list | None = None  # optional (t, kind) records
-    loop: str = "python"        # which event loop ran: "c" or "python"
+    def __init__(self, sample_times: np.ndarray, masses: np.ndarray, snapshots: list,
+                 replicate: int, K: int, n_events: int, n_deaths: int, peak: int,
+                 events: list | None, loop: str):
+        self.sample_times, self.masses = sample_times, masses
+        self.snapshots = snapshots      # per sample time: (traits array, ages array) or None
+        self.replicate, self.K, self.n_events, self.n_deaths = replicate, K, n_events, n_deaths
+        self.peak = peak                # largest live count
+        self.events = events            # optional (t, kind) records
+        self.loop = loop                # which event loop ran: "c" or "python"
 
 
 # _loops.c's family codes and the order of its four rate parameters; its

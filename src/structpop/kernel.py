@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AgeGrid, ConfigError, RateModel, TraitGrid
+from .model import AgeGrid, ConfigError, RateModel, Record, TraitGrid
 
 TAIL_RTOL = 2.0 ** -60      # what an age sum leaves out, relative to its first cell
 BLOCK_BYTES = 2 ** 19       # one (trait rows, width) temporary of a pass by row blocks
@@ -180,8 +179,7 @@ def survival_matrix(model: RateModel, xs: np.ndarray, ages: np.ndarray,
     return np.exp(np.negative(cum, out=cum), out=cum)
 
 
-@dataclass(frozen=True)
-class AgeFactors:
+class AgeFactors(Record):
     """The lambda-free parts of the per-cell product quadrature on an age lattice.
 
     On cell [a_j, a_{j+1}] of width h_j the integrand B R_lambda is modeled as
@@ -352,8 +350,7 @@ def profiles(model: RateModel, xs: np.ndarray, factors: AgeFactors, agrid: AgeGr
 MIX_RTOL = 1e-14     # the kernel factor's stop, relative to the kernel's diagonal
 
 
-@dataclass(frozen=True)
-class MixForm:
+class MixForm(Record):
     """diag(d) + U V^T: Mix, and every operator formed from it, held as its
     clonal diagonal d and its mutant part U V^T, so the diagonal is never
     recovered by a difference.
@@ -484,8 +481,7 @@ def mix_matrix(model: RateModel, tgrid: TraitGrid) -> MixForm:
     return MixForm(clonal, L * (p * tgrid.dx), L * kd[:, None])
 
 
-@dataclass(frozen=True)
-class CollapsedKernel:
+class CollapsedKernel(Record):
     """The birth integral sB = int B R_lambda da at a fixed lambda, per trait
     node: the renewal operator is Mix diag(sB), `mix.scaled(sB)`."""
 

@@ -20,21 +20,19 @@ commands that write them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernel as kern
 from . import spectral
-from .model import AgeGrid, RateModel, TraitGrid, grid_integral
+from .model import AgeGrid, RateModel, Record, TraitGrid, grid_integral
 
 
 class SubcriticalError(RuntimeError):
     """rho(0) <= 1: no positive growth rate, no nontrivial stationary state."""
 
 
-@dataclass(frozen=True)
-class EigenTriple:
+class EigenTriple(Record):
     """lambda* and the profiles N and phi on the age lattice `agrid`, a prefix
     of the problem's, on which they are normalized; readers of the grids
     read that lattice."""
@@ -47,7 +45,7 @@ class EigenTriple:
     eta_lower_proof: float      # conservative proof-style bound
     norms: dict
     regime: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 class MalthusProblem:

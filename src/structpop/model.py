@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,12 +19,53 @@ class ConfigError(ValueError):
     """Raised for malformed scenario configurations."""
 
 
+class Record:
+    """An immutable record of the fields its class annotates, in order, each
+    defaulting to the class's value where it gives one. Records are built by
+    position or name and are equal field by field; `replace` copies one
+    through its class's constructor, so its `_check` holds on every copy."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)])
+                or values.keys() != set(fields)):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {fields} "
+                            f"once, got {len(args)} by position and {sorted(kwargs)}")
+        self.__dict__.update(values)
+        self._check()
+
+    def _check(self) -> None:
+        """Raises ConfigError where the fields break the record's rules."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """record with the fields `changes` changed, built by its class's constructor."""
+    return type(record)(**{**record.__dict__, **changes})
+
+
 # ---------------------------------------------------------------------------
 # rate families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateFamily:
+class RateFamily(Record):
     """A nonnegative rate map (x, a) -> value with known global bounds."""
 
     name: str
@@ -172,8 +212,7 @@ def _make_rate(name: str, params: dict, domain: tuple[float, float]) -> RateFami
     return fam
 
 
-@dataclass(frozen=True)
-class KernelFamily:
+class KernelFamily(Record):
     """Mutation density k(x, y), a probability density in y over S."""
 
     fn: Callable                 # (x, y) -> density
@@ -229,8 +268,7 @@ def _make_kernel(name: str, params: dict, domain: tuple[float, float]) -> Kernel
 # model and grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateModel:
+class RateModel(Record):
     birth: RateFamily
     death: RateFamily
     mutation_kernel: KernelFamily
@@ -238,7 +276,7 @@ class RateModel:
     competition: float
     trait_domain: tuple[float, float]
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.mutation_prob < 1.0:
             raise ConfigError("mutation probability must lie in (0, 1)")
         if not (math.isfinite(self.competition) and self.competition >= 0):
@@ -263,8 +301,7 @@ class RateModel:
         return max(self.birth.age_flat_from, self.death.age_flat_from)
 
 
-@dataclass(frozen=True)
-class TraitGrid:
+class TraitGrid(Record):
     """Midpoint nodes of a uniform trait grid and its step dx, every node's weight."""
 
     nodes: np.ndarray
@@ -275,15 +312,14 @@ class TraitGrid:
         return self.nodes.size
 
 
-@dataclass(frozen=True)
-class AgeGrid:
+class AgeGrid(Record):
     """The age lattice a_j = j da, j = 0 .. n_cells, which every (x, a) grid and
     age integral shares; n_cells is even and at least 2, as Simpson's rule needs."""
 
     da: float
     n_cells: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_cells < 2 or self.n_cells % 2:
             raise ConfigError(f"age lattice needs an even cell count >= 2, got {self.n_cells}")
 
@@ -338,8 +374,7 @@ def midpoint_grid(domain: tuple[float, float], nx: int) -> TraitGrid:
 # scenario configuration (JSON round-trip)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     trait_domain: tuple[float, float]
     birth: dict          # {"family": ..., "params": {...}}
     death: dict
@@ -351,9 +386,9 @@ class ScenarioConfig:
     tol: float
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         """Checks the grid and seed fields, however the config was made: a preset,
-        `parse_config` or a `dataclasses.replace` of command-line overrides."""
+        `parse_config` or a `replace` of command-line overrides."""
         if not (isinstance(self.nx, int) and self.nx >= 2):
             raise ConfigError(f"grids.nx must be an integer >= 2, got {self.nx!r}")
         for name in ("da", "tol"):
@@ -434,10 +469,10 @@ def build_grids(config: ScenarioConfig, model: RateModel) -> tuple[TraitGrid, Ag
 # assumption report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AssumptionReport:
-    checks: dict = field(default_factory=dict)   # name -> bool
-    details: dict = field(default_factory=dict)
+    def __init__(self):
+        self.checks: dict = {}      # name -> bool
+        self.details: dict = {}
 
 
 def validate_assumptions(model: RateModel, tgrid: TraitGrid,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,17 +63,15 @@ class DensityState:
         return DensityState(self.t, self.values.copy())
 
 
-@dataclass
 class TraceRecord:
-    t: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    tv_to_target: list = field(default_factory=list)
-    phi_weighted_dist: list = field(default_factory=list)
-    invariant_value: list = field(default_factory=list)
-    D_t: list = field(default_factory=list)
-    truncation_loss: list = field(default_factory=list)
-    steps: int = 0
-    record: str = "numpy"       # which loops stepped and took the sums: "c" or "numpy"
+    def __init__(self, steps: int, record: str):
+        self.t, self.mass, self.tv_to_target, self.phi_weighted_dist = [], [], [], []
+        self.invariant_value, self.D_t, self.truncation_loss = [], [], []
+        self.steps = steps
+        self.record = record    # which loops stepped and took the sums: "c" or "numpy"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
 
 class TransportSolver:
@@ -311,10 +308,10 @@ def run(solver: TransportSolver, state: DensityState, T: float,
 
     The flow is the solver's model's: a run is linear exactly when its
     competition rate is 0 (the linear flow of a model is the flow of
-    `replace(model, competition=0.0)`). A linear run with lam_star supplied
-    scales the state by e^{-lam* t} before its distances, so the trace holds
-    the distances of e^{-lam* t} v_t to the target (the expected limit m0 * N),
-    and with phi also the invariant sum(e^{-lam* t} v phi).
+    `structpop.model.replace(model, competition=0.0)`). A linear run with
+    lam_star supplied scales the state by e^{-lam* t} before its distances, so
+    the trace holds the distances of e^{-lam* t} v_t to the target (the
+    expected limit m0 * N), and with phi also the invariant sum(e^{-lam* t} v phi).
 
     The steps between two records are one call of `step_nonlinear`, so
     record_every below 1 raises ValueError. Every record takes the same five

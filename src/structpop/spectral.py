@@ -16,11 +16,11 @@ machine precision by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import MixForm, row_blocks
+from .model import Record
 
 
 class PerronConvergenceError(RuntimeError):
@@ -31,15 +31,14 @@ class PerronConvergenceError(RuntimeError):
         self.rho, self.profile, self.iterations, self.residual = rho, profile, iterations, residual
 
 
-@dataclass(frozen=True)
-class PerronPair:
+class PerronPair(Record):
     rho: float
     profile: np.ndarray         # nonnegative, dx sum(profile) = 1
     iterations: int
     residual: float
-    shifts: int = 0             # shifts sigma, each with its (sigma I - M)^{-1}
-    path: str = "power"         # "power" | "shift-invert" | "warm"
-    cw_bracket: tuple[float, float] = (0.0, math.inf)   # Collatz-Wielandt, last iterate
+    shifts: int                 # shifts sigma, each with its (sigma I - M)^{-1}
+    path: str                   # "power" | "shift-invert" | "warm"
+    cw_bracket: tuple[float, float]     # Collatz-Wielandt, last iterate
 
     def summary(self) -> dict:
         """The solve's path, iteration and shift counts and final bracket, JSON-ready."""

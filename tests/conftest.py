@@ -1,10 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from structpop import build_grids, build_model, constant_scenario, kernel, singular_scenario
 from structpop.malthus import MalthusProblem, solve_eigentriple, stationary_state
+from structpop.model import replace
 from structpop.pde import TransportSolver
 
 

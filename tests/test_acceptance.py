@@ -5,7 +5,6 @@ verification report. Heavy shared state (the constant-model eigen data)
 comes from the session fixtures in conftest.
 """
 
-import dataclasses
 import math
 import time
 
@@ -17,8 +16,8 @@ import conftest
 from structpop import ibm, pde
 from structpop.kernel import MixForm, mix_matrix
 from structpop.malthus import MalthusProblem, refinement_sweep, solve_eigentriple
-from structpop.model import (build_grids, build_model, constant_scenario,
-                             midpoint_grid, singular_scenario)
+from structpop.model import (build_grids, build_model, constant_scenario, midpoint_grid,
+                             replace, singular_scenario)
 from structpop.spectral import adjoint_residual, perron
 
 
@@ -124,7 +123,7 @@ def _linear_diagnostics(da):
     tg, ag = build_grids(cfg, model)
     prob = MalthusProblem(model, tg, ag)
     tr = solve_eigentriple(prob, tol_lam=1e-10)
-    linear = dataclasses.replace(model, competition=0.0)
+    linear = replace(model, competition=0.0)
     solver = pde.TransportSolver(linear, tg, ag, prob.mix)
     xt = (tg.nodes - tg.nodes[0]) / (tg.nodes[-1] - tg.nodes[0])
     v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
@@ -238,7 +237,7 @@ def test_criterion_11_degenerate_spectrum():
 
 def test_criterion_12_transform_identity():
     def disc(da, c):
-        cfg = dataclasses.replace(constant_scenario(da=da), c=c)
+        cfg = replace(constant_scenario(da=da), c=c)
         model = build_model(cfg)
         tg, ag = build_grids(cfg, model)
         solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import collections
-import dataclasses
 import fnmatch
 import gc
 import hashlib
@@ -24,7 +23,7 @@ from conftest import cell_path
 from structpop import _loops, cli, ibm, kernel, malthus, pde, spectral
 from structpop.cli import (EXIT_ERROR, EXIT_OK, EXIT_SUBCRITICAL, EXIT_USAGE, main)
 from structpop.model import (PRESETS, build_grids, build_model, constant_scenario,
-                             mass_weights, midpoint_grid, singular_scenario)
+                             mass_weights, midpoint_grid, replace, singular_scenario)
 
 
 def write_config(path, cfg):
@@ -63,7 +62,7 @@ def test_no_arguments_is_usage_error(capsys):
 
 
 def test_subcritical_exit_code(tmp_path, capsys):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=8, tol=1e-8),
         birth={"family": "constant", "params": {"value": 0.5}})
     path = write_config(tmp_path / "sub.json", cfg)
@@ -156,7 +155,8 @@ def test_stationary_residual_runs_beside_nbar_alone(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cli.cmd_stationary(constant_scenario(nx=64), str(tmp_path))
+        config = constant_scenario(nx=64)
+        cli.cmd_stationary(config, build_model(config), str(tmp_path))
     finally:
         tracemalloc.stop()
     assert seen["held"] - start <= 1.5 * seen["grid"]       # 3.0 grids with the triple
@@ -248,7 +248,7 @@ def test_scenario_singular_refuses_convergence(tmp_path):
 @pytest.mark.parametrize("nx, swept", [(2, [2]), (3, [3]), (10, [5, 8, 10]),
                                        (16, [8, 16])])
 def test_verify_refines_up_to_the_solved_grid(tmp_path, nx, swept):
-    path = write_config(tmp_path / "sing.json", dataclasses.replace(
+    path = write_config(tmp_path / "sing.json", replace(
         singular_scenario(nx=nx), p=0.001))
     out = str(tmp_path / "out")
     assert main(["verify", "--config", path, "--out", out]) == EXIT_OK
@@ -258,7 +258,7 @@ def test_verify_refines_up_to_the_solved_grid(tmp_path, nx, swept):
 
 @pytest.fixture
 def no_competition_cfg(tmp_path):
-    cfg = dataclasses.replace(constant_scenario(nx=8, tol=1e-8), c=0.0)
+    cfg = replace(constant_scenario(nx=8, tol=1e-8), c=0.0)
     return write_config(tmp_path / "c0.json", cfg)
 
 
@@ -275,7 +275,7 @@ def test_stationary_commands_refuse_no_competition_before_solving(
 
 def test_ibm_refuses_an_unbounded_death_rate_before_solving(tmp_path, capsys, monkeypatch):
     # thinning needs a finite sup of the death rate; an aging death has none
-    cfg = dataclasses.replace(constant_scenario(nx=8, tol=1e-8), death={
+    cfg = replace(constant_scenario(nx=8, tol=1e-8), death={
         "family": "affine", "params": {"base": 1.0, "slope_a": 0.5}})
     path = write_config(tmp_path / "aging.json", cfg)
     monkeypatch.setattr(cli, "_solve", lambda *args, **kwargs: pytest.fail("solved"))
@@ -322,7 +322,7 @@ def test_malformed_family_parameters_exit_2_before_solving(tmp_path, capsys, mon
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))    # NaN and Infinity as Python's json writes them
     monkeypatch.setattr(cli, "_solve", lambda *args, **kwargs: pytest.fail("solved"))
-    monkeypatch.setattr(cli, "_setup", lambda *args, **kwargs: pytest.fail("set up"))
+    monkeypatch.setattr(cli, "build_grids", lambda *args, **kwargs: pytest.fail("set up"))
     out = str(tmp_path / "out")
     assert main([command, "--config", str(path), "--out", out]) == EXIT_USAGE
     err = json.loads(capsys.readouterr().out)
@@ -371,7 +371,7 @@ def _refuse(token):
 def test_summaries_are_strict_json(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", constant_scenario(nx=16, tol=1e-8))
     # births stop after age 1.01, so phi and G[phi^2] + D phi^2 both vanish there
-    tab = write_config(tmp_path / "tab.json", dataclasses.replace(
+    tab = write_config(tmp_path / "tab.json", replace(
         constant_scenario(nx=16, tol=1e-8), birth={"family": "tabulated", "params": {
             "x_nodes": [0.0, 1.0], "a_nodes": [0.0, 1.0, 1.01],
             "values": [[3.0, 3.0, 0.0], [3.0, 3.0, 0.0]]}}))
@@ -390,7 +390,7 @@ def test_summaries_are_strict_json(tmp_path):
 
 def test_non_finite_summary_value_exits_1_without_a_summary(small_cfg, tmp_path,
                                                             monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cmd_spectral", lambda config, out: {"rho": math.inf})
+    monkeypatch.setattr(cli, "cmd_spectral", lambda config, model, out: {"rho": math.inf})
     out = tmp_path / "out"
     assert main(["spectral", "--config", small_cfg, "--out", str(out)]) == EXIT_ERROR
     assert json.loads(capsys.readouterr().out)["kind"] == "ValueError"
@@ -400,7 +400,7 @@ def test_non_finite_summary_value_exits_1_without_a_summary(small_cfg, tmp_path,
 def unreached_traits_config():
     # births vanish below x = 0.5 and gaussian(0.01) underflows to 0 beyond
     # about 0.39 from every parent, so mu is exactly 0 below x = 0.11
-    return dataclasses.replace(constant_scenario(nx=64), kernel={
+    return replace(constant_scenario(nx=64), kernel={
         "family": "gaussian", "params": {"width": 0.01}}, birth={
         "family": "tabulated", "params": {"x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 1.0],
                                           "values": [[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]]}})
@@ -516,11 +516,11 @@ def test_scenario_singular_forms_no_age_cell(tmp_path, monkeypatch):
 # records took the tail). The summary is taken without the keys that name the
 # run's config path and thread environment, or the tail's own counts.
 AGE_READING = {
-    "logistic_age_birth": dataclasses.replace(
+    "logistic_age_birth": replace(
         singular_scenario(nx=16), birth={"family": "logistic_age", "params": {
             "low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.4}},
         kernel={"family": "gaussian", "params": {"width": 0.15}}),
-    "aging_death": dataclasses.replace(constant_scenario(nx=16), death={
+    "aging_death": replace(constant_scenario(nx=16), death={
         "family": "affine", "params": {"base": 1.0, "slope_x": 0.5, "slope_a": 0.5}}),
 }
 AGE_READING_DIGESTS = {
@@ -600,7 +600,7 @@ def test_config_with_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_unbounded_birth_rate_is_config_error(tmp_path, capsys):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=8, tol=1e-8),
         birth={"family": "affine", "params": {"base": 2.0, "slope_a": 0.1}})
     path = write_config(tmp_path / "unbounded.json", cfg)
@@ -611,7 +611,7 @@ def test_unbounded_birth_rate_is_config_error(tmp_path, capsys):
 
 
 def test_unbounded_death_rate_still_accepted(tmp_path):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=8, tol=1e-8),
         death={"family": "affine", "params": {"base": 1.0, "slope_a": 0.1}})
     path = write_config(tmp_path / "aging.json", cfg)
@@ -619,7 +619,7 @@ def test_unbounded_death_rate_still_accepted(tmp_path):
 
 
 def test_verify_gaussian_kernel_assumptions(tmp_path):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=16, tol=1e-8),
         kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
     path = write_config(tmp_path / "gauss.json", cfg)
@@ -679,7 +679,7 @@ def test_verify_names_the_assumption_a_scaled_kernel_fails(small_cfg, tmp_path, 
     def scaled_kernel(config):
         model = build_model(config)
         k = model.mutation_kernel
-        return dataclasses.replace(model, mutation_kernel=dataclasses.replace(
+        return replace(model, mutation_kernel=replace(
             k, fn=lambda x, y, fn=k.fn: 1.001 * fn(x, y)))
     monkeypatch.setattr(cli, "build_model", scaled_kernel)
     summary = verify_summary(small_cfg, tmp_path / "out")
@@ -691,9 +691,9 @@ def test_verify_names_the_assumption_a_scaled_kernel_fails(small_cfg, tmp_path, 
 def test_verify_norms_finite_fails_on_a_non_finite_norm(small_cfg, tmp_path, monkeypatch):
     solve = cli._solve
 
-    def nan_norm(config):
-        *rest, triple = solve(config)
-        return (*rest, dataclasses.replace(triple, norms={**triple.norms, "intNphi": math.nan}))
+    def nan_norm(config, model):
+        *rest, triple = solve(config, model)
+        return (*rest, replace(triple, norms={**triple.norms, "intNphi": math.nan}))
     monkeypatch.setattr(cli, "_solve", nan_norm)
     summary = verify_summary(small_cfg, tmp_path / "out")
     assert summary["checks"]["norms_finite"] is False and not summary["all_green"]
@@ -705,7 +705,7 @@ def test_verify_adjoint_defect_fails_on_a_mix_that_reads_k_from_the_wrong_side(
     # so a Mix built on k(x_i, x_j) in place of k(x_j, x_i) is not the dual's
     mix_matrix = kernel.mix_matrix
     monkeypatch.setattr(kernel, "mix_matrix", lambda model, tgrid: mix_matrix(model, tgrid).T)
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=16, tol=1e-8),
         kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
     out = str(tmp_path / "out")
@@ -725,9 +725,9 @@ def test_verify_adjoint_defect_reads_which_side_a_factored_mix_takes_k_from(
     def mix(model, tgrid):
         built = mix_matrix(model, tgrid)
         assert (built.form, built.rank) == ("factored", 25)
-        return dataclasses.replace(built, U=built.V, V=built.U) if swap else built
+        return replace(built, U=built.V, V=built.U) if swap else built
     monkeypatch.setattr(kernel, "mix_matrix", mix)
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=128, tol=1e-8),
         kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
     out = str(tmp_path / "out")
@@ -956,8 +956,9 @@ def test_no_command_loads_scipy(tmp_path):
     pde_run = modules_loaded_by(["pde", "--tmax", "0.2", "--config", cfg, "--out", "out"],
                                 tmp_path)
     assert scipy_of(pde_run) == []
-    assert scipy_of(modules_loaded_by(["ibm", "--tmax", "0.5", "--replicates", "2",
-                                       "--config", cfg, "--out", "out"], tmp_path)) == []
+    ibm_run = modules_loaded_by(["ibm", "--tmax", "0.5", "--replicates", "2",
+                                 "--config", cfg, "--out", "out"], tmp_path)
+    assert scipy_of(ibm_run) == []
     # numpy.fft is loaded by the first block of PDE steps, never at start-up
     start_up = modules_loaded_by(None, tmp_path)
     assert "numpy.fft" not in start_up
@@ -969,6 +970,9 @@ def test_no_command_loads_scipy(tmp_path):
     assert scipy_of(scenario) == []
     for modules in (start_up, pde_run, scenario):
         assert BUILD_ONLY_MODULES.isdisjoint(modules)
+    # the package's records are plain classes: creating dataclasses costs start-up
+    for modules in (start_up, pde_run, ibm_run, scenario):
+        assert "dataclasses" not in modules
     # only the commands that step dynamics or verify load the PDE and IBM modules
     for modules in (start_up, scenario):
         assert DYNAMICS_MODULES.isdisjoint(modules)
@@ -1009,6 +1013,53 @@ def test_the_command_line_surface_is_pinned():
                       for a in sp._actions if not isinstance(a, argparse._HelpAction)]
                for name, sp in sub.choices.items()}
     assert surface == CLI_SURFACE
+
+
+SAMPLE_ARGV = {name: [name, "--config", "c.json", "--nx", "12", "--da", "0.02",
+                      "--tol", "1e-7", "--seed", "3", "--out", "o"]
+               for name in ("spectral", "malthus", "stationary", "verify")}
+SAMPLE_ARGV["pde"] = ["pde", "--config", "c.json", "--tmax", "2.5"]
+SAMPLE_ARGV["ibm"] = ["ibm", "--config", "c.json", "--tmax", "1.5", "--replicates", "4"]
+SAMPLE_ARGV["scenario"] = ["scenario", "singular", "--verify", "--nx", "800"]
+
+
+def subparsers_of(parser):
+    """The command name -> subparser map of a structpop parser."""
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_a_command_parses_alone_as_in_the_full_parser():
+    full = subparsers_of(cli._build_parser())
+    assert list(full) == list(cli.COMMANDS) == sorted(SAMPLE_ARGV, key=cli.COMMANDS.index)
+    for name in cli.COMMANDS:
+        parser = cli._build_parser(name)
+        alone = subparsers_of(parser)
+        assert list(alone) == [name]
+        assert alone[name].format_help() == full[name].format_help()
+        assert parser.parse_args(SAMPLE_ARGV[name]) == cli._build_parser().parse_args(
+            SAMPLE_ARGV[name])
+    assert list(subparsers_of(cli._build_parser("bogus"))) == list(cli.COMMANDS)
+
+
+def test_main_builds_the_parser_of_its_command_alone(tmp_path, monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def recording(command=None):
+        parser = build(command)
+        built.append(list(subparsers_of(parser)))
+        return parser
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    # rejected by the malthus parser, before any config is read
+    assert main(["malthus", "--tmax", "5", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert built == [["malthus"]]
+    # no command, an unknown one and a top-level --help read every command
+    for argv, code in (([], EXIT_USAGE), (["bogus"], EXIT_USAGE), (["--help"], EXIT_OK)):
+        built.clear()
+        assert main(argv) == code
+        assert built == [list(cli.COMMANDS)]
+    assert "{spectral,malthus,stationary,pde,ibm,verify,scenario}" in capsys.readouterr().out
 
 
 def test_every_public_name_is_referenced():

@@ -1,7 +1,6 @@
 import ast
 import collections
 import ctypes
-import dataclasses
 import gc
 import itertools
 import math
@@ -22,11 +21,11 @@ from scipy import stats
 from structpop import _loops, ibm, pde
 from structpop.kernel import mix_matrix
 from structpop.model import (AgeGrid, _make_rate, build_model, constant_scenario,
-                             mass_weights, midpoint_grid)
+                             mass_weights, midpoint_grid, replace)
 
 
 def const_model(birth=2.0, c=1.0):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(), c=c,
         birth={"family": "constant", "params": {"value": birth}})
     return build_model(cfg)
@@ -126,7 +125,7 @@ def assert_same_log(log, ref):
 
 
 def model_from(**changes):
-    return build_model(dataclasses.replace(constant_scenario(), **changes))
+    return build_model(replace(constant_scenario(), **changes))
 
 
 STREAM_CASES = {
@@ -647,7 +646,7 @@ def test_mass_integer_particles(tg):
 
 
 def test_mutants_stay_in_domain(tg):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(), p=0.9,
         kernel={"family": "gaussian", "params": {"width": 0.1}})
     model = build_model(cfg)

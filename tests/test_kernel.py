@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -12,7 +11,7 @@ from structpop.kernel import (TAIL_RTOL, age_factors, cell_integrals,
                               prefix_cells, profiles, row_blocks, survival_matrix,
                               tail_bound)
 from structpop.model import (AgeGrid, ConfigError, build_grids, build_model,
-                             constant_scenario, midpoint_grid, singular_scenario)
+                             constant_scenario, midpoint_grid, replace, singular_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +89,7 @@ def test_collapse_closed_forms(const_model):
 
 
 def test_collapse_zero_birth():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         birth={"family": "constant", "params": {"value": 0.0}})
     model = build_model(cfg)
@@ -160,11 +159,11 @@ def reference_cell_integrals(model, xs, ages, lam):
 REFERENCE_CASES = {
     "constant": constant_scenario(nx=6),
     "singular": singular_scenario(nx=6),
-    "affine_death_in_age": dataclasses.replace(
+    "affine_death_in_age": replace(
         constant_scenario(nx=6),
         death={"family": "affine", "params": {"base": 1.0, "slope_x": 0.5,
                                               "slope_a": 0.3}}),
-    "logistic_age_birth": dataclasses.replace(
+    "logistic_age_birth": replace(
         constant_scenario(nx=6),
         birth={"family": "logistic_age",
                "params": {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.4}}),
@@ -227,7 +226,7 @@ HORIZON_CASES = {
     "constant": cell_path(constant_scenario(nx=16)),
     "singular": cell_path(singular_scenario(nx=16)),
     "affine_death_in_age": REFERENCE_CASES["affine_death_in_age"],
-    "logistic_age_birth": dataclasses.replace(REFERENCE_CASES["logistic_age_birth"], nx=16),
+    "logistic_age_birth": replace(REFERENCE_CASES["logistic_age_birth"], nx=16),
 }
 
 
@@ -282,7 +281,7 @@ def scanned_horizon(model, lam, first, ages):
                  if tail_bound(model, lam, ages[j]) <= limit), n_cells)
 
 
-LATE_BIRTHS = dataclasses.replace(constant_scenario(nx=8), birth={
+LATE_BIRTHS = replace(constant_scenario(nx=8), birth={
     "family": "tabulated", "params": {"x_nodes": [0.0, 1.0],
                                       "a_nodes": [0.0, 0.01, 0.02, 1.0],
                                       "values": [[0.0, 0.0, 2.0, 2.0]] * 2}})
@@ -292,7 +291,7 @@ SCAN_CASES = {**HORIZON_CASES, "late_births": LATE_BIRTHS}
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 @pytest.mark.parametrize("da, tol", [(0.01, 1e-10), (0.005, 1e-10), (0.02, 1e-6)])
 def test_horizon_is_the_scanned_first_node(case, da, tol):
-    cfg = dataclasses.replace(SCAN_CASES[case], nx=8, da=da, tol=tol)
+    cfg = replace(SCAN_CASES[case], nx=8, da=da, tol=tol)
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     factors = age_factors(model, tg.nodes, ag.nodes)
@@ -345,7 +344,7 @@ def whole_grid_age_factors(model, xs, ages):
 
 
 BLOCKED_CASES = {"singular": cell_path(singular_scenario(nx=256)),
-                 "affine_death_in_age": dataclasses.replace(
+                 "affine_death_in_age": replace(
                      REFERENCE_CASES["affine_death_in_age"], nx=256)}
 
 
@@ -367,7 +366,7 @@ def test_row_blocks_keep_the_bits_of_the_whole_grid(case):
 
 
 # a_f = 1.5: the birth stops reading age at 1, the death at 1.5
-TABULATED = dataclasses.replace(constant_scenario(nx=16), birth={
+TABULATED = replace(constant_scenario(nx=16), birth={
     "family": "tabulated", "params": {"x_nodes": [0.0, 0.5, 1.0], "a_nodes": [0.0, 0.3, 1.0],
                                       "values": [[0.0, 3.0, 2.0], [0.5, 2.5, 1.5],
                                                  [1.0, 2.0, 2.5]]}},
@@ -543,7 +542,7 @@ KERNELS = {"uniform": {"family": "uniform", "params": {}},
     ("gaussian_0.01", 64, "dense", 64),
 ])
 def test_mix_is_held_in_the_form_its_rule_gives(name, nx, form, rank):
-    config = dataclasses.replace(singular_scenario(nx=nx), kernel=KERNELS[name])
+    config = replace(singular_scenario(nx=nx), kernel=KERNELS[name])
     model = build_model(config)
     mix = kernel.mix_matrix(model, build_grids(config, model)[0])
     assert mix.summary() == {"form": form, "rank": rank, "rtol": kernel.MIX_RTOL}
@@ -551,7 +550,7 @@ def test_mix_is_held_in_the_form_its_rule_gives(name, nx, form, rank):
 
 def test_mix_is_dense_where_the_factor_would_pass_a_quarter_of_nx():
     # gaussian(0.15) needs rank 24-25 at every nx; at nx = 64 that passes 16
-    config = dataclasses.replace(singular_scenario(nx=64), kernel=KERNELS["gaussian_0.15"])
+    config = replace(singular_scenario(nx=64), kernel=KERNELS["gaussian_0.15"])
     model = build_model(config)
     tgrid = build_grids(config, model)[0]
     mix = kernel.mix_matrix(model, tgrid)

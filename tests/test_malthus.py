@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -14,7 +13,7 @@ from structpop.kernel import survival_matrix
 from structpop.malthus import (MalthusProblem, SubcriticalError, _falsi,
                                dual_profile, eta_lower_bound, refinement_sweep,
                                solve_eigentriple, stationary_state)
-from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
+from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario, replace,
                              singular_scenario)
 from structpop.pde import stationary_residual
 from structpop.spectral import perron
@@ -56,7 +55,7 @@ def test_lambda_star_constant_model(constant_setup):
 
 
 def test_subcritical_rejected():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=8),
         birth={"family": "constant", "params": {"value": 0.5}})
     model = build_model(cfg)
@@ -139,7 +138,7 @@ def test_eta_lower_bounds(constant_setup):
 
 def test_eta_lower_degenerate_warning(constant_setup):
     phi = np.ones((4, 4))
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         birth={"family": "constant", "params": {"value": 0.0}})
     model = build_model(cfg)
@@ -156,7 +155,7 @@ def test_stationary_state_constant(constant_setup):
 
 
 def test_stationary_mass_scales_with_competition():
-    cfg = dataclasses.replace(constant_scenario(nx=8), c=2.0)
+    cfg = replace(constant_scenario(nx=8), c=2.0)
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     prob = MalthusProblem(model, tg, ag)
@@ -187,7 +186,7 @@ def test_refinement_sweep_regular_gap_persists():
 def test_gaussian_kernel_constant_rates():
     # B=2, D=1 and a normalized kernel give lambda* = B - D = 1 and phi = 1
     # whatever k is; a non-constant kernel matrix exposes a transposed Mix.
-    cfg = dataclasses.replace(constant_scenario(),
+    cfg = replace(constant_scenario(),
                               kernel={"family": "gaussian", "params": {"width": 0.15}})
     model = build_model(cfg)
     tgrid, agrid = build_grids(cfg, model)
@@ -242,7 +241,7 @@ AGING_DEATH = {"family": "affine", "params": {"base": 1.0, "slope_a": 0.5}}
 
 
 def singular_problem(nx, **changes):
-    cfg = dataclasses.replace(singular_scenario(nx=nx), **changes)
+    cfg = replace(singular_scenario(nx=nx), **changes)
     model = build_model(cfg)
     return MalthusProblem(model, *build_grids(cfg, model))
 
@@ -359,7 +358,7 @@ def test_perron_counts_the_inverses_it_forms(monkeypatch):
 def test_narrow_kernel_search_shift_inverts_and_starts_the_dual_warm():
     # gaussian(0.01) at nx = 200: power steps contract the residual too slowly,
     # and the dual starts from its exact eigenvector
-    cfg = dataclasses.replace(constant_scenario(nx=200), kernel={
+    cfg = replace(constant_scenario(nx=200), kernel={
         "family": "gaussian", "params": {"width": 0.01}})
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
@@ -515,7 +514,7 @@ def test_phi_matches_tails_over_twice_the_horizon(scenario):
 def test_phi_matches_tails_over_twice_the_horizon_where_the_death_rate_ages():
     # cell by cell to the horizon on the whole lattice: 3.1e-15 of phi's maximum
     # off, at the far end of the rows, where R's exponent rounds the most
-    cfg = dataclasses.replace(singular_scenario(nx=64), death=AGING_DEATH)
+    cfg = replace(singular_scenario(nx=64), death=AGING_DEATH)
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
     triple = solve_eigentriple(problem)
@@ -554,7 +553,7 @@ def test_dual_at_root_starts_from_direct_pair(scenario):
 def test_dual_starts_warm_for_every_kernel_family(scenario):
     # the gaussian kernel is g / Z with g symmetric, so sB mu k(x, x) is the
     # dual eigenvector although diag(w) Mix is not symmetric
-    cfg = dataclasses.replace(scenario(nx=64), kernel={
+    cfg = replace(scenario(nx=64), kernel={
         "family": "gaussian", "params": {"width": 0.15}})
     _, pq, cold = problem_at_root(cfg)
     assert pq.path == "warm" and pq.iterations <= 1
@@ -570,7 +569,7 @@ def test_dual_starts_warm_for_every_kernel_family(scenario):
 def test_every_kernel_family_is_symmetric_over_its_diagonal(family):
     # the dual start's premise: k(x, y) = g(x, y) / Z(x) with g symmetric and
     # g(x, x) constant, so k(x_i, x_j) / k(x_i, x_i) = g_ij / g0 is symmetric
-    cfg = dataclasses.replace(constant_scenario(nx=64), kernel=family)
+    cfg = replace(constant_scenario(nx=64), kernel=family)
     model = build_model(cfg)
     K = model.mutation_kernel.matrix(build_grids(cfg, model)[0].nodes)
     ratio = K / np.diag(K)[:, None]
@@ -580,7 +579,7 @@ def test_every_kernel_family_is_symmetric_over_its_diagonal(family):
 @PRESETS
 def test_dual_stays_cold_where_the_birth_integral_vanishes(scenario):
     # traits below 0.2 are clipped onto the all-zero row: sB = 0 there
-    cfg = dataclasses.replace(scenario(nx=64), birth={
+    cfg = replace(scenario(nx=64), birth={
         "family": "tabulated", "params": {"x_nodes": [0.2, 0.6, 1.0],
                                           "a_nodes": [0.0, 1.0],
                                           "values": [[0.0, 0.0], [3.0, 3.0], [3.0, 3.0]]}})
@@ -618,7 +617,7 @@ SEARCH_CASES = {      # (preset, nx, changes, pinned evaluations or None)
 @pytest.mark.parametrize("name", list(SEARCH_CASES))
 def test_lambda_star_matches_a_brentq_reference(name):
     preset, nx, changes, pinned = SEARCH_CASES[name]
-    cfg = dataclasses.replace(preset(nx=nx), **changes)
+    cfg = replace(preset(nx=nx), **changes)
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
     lam_star = problem.find_lambda_star(1e-6)
@@ -734,7 +733,7 @@ def _age_oracle_root() -> float:
 
 def age_oracle_model(nx, da):
     """The age oracle's model, c = 1, with its grids at nx and da."""
-    cfg = dataclasses.replace(constant_scenario(nx=nx, da=da), death={
+    cfg = replace(constant_scenario(nx=nx, da=da), death={
         "family": "affine", "params": {"base": AGE_ORACLE["base"],
                                        "slope_a": AGE_ORACLE["slope_a"]}})
     model = build_model(cfg)
@@ -802,7 +801,7 @@ def test_dynamics_settle_on_the_exact_stationary_state():
 
 def test_lambda_search_stops_at_its_doubling_cap():
     # B = 1e20 keeps rho(lambda) = B / (D + lambda) above 1 at lambda = 2^60
-    cfg = dataclasses.replace(constant_scenario(nx=8, tol=1e-8),
+    cfg = replace(constant_scenario(nx=8, tol=1e-8),
                               birth={"family": "constant", "params": {"value": 1e20}})
     model = build_model(cfg)
     problem = MalthusProblem(model, *build_grids(cfg, model))
@@ -820,6 +819,6 @@ def test_eigentriple_refuses_a_lattice_of_another_age_step(constant_setup):
 
 def test_stationary_state_needs_a_positive_competition_rate(constant_setup):
     s = constant_setup
-    problem = MalthusProblem(dataclasses.replace(s.model, competition=0.0), s.tgrid, s.agrid)
+    problem = MalthusProblem(replace(s.model, competition=0.0), s.tgrid, s.agrid)
     with pytest.raises(ValueError, match="positive competition rate"):
         stationary_state(problem, s.triple)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -8,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structpop.malthus import MalthusProblem, solve_eigentriple
 from structpop.model import (AgeGrid, ConfigError, _make_rate, build_grids, build_model,
-                             constant_scenario, grid_integral, mass_weights,
-                             midpoint_grid, parse_config, singular_scenario,
+                             constant_scenario, grid_integral, mass_weights, midpoint_grid,
+                             parse_config, replace, singular_scenario,
                              validate_assumptions)
 
 
@@ -79,6 +79,68 @@ def test_config_round_trip():
     assert parse_config(json.loads(json.dumps(cfg2.to_dict()))) == cfg2
 
 
+SMALL = constant_scenario(nx=8, tol=1e-8)
+
+
+@pytest.mark.parametrize("record, changes, message", [
+    (SMALL, {"nx": 1}, "grids.nx"),
+    (SMALL, {"da": 0.0}, "grids.da"),
+    (SMALL, {"seed": -1}, "seed"),
+    (build_model(SMALL), {"mutation_prob": 1.5}, "mutation probability"),
+    (build_model(SMALL), {"competition": -1.0}, "competition rate"),
+    (AgeGrid(da=0.01, n_cells=100), {"n_cells": 101}, "even cell count"),
+], ids=["config_nx_1", "config_da_0", "config_seed_-1", "model_mutation_prob_1.5",
+        "model_competition_-1", "age_grid_odd_cells"])
+def test_a_replaced_record_passes_its_class_checks(record, changes, message):
+    # replace builds the copy through the constructor, as presets, parse_config
+    # and the command line's overrides do
+    with pytest.raises(ConfigError, match=message):
+        replace(record, **changes)
+    assert replace(record) == record
+
+
+def every_record():
+    """One instance of each record class: configs, models, grids and solve results."""
+    model = build_model(SMALL)
+    tgrid, agrid = build_grids(SMALL, model)
+    problem = MalthusProblem(model, tgrid, agrid)
+    triple = solve_eigentriple(problem)
+    ck, pd = problem.direct_pair(triple.lambda_star)
+    return [SMALL, model, model.birth, model.mutation_kernel, tgrid, agrid,
+            problem.factors, problem.mix, ck, pd, triple]
+
+
+def test_records_are_immutable():
+    records = every_record()
+    assert sorted(type(r).__name__ for r in records) == [
+        "AgeFactors", "AgeGrid", "CollapsedKernel", "EigenTriple", "KernelFamily",
+        "MixForm", "PerronPair", "RateFamily", "RateModel", "ScenarioConfig", "TraitGrid"]
+    for record in records:
+        for name in record._fields:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(record, name)
+            assert getattr(record, name) is value
+        with pytest.raises(AttributeError, match="immutable"):
+            record.added = 1
+        with pytest.raises(TypeError):
+            replace(record, no_such_field=1)
+
+
+def test_records_are_built_by_position_or_name():
+    grid = AgeGrid(0.01, n_cells=100)
+    assert grid == AgeGrid(da=0.01, n_cells=100) != AgeGrid(da=0.02, n_cells=100)
+    assert repr(grid) == "AgeGrid(da=0.01, n_cells=100)"
+    assert replace(SMALL, nx=9).nx == 9 and SMALL.nx == 8
+    assert replace(SMALL, seed=5).to_dict() == {**SMALL.to_dict(), "seed": 5}
+    for args, kwargs in [((0.01,), {}), ((0.01, 100, 2), {}), ((0.01, 100), {"da": 0.01}),
+                         ((0.01, 100), {"extra": 1})]:
+        with pytest.raises(TypeError):
+            AgeGrid(*args, **kwargs)
+
+
 def test_config_rejects_unknown_keys():
     data = constant_scenario().to_dict()
     data["extra"] = 1
@@ -115,7 +177,7 @@ def test_eval_rates_sqrt_gap():
 
 
 def test_rate_family_rejects_unknown_params():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         birth={"family": "constant", "params": {"value": 2.0, "oops": 1}})
     with pytest.raises(ConfigError):
@@ -123,7 +185,7 @@ def test_rate_family_rejects_unknown_params():
 
 
 def test_gaussian_kernel_normalized():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         kernel={"family": "gaussian", "params": {"width": 0.15}})
     model = build_model(cfg)
@@ -135,7 +197,7 @@ def test_gaussian_kernel_normalized():
 
 @pytest.mark.parametrize("width", [0.05, 0.15, 1.0])
 def test_gaussian_kernel_bounds_hold(width):
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         kernel={"family": "gaussian", "params": {"width": width}})
     k = build_model(cfg).mutation_kernel
@@ -166,7 +228,7 @@ def test_validate_assumptions_singular(singular_setup):
 
 
 def test_validate_assumptions_flags_zero_birth():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         birth={"family": "constant", "params": {"value": 0.0}})
     model = build_model(cfg)
@@ -177,7 +239,7 @@ def test_validate_assumptions_flags_zero_birth():
 
 
 def test_kernel_normalized_gaussian_and_scaled():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=32),
         kernel={"family": "gaussian", "params": {"width": 0.15}}, p=0.4)
     model = build_model(cfg)
@@ -187,8 +249,8 @@ def test_kernel_normalized_gaussian_and_scaled():
     assert rep.details["kernel_normalized"]["max_defect"] < 1e-12
 
     k = model.mutation_kernel
-    scaled = dataclasses.replace(k, fn=lambda x, y, fn=k.fn: 1.001 * fn(x, y))
-    rep = validate_assumptions(dataclasses.replace(model, mutation_kernel=scaled), tg, ag)
+    scaled = replace(k, fn=lambda x, y, fn=k.fn: 1.001 * fn(x, y))
+    rep = validate_assumptions(replace(model, mutation_kernel=scaled), tg, ag)
     assert not rep.checks["kernel_normalized"]
     assert rep.details["kernel_normalized"]["max_defect"] == pytest.approx(1e-3, rel=1e-6)
 
@@ -196,13 +258,13 @@ def test_kernel_normalized_gaussian_and_scaled():
 def test_model_rejects_bad_parameters():
     cfg = constant_scenario()
     with pytest.raises(ConfigError):
-        build_model(dataclasses.replace(cfg, p=0.0))
+        build_model(replace(cfg, p=0.0))
     with pytest.raises(ConfigError):
-        build_model(dataclasses.replace(cfg, p=1.0))
+        build_model(replace(cfg, p=1.0))
     with pytest.raises(ConfigError):
-        build_model(dataclasses.replace(cfg, c=-1.0))
+        build_model(replace(cfg, c=-1.0))
     with pytest.raises(ConfigError):
-        build_model(dataclasses.replace(
+        build_model(replace(
             cfg, death={"family": "constant", "params": {"value": 0.0}}))
 
 
@@ -218,7 +280,7 @@ def test_logistic_age_rate_is_its_floor_where_exp_overflows():
 
 
 def test_tabulated_rate_bilinear():
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(),
         birth={"family": "tabulated",
                "params": {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, 10.0],
@@ -285,7 +347,7 @@ FAMILY_GUARDS = [
                          ids=lambda v: v if isinstance(v, str) else None)
 def test_each_family_guard_is_a_config_error(where, family, params, named):
     spec = {"family": family, "params": params}
-    cfg = dataclasses.replace(constant_scenario(), **{where: spec})
+    cfg = replace(constant_scenario(), **{where: spec})
     with pytest.raises(ConfigError) as err:
         build_model(cfg)
     assert named in str(err.value)
@@ -328,7 +390,7 @@ MALFORMED_PARAMS = [
 
 @pytest.mark.parametrize("where, family, params, named", MALFORMED_PARAMS)
 def test_malformed_family_parameters_are_config_errors(where, family, params, named):
-    cfg = dataclasses.replace(constant_scenario(), **{where: {"family": family,
+    cfg = replace(constant_scenario(), **{where: {"family": family,
                                                               "params": params}})
     with pytest.raises(ConfigError) as err:
         build_model(cfg)
@@ -338,7 +400,7 @@ def test_malformed_family_parameters_are_config_errors(where, family, params, na
 def test_family_parameters_convert_as_float_does():
     # a numeric string and an integer are read as float() reads them, and
     # affine's slopes default to 0
-    cfg = dataclasses.replace(constant_scenario(), birth={
+    cfg = replace(constant_scenario(), birth={
         "family": "affine", "params": {"base": "2", "slope_x": 1}})
     birth = build_model(cfg).birth
     assert birth.params == {"base": 2.0, "slope_x": 1.0, "slope_a": 0.0}

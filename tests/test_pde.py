@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -14,8 +13,8 @@ from scipy.linalg import lu_factor, lu_solve
 from conftest import cell_path, renewal_flux
 from structpop import _loops, pde
 from structpop.kernel import mix_matrix, prefix_cells, survival_matrix
-from structpop.model import (AgeGrid, build_grids, build_model,
-                             constant_scenario, midpoint_grid)
+from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
+                             midpoint_grid, replace)
 from structpop.malthus import MalthusProblem, solve_eigentriple
 
 
@@ -31,7 +30,7 @@ def age_bump_state(tgrid, agrid, mass=1.0):
 def make_solver(birth=2.0, death=1.0, c=1.0, nx=16, n_cells=600, twin=False):
     """Constant rates, whose history sums past age 0 are in closed form; or with
     twin, their cell-path twin (`conftest.cell_path`), whose are by FFT."""
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=nx), c=c,
         birth={"family": "constant", "params": {"value": birth}},
         death={"family": "constant", "params": {"value": death}})
@@ -43,7 +42,7 @@ def make_solver(birth=2.0, death=1.0, c=1.0, nx=16, n_cells=600, twin=False):
 
 def c_zero_twin(solver):
     """The solver of the same model without competition: the linear flow."""
-    return pde.TransportSolver(dataclasses.replace(solver.model, competition=0.0),
+    return pde.TransportSolver(replace(solver.model, competition=0.0),
                                solver.tgrid, solver.agrid, solver.mix)
 
 
@@ -60,7 +59,7 @@ def test_death_with_competition_first_order():
     # the start-of-step competition mass makes the scheme genuinely first order
     def mass_error(da):
         cfg = constant_scenario()
-        model = build_model(dataclasses.replace(
+        model = build_model(replace(
             cfg, birth={"family": "constant", "params": {"value": 0.0}}))
         tg = midpoint_grid((0.0, 1.0), 8)
         ag = AgeGrid(da=da, n_cells=int(round(6.0 / da)))
@@ -114,7 +113,7 @@ def test_renewal_flux_examples(constant_setup):
 
 
 def test_renewal_flux_mutation_free_limit():
-    cfg = dataclasses.replace(constant_scenario(nx=8), p=1e-12)
+    cfg = replace(constant_scenario(nx=8), p=1e-12)
     model = build_model(cfg)
     tg = midpoint_grid((0.0, 1.0), 8)
     ag = AgeGrid(da=0.01, n_cells=400)
@@ -160,7 +159,7 @@ def test_invariant_drift_halves_with_dt(constant_setup):
         tg, ag = build_grids(cfg, model)
         prob = MalthusProblem(model, tg, ag)
         tr = solve_eigentriple(prob, tol_lam=1e-10)
-        linear = dataclasses.replace(model, competition=0.0)
+        linear = replace(model, competition=0.0)
         solver = pde.TransportSolver(linear, tg, ag, prob.mix)
         xt = (tg.nodes - tg.nodes[0]) / (tg.nodes[-1] - tg.nodes[0])
         v0 = tr.N_grid * (1.0 + 0.5 * np.cos(2 * np.pi * xt))[:, None]
@@ -296,7 +295,7 @@ def newborn_reference(solver, v):
     {"birth": {"family": "sqrt_gap", "params": {"bbar": 4.0}}, "p": 0.05}],
     ids=["constant", "gaussian_kernel", "logistic_age_birth", "trait_dependent_birth"])
 def test_newborn_matrix_matches_boundary_solve(changes, rng):
-    cfg = dataclasses.replace(constant_scenario(nx=24), **changes)
+    cfg = replace(constant_scenario(nx=24), **changes)
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
     solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))
@@ -349,12 +348,11 @@ def test_run_to_the_state_time_makes_no_step():
 def test_negative_density_raises_under_optimize():
     # the guard must survive `python -O`, which strips assert statements
     script = (
-        "import dataclasses\n"
         "from structpop import pde\n"
         "from structpop.kernel import mix_matrix\n"
-        "from structpop.model import build_grids, build_model, constant_scenario\n"
+        "from structpop.model import build_grids, build_model, constant_scenario, replace\n"
         "cfg = constant_scenario(nx=8, tol=1e-6)\n"
-        "model = dataclasses.replace(build_model(cfg), competition=0.0)\n"
+        "model = replace(build_model(cfg), competition=0.0)\n"
         "tg, ag = build_grids(cfg, model)\n"
         "solver = pde.TransportSolver(model, tg, ag, mix_matrix(model, tg))\n"
         "state = pde.uniform_state(solver.tgrid, solver.agrid)\n"
@@ -437,7 +435,7 @@ def test_cohort_step_matches_per_cell_reference_constant(constant_setup, linear)
 
 def age_dependent_solver():
     """Logistic-in-age birth; death 1 + x/2 + 5a, whose survival underflows by a ~ 17."""
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(nx=12),
         birth={"family": "logistic_age",
                "params": {"low": 0.5, "high": 3.0, "midpoint": 1.0, "scale": 0.3}},
@@ -646,7 +644,7 @@ def tabulated_solver(a_f, nx=8, n_cells=600, values=((0.5, 1.0), (0.8, 1.3))):
     """Death tabulated in age up to a_f and flat past it, so that the history
     sums' tail starts at the first node at or past a_f; values[i] are the
     rates at trait x_i = i and ages 0 and a_f."""
-    cfg = dataclasses.replace(constant_scenario(nx=nx), death={
+    cfg = replace(constant_scenario(nx=nx), death={
         "family": "tabulated", "params": {"x_nodes": [0.0, 1.0], "a_nodes": [0.0, a_f],
                                           "values": [list(v) for v in values]}})
     model = build_model(cfg)

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ from conftest import lattice_collapse
 from structpop import spectral
 from structpop.kernel import MIX_RTOL, MixForm, mix_matrix
 from structpop.malthus import MalthusProblem
-from structpop.model import (AgeGrid, build_grids, build_model,
-                             constant_scenario, midpoint_grid, singular_scenario)
+from structpop.model import (AgeGrid, build_grids, build_model, constant_scenario,
+                             midpoint_grid, replace, singular_scenario)
 from structpop.spectral import (PerronConvergenceError, _evaluate, adjoint_residual,
                                 density_from_profile, perron, regime)
 
@@ -69,7 +68,7 @@ def test_operator_rejects_size_mismatch(const_pair):
 def test_assembly_under_an_asymmetric_kernel_is_the_transpose():
     # the gaussian kernel is renormalised per row, so k(x, y) != k(y, x): the
     # direct operator reads k(x_j, x_i) and its dual k(x_i, x_j)
-    model = build_model(dataclasses.replace(
+    model = build_model(replace(
         constant_scenario(), kernel={"family": "gaussian", "params": {"width": 0.15}}))
     tg = midpoint_grid((0.0, 1.0), 6)
     ck = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=500), 0.4)
@@ -122,7 +121,7 @@ def test_perron_diagonal_picks_max():
 
 def test_perron_matches_dense_eigensolver():
     # independent oracle on a small grid: full dense spectrum
-    cfg = dataclasses.replace(
+    cfg = replace(
         constant_scenario(), nx=40,
         birth={"family": "gaussian_bump",
                "params": {"base": 1.5, "amp": 1.0, "center": 0.4, "width": 0.2}})
@@ -192,7 +191,7 @@ def test_density_from_profile_takes_no_difference_of_the_clonal_rate():
     # at small p the mutant flux is a small part of M mu; forming it as
     # M mu - r mu loses about eps / p relative (4e-13 here)
     p = 2e-3
-    model = build_model(dataclasses.replace(
+    model = build_model(replace(
         constant_scenario(), p=p, kernel={"family": "gaussian", "params": {"width": 0.15}}))
     tg = midpoint_grid((0.0, 1.0), 200)
     sB = lattice_collapse(model, tg, AgeGrid(da=0.01, n_cells=2000), 1.0).sB
@@ -243,7 +242,7 @@ def test_perron_random_nonnegative_matrices(M):
 def singular_ops():
     """Direct operators at two nearby lambdas: the singular preset at nx=400
     with a trait-dependent death rate, so the eigenvector moves with lambda."""
-    cfg = dataclasses.replace(singular_scenario(nx=400), death={
+    cfg = replace(singular_scenario(nx=400), death={
         "family": "affine", "params": {"base": 1.0, "slope_x": 0.5}})
     model = build_model(cfg)
     tg, ag = build_grids(cfg, model)
@@ -343,7 +342,7 @@ def test_factored_operator_matches_dense_references_from_k(family):
     # dot product's), and for a solve of A = sigma I - M (A^{-1} >= 0) carry
     # both through ||A^{-1}||_inf = max(A^{-1} 1).
     eps = np.finfo(float).eps
-    config = dataclasses.replace(singular_scenario(nx=400), kernel=family)
+    config = replace(singular_scenario(nx=400), kernel=family)
     model = build_model(config)
     tg, ag = build_grids(config, model)
     n, p, x = tg.n, model.mutation_prob, tg.nodes
